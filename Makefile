@@ -9,8 +9,9 @@
 # suites and the artifact store (crash-point sweep, child-process kill
 # harness, fault soak, store-vs-fresh bit identity), a fuzz smoke over
 # the wire-frame/socket-message parsers and the store codecs, a
-# fixed-seed chaos run of the socket transport harness, and a benchdiff
-# smoke run over the checked-in snapshot.
+# fixed-seed chaos run of the socket transport harness, a benchdiff
+# smoke run over the checked-in snapshot, and the end-to-end benchmark
+# module's golden-digest smoke test.
 
 GO ?= go
 
@@ -26,7 +27,7 @@ BENCH_BASELINE = BENCH_9.json
 # or harness regression silently dropping the new energy benchmarks).
 BENCH_REQUIRE = EnergyCharacterization/cold|Table2PreprocessingGrid/scratch|Activity/lanes|Serve/sessions|Serve/sessions-scalar|Serve/latency|Gateway/shards=1|Gateway/shards=4|Transport/inproc|Transport/tcp|Transport/udp|BatchChain/ama5-k16/batch64|BatchChain/ama5-k16/scalar|StoreColdWarm/fromzero|StoreColdWarm/warmstore
 
-.PHONY: all build vet test race race-arith race-energy race-serve race-gateway race-net race-batch race-store fuzz-smoke net-smoke test-reference bench bench-reference bench-json bench-diff bench-diff-smoke ci
+.PHONY: all build vet test race race-arith race-energy race-serve race-gateway race-net race-batch race-store fuzz-smoke net-smoke test-reference bench bench-reference bench-json bench-diff bench-diff-smoke bench-smoke ci
 
 all: build
 
@@ -149,10 +150,17 @@ bench-json:
 bench-diff:
 	$(GO) run ./cmd/benchdiff -threshold 0.15 -bytes-threshold 0.15 -allocs-threshold 0.15 -require '$(BENCH_REQUIRE)' $(BENCH_BASELINE) $(BENCH_SNAPSHOT)
 
+# The end-to-end benchmark's own module (bench/ has a go.mod of its own,
+# so the root `go test ./...` never builds it): vet it and run its smoke
+# test, which checks every design and grid of seed 1 against the golden
+# digests in bench/testdata/golden-seed1.txt.
+bench-smoke:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
+
 # CI smoke: self-compare the checked-in snapshot so the tool's parsing,
 # matching, gating and -require checks run on every CI pass without
 # cross-machine noise.
 bench-diff-smoke:
 	$(GO) run ./cmd/benchdiff -threshold 0.15 -bytes-threshold 0.15 -allocs-threshold 0.15 -require '$(BENCH_REQUIRE)' $(BENCH_SNAPSHOT) $(BENCH_SNAPSHOT) > /dev/null
 
-ci: build vet race race-arith race-energy race-serve race-gateway race-net race-batch race-store fuzz-smoke net-smoke test-reference bench bench-reference bench-diff-smoke
+ci: build vet race race-arith race-energy race-serve race-gateway race-net race-batch race-store fuzz-smoke net-smoke test-reference bench bench-reference bench-diff-smoke bench-smoke

@@ -18,6 +18,17 @@
 // Evaluating quality twice — once on the intermediate signal a physician
 // may need, once on the application output — is the paper's central idea;
 // Methodology.Run wires the two gates exactly that way.
+//
+// The two gates also shape the evaluation cost. Gate 2 holds gate 1's
+// pre-processing unit fixed, and the Table 2 grid has few distinct LPFs,
+// so consecutive designs mostly share a leading run of stages. On its
+// single-record shards (the default split) the Evaluator keeps, per
+// pooled worker scratch and record, the stage outputs and PSNR/SSIM of
+// the last design simulated there, and resumes the next design's
+// simulation at the first stage whose canonical configuration differs
+// (bit-identical, since every stage's batch filter starts from a cleared
+// delay line). That holds at most (concurrent evaluations) × records ×
+// 5 signals × samples × 8 B.
 package core
 
 import (
@@ -96,8 +107,10 @@ type Evaluator struct {
 	eng  *sched.Evaluator[Quality]
 
 	// scratch is a free list of warm per-worker simulation state
-	// (pipeline, stage buffers, detector): a shard evaluation is
-	// allocation-free once a scratch for its configuration exists.
+	// (pipelines, per-record stage outputs, detector): a shard evaluation
+	// is allocation-free once a scratch for its configuration exists, and
+	// a single-record shard re-runs only the stages after the prefix it
+	// shares with the record's last simulation in that scratch.
 	scratch struct {
 		sync.Mutex
 		free []*recScratch
@@ -105,17 +118,32 @@ type Evaluator struct {
 }
 
 // recScratch is one worker's reusable simulation state: per-record
-// pipelines plus the shared batch plan that evaluates a multi-record
-// shard word-parallel (rebound per configuration, its packed scratch
-// kept), the whole-record output buffers of the single-record path, and
-// the detector scratch the per-record decision pass reuses.
+// pipelines for the canonical configuration cfg plus the shared batch
+// plan that evaluates a multi-record shard word-parallel (rebound per
+// configuration, its packed scratch kept), the last single-record
+// simulation of every record this scratch has run, and the detector
+// scratch the per-record decision pass reuses. The evaluator holds one
+// scratch per concurrent evaluation, so the simulations cost at most
+// (concurrent evaluations) × records × 5 signals × samples × 8 B.
 type recScratch struct {
 	det   pantompkins.PeakDetector
-	out   pantompkins.Outputs
 	cfg   pantompkins.Config
 	batch *pantompkins.PipelineBatch
 	pipes []*pantompkins.Pipeline
 	blks  [][]int16
+	sims  []recSim // indexed by record, grown on first single-record use
+}
+
+// recSim is the last whole-record simulation of one record in a scratch:
+// the canonical configuration whose stages produced out, and the graded
+// PSNR (clamped) and SSIM of out.Filtered. A later design resumes from
+// the first stage where its configuration differs from cfg. ok is false
+// until a simulation and its grading complete.
+type recSim struct {
+	cfg        pantompkins.Config
+	ok         bool
+	out        pantompkins.Outputs
+	psnr, ssim float64
 }
 
 // recPartial is the per-record slice of a Quality record.
@@ -206,17 +234,22 @@ func (e *Evaluator) putScratch(sc *recScratch) {
 // stages evaluate as batch rounds over one shared compiled plan
 // (pantompkins.PipelineBatch, ≤64 records word-parallel per round); the
 // quality and detection passes then run per record in order. A
-// single-record shard takes the whole-record scalar path instead — its
-// one block already amortizes plan dispatch over the full record, so
-// batching it would only add packing copies. Outputs are bit-identical
-// either way — the batch amortizes dispatch, it does not change
-// arithmetic — so cached Quality values match for every
+// single-record shard takes the whole-record scalar path instead (see
+// simRecord) — its one block already amortizes plan dispatch over the
+// full record, so batching it would only add packing copies. Outputs are
+// bit-identical either way — the batch amortizes dispatch, it does not
+// change arithmetic — so cached Quality values match for every
 // (workers, shards) split. After warm-up (a pooled scratch holding
 // cfg's pipelines exists) a shard evaluation allocates nothing, and a
 // configuration change reuses the batch's packed scratch (Reset).
+//
+// cfg is canonicalized first (sched.Canonical: a stage with zero
+// approximated LSBs is exact whatever its module kinds), so designs that
+// generate the same hardware share pipelines and stage outputs.
 func (e *Evaluator) evalRange(cfg pantompkins.Config, lo, hi int, parts []recPartial) error {
 	sc := e.getScratch()
 	defer e.putScratch(sc)
+	cfg = sched.Canonical(cfg)
 	n := hi - lo
 	if sc.cfg != cfg {
 		sc.cfg = cfg
@@ -230,9 +263,7 @@ func (e *Evaluator) evalRange(cfg pantompkins.Config, lo, hi int, parts []recPar
 		sc.pipes = append(sc.pipes, p)
 	}
 	if n == 1 {
-		rec := e.Records[lo]
-		sc.pipes[0].RunInto(&sc.out, rec.Samples)
-		p, err := e.gradeRecord(lo, sc.out.Filtered, sc.out.Integrated, sc)
+		p, err := e.simRecord(sc, lo)
 		if err != nil {
 			return err
 		}
@@ -257,30 +288,79 @@ func (e *Evaluator) evalRange(cfg pantompkins.Config, lo, hi int, parts []recPar
 	}
 	filt, integ := sc.batch.Run(sc.pipes[:n], sc.blks)
 	for ri := lo; ri < hi; ri++ {
-		p, err := e.gradeRecord(ri, filt[ri-lo], integ[ri-lo], sc)
+		psnr, ssim, err := e.signalQuality(ri, filt[ri-lo])
 		if err != nil {
 			return err
 		}
-		parts[ri-lo] = p
+		m, err := e.matchRecord(ri, filt[ri-lo], integ[ri-lo], sc)
+		if err != nil {
+			return err
+		}
+		parts[ri-lo] = recPartial{psnr: psnr, ssim: ssim, match: m}
 	}
 	return nil
 }
 
-// gradeRecord runs detection and quality metrics over one record's
-// filtered/integrated signals.
-func (e *Evaluator) gradeRecord(ri int, filtered, integrated []int64, sc *recScratch) (recPartial, error) {
+// simRecord evaluates sc.cfg on record ri through the whole-record path,
+// resuming from the longest stage prefix sc.cfg shares with the last
+// design this scratch simulated on ri: the stages before the first
+// differing one are skipped and their outputs reused (bit-identical, see
+// pantompkins.Pipeline.RunFrom), and PSNR/SSIM are reused as well when
+// LPF and HPF both match. Detection and peak matching always run. This
+// is what makes the explorer's usual sequences cheap: gate 2 holds the
+// gate-1 pre-processing unit fixed, and the Table 2 grid varies HPF
+// fastest under few distinct LPFs.
+func (e *Evaluator) simRecord(sc *recScratch, ri int) (recPartial, error) {
+	if sc.sims == nil {
+		sc.sims = make([]recSim, len(e.Records))
+	}
+	rs := &sc.sims[ri]
+	from := pantompkins.LPF
+	if rs.ok {
+		from = resumeStage(rs.cfg, sc.cfg)
+	}
+	rs.ok = false
+	sc.pipes[0].RunFrom(&rs.out, e.Records[ri].Samples, from)
+	if from <= pantompkins.HPF {
+		psnr, ssim, err := e.signalQuality(ri, rs.out.Filtered)
+		if err != nil {
+			return recPartial{}, err
+		}
+		rs.psnr, rs.ssim = psnr, ssim
+	}
+	rs.cfg, rs.ok = sc.cfg, true
+	m, err := e.matchRecord(ri, rs.out.Filtered, rs.out.Integrated, sc)
+	if err != nil {
+		return recPartial{}, err
+	}
+	return recPartial{psnr: rs.psnr, ssim: rs.ssim, match: m}, nil
+}
+
+// resumeStage returns the first stage whose configuration differs between
+// two canonical configurations, or NumStages when none does.
+func resumeStage(prev, next pantompkins.Config) pantompkins.Stage {
+	for _, s := range pantompkins.Stages {
+		if prev.Stage[s] != next.Stage[s] {
+			return s
+		}
+	}
+	return pantompkins.NumStages
+}
+
+// signalQuality grades record ri's filtered signal against the accurate
+// reference. Identical signals give +Inf PSNR; it is clamped per record
+// for aggregation.
+func (e *Evaluator) signalQuality(ri int, filtered []int64) (psnr, ssim float64, err error) {
+	psnr, ssim, err = e.refs[ri].Quality(filtered)
+	return metrics.ClampPSNR(psnr), ssim, err
+}
+
+// matchRecord runs detection over one record's filtered/integrated
+// signals and matches the detected peaks against its annotations.
+func (e *Evaluator) matchRecord(ri int, filtered, integrated []int64, sc *recScratch) (metrics.MatchResult, error) {
 	rec := e.Records[ri]
 	det := sc.det.Detect(filtered, integrated, rec.FS)
-	psnr, ssim, err := e.refs[ri].Quality(filtered)
-	if err != nil {
-		return recPartial{}, err
-	}
-	m, err := metrics.MatchPeaks(rec.Annotations, det.Peaks, e.tol)
-	if err != nil {
-		return recPartial{}, err
-	}
-	// Identical signals give +Inf PSNR; clamp per record for aggregation.
-	return recPartial{psnr: metrics.ClampPSNR(psnr), ssim: ssim, match: m}, nil
+	return metrics.MatchPeaks(rec.Annotations, det.Peaks, e.tol)
 }
 
 // reduce folds the record partials — always in record order, whatever the

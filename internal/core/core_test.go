@@ -3,7 +3,9 @@ package core
 import (
 	"fmt"
 	"math"
+	"math/rand"
 	"runtime"
+	"sync"
 	"testing"
 
 	"github.com/xbiosip/xbiosip/internal/approx"
@@ -12,6 +14,7 @@ import (
 	"github.com/xbiosip/xbiosip/internal/ecg"
 	"github.com/xbiosip/xbiosip/internal/energy"
 	"github.com/xbiosip/xbiosip/internal/pantompkins"
+	"github.com/xbiosip/xbiosip/internal/sched"
 )
 
 func testEvaluator(t *testing.T, n int) *Evaluator {
@@ -271,6 +274,126 @@ func TestEvaluatorWarmShardAllocationFree(t *testing.T) {
 	})
 	if avg != 0 {
 		t.Fatalf("warm shard evaluation allocates %.2f times per record, want 0", avg)
+	}
+
+	// Prefix hit: hit shares cfg's LPF/HPF and differs from DER on, so
+	// after cfg the record resumes at DER. Rewinding the record's stored
+	// configuration to cfg's before each run repeats exactly that hit on
+	// hit's warm pipeline.
+	hit := cfg
+	hit.Stage[pantompkins.DER] = dsp.ArithConfig{LSBs: 2, Add: approx.ApproxAdd5, Mul: approx.AppMultV1}
+	if err := eval.evalRange(hit, 0, 1, parts); err != nil {
+		t.Fatal(err)
+	}
+	if n := len(eval.scratch.free); n != 1 {
+		t.Fatalf("%d pooled scratches after sequential evaluation, want 1", n)
+	}
+	sim := &eval.scratch.free[0].sims[0]
+	avg = testing.AllocsPerRun(50, func() {
+		sim.cfg = sched.Canonical(cfg)
+		if err := eval.evalRange(hit, 0, 1, parts); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if avg != 0 {
+		t.Fatalf("prefix-hit shard evaluation allocates %.2f times per record, want 0", avg)
+	}
+}
+
+// drawConfigs draws n configurations from the paper's design space —
+// per-stage LSBs from DefaultLSBLists crossed with every Table 1 adder
+// and multiplier kind, so k=0 rows with differing (dead) kinds occur. Each
+// draw after the first keeps a random leading run of the previous one's
+// stages and redraws the rest, the way gate 2 and the Table 2 grid move
+// through the space, so most consecutive pairs share a stage prefix.
+func drawConfigs(rng *rand.Rand, n int) []pantompkins.Config {
+	lsbs := DefaultLSBLists()
+	var cfgs []pantompkins.Config
+	var cur pantompkins.Config
+	for len(cfgs) < n {
+		keep := 0
+		if len(cfgs) > 0 {
+			keep = rng.Intn(pantompkins.NumStages)
+		}
+		for _, s := range pantompkins.Stages[keep:] {
+			l := lsbs[s]
+			cur.Stage[s] = dsp.ArithConfig{
+				LSBs: l[rng.Intn(len(l))],
+				Add:  approx.AdderKinds[rng.Intn(approx.NumAdderKinds)],
+				Mul:  approx.MultKinds[rng.Intn(approx.NumMultKinds)],
+			}
+		}
+		cfgs = append(cfgs, cur)
+	}
+	return cfgs
+}
+
+// TestEvaluatorPrefixReuseDifferential is the prefix-reuse gate: a seeded
+// configuration sequence, evaluated in drawn and in shuffled order by
+// {1, 2, 4} concurrent explorer workers on one evaluator (for both
+// record-shard splits), must give exactly the Quality a fresh evaluator
+// computes for each configuration alone.
+func TestEvaluatorPrefixReuseDifferential(t *testing.T) {
+	var records []*ecg.Record
+	for i := 0; i < 2; i++ {
+		rec, err := ecg.NSRDBRecord(i, 1500)
+		if err != nil {
+			t.Fatal(err)
+		}
+		records = append(records, rec)
+	}
+	rng := rand.New(rand.NewSource(12))
+	cfgs := drawConfigs(rng, 24)
+	want := make([]Quality, len(cfgs))
+	for i, cfg := range cfgs {
+		fresh, err := NewEvaluatorOpts(records, EvalOptions{Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want[i], err = fresh.Evaluate(cfg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	drawn := make([]int, len(cfgs))
+	for i := range drawn {
+		drawn[i] = i
+	}
+	for _, workers := range []int{1, 2, 4} {
+		for _, shards := range []int{0, 1} {
+			for _, order := range [][]int{drawn, rng.Perm(len(cfgs))} {
+				eval, err := NewEvaluatorOpts(records, EvalOptions{Workers: 1, RecordShards: shards})
+				if err != nil {
+					t.Fatal(err)
+				}
+				got := make([]Quality, len(cfgs))
+				errs := make([]error, len(cfgs))
+				var wg sync.WaitGroup
+				next := make(chan int)
+				for w := 0; w < workers; w++ {
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						for i := range next {
+							got[i], errs[i] = eval.Evaluate(cfgs[i])
+						}
+					}()
+				}
+				for _, i := range order {
+					next <- i
+				}
+				close(next)
+				wg.Wait()
+				for i := range cfgs {
+					if errs[i] != nil {
+						t.Fatal(errs[i])
+					}
+					if got[i] != want[i] {
+						t.Fatalf("workers=%d shards=%d order=%v: %v = %+v, fresh evaluator %+v",
+							workers, shards, order, cfgs[i], got[i], want[i])
+					}
+				}
+			}
+		}
 	}
 }
 

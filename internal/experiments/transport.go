@@ -44,6 +44,12 @@ type TransportIdentity struct {
 
 // TransportRow is one chaos-sweep point: a loss rate and concealment
 // policy, the recovered detection, and what the wire went through.
+//
+// Every field is a pure function of the seed, SrvFrames included: the
+// client settles each connection with a drain round trip before a chaos
+// disconnect tears it (serve.NetConfig.Disconnect), so no frame sent on
+// the torn connection can reach the listener after, or instead of, the
+// frames sent on the redialed one.
 type TransportRow struct {
 	Loss       float64
 	Policy     serve.GapPolicy

@@ -274,3 +274,44 @@ func TestStageStrings(t *testing.T) {
 		}
 	}
 }
+
+// TestRunFromMatchesRunInto: resuming from any stage over outputs of a
+// design that shares the earlier stages gives every signal bit-identical
+// to a whole RunInto of the target design.
+func TestRunFromMatchesRunInto(t *testing.T) {
+	rec := record(t, 3000)
+	target := [NumStages]int{10, 12, 2, 8, 16}
+	pb, err := New(cfgWith(target))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := pb.Run(rec.Samples)
+	for from := LPF; from <= NumStages; from++ {
+		// prev shares target's stages before from and differs after.
+		prev := target
+		for s := from; s < NumStages; s++ {
+			prev[s] = (prev[s] + 2) % (MaxLSBs[s] + 2)
+		}
+		pa, err := New(cfgWith(prev))
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := pa.Run(rec.Samples)
+		got := pb.RunFrom(out, rec.Samples, from)
+		signals := [][2][]int64{
+			{got.LowPassed, want.LowPassed}, {got.Filtered, want.Filtered},
+			{got.Derivative, want.Derivative}, {got.Squared, want.Squared},
+			{got.Integrated, want.Integrated},
+		}
+		for s, pair := range signals {
+			if len(pair[0]) != len(pair[1]) {
+				t.Fatalf("from %v: %v output length %d, want %d", from, Stage(s), len(pair[0]), len(pair[1]))
+			}
+			for i := range pair[1] {
+				if pair[0][i] != pair[1][i] {
+					t.Fatalf("from %v: %v output[%d] = %d, RunInto %d", from, Stage(s), i, pair[0][i], pair[1][i])
+				}
+			}
+		}
+	}
+}

@@ -115,22 +115,47 @@ func (p *Pipeline) Run(samples []int16) *Outputs {
 // processing many records (the evaluation loop of the design-space
 // explorer) allocates the buffers once. It returns out.
 func (p *Pipeline) RunInto(out *Outputs, samples []int16) *Outputs {
+	return p.RunFrom(out, samples, LPF)
+}
+
+// RunFrom is RunInto resuming at stage from: the stages before it are
+// skipped and their signals in out are taken as they stand, so out must
+// already hold them for these samples, computed by stages configured
+// exactly like this pipeline's (canonically: a stage with zero
+// approximated LSBs is exact whatever its module kinds). Every stage's
+// whole-array filter starts from a cleared delay line and reads only its
+// input signal, so the result is bit-identical to RunInto. A design
+// explorer that varies only later stages reuses the earlier outputs this
+// way. The skipped stages' delay lines are left as they were, so Push
+// continues a RunFrom run only when from is LPF. from >= NumStages runs
+// nothing.
+func (p *Pipeline) RunFrom(out *Outputs, samples []int16, from Stage) *Outputs {
 	if out == nil {
 		out = &Outputs{}
 	}
-	if cap(p.xs) >= len(samples) {
-		p.xs = p.xs[:len(samples)]
-	} else {
-		p.xs = make([]int64, len(samples))
+	if from <= LPF {
+		if cap(p.xs) >= len(samples) {
+			p.xs = p.xs[:len(samples)]
+		} else {
+			p.xs = make([]int64, len(samples))
+		}
+		for i, s := range samples {
+			p.xs[i] = int64(s)
+		}
+		out.LowPassed = p.lpf.FilterInto(out.LowPassed, p.xs)
 	}
-	for i, s := range samples {
-		p.xs[i] = int64(s)
+	if from <= HPF {
+		out.Filtered = p.hpf.FilterInto(out.Filtered, out.LowPassed)
 	}
-	out.LowPassed = p.lpf.FilterInto(out.LowPassed, p.xs)
-	out.Filtered = p.hpf.FilterInto(out.Filtered, out.LowPassed)
-	out.Derivative = p.der.FilterInto(out.Derivative, out.Filtered)
-	out.Squared = p.sqr.FilterInto(out.Squared, out.Derivative)
-	out.Integrated = p.mwi.FilterInto(out.Integrated, out.Squared)
+	if from <= DER {
+		out.Derivative = p.der.FilterInto(out.Derivative, out.Filtered)
+	}
+	if from <= SQR {
+		out.Squared = p.sqr.FilterInto(out.Squared, out.Derivative)
+	}
+	if from <= MWI {
+		out.Integrated = p.mwi.FilterInto(out.Integrated, out.Squared)
+	}
 	return out
 }
 

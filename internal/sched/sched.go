@@ -198,23 +198,46 @@ func NewSharded[V, P any](workers, items, shards int, item ItemFunc[P], reduce R
 // (the batched record evaluation of core.Evaluator). Everything else —
 // caching, scatter, determinism, error precedence, scratch reuse —
 // matches NewSharded exactly.
+//
+// The scratch free list is a mutex-guarded slice owned by the engine, one
+// entry per evaluation that has ever run concurrently. It is not a
+// sync.Pool: the runtime keeps pooled entries alive for two GC cycles,
+// and each entry's callback reaches rng, so a dropped engine would pin
+// everything rng references (core.Evaluator's pipelines and stage
+// outputs) well past its last use. The free list dies with the engine.
 func NewShardedRange[V, P any](workers, items, shards int, rng RangeFunc[P], reduce ReduceFunc[V, P]) *Evaluator[V] {
 	e := New[V](workers, nil)
 	if shards <= 0 {
 		shards = items
 	}
 	ranges := Split(items, shards)
-	scratch := sync.Pool{New: func() any {
+	var free struct {
+		sync.Mutex
+		list []*shardScratch[P]
+	}
+	get := func() *shardScratch[P] {
+		free.Lock()
+		defer free.Unlock()
+		if n := len(free.list); n > 0 {
+			sc := free.list[n-1]
+			free.list = free.list[:n-1]
+			return sc
+		}
 		sc := &shardScratch[P]{parts: make([]P, items), errs: make([]error, len(ranges))}
 		sc.run = func(s int) {
 			r := ranges[s]
 			sc.errs[s] = rng(sc.cfg, r.Lo, r.Hi, sc.parts[r.Lo:r.Hi])
 		}
 		return sc
-	}}
+	}
+	put := func(sc *shardScratch[P]) {
+		free.Lock()
+		defer free.Unlock()
+		free.list = append(free.list, sc)
+	}
 	e.fn = func(cfg pantompkins.Config) (V, error) {
-		sc := scratch.Get().(*shardScratch[P])
-		defer scratch.Put(sc)
+		sc := get()
+		defer put(sc)
 		sc.cfg = cfg
 		for s := range sc.errs {
 			sc.errs[s] = nil

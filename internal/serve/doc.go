@@ -168,5 +168,7 @@
 // PartialWrites add seeded transport chaos (mid-write connection tears,
 // fragmented TCP writes) for the TransportResilience experiment; the
 // retransmit buffer plus the session acceptance bitmap absorb the
-// resulting duplicates.
+// resulting duplicates. Before each tear the client drains once over the
+// old connection, so frames sent before it are always ingested before
+// those sent after, and a chaos run is a pure function of its seed.
 package serve

@@ -60,6 +60,7 @@ type Gateway struct {
 	wg     sync.WaitGroup
 	outs   [][]Event
 	keys   []int32
+	sorter rankSort // merge's co-sort view, kept so a round boxes nothing
 	once   sync.Once
 	done   chan struct{}
 }
@@ -279,7 +280,9 @@ func (g *Gateway) merge(events []Event) []Event {
 			g.keys = append(g.keys, g.nextRank)
 		}
 	}
-	sort.Stable(&rankSort{ev: batch, key: g.keys})
+	g.sorter = rankSort{ev: batch, key: g.keys}
+	sort.Stable(&g.sorter)
+	g.sorter.ev = nil // do not pin the caller's buffer
 	// Free the ranks of sessions that ended this cycle, in merged
 	// order — the moment a single Service would have recycled their
 	// slots.

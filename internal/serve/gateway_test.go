@@ -82,6 +82,55 @@ func TestGatewayBitIdentity(t *testing.T) {
 	}
 }
 
+// TestGatewayRoundAllocationFree: once warm, a single-shard gateway
+// round — one frame per live session through Ingest, then Drain with
+// its canonical merge — allocates nothing.
+func TestGatewayRoundAllocationFree(t *testing.T) {
+	const sessions, frameN = 16, 24
+	rec := record(t, 0, 2400)
+	g, err := NewGateway(GatewayConfig{Shards: 1, Service: Config{
+		FS: rec.FS, Pipeline: b9Config(), MaxSessions: sessions, BufferSamples: 4 * frameN,
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Close()
+	pos := make([]int, sessions)
+	seqs := make([]uint16, sessions)
+	var buf []byte
+	var events []Event
+	emitted := 0
+	round := func() {
+		for s := range pos {
+			p := pos[s]
+			if p+frameN > len(rec.Samples) {
+				p = 0
+			}
+			buf, seqs[s] = SplitFrames(buf[:0], uint32(s+1), seqs[s], 0, rec.Samples[p:p+frameN])
+			if _, err := g.Ingest(buf); err != nil {
+				t.Fatal(err)
+			}
+			pos[s] = p + frameN
+		}
+		events = g.Drain(events[:0])
+		emitted += len(events)
+	}
+	// Warm a full record cycle so rings, detectors and event buffers
+	// reach their steady size.
+	for r := 0; r < len(rec.Samples)/frameN; r++ {
+		round()
+	}
+	if emitted == 0 {
+		t.Fatal("gateway rounds produced no events")
+	}
+	if avg := testing.AllocsPerRun(100, round); avg != 0 {
+		t.Fatalf("warm gateway round allocates %.2f objects, want 0", avg)
+	}
+	if st := g.Stats(); st.Evictions != 0 || st.Backpressure != 0 {
+		t.Fatalf("steady rounds evicted %d sessions, backpressured %d frames", st.Evictions, st.Backpressure)
+	}
+}
+
 // TestGatewayCloseIdempotent: Close must be callable any number of
 // times, from any goroutine, concurrently with Ingest and Drain — and a
 // gateway that lost its workers must still drain (inline) so buffered

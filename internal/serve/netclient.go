@@ -49,7 +49,9 @@ type NetConfig struct {
 	Seed uint64
 	// Disconnect is the chaos knob: the probability, drawn per data
 	// frame, that the client tears its connection down mid-stream and
-	// redials before sending (default 0, no chaos).
+	// redials before sending (default 0, no chaos). Each tear is preceded
+	// by one drain round trip on the old connection, so what the server
+	// ingests stays a pure function of the seed.
 	Disconnect float64
 	// PartialWrites (TCP only) writes data frames in small jittered
 	// chunks so the server proves its cross-segment reassembly, and makes
@@ -281,6 +283,14 @@ func (c *netClient) deliver(frame []byte) error {
 func (c *netClient) send(frame []byte) error {
 	c.msg = appendWire(c.msg[:0], wireData, frame)
 	if c.cfg.Disconnect > 0 && c.chance(c.cfg.Disconnect) {
+		// Settle the old connection first. The server reads each
+		// connection on its own goroutine, so frames still queued on the
+		// old one could otherwise reach the sink after the fresh
+		// connection's, or not at all; one drain round trip proves the
+		// server has ingested everything sent before the tear.
+		if _, err := c.drainSync(); err != nil {
+			return err
+		}
 		if c.cfg.PartialWrites && c.cfg.Network == "tcp" && len(c.msg) > 1 {
 			cut := 1 + int(splitmix64(&c.rng)%uint64(len(c.msg)-1))
 			c.conn.Write(c.msg[:cut]) // torn mid-message: the server must discard the partial
