@@ -5,18 +5,16 @@
 # activity simulator), benchmark smoke passes in both modes, focused
 # -race passes over the two global caches' concurrent cold builds, the
 # multi-patient streaming service, the sharded gateway, the real-socket
-# transport (loopback TCP+UDP churn), the batch-vs-scalar equivalence
-# suites and the artifact store (crash-point sweep, child-process kill
-# harness, fault soak, store-vs-fresh bit identity), a fuzz smoke over
-# the wire-frame/socket-message parsers and the store codecs, a
-# fixed-seed chaos run of the socket transport harness, a benchdiff
-# smoke run over the checked-in snapshot, and the end-to-end benchmark
-# module's golden-digest smoke test.
+# transport (loopback TCP+UDP churn) and the batch-vs-scalar equivalence
+# suites, a fuzz smoke over the wire-frame/socket-message parsers and the
+# ingest path, a fixed-seed chaos run of the socket transport harness, a
+# benchdiff smoke run over the checked-in snapshot, and the end-to-end
+# benchmark module's golden-digest smoke test.
 
 GO ?= go
 
 # Benchmarks captured by `make bench-json` into BENCH_N.json snapshots.
-BENCH_JSON_PATTERN = KernelVsReference|PipelinePush|DSEWorkers|EvaluatorShards|Fig11ExplorationTime|Table2PreprocessingGrid|EnergyCharacterization|Activity|Serve|Gateway|Transport|BatchChain|StoreColdWarm
+BENCH_JSON_PATTERN = KernelVsReference|PipelinePush|DSEWorkers|EvaluatorShards|Fig11ExplorationTime|Table2PreprocessingGrid|EnergyCharacterization|Activity|Serve|Gateway|Transport|BatchChain
 # Packages the bench-json pattern runs over.
 BENCH_JSON_PKGS = . ./internal/arith/kernel ./internal/netlist
 # Current snapshot file; bump per PR so the trajectory stays diffable.
@@ -25,9 +23,9 @@ BENCH_SNAPSHOT = BENCH_10.json
 BENCH_BASELINE = BENCH_9.json
 # Benchmarks that must exist in the current snapshot (catches a pattern
 # or harness regression silently dropping the new energy benchmarks).
-BENCH_REQUIRE = EnergyCharacterization/cold|Table2PreprocessingGrid/scratch|Activity/lanes|Serve/sessions|Serve/sessions-scalar|Serve/latency|Gateway/shards=1|Gateway/shards=4|Transport/inproc|Transport/tcp|Transport/udp|BatchChain/ama5-k16/batch64|BatchChain/ama5-k16/scalar|StoreColdWarm/fromzero|StoreColdWarm/warmstore
+BENCH_REQUIRE = EnergyCharacterization/cold|Table2PreprocessingGrid/scratch|Activity/lanes|Serve/sessions|Serve/latency|Gateway/shards=1|Gateway/shards=4|Transport/inproc|Transport/tcp|Transport/udp|BatchChain/ama5-k16/batch64|BatchChain/ama5-k16/scalar
 
-.PHONY: all build vet test race race-arith race-energy race-serve race-gateway race-net race-batch race-store fuzz-smoke net-smoke test-reference bench bench-reference bench-json bench-diff bench-diff-smoke bench-smoke ci
+.PHONY: all build vet test race race-arith race-energy race-serve race-gateway race-net race-batch fuzz-smoke net-smoke test-reference bench bench-reference bench-json bench-diff bench-diff-smoke bench-smoke ci
 
 all: build
 
@@ -90,29 +88,13 @@ net-smoke:
 race-batch:
 	$(GO) test -race -count=1 -run 'Batch|Streams|Discard' ./internal/arith/kernel ./internal/dsp ./internal/pantompkins ./internal/serve ./internal/netlist
 
-# The artifact store under -race: concurrent cross-handle publishers
-# (first-insert-wins through the lockfile), the in-process crash-point
-# sweep, the child-process kill harness (TestStoreCrashRecovery spawns
-# and SIGKILLs real publishers mid-publish), the fault soak, and the
-# store-backed table/characterization identity suites in the two
-# consuming caches.
-race-store:
-	$(GO) test -race -count=1 ./internal/store
-	$(GO) test -race -count=1 -run 'Store|DropCachesDetaches' ./internal/arith/kernel ./internal/energy
-	$(GO) test -race -count=1 -run 'StoreRegimes' ./internal/experiments
-
 # Fuzz smoke: a few seconds of native fuzzing over the wire-frame
-# parser, the socket-message decoder, the ingest path (never panic,
-# never corrupt the session pool) and the artifact-store blob/index/
-# payload codecs (never panic, never accept a non-canonical encoding —
-# no checksum false positives).
+# parser, the socket-message decoder and the ingest path (never panic,
+# never corrupt the session pool).
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzParseFrame -fuzztime=5s -run '^$$' ./internal/serve
 	$(GO) test -fuzz=FuzzParseWire -fuzztime=5s -run '^$$' ./internal/serve
 	$(GO) test -fuzz=FuzzIngest -fuzztime=5s -run '^$$' ./internal/serve
-	$(GO) test -fuzz=FuzzStoreBlob -fuzztime=5s -run '^$$' ./internal/store
-	$(GO) test -fuzz=FuzzStoreIndex -fuzztime=5s -run '^$$' ./internal/store
-	$(GO) test -fuzz=FuzzStoreCodec -fuzztime=5s -run '^$$' ./internal/store
 
 # The kernel equivalence tests and the packages threaded through the
 # compiled kernels, re-run with XBIOSIP_NO_KERNELS so every plan delegates
@@ -163,4 +145,4 @@ bench-smoke:
 bench-diff-smoke:
 	$(GO) run ./cmd/benchdiff -threshold 0.15 -bytes-threshold 0.15 -allocs-threshold 0.15 -require '$(BENCH_REQUIRE)' $(BENCH_SNAPSHOT) $(BENCH_SNAPSHOT) > /dev/null
 
-ci: build vet race race-arith race-energy race-serve race-gateway race-net race-batch race-store fuzz-smoke net-smoke test-reference bench bench-reference bench-diff-smoke bench-smoke
+ci: build vet race race-arith race-energy race-serve race-gateway race-net race-batch fuzz-smoke net-smoke test-reference bench bench-reference bench-diff-smoke bench-smoke

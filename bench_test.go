@@ -26,7 +26,6 @@ import (
 	"github.com/xbiosip/xbiosip/internal/experiments"
 	"github.com/xbiosip/xbiosip/internal/pantompkins"
 	"github.com/xbiosip/xbiosip/internal/serve"
-	"github.com/xbiosip/xbiosip/internal/store"
 )
 
 var (
@@ -172,79 +171,6 @@ func BenchmarkTable2PreprocessingGrid(b *testing.B) {
 			kernel.DropCaches()
 			energy.DropCaches()
 			run(b, s)
-		}
-	})
-}
-
-// BenchmarkStoreColdWarm measures what the persistent artifact store
-// buys a fresh process: fromzero is the everything-from-zero Table 2
-// cost (empty kernel and characterization caches, no store), warmstore
-// the same scratch start but with a pre-populated artifact store
-// attached, so tables and characterizations load from disk instead of
-// being rebuilt. The delta is the store's amortization of the
-// simulation-dominated cold start across processes.
-func BenchmarkStoreColdWarm(b *testing.B) {
-	run := func(b *testing.B, s *experiments.Setup) {
-		r, err := s.Table2(15)
-		if err != nil {
-			b.Fatal(err)
-		}
-		_ = s.FormatTable2(r)
-	}
-	detach := func() {
-		kernel.AttachStore(nil)
-		energy.AttachStore(nil)
-		kernel.DropCaches()
-		energy.DropCaches()
-	}
-	b.Cleanup(detach)
-	b.Run("fromzero", func(b *testing.B) {
-		detach()
-		for i := 0; i < b.N; i++ {
-			b.StopTimer()
-			s, err := experiments.NewSetup(1, 6000)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.StartTimer()
-			kernel.DropCaches()
-			energy.DropCaches()
-			run(b, s)
-		}
-	})
-	b.Run("warmstore", func(b *testing.B) {
-		detach()
-		st, err := store.Open(b.TempDir())
-		if err != nil {
-			b.Fatal(err)
-		}
-		// Populate the store once, outside the timed region.
-		s, err := experiments.NewSetup(1, 6000)
-		if err != nil {
-			b.Fatal(err)
-		}
-		kernel.AttachStore(st)
-		energy.AttachStore(st)
-		run(b, s)
-		for i := 0; i < b.N; i++ {
-			b.StopTimer()
-			s, err := experiments.NewSetup(1, 6000)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.StartTimer()
-			// DropCaches detaches the store (generation contract), so the
-			// warm-store regime re-attaches explicitly each iteration.
-			kernel.DropCaches()
-			energy.DropCaches()
-			kernel.AttachStore(st)
-			energy.AttachStore(st)
-			run(b, s)
-		}
-		b.StopTimer()
-		fst := st.Stats()
-		if fst.Hits == 0 {
-			b.Fatalf("warm-store regime never hit the store: %+v", fst)
 		}
 	})
 }
@@ -538,14 +464,13 @@ func BenchmarkServe(b *testing.B) {
 	}
 
 	const frameN = 24
-	run := func(b *testing.B, sessions int, track, noBatch bool) []int64 {
+	run := func(b *testing.B, sessions int, track bool) []int64 {
 		svc, err := serve.New(serve.Config{
 			FS:            360,
 			Pipeline:      b9,
 			MaxSessions:   sessions,
 			BufferSamples: 4 * frameN,
 			TrackLatency:  track,
-			NoBatch:       noBatch,
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -602,15 +527,10 @@ func BenchmarkServe(b *testing.B) {
 	}
 
 	b.Run("sessions", func(b *testing.B) {
-		run(b, 4096, false, false)
-	})
-	b.Run("sessions-scalar", func(b *testing.B) {
-		// The per-sample oracle drain over the identical workload: the
-		// sessions/core gap against "sessions" is the batched-drain win.
-		run(b, 4096, false, true)
+		run(b, 4096, false)
 	})
 	b.Run("latency", func(b *testing.B) {
-		lats := run(b, 256, true, false)
+		lats := run(b, 256, true)
 		if len(lats) == 0 {
 			return
 		}

@@ -28,7 +28,6 @@ import (
 	"github.com/xbiosip/xbiosip/internal/experiments"
 	"github.com/xbiosip/xbiosip/internal/pantompkins"
 	"github.com/xbiosip/xbiosip/internal/serve"
-	"github.com/xbiosip/xbiosip/internal/store"
 	"github.com/xbiosip/xbiosip/internal/synth"
 )
 
@@ -45,19 +44,15 @@ func main() {
 	burst := flag.Float64("burst", 0, "injected burst-dropout entry probability for serve/delivery")
 	seed := flag.Uint64("seed", 1, "fault-injection seed; serve/delivery runs are reproducible from it")
 	policy := flag.String("policy", "hold", "gap-concealment policy for serve under faults (drop|hold|zero|restart)")
-	noBatch := flag.Bool("nobatch", false, "drain serve sessions one sample at a time (scalar oracle) instead of lane-packed batch rounds")
 	netw := flag.String("net", "", "run serve/transport over a real socket: tcp or udp (empty = in-process transport)")
 	addr := flag.String("addr", "", "listen address for -net (default loopback with an ephemeral port)")
 	verbose := flag.Bool("v", false, "report kernel working-set statistics (per-design table footprint, global table cache)")
-	storeDir := flag.String("store", os.Getenv("XBIOSIP_STORE"),
-		"persistent artifact store directory for kernel tables and energy characterizations (default $XBIOSIP_STORE; empty = disabled)")
 	flag.Usage = usage
 	flag.Parse()
 	if flag.NArg() != 1 {
 		usage()
 		os.Exit(2)
 	}
-	artifacts := attachArtifactStore(*storeDir)
 	pol, err := parsePolicy(*policy)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "xbiosip:", err)
@@ -69,46 +64,14 @@ func main() {
 	}
 	if err := run(flag.Arg(0), *records, *samples, *psnr, *accuracy, *workers, *shards, *verbose, experiments.ServeOpts{
 		Sessions: *sessions, Shards: *gwShards, Loss: *loss, Burst: *burst, Seed: *seed, Policy: pol,
-		NoBatch: *noBatch, Net: *netw, Addr: *addr,
+		Net: *netw, Addr: *addr,
 	}); err != nil {
 		fmt.Fprintln(os.Stderr, "xbiosip:", err)
 		os.Exit(1)
 	}
 	if *verbose {
 		printKernelStats()
-		printStoreStats(artifacts)
 	}
-}
-
-// attachArtifactStore opens the persistent artifact store at dir and
-// binds it to the kernel and energy caches. Every failure degrades:
-// an unusable root is a warning on stderr and an in-memory-only run,
-// never a refusal to start.
-func attachArtifactStore(dir string) *store.Store {
-	if dir == "" {
-		return nil
-	}
-	s, err := store.Open(dir)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "xbiosip: artifact store %s unusable (%v); continuing in-memory only\n", dir, err)
-		return nil
-	}
-	kernel.AttachStore(s)
-	energy.AttachStore(s)
-	return s
-}
-
-// printStoreStats reports the artifact store's traffic next to the
-// cache statistics: hits/misses mirror the in-memory counters, corrupt
-// counts quarantined blobs, degraded counts I/O demotions to the
-// in-memory path.
-func printStoreStats(s *store.Store) {
-	if s == nil {
-		return
-	}
-	st := s.Stats()
-	fmt.Printf("artifact store: %d entries, %.1f KiB at %s; %d hits, %d misses, %d puts, %d corrupt, %d degraded\n",
-		st.Entries, float64(st.Bytes)/1024, s.Root(), st.Hits, st.Misses, st.Puts, st.Corrupt, st.Degraded)
 }
 
 // parsePolicy maps the -policy flag to a serve.GapPolicy.

@@ -168,16 +168,4 @@
 // package arith. The CI gate runs the equivalence tests and a benchmark
 // smoke in both modes so the oracle path stays green; results are
 // bit-identical either way, only the evaluation speed differs.
-//
-// # Persistent artifact store
-//
-// AttachStore binds the crash-safe content-addressed store of package
-// store to the global table cache: cold builds of the full-table tiers
-// (const-mul, square, chain projections) consult it before building and
-// publish after, so the tables outlive the process and a fresh run
-// starts warm. Loaded tables are byte- and value-identical to built
-// ones (asserted by persist_test.go), store failures of any kind demote
-// silently to the in-memory build path, and DropCaches detaches the
-// binding along with bumping the cache generation — see persist.go for
-// the full contract.
 package kernel

@@ -698,7 +698,7 @@ func cachedChainProj(m *Multiplier, coeff int64, w, k int, neg, round bool) Proj
 	if ok {
 		return p
 	}
-	p = loadOrBuildProj(AttachedStore(), m, key)
+	p = buildChainProj(m.productFn(coeff), m.spec.Width, w, k, m.opMask, neg, round)
 	planCache.Lock()
 	defer planCache.Unlock()
 	if prev, ok := planCache.proj[key]; ok {

@@ -253,31 +253,23 @@ func NewSquareTable(spec arith.Multiplier) (*SquareTable, error) {
 	t.tab32, t.tab64 = fullProductTable(spec.Width, false, func(mag int64) int64 {
 		return m.MulSigned(mag, mag)
 	})
-	t.initFullTiers()
-	return t, nil
-}
-
-// initFullTiers installs the lookup and batch closures over the
-// full-table tier; shared by the build path and the store-load path
-// (persist.go), which reconstruct the same closures over tables from
-// either source.
-func (t *SquareTable) initFullTiers() {
-	t.fn = fullTableFunc(t.tab32, t.tab64, t.opMask)
+	t.fn = fullTableFunc(t.tab32, t.tab64, m.opMask)
 	if t.tab32 != nil {
-		tab, opMask := t.tab32, t.opMask
+		tab, opMask := t.tab32, m.opMask
 		t.slice = func(dst, xs []int64, shift uint) {
 			for i, x := range xs {
 				dst[i] = int64(tab[uint64(x)&opMask]) >> shift
 			}
 		}
 	} else {
-		tab, opMask := t.tab64, t.opMask
+		tab, opMask := t.tab64, m.opMask
 		t.slice = func(dst, xs []int64, shift uint) {
 			for i, x := range xs {
 				dst[i] = tab[uint64(x)&opMask] >> shift
 			}
 		}
 	}
+	return t, nil
 }
 
 // Square returns the bit-true square of x (interpreted in Width-bit two's
@@ -402,14 +394,7 @@ func CacheStats() Stats {
 // accounting tests. Fresh empty maps are installed (not nil) so builders
 // racing a drop — the table fills run outside the lock — insert into a
 // live map instead of panicking.
-//
-// DropCaches also detaches any attached artifact store and bumps the
-// cache generation: a drop means "forget everything", and a store
-// binding that survived it would resurrect dropped entries from disk,
-// turning honest cold paths warm. Re-attach explicitly for the
-// warm-store regime (see persist.go).
 func DropCaches() {
-	dropStoreBinding()
 	planCache.Lock()
 	defer planCache.Unlock()
 	planCache.adders = make(map[adderPlanKey]*Adder)
@@ -462,8 +447,6 @@ func CachedMultiplier(spec arith.Multiplier) (*Multiplier, error) {
 // build runs outside the cache lock so cold-table builds do not stall
 // concurrent plan lookups; a racing duplicate build is benign (the tables
 // are identical, the first insert wins and every caller receives it).
-// With an artifact store attached the cold path consults it before
-// building and publishes after (persist.go).
 func CachedConstMulTable(spec arith.Multiplier, c int64) (*ConstMulTable, error) {
 	key := constMulKey{spec, c}
 	planCache.Lock()
@@ -475,7 +458,7 @@ func CachedConstMulTable(spec arith.Multiplier, c int64) (*ConstMulTable, error)
 	if ok {
 		return t, nil
 	}
-	t, err := loadOrBuildConstMul(AttachedStore(), spec, c)
+	t, err := NewConstMulTable(spec, c)
 	if err != nil {
 		return nil, err
 	}
@@ -500,7 +483,7 @@ func CachedSquareTable(spec arith.Multiplier) (*SquareTable, error) {
 	if ok {
 		return t, nil
 	}
-	t, err := loadOrBuildSquare(AttachedStore(), spec)
+	t, err := NewSquareTable(spec)
 	if err != nil {
 		return nil, err
 	}

@@ -7,6 +7,7 @@ import (
 	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"github.com/xbiosip/xbiosip/internal/approx"
 	"github.com/xbiosip/xbiosip/internal/dse"
@@ -394,6 +395,42 @@ func TestEvaluatorPrefixReuseDifferential(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestDroppedEvaluatorsHoldNoGoroutines pins the evaluation engine's
+// goroutine bound: evaluators that fan a multi-record evaluation out over
+// two workers and are then dropped must leave no goroutine behind.
+func TestDroppedEvaluatorsHoldNoGoroutines(t *testing.T) {
+	var records []*ecg.Record
+	for i := 0; i < 2; i++ {
+		rec, err := ecg.NSRDBRecord(i, 1500)
+		if err != nil {
+			t.Fatal(err)
+		}
+		records = append(records, rec)
+	}
+	var cfg pantompkins.Config
+	cfg.Stage[pantompkins.LPF] = dsp.ArithConfig{LSBs: 8, Add: approx.ApproxAdd5, Mul: approx.AppMultV1}
+	const evaluators = 20
+	base := runtime.NumGoroutine()
+	for i := 0; i < evaluators; i++ {
+		eval, err := NewEvaluatorOpts(records, EvalOptions{Workers: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := eval.Evaluate(cfg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// A goroutine that has signalled completion may still be exiting, so
+	// poll briefly instead of reading the count once.
+	deadline := time.Now().Add(5 * time.Second)
+	for n := runtime.NumGoroutine(); n > base; n = runtime.NumGoroutine() {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after dropping %d evaluators, %d before", n, evaluators, base)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 

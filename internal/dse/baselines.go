@@ -17,7 +17,6 @@ func Exhaustive(opt Options, eval EvaluateFunc, energy StageEnergyFunc) (Result,
 		return Result{}, err
 	}
 	e := newExplorer(opt, eval, energy)
-	defer e.close()
 
 	// Enumerate the full joint assignment list in the nested-loop order
 	// of the sequential recursion.
@@ -100,7 +99,6 @@ func ExhaustiveGrid(opt Options, s1, s2 pantompkins.Stage, eval EvaluateFunc, en
 		return nil, err
 	}
 	e := newExplorer(opt, eval, energy)
-	defer e.close()
 
 	type cell struct{ c1, c2 dsp.ArithConfig }
 	var cells []cell

@@ -81,7 +81,6 @@ type Options struct {
 	// EvaluateFunc passed alongside it. Sharing one engine across runs
 	// (e.g. the exhaustive baseline and Algorithm 1 over one record set)
 	// extends the never-evaluate-a-design-twice guarantee across them.
-	// The explorer does not close a caller-provided engine.
 	Engine *sched.Evaluator[float64]
 }
 
@@ -135,7 +134,6 @@ type explorer struct {
 	eval   EvaluateFunc
 	energy StageEnergyFunc
 	eng    *sched.Evaluator[float64] // nil for strictly sequential runs
-	ownEng bool                      // whether the explorer must close eng
 	chosen map[pantompkins.Stage]dsp.ArithConfig
 	result Result
 	// scanCfgs/scanQs are the candidate-scan scratch, recycled across
@@ -148,7 +146,7 @@ type explorer struct {
 }
 
 // newExplorer wires the evaluation engine per Options: a caller-shared
-// engine, a run-private pool for Workers > 1, or none (sequential).
+// engine, a run-private one for Workers > 1, or none (sequential).
 func newExplorer(opt Options, eval EvaluateFunc, energy StageEnergyFunc) *explorer {
 	e := &explorer{opt: opt, eval: eval, energy: energy, chosen: make(map[pantompkins.Stage]dsp.ArithConfig)}
 	switch {
@@ -156,16 +154,8 @@ func newExplorer(opt Options, eval EvaluateFunc, energy StageEnergyFunc) *explor
 		e.eng = opt.Engine
 	case opt.Workers > 1:
 		e.eng = sched.New(opt.Workers, sched.Func[float64](eval))
-		e.ownEng = true
 	}
 	return e
-}
-
-// close releases a run-private engine.
-func (e *explorer) close() {
-	if e.ownEng {
-		e.eng.Close()
-	}
 }
 
 // config materialises the pipeline configuration with the current chosen
@@ -308,14 +298,13 @@ func override(s pantompkins.Stage, c dsp.ArithConfig) map[pantompkins.Stage]dsp.
 // Generate runs the three-phase design generation methodology (paper
 // Algorithm 1) and returns the selected configuration. With Options.Workers
 // > 1 (or a shared Options.Engine) candidate evaluations fan out across
-// the scheduler's worker pool; the outcome is identical to the sequential
+// the scheduler's workers; the outcome is identical to the sequential
 // run in every field.
 func Generate(opt Options, eval EvaluateFunc, energy StageEnergyFunc) (Result, error) {
 	if err := opt.validate(); err != nil {
 		return Result{}, err
 	}
 	e := newExplorer(opt, eval, energy)
-	defer e.close()
 
 	// Line 3: sort the stage list ascending by maximum energy savings.
 	stages := append([]pantompkins.Stage(nil), opt.Stages...)

@@ -305,7 +305,6 @@ func TestScanScratchReuse(t *testing.T) {
 	weights := map[pantompkins.Stage]float64{pantompkins.LPF: 2}
 	opt := defaultOptions(40, pantompkins.LPF)
 	e := newExplorer(opt, syntheticQuality(weights), syntheticEnergy(nil))
-	defer e.close()
 	var cands []map[pantompkins.Stage]dsp.ArithConfig
 	for _, k := range opt.LSBs[pantompkins.LPF] {
 		cands = append(cands, map[pantompkins.Stage]dsp.ArithConfig{

@@ -164,7 +164,6 @@ func TestBaselinesParallelMatchSequential(t *testing.T) {
 func TestSharedEngineDedupsAcrossRuns(t *testing.T) {
 	opt, evalPSNR, stageEnergy := preOptions(t)
 	eng := sched.New[float64](4, sched.Func[float64](evalPSNR))
-	defer eng.Close()
 	opt.Engine = eng
 
 	if _, err := dse.Exhaustive(opt, evalPSNR, stageEnergy); err != nil {

@@ -102,13 +102,7 @@ func CacheStats() Stats {
 // hit/miss counters. Existing entries stay valid for holders (they are
 // immutable); only sharing with future lookups is lost. It exists for
 // cold-start benchmarks and cache accounting tests.
-//
-// Like kernel.DropCaches, it also detaches any attached artifact store
-// and bumps the cache generation: a drop means "forget everything", and
-// a surviving store binding would serve dropped entries back from disk.
-// Re-attach explicitly for the warm-store regime (see persist.go).
 func DropCaches() {
-	dropStoreBinding()
 	charCache.Lock()
 	defer charCache.Unlock()
 	charCache.m = make(map[charKey]*charEntry)

@@ -19,14 +19,6 @@
 // experiments. CacheStats and DropCaches expose it the way
 // kernel.CacheStats/DropCaches expose the arithmetic plan/table cache.
 //
-// Characterizations are also the dominant cold-start cost, so AttachStore
-// can additionally bind the crash-safe content-addressed artifact store
-// of package store: persisted characterizations (netlist, activity, both
-// reports) then replace the netlist simulation in fresh processes, with
-// store-loaded entries value-identical to fresh ones and every store
-// failure demoting silently to the in-memory path (see persist.go).
-// DropCaches detaches the store binding — a drop means forget everything.
-//
 // Energy figures are per processed sample (fJ). Reductions are always
 // quoted against the accurate configuration of the same unit, matching the
 // paper's reporting.
@@ -239,26 +231,11 @@ func (m *Model) stageChar(s pantompkins.Stage, cfg dsp.ArithConfig) (*charEntry,
 	if e, ok := lookupChar(key); ok {
 		return e, nil
 	}
-	// In-memory miss: with an artifact store attached, a persisted
-	// characterization (checksum-verified, key-verified) replaces the
-	// simulation; a store miss or undecodable payload falls through to
-	// the build, which then publishes for future processes. Either way
-	// the first in-memory insert wins (see persist.go).
-	st := AttachedStore()
-	if st != nil {
-		if e, ok := loadChar(st, key); ok {
-			return storeChar(key, e), nil
-		}
-	}
 	e, err := m.characterize(s, cfg)
 	if err != nil {
 		return nil, err
 	}
-	e = storeChar(key, e)
-	if st != nil {
-		st.Put(charStoreKey(key), encodeCharEntry(e))
-	}
-	return e, nil
+	return storeChar(key, e), nil
 }
 
 // StageReport returns the synthesis report (area, activity-weighted power,

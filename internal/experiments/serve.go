@@ -27,10 +27,6 @@ type ServeOpts struct {
 	Seed uint64
 	// Policy is the gap-concealment policy of every session.
 	Policy serve.GapPolicy
-	// NoBatch disables the batched drain (serve.Config.NoBatch): every
-	// shard processes its sessions one sample at a time through the
-	// scalar oracle path instead of lane-packed batch rounds.
-	NoBatch bool
 	// Net switches the scenario onto a real socket: "tcp" or "udp" runs
 	// the gateway behind serve.Listen on Addr (default loopback,
 	// ephemeral port) and streams through serve.RunNet instead of the
@@ -129,7 +125,7 @@ func (s *Setup) Serve(cfg pantompkins.Config, opts ServeOpts) (*ServeResult, err
 		Shards: opts.Shards,
 		Service: serve.Config{
 			FS: fs, Pipeline: cfg, MaxSessions: sessions * opts.Shards,
-			Conceal: opts.Policy, NoBatch: opts.NoBatch,
+			Conceal: opts.Policy,
 		},
 	})
 	if err != nil {
@@ -263,12 +259,8 @@ func (s *Setup) Serve(cfg pantompkins.Config, opts ServeOpts) (*ServeResult, err
 func FormatServe(cfg pantompkins.Config, r *ServeResult) string {
 	var sb strings.Builder
 	faulty := r.Opts.Loss > 0 || r.Opts.Burst > 0
-	drain := "lane-packed batch drain"
-	if r.Opts.NoBatch {
-		drain = "scalar per-sample drain"
-	}
-	fmt.Fprintf(&sb, "Serve workload: %v, %d-shard gateway, framed ingest, %s, live per-session detection\n",
-		cfg, r.Opts.Shards, drain)
+	fmt.Fprintf(&sb, "Serve workload: %v, %d-shard gateway, framed ingest, lane-packed batch drain, live per-session detection\n",
+		cfg, r.Opts.Shards)
 	if r.Opts.Net != "" {
 		fmt.Fprintf(&sb, "transport: real %s loopback socket (length-delimited frames, NACK-driven backoff)\n", r.Opts.Net)
 	}

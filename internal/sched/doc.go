@@ -6,23 +6,28 @@
 // pipeline over every evaluation record — by far the dominant cost of
 // XBioSiP's methodology (the paper budgets 300 s per evaluation, §6.1).
 // The work is parallel along two axes, and Evaluator schedules both as a
-// two-level (design x record-shard) hierarchy over one fixed worker pool:
+// two-level (design x record-shard) hierarchy over one set of worker
+// slots, a counting semaphore that caps the engine's goroutines:
 //
-//   - Level 1 — designs. EvaluateBatch fans candidate configurations out
-//     across the pool (Evaluate computes single misses inline in the
-//     caller). This is the axis the explorer's speculative candidate
-//     chunks ride on.
+//   - Level 1 — designs. EvaluateBatch fans candidate configurations out,
+//     one goroutine per cache miss as slots free up (Evaluate computes
+//     single misses inline in the caller). This is the axis the
+//     explorer's speculative candidate chunks ride on.
 //
 //   - Level 2 — record shards. An engine built with NewSharded splits one
 //     cache-missing design into contiguous per-record (or per-record-
-//     range) sub-jobs over the same pool and folds the per-record
-//     partials, always in record order, into the cached value. Sub-jobs
-//     dispatch by work-stealing: an idle worker takes a shard when one is
-//     ready, otherwise the submitting goroutine runs it inline — so a
-//     design job that shards from inside the pool can never deadlock, a
-//     single expensive design saturates the machine (the Fig 9 tool-flow
-//     evaluates every candidate over a full record set), and design- and
-//     record-level work interleave freely.
+//     range) sub-jobs over the same slots and folds the per-record
+//     partials, always in record order, into the cached value. A sub-job
+//     runs on a new goroutine when a slot is free, otherwise the
+//     submitting goroutine runs it inline — so a design job that shards
+//     while holding a slot can never deadlock, a single expensive design
+//     saturates the machine (the Fig 9 tool-flow evaluates every
+//     candidate over a full record set), and design- and record-level
+//     work interleave freely.
+//
+// Every goroutine the engine starts exits before the call that started
+// it returns. An engine therefore has no shutdown: dropping it releases
+// everything.
 //
 // Results are memoized per canonical configuration: Canonical clears the
 // elementary adder/multiplier kinds of stages with zero approximated LSBs
@@ -44,6 +49,6 @@
 // Shards default to one per record — with few records per evaluation the
 // per-shard work is large and the dispatch overhead is noise. Evaluation
 // functions must be deterministic and safe for concurrent use, and must
-// not block waiting on the same pool (sharding uses non-blocking dispatch
-// for exactly that reason).
+// not block waiting on the same engine's slots (sharding uses
+// non-blocking dispatch for exactly that reason).
 package sched

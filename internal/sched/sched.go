@@ -115,40 +115,36 @@ type entry[V any] struct {
 	err  error
 }
 
-// Evaluator fans configuration evaluations out across a fixed pool of
-// workers and memoizes every result by canonical configuration, so a
+// Evaluator fans configuration evaluations out across at most workers
+// goroutines and memoizes every result by canonical configuration, so a
 // design revisited by any caller — Algorithm 1's phases, the exhaustive
 // and heuristic baselines, repeated experiments over one record set — is
 // never evaluated twice.
 //
-// All methods are safe for concurrent use. Close releases the workers;
-// it must not be called while evaluations are in flight.
+// All methods are safe for concurrent use. Every goroutine the engine
+// starts exits before the call that started it returns, so an engine
+// needs no shutdown and a dropped one holds no goroutines.
 type Evaluator[V any] struct {
-	fn      Func[V]
-	workers int
-	jobs    chan func()
+	fn Func[V]
+	// slots is a counting semaphore of workers tokens: each goroutine the
+	// engine starts holds one until it exits.
+	slots chan struct{}
 
 	mu    sync.Mutex
 	cache map[pantompkins.Config]*entry[V]
 	stats Stats
-
-	poolOnce  sync.Once
-	closeOnce sync.Once
 }
 
 // New builds an engine over fn with the given worker count; workers <= 0
-// selects runtime.GOMAXPROCS(0). The worker goroutines start lazily on
-// the first EvaluateBatch, so an engine used only for its memoizing cache
-// (single Evaluate calls compute inline) costs no goroutines.
+// selects runtime.GOMAXPROCS(0).
 func New[V any](workers int, fn Func[V]) *Evaluator[V] {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	return &Evaluator[V]{
-		fn:      fn,
-		workers: workers,
-		jobs:    make(chan func()),
-		cache:   make(map[pantompkins.Config]*entry[V]),
+		fn:    fn,
+		slots: make(chan struct{}, workers),
+		cache: make(map[pantompkins.Config]*entry[V]),
 	}
 }
 
@@ -157,12 +153,11 @@ func New[V any](workers int, fn Func[V]) *Evaluator[V] {
 // splits into shards sub-jobs over items work items (evaluation records).
 // Each shard computes item(cfg, i) for its contiguous item range; once
 // every shard of the design finishes, reduce folds the partials — always
-// in item order — into the cached value. Shard sub-jobs run on the same
-// worker pool as whole-design jobs via work-stealing dispatch: a shard is
-// handed to an idle worker when one is ready and executed inline by the
-// submitting goroutine otherwise, so design-level and record-level
-// parallelism share the pool without deadlock and a single design
-// evaluation can saturate every worker.
+// in item order — into the cached value. Shard sub-jobs draw on the same
+// worker slots as whole-design jobs: a shard runs on a new goroutine when
+// a slot is free and inline in the submitting goroutine otherwise, so
+// design-level and record-level parallelism share the slots without
+// deadlock and a single design evaluation can saturate every worker.
 //
 // Determinism: parts[i] is written by exactly one shard and reduce sees
 // the full item-ordered slice, so the value cached for a design is
@@ -254,65 +249,45 @@ func NewShardedRange[V, P any](workers, items, shards int, rng RangeFunc[P], red
 	return e
 }
 
-// scatter runs n indexed tasks, handing them to idle pool workers without
-// ever blocking on submission: when every worker is busy the submitting
-// goroutine executes the task inline. Inline execution guarantees
-// progress, so jobs that scatter from inside the pool (a design job
-// splitting into record shards) cannot deadlock, and an idle pool still
-// absorbs the fan-out.
+// scatter runs n indexed tasks and returns once all have finished. Each
+// task runs on a new goroutine when a slot is free and inline in the
+// submitting goroutine otherwise, so submission never blocks. Inline
+// execution guarantees progress: a design evaluation holding a slot
+// that splits into record shards cannot deadlock, and idle slots still
+// absorb the fan-out.
 func (e *Evaluator[V]) scatter(n int, task func(int)) {
-	if n <= 1 || e.workers <= 1 {
+	if n <= 1 || cap(e.slots) <= 1 {
 		for i := 0; i < n; i++ {
 			task(i)
 		}
 		return
 	}
-	jobs := e.pool()
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
-		i := i
-		wg.Add(1)
-		job := func() {
-			task(i)
-			wg.Done()
-		}
 		select {
-		case jobs <- job:
+		case e.slots <- struct{}{}:
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				defer func() { <-e.slots }()
+				task(i)
+			}()
 		default:
-			job()
+			task(i)
 		}
 	}
 	wg.Wait()
 }
 
-// pool returns the job channel, starting the workers on first use.
-func (e *Evaluator[V]) pool() chan<- func() {
-	e.poolOnce.Do(func() {
-		for i := 0; i < e.workers; i++ {
-			go func() {
-				for job := range e.jobs {
-					job()
-				}
-			}()
-		}
-	})
-	return e.jobs
-}
-
-// Workers returns the pool size.
-func (e *Evaluator[V]) Workers() int { return e.workers }
+// Workers returns the worker count: the most goroutines the engine has
+// started and not yet finished at any time.
+func (e *Evaluator[V]) Workers() int { return cap(e.slots) }
 
 // Stats returns a snapshot of the cache accounting.
 func (e *Evaluator[V]) Stats() Stats {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	return e.stats
-}
-
-// Close stops the worker pool. The cache stays readable: evaluations of
-// already-computed designs still succeed, but a miss after Close panics.
-func (e *Evaluator[V]) Close() {
-	e.closeOnce.Do(func() { close(e.jobs) })
 }
 
 // lookup claims or finds the cache entry for cfg; owned reports whether
@@ -345,15 +320,15 @@ func (e *Evaluator[V]) Evaluate(cfg pantompkins.Config) (V, error) {
 	return ent.q, ent.err
 }
 
-// EvaluateBatch evaluates every configuration concurrently across the
-// worker pool and returns the results in input order. Duplicate and
-// already-cached designs are computed at most once. If any evaluation
-// fails, the batch still drains (no goroutine or pool state leaks) and the
-// error of the lowest-index failing configuration is returned, so the
-// outcome is deterministic regardless of worker count.
+// EvaluateBatch evaluates every configuration concurrently, each cache
+// miss on its own goroutine once a slot is free, and returns the results
+// in input order. Duplicate and already-cached designs are computed at
+// most once. If any evaluation fails, the batch still waits for every
+// goroutine it started and the error of the lowest-index failing
+// configuration is returned, so the outcome is deterministic regardless
+// of worker count.
 func (e *Evaluator[V]) EvaluateBatch(cfgs []pantompkins.Config) ([]V, error) {
 	entries := make([]*entry[V], len(cfgs))
-	jobs := e.pool()
 	var wg sync.WaitGroup
 	for i, cfg := range cfgs {
 		ent, owned := e.lookup(cfg)
@@ -361,13 +336,14 @@ func (e *Evaluator[V]) EvaluateBatch(cfgs []pantompkins.Config) ([]V, error) {
 		if !owned {
 			continue
 		}
-		cfg := cfg
+		e.slots <- struct{}{}
 		wg.Add(1)
-		jobs <- func() {
+		go func() {
 			defer wg.Done()
+			defer func() { <-e.slots }()
 			ent.q, ent.err = e.fn(cfg)
 			close(ent.done)
-		}
+		}()
 	}
 	wg.Wait()
 	out := make([]V, len(cfgs))

@@ -39,7 +39,6 @@ func TestEvaluateMemoizes(t *testing.T) {
 		calls.Add(1)
 		return quality(cfg)
 	})
-	defer e.Close()
 
 	cfg := cfgK([pantompkins.NumStages]int{2, 4, 0, 0, 8})
 	want := 100.0 - 14
@@ -67,7 +66,6 @@ func TestCanonicalSharesAccurateSpellings(t *testing.T) {
 		calls.Add(1)
 		return quality(cfg)
 	})
-	defer e.Close()
 
 	// k=0 with different module kinds is the same hardware: one entry.
 	a := pantompkins.AccurateConfig()
@@ -99,7 +97,6 @@ func TestBatchOrderAndDedup(t *testing.T) {
 		calls.Add(1)
 		return quality(cfg)
 	})
-	defer e.Close()
 
 	var cfgs []pantompkins.Config
 	var want []float64
@@ -137,7 +134,6 @@ func TestDeterminismAcrossWorkerCounts(t *testing.T) {
 	}
 	run := func(workers int) []float64 {
 		e := New(workers, quality)
-		defer e.Close()
 		var wg sync.WaitGroup
 		results := make([][]float64, 4)
 		errs := make([]error, 4)
@@ -174,7 +170,7 @@ func TestDeterminismAcrossWorkerCounts(t *testing.T) {
 }
 
 // TestErrorPropagation checks that a failing evaluation aborts the batch
-// with a deterministic error, leaves the pool usable, and caches the
+// with a deterministic error, leaves the engine usable, and caches the
 // failure.
 func TestErrorPropagation(t *testing.T) {
 	bad1 := cfgK([pantompkins.NumStages]int{2, 0, 0, 0, 0})
@@ -187,7 +183,6 @@ func TestErrorPropagation(t *testing.T) {
 		}
 		return quality(cfg)
 	})
-	defer e.Close()
 
 	var cfgs []pantompkins.Config
 	for k := 0; k <= 16; k += 2 {
@@ -203,8 +198,8 @@ func TestErrorPropagation(t *testing.T) {
 		t.Errorf("error %q, want the lowest-index failure %q", err, want)
 	}
 
-	// The pool must still serve fresh work after the failure (no deadlock,
-	// no poisoned workers)...
+	// The engine must still serve fresh work after the failure (no
+	// deadlock, no leaked slots)...
 	ok := cfgK([pantompkins.NumStages]int{6, 0, 0, 0, 0})
 	if q, err := e.Evaluate(ok); err != nil || q != 94 {
 		t.Fatalf("engine unusable after error: q=%v err=%v", q, err)
@@ -223,7 +218,6 @@ func TestErrorsDoNotDeadlockSmallPool(t *testing.T) {
 	e := New(1, func(cfg pantompkins.Config) (float64, error) {
 		return 0, errors.New("always broken")
 	})
-	defer e.Close()
 	var cfgs []pantompkins.Config
 	for k := 0; k <= 16; k += 2 {
 		cfgs = append(cfgs, cfgK([pantompkins.NumStages]int{k, 0, 0, 0, 0}))
@@ -313,7 +307,6 @@ func TestShardedDeterminism(t *testing.T) {
 				}()
 			}
 			wg.Wait()
-			e.Close()
 			for _, err := range errs {
 				if err != nil {
 					t.Fatal(err)
@@ -354,7 +347,6 @@ func TestShardedErrorIsLowestItem(t *testing.T) {
 	for _, shards := range []int{1, 2, 3, 0} {
 		e := NewSharded[float64, float64](4, items, shards, item, reduce)
 		_, err := e.Evaluate(pantompkins.AccurateConfig())
-		e.Close()
 		if err == nil || err.Error() != "item 2 broken" {
 			t.Fatalf("shards=%d: error %v, want the lowest-index item failure", shards, err)
 		}
@@ -362,8 +354,8 @@ func TestShardedErrorIsLowestItem(t *testing.T) {
 }
 
 // TestScatterFromInsidePool floods a sharded engine through EvaluateBatch
-// so design jobs occupying every worker must scatter their shards with the
-// pool busy; the non-blocking dispatch must complete inline rather than
+// so design jobs holding every slot must scatter their shards with no slot
+// free; the non-blocking dispatch must complete inline rather than
 // deadlock.
 func TestScatterFromInsidePool(t *testing.T) {
 	const items = 5
@@ -375,7 +367,6 @@ func TestScatterFromInsidePool(t *testing.T) {
 		return total, nil
 	}
 	e := NewSharded[float64, float64](2, items, 0, shardQuality, reduce)
-	defer e.Close()
 	var cfgs []pantompkins.Config
 	for k := 0; k <= 16; k += 2 {
 		cfgs = append(cfgs, cfgK([pantompkins.NumStages]int{k, 0, 0, 0, 0}))
@@ -403,7 +394,6 @@ func TestShardedScratchReuse(t *testing.T) {
 	// workers=1 keeps scatter on the inline path so the measurement sees
 	// only the evaluation closure itself.
 	e := NewSharded[int, int](1, 8, 4, item, reduce)
-	defer e.Close()
 	cfg := cfgK([pantompkins.NumStages]int{2, 0, 0, 0, 0})
 	want, err := e.fn(cfg) // warm the free list
 	if err != nil {

@@ -7,11 +7,61 @@ import (
 	"github.com/xbiosip/xbiosip/internal/pantompkins"
 )
 
-// TestServeBatchedMatchesScalarDrain runs two services — the default
-// batched drain and the Config.NoBatch per-sample oracle — through an
-// identical schedule of frames and drains: many concurrent sessions of
-// different lengths (batch membership churns as they finish), irregular
-// frame sizes, a quantum forcing multi-round drains with ring
+// drainScalar is the per-sample oracle of Service.Drain: every buffered
+// sample goes through Stream.Push one at a time, slots in ascending
+// order, with the same pending-event delivery, quantum, latency
+// attribution, finish and trim handling as the batched drain.
+func (s *Service) drainScalar(events []Event) []Event {
+	events = append(events, s.pending...)
+	s.pending = s.pending[:0]
+	var now int64
+	if s.cfg.TrackLatency {
+		now = s.nowFn()
+	}
+	for sl := range s.used {
+		if !s.used[sl] {
+			continue
+		}
+		slot := int32(sl)
+		n := int(s.counts[slot])
+		if q := s.cfg.Quantum; q > 0 && n > q {
+			n = q
+		}
+		st := s.streams[slot]
+		det := st.Detector().Detection()
+		base := int(slot) * s.bufN
+		head := int(s.heads[slot])
+		for k := 0; k < n; k++ {
+			idx := base + (head+k)%s.bufN
+			st.Push(s.ring[idx])
+			if len(det.Events) > int(s.emEvents[slot]) {
+				var lat int64
+				if s.cfg.TrackLatency {
+					lat = now - s.ts[idx]
+				}
+				events = s.collect(slot, det, lat, events)
+			}
+		}
+		s.heads[slot] = int32((head + n) % s.bufN)
+		s.counts[slot] -= int32(n)
+		if s.ended[slot] && s.counts[slot] == 0 {
+			det = st.Finish()
+			events = s.collect(slot, det, 0, events)
+			events = append(events, Event{Session: s.ids[slot], Kind: EventFinished, Peak: -1})
+			s.stats.Finishes++
+			s.close(slot)
+		} else {
+			s.trim(slot)
+		}
+	}
+	return events
+}
+
+// TestServeBatchedMatchesScalarDrain runs two services — one drained by
+// the batched Drain, one by the per-sample drainScalar oracle — through
+// an identical schedule of frames and drains: many concurrent sessions
+// of different lengths (batch membership churns as they finish),
+// irregular frame sizes, a quantum forcing multi-round drains with ring
 // wraparound, and a mid-record FlagStart reconnect. The two event
 // streams must be identical element for element. The oracle-mode
 // variant repeats a smaller schedule with the kernels disabled.
@@ -34,7 +84,7 @@ func TestServeBatchedMatchesScalarDrain(t *testing.T) {
 			prev := kernel.SetEnabled(v.kernels)
 			defer kernel.SetEnabled(prev)
 			rec := record(t, 0, v.samples+v.sessions*40)
-			mk := func(noBatch bool) *Service {
+			mk := func() *Service {
 				s, err := New(Config{
 					FS:          rec.FS,
 					Pipeline:    v.cfg,
@@ -43,18 +93,17 @@ func TestServeBatchedMatchesScalarDrain(t *testing.T) {
 					// and the ring wraps mid-record.
 					BufferSamples: 96,
 					Quantum:       40,
-					NoBatch:       noBatch,
 				})
 				if err != nil {
 					t.Fatal(err)
 				}
 				return s
 			}
-			batched, scalar := mk(false), mk(true)
+			batched, scalar := mk(), mk()
 			var evA, evB []Event
 			drainBoth := func() {
 				evA = batched.Drain(evA[:0])
-				evB = scalar.Drain(evB[:0])
+				evB = scalar.drainScalar(evB[:0])
 				if len(evA) != len(evB) {
 					t.Fatalf("batched drain emitted %d events, scalar %d", len(evA), len(evB))
 				}

@@ -112,12 +112,11 @@
 // its own. Sessions join and leave batch rounds freely as they connect,
 // finish or run dry; the per-sample detector feed, event order and
 // latency attribution are unchanged, so the drained event stream is
-// bit-identical to the per-sample path. Config.NoBatch selects that
-// per-sample path explicitly — it is the equivalence oracle the batched
-// drain is tested against. Either way, Drain trims each session's
-// already-emitted detection history (StreamDetector.Discard), so an
-// endless session's retained trace stays bounded by the drain cadence
-// instead of growing with the stream.
+// bit-identical to pushing every sample through Stream.Push one at a
+// time — the per-sample oracle the batched drain is tested against.
+// Drain also trims each session's already-emitted detection history
+// (StreamDetector.Discard), so an endless session's retained trace stays
+// bounded by the drain cadence instead of growing with the stream.
 //
 // # Sharded gateway
 //

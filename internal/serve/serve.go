@@ -84,12 +84,6 @@ type Config struct {
 	// sample-to-event latency on emitted events (one extra int64 per
 	// buffered sample).
 	TrackLatency bool
-	// NoBatch forces the per-sample scalar drain path. The batched
-	// drain (the default) groups the live sessions into ≤64-stream
-	// rounds through one shared compiled plan per stage and is
-	// bit-identical per session; the scalar path remains as the
-	// service-level equivalence oracle and for benchmarks.
-	NoBatch bool
 	// Now overrides the timestamp source (UnixNano); nil selects
 	// time.Now. It exists for tests and latency benchmarks.
 	Now func() int64
@@ -222,9 +216,9 @@ type Service struct {
 	nowFn   func() int64
 	tick    int64 // monotone accepted-frame counter (eviction ordering)
 
-	// Batched-drain round scratch (nil under Config.NoBatch): the live
-	// slots of the current Drain, their pipelines and sample blocks, and
-	// contiguous copies of the ring spans that wrap.
+	// Batched-drain round scratch: the batch plan (built on the first
+	// Drain), the live slots of the current Drain, their pipelines and
+	// sample blocks, and contiguous copies of the ring spans that wrap.
 	batch   *pantompkins.PipelineBatch
 	bslots  []int32
 	bns     []int32
@@ -597,15 +591,16 @@ func (s *Service) close(slot int32) {
 // flushed, emit EventFinished and release their slot. Pending eviction
 // events from Ingest are delivered first.
 //
-// By default the five pipeline stages run batched: the live sessions
-// group into ≤64-stream rounds evaluated through one shared compiled
-// plan per stage (pantompkins.PipelineBatch), with per-session state in
-// the slot pool's parallel arrays; sessions join and leave rounds as
-// they connect, stall and finish. The emitted event sequence per
-// session is bit-identical to the per-sample path (Config.NoBatch).
-// Either way, each surviving session's already-emitted decision prefix
-// is discarded after collection, so detector memory stays bounded over
-// unbounded streams.
+// The five pipeline stages run batched: the live sessions group into
+// ≤64-stream rounds evaluated through one shared compiled plan per stage
+// (pantompkins.PipelineBatch), with per-session state in the slot pool's
+// parallel arrays; sessions join and leave rounds as they connect, stall
+// and finish. Each session's filtered/integrated outputs then feed its
+// own incremental detector sample by sample, in ascending slot order, so
+// the emitted event sequence per session is bit-identical to pushing
+// every sample through Stream.Push one at a time. Each surviving
+// session's already-emitted decision prefix is discarded after
+// collection, so detector memory stays bounded over unbounded streams.
 func (s *Service) Drain(events []Event) []Event {
 	events = append(events, s.pending...)
 	s.pending = s.pending[:0]
@@ -613,62 +608,6 @@ func (s *Service) Drain(events []Event) []Event {
 	if s.cfg.TrackLatency {
 		now = s.nowFn()
 	}
-	if s.cfg.NoBatch {
-		return s.drainScalar(events, now)
-	}
-	return s.drainBatched(events, now)
-}
-
-// drainScalar is the per-sample drain path: every buffered sample goes
-// through Stream.Push one at a time. It is the service-level
-// equivalence oracle for the batched path.
-func (s *Service) drainScalar(events []Event, now int64) []Event {
-	for sl := range s.used {
-		if !s.used[sl] {
-			continue
-		}
-		slot := int32(sl)
-		n := int(s.counts[slot])
-		if q := s.cfg.Quantum; q > 0 && n > q {
-			n = q
-		}
-		st := s.streams[slot]
-		det := st.Detector().Detection()
-		base := int(slot) * s.bufN
-		head := int(s.heads[slot])
-		for k := 0; k < n; k++ {
-			idx := base + (head+k)%s.bufN
-			st.Push(s.ring[idx])
-			if len(det.Events) > int(s.emEvents[slot]) {
-				var lat int64
-				if s.cfg.TrackLatency {
-					lat = now - s.ts[idx]
-				}
-				events = s.collect(slot, det, lat, events)
-			}
-		}
-		s.heads[slot] = int32((head + n) % s.bufN)
-		s.counts[slot] -= int32(n)
-		if s.ended[slot] && s.counts[slot] == 0 {
-			det = st.Finish()
-			events = s.collect(slot, det, 0, events)
-			events = append(events, Event{Session: s.ids[slot], Kind: EventFinished, Peak: -1})
-			s.stats.Finishes++
-			s.close(slot)
-		} else {
-			s.trim(slot)
-		}
-	}
-	return events
-}
-
-// drainBatched advances the live sessions' pipeline stages as batch
-// rounds over one shared compiled plan, then feeds each session's
-// filtered/integrated outputs through its own incremental detector
-// sample by sample (event collection and latency attribution are
-// per-sample either way). Slots drain in ascending order exactly like
-// the scalar path, so the event sequence is identical.
-func (s *Service) drainBatched(events []Event, now int64) []Event {
 	if s.batch == nil {
 		p, err := pantompkins.New(s.cfg.Pipeline)
 		if err != nil {
