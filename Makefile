@@ -1,5 +1,5 @@
-# Developer and CI entry points. `make ci` is the gate: build, vet,
-# race-clean tests (which include the kernel-vs-reference equivalence
+# Developer and CI entry points. `make ci` is the gate: build, vet, a
+# gofmt check over every tracked Go file, race-clean tests (which include the kernel-vs-reference equivalence
 # suite), the same equivalence suite with the word-parallel kernels
 # force-disabled (the bit-serial oracle path, including the scalar
 # activity simulator), benchmark smoke passes in both modes, focused
@@ -12,6 +12,7 @@
 # benchmark module's golden-digest smoke test.
 
 GO ?= go
+GOFMT ?= gofmt
 
 # Benchmarks captured by `make bench-json` into BENCH_N.json snapshots.
 BENCH_JSON_PATTERN = KernelVsReference|PipelinePush|DSEWorkers|EvaluatorShards|Fig11ExplorationTime|Table2PreprocessingGrid|EnergyCharacterization|Activity|Serve|Gateway|Transport|BatchChain
@@ -25,7 +26,7 @@ BENCH_BASELINE = BENCH_9.json
 # or harness regression silently dropping the new energy benchmarks).
 BENCH_REQUIRE = EnergyCharacterization/cold|Table2PreprocessingGrid/scratch|Activity/lanes|Serve/sessions|Serve/latency|Gateway/shards=1|Gateway/shards=4|Transport/inproc|Transport/tcp|Transport/udp|BatchChain/ama5-k16/batch64|BatchChain/ama5-k16/scalar
 
-.PHONY: all build vet test race race-arith race-energy race-serve race-gateway race-net race-batch fuzz-smoke net-smoke test-reference bench bench-reference bench-json bench-diff bench-diff-smoke bench-smoke ci
+.PHONY: all build vet fmt-check test race race-arith race-energy race-serve race-gateway race-net race-batch fuzz-smoke net-smoke test-reference bench bench-reference bench-json bench-diff bench-diff-smoke bench-smoke ci
 
 all: build
 
@@ -34,6 +35,12 @@ build:
 
 vet:
 	$(GO) vet ./...
+
+# Formatting gate: fails when gofmt would reformat any tracked Go file,
+# bench/ included (the check only reads).
+fmt-check:
+	@files=$$(git ls-files -z '*.go' | xargs -0 -r $(GOFMT) -l); \
+	if [ -n "$$files" ]; then echo "gofmt -l lists:"; echo "$$files"; exit 1; fi
 
 test:
 	$(GO) test ./...
@@ -145,4 +152,4 @@ bench-smoke:
 bench-diff-smoke:
 	$(GO) run ./cmd/benchdiff -threshold 0.15 -bytes-threshold 0.15 -allocs-threshold 0.15 -require '$(BENCH_REQUIRE)' $(BENCH_SNAPSHOT) $(BENCH_SNAPSHOT) > /dev/null
 
-ci: build vet race race-arith race-energy race-serve race-gateway race-net race-batch fuzz-smoke net-smoke test-reference bench bench-reference bench-diff-smoke bench-smoke
+ci: build vet fmt-check race race-arith race-energy race-serve race-gateway race-net race-batch fuzz-smoke net-smoke test-reference bench bench-reference bench-diff-smoke bench-smoke

@@ -10,13 +10,14 @@
 //     Fig 12), modelled ~7 orders of magnitude above the ASIC design.
 //
 // Characterizing one (stage, configuration) pair — synthesizing the stage
-// netlist, simulating it over the stimulus window with the lane-packed
-// activity engine of package netlist, and weighting power by the measured
-// toggle rates — is a pure function of the pair and the stimulus, so the
-// results live in a process-wide cache (see cache.go): every Model whose
-// stimulus, vector count and warmup match shares the same entries, across
-// core.Evaluator instances, design-space-exploration phases and
-// experiments. CacheStats and DropCaches expose it the way
+// netlist (built constant-folded, so the raw constant-coefficient netlist
+// is never materialized), simulating it over the stimulus window with the
+// lane-packed activity engine of package netlist, and weighting power by
+// the measured toggle rates — is a pure function of the pair and the
+// stimulus, so the results live in a process-wide cache (see cache.go):
+// every Model whose stimulus, vector count and warmup match shares the
+// same entries, across core.Evaluator instances, design-space-exploration
+// phases and experiments. CacheStats and DropCaches expose it the way
 // kernel.CacheStats/DropCaches expose the arithmetic plan/table cache.
 //
 // Energy figures are per processed sample (fJ). Reductions are always
@@ -73,10 +74,10 @@ func fingerprint(sig []int64) uint64 {
 // stimulus's characterization (see cache.go).
 func fingerprint2(sig []int64) uint64 {
 	const (
-		gold  = 0x9e3779b97f4a7c15
-		mix1  = 0xbf58476d1ce4e5b9
-		mix2  = 0x94d049bb133111eb
-		fold  = 0xff51afd7ed558ccd
+		gold = 0x9e3779b97f4a7c15
+		mix1 = 0xbf58476d1ce4e5b9
+		mix2 = 0x94d049bb133111eb
+		fold = 0xff51afd7ed558ccd
 	)
 	h := uint64(gold) ^ uint64(len(sig))*mix1
 	for _, s := range sig {
@@ -154,8 +155,16 @@ func stagePortIndex(name string) (int, error) {
 // stageStreams builds packed simulator stimulus for one stage: consecutive
 // sliding windows of the stage's stimulus signal across the tap ports
 // x0..xN-1 (or the single port for the squarer). Values enter the
-// magnitude-style datapath masked to the port width.
+// magnitude-style datapath masked to the port width. The window must start
+// at or after the signal (Warmup >= 0) and hold the activity engine's
+// minimum of two vectors.
 func (m *Model) stageStreams(s pantompkins.Stage, n *netlist.Netlist) ([]netlist.PortStimulus, error) {
+	if m.Warmup < 0 {
+		return nil, fmt.Errorf("energy: negative warmup %d", m.Warmup)
+	}
+	if m.Vectors < 2 {
+		return nil, fmt.Errorf("energy: activity analysis needs >= 2 vectors, got %d", m.Vectors)
+	}
 	sig := m.stim.inputs[s]
 	need := m.Warmup + m.Vectors + pantompkins.MWIWindow + 40
 	if len(sig) < need {
@@ -182,18 +191,21 @@ func (m *Model) stageStreams(s pantompkins.Stage, n *netlist.Netlist) ([]netlist
 	return ports, nil
 }
 
-// stageNetlist builds the combinational variant of a stage for simulation.
+// stageNetlist builds the optimised combinational variant of a stage for
+// simulation. The variant is built constant-folded, so only its dead cells
+// are left to drop.
 func stageNetlist(s pantompkins.Stage, cfg dsp.ArithConfig) (*netlist.Netlist, error) {
 	n, err := pantompkins.StageNetlistCombinational(s, cfg)
 	if err != nil {
 		return nil, err
 	}
-	return netlist.Optimize(n, nil)
+	return netlist.DeadCellElim(n)
 }
 
-// characterize builds one cache entry from scratch: synthesize, analyze
-// the optimised netlist once, simulate, weight. The activity-blind report
-// and the activity-weighted one come from the same analysis (see
+// characterize builds one cache entry from scratch: synthesize (the stage
+// netlist is built folded, never as the raw constant-coefficient netlist),
+// analyze the optimised netlist once, simulate, weight. The activity-blind
+// report and the activity-weighted one come from the same analysis (see
 // synth.ActivityWeight), so the entry can answer both StageReport and
 // StageOptimizedReport. It runs outside the cache lock; see storeChar.
 func (m *Model) characterize(s pantompkins.Stage, cfg dsp.ArithConfig) (*charEntry, error) {

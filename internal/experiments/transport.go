@@ -228,9 +228,9 @@ func (s *Setup) TransportResilience(cfg pantompkins.Config, opts TransportOpts) 
 			}
 			nst, err := serve.RunNet(serve.NetConfig{
 				Network: network, Addr: ln.Addr().String(),
-				FrameSamples: 32,
-				Seed:         linkSeed(opts.Seed, li, 0xC7A05),
-				Disconnect:   opts.Disconnect,
+				FrameSamples:  32,
+				Seed:          linkSeed(opts.Seed, li, 0xC7A05),
+				Disconnect:    opts.Disconnect,
 				PartialWrites: network == "tcp",
 			}, srcs)
 			lst := ln.Stats()

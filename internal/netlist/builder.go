@@ -9,9 +9,23 @@ import (
 
 // Builder constructs netlists cell by cell, guaranteeing topological order
 // and single drivers by construction.
+//
+// A folding builder (NewFoldingBuilder) also partially evaluates every
+// cell as it is added, the way a logic synthesiser folds tied-off
+// operands: it enumerates the cell's truth table over the inputs that are
+// not constant nets and resolves each output to a constant net, a wire
+// (one free input), or an inverter on one free input. The cell is kept
+// only when some output is genuine logic; a register fed a constant
+// settles to it. The methods then return the resolved nets, so a
+// generator that builds into a folding builder never materializes the
+// cells that fold away. The result computes the same function bit for bit
+// — approximation artefacts included — and may still hold dead cells,
+// which DeadCellElim removes. ConstProp is a replay of a finished netlist
+// through a folding builder.
 type Builder struct {
 	n        *Netlist
 	invCache map[Net]Net
+	fold     bool
 	err      error
 }
 
@@ -21,6 +35,14 @@ func NewBuilder(name string) *Builder {
 		n:        &Netlist{Name: name, NumNets: numReservedNets},
 		invCache: make(map[Net]Net),
 	}
+}
+
+// NewFoldingBuilder returns a Builder that constant-folds every cell as it
+// is added (see Builder).
+func NewFoldingBuilder(name string) *Builder {
+	b := NewBuilder(name)
+	b.fold = true
+	return b
 }
 
 // fail records the first construction error; Build reports it.
@@ -123,35 +145,148 @@ func (b *Builder) NotBus(bus Bus) Bus {
 
 // FullAdder instantiates one full-adder cell of the given kind.
 func (b *Builder) FullAdder(kind approx.AdderKind, a, bb, cin Net) (sum, cout Net) {
-	sum, cout = b.newNet(), b.newNet()
-	b.n.Cells = append(b.n.Cells, Cell{
-		Kind: CellFA, Add: kind,
-		In:  []Net{a, bb, cin},
-		Out: []Net{sum, cout},
-	})
-	return sum, cout
+	out := b.add(CellFA, kind, 0, [4]Net{a, bb, cin})
+	return out[0], out[1]
 }
 
 // Mult2 instantiates one elementary 2x2 multiplier cell of the given kind.
 func (b *Builder) Mult2(kind approx.MultKind, a0, a1, b0, b1 Net) Bus {
-	out := b.newBus(4)
-	b.n.Cells = append(b.n.Cells, Cell{
-		Kind: CellMult2, Mul: kind,
-		In:  []Net{a0, a1, b0, b1},
-		Out: append([]Net(nil), out...),
-	})
-	return out
+	out := b.add(CellMult2, 0, kind, [4]Net{a0, a1, b0, b1})
+	return Bus{out[0], out[1], out[2], out[3]}
 }
 
 // Register instantiates a DFF on every bit of the bus.
 func (b *Builder) Register(bus Bus) Bus {
 	out := make(Bus, len(bus))
 	for i, d := range bus {
-		q := b.newNet()
-		b.n.Cells = append(b.n.Cells, Cell{Kind: CellReg, In: []Net{d}, Out: []Net{q}})
-		out[i] = q
+		out[i] = b.add(CellReg, 0, 0, [4]Net{d})[0]
 	}
 	return out
+}
+
+// add instantiates one cell of the given kind over its input nets (pins in
+// the order CellKind documents) and returns the nets its outputs resolve
+// to: the cell's own output nets or, in a folding builder, whatever the
+// partial evaluation resolved them to.
+func (b *Builder) add(kind CellKind, add approx.AdderKind, mul approx.MultKind, in [4]Net) (out [4]Net) {
+	c := Cell{Kind: kind, Add: add, Mul: mul}
+	var nin, nout int
+	var fold [4]pinFold
+	switch kind {
+	case CellInv:
+		out[0] = b.Not(in[0])
+		return out
+	case CellReg:
+		// Registers are combinationally the identity, so folding must not
+		// dissolve them into wires: only a constant d settles through.
+		if b.fold && in[0].IsConst() {
+			out[0] = in[0]
+			return out
+		}
+		nin, nout = 1, 1
+	case CellFA:
+		nin, nout = 3, 2
+	case CellMult2:
+		nin, nout = 4, 4
+	}
+	if b.fold && kind != CellReg {
+		fold = foldCell(&c, in, nin, nout, &out)
+	}
+	keep := false
+	for _, f := range fold[:nout] {
+		keep = keep || f == pinLogic
+	}
+	if !keep {
+		for oi := 0; oi < nout; oi++ {
+			if fold[oi] == pinInv {
+				out[oi] = b.Not(out[oi])
+			}
+		}
+		return out
+	}
+	pins := make([]Net, nin+nout)
+	copy(pins, in[:nin])
+	c.In, c.Out = pins[:nin:nin], pins[nin:]
+	for oi := range c.Out {
+		c.Out[oi] = b.newNet()
+		switch fold[oi] {
+		case pinLogic:
+			out[oi] = c.Out[oi]
+		case pinInv:
+			out[oi] = b.Not(out[oi])
+		}
+	}
+	b.n.Cells = append(b.n.Cells, c)
+	return out
+}
+
+// pinFold is what partial evaluation resolves one cell output to.
+type pinFold uint8
+
+const (
+	pinLogic pinFold = iota // genuine logic: the cell's own output net
+	pinNet                  // a constant net, or a wire of one free input
+	pinInv                  // an inverter on one free input
+)
+
+// freeVarTT[i] is the truth table of free input i over up to four free
+// inputs: bit combo is set iff bit i of combo is.
+var freeVarTT = [4]uint32{0xAAAA, 0xCCCC, 0xF0F0, 0xFF00}
+
+// foldCell partially evaluates cell c (kind and flavour set) over in. It
+// enumerates the outputs for every combination of the inputs that are not
+// constant nets and classifies each output as a constant, a wire or an
+// inverted wire of one free input (first match in pin order), or logic.
+// For a constant or wire it stores the constant or source net in out, for
+// an inverted wire the net to invert.
+func foldCell(c *Cell, in [4]Net, nin, nout int, out *[4]Net) (fold [4]pinFold) {
+	var free [4]int
+	var vals [4]uint8
+	nf := 0
+	for i := 0; i < nin; i++ {
+		if in[i].IsConst() {
+			vals[i] = in[i].ConstVal()
+		} else {
+			free[nf] = i
+			nf++
+		}
+	}
+	// tt[oi] bit combo holds output oi under free-input combination combo.
+	var tt [4]uint32
+	combos := 1 << nf
+	for combo := 0; combo < combos; combo++ {
+		for fi := 0; fi < nf; fi++ {
+			vals[free[fi]] = uint8(combo>>fi) & 1
+		}
+		o := evalCell(c, vals[:nin])
+		for oi := 0; oi < nout; oi++ {
+			tt[oi] |= uint32(o[oi]) << combo
+		}
+	}
+	all := uint32(1)<<combos - 1
+outputs:
+	for oi := 0; oi < nout; oi++ {
+		switch tt[oi] {
+		case 0:
+			out[oi], fold[oi] = Const0, pinNet
+			continue
+		case all:
+			out[oi], fold[oi] = Const1, pinNet
+			continue
+		}
+		for fi := 0; fi < nf; fi++ {
+			v := freeVarTT[fi] & all
+			switch tt[oi] {
+			case v:
+				out[oi], fold[oi] = in[free[fi]], pinNet
+				continue outputs
+			case all &^ v:
+				out[oi], fold[oi] = in[free[fi]], pinInv
+				continue outputs
+			}
+		}
+	}
+	return fold
 }
 
 // RCAAt builds a ripple-carry adder over equal-width buses whose cell at

@@ -8,7 +8,10 @@
 //   - a Builder with generators for the hardware structures the paper
 //     synthesises: ripple-carry adders with approximated LSBs (Fig 6),
 //     recursive multipliers (Fig 7), FIR stages, moving-window integrators
-//     and the squarer;
+//     and the squarer. A generator builds into the Builder it is given: a
+//     plain one (NewBuilder) materializes every cell, a folding one
+//     (NewFoldingBuilder) partially evaluates each cell as it is added, so
+//     multipliers by constant FIR coefficients never exist unfolded;
 //   - a bit-true Simulator for combinational netlists, used to
 //     cross-validate the word-level behavioural models in package arith
 //     (the Go analogue of the paper's MATLAB-vs-ModelSim loop, Fig 9);
@@ -24,7 +27,10 @@
 //   - synthesis-style optimisation passes: constant propagation by partial
 //     evaluation of cell truth tables (this is how multiplications by fixed
 //     FIR coefficients collapse, exactly as a logic synthesiser would fold
-//     them) and dead-cell elimination.
+//     them) and dead-cell elimination. ConstProp replays a finished netlist
+//     through a folding builder, so the per-cell folding has one
+//     implementation, and Optimize of a plain build equals dead-cell
+//     elimination of the folded build.
 //
 // Physical reports (area / power / delay / energy) over netlists live in
 // package synth; the process-wide cache that amortises a whole (stage,

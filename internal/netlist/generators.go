@@ -1,18 +1,22 @@
 package netlist
 
 import (
+	"errors"
 	"fmt"
 
 	"github.com/xbiosip/xbiosip/internal/arith"
 )
 
+// Every generator builds into the Builder it is given, so the caller
+// chooses between a plain netlist (NewBuilder) and one constant-folded as
+// it is built (NewFoldingBuilder), and names the netlist through it.
+
 // GenRCA generates the netlist of a word-level ripple-carry adder (paper
 // Fig 6) with ports a, b, cin, sum and cout.
-func GenRCA(name string, ad arith.Adder) (*Netlist, error) {
+func GenRCA(b *Builder, ad arith.Adder) (*Netlist, error) {
 	if err := ad.Validate(); err != nil {
 		return nil, err
 	}
-	b := NewBuilder(name)
 	a := b.InputBus("a", ad.Width)
 	bb := b.InputBus("b", ad.Width)
 	cin := b.InputBus("cin", 1)
@@ -24,11 +28,10 @@ func GenRCA(name string, ad arith.Adder) (*Netlist, error) {
 
 // GenMultiplier generates the netlist of a recursive multiplier (paper
 // Fig 7) with ports a, b and p (2*Width bits).
-func GenMultiplier(name string, m arith.Multiplier) (*Netlist, error) {
+func GenMultiplier(b *Builder, m arith.Multiplier) (*Netlist, error) {
 	if err := m.Validate(); err != nil {
 		return nil, err
 	}
-	b := NewBuilder(name)
 	a := b.InputBus("a", m.Width)
 	bb := b.InputBus("b", m.Width)
 	p := b.Multiplier(m, a, bb)
@@ -41,7 +44,6 @@ func GenMultiplier(name string, m arith.Multiplier) (*Netlist, error) {
 // ripple-carry accumulation chain. Negative coefficients subtract their
 // product (inverted operand + carry-in, the usual arrangement).
 type FIRSpec struct {
-	Name     string
 	Coeffs   []int64          // signed integer coefficients, tap 0 first
 	InWidth  int              // input sample width (bits)
 	AccWidth int              // accumulator width (bits)
@@ -58,7 +60,7 @@ type FIRSpec struct {
 // Validate checks the stage description.
 func (s FIRSpec) Validate() error {
 	if len(s.Coeffs) == 0 {
-		return fmt.Errorf("netlist: FIR %s has no coefficients", s.Name)
+		return errors.New("FIR has no coefficients")
 	}
 	if err := s.Mult.Validate(); err != nil {
 		return err
@@ -67,14 +69,14 @@ func (s FIRSpec) Validate() error {
 		return err
 	}
 	if s.Mult.Width != s.InWidth {
-		return fmt.Errorf("netlist: FIR %s multiplier width %d != input width %d", s.Name, s.Mult.Width, s.InWidth)
+		return fmt.Errorf("FIR multiplier width %d != input width %d", s.Mult.Width, s.InWidth)
 	}
 	if s.Add.Width != s.AccWidth {
-		return fmt.Errorf("netlist: FIR %s adder width %d != accumulator width %d", s.Name, s.Add.Width, s.AccWidth)
+		return fmt.Errorf("FIR adder width %d != accumulator width %d", s.Add.Width, s.AccWidth)
 	}
 	if s.OutShift < 0 || s.OutShift+s.OutWidth > s.AccWidth {
-		return fmt.Errorf("netlist: FIR %s output slice [%d,%d) exceeds accumulator width %d",
-			s.Name, s.OutShift, s.OutShift+s.OutWidth, s.AccWidth)
+		return fmt.Errorf("FIR output slice [%d,%d) exceeds accumulator width %d",
+			s.OutShift, s.OutShift+s.OutWidth, s.AccWidth)
 	}
 	for _, c := range s.Coeffs {
 		mag := c
@@ -82,20 +84,20 @@ func (s FIRSpec) Validate() error {
 			mag = -mag
 		}
 		if mag >= 1<<s.InWidth {
-			return fmt.Errorf("netlist: FIR %s coefficient %d exceeds %d bits", s.Name, c, s.InWidth)
+			return fmt.Errorf("FIR coefficient %d exceeds %d bits", c, s.InWidth)
 		}
 	}
 	return nil
 }
 
 // GenFIR generates the stage netlist. Coefficient operands are constant
-// buses; running the ConstProp pass over the result folds each multiplier
-// exactly the way a logic synthesiser folds constant operands.
-func GenFIR(s FIRSpec) (*Netlist, error) {
+// buses, so a folding builder folds each multiplier as it is built,
+// exactly the way a logic synthesiser folds constant operands; Optimize
+// does the same to a plain build afterwards.
+func GenFIR(b *Builder, s FIRSpec) (*Netlist, error) {
 	if err := s.Validate(); err != nil {
-		return nil, err
+		return nil, fmt.Errorf("netlist %s: %w", b.n.Name, err)
 	}
-	b := NewBuilder(s.Name)
 	taps := make([]Bus, len(s.Coeffs))
 	if s.Combinational {
 		for i := range taps {
@@ -141,7 +143,6 @@ func GenFIR(s FIRSpec) (*Netlist, error) {
 // delay line feeding a pure adder accumulation chain (the stage is
 // "composed solely of adder blocks", paper §4.2).
 type MovingSumSpec struct {
-	Name     string
 	Taps     int
 	InWidth  int
 	AccWidth int
@@ -156,27 +157,26 @@ type MovingSumSpec struct {
 // Validate checks the stage description.
 func (s MovingSumSpec) Validate() error {
 	if s.Taps < 2 {
-		return fmt.Errorf("netlist: moving sum %s needs at least 2 taps", s.Name)
+		return errors.New("moving sum needs at least 2 taps")
 	}
 	if err := s.Add.Validate(); err != nil {
 		return err
 	}
 	if s.Add.Width != s.AccWidth {
-		return fmt.Errorf("netlist: moving sum %s adder width %d != accumulator width %d", s.Name, s.Add.Width, s.AccWidth)
+		return fmt.Errorf("moving sum adder width %d != accumulator width %d", s.Add.Width, s.AccWidth)
 	}
 	if s.OutShift < 0 || s.OutShift+s.OutWidth > s.AccWidth {
-		return fmt.Errorf("netlist: moving sum %s output slice [%d,%d) exceeds accumulator width %d",
-			s.Name, s.OutShift, s.OutShift+s.OutWidth, s.AccWidth)
+		return fmt.Errorf("moving sum output slice [%d,%d) exceeds accumulator width %d",
+			s.OutShift, s.OutShift+s.OutWidth, s.AccWidth)
 	}
 	return nil
 }
 
 // GenMovingSum generates the moving-window integration netlist.
-func GenMovingSum(s MovingSumSpec) (*Netlist, error) {
+func GenMovingSum(b *Builder, s MovingSumSpec) (*Netlist, error) {
 	if err := s.Validate(); err != nil {
-		return nil, err
+		return nil, fmt.Errorf("netlist %s: %w", b.n.Name, err)
 	}
-	b := NewBuilder(s.Name)
 	taps := make([]Bus, s.Taps)
 	if s.Combinational {
 		for i := range taps {
@@ -198,11 +198,10 @@ func GenMovingSum(s MovingSumSpec) (*Netlist, error) {
 
 // GenSquarer generates the squarer stage netlist: a single recursive
 // multiplier with both operand ports fed by the same input bus.
-func GenSquarer(name string, m arith.Multiplier) (*Netlist, error) {
+func GenSquarer(b *Builder, m arith.Multiplier) (*Netlist, error) {
 	if err := m.Validate(); err != nil {
 		return nil, err
 	}
-	b := NewBuilder(name)
 	x := b.InputBus("x", m.Width)
 	p := b.Multiplier(m, x, x)
 	b.OutputBus("y", p)

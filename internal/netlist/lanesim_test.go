@@ -112,27 +112,23 @@ func activityNetlists(t *testing.T) []*Netlist {
 	for _, c := range cfgs {
 		mult := arith.Multiplier{Width: 8, ApproxLSBs: c.k, Mult: c.mul, Add: c.addk}
 		ad := arith.Adder{Width: 16, ApproxLSBs: c.k, Kind: c.addk}
-		add(GenFIR(FIRSpec{
-			Name: fmt.Sprintf("hpf_k%d", c.k), Coeffs: hpfLike,
-			InWidth: 8, AccWidth: 16, OutShift: 2, OutWidth: 8,
+		add(GenFIR(NewBuilder(fmt.Sprintf("hpf_k%d", c.k)), FIRSpec{
+			Coeffs: hpfLike, InWidth: 8, AccWidth: 16, OutShift: 2, OutWidth: 8,
 			Mult: mult, Add: ad, Combinational: true,
 		}))
-		add(GenFIR(FIRSpec{
-			Name: fmt.Sprintf("lpf_k%d", c.k), Coeffs: []int64{1, 2, 3, 2, 1},
-			InWidth: 8, AccWidth: 16, OutShift: 1, OutWidth: 8,
+		add(GenFIR(NewBuilder(fmt.Sprintf("lpf_k%d", c.k)), FIRSpec{
+			Coeffs: []int64{1, 2, 3, 2, 1}, InWidth: 8, AccWidth: 16, OutShift: 1, OutWidth: 8,
 			Mult: mult, Add: ad, Combinational: true,
 		}))
-		add(GenFIR(FIRSpec{
-			Name: fmt.Sprintf("der_k%d", c.k), Coeffs: []int64{2, 1, 0, -1, -2},
-			InWidth: 8, AccWidth: 16, OutShift: 0, OutWidth: 8,
+		add(GenFIR(NewBuilder(fmt.Sprintf("der_k%d", c.k)), FIRSpec{
+			Coeffs: []int64{2, 1, 0, -1, -2}, InWidth: 8, AccWidth: 16, OutShift: 0, OutWidth: 8,
 			Mult: mult, Add: ad, Combinational: true,
 		}))
-		add(GenMovingSum(MovingSumSpec{
-			Name: fmt.Sprintf("mwi_k%d", c.k), Taps: 6,
-			InWidth: 8, AccWidth: 16, OutShift: 2, OutWidth: 8,
+		add(GenMovingSum(NewBuilder(fmt.Sprintf("mwi_k%d", c.k)), MovingSumSpec{
+			Taps: 6, InWidth: 8, AccWidth: 16, OutShift: 2, OutWidth: 8,
 			Add: ad, Combinational: true,
 		}))
-		add(GenSquarer(fmt.Sprintf("sqr_k%d", c.k), mult))
+		add(GenSquarer(NewBuilder(fmt.Sprintf("sqr_k%d", c.k)), mult))
 	}
 	return nets
 }
@@ -179,7 +175,7 @@ func TestActivityLaneVsScalarOracle(t *testing.T) {
 // against the stream form and its error cases.
 func TestRunActivityMapWrapper(t *testing.T) {
 	m := arith.Multiplier{Width: 4, ApproxLSBs: 4, Mult: approx.AppMultV1, Add: approx.ApproxAdd5}
-	n := mustBuild(t)(GenMultiplier("mult", m))
+	n := mustBuild(t)(GenMultiplier(NewBuilder("mult"), m))
 	sim := mustSim(t, n)
 	rng := rand.New(rand.NewSource(43))
 	const vectors = 70
@@ -242,9 +238,8 @@ func BenchmarkActivity(b *testing.B) {
 		coeffs[i] = -1
 	}
 	coeffs[16] = 32
-	n, err := GenFIR(FIRSpec{
-		Name: "hpf_bench", Coeffs: coeffs,
-		InWidth: 16, AccWidth: 32, OutShift: 5, OutWidth: 16,
+	n, err := GenFIR(NewBuilder("hpf_bench"), FIRSpec{
+		Coeffs: coeffs, InWidth: 16, AccWidth: 32, OutShift: 5, OutWidth: 16,
 		Mult: mult, Add: ad, Combinational: true,
 	})
 	if err != nil {

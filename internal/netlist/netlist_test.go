@@ -50,7 +50,7 @@ func TestRCANetlistCrossValidation(t *testing.T) {
 	for _, kind := range approx.AdderKinds {
 		for _, k := range []int{0, 1, 5, 8, 16, 32} {
 			ad := arith.Adder{Width: 32, ApproxLSBs: k, Kind: kind}
-			n := mustBuild(t)(GenRCA("rca32", ad))
+			n := mustBuild(t)(GenRCA(NewBuilder("rca32"), ad))
 			sim := mustSim(t, n)
 			as := make([]uint64, vectors)
 			bs := make([]uint64, vectors)
@@ -94,7 +94,7 @@ func TestMultiplierNetlistCrossValidation(t *testing.T) {
 		{Width: 16, ApproxLSBs: 31, Mult: approx.AppMultV1, Add: approx.ApproxAdd1},
 	}
 	for _, m := range configs {
-		n := mustBuild(t)(GenMultiplier("mult", m))
+		n := mustBuild(t)(GenMultiplier(NewBuilder("mult"), m))
 		sim := mustSim(t, n)
 		iters := 60
 		if m.Width <= 4 {
@@ -131,7 +131,7 @@ func TestConstPropPreservesFunction(t *testing.T) {
 	// including approximation artefacts.
 	rng := rand.New(rand.NewSource(22))
 	m := arith.Multiplier{Width: 16, ApproxLSBs: 10, Mult: approx.AppMultV1, Add: approx.ApproxAdd5}
-	n := mustBuild(t)(GenMultiplier("constmul", m))
+	n := mustBuild(t)(GenMultiplier(NewBuilder("constmul"), m))
 	for _, coeff := range []uint64{0, 1, 2, 5, 6, 31, 32, 0x7FFF} {
 		opt, err := Optimize(n, map[string]uint64{"b": coeff})
 		if err != nil {
@@ -158,11 +158,33 @@ func TestConstPropPreservesFunction(t *testing.T) {
 	}
 }
 
+// TestConstPropRejectsBadBindings: a binding must name an input port and
+// fit its width; an over-wide value is an error, never silently truncated.
+func TestConstPropRejectsBadBindings(t *testing.T) {
+	m := arith.Multiplier{Width: 16, Mult: approx.AccMult, Add: approx.AccAdd}
+	n := mustBuild(t)(GenMultiplier(NewBuilder("bind"), m))
+	for _, c := range []struct {
+		name string
+		bind map[string]uint64
+		ok   bool
+	}{
+		{"widest fitting value", map[string]uint64{"b": 1<<16 - 1}, true},
+		{"one bit too wide", map[string]uint64{"b": 1 << 16}, false},
+		{"top bit set", map[string]uint64{"a": 1 << 63}, false},
+		{"unknown port", map[string]uint64{"c": 1}, false},
+	} {
+		_, err := ConstProp(n, c.bind)
+		if (err == nil) != c.ok {
+			t.Errorf("%s: ConstProp(%v) error = %v, want ok=%v", c.name, c.bind, err, c.ok)
+		}
+	}
+}
+
 func TestConstPropCollapsesTrivialCoefficients(t *testing.T) {
 	// Multiplying by 0 must dissolve the entire netlist; multiplying by a
 	// power of two must leave no multiplier cells (pure wiring).
 	m := arith.Multiplier{Width: 16, ApproxLSBs: 0, Mult: approx.AccMult, Add: approx.AccAdd}
-	n := mustBuild(t)(GenMultiplier("trivial", m))
+	n := mustBuild(t)(GenMultiplier(NewBuilder("trivial"), m))
 
 	opt, err := Optimize(n, map[string]uint64{"b": 0})
 	if err != nil {
@@ -193,7 +215,7 @@ func TestConstPropDissolvesAMA5Cells(t *testing.T) {
 	// ApproxAdd5 is pure wiring (Sum=B, Cout=A); even with no bindings the
 	// pass must dissolve every AMA5 cell.
 	ad := arith.Adder{Width: 32, ApproxLSBs: 32, Kind: approx.ApproxAdd5}
-	n := mustBuild(t)(GenRCA("ama5", ad))
+	n := mustBuild(t)(GenRCA(NewBuilder("ama5"), ad))
 	opt, err := Optimize(n, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -264,7 +286,7 @@ func TestSimulatorRejectsRegisters(t *testing.T) {
 
 func TestSimulatorMissingInput(t *testing.T) {
 	ad := arith.Adder{Width: 4, Kind: approx.AccAdd}
-	n := mustBuild(t)(GenRCA("rca4", ad))
+	n := mustBuild(t)(GenRCA(NewBuilder("rca4"), ad))
 	sim := mustSim(t, n)
 	if _, err := sim.Run(map[string]uint64{"a": 1}); err == nil {
 		t.Error("Run without all inputs succeeded, want error")
@@ -304,7 +326,6 @@ func TestValidateCatchesCorruptNetlists(t *testing.T) {
 
 func TestGenFIRStructure(t *testing.T) {
 	spec := FIRSpec{
-		Name:     "lpf",
 		Coeffs:   []int64{1, 2, 3, 4, 5, 6, 5, 4, 3, 2, 1},
 		InWidth:  16,
 		AccWidth: 32,
@@ -313,7 +334,7 @@ func TestGenFIRStructure(t *testing.T) {
 		Mult:     arith.Multiplier{Width: 16, Mult: approx.AccMult, Add: approx.AccAdd},
 		Add:      arith.Adder{Width: 32, Kind: approx.AccAdd},
 	}
-	n := mustBuild(t)(GenFIR(spec))
+	n := mustBuild(t)(GenFIR(NewBuilder("lpf"), spec))
 	if got, want := n.NumRegisters(), 10*16; got != want {
 		t.Errorf("LPF registers = %d, want %d (10 16-bit delays)", got, want)
 	}
@@ -325,39 +346,39 @@ func TestGenFIRStructure(t *testing.T) {
 
 func TestGenFIRRejectsBadSpecs(t *testing.T) {
 	good := FIRSpec{
-		Name: "g", Coeffs: []int64{1, -1}, InWidth: 16, AccWidth: 32,
+		Coeffs: []int64{1, -1}, InWidth: 16, AccWidth: 32,
 		OutShift: 0, OutWidth: 16,
 		Mult: arith.Multiplier{Width: 16, Mult: approx.AccMult, Add: approx.AccAdd},
 		Add:  arith.Adder{Width: 32, Kind: approx.AccAdd},
 	}
-	if _, err := GenFIR(good); err != nil {
+	if _, err := GenFIR(NewBuilder("g"), good); err != nil {
 		t.Fatalf("good spec rejected: %v", err)
 	}
 	bad := good
 	bad.Coeffs = nil
-	if _, err := GenFIR(bad); err == nil {
+	if _, err := GenFIR(NewBuilder("g"), bad); err == nil {
 		t.Error("empty coefficients accepted")
 	}
 	bad = good
 	bad.OutShift = 20
 	bad.OutWidth = 16
-	if _, err := GenFIR(bad); err == nil {
+	if _, err := GenFIR(NewBuilder("g"), bad); err == nil {
 		t.Error("out-of-range output slice accepted")
 	}
 	bad = good
 	bad.Coeffs = []int64{1 << 20}
-	if _, err := GenFIR(bad); err == nil {
+	if _, err := GenFIR(NewBuilder("g"), bad); err == nil {
 		t.Error("oversized coefficient accepted")
 	}
 }
 
 func TestGenMovingSumAdderOnly(t *testing.T) {
 	spec := MovingSumSpec{
-		Name: "mwi", Taps: 32, InWidth: 16, AccWidth: 32,
+		Taps: 32, InWidth: 16, AccWidth: 32,
 		OutShift: 5, OutWidth: 16,
 		Add: arith.Adder{Width: 32, Kind: approx.AccAdd},
 	}
-	n := mustBuild(t)(GenMovingSum(spec))
+	n := mustBuild(t)(GenMovingSum(NewBuilder("mwi"), spec))
 	counts := n.CellCounts()
 	if counts["AccMult"] != 0 || counts["AppMultV1"] != 0 || counts["AppMultV2"] != 0 {
 		t.Error("moving-window integrator contains multiplier cells")

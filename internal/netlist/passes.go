@@ -2,21 +2,14 @@ package netlist
 
 import "fmt"
 
-// resolution describes what an old net becomes in the rewritten netlist:
-// either a known constant or a (possibly different) net.
-type resolution struct {
-	isConst bool
-	cval    uint8
-	net     Net
-}
-
 // ConstProp partially evaluates the netlist with the given input ports
 // bound to constant values, the pass a logic synthesiser applies when FIR
-// coefficient operands are tied off. For every cell it enumerates the free
-// input combinations of the cell's truth table and classifies each output
-// as a constant, a wire (identity of one free input), an inverted wire, or
-// genuinely logical; cells whose outputs are all constants/wires disappear.
-// Bound ports are removed from the result's input list.
+// coefficient operands are tied off. It replays the netlist's cells in
+// order through a folding builder (see Builder), with each bound port's
+// bits as constant nets, so every cell is folded exactly as a generator
+// building into a folding builder folds it. Bound ports are removed from
+// the result's input list; a binding must name an input port and fit its
+// width.
 //
 // The rewritten netlist computes the same function of the remaining inputs
 // bit for bit — including every approximation artefact — because the
@@ -25,189 +18,48 @@ func ConstProp(n *Netlist, bind map[string]uint64) (*Netlist, error) {
 	if err := n.Validate(); err != nil {
 		return nil, err
 	}
-	for name := range bind {
-		if _, ok := n.Input(name); !ok {
+	for name, v := range bind {
+		p, ok := n.Input(name)
+		if !ok {
 			return nil, fmt.Errorf("netlist %s: ConstProp binding for unknown input %q", n.Name, name)
 		}
+		if v>>len(p.Bits) != 0 {
+			return nil, fmt.Errorf("netlist %s: ConstProp binding %s=%d does not fit %d bits", n.Name, name, v, len(p.Bits))
+		}
 	}
-	res := make([]resolution, n.NumNets)
-	res[Const0] = resolution{isConst: true, cval: 0}
-	res[Const1] = resolution{isConst: true, cval: 1}
-
-	nb := NewBuilder(n.Name)
+	b := NewFoldingBuilder(n.Name)
+	res := make([]Net, n.NumNets) // old net -> net in the rewritten netlist
+	res[Const0], res[Const1] = Const0, Const1
 	for _, p := range n.Inputs {
+		var bus Bus
 		if v, ok := bind[p.Name]; ok {
-			for i, b := range p.Bits {
-				res[b] = resolution{isConst: true, cval: uint8(v>>i) & 1}
-			}
-			continue
+			bus = b.ConstBus(v, len(p.Bits))
+		} else {
+			bus = b.InputBus(p.Name, len(p.Bits))
 		}
-		bus := nb.InputBus(p.Name, len(p.Bits))
-		for i, b := range p.Bits {
-			res[b] = resolution{net: bus[i]}
+		for i, x := range p.Bits {
+			res[x] = bus[i]
 		}
 	}
-
 	for ci := range n.Cells {
 		c := &n.Cells[ci]
-		if c.Kind == CellReg {
-			// Registers are combinationally the identity, so partial
-			// evaluation must not dissolve them into wires. A register fed
-			// a constant settles to that constant (steady state); any
-			// other register is kept.
-			r := res[c.In[0]]
-			if r.isConst {
-				res[c.Out[0]] = r
-				continue
-			}
-			q := nb.newNet()
-			nb.n.Cells = append(nb.n.Cells, Cell{Kind: CellReg, In: []Net{r.net}, Out: []Net{q}})
-			res[c.Out[0]] = resolution{net: q}
-			continue
+		var in [4]Net
+		for i, x := range c.In {
+			in[i] = res[x]
 		}
-		nin := len(c.In)
-		rin := make([]resolution, nin)
-		free := make([]int, 0, nin)
-		for i, in := range c.In {
-			rin[i] = res[in]
-			if !rin[i].isConst {
-				free = append(free, i)
-			}
+		out := b.add(c.Kind, c.Add, c.Mul, in)
+		for i, x := range c.Out {
+			res[x] = out[i]
 		}
-
-		// Evaluate the cell over every combination of its free inputs.
-		nf := len(free)
-		combos := 1 << nf
-		outVecs := make([][4]uint8, combos) // outVecs[combo] = cell outputs
-		var in [4]uint8
-		for combo := 0; combo < combos; combo++ {
-			for i := 0; i < nin; i++ {
-				if rin[i].isConst {
-					in[i] = rin[i].cval
-				}
-			}
-			for fi, i := range free {
-				in[i] = uint8(combo>>fi) & 1
-			}
-			outVecs[combo] = evalCell(c, in[:nin])
-		}
-
-		// Classify each output: constant, wire of free input, inverted
-		// wire of free input, or logic.
-		type outClass struct {
-			kind int // 0 const, 1 wire, 2 invWire, 3 logic
-			cval uint8
-			src  int // index into free for wire/invWire
-		}
-		classes := make([]outClass, len(c.Out))
-		anyLogic := false
-		for oi := range c.Out {
-			cl := outClass{kind: 0, cval: outVecs[0][oi]}
-			constant := true
-			for combo := 1; combo < combos; combo++ {
-				if outVecs[combo][oi] != cl.cval {
-					constant = false
-					break
-				}
-			}
-			if constant {
-				classes[oi] = cl
-				continue
-			}
-			matched := false
-			for fi := range free {
-				wire, invWire := true, true
-				for combo := 0; combo < combos; combo++ {
-					bit := uint8(combo>>fi) & 1
-					if outVecs[combo][oi] != bit {
-						wire = false
-					}
-					if outVecs[combo][oi] != 1-bit {
-						invWire = false
-					}
-				}
-				if wire {
-					classes[oi] = outClass{kind: 1, src: fi}
-					matched = true
-					break
-				}
-				if invWire {
-					classes[oi] = outClass{kind: 2, src: fi}
-					matched = true
-					break
-				}
-			}
-			if !matched {
-				classes[oi] = outClass{kind: 3}
-				anyLogic = true
-			}
-		}
-
-		if !anyLogic {
-			// Cell dissolves into constants and wires.
-			for oi, out := range c.Out {
-				switch classes[oi].kind {
-				case 0:
-					res[out] = resolution{isConst: true, cval: classes[oi].cval}
-				case 1:
-					res[out] = rin[free[classes[oi].src]]
-				case 2:
-					src := rin[free[classes[oi].src]]
-					res[out] = resolution{net: nb.Not(src.net)}
-				}
-			}
-			continue
-		}
-
-		// Keep the cell; feed known inputs from constant nets.
-		newIn := make([]Net, nin)
-		for i := 0; i < nin; i++ {
-			if rin[i].isConst {
-				if rin[i].cval == 1 {
-					newIn[i] = Const1
-				} else {
-					newIn[i] = Const0
-				}
-			} else {
-				newIn[i] = rin[i].net
-			}
-		}
-		newOut := make([]Net, len(c.Out))
-		for oi, out := range c.Out {
-			newOut[oi] = nb.newNet()
-			switch classes[oi].kind {
-			case 0:
-				// Downstream sees the constant even though the pin exists.
-				res[out] = resolution{isConst: true, cval: classes[oi].cval}
-			case 1:
-				res[out] = rin[free[classes[oi].src]]
-			case 2:
-				src := rin[free[classes[oi].src]]
-				res[out] = resolution{net: nb.Not(src.net)}
-			default:
-				res[out] = resolution{net: newOut[oi]}
-			}
-		}
-		nb.n.Cells = append(nb.n.Cells, Cell{Kind: c.Kind, Add: c.Add, Mul: c.Mul, In: newIn, Out: newOut})
 	}
-
 	for _, p := range n.Outputs {
 		bus := make(Bus, len(p.Bits))
-		for i, b := range p.Bits {
-			r := res[b]
-			if r.isConst {
-				if r.cval == 1 {
-					bus[i] = Const1
-				} else {
-					bus[i] = Const0
-				}
-			} else {
-				bus[i] = r.net
-			}
+		for i, x := range p.Bits {
+			bus[i] = res[x]
 		}
-		nb.n.Outputs = append(nb.n.Outputs, Port{Name: p.Name, Bits: bus})
+		b.OutputBus(p.Name, bus)
 	}
-	return nb.Build()
+	return b.Build()
 }
 
 // DeadCellElim removes cells that do not (transitively) drive any output

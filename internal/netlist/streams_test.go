@@ -17,7 +17,7 @@ import (
 // approximate cells.
 func TestRunStreamsMatchesRun(t *testing.T) {
 	m := arith.Multiplier{Width: 16, ApproxLSBs: 8, Mult: approx.AppMultV1, Add: approx.ApproxAdd5}
-	n := mustBuild(t)(GenMultiplier("streams", m))
+	n := mustBuild(t)(GenMultiplier(NewBuilder("streams"), m))
 	rng := rand.New(rand.NewSource(23))
 	for _, lanes := range []bool{true, false} {
 		prev := SetLanePacking(lanes)
@@ -61,7 +61,7 @@ func TestRunStreamsMatchesRun(t *testing.T) {
 // rejected, while the activity engine still requires two vectors.
 func TestRunStreamsStimulusErrors(t *testing.T) {
 	ad := arith.Adder{Width: 8, ApproxLSBs: 0, Kind: approx.AccAdd}
-	n := mustBuild(t)(GenRCA("errs", ad))
+	n := mustBuild(t)(GenRCA(NewBuilder("errs"), ad))
 	sim := mustSim(t, n)
 	cases := []struct {
 		name  string

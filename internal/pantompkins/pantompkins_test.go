@@ -1,12 +1,15 @@
 package pantompkins
 
 import (
+	"fmt"
+	"reflect"
 	"testing"
 
 	"github.com/xbiosip/xbiosip/internal/approx"
 	"github.com/xbiosip/xbiosip/internal/dsp"
 	"github.com/xbiosip/xbiosip/internal/ecg"
 	"github.com/xbiosip/xbiosip/internal/metrics"
+	"github.com/xbiosip/xbiosip/internal/netlist"
 )
 
 func record(t *testing.T, n int) *ecg.Record {
@@ -197,6 +200,50 @@ func TestStageNetlistsGenerate(t *testing.T) {
 			if nc.NumRegisters() != 0 {
 				t.Errorf("combinational %v netlist has registers", s)
 			}
+		}
+	}
+}
+
+// TestFoldedStageNetlistsMatchOptimize pins the folding builder to the
+// synthesis passes: for every stage at every even LSB count up to its
+// bound and every adder x multiplier kind, the combinational netlist built
+// folded, after dead-cell elimination, is structurally identical to
+// Optimize of the plain build. Under -short only every third
+// configuration runs.
+func TestFoldedStageNetlistsMatchOptimize(t *testing.T) {
+	for _, s := range Stages {
+		for _, add := range approx.AdderKinds {
+			t.Run(fmt.Sprintf("%v/%v", s, add), func(t *testing.T) {
+				t.Parallel()
+				for k := 0; k <= MaxLSBs[s]; k += 2 {
+					for _, mul := range approx.MultKinds {
+						if testing.Short() && (k/2+int(mul))%3 != 0 {
+							continue
+						}
+						cfg := dsp.ArithConfig{LSBs: k, Add: add, Mul: mul}
+						plain, err := stageNetlist(s, cfg, true, netlist.NewBuilder)
+						if err != nil {
+							t.Fatal(err)
+						}
+						want, err := netlist.Optimize(plain, nil)
+						if err != nil {
+							t.Fatal(err)
+						}
+						folded, err := StageNetlistCombinational(s, cfg)
+						if err != nil {
+							t.Fatal(err)
+						}
+						got, err := netlist.DeadCellElim(folded)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if !reflect.DeepEqual(got, want) {
+							t.Fatalf("%+v: folded build differs from Optimize (%d vs %d cells)",
+								cfg, len(got.Cells), len(want.Cells))
+						}
+					}
+				}
+			})
 		}
 	}
 }

@@ -139,44 +139,44 @@ func (c Config) String() string {
 	return out
 }
 
-// StageNetlist generates the hardware netlist of one stage under the given
-// arithmetic configuration (used by the energy model and synthesis
-// reports).
+// StageNetlist generates the registered, unoptimised hardware netlist of
+// one stage under the given arithmetic configuration (used by synthesis
+// reports, RTL emission and the exhaustive-cost model).
 func StageNetlist(s Stage, cfg dsp.ArithConfig) (*netlist.Netlist, error) {
-	return stageNetlist(s, cfg, false)
+	return stageNetlist(s, cfg, false, netlist.NewBuilder)
 }
 
 // StageNetlistCombinational generates the register-free variant of a stage
 // with the delay line exposed as ports x0..xN-1, used for stimulus-based
 // switching-activity analysis. The squarer is combinational already; its
 // single port is named x0 in this variant for uniform stimulus plumbing.
+// It is built through a folding builder, so the constant-coefficient
+// multipliers fold as they are built; the result equals netlist.Optimize
+// of the plain build once netlist.DeadCellElim drops its dead cells.
 func StageNetlistCombinational(s Stage, cfg dsp.ArithConfig) (*netlist.Netlist, error) {
-	return stageNetlist(s, cfg, true)
+	return stageNetlist(s, cfg, true, netlist.NewFoldingBuilder)
 }
 
-func stageNetlist(s Stage, cfg dsp.ArithConfig, combinational bool) (*netlist.Netlist, error) {
+func stageNetlist(s Stage, cfg dsp.ArithConfig, combinational bool, newBuilder func(string) *netlist.Builder) (*netlist.Netlist, error) {
 	mult := arith.Multiplier{Width: dsp.SampleWidth, ApproxLSBs: cfg.LSBs, Mult: cfg.Mul, Add: cfg.Add}
 	add := arith.Adder{Width: dsp.AccWidth, ApproxLSBs: cfg.LSBs, Kind: cfg.Add}
-	name := fmt.Sprintf("%v_k%d", s, cfg.LSBs)
+	b := newBuilder(fmt.Sprintf("%v_k%d", s, cfg.LSBs))
 	switch s {
 	case LPF:
-		return netlist.GenFIR(netlist.FIRSpec{
-			Name: name, Coeffs: LPFCoeffs,
-			InWidth: dsp.SampleWidth, AccWidth: dsp.AccWidth,
+		return netlist.GenFIR(b, netlist.FIRSpec{
+			Coeffs: LPFCoeffs, InWidth: dsp.SampleWidth, AccWidth: dsp.AccWidth,
 			OutShift: LPFShift, OutWidth: dsp.SampleWidth,
 			Mult: mult, Add: add, Combinational: combinational,
 		})
 	case HPF:
-		return netlist.GenFIR(netlist.FIRSpec{
-			Name: name, Coeffs: HPFCoeffs,
-			InWidth: dsp.SampleWidth, AccWidth: dsp.AccWidth,
+		return netlist.GenFIR(b, netlist.FIRSpec{
+			Coeffs: HPFCoeffs, InWidth: dsp.SampleWidth, AccWidth: dsp.AccWidth,
 			OutShift: HPFShift, OutWidth: dsp.SampleWidth,
 			Mult: mult, Add: add, Combinational: combinational,
 		})
 	case DER:
-		return netlist.GenFIR(netlist.FIRSpec{
-			Name: name, Coeffs: DERCoeffs,
-			InWidth: dsp.SampleWidth, AccWidth: dsp.AccWidth,
+		return netlist.GenFIR(b, netlist.FIRSpec{
+			Coeffs: DERCoeffs, InWidth: dsp.SampleWidth, AccWidth: dsp.AccWidth,
 			OutShift: DERShift, OutWidth: dsp.SampleWidth,
 			Mult: mult, Add: add, Combinational: combinational,
 		})
@@ -184,16 +184,14 @@ func stageNetlist(s Stage, cfg dsp.ArithConfig, combinational bool) (*netlist.Ne
 		if combinational {
 			// Same structure as GenSquarer with the port named x0 for
 			// uniform stimulus plumbing.
-			b := netlist.NewBuilder(name)
 			x := b.InputBus("x0", dsp.SampleWidth)
 			b.OutputBus("y", b.Multiplier(mult, x, x))
 			return b.Build()
 		}
-		return netlist.GenSquarer(name, mult)
+		return netlist.GenSquarer(b, mult)
 	case MWI:
-		return netlist.GenMovingSum(netlist.MovingSumSpec{
-			Name: name, Taps: MWIWindow,
-			InWidth: dsp.AccWidth, AccWidth: dsp.AccWidth,
+		return netlist.GenMovingSum(b, netlist.MovingSumSpec{
+			Taps: MWIWindow, InWidth: dsp.AccWidth, AccWidth: dsp.AccWidth,
 			OutShift: MWIShift, OutWidth: dsp.AccWidth - MWIShift,
 			Add: add, Combinational: combinational,
 		})

@@ -12,7 +12,7 @@ import (
 )
 
 func TestEmitRCA(t *testing.T) {
-	n, err := netlist.GenRCA("rca8", arith.Adder{Width: 8, ApproxLSBs: 4, Kind: approx.ApproxAdd5})
+	n, err := netlist.GenRCA(netlist.NewBuilder("rca8"), arith.Adder{Width: 8, ApproxLSBs: 4, Kind: approx.ApproxAdd5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +57,7 @@ func TestEmitFIRHasClockAndRegisters(t *testing.T) {
 
 func TestEmitAllAdderFlavours(t *testing.T) {
 	for _, kind := range approx.AdderKinds {
-		n, err := netlist.GenRCA("a", arith.Adder{Width: 4, ApproxLSBs: 4, Kind: kind})
+		n, err := netlist.GenRCA(netlist.NewBuilder("a"), arith.Adder{Width: 4, ApproxLSBs: 4, Kind: kind})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -74,7 +74,7 @@ func TestEmitAllAdderFlavours(t *testing.T) {
 func TestEmitAllMultiplierFlavours(t *testing.T) {
 	for _, kind := range approx.MultKinds {
 		m := arith.Multiplier{Width: 4, ApproxLSBs: 8, Mult: kind, Add: approx.AccAdd}
-		n, err := netlist.GenMultiplier("m", m)
+		n, err := netlist.GenMultiplier(netlist.NewBuilder("m"), m)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -12,7 +12,7 @@ import (
 
 func genRCA(t *testing.T, ad arith.Adder) *netlist.Netlist {
 	t.Helper()
-	n, err := netlist.GenRCA("rca", ad)
+	n, err := netlist.GenRCA(netlist.NewBuilder("rca"), ad)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,11 +87,11 @@ func TestReductionsFullyDissolvedDesign(t *testing.T) {
 
 func TestRegistersExcludedFromPowerIncludedInArea(t *testing.T) {
 	spec := netlist.MovingSumSpec{
-		Name: "mwi", Taps: 4, InWidth: 8, AccWidth: 16,
+		Taps: 4, InWidth: 8, AccWidth: 16,
 		OutShift: 0, OutWidth: 16,
 		Add: arith.Adder{Width: 16, Kind: approx.AccAdd},
 	}
-	n, err := netlist.GenMovingSum(spec)
+	n, err := netlist.GenMovingSum(netlist.NewBuilder("mwi"), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
