@@ -6,10 +6,10 @@
 # -race passes over the two global caches' concurrent cold builds, the
 # multi-patient streaming service, the sharded gateway, the real-socket
 # transport (loopback TCP+UDP churn) and the batch-vs-scalar equivalence
-# suites, a fuzz smoke over the wire-frame/socket-message parsers and the
-# ingest path, a fixed-seed chaos run of the socket transport harness, a
-# benchdiff smoke run over the checked-in snapshot, and the end-to-end
-# benchmark module's golden-digest smoke test.
+# suites, a fuzz smoke over the wire-frame/socket-message parsers, the
+# ingest path and the QRS detector, a fixed-seed chaos run of the socket
+# transport harness, a benchdiff smoke run over the checked-in snapshot,
+# and the end-to-end benchmark module's golden-digest smoke test.
 
 GO ?= go
 GOFMT ?= gofmt
@@ -97,11 +97,13 @@ race-batch:
 
 # Fuzz smoke: a few seconds of native fuzzing over the wire-frame
 # parser, the socket-message decoder and the ingest path (never panic,
-# never corrupt the session pool).
+# never corrupt the session pool), and over the QRS detector (every
+# entry point reproduces the frozen whole-record oracle).
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzParseFrame -fuzztime=5s -run '^$$' ./internal/serve
 	$(GO) test -fuzz=FuzzParseWire -fuzztime=5s -run '^$$' ./internal/serve
 	$(GO) test -fuzz=FuzzIngest -fuzztime=5s -run '^$$' ./internal/serve
+	$(GO) test -fuzz=FuzzDetector -fuzztime=5s -run '^$$' ./internal/pantompkins
 
 # The kernel equivalence tests and the packages threaded through the
 # compiled kernels, re-run with XBIOSIP_NO_KERNELS so every plan delegates

@@ -121,10 +121,11 @@ type Evaluator struct {
 // pipelines for the canonical configuration cfg plus the shared batch
 // plan that evaluates a multi-record shard word-parallel (rebound per
 // configuration, its packed scratch kept), the last single-record
-// simulation of every record this scratch has run, and the detector
-// scratch the per-record decision pass reuses. The evaluator holds one
-// scratch per concurrent evaluation, so the simulations cost at most
-// (concurrent evaluations) × records × 5 signals × samples × 8 B.
+// simulation of every record this scratch has run, and the detector that
+// runs the pantompkins.StreamDetector decisions over each whole record in
+// place, reusing its trace buffers. The evaluator holds one scratch per
+// concurrent evaluation, so the simulations cost at most (concurrent
+// evaluations) × records × 5 signals × samples × 8 B.
 type recScratch struct {
 	det   pantompkins.PeakDetector
 	cfg   pantompkins.Config

@@ -25,8 +25,8 @@ type StreamRow struct {
 // monitoring service. Detection runs incrementally alongside the stages
 // (pantompkins.Stream couples the pipeline with a StreamDetector whose
 // thresholds advance per sample), so the streaming path holds no record
-// buffers and never rescans a record; the resulting beats are
-// bit-identical to the batch evaluation's whole-record Detect.
+// buffers and never rescans a record. The batch evaluation grades whole
+// records with the same detector, so the beats are the ones it finds.
 func (s *Setup) Streaming(cfg pantompkins.Config) ([]StreamRow, error) {
 	p, err := pantompkins.New(cfg)
 	if err != nil {

@@ -64,8 +64,7 @@ func TestPushZeroAllocs(t *testing.T) {
 
 // TestPeakDetectorMatchesDetect reuses one PeakDetector across records of
 // different configurations and lengths and demands detections identical to
-// the allocating package-level Detect, then checks the warm detector runs
-// allocation-free.
+// the oracle, then checks the warm detector runs allocation-free.
 func TestPeakDetectorMatchesDetect(t *testing.T) {
 	recA := testRecord(t, 2500)
 	recB, err := ecg.NSRDBRecord(1, 1800)
@@ -80,24 +79,8 @@ func TestPeakDetectorMatchesDetect(t *testing.T) {
 		}
 		for _, rec := range []*ecg.Record{recA, recB, recA} {
 			out := p.Run(rec.Samples)
-			want := Detect(out.Filtered, out.Integrated, rec.FS)
-			got := pd.Detect(out.Filtered, out.Integrated, rec.FS)
-			if len(got.Peaks) != len(want.Peaks) || len(got.MWIPeaks) != len(want.MWIPeaks) || len(got.Events) != len(want.Events) {
-				t.Fatalf("%s: reused detector found %d/%d/%d peaks/MWI/events, Detect %d/%d/%d",
-					name, len(got.Peaks), len(got.MWIPeaks), len(got.Events),
-					len(want.Peaks), len(want.MWIPeaks), len(want.Events))
-			}
-			for i := range want.Peaks {
-				if got.Peaks[i] != want.Peaks[i] || got.MWIPeaks[i] != want.MWIPeaks[i] {
-					t.Fatalf("%s: peak %d = (%d,%d), Detect (%d,%d)", name, i,
-						got.Peaks[i], got.MWIPeaks[i], want.Peaks[i], want.MWIPeaks[i])
-				}
-			}
-			for i := range want.Events {
-				if got.Events[i] != want.Events[i] {
-					t.Fatalf("%s: event %d = %+v, Detect %+v", name, i, got.Events[i], want.Events[i])
-				}
-			}
+			want := oracleDetect(out.Filtered, out.Integrated, rec.FS)
+			requireSameDetection(t, name, want, pd.Detect(out.Filtered, out.Integrated, rec.FS))
 		}
 	}
 	// Warm detector: zero allocations per record.

@@ -211,9 +211,9 @@ func (o *Outputs) Append(s StreamSample) {
 // the fully streaming form of Process. Each Push feeds one raw ADC sample
 // through the five stages and the new filtered/integrated samples into
 // the detector, which advances its thresholds and beat decisions in O(1)
-// — the streaming path never rescans a record. Finish returns the final
-// Detection, bit-identical to running the whole-record Detect over the
-// batch outputs.
+// — the streaming path never rescans a record. Process runs the same
+// detector over the whole batch outputs, so Finish returns the Detection
+// Process reports for the same record.
 type Stream struct {
 	p   *Pipeline
 	det *StreamDetector
@@ -245,7 +245,7 @@ func (s *Stream) Pipeline() *Pipeline { return s.p }
 
 // Restart clears the pipeline stages and the incremental detector in
 // place, beginning a fresh detection session on the same hardware without
-// allocating: the detector keeps its grown ring and event buffers. A
+// allocating: the detector keeps its sample window and event buffers. A
 // multiplexing service (internal/serve) reuses one Stream per session
 // slot across successive occupants this way; after Restart the stream
 // behaves exactly like a fresh Pipeline.Stream.
@@ -265,7 +265,9 @@ type Result struct {
 }
 
 // Process runs the full algorithm — five stages plus adaptive-threshold
-// detection — over a record and returns all intermediate products.
+// detection — over a record and returns all intermediate products. The
+// detection runs StreamDetector's decisions over the whole filtered and
+// integrated signals (see Detect).
 func (p *Pipeline) Process(rec *ecg.Record) *Result {
 	out := p.Run(rec.Samples)
 	det := Detect(out.Filtered, out.Integrated, rec.FS)

@@ -1,22 +1,21 @@
 package pantompkins
 
-// StreamDetector is the incremental form of the adaptive-threshold peak
-// detector: it maintains the Pan-Tompkins thresholds, RR statistics and
-// searchback state per pushed sample in O(1) amortised work and bounded
-// memory, instead of rescanning the whole record the way Detect does. Its
-// output — beat indices, MWI peaks and the full decision trace — is
-// bit-identical to running the whole-record Detect over the same two
-// signals (equivalence-tested across the bundled records and the Fig. 11
-// design sweep).
+// StreamDetector is the adaptive-threshold peak detector described at
+// Detect, and the only implementation of its decisions: Detect and
+// PeakDetector run it over whole signals. Pushed sample by sample, it
+// advances the Pan-Tompkins thresholds, RR statistics and searchback
+// state in O(1) amortised work and bounded memory, so an endless stream
+// neither rescans nor accumulates its history.
 //
 // The detector lags the signal head by a bounded horizon: a candidate
 // peak at index i is decided once filtered samples up to i+alignAhead
 // exist (the filtered-peak search window is then final) — about 50 ms at
 // the pipeline's sampling rate — and the decisions of the first two
-// seconds are held until the threshold learning window completes, exactly
-// like the whole-record pass seeds its estimates from those samples.
-// Finish flushes the held tail with the end-of-record window clamping
-// Detect applies and returns the final Detection.
+// seconds are held until the threshold learning window completes, since
+// the running estimates are seeded from those samples. Finish flushes the
+// held tail, clamping the search windows to the end of the signal, and
+// returns the final Detection: the one Detect returns for the same two
+// signals.
 //
 // Degenerate inputs match Detect: a non-positive sampling rate or an
 // empty stream yields an empty Detection.
@@ -30,11 +29,14 @@ type StreamDetector struct {
 	slopeWin   int
 	learn      int
 
-	// Ring buffers over the recent filtered/integrated samples, indexed by
-	// absolute sample index modulo their length. Sized to cover the
+	// The sample window [off, t): sample j of each signal is f[j-off] and
+	// in[j-off]. A stream owns f and in, learn+alignAhead+4 entries each,
+	// allocated by the first Push and compacted when full; that covers the
 	// learning window plus the decision horizon, which dominates every
-	// lookback the decision logic performs.
-	fbuf, ibuf []int64
+	// lookback the decisions perform. PeakDetector points them at the
+	// caller's whole signals for the duration of one call.
+	f, in []int64
+	off   int
 
 	t      int  // samples pushed so far
 	cursor int  // next candidate index to examine
@@ -45,24 +47,29 @@ type StreamDetector struct {
 	maxI, sumI float64
 	maxF, sumF float64
 
-	// Running detector state, mirroring Detect's locals.
+	// Running detector state.
 	spki, npki float64
 	spkf, npkf float64
 	lastQRS    int
 	lastSlope  float64
 	rrMean     float64
-	rr         [8]int
+	rr         [8]int // ring of the last RR intervals
 	rrLen      int
 	rrPos      int
-	pending    []streamCand
+	// best is the searchback candidate when hasBest: the largest-value
+	// aligned candidate since the last QRS, the earliest winning ties.
+	// Searchback accepts the first maximum among the aligned candidates
+	// above one threshold they all share, and a misaligned candidate never
+	// qualifies, so no other candidate could win.
+	best    candidate
+	hasBest bool
 
 	det Detection
 }
 
-// streamCand is a pending candidate with its decision-time context
-// precomputed (filtered peak, slope), so a later searchback acceptance
-// needs no access to samples that have left the ring.
-type streamCand struct {
+// candidate is a QRS candidate with its decision-time context. slope is
+// negative until computed: only the T-wave test and acceptance read it.
+type candidate struct {
 	idx   int
 	val   int64
 	fpos  int
@@ -80,12 +87,14 @@ func NewStreamDetector(fs int) *StreamDetector {
 }
 
 // Reset returns the detector to its initial state so a new record or
-// stream can start; ring buffers are kept.
+// stream can start; sample and detection buffers are kept.
 func (d *StreamDetector) Reset() {
+	d.det.Peaks = d.det.Peaks[:0]
+	d.det.MWIPeaks = d.det.MWIPeaks[:0]
+	d.det.Events = d.det.Events[:0]
+	d.done = false
 	fs := d.fs
 	if fs <= 0 {
-		d.det = Detection{}
-		d.done = false
 		return
 	}
 	d.refractory = int(refractoryS * float64(fs))
@@ -94,21 +103,14 @@ func (d *StreamDetector) Reset() {
 	d.alignAhead = int(alignAheadS * float64(fs))
 	d.slopeWin = int(0.075 * float64(fs))
 	d.learn = int(learnS * float64(fs))
-	if n := d.learn + d.alignAhead + 4; len(d.fbuf) < n {
-		d.fbuf = make([]int64, n)
-		d.ibuf = make([]int64, n)
-	}
-	d.t, d.cursor = 0, 1
-	d.seeded, d.done = false, false
+	d.off, d.t, d.cursor = 0, 0, 1
+	d.seeded = false
 	d.maxI, d.sumI, d.maxF, d.sumF = 0, 0, 0, 0
 	d.lastQRS = -d.refractory - 1
 	d.lastSlope = 0
-	d.rrMean = float64(fs) * 0.8
+	d.rrMean = float64(fs) * 0.8 // prior: 75 bpm until measured
 	d.rrLen, d.rrPos = 0, 0
-	d.pending = d.pending[:0]
-	d.det.Peaks = d.det.Peaks[:0]
-	d.det.MWIPeaks = d.det.MWIPeaks[:0]
-	d.det.Events = d.det.Events[:0]
+	d.hasBest = false
 }
 
 // Push feeds one sample of the filtered and integrated signals (the pair
@@ -122,42 +124,53 @@ func (d *StreamDetector) Push(filtered, integrated int64) {
 	if d.done {
 		panic("pantompkins: StreamDetector.Push after Finish (Reset first)")
 	}
-	r := len(d.fbuf)
-	d.fbuf[d.t%r] = filtered
-	d.ibuf[d.t%r] = integrated
+	if d.t-d.off == len(d.f) {
+		d.makeRoom()
+	}
+	d.f[d.t-d.off] = filtered
+	d.in[d.t-d.off] = integrated
 	d.t++
 	if !d.seeded {
-		// Threshold learning: the whole-record pass seeds its four running
-		// estimates from the first learn samples before any decision.
-		if v := float64(integrated); v > d.maxI {
-			d.maxI = v
+		d.learnSample(filtered, integrated)
+		if d.t < d.learn {
+			return
 		}
-		d.sumI += float64(integrated)
-		if v := absf(filtered); v > d.maxF {
-			d.maxF = v
-		}
-		d.sumF += absf(filtered)
-		if d.t >= d.learn {
-			d.seed(d.learn)
-			d.advance(false)
-		}
-		return
+		d.seed(d.learn)
 	}
 	d.advance(false)
 }
 
-// Finish flushes every decision held for lookahead — applying the
-// end-of-record window clamping of the whole-record pass — and returns
-// the final Detection. The result aliases the detector's buffers and is
-// valid until the next Reset. Finish is idempotent.
+// makeRoom frees window space for the next sample. The first Push
+// allocates the buffers; afterwards the samples before the earliest one a
+// future candidate reads are dropped, once the searchback candidate's
+// slope is filled in from them. Learning never fills the buffer, so the
+// cursor is past the learning window here.
+func (d *StreamDetector) makeRoom() {
+	if len(d.f) == 0 {
+		n := d.learn + d.alignAhead + 4
+		d.f, d.in = make([]int64, n), make([]int64, n)
+		return
+	}
+	if d.hasBest && d.best.slope < 0 {
+		d.best.slope = d.slopeBefore(d.best.idx)
+	}
+	keep := d.cursor - max(d.searchWin, d.slopeWin+1)
+	copy(d.f, d.f[keep-d.off:d.t-d.off])
+	copy(d.in, d.in[keep-d.off:d.t-d.off])
+	d.off = keep
+}
+
+// Finish flushes every decision held for lookahead — clamping the search
+// windows to the end of the signal — and returns the final Detection. The
+// result aliases the detector's buffers and is valid until the next
+// Reset. Finish is idempotent.
 func (d *StreamDetector) Finish() *Detection {
 	if d.fs <= 0 || d.done {
 		d.done = true
 		return &d.det
 	}
 	if d.t > 0 && !d.seeded {
-		// Stream shorter than the learning window: Detect learns from the
-		// whole record in that case.
+		// Stream shorter than the learning window: learn from all of it.
 		d.seed(d.t)
 	}
 	if d.seeded {
@@ -188,8 +201,20 @@ func (d *StreamDetector) Discard(events, peaks int) {
 	}
 }
 
+// learnSample adds one learning-window sample to the threshold seeds.
+func (d *StreamDetector) learnSample(filtered, integrated int64) {
+	if v := float64(integrated); v > d.maxI {
+		d.maxI = v
+	}
+	d.sumI += float64(integrated)
+	if v := absf(filtered); v > d.maxF {
+		d.maxF = v
+	}
+	d.sumF += absf(filtered)
+}
+
 // seed computes the initial signal/noise estimates from the learning
-// accumulators, exactly like the whole-record pass.
+// accumulators over the first learn samples.
 func (d *StreamDetector) seed(learn int) {
 	d.spki = 0.4 * d.maxI
 	d.npki = 0.5 * d.sumI / float64(learn)
@@ -198,95 +223,82 @@ func (d *StreamDetector) seed(learn int) {
 	d.seeded = true
 }
 
-// fAt / iAt read the ring buffers at an absolute sample index (which must
-// be within the live window).
-func (d *StreamDetector) fAt(j int) int64 { return d.fbuf[j%len(d.fbuf)] }
-func (d *StreamDetector) iAt(j int) int64 { return d.ibuf[j%len(d.ibuf)] }
-
 // advance examines candidates while their decision context is complete:
 // index i needs integrated[i+1] (the local-maximum test) and filtered up
-// to i+alignAhead (the peak search window); final mode clamps both to the
-// end of the record like the whole-record pass.
+// to i+alignAhead (the peak search window); final mode clamps the search
+// window to the end of the signal instead.
 func (d *StreamDetector) advance(final bool) {
 	n := d.t
-	for i := d.cursor; i <= n-2; i++ {
-		if !final && i+d.alignAhead > n-1 {
-			d.cursor = i
-			return
-		}
-		d.cursor = i + 1
-		if !(d.iAt(i-1) < d.iAt(i) && d.iAt(i) >= d.iAt(i+1)) {
-			continue
-		}
-		v := d.iAt(i)
-		if i-d.lastQRS <= d.refractory {
-			continue
-		}
-
-		// Locate the matching filtered peak near the MWI peak.
-		hi := i + d.alignAhead
-		if hi > n-1 {
-			hi = n - 1
-		}
-		fpos, fval := d.peakNear(i-d.searchWin, hi)
-		slope := d.slopeBefore(i)
-
-		// T-wave discrimination inside 360 ms of the previous QRS.
-		if d.lastQRS >= 0 && i-d.lastQRS <= d.tWaveWin {
-			if slope < 0.5*d.lastSlope {
-				d.npki = 0.125*float64(v) + 0.875*d.npki
-				d.npkf = 0.125*fval + 0.875*d.npkf
-				d.det.Events = append(d.det.Events, Event{Kind: EventTWave, Index: i, Filtered: fpos, Value: v})
-				continue
-			}
-		}
-
-		thrI := d.npki + 0.25*(d.spki-d.npki)
-		thrF := d.npkf + 0.25*(d.spkf-d.npkf)
-		if float64(v) > thrI && fval > thrF {
-			// Alignment cross-check (Fig 13), as in Detect.
-			if fpos > i || i-fpos >= d.searchWin {
-				d.det.Events = append(d.det.Events, Event{Kind: EventMisaligned, Index: i, Filtered: fpos, Value: v})
-				d.pending = append(d.pending, streamCand{i, v, fpos, fval, slope})
-				continue
-			}
-			d.accept(streamCand{i, v, fpos, fval, slope}, 0.125, EventAccepted)
-			continue
-		}
-
-		// Noise.
-		d.npki = 0.125*float64(v) + 0.875*d.npki
-		d.npkf = 0.125*fval + 0.875*d.npkf
-		d.det.Events = append(d.det.Events, Event{Kind: EventNoise, Index: i, Filtered: fpos, Value: v})
-		d.pending = append(d.pending, streamCand{i, v, fpos, fval, slope})
-
-		// Searchback for a missed beat. The lowered threshold reads the
-		// noise estimate just updated above, like the whole-record pass.
-		thrI = d.npki + 0.25*(d.spki-d.npki)
-		if d.lastQRS >= 0 && float64(i-d.lastQRS) > searchbackRR*d.rrMean {
-			bestIdx := -1
-			for pi, p := range d.pending {
-				if float64(p.val) > 0.5*thrI && p.fpos <= p.idx && p.idx-p.fpos < d.searchWin {
-					if bestIdx < 0 || p.val > d.pending[bestIdx].val {
-						bestIdx = pi
-					}
-				}
-			}
-			if bestIdx >= 0 {
-				d.accept(d.pending[bestIdx], 0.25, EventSearchback)
-			}
+	last := n - 2
+	if !final && last > n-1-d.alignAhead {
+		last = n - 1 - d.alignAhead
+	}
+	in, off := d.in, d.off
+	for i := d.cursor; i <= last; i++ {
+		v := in[i-off]
+		if in[i-1-off] < v && v >= in[i+1-off] && i-d.lastQRS > d.refractory {
+			d.decide(i, v, min(i+d.alignAhead, n-1))
 		}
 	}
-	d.cursor = n - 1
-	if d.cursor < 1 {
-		d.cursor = 1
+	d.cursor = max(d.cursor, last+1)
+}
+
+// decide classifies the local maximum v = integrated[i] outside the
+// refractory period, whose filtered-peak search window ends at hi.
+func (d *StreamDetector) decide(i int, v int64, hi int) {
+	// Locate the matching filtered peak near the MWI peak.
+	fpos, fval := d.peakNear(i-d.searchWin, hi)
+	c := candidate{idx: i, val: v, fpos: fpos, fval: fval, slope: -1}
+
+	// T-wave discrimination inside 360 ms of the previous QRS.
+	if d.lastQRS >= 0 && i-d.lastQRS <= d.tWaveWin {
+		c.slope = d.slopeBefore(i)
+		if c.slope < 0.5*d.lastSlope {
+			d.noise(c, EventTWave)
+			return
+		}
+	}
+
+	// Alignment cross-check (Fig 13): the filtered peak must precede the
+	// MWI peak within the search window; a peak that trails it or sits at
+	// the window edge is a misclassified artefact.
+	aligned := fpos <= i && i-fpos < d.searchWin
+	thrI := d.npki + 0.25*(d.spki-d.npki)
+	thrF := d.npkf + 0.25*(d.spkf-d.npkf)
+	if float64(v) > thrI && fval > thrF {
+		if aligned {
+			d.accept(c, 0.125, EventAccepted)
+		} else {
+			// The beat is omitted as a classification error.
+			d.event(EventMisaligned, c)
+		}
+		return
+	}
+
+	d.noise(c, EventNoise)
+	if aligned && (!d.hasBest || v > d.best.val) {
+		d.best, d.hasBest = c, true
+	}
+
+	// Searchback for a missed beat. The lowered threshold reads the noise
+	// estimate just updated.
+	thrI = d.npki + 0.25*(d.spki-d.npki)
+	if d.hasBest && d.lastQRS >= 0 && float64(i-d.lastQRS) > searchbackRR*d.rrMean &&
+		float64(d.best.val) > 0.5*thrI {
+		d.accept(d.best, 0.25, EventSearchback)
 	}
 }
 
-// accept records one detected QRS, mirroring Detect's accept closure; the
-// candidate carries its decision-time slope so old searchback candidates
-// need no ring access.
-func (d *StreamDetector) accept(c streamCand, weight float64, kind EventKind) {
+// noise folds a rejected candidate into the noise estimates and records
+// the decision.
+func (d *StreamDetector) noise(c candidate, kind EventKind) {
+	d.npki = 0.125*float64(c.val) + 0.875*d.npki
+	d.npkf = 0.125*c.fval + 0.875*d.npkf
+	d.event(kind, c)
+}
+
+// accept records one detected QRS.
+func (d *StreamDetector) accept(c candidate, weight float64, kind EventKind) {
 	d.spki = weight*float64(c.val) + (1-weight)*d.spki
 	d.spkf = weight*c.fval + (1-weight)*d.spkf
 	if d.lastQRS >= 0 {
@@ -302,43 +314,43 @@ func (d *StreamDetector) accept(c streamCand, weight float64, kind EventKind) {
 		d.rrMean = float64(total) / float64(d.rrLen)
 	}
 	d.lastQRS = c.idx
-	d.lastSlope = c.slope
-	raw := c.fpos - filterDelay
-	if raw < 0 {
-		raw = 0
+	if c.slope < 0 {
+		c.slope = d.slopeBefore(c.idx)
 	}
-	d.det.Peaks = append(d.det.Peaks, raw)
+	d.lastSlope = c.slope
+	d.det.Peaks = append(d.det.Peaks, max(c.fpos-filterDelay, 0))
 	d.det.MWIPeaks = append(d.det.MWIPeaks, c.idx)
+	d.event(kind, c)
+	d.hasBest = false
+}
+
+// event appends one decision to the trace.
+func (d *StreamDetector) event(kind EventKind, c candidate) {
 	d.det.Events = append(d.det.Events, Event{Kind: kind, Index: c.idx, Filtered: c.fpos, Value: c.val})
-	d.pending = d.pending[:0]
 }
 
 // peakNear returns the position and absolute value of the largest
-// filtered sample in [lo, hi], with Detect's tie-breaking (first maximum
-// wins) and clamping.
+// filtered sample in [lo, hi], lo clamped to the signal start; the first
+// maximum wins ties.
 func (d *StreamDetector) peakNear(lo, hi int) (int, float64) {
-	if lo < 0 {
-		lo = 0
-	}
+	lo = max(lo, 0)
 	best, bestV := lo, -1.0
-	for j := lo; j <= hi; j++ {
-		if v := absf(d.fAt(j)); v > bestV {
-			best, bestV = j, v
+	for j, x := range d.f[lo-d.off : hi+1-d.off] {
+		if v := absf(x); v > bestV {
+			best, bestV = lo+j, v
 		}
 	}
 	return best, bestV
 }
 
 // slopeBefore returns the maximum rising slope of the integrated signal
-// in the 75 ms window before idx, like the whole-record pass.
+// in the 75 ms window before idx (the Pan-Tompkins T-wave discriminator).
 func (d *StreamDetector) slopeBefore(idx int) float64 {
-	lo := idx - d.slopeWin
-	if lo < 1 {
-		lo = 1
-	}
+	lo := max(idx-d.slopeWin, 1)
+	w := d.in[lo-1-d.off : idx+1-d.off]
 	maxS := 0.0
-	for j := lo; j <= idx; j++ {
-		if s := float64(d.iAt(j) - d.iAt(j-1)); s > maxS {
+	for j := 1; j < len(w); j++ {
+		if s := float64(w[j] - w[j-1]); s > maxS {
 			maxS = s
 		}
 	}

@@ -1,6 +1,7 @@
 package pantompkins
 
 import (
+	"runtime"
 	"testing"
 
 	"github.com/xbiosip/xbiosip/internal/approx"
@@ -22,19 +23,19 @@ func pushAll(d *StreamDetector, filtered, integrated []int64) *Detection {
 func requireSameDetection(t *testing.T, label string, want Detection, got *Detection) {
 	t.Helper()
 	if len(got.Peaks) != len(want.Peaks) || len(got.MWIPeaks) != len(want.MWIPeaks) || len(got.Events) != len(want.Events) {
-		t.Fatalf("%s: stream found %d/%d/%d peaks/MWI/events, Detect %d/%d/%d",
+		t.Fatalf("%s: found %d/%d/%d peaks/MWI/events, want %d/%d/%d",
 			label, len(got.Peaks), len(got.MWIPeaks), len(got.Events),
 			len(want.Peaks), len(want.MWIPeaks), len(want.Events))
 	}
 	for i := range want.Peaks {
 		if got.Peaks[i] != want.Peaks[i] || got.MWIPeaks[i] != want.MWIPeaks[i] {
-			t.Fatalf("%s: peak %d = (%d,%d), Detect (%d,%d)", label, i,
+			t.Fatalf("%s: peak %d = (%d,%d), want (%d,%d)", label, i,
 				got.Peaks[i], got.MWIPeaks[i], want.Peaks[i], want.MWIPeaks[i])
 		}
 	}
 	for i := range want.Events {
 		if got.Events[i] != want.Events[i] {
-			t.Fatalf("%s: event %d = %+v, Detect %+v", label, i, got.Events[i], want.Events[i])
+			t.Fatalf("%s: event %d = %+v, want %+v", label, i, got.Events[i], want.Events[i])
 		}
 	}
 }
@@ -94,10 +95,10 @@ func fig11SweepConfigs() []Config {
 	return cfgs
 }
 
-// TestStreamDetectorMatchesDetectSweep proves the incremental detector
-// bit-identical to the whole-record Detect — peaks, MWI indices and the
-// complete event trace — on every bundled NSRDB record for the Fig. 11
-// sweep's configurations.
+// TestStreamDetectorMatchesDetectSweep proves the streamed and the
+// whole-record (PeakDetector) forms of the detector bit-identical to the
+// oracle — peaks, MWI indices and the complete event trace — on every
+// bundled NSRDB record for the Fig. 11 sweep's configurations.
 func TestStreamDetectorMatchesDetectSweep(t *testing.T) {
 	configs := fig11SweepConfigs()
 	records := ecg.NumNSRDBRecords
@@ -113,6 +114,7 @@ func TestStreamDetectorMatchesDetectSweep(t *testing.T) {
 		}
 		recs = append(recs, rec)
 	}
+	var od oracleDetector
 	var pd PeakDetector
 	for _, cfg := range configs {
 		p, err := New(cfg)
@@ -123,17 +125,19 @@ func TestStreamDetectorMatchesDetectSweep(t *testing.T) {
 		var out Outputs
 		for _, rec := range recs {
 			p.RunInto(&out, rec.Samples)
-			want := pd.Detect(out.Filtered, out.Integrated, rec.FS)
+			want := *od.Detect(out.Filtered, out.Integrated, rec.FS)
+			label := cfg.String() + "/" + rec.Name
+			requireSameDetection(t, label+"/PeakDetector", want, pd.Detect(out.Filtered, out.Integrated, rec.FS))
 			sd.Reset()
-			got := pushAll(sd, out.Filtered, out.Integrated)
-			requireSameDetection(t, cfg.String()+"/"+rec.Name, *want, got)
+			requireSameDetection(t, label+"/StreamDetector", want, pushAll(sd, out.Filtered, out.Integrated))
 		}
 	}
 }
 
 // TestStreamMatchesProcess drives the full streaming path — raw samples
 // through Pipeline.Stream — and demands the detection equal the batch
-// Process result end to end.
+// Process result end to end, and both equal the oracle over the batch
+// outputs.
 func TestStreamMatchesProcess(t *testing.T) {
 	rec := testRecord(t, 4000)
 	for name, cfg := range streamConfigs(t) {
@@ -142,7 +146,9 @@ func TestStreamMatchesProcess(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want := p.Process(rec)
+			res := p.Process(rec)
+			want := oracleDetect(res.Outputs.Filtered, res.Outputs.Integrated, rec.FS)
+			requireSameDetection(t, name+"/Process", want, &res.Detection)
 
 			sp, err := New(cfg)
 			if err != nil {
@@ -152,15 +158,15 @@ func TestStreamMatchesProcess(t *testing.T) {
 			for _, x := range rec.Samples {
 				st.Push(x)
 			}
-			requireSameDetection(t, name, want.Detection, st.Finish())
+			requireSameDetection(t, name+"/Stream", want, st.Finish())
 		})
 	}
 }
 
-// TestStreamDetectorDegenerateInputs pins the degenerate-input contract
-// both detectors share: empty input, a single sample, a stream shorter
-// than the learning window, fs = 0 and mismatched-length batch inputs all
-// yield the same (empty or short-record) detection from Detect,
+// TestStreamDetectorDegenerateInputs pins the degenerate-input contract:
+// empty input, a single sample, a stream shorter than the learning
+// window, fs = 0 and mismatched-length batch inputs all yield the
+// oracle's (empty or short-record) detection from Detect,
 // PeakDetector.Detect and StreamDetector.
 func TestStreamDetectorDegenerateInputs(t *testing.T) {
 	short := make([]int64, 120) // shorter than the 2 s learning window
@@ -185,14 +191,16 @@ func TestStreamDetectorDegenerateInputs(t *testing.T) {
 	var pd PeakDetector
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			want := Detect(tc.filtered, tc.integrated, tc.fs)
-			reused := pd.Detect(tc.filtered, tc.integrated, tc.fs)
-			requireSameDetection(t, "PeakDetector", want, reused)
+			want := oracleDetect(tc.filtered, tc.integrated, tc.fs)
+			fresh := Detect(tc.filtered, tc.integrated, tc.fs)
+			requireSameDetection(t, "Detect", want, &fresh)
+			requireSameDetection(t, "PeakDetector", want, pd.Detect(tc.filtered, tc.integrated, tc.fs))
 			if !tc.streamable {
 				// Mismatched lengths cannot arise on the streaming API;
-				// the batch detectors define them as an empty detection.
-				if len(want.Peaks) != 0 || len(want.Events) != 0 {
-					t.Fatalf("mismatched-length Detect returned %d peaks, want empty", len(want.Peaks))
+				// the whole-signal entry points define them as an empty
+				// detection.
+				if len(fresh.Peaks) != 0 || len(fresh.Events) != 0 {
+					t.Fatalf("mismatched-length Detect returned %d peaks, want empty", len(fresh.Peaks))
 				}
 				return
 			}
@@ -208,8 +216,8 @@ func TestStreamDetectorDegenerateInputs(t *testing.T) {
 }
 
 // TestStreamDetectorLiveView checks the partial Detection view never
-// reports a beat the whole-record pass would not: every prefix of the
-// streamed decisions is a prefix of the final ones.
+// reports a beat the oracle would not: every prefix of the streamed
+// decisions is a prefix of the final ones.
 func TestStreamDetectorLiveView(t *testing.T) {
 	rec := testRecord(t, 3000)
 	p, err := New(streamConfigs(t)["b9-mixed"])
@@ -217,7 +225,7 @@ func TestStreamDetectorLiveView(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := p.Run(rec.Samples)
-	want := Detect(out.Filtered, out.Integrated, rec.FS)
+	want := oracleDetect(out.Filtered, out.Integrated, rec.FS)
 
 	sd := NewStreamDetector(rec.FS)
 	seen := 0
@@ -238,4 +246,53 @@ func TestStreamDetectorLiveView(t *testing.T) {
 		}
 	}
 	sd.Finish()
+}
+
+// TestStreamDetectorBoundedState streams 10^6 samples (46 min at 360 Hz)
+// in which no candidate qualifies for searchback: one tall bump inside the
+// learning window lifts the thresholds far above the low bumps that
+// follow every 300 samples, so each of those is an aligned noise
+// candidate. Trimming the emitted decisions after every 24-sample chunk,
+// as the serve drain does, the detector must hold its state in fixed
+// memory: pushing samples 2×10^5 to 10^6 allocates nothing.
+func TestStreamDetectorBoundedState(t *testing.T) {
+	const fs, warm, total, chunk = 360, 200_000, 1_000_000, 24
+	signal := func(j int) int64 {
+		h := int64(10)
+		if j/300 == 1 {
+			h = 500
+		}
+		if k := j%300 - 150; k > -10 && k < 10 {
+			return h * int64(10-max(k, -k))
+		}
+		return 0
+	}
+	d := NewStreamDetector(fs)
+	noise := 0
+	push := func(from, to int) {
+		for j := from; j < to; j++ {
+			d.Push(signal(j), signal(j))
+			if (j+1)%chunk == 0 {
+				det := d.Detection()
+				for _, e := range det.Events {
+					if e.Kind == EventNoise {
+						noise++
+					}
+				}
+				d.Discard(len(det.Events), len(det.Peaks))
+			}
+		}
+	}
+	push(0, warm)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	push(warm, total)
+	runtime.ReadMemStats(&after)
+	if n := after.Mallocs - before.Mallocs; n != 0 {
+		t.Fatalf("pushing samples %d to %d allocated %d times, want 0", warm, total, n)
+	}
+	if want := total/300 - 2; noise < want {
+		t.Fatalf("%d noise decisions, want at least %d: the signal no longer exercises the searchback state", noise, want)
+	}
 }

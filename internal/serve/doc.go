@@ -116,7 +116,9 @@
 // time — the per-sample oracle the batched drain is tested against.
 // Drain also trims each session's already-emitted detection history
 // (StreamDetector.Discard), so an endless session's retained trace stays
-// bounded by the drain cadence instead of growing with the stream.
+// bounded by the drain cadence instead of growing with the stream; the
+// detector's own state (a fixed sample window and one searchback
+// candidate) does not grow at all.
 //
 // # Sharded gateway
 //
