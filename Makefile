@@ -8,25 +8,13 @@
 # transport (loopback TCP+UDP churn) and the batch-vs-scalar equivalence
 # suites, a fuzz smoke over the wire-frame/socket-message parsers, the
 # ingest path and the QRS detector, a fixed-seed chaos run of the socket
-# transport harness, a benchdiff smoke run over the checked-in snapshot,
-# and the end-to-end benchmark module's golden-digest smoke test.
+# transport harness, and the end-to-end benchmark module's golden-digest
+# smoke test (which also fails when a declared metric goes missing).
 
 GO ?= go
 GOFMT ?= gofmt
 
-# Benchmarks captured by `make bench-json` into BENCH_N.json snapshots.
-BENCH_JSON_PATTERN = KernelVsReference|PipelinePush|DSEWorkers|EvaluatorShards|Fig11ExplorationTime|Table2PreprocessingGrid|EnergyCharacterization|Activity|Serve|Gateway|Transport|BatchChain
-# Packages the bench-json pattern runs over.
-BENCH_JSON_PKGS = . ./internal/arith/kernel ./internal/netlist
-# Current snapshot file; bump per PR so the trajectory stays diffable.
-BENCH_SNAPSHOT = BENCH_10.json
-# Previous snapshot `make bench-diff` gates against.
-BENCH_BASELINE = BENCH_9.json
-# Benchmarks that must exist in the current snapshot (catches a pattern
-# or harness regression silently dropping the new energy benchmarks).
-BENCH_REQUIRE = EnergyCharacterization/cold|Table2PreprocessingGrid/scratch|Activity/lanes|Serve/sessions|Serve/latency|Gateway/shards=1|Gateway/shards=4|Transport/inproc|Transport/tcp|Transport/udp|BatchChain/ama5-k16/batch64|BatchChain/ama5-k16/scalar
-
-.PHONY: all build vet fmt-check test race race-arith race-energy race-serve race-gateway race-net race-batch fuzz-smoke net-smoke test-reference bench bench-reference bench-json bench-diff bench-diff-smoke bench-smoke ci
+.PHONY: all build vet fmt-check test race race-arith race-energy race-serve race-gateway race-net race-batch fuzz-smoke net-smoke test-reference bench bench-reference bench-smoke ci
 
 all: build
 
@@ -124,23 +112,6 @@ bench:
 bench-reference:
 	XBIOSIP_NO_KERNELS=1 $(GO) test -bench '(KernelVsReference|PipelinePush|Activity)' -benchmem -benchtime=1x -run '^$$' . ./internal/arith/kernel ./internal/netlist
 
-# Record the performance trajectory: run the DSE/pipeline/kernel/energy
-# benchmarks at full benchtime and snapshot name -> ns/op (+allocs) JSON,
-# so future PRs can diff against the checked-in snapshots.
-bench-json:
-	$(GO) test -bench '($(BENCH_JSON_PATTERN))' -benchmem -run '^$$' $(BENCH_JSON_PKGS) > bench.out.tmp
-	$(GO) run ./cmd/benchjson < bench.out.tmp > $(BENCH_SNAPSHOT)
-	rm -f bench.out.tmp
-
-# Compare the current snapshot against the previous one and fail on >15%
-# regression of any tracked benchmark's ns/op, bytes/op or allocs/op, or
-# if a required benchmark is missing from the current snapshot.
-# Snapshots are only comparable when taken on the same machine — run
-# `make bench-json` against both revisions locally before trusting a
-# failure.
-bench-diff:
-	$(GO) run ./cmd/benchdiff -threshold 0.15 -bytes-threshold 0.15 -allocs-threshold 0.15 -require '$(BENCH_REQUIRE)' $(BENCH_BASELINE) $(BENCH_SNAPSHOT)
-
 # The end-to-end benchmark's own module (bench/ has a go.mod of its own,
 # so the root `go test ./...` never builds it): vet it and run its smoke
 # test, which checks every design and grid of seed 1 against the golden
@@ -148,10 +119,4 @@ bench-diff:
 bench-smoke:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
-# CI smoke: self-compare the checked-in snapshot so the tool's parsing,
-# matching, gating and -require checks run on every CI pass without
-# cross-machine noise.
-bench-diff-smoke:
-	$(GO) run ./cmd/benchdiff -threshold 0.15 -bytes-threshold 0.15 -allocs-threshold 0.15 -require '$(BENCH_REQUIRE)' $(BENCH_SNAPSHOT) $(BENCH_SNAPSHOT) > /dev/null
-
-ci: build vet fmt-check race race-arith race-energy race-serve race-gateway race-net race-batch fuzz-smoke net-smoke test-reference bench bench-reference bench-diff-smoke bench-smoke
+ci: build vet fmt-check race race-arith race-energy race-serve race-gateway race-net race-batch fuzz-smoke net-smoke test-reference bench bench-reference bench-smoke

@@ -365,51 +365,6 @@ func BenchmarkDSEWorkers(b *testing.B) {
 	}
 }
 
-// BenchmarkEvaluatorShards measures the record-shard scheduling level: a
-// fresh evaluator over several records evaluates a set of cold designs,
-// with one design's records kept sequential (shards=1) or fanned out
-// across the pool (shards=records). On a multi-core host the sharded
-// variant wins even when only one design is in flight; the results are
-// bit-identical either way.
-func BenchmarkEvaluatorShards(b *testing.B) {
-	const numRecords = 4
-	var records []*ecg.Record
-	for i := 0; i < numRecords; i++ {
-		rec, err := ecg.NSRDBRecord(i, 3000)
-		if err != nil {
-			b.Fatal(err)
-		}
-		records = append(records, rec)
-	}
-	var designs []pantompkins.Config
-	for _, k := range []int{2, 6, 10, 14} {
-		var cfg pantompkins.Config
-		cfg.Stage[pantompkins.HPF] = dsp.ArithConfig{LSBs: k, Add: approx.ApproxAdd5, Mul: approx.AppMultV1}
-		designs = append(designs, cfg)
-	}
-	workers := runtime.GOMAXPROCS(0)
-	if workers < 2 {
-		workers = 4
-	}
-	for _, shards := range []int{1, numRecords} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				eval, err := core.NewEvaluatorOpts(records, core.EvalOptions{Workers: workers, RecordShards: shards})
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.StartTimer()
-				for _, cfg := range designs {
-					if _, err := eval.Evaluate(cfg); err != nil {
-						b.Fatal(err)
-					}
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkAblationEnergyAccounting compares the three energy-accounting
 // policies (raw module composition, const-prop P*D, activity-weighted) per
 // stage — the modelling ablation DESIGN.md §6 calls out.

@@ -11,9 +11,9 @@
 //
 // Flags -records and -samples control the synthetic NSRDB-like evaluation
 // set (the paper's unit is one 20,000-sample recording). -workers sets the
-// design-evaluation pool size and -shards the record-shard split of one
-// design evaluation (see package sched); every table, figure and generated
-// design is bit-identical for all -workers/-shards settings.
+// design-evaluation pool size, shared by candidate designs and the
+// per-record simulations of one design (see package sched); every table,
+// figure and generated design is bit-identical for all -workers settings.
 package main
 
 import (
@@ -37,7 +37,6 @@ func main() {
 	psnr := flag.Float64("psnr", 15, "signal-quality constraint for the pre-processing gate (dB)")
 	accuracy := flag.Float64("accuracy", 1.0, "final peak-detection-accuracy constraint [0,1]")
 	workers := flag.Int("workers", 0, "design-evaluation workers (0 = all CPUs, 1 = sequential; results are identical)")
-	shards := flag.Int("shards", 0, "record shards per design evaluation (0 = one per record, 1 = sequential records; results are identical)")
 	sessions := flag.Int("sessions", 64, "concurrent patient sessions for the serve experiment")
 	gwShards := flag.Int("gwshards", 1, "gateway shards for the serve experiment (one Service per core)")
 	loss := flag.Float64("loss", 0, "injected packet-loss probability for serve/delivery (0 = perfect links)")
@@ -62,7 +61,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "xbiosip: -net %q: want tcp or udp\n", *netw)
 		os.Exit(2)
 	}
-	if err := run(flag.Arg(0), *records, *samples, *psnr, *accuracy, *workers, *shards, *verbose, experiments.ServeOpts{
+	if err := run(flag.Arg(0), *records, *samples, *psnr, *accuracy, *workers, *verbose, experiments.ServeOpts{
 		Sessions: *sessions, Shards: *gwShards, Loss: *loss, Burst: *burst, Seed: *seed, Policy: pol,
 		Net: *netw, Addr: *addr,
 	}); err != nil {
@@ -142,7 +141,7 @@ flags:
 	flag.PrintDefaults()
 }
 
-func run(what string, records, samples int, psnr, accuracy float64, workers, shards int, verbose bool, serveOpts experiments.ServeOpts) error {
+func run(what string, records, samples int, psnr, accuracy float64, workers int, verbose bool, serveOpts experiments.ServeOpts) error {
 	// Experiments that need no evaluation environment.
 	switch what {
 	case "table1":
@@ -155,7 +154,7 @@ func run(what string, records, samples int, psnr, accuracy float64, workers, sha
 		return synthReports()
 	}
 
-	s, err := experiments.NewSetupOpts(records, samples, core.EvalOptions{Workers: workers, RecordShards: shards})
+	s, err := experiments.NewSetupOpts(records, samples, core.EvalOptions{Workers: workers})
 	if err != nil {
 		return err
 	}

@@ -8,11 +8,7 @@
 //     sub-multipliers accumulated by three 2N-bit adders, bottoming out at
 //     the elementary 2x2 cells (paper Fig 7). An elementary multiplier at
 //     output offset p is approximate iff p+4 <= k, and accumulation-adder
-//     cells at output positions < k are approximate;
-//   - ConstMulTable / SquareTable: exhaustive per-operand lookup tables for
-//     multiplications by a fixed coefficient (the only multiplications FIR
-//     stages perform), giving O(1) bit-true evaluation during quality
-//     analysis and design-space exploration.
+//     cells at output positions < k are approximate.
 //
 // These are the Go equivalent of the paper's MATLAB behavioural models; the
 // test suite cross-validates them bit-for-bit against the cell-level netlist

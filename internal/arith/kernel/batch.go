@@ -78,16 +78,6 @@ func (c *Chain) NewBatch() *BatchChain {
 	return &BatchChain{c: c, lag: c.MaxLag()}
 }
 
-// Rebind points the batch evaluator at a different compiled chain while
-// keeping its packed scratch, so a caller that re-plans per
-// configuration — the design-space explorer's shard scratch cycling
-// through hundreds of designs — reuses one BatchChain's buffers across
-// all of them.
-func (b *BatchChain) Rebind(c *Chain) {
-	b.c = c
-	b.lag = c.MaxLag()
-}
-
 // Run evaluates the chain for every stream of the batch: stream s reads
 // its own history and block — dst[i] from xs[i-lag] with Hist supplying
 // the samples before the block, zero before the stream's start — and

@@ -204,39 +204,3 @@ func TestBatchChainMisuse(t *testing.T) {
 		bc.Run([]BatchIn{{Xs: make([]int64, 4), Dst: make([]int64, 3)}}, 0, 16)
 	})
 }
-
-// TestConstMulSlice checks the batch ConstMul path against the scalar
-// product over every operand value, for each representation tier in
-// both modes.
-func TestConstMulSlice(t *testing.T) {
-	specs := []arith.Multiplier{
-		{Width: 16, ApproxLSBs: 0, Mult: approx.AccMult, Add: approx.AccAdd},       // exact, table-free
-		{Width: 16, ApproxLSBs: 8, Mult: approx.AppMultV1, Add: approx.AccAdd},     // decomposed
-		{Width: 16, ApproxLSBs: 8, Mult: approx.AppMultV1, Add: approx.ApproxAdd5}, // full table
-	}
-	for _, mode := range []bool{true, false} {
-		prev := SetEnabled(mode)
-		for _, spec := range specs {
-			for _, c := range []int64{1, -2, 31} {
-				tab, err := NewConstMulTable(spec, c)
-				if err != nil {
-					SetEnabled(prev)
-					t.Fatal(err)
-				}
-				xs := make([]int64, 1<<16)
-				for i := range xs {
-					xs[i] = arith.ToSigned(uint64(i), 16)
-				}
-				dst := make([]int64, len(xs))
-				tab.MulSlice(dst, xs)
-				for i, x := range xs {
-					if want := tab.Mul(x); dst[i] != want {
-						SetEnabled(prev)
-						t.Fatalf("mode=%v %+v c=%d: MulSlice[%d] = %d, Mul %d", mode, spec, c, i, dst[i], want)
-					}
-				}
-			}
-		}
-		SetEnabled(prev)
-	}
-}

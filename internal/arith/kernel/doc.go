@@ -150,15 +150,15 @@
 //     packed buffer;
 //   - wiring chains (AMA4/AMA5): the O(1) sliding projection window,
 //     restarted per packed region at the cost of one window refill;
-//   - chunk/native/generic taps: per-tap table loads (MulSlice) swept
-//     over the packed buffer instead of per-stream call overhead.
+//   - chunk/native/generic taps: per-tap table loads swept over the
+//     packed buffer instead of per-stream call overhead.
 //
 // The scalar Chain.Run path is the batch oracle: for any batch width
 // and lane assignment, every stream's outputs are bit-identical to
 // running it alone, in both kernel and XBIOSIP_NO_KERNELS modes. The
-// batch layer is what the record-sharded design evaluator
-// (core.Evaluator) and the multi-patient service (package serve) run
-// their same-config stream groups through.
+// batch layer has one consumer: the multi-patient service (package
+// serve) runs its same-config session groups through it, by way of
+// pantompkins.PipelineBatch.
 //
 // # Fallback to the bit-serial oracle
 //

@@ -136,9 +136,11 @@ func TestMultiplierQuickEquivalence(t *testing.T) {
 	}
 }
 
-// TestTablesMatchReference proves the kernel-built coefficient and squaring
-// tables identical to the reference-built ones for the pipeline's
-// coefficient set and representative configurations.
+// TestTablesMatchReference proves every entry of the kernel-built
+// coefficient and squaring tables identical to the bit-serial model they
+// enumerate (arith.Multiplier.MulSigned), for the pipeline's coefficient
+// set, the edge coefficients 0, -1, -32 and 12345, and representative
+// configurations.
 func TestTablesMatchReference(t *testing.T) {
 	configs := []arith.Multiplier{
 		{Width: 16, ApproxLSBs: 0, Mult: approx.AccMult, Add: approx.AccAdd},
@@ -149,28 +151,23 @@ func TestTablesMatchReference(t *testing.T) {
 		{Width: 16, ApproxLSBs: 8, Mult: approx.AppMultV1, Add: approx.AccAdd},
 		{Width: 16, ApproxLSBs: 6, Mult: approx.AppMultV2, Add: approx.AccAdd},
 	}
-	coeffs := []int64{1, 2, 3, 4, 5, 6, 31}
+	coeffs := []int64{0, 1, -1, 2, 3, 4, 5, 6, 31, -32, 12345}
 	for _, m := range configs {
 		for _, c := range coeffs {
-			want, err := arith.CachedConstMulTable(m, c)
-			if err != nil {
-				t.Fatal(err)
-			}
 			got, err := kernel.CachedConstMulTable(m, c)
 			if err != nil {
 				t.Fatal(err)
 			}
+			if got.Coeff() != c {
+				t.Fatalf("cfg %+v: Coeff() = %d, want %d", m, got.Coeff(), c)
+			}
 			for i := 0; i < 1<<16; i++ {
 				x := arith.ToSigned(uint64(i), 16)
-				if want.Mul(x) != got.Mul(x) {
+				if want := m.MulSigned(x, c); got.Mul(x) != want {
 					t.Fatalf("cfg %+v coeff %d: table mismatch at x=%d: kernel %d, reference %d",
-						m, c, x, got.Mul(x), want.Mul(x))
+						m, c, x, got.Mul(x), want)
 				}
 			}
-		}
-		want, err := arith.CachedSquareTable(m)
-		if err != nil {
-			t.Fatal(err)
 		}
 		got, err := kernel.CachedSquareTable(m)
 		if err != nil {
@@ -178,10 +175,22 @@ func TestTablesMatchReference(t *testing.T) {
 		}
 		for i := 0; i < 1<<16; i++ {
 			x := arith.ToSigned(uint64(i), 16)
-			if want.Square(x) != got.Square(x) {
+			if want := m.MulSigned(x, x); got.Square(x) != want {
 				t.Fatalf("cfg %+v: square table mismatch at x=%d: kernel %d, reference %d",
-					m, x, got.Square(x), want.Square(x))
+					m, x, got.Square(x), want)
 			}
 		}
+	}
+}
+
+// TestConstTableRejectsWideMultipliers pins the table width bound: a
+// 2^Width-entry table is only built for operands of at most 16 bits.
+func TestConstTableRejectsWideMultipliers(t *testing.T) {
+	m := arith.Multiplier{Width: 32, Mult: approx.AccMult, Add: approx.AccAdd}
+	if _, err := kernel.NewConstMulTable(m, 3); err == nil {
+		t.Error("NewConstMulTable(width 32) succeeded, want error")
+	}
+	if _, err := kernel.NewSquareTable(m); err == nil {
+		t.Error("NewSquareTable(width 32) succeeded, want error")
 	}
 }

@@ -9,9 +9,9 @@ import (
 )
 
 // ConstMulTable evaluates the signed product of a variable Width-bit
-// operand with one fixed coefficient, bit-identical to
-// arith.ConstMulTable. The representation is tiered by what the compiled
-// multiplier plan allows, most compact first:
+// operand with one fixed coefficient, bit-identical to the bit-serial
+// arith.Multiplier.MulSigned. The representation is tiered by what the
+// compiled multiplier plan allows, most compact first:
 //
 //   - exact plans carry no table at all: the product is one native
 //     multiply behind a branch-free sign-magnitude wrapper;
@@ -179,29 +179,6 @@ func (t *ConstMulTable) Mul(x int64) int64 {
 	return t.fn(x)
 }
 
-// MulFunc returns the product closure itself: the per-sample hot paths
-// (FIR taps, compiled chains) call it directly, one indirect call per
-// product with the whole active tier inline in the closure body.
-func (t *ConstMulTable) MulFunc() func(int64) int64 { return t.fn }
-
-// MulSlice multiplies a whole signal by the fixed coefficient into dst —
-// the batch ConstMul path: one call per vector with the full-table tier
-// inline in the loop, the tier closure per element otherwise. dst and xs
-// may be the same slice (a same-index transform).
-func (t *ConstMulTable) MulSlice(dst, xs []int64) {
-	if tab := t.tab32; tab != nil {
-		m := t.opMask
-		for i, x := range xs {
-			dst[i] = int64(tab[uint64(x)&m])
-		}
-		return
-	}
-	fn := t.fn
-	for i, x := range xs {
-		dst[i] = fn(x)
-	}
-}
-
 // Bytes returns the live table storage of this tier in bytes (zero for
 // the exact, table-free tier).
 func (t *ConstMulTable) Bytes() int64 {
@@ -280,9 +257,6 @@ func (t *SquareTable) Square(x int64) int64 {
 	}
 	return t.fn(x)
 }
-
-// SquareFunc returns the squaring closure itself (see MulFunc).
-func (t *SquareTable) SquareFunc() func(int64) int64 { return t.fn }
 
 // SquareSlice squares a whole signal into dst with the output shift
 // applied — one call per signal with the active tier inline in the loop

@@ -21,14 +21,14 @@
 //
 // The two gates also shape the evaluation cost. Gate 2 holds gate 1's
 // pre-processing unit fixed, and the Table 2 grid has few distinct LPFs,
-// so consecutive designs mostly share a leading run of stages. On its
-// single-record shards (the default split) the Evaluator keeps, per
-// pooled worker scratch and record, the stage outputs and PSNR/SSIM of
-// the last design simulated there, and resumes the next design's
-// simulation at the first stage whose canonical configuration differs
-// (bit-identical, since every stage's batch filter starts from a cleared
-// delay line). That holds at most (concurrent evaluations) × records ×
-// 5 signals × samples × 8 B.
+// so consecutive designs mostly share a leading run of stages. The
+// Evaluator simulates each record as its own sub-job through the
+// whole-record pipeline path, and keeps, per pooled worker scratch and
+// record, the stage outputs and PSNR/SSIM of the last design simulated
+// there; the next design's simulation resumes at the first stage whose
+// canonical configuration differs (bit-identical, since every stage's
+// batch filter starts from a cleared delay line). That holds at most
+// (concurrent evaluations) × records × 5 signals × samples × 8 B.
 package core
 
 import (
@@ -69,17 +69,9 @@ const DefaultPeakTolerance = 30
 type EvalOptions struct {
 	// Workers is the evaluation pool size (0 = runtime.GOMAXPROCS(0)).
 	// The pool serves both whole-design jobs (the explorer's candidate
-	// batches) and the record shards a single design splits into.
+	// batches) and the per-record sub-jobs a single design splits into.
+	// Results are bit-identical for every value; see package sched.
 	Workers int
-	// RecordShards splits one design evaluation into contiguous
-	// per-record-range sub-jobs on the worker pool: 0 selects one shard
-	// per record (the default), 1 keeps a design's records in one shard.
-	// A shard's records evaluate word-parallel through one shared batch
-	// plan (up to 64 records per round), so fewer shards mean wider
-	// batches and less plan dispatch, while more shards mean more
-	// cross-worker parallelism. Results are bit-identical for every
-	// value; see package sched.
-	RecordShards int
 }
 
 // Evaluator evaluates pipeline configurations over a fixed record set,
@@ -88,10 +80,10 @@ type EvalOptions struct {
 //
 // Evaluate is safe for concurrent use and memoized through a two-level
 // sched engine: the design-space explorer fans candidate evaluations out
-// across worker goroutines, a cache-missing design additionally shards
-// its records across the same pool, and any design revisited — by a later
-// phase, a baseline, or another experiment over the same record set — is
-// served from the cache instead of re-simulated.
+// across worker goroutines, a cache-missing design additionally splits
+// into one sub-job per record on the same pool, and any design revisited
+// — by a later phase, a baseline, or another experiment over the same
+// record set — is served from the cache instead of re-simulated.
 type Evaluator struct {
 	Records []*ecg.Record
 	// Tolerance is the peak matching window in samples. It may be set
@@ -107,32 +99,28 @@ type Evaluator struct {
 	eng  *sched.Evaluator[Quality]
 
 	// scratch is a free list of warm per-worker simulation state
-	// (pipelines, per-record stage outputs, detector): a shard evaluation
+	// (pipeline, per-record stage outputs, detector): a record evaluation
 	// is allocation-free once a scratch for its configuration exists, and
-	// a single-record shard re-runs only the stages after the prefix it
-	// shares with the record's last simulation in that scratch.
+	// it re-runs only the stages after the prefix it shares with the
+	// record's last simulation in that scratch.
 	scratch struct {
 		sync.Mutex
 		free []*recScratch
 	}
 }
 
-// recScratch is one worker's reusable simulation state: per-record
-// pipelines for the canonical configuration cfg plus the shared batch
-// plan that evaluates a multi-record shard word-parallel (rebound per
-// configuration, its packed scratch kept), the last single-record
-// simulation of every record this scratch has run, and the detector that
-// runs the pantompkins.StreamDetector decisions over each whole record in
-// place, reusing its trace buffers. The evaluator holds one scratch per
-// concurrent evaluation, so the simulations cost at most (concurrent
-// evaluations) × records × 5 signals × samples × 8 B.
+// recScratch is one worker's reusable simulation state: the pipeline
+// compiled for the canonical configuration cfg, the last simulation of
+// every record this scratch has run, and the detector that runs the
+// pantompkins.StreamDetector decisions over each whole record in place,
+// reusing its trace buffers. The evaluator holds one scratch per
+// concurrent record evaluation, so the simulations cost at most
+// (concurrent evaluations) × records × 5 signals × samples × 8 B.
 type recScratch struct {
-	det   pantompkins.PeakDetector
-	cfg   pantompkins.Config
-	batch *pantompkins.PipelineBatch
-	pipes []*pantompkins.Pipeline
-	blks  [][]int16
-	sims  []recSim // indexed by record, grown on first single-record use
+	det  pantompkins.PeakDetector
+	cfg  pantompkins.Config
+	pipe *pantompkins.Pipeline
+	sims []recSim // indexed by record, grown on first use
 }
 
 // recSim is the last whole-record simulation of one record in a scratch:
@@ -154,7 +142,7 @@ type recPartial struct {
 }
 
 // NewEvaluator prepares an evaluator over the given records with default
-// engine options (all CPUs, one record shard per record).
+// engine options (all CPUs).
 func NewEvaluator(records []*ecg.Record) (*Evaluator, error) {
 	return NewEvaluatorOpts(records, EvalOptions{})
 }
@@ -177,7 +165,7 @@ func NewEvaluatorOpts(records []*ecg.Record, opts EvalOptions) (*Evaluator, erro
 		}
 		e.refs = append(e.refs, ref)
 	}
-	e.eng = sched.NewShardedRange[Quality, recPartial](opts.Workers, len(records), opts.RecordShards, e.evalRange, e.reduce)
+	e.eng = sched.NewSharded[Quality, recPartial](opts.Workers, len(records), e.evalRecord, e.reduce)
 	return e, nil
 }
 
@@ -229,99 +217,42 @@ func (e *Evaluator) putScratch(sc *recScratch) {
 	e.scratch.free = append(e.scratch.free, sc)
 }
 
-// evalRange simulates cfg over one contiguous record shard — the unit
-// of the record-shard scheduling level. A multi-record shard shares the
-// full stage configuration (it is one design), so its five pipeline
-// stages evaluate as batch rounds over one shared compiled plan
-// (pantompkins.PipelineBatch, ≤64 records word-parallel per round); the
-// quality and detection passes then run per record in order. A
-// single-record shard takes the whole-record scalar path instead (see
-// simRecord) — its one block already amortizes plan dispatch over the
-// full record, so batching it would only add packing copies. Outputs are
-// bit-identical either way — the batch amortizes dispatch, it does not
-// change arithmetic — so cached Quality values match for every
-// (workers, shards) split. After warm-up (a pooled scratch holding
-// cfg's pipelines exists) a shard evaluation allocates nothing, and a
-// configuration change reuses the batch's packed scratch (Reset).
+// evalRecord evaluates cfg on record ri — the unit of the record
+// scheduling level. cfg is canonicalized first (sched.Canonical: a stage
+// with zero approximated LSBs is exact whatever its module kinds), so
+// designs that generate the same hardware share pipelines and stage
+// outputs.
 //
-// cfg is canonicalized first (sched.Canonical: a stage with zero
-// approximated LSBs is exact whatever its module kinds), so designs that
-// generate the same hardware share pipelines and stage outputs.
-func (e *Evaluator) evalRange(cfg pantompkins.Config, lo, hi int, parts []recPartial) error {
-	sc := e.getScratch()
-	defer e.putScratch(sc)
-	cfg = sched.Canonical(cfg)
-	n := hi - lo
-	if sc.cfg != cfg {
-		sc.cfg = cfg
-		sc.pipes = sc.pipes[:0]
-	}
-	for len(sc.pipes) < n {
-		p, err := pantompkins.New(cfg)
-		if err != nil {
-			return err
-		}
-		sc.pipes = append(sc.pipes, p)
-	}
-	if n == 1 {
-		p, err := e.simRecord(sc, lo)
-		if err != nil {
-			return err
-		}
-		parts[0] = p
-		return nil
-	}
-	if sc.batch == nil || sc.batch.Config() != cfg {
-		donor, err := pantompkins.New(cfg)
-		if err != nil {
-			return err
-		}
-		if sc.batch == nil {
-			sc.batch = pantompkins.NewPipelineBatch(donor)
-		} else {
-			sc.batch.Reset(donor)
-		}
-	}
-	sc.blks = sc.blks[:0]
-	for ri := lo; ri < hi; ri++ {
-		sc.pipes[ri-lo].Reset()
-		sc.blks = append(sc.blks, e.Records[ri].Samples)
-	}
-	filt, integ := sc.batch.Run(sc.pipes[:n], sc.blks)
-	for ri := lo; ri < hi; ri++ {
-		psnr, ssim, err := e.signalQuality(ri, filt[ri-lo])
-		if err != nil {
-			return err
-		}
-		m, err := e.matchRecord(ri, filt[ri-lo], integ[ri-lo], sc)
-		if err != nil {
-			return err
-		}
-		parts[ri-lo] = recPartial{psnr: psnr, ssim: ssim, match: m}
-	}
-	return nil
-}
-
-// simRecord evaluates sc.cfg on record ri through the whole-record path,
-// resuming from the longest stage prefix sc.cfg shares with the last
-// design this scratch simulated on ri: the stages before the first
-// differing one are skipped and their outputs reused (bit-identical, see
-// pantompkins.Pipeline.RunFrom), and PSNR/SSIM are reused as well when
+// The simulation resumes from the longest stage prefix cfg shares with
+// the last design this scratch simulated on ri: the stages before the
+// first differing one are skipped and their outputs reused (bit-identical,
+// see pantompkins.Pipeline.RunFrom), and PSNR/SSIM are reused as well when
 // LPF and HPF both match. Detection and peak matching always run. This
 // is what makes the explorer's usual sequences cheap: gate 2 holds the
 // gate-1 pre-processing unit fixed, and the Table 2 grid varies HPF
-// fastest under few distinct LPFs.
-func (e *Evaluator) simRecord(sc *recScratch, ri int) (recPartial, error) {
+// fastest under few distinct LPFs. After warm-up (a pooled scratch
+// holding cfg's pipeline exists) a record evaluation allocates nothing.
+func (e *Evaluator) evalRecord(cfg pantompkins.Config, ri int) (recPartial, error) {
+	sc := e.getScratch()
+	defer e.putScratch(sc)
+	cfg = sched.Canonical(cfg)
+	if sc.pipe == nil || sc.cfg != cfg {
+		p, err := pantompkins.New(cfg)
+		if err != nil {
+			return recPartial{}, err
+		}
+		sc.cfg, sc.pipe = cfg, p
+	}
 	if sc.sims == nil {
 		sc.sims = make([]recSim, len(e.Records))
 	}
 	rs := &sc.sims[ri]
 	from := pantompkins.LPF
 	if rs.ok {
-		from = resumeStage(rs.cfg, sc.cfg)
+		from = resumeStage(rs.cfg, cfg)
 	}
 	rs.ok = false
-	sc.pipes[0].RunFrom(&rs.out, e.Records[ri].Samples, from)
+	sc.pipe.RunFrom(&rs.out, e.Records[ri].Samples, from)
 	if from <= pantompkins.HPF {
 		psnr, ssim, err := e.signalQuality(ri, rs.out.Filtered)
 		if err != nil {
@@ -329,7 +260,7 @@ func (e *Evaluator) simRecord(sc *recScratch, ri int) (recPartial, error) {
 		}
 		rs.psnr, rs.ssim = psnr, ssim
 	}
-	rs.cfg, rs.ok = sc.cfg, true
+	rs.cfg, rs.ok = cfg, true
 	m, err := e.matchRecord(ri, rs.out.Filtered, rs.out.Integrated, sc)
 	if err != nil {
 		return recPartial{}, err
@@ -365,7 +296,7 @@ func (e *Evaluator) matchRecord(ri int, filtered, integrated []int64, sc *recScr
 }
 
 // reduce folds the record partials — always in record order, whatever the
-// worker count or shard split — into the aggregated Quality.
+// worker count — into the aggregated Quality.
 func (e *Evaluator) reduce(_ pantompkins.Config, parts []recPartial) (Quality, error) {
 	var q Quality
 	psnrSum, ssimSum := 0.0, 0.0

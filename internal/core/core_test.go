@@ -147,11 +147,10 @@ func TestMethodologyEndToEnd(t *testing.T) {
 	}
 }
 
-// TestEvaluatorShardDeterminism is the shard-reduction determinism gate:
+// TestEvaluatorShardDeterminism is the record-reduction determinism gate:
 // Quality records, Evaluations counts and full DSE traces must be
-// bit-identical across every combination of Workers in {1, 2, GOMAXPROCS}
-// and RecordShards in {1, len(records)}, pinned against the sequential
-// unsharded run.
+// bit-identical for every Workers in {1, 2, GOMAXPROCS}, pinned against
+// the sequential run.
 func TestEvaluatorShardDeterminism(t *testing.T) {
 	var records []*ecg.Record
 	for i := 0; i < 3; i++ {
@@ -177,8 +176,8 @@ func TestEvaluatorShardDeterminism(t *testing.T) {
 		evals     int
 		res       dse.Result
 	}
-	run := func(workers, shards int) outcome {
-		eval, err := NewEvaluatorOpts(records, EvalOptions{Workers: workers, RecordShards: shards})
+	run := func(workers int) outcome {
+		eval, err := NewEvaluatorOpts(records, EvalOptions{Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -214,47 +213,38 @@ func TestEvaluatorShardDeterminism(t *testing.T) {
 		return o
 	}
 
-	ref := run(1, 1)
-	workerCounts := []int{1, 2, runtime.GOMAXPROCS(0)}
-	for _, workers := range workerCounts {
-		// The distinct-simulation count may grow with Workers > 1 (the
-		// explorer speculates past stopping points, a documented PR 1
-		// property) but must never depend on the record-shard split.
-		evalsRef := -1
-		for _, shards := range []int{1, len(records)} {
-			got := run(workers, shards)
-			label := fmt.Sprintf("workers=%d shards=%d", workers, shards)
-			for i := range ref.qualities {
-				if got.qualities[i] != ref.qualities[i] {
-					t.Errorf("%s: quality[%d] = %+v, sequential %+v", label, i, got.qualities[i], ref.qualities[i])
-				}
+	ref := run(1)
+	// The distinct-simulation count may grow with Workers > 1 (the
+	// explorer speculates past stopping points), so only the sequential
+	// runs must match it.
+	for _, workers := range []int{1, 2, runtime.GOMAXPROCS(0)} {
+		got := run(workers)
+		label := fmt.Sprintf("workers=%d", workers)
+		for i := range ref.qualities {
+			if got.qualities[i] != ref.qualities[i] {
+				t.Errorf("%s: quality[%d] = %+v, sequential %+v", label, i, got.qualities[i], ref.qualities[i])
 			}
-			if evalsRef < 0 {
-				evalsRef = got.evals
-			} else if got.evals != evalsRef {
-				t.Errorf("%s: %d distinct simulations, %d with shards=1", label, got.evals, evalsRef)
-			}
-			if workers == 1 && got.evals != ref.evals {
-				t.Errorf("%s: %d evaluations, sequential %d", label, got.evals, ref.evals)
-			}
-			if got.res.Config != ref.res.Config || got.res.Quality != ref.res.Quality || got.res.Evaluations != ref.res.Evaluations {
-				t.Errorf("%s: DSE result %+v, sequential %+v", label, got.res, ref.res)
-			}
-			if len(got.res.Explored) != len(ref.res.Explored) {
-				t.Fatalf("%s: trace length %d, sequential %d", label, len(got.res.Explored), len(ref.res.Explored))
-			}
-			for i := range ref.res.Explored {
-				if got.res.Explored[i] != ref.res.Explored[i] {
-					t.Errorf("%s: trace[%d] = %+v, sequential %+v", label, i, got.res.Explored[i], ref.res.Explored[i])
-				}
+		}
+		if workers == 1 && got.evals != ref.evals {
+			t.Errorf("%s: %d evaluations, sequential %d", label, got.evals, ref.evals)
+		}
+		if got.res.Config != ref.res.Config || got.res.Quality != ref.res.Quality || got.res.Evaluations != ref.res.Evaluations {
+			t.Errorf("%s: DSE result %+v, sequential %+v", label, got.res, ref.res)
+		}
+		if len(got.res.Explored) != len(ref.res.Explored) {
+			t.Fatalf("%s: trace length %d, sequential %d", label, len(got.res.Explored), len(ref.res.Explored))
+		}
+		for i := range ref.res.Explored {
+			if got.res.Explored[i] != ref.res.Explored[i] {
+				t.Errorf("%s: trace[%d] = %+v, sequential %+v", label, i, got.res.Explored[i], ref.res.Explored[i])
 			}
 		}
 	}
 }
 
-// TestEvaluatorWarmShardAllocationFree checks the per-record shard
-// evaluation performs zero allocations once its scratch (pipeline, stage
-// buffers, detector) is warm.
+// TestEvaluatorWarmShardAllocationFree checks the per-record evaluation
+// performs zero allocations once its scratch (pipeline, stage buffers,
+// detector) is warm.
 func TestEvaluatorWarmShardAllocationFree(t *testing.T) {
 	eval := testEvaluator(t, 3000)
 	var cfg pantompkins.Config
@@ -264,17 +254,16 @@ func TestEvaluatorWarmShardAllocationFree(t *testing.T) {
 	if _, err := eval.Evaluate(cfg); err != nil {
 		t.Fatal(err)
 	}
-	parts := make([]recPartial, 1)
-	if err := eval.evalRange(cfg, 0, 1, parts); err != nil {
+	if _, err := eval.evalRecord(cfg, 0); err != nil {
 		t.Fatal(err)
 	}
 	avg := testing.AllocsPerRun(50, func() {
-		if err := eval.evalRange(cfg, 0, 1, parts); err != nil {
+		if _, err := eval.evalRecord(cfg, 0); err != nil {
 			t.Fatal(err)
 		}
 	})
 	if avg != 0 {
-		t.Fatalf("warm shard evaluation allocates %.2f times per record, want 0", avg)
+		t.Fatalf("warm record evaluation allocates %.2f times per record, want 0", avg)
 	}
 
 	// Prefix hit: hit shares cfg's LPF/HPF and differs from DER on, so
@@ -283,7 +272,7 @@ func TestEvaluatorWarmShardAllocationFree(t *testing.T) {
 	// hit's warm pipeline.
 	hit := cfg
 	hit.Stage[pantompkins.DER] = dsp.ArithConfig{LSBs: 2, Add: approx.ApproxAdd5, Mul: approx.AppMultV1}
-	if err := eval.evalRange(hit, 0, 1, parts); err != nil {
+	if _, err := eval.evalRecord(hit, 0); err != nil {
 		t.Fatal(err)
 	}
 	if n := len(eval.scratch.free); n != 1 {
@@ -292,12 +281,12 @@ func TestEvaluatorWarmShardAllocationFree(t *testing.T) {
 	sim := &eval.scratch.free[0].sims[0]
 	avg = testing.AllocsPerRun(50, func() {
 		sim.cfg = sched.Canonical(cfg)
-		if err := eval.evalRange(hit, 0, 1, parts); err != nil {
+		if _, err := eval.evalRecord(hit, 0); err != nil {
 			t.Fatal(err)
 		}
 	})
 	if avg != 0 {
-		t.Fatalf("prefix-hit shard evaluation allocates %.2f times per record, want 0", avg)
+		t.Fatalf("prefix-hit record evaluation allocates %.2f times per record, want 0", avg)
 	}
 }
 
@@ -331,9 +320,9 @@ func drawConfigs(rng *rand.Rand, n int) []pantompkins.Config {
 
 // TestEvaluatorPrefixReuseDifferential is the prefix-reuse gate: a seeded
 // configuration sequence, evaluated in drawn and in shuffled order by
-// {1, 2, 4} concurrent explorer workers on one evaluator (for both
-// record-shard splits), must give exactly the Quality a fresh evaluator
-// computes for each configuration alone.
+// {1, 2, 4} concurrent explorer workers on one evaluator, must give
+// exactly the Quality a fresh evaluator computes for each configuration
+// alone.
 func TestEvaluatorPrefixReuseDifferential(t *testing.T) {
 	var records []*ecg.Record
 	for i := 0; i < 2; i++ {
@@ -360,38 +349,36 @@ func TestEvaluatorPrefixReuseDifferential(t *testing.T) {
 		drawn[i] = i
 	}
 	for _, workers := range []int{1, 2, 4} {
-		for _, shards := range []int{0, 1} {
-			for _, order := range [][]int{drawn, rng.Perm(len(cfgs))} {
-				eval, err := NewEvaluatorOpts(records, EvalOptions{Workers: 1, RecordShards: shards})
-				if err != nil {
-					t.Fatal(err)
-				}
-				got := make([]Quality, len(cfgs))
-				errs := make([]error, len(cfgs))
-				var wg sync.WaitGroup
-				next := make(chan int)
-				for w := 0; w < workers; w++ {
-					wg.Add(1)
-					go func() {
-						defer wg.Done()
-						for i := range next {
-							got[i], errs[i] = eval.Evaluate(cfgs[i])
-						}
-					}()
-				}
-				for _, i := range order {
-					next <- i
-				}
-				close(next)
-				wg.Wait()
-				for i := range cfgs {
-					if errs[i] != nil {
-						t.Fatal(errs[i])
+		for _, order := range [][]int{drawn, rng.Perm(len(cfgs))} {
+			eval, err := NewEvaluatorOpts(records, EvalOptions{Workers: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := make([]Quality, len(cfgs))
+			errs := make([]error, len(cfgs))
+			var wg sync.WaitGroup
+			next := make(chan int)
+			for w := 0; w < workers; w++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for i := range next {
+						got[i], errs[i] = eval.Evaluate(cfgs[i])
 					}
-					if got[i] != want[i] {
-						t.Fatalf("workers=%d shards=%d order=%v: %v = %+v, fresh evaluator %+v",
-							workers, shards, order, cfgs[i], got[i], want[i])
-					}
+				}()
+			}
+			for _, i := range order {
+				next <- i
+			}
+			close(next)
+			wg.Wait()
+			for i := range cfgs {
+				if errs[i] != nil {
+					t.Fatal(errs[i])
+				}
+				if got[i] != want[i] {
+					t.Fatalf("workers=%d order=%v: %v = %+v, fresh evaluator %+v",
+						workers, order, cfgs[i], got[i], want[i])
 				}
 			}
 		}

@@ -33,7 +33,10 @@ func WriteCSV(w io.Writer, r *Record) error {
 	return bw.Flush()
 }
 
-// ReadCSV parses a record previously written by WriteCSV.
+// ReadCSV parses a record previously written by WriteCSV. The input is
+// untrusted: exactly one header with a positive sampling rate must come
+// before the first sample row, and annotation marks must be 0 or 1. Every
+// rejection names the offending line.
 func ReadCSV(r io.Reader) (*Record, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
@@ -46,13 +49,22 @@ func ReadCSV(r io.Reader) (*Record, error) {
 			continue
 		}
 		if strings.HasPrefix(text, "#") {
+			if rec.FS != 0 {
+				return nil, fmt.Errorf("ecg: CSV line %d: second header", line)
+			}
 			var name string
 			var fs int
 			if _, err := fmt.Sscanf(text, "# record %s fs %d", &name, &fs); err != nil {
-				return nil, fmt.Errorf("ecg: bad CSV header %q: %w", text, err)
+				return nil, fmt.Errorf("ecg: CSV line %d: bad header %q: %w", line, text, err)
+			}
+			if fs <= 0 {
+				return nil, fmt.Errorf("ecg: CSV line %d: sampling rate %d, want > 0", line, fs)
 			}
 			rec.Name, rec.FS = name, fs
 			continue
+		}
+		if rec.FS == 0 {
+			return nil, fmt.Errorf("ecg: CSV line %d: sample row before the header", line)
 		}
 		parts := strings.Split(text, ",")
 		if len(parts) != 3 {
@@ -75,6 +87,9 @@ func ReadCSV(r io.Reader) (*Record, error) {
 		mark, err := strconv.Atoi(parts[2])
 		if err != nil {
 			return nil, fmt.Errorf("ecg: CSV line %d annotation: %w", line, err)
+		}
+		if mark != 0 && mark != 1 {
+			return nil, fmt.Errorf("ecg: CSV line %d: annotation %d, want 0 or 1", line, mark)
 		}
 		rec.Samples = append(rec.Samples, int16(v))
 		if mark == 1 {

@@ -2,7 +2,9 @@ package ecg
 
 import (
 	"bytes"
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -208,16 +210,32 @@ func TestCSVRoundTrip(t *testing.T) {
 }
 
 func TestReadCSVRejectsGarbage(t *testing.T) {
-	cases := []string{
-		"1,2,3\n",                        // missing header
-		"# record a fs 200\n5,1,0\n",     // non-contiguous index
-		"# record a fs 200\n0,99999,0\n", // sample exceeds int16
-		"# record a fs 200\n0,x,0\n",     // non-numeric
-		"# record a fs 200\n0,1\n",       // wrong field count
+	cases := []struct {
+		in   string
+		line int // line the error must name; 0 = none
+	}{
+		{"", 0},                                       // missing header
+		{"1,2,3\n", 1},                                // row before any header
+		{"# record a fs 200\n5,1,0\n", 2},             // non-contiguous index
+		{"# record a fs 200\n0,99999,0\n", 2},         // sample exceeds int16
+		{"# record a fs 200\n0,x,0\n", 2},             // non-numeric
+		{"# record a fs 200\n0,1\n", 2},               // wrong field count
+		{"# record x fs -360\n0,1,0\n", 1},            // negative sampling rate
+		{"# record x fs 0\n0,1,0\n", 1},               // zero sampling rate
+		{"# record a fs 200\n0,1,7\n", 2},             // annotation mark 7
+		{"# record a fs 200\n0,1,0\n1,1,-1\n", 3},     // annotation mark -1
+		{"0,1,0\n# record a fs 200\n", 1},             // sample row before the header
+		{"# record a fs 200\n\n# record b fs 9\n", 3}, // second header
+		{"# recording a\n", 1},                        // malformed header
 	}
 	for i, c := range cases {
-		if _, err := ReadCSV(bytes.NewBufferString(c)); err == nil {
-			t.Errorf("case %d accepted", i)
+		_, err := ReadCSV(bytes.NewBufferString(c.in))
+		if err == nil {
+			t.Errorf("case %d %q accepted", i, c.in)
+			continue
+		}
+		if want := fmt.Sprintf("CSV line %d", c.line); c.line > 0 && !strings.Contains(err.Error(), want) {
+			t.Errorf("case %d %q: error %q does not name %q", i, c.in, err, want)
 		}
 	}
 }

@@ -30,14 +30,10 @@ type Setup struct {
 	Add approx.AdderKind
 	Mul approx.MultKind
 	// Workers is the candidate-evaluation parallelism the design-space
-	// explorations run with (0 = GOMAXPROCS, 1 = sequential). Results are
+	// explorations run with (0 = GOMAXPROCS, 1 = sequential); the
+	// evaluator's per-record sub-jobs share the same pool. Results are
 	// identical for every value; see package sched.
 	Workers int
-	// RecordShards is the record-shard split one design evaluation fans
-	// out into (0 = one shard per record, 1 = sequential records); fixed
-	// at setup time because the evaluator's engine is built here. Results
-	// are identical for every value.
-	RecordShards int
 }
 
 // NewSetup builds the environment over the first numRecords NSRDB-like
@@ -48,8 +44,8 @@ func NewSetup(numRecords, n int) (*Setup, error) {
 	return NewSetupOpts(numRecords, n, core.EvalOptions{})
 }
 
-// NewSetupOpts is NewSetup with explicit evaluation-engine options
-// (worker count and record-shard split).
+// NewSetupOpts is NewSetup with explicit evaluation-engine options (the
+// worker count).
 func NewSetupOpts(numRecords, n int, opts core.EvalOptions) (*Setup, error) {
 	if numRecords < 1 || numRecords > ecg.NumNSRDBRecords {
 		return nil, fmt.Errorf("experiments: record count %d out of range [1,%d]", numRecords, ecg.NumNSRDBRecords)
@@ -75,13 +71,12 @@ func NewSetupOpts(numRecords, n int, opts core.EvalOptions) (*Setup, error) {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	return &Setup{
-		Records:      records,
-		Eval:         eval,
-		Energy:       energy.NewModel(stim),
-		Add:          approx.ApproxAdd5,
-		Mul:          approx.AppMultV1,
-		Workers:      workers,
-		RecordShards: opts.RecordShards,
+		Records: records,
+		Eval:    eval,
+		Energy:  energy.NewModel(stim),
+		Add:     approx.ApproxAdd5,
+		Mul:     approx.AppMultV1,
+		Workers: workers,
 	}, nil
 }
 

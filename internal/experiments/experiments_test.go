@@ -170,8 +170,7 @@ func TestFig12Rows(t *testing.T) {
 // TestEnergyFiguresWarmColdShardIdentical is the acceptance bar of the
 // shared energy-characterization cache: the energy figures (Fig 12, the
 // accounting ablation) must be bit-identical whether the process-wide
-// caches are cold or warm, and for every evaluation-engine workers/shards
-// combination.
+// caches are cold or warm, and for every evaluation-engine worker count.
 func TestEnergyFiguresWarmColdShardIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multiple full figure evaluations are slow")
@@ -180,8 +179,8 @@ func TestEnergyFiguresWarmColdShardIdentical(t *testing.T) {
 		fig12 []Fig12Row
 		abl   []AblationRow
 	}
-	run := func(workers, shards int) result {
-		s, err := NewSetupOpts(1, 3000, core.EvalOptions{Workers: workers, RecordShards: shards})
+	run := func(workers int) result {
+		s, err := NewSetupOpts(1, 3000, core.EvalOptions{Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -201,13 +200,13 @@ func TestEnergyFiguresWarmColdShardIdentical(t *testing.T) {
 	}
 	dropAll()
 	defer dropAll()
-	cold := run(1, 1)
-	warm := run(4, 3) // same process: every characterization is a cache hit
+	cold := run(1)
+	warm := run(4) // same process: every characterization is a cache hit
 	if st := energy.CacheStats(); st.Hits == 0 {
 		t.Fatal("second setup hit no cached characterizations")
 	}
 	dropAll()
-	cold2 := run(3, 2) // cold again, parallel engine
+	cold2 := run(3) // cold again, parallel engine
 	for i, r := range []result{warm, cold2} {
 		if !reflect.DeepEqual(cold.fig12, r.fig12) {
 			t.Errorf("run %d: Fig 12 rows differ from the cold sequential run", i)

@@ -108,9 +108,6 @@ type Netlist struct {
 // Input returns the input port with the given name.
 func (n *Netlist) Input(name string) (Port, bool) { return findPort(n.Inputs, name) }
 
-// Output returns the output port with the given name.
-func (n *Netlist) Output(name string) (Port, bool) { return findPort(n.Outputs, name) }
-
 func findPort(ports []Port, name string) (Port, bool) {
 	for _, p := range ports {
 		if p.Name == name {

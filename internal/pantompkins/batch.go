@@ -47,34 +47,17 @@ type PipelineBatch struct {
 // sharing them across streams is exact); its delay lines are never
 // touched by Run.
 func NewPipelineBatch(p *Pipeline) *PipelineBatch {
-	b := &PipelineBatch{}
-	b.Reset(p)
-	return b
-}
-
-// Reset rebinds the batch to a new donor pipeline — typically a new
-// configuration — while keeping every packed scratch buffer, so a
-// caller cycling through many configurations (one design-space
-// evaluation after another) allocates no round scratch per design.
-func (b *PipelineBatch) Reset(p *Pipeline) {
-	b.cfg = p.cfg
-	b.donor = p
-	if b.lpf == nil {
-		b.lpf = p.lpf.Chain().NewBatch()
-		b.hpf = p.hpf.Chain().NewBatch()
-		b.der = p.der.Chain().NewBatch()
-	} else {
-		b.lpf.Rebind(p.lpf.Chain())
-		b.hpf.Rebind(p.hpf.Chain())
-		b.der.Rebind(p.der.Chain())
+	return &PipelineBatch{
+		cfg:      p.cfg,
+		donor:    p,
+		lpf:      p.lpf.Chain().NewBatch(),
+		hpf:      p.hpf.Chain().NewBatch(),
+		der:      p.der.Chain().NewBatch(),
+		lpfShift: uint(p.lpf.OutShift()),
+		hpfShift: uint(p.hpf.OutShift()),
+		derShift: uint(p.der.OutShift()),
 	}
-	b.lpfShift = uint(p.lpf.OutShift())
-	b.hpfShift = uint(p.hpf.OutShift())
-	b.derShift = uint(p.der.OutShift())
 }
-
-// Config returns the configuration the batch's plans were compiled for.
-func (b *PipelineBatch) Config() Config { return b.cfg }
 
 // Run advances each pipeline by its block: pipes[i] consumes blocks[i]
 // exactly as if every sample had gone through pipes[i].Push. It returns

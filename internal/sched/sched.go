@@ -20,55 +20,13 @@ type Func[V any] func(cfg pantompkins.Config) (V, error)
 // concurrent use.
 type ItemFunc[P any] func(cfg pantompkins.Config, item int) (P, error)
 
-// RangeFunc computes the partials of one contiguous shard of work items
-// for one configuration, writing parts[i-lo] for every item i in
-// [lo, hi) it completes. Receiving the whole range at once lets the
-// implementation batch its items (e.g. evaluate many records'
-// same-config pipelines word-parallel) instead of being called item by
-// item. On error it must stop — later items left uncomputed, matching
-// the sequential stop-at-first-failure contract — and the error is
-// attributed to the shard's first failing item. Like ItemFunc it must
-// be deterministic and safe for concurrent use.
-type RangeFunc[P any] func(cfg pantompkins.Config, lo, hi int, parts []P) error
-
 // ReduceFunc folds the per-item partials of one configuration into the
 // cached value. The engine always presents parts in item order, whatever
-// the worker count or shard split, so a deterministic reduction gives
-// bit-identical results for every parallelism setting. parts is engine
-// scratch, recycled across evaluations (and design-space-exploration
-// phases): reduce must not retain the slice or its elements past the
-// call.
+// the worker count, so a deterministic reduction gives bit-identical
+// results for every parallelism setting. parts is engine scratch,
+// recycled across evaluations (and design-space-exploration phases):
+// reduce must not retain the slice or its elements past the call.
 type ReduceFunc[V, P any] func(cfg pantompkins.Config, parts []P) (V, error)
-
-// Range is a half-open interval of work-item indices forming one shard.
-type Range struct{ Lo, Hi int }
-
-// Split partitions n work items into at most k contiguous ranges of
-// near-equal size (the leading ranges take the remainder). k <= 1 or
-// n <= 1 yields a single range; k > n yields n unit ranges.
-func Split(n, k int) []Range {
-	if n <= 0 {
-		return nil
-	}
-	if k > n {
-		k = n
-	}
-	if k < 1 {
-		k = 1
-	}
-	ranges := make([]Range, 0, k)
-	size, rem := n/k, n%k
-	lo := 0
-	for i := 0; i < k; i++ {
-		hi := lo + size
-		if i < rem {
-			hi++
-		}
-		ranges = append(ranges, Range{Lo: lo, Hi: hi})
-		lo = hi
-	}
-	return ranges
-}
 
 // Stats is a snapshot of an evaluator's cache accounting.
 type Stats struct {
@@ -94,18 +52,18 @@ func Canonical(cfg pantompkins.Config) pantompkins.Config {
 	return cfg
 }
 
-// shardScratch is one reusable per-design evaluation workspace of a
-// sharded engine: the item-ordered partials, the per-shard error slots,
-// the design under evaluation and the pre-built scatter callback (built
-// once so a warm evaluation allocates neither slices nor a closure). Each
-// concurrent design evaluation checks one out of the engine's free list
-// and returns it after reduce, so steady-state evaluation allocates no
-// scratch regardless of how many designs or phases run.
-type shardScratch[P any] struct {
+// itemScratch is one reusable per-design evaluation workspace of a
+// sharded engine: the item-ordered partials and errors, the design under
+// evaluation and the pre-built scatter callback (built once so a warm
+// evaluation allocates neither slices nor a closure). Each concurrent
+// design evaluation checks one out of the engine's free list and returns
+// it after reduce, so steady-state evaluation allocates no scratch
+// regardless of how many designs or phases run.
+type itemScratch[P any] struct {
 	parts []P
 	errs  []error
 	cfg   pantompkins.Config
-	run   func(s int)
+	run   func(i int)
 }
 
 // entry is one memoized evaluation; done is closed once q/err are final.
@@ -150,67 +108,40 @@ func New[V any](workers int, fn Func[V]) *Evaluator[V] {
 
 // NewSharded builds a two-level engine: configurations are cached and
 // fanned out exactly like New's, but a cache-missing design additionally
-// splits into shards sub-jobs over items work items (evaluation records).
-// Each shard computes item(cfg, i) for its contiguous item range; once
-// every shard of the design finishes, reduce folds the partials — always
-// in item order — into the cached value. Shard sub-jobs draw on the same
-// worker slots as whole-design jobs: a shard runs on a new goroutine when
-// a slot is free and inline in the submitting goroutine otherwise, so
-// design-level and record-level parallelism share the slots without
-// deadlock and a single design evaluation can saturate every worker.
+// splits into one sub-job per work item (evaluation record), each
+// computing item(cfg, i); once every item of the design finishes, reduce
+// folds the partials — always in item order — into the cached value.
+// Item sub-jobs draw on the same worker slots as whole-design jobs: an
+// item runs on a new goroutine when a slot is free and inline in the
+// submitting goroutine otherwise, so design-level and record-level
+// parallelism share the slots without deadlock and a single design
+// evaluation can saturate every worker.
 //
-// Determinism: parts[i] is written by exactly one shard and reduce sees
+// Determinism: parts[i] is written by exactly one sub-job and reduce sees
 // the full item-ordered slice, so the value cached for a design is
-// bit-identical for every (workers, shards) combination provided item and
-// reduce are deterministic. Error handling matches the sequential loop:
-// within a shard, items run in order and stop at the first failure; the
-// error of the lowest-index failing item wins across shards.
+// bit-identical for every worker count provided item and reduce are
+// deterministic. Every item runs even when another fails, and the error
+// of the lowest-index failing item wins.
 //
-// shards <= 0 selects one shard per item; shards == 1 disables the second
-// level (one sub-job computes every item inline).
+// The per-design partials and errors are evaluation scratch drawn from a
+// free list, not allocated per design: a long-running engine — one
+// driving all three phases of a design-space exploration plus both
+// methodology gates — reuses one scratch set per concurrent evaluation
+// for its whole lifetime. This is why ReduceFunc must not retain parts.
 //
-// The per-design partials and shard-error slices are evaluation scratch
-// drawn from a free list, not allocated per design: a long-running engine
-// — one driving all three phases of a design-space exploration plus both
-// methodology gates — reuses one scratch set per concurrent evaluation for
-// its whole lifetime. This is why ReduceFunc must not retain parts.
-func NewSharded[V, P any](workers, items, shards int, item ItemFunc[P], reduce ReduceFunc[V, P]) *Evaluator[V] {
-	return NewShardedRange[V](workers, items, shards, func(cfg pantompkins.Config, lo, hi int, parts []P) error {
-		for i := lo; i < hi; i++ {
-			p, err := item(cfg, i)
-			if err != nil {
-				return err
-			}
-			parts[i-lo] = p
-		}
-		return nil
-	}, reduce)
-}
-
-// NewShardedRange is NewSharded with the shard as the unit of work: each
-// sub-job hands its whole contiguous item range to rng in one call, so
-// the implementation can amortize per-item dispatch across the shard
-// (the batched record evaluation of core.Evaluator). Everything else —
-// caching, scatter, determinism, error precedence, scratch reuse —
-// matches NewSharded exactly.
-//
-// The scratch free list is a mutex-guarded slice owned by the engine, one
-// entry per evaluation that has ever run concurrently. It is not a
-// sync.Pool: the runtime keeps pooled entries alive for two GC cycles,
-// and each entry's callback reaches rng, so a dropped engine would pin
-// everything rng references (core.Evaluator's pipelines and stage
-// outputs) well past its last use. The free list dies with the engine.
-func NewShardedRange[V, P any](workers, items, shards int, rng RangeFunc[P], reduce ReduceFunc[V, P]) *Evaluator[V] {
+// The free list is a mutex-guarded slice owned by the engine, one entry
+// per evaluation that has ever run concurrently. It is not a sync.Pool:
+// the runtime keeps pooled entries alive for two GC cycles, and each
+// entry's callback reaches item, so a dropped engine would pin everything
+// item references (core.Evaluator's pipelines and stage outputs) well
+// past its last use. The free list dies with the engine.
+func NewSharded[V, P any](workers, items int, item ItemFunc[P], reduce ReduceFunc[V, P]) *Evaluator[V] {
 	e := New[V](workers, nil)
-	if shards <= 0 {
-		shards = items
-	}
-	ranges := Split(items, shards)
 	var free struct {
 		sync.Mutex
-		list []*shardScratch[P]
+		list []*itemScratch[P]
 	}
-	get := func() *shardScratch[P] {
+	get := func() *itemScratch[P] {
 		free.Lock()
 		defer free.Unlock()
 		if n := len(free.list); n > 0 {
@@ -218,14 +149,11 @@ func NewShardedRange[V, P any](workers, items, shards int, rng RangeFunc[P], red
 			free.list = free.list[:n-1]
 			return sc
 		}
-		sc := &shardScratch[P]{parts: make([]P, items), errs: make([]error, len(ranges))}
-		sc.run = func(s int) {
-			r := ranges[s]
-			sc.errs[s] = rng(sc.cfg, r.Lo, r.Hi, sc.parts[r.Lo:r.Hi])
-		}
+		sc := &itemScratch[P]{parts: make([]P, items), errs: make([]error, items)}
+		sc.run = func(i int) { sc.parts[i], sc.errs[i] = item(sc.cfg, i) }
 		return sc
 	}
-	put := func(sc *shardScratch[P]) {
+	put := func(sc *itemScratch[P]) {
 		free.Lock()
 		defer free.Unlock()
 		free.list = append(free.list, sc)
@@ -234,10 +162,7 @@ func NewShardedRange[V, P any](workers, items, shards int, rng RangeFunc[P], red
 		sc := get()
 		defer put(sc)
 		sc.cfg = cfg
-		for s := range sc.errs {
-			sc.errs[s] = nil
-		}
-		e.scatter(len(ranges), sc.run)
+		e.scatter(items, sc.run)
 		for _, err := range sc.errs {
 			if err != nil {
 				var zero V
@@ -253,8 +178,8 @@ func NewShardedRange[V, P any](workers, items, shards int, rng RangeFunc[P], red
 // task runs on a new goroutine when a slot is free and inline in the
 // submitting goroutine otherwise, so submission never blocks. Inline
 // execution guarantees progress: a design evaluation holding a slot
-// that splits into record shards cannot deadlock, and idle slots still
-// absorb the fan-out.
+// that splits into per-record sub-jobs cannot deadlock, and idle slots
+// still absorb the fan-out.
 func (e *Evaluator[V]) scatter(n int, task func(int)) {
 	if n <= 1 || cap(e.slots) <= 1 {
 		for i := 0; i < n; i++ {

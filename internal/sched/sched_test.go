@@ -230,32 +230,6 @@ func TestErrorsDoNotDeadlockSmallPool(t *testing.T) {
 	}
 }
 
-func TestSplit(t *testing.T) {
-	cases := []struct {
-		n, k int
-		want []Range
-	}{
-		{0, 4, nil},
-		{1, 1, []Range{{0, 1}}},
-		{5, 1, []Range{{0, 5}}},
-		{5, 0, []Range{{0, 5}}},
-		{4, 2, []Range{{0, 2}, {2, 4}}},
-		{5, 2, []Range{{0, 3}, {3, 5}}},
-		{3, 8, []Range{{0, 1}, {1, 2}, {2, 3}}},
-	}
-	for _, c := range cases {
-		got := Split(c.n, c.k)
-		if len(got) != len(c.want) {
-			t.Fatalf("Split(%d,%d) = %v, want %v", c.n, c.k, got, c.want)
-		}
-		for i := range got {
-			if got[i] != c.want[i] {
-				t.Fatalf("Split(%d,%d) = %v, want %v", c.n, c.k, got, c.want)
-			}
-		}
-	}
-}
-
 // shardQuality is the per-record stand-in of the sharded tests: a partial
 // that identifies (config, record) so the reduction can verify coverage
 // and ordering.
@@ -264,10 +238,9 @@ func shardQuality(cfg pantompkins.Config, item int) (float64, error) {
 	return q + float64(item)/1024, nil
 }
 
-// TestShardedDeterminism runs a mixed workload through every combination
-// of worker count and shard split (including concurrent batch callers) and
-// demands bit-identical reductions, with every item seen exactly once and
-// in order.
+// TestShardedDeterminism runs a mixed workload through every worker count
+// (including concurrent batch callers) and demands bit-identical
+// reductions, with every item seen exactly once and in order.
 func TestShardedDeterminism(t *testing.T) {
 	const items = 7
 	reduce := func(cfg pantompkins.Config, parts []float64) (float64, error) {
@@ -293,45 +266,43 @@ func TestShardedDeterminism(t *testing.T) {
 	}
 	var ref []float64
 	for _, workers := range []int{1, 2, 8} {
-		for _, shards := range []int{1, 2, 0} { // 0 = one shard per item
-			e := NewSharded[float64, float64](workers, items, shards, shardQuality, reduce)
-			var wg sync.WaitGroup
-			results := make([][]float64, 3)
-			errs := make([]error, 3)
-			for g := range results {
-				g := g
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					results[g], errs[g] = e.EvaluateBatch(workload())
-				}()
+		e := NewSharded[float64, float64](workers, items, shardQuality, reduce)
+		var wg sync.WaitGroup
+		results := make([][]float64, 3)
+		errs := make([]error, 3)
+		for g := range results {
+			g := g
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				results[g], errs[g] = e.EvaluateBatch(workload())
+			}()
+		}
+		wg.Wait()
+		for _, err := range errs {
+			if err != nil {
+				t.Fatal(err)
 			}
-			wg.Wait()
-			for _, err := range errs {
-				if err != nil {
-					t.Fatal(err)
+		}
+		if ref == nil {
+			ref = results[0]
+		}
+		for g := range results {
+			for i := range ref {
+				if results[g][i] != ref[i] {
+					t.Fatalf("workers=%d caller %d: result[%d] = %v, want %v",
+						workers, g, i, results[g][i], ref[i])
 				}
 			}
-			if ref == nil {
-				ref = results[0]
-			}
-			for g := range results {
-				for i := range ref {
-					if results[g][i] != ref[i] {
-						t.Fatalf("workers=%d shards=%d caller %d: result[%d] = %v, want %v",
-							workers, shards, g, i, results[g][i], ref[i])
-					}
-				}
-			}
-			if st := e.Stats(); st.Misses != int64(len(ref)) {
-				t.Fatalf("workers=%d shards=%d: %d misses for %d distinct designs", workers, shards, st.Misses, len(ref))
-			}
+		}
+		if st := e.Stats(); st.Misses != int64(len(ref)) {
+			t.Fatalf("workers=%d: %d misses for %d distinct designs", workers, st.Misses, len(ref))
 		}
 	}
 }
 
 // TestShardedErrorIsLowestItem checks that the lowest-index failing item's
-// error wins for any shard split, like the batch contract.
+// error wins for every worker count, like the batch contract.
 func TestShardedErrorIsLowestItem(t *testing.T) {
 	const items = 6
 	item := func(cfg pantompkins.Config, i int) (float64, error) {
@@ -344,17 +315,17 @@ func TestShardedErrorIsLowestItem(t *testing.T) {
 		t.Fatal("reduce called despite item errors")
 		return 0, nil
 	}
-	for _, shards := range []int{1, 2, 3, 0} {
-		e := NewSharded[float64, float64](4, items, shards, item, reduce)
+	for _, workers := range []int{1, 2, 4} {
+		e := NewSharded[float64, float64](workers, items, item, reduce)
 		_, err := e.Evaluate(pantompkins.AccurateConfig())
 		if err == nil || err.Error() != "item 2 broken" {
-			t.Fatalf("shards=%d: error %v, want the lowest-index item failure", shards, err)
+			t.Fatalf("workers=%d: error %v, want the lowest-index item failure", workers, err)
 		}
 	}
 }
 
 // TestScatterFromInsidePool floods a sharded engine through EvaluateBatch
-// so design jobs holding every slot must scatter their shards with no slot
+// so design jobs holding every slot must scatter their items with no slot
 // free; the non-blocking dispatch must complete inline rather than
 // deadlock.
 func TestScatterFromInsidePool(t *testing.T) {
@@ -366,7 +337,7 @@ func TestScatterFromInsidePool(t *testing.T) {
 		}
 		return total, nil
 	}
-	e := NewSharded[float64, float64](2, items, 0, shardQuality, reduce)
+	e := NewSharded[float64, float64](2, items, shardQuality, reduce)
 	var cfgs []pantompkins.Config
 	for k := 0; k <= 16; k += 2 {
 		cfgs = append(cfgs, cfgK([pantompkins.NumStages]int{k, 0, 0, 0, 0}))
@@ -379,7 +350,7 @@ func TestScatterFromInsidePool(t *testing.T) {
 // TestShardedScratchReuse guards the shared evaluation scratch: after the
 // free list is warm, a sharded design evaluation (the closure every
 // design-space-exploration phase drives) must allocate nothing — parts
-// and shard-error slices are recycled, not rebuilt per design.
+// and item-error slices are recycled, not rebuilt per design.
 func TestShardedScratchReuse(t *testing.T) {
 	item := func(cfg pantompkins.Config, i int) (int, error) {
 		return i + cfg.Stage[pantompkins.LPF].LSBs, nil
@@ -393,7 +364,7 @@ func TestShardedScratchReuse(t *testing.T) {
 	}
 	// workers=1 keeps scatter on the inline path so the measurement sees
 	// only the evaluation closure itself.
-	e := NewSharded[int, int](1, 8, 4, item, reduce)
+	e := NewSharded[int, int](1, 8, item, reduce)
 	cfg := cfgK([pantompkins.NumStages]int{2, 0, 0, 0, 0})
 	want, err := e.fn(cfg) // warm the free list
 	if err != nil {

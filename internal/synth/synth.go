@@ -107,54 +107,19 @@ func AnalyzeOptimized(n *netlist.Netlist, bind map[string]uint64) (Report, error
 	return Analyze(opt), nil
 }
 
-// AnalyzeActivity reports on a combinational netlist with stimulus-based
-// power: each cell's library power is scaled by its measured switching
-// activity relative to a 0.5 reference toggle rate, the way ASIC power
-// tools weight dynamic power by simulated activity. Cells that never
-// toggle (sign-extension, constant-dominated logic) contribute no power,
-// which is how datapath width trimming enters the energy model.
-func AnalyzeActivity(n *netlist.Netlist, vectors []map[string]uint64) (Report, error) {
-	sim, err := netlist.NewSimulator(n)
-	if err != nil {
-		return Report{}, err
-	}
-	act, err := sim.RunActivity(vectors)
-	if err != nil {
-		return Report{}, err
-	}
-	return ActivityReport(n, act), nil
-}
-
-// AnalyzeActivityStreams is AnalyzeActivity over packed per-port stimulus
-// streams (the allocation-light form the energy model drives).
-func AnalyzeActivityStreams(n *netlist.Netlist, ports []netlist.PortStimulus) (Report, netlist.Activity, error) {
-	sim, err := netlist.NewSimulator(n)
-	if err != nil {
-		return Report{}, netlist.Activity{}, err
-	}
-	act, err := sim.RunActivityStreams(ports)
-	if err != nil {
-		return Report{}, netlist.Activity{}, err
-	}
-	return ActivityReport(n, act), act, nil
-}
-
-// ActivityReport computes the activity-weighted report from a precomputed
-// switching-activity measurement of n (see AnalyzeActivity for the
-// weighting rule). Callers that cache a netlist's Activity — the energy
-// characterization cache — re-derive the report without re-simulating.
-func ActivityReport(n *netlist.Netlist, act netlist.Activity) Report {
-	return ActivityWeight(Analyze(n), n, act)
-}
-
 // ActivityWeight re-weights a precomputed activity-blind report of n (the
-// output of Analyze) by the measured switching activity. Splitting the
-// area/delay analysis from the activity weighting lets callers that hold
-// both the structural report and the activity — the energy
-// characterization cache — serve the activity-blind (optimised-policy)
-// report and the activity-weighted one from a single analysis instead of
-// re-walking the netlist. base is returned with only Power and Energy
-// replaced; Area, Delay and the cell accounting carry over unchanged.
+// output of Analyze) by the measured switching activity, the way ASIC
+// power tools weight dynamic power by simulated activity: each cell's
+// library power is scaled by its activity relative to a 0.5 reference
+// toggle rate. Cells that never toggle (sign-extension, constant-dominated
+// logic) contribute no power, which is how datapath width trimming enters
+// the energy model. Splitting the area/delay analysis from the activity
+// weighting lets callers that hold both the structural report and the
+// activity — the energy characterization cache — serve the activity-blind
+// (optimised-policy) report and the activity-weighted one from a single
+// analysis instead of re-walking the netlist. base is returned with only
+// Power and Energy replaced; Area, Delay and the cell accounting carry
+// over unchanged.
 func ActivityWeight(base Report, n *netlist.Netlist, act netlist.Activity) Report {
 	const refActivity = 0.5
 	power := 0.0
