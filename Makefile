@@ -5,11 +5,13 @@
 # activity simulator), benchmark smoke passes in both modes, focused
 # -race passes over the two global caches' concurrent cold builds, the
 # multi-patient streaming service, the sharded gateway, the real-socket
-# transport (loopback TCP+UDP churn) and the batch-vs-scalar equivalence
-# suites, a fuzz smoke over the wire-frame/socket-message parsers, the
-# ingest path and the QRS detector, a fixed-seed chaos run of the socket
-# transport harness, and the end-to-end benchmark module's golden-digest
-# smoke test (which also fails when a declared metric goes missing).
+# transport (loopback TCP+UDP churn) and the continuation equivalence
+# suites (whole records, blocks and single samples through one chain
+# engine, against per-sample and per-tap oracles), a fuzz smoke over the
+# wire-frame/socket-message parsers, the ingest path and the QRS
+# detector, a fixed-seed chaos run of the socket transport harness, and
+# the end-to-end benchmark module's golden-digest smoke test (which also
+# fails when a declared metric goes missing).
 
 GO ?= go
 GOFMT ?= gofmt
@@ -76,12 +78,15 @@ net-smoke:
 	$(GO) run ./cmd/xbiosip -samples 6000 -seed 3 transport > /dev/null
 	$(GO) run ./cmd/xbiosip -samples 6000 -net udp -sessions 4 serve > /dev/null
 
-# The batch-evaluation equivalence suites across every layer that grew a
-# batched path — kernel BatchChain, dsp block hooks, PipelineBatch, the
-# batched serve drain and the netlist stream simulator — under -race,
-# with the per-sample/scalar paths as in-process oracles.
+# The continuation equivalence suites across every layer that runs a
+# signal in blocks — kernel Chain.Run from a start index, the dsp FIR
+# entry points against the frozen per-tap oracle and the integrator and
+# squarer block paths, Pipeline.PushBlock and streams sharing one
+# compiled pipeline across goroutines, the serve block drain — plus the
+# netlist stream simulator, under -race, with the per-sample/scalar
+# paths as in-process oracles.
 race-batch:
-	$(GO) test -race -count=1 -run 'Batch|Streams|Discard' ./internal/arith/kernel ./internal/dsp ./internal/pantompkins ./internal/serve ./internal/netlist
+	$(GO) test -race -count=1 -run 'Continuation|MatchesOracle|Block|Share|Batched|Streams|Discard' ./internal/arith/kernel ./internal/dsp ./internal/pantompkins ./internal/serve ./internal/netlist
 
 # Fuzz smoke: a few seconds of native fuzzing over the wire-frame
 # parser, the socket-message decoder and the ingest path (never panic,
@@ -99,7 +104,7 @@ fuzz-smoke:
 # oracle: keeps both oracle paths green.
 test-reference:
 	XBIOSIP_NO_KERNELS=1 $(GO) test -count=1 -race ./internal/arith/kernel ./internal/dsp ./internal/pantompkins ./internal/netlist ./internal/energy
-	XBIOSIP_NO_KERNELS=1 $(GO) test -count=1 -race -run 'Batch|Discard' ./internal/serve
+	XBIOSIP_NO_KERNELS=1 $(GO) test -count=1 -race -run 'Batched|Discard' ./internal/serve
 
 # One iteration of every benchmark: regenerates each table/figure once and
 # exercises the parallel DSE engine and the kernel-vs-reference

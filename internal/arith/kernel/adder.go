@@ -24,7 +24,7 @@ type Adder struct {
 	// closed form (including sign extension) inline in the closure body.
 	addS func(a, b int64) int64
 	subS func(a, b int64) int64
-	// chain/fold are the batched slice kernels (see slice.go): one
+	// chain/fold are the slice kernels (see slice.go): one
 	// indirect call per vector (chain) or window (fold) with the closed
 	// form inlined in the loop.
 	chain chainFunc

@@ -102,7 +102,7 @@
 //
 // # Chain projections, sliding windows, MAC fusion and lazy raw tables
 //
-// The batched chains layer two more compiled projections on top of the
+// The compiled chains layer two more compiled projections on top of the
 // tiers. For the wiring adders (AMA4/AMA5) the closed form sums, per tap,
 // only an upper slice of the product plus a carry bit; buildChainProj
 // bakes that whole term into a 2^Width projection table per
@@ -125,40 +125,39 @@
 // the taps its strategy actually reads products from: every tap of the
 // generic/native/chunk strategies, just the boundary taps of a wiring
 // chain (the AMA5 last operand / AMA4 opening accumulator), none of a
-// fused chain. A batch-only workload — the design-space exploration —
-// therefore never builds the interior taps' 256 KiB tables; the
-// per-sample FIR path (dsp.FIR.Process) materializes its tables on first
-// use instead.
+// fused chain. Every FIR entry point evaluates through its chain, so no
+// workload — exploration or live streams — ever builds the interior
+// taps' 256 KiB tables.
 //
 // CacheStats reports the live bytes of every tier (and DropCaches empties
 // the caches for cold-build benchmarks), so the working set is tracked
 // across PRs the way ns/op is.
 //
-// # Batched evaluation across independent streams
+// # Continuation by start index
 //
-// BatchChain (Chain.NewBatch) evaluates one compiled chain over up to
-// MaxBatch = 64 independent streams per call. Every chain strategy
-// computes dst[i] from xs[i-lag] with lag <= Chain.MaxLag and reads
-// zeros before the signal start, so the batch runner packs each
-// stream's [MaxLag history prefix | sample block] back-to-back into one
-// scratch buffer, runs the chain function ONCE over the packed span,
-// and unpacks only the data positions — prefix outputs are discarded
-// and no data position ever reads across a stream boundary. Each tier's
-// per-sample win therefore multiplies across the batch unchanged:
+// Chain.Run(dst, xs, from, ...) evaluates positions from..len(dst)-1 of
+// the signal xs and reads zero before xs[0]. Every strategy computes
+// dst[i] from xs[i-lag] with lag at most the deepest tap lag, so the
+// start index is the only difference between the three ways a signal
+// reaches a chain:
 //
-//   - fused exact chains: one multiply-accumulate loop over the whole
-//     packed buffer;
-//   - wiring chains (AMA4/AMA5): the O(1) sliding projection window,
-//     restarted per packed region at the cost of one window refill;
-//   - chunk/native/generic taps: per-tap table loads swept over the
-//     packed buffer instead of per-stream call overhead.
+//   - a whole record runs from 0 (dsp.FIR.FilterInto, the design-space
+//     exploration);
+//   - a stream's next block runs over [last n inputs | block] from n,
+//     with n the filter's tap count (dsp.FIR.Block, the serve drain);
+//   - a single sample runs at the last position of the delay-line window,
+//     in place (dsp.FIR.Process).
 //
-// The scalar Chain.Run path is the batch oracle: for any batch width
-// and lane assignment, every stream's outputs are bit-identical to
-// running it alone, in both kernel and XBIOSIP_NO_KERNELS modes. The
-// batch layer has one consumer: the multi-patient service (package
-// serve) runs its same-config session groups through it, by way of
-// pantompkins.PipelineBatch.
+// The history is only read, never evaluated. Evaluating the packed span
+// from 0 and discarding the history outputs instead would waste, for a
+// 24-sample serve frame through the Pan-Tompkins FIRs, 45 of the 117
+// positions computed (LPF 10, HPF 31, DER 4). The sliding-window wiring
+// strategy seeds its window from the samples before from, so it
+// continues exactly too. Because a Chain
+// holds no signal state, one compiled chain serves every stream of a
+// design. TestChainContinuation pins that a run over [history | block]
+// from len(history) equals the tail of a whole-signal run, for every
+// strategy in both compilation modes.
 //
 // # Fallback to the bit-serial oracle
 //

@@ -7,26 +7,25 @@ import (
 	"github.com/xbiosip/xbiosip/internal/arith"
 )
 
-// This file holds the batched slice kernels: whole-signal variants of the
-// signed accumulation datapaths that process one sample vector per call.
+// This file holds the slice kernels: the signed accumulation datapaths
+// evaluated over a sample vector per call.
 //
-// The per-sample hot path pays one indirect call per elementary operation
-// (package dsp chains them tap by tap through AddSigned/SubSigned). The
-// slice kernels hoist that call out of the loops entirely: a Chain runs a
-// FIR's complete per-sample product accumulation — every tap's table
-// lookup and the adder's closed form inlined, the accumulator held in a
-// register — as one call per signal, and FoldSlice collapses an
-// integrator window to one call per sample. For the chunk-LUT kinds
-// (AMA1/AMA3) a region of up to eight approximated LSBs is one packed
-// byte-wide table access per operation, so the paper's configurations
-// (k <= 16) cost at most two lookups per accumulate.
+// Folding a FIR's taps through AddSigned/SubSigned pays one indirect call
+// per elementary operation. The slice kernels hoist that call out of the
+// loops entirely: a Chain runs a FIR's complete per-sample product
+// accumulation — every tap's table lookup and the adder's closed form
+// inlined, the accumulator held in a register — as one call per span of
+// positions, and FoldSlice collapses an integrator window to one call per
+// sample. For the chunk-LUT kinds (AMA1/AMA3) a region of up to eight
+// approximated LSBs is one packed byte-wide table access per operation,
+// so the paper's configurations (k <= 16) cost at most two lookups per
+// accumulate.
 //
 // Chains also own the decision of which product representations exist at
 // all: a tap the strategy reads only through a wiring-chain projection
 // never materializes its 2^Width raw product table (NewChain builds the
-// projection straight from the compiled multiplier plan), so a batch-only
-// workload — the design-space exploration — keeps just the boundary taps'
-// raw tables. See dsp.FIR for the per-sample side of that laziness.
+// projection straight from the compiled multiplier plan), so a design
+// keeps just its wiring chains' boundary-tap raw tables.
 //
 // Every slice kernel is bit-identical to folding the corresponding scalar
 // operations over the vector; slice_test.go checks all cell kinds in both
@@ -93,39 +92,42 @@ func (p ProjTable) Same(q ProjTable) bool {
 // add per tap, see wiringChain), tab32 the full table inline, mul the
 // fallback closure (table-free exact tier, decomposed tier, int64
 // tables). tab is the raw-table handle for footprint accounting (nil for
-// projected taps, whose raw tables are never built). c carries the signed
-// coefficient for the fused exact-MAC strategy; neg is the subtract flag
-// lowered to the operand XOR mask / carry-in the strategy loops consume
-// branch-free.
+// projected taps, whose raw tables are never built). neg is the subtract
+// flag lowered to the operand XOR mask / carry-in the strategy loops
+// consume branch-free.
 type chainOp struct {
 	proj  ProjTable
 	tab32 []int32
 	mul   func(int64) int64
 	tab   *ConstMulTable
-	c     int64
 	mask  uint64
 	neg   uint64 // 0 for add, ^0 for subtract (operand inversion + carry)
 	lag   int
 }
 
-// chainFunc runs a compiled chain over a whole signal (see Chain.Run).
-type chainFunc func(c *Chain, dst, xs []int64, outShift uint, outWidth int)
+// macTap is one tap of the fused exact-MAC strategy: the signed
+// coefficient and the lag, packed tight so the loop over the taps
+// stays within a cache line or two.
+type macTap struct {
+	c   int64
+	lag int
+}
+
+// chainFunc evaluates a compiled chain at positions from..len(dst)-1 (see
+// Chain.Run).
+type chainFunc func(c *Chain, dst, xs []int64, from int, outShift uint, outWidth int)
 
 // Chain is a compiled accumulation chain: the full per-sample fold of a
 // FIR's tap products through one adder, evaluated sample-major with the
 // adder's closed form inlined per tap. Build chains with Adder.NewChain.
+// A Chain is immutable and holds no signal state, so one Chain serves
+// any number of streams on any number of goroutines.
 type Chain struct {
 	ad    *Adder
 	ops   []chainOp
 	fn    chainFunc
 	fused bool // the chain compiled to the native multiply-accumulate loop
 }
-
-// Fused reports whether the chain collapsed to the native
-// multiply-accumulate loop (exact adder, exact in-range products). The
-// per-sample scalar paths consult it so their fast path and the batch
-// kernel share one fusibility decision.
-func (c *Chain) Fused() bool { return c.fused }
 
 // NewChain compiles the accumulation chain of the given taps, all
 // multiplying through spec. The first tap starts each sample's chain (its
@@ -148,6 +150,7 @@ func (c *Chain) Fused() bool { return c.fused }
 func (ad *Adder) NewChain(spec arith.Multiplier, ops []ChainOp) (*Chain, error) {
 	c := &Chain{ad: ad, fn: ad.chain}
 	if len(ops) == 0 {
+		c.fn = emptyChain
 		return c, nil
 	}
 	m, err := CachedMultiplier(spec)
@@ -157,10 +160,9 @@ func (ad *Adder) NewChain(spec arith.Multiplier, ops []ChainOp) (*Chain, error) 
 	c.ops = make([]chainOp, 0, len(ops))
 	mac := ad.exact
 	for _, op := range ops {
-		co := chainOp{c: op.Coeff, mask: m.opMask, lag: op.Lag}
+		co := chainOp{mask: m.opMask, lag: op.Lag}
 		if op.Sub {
 			co.neg = ^uint64(0)
-			co.c = -co.c
 		}
 		if !m.exact || op.Coeff < 0 || op.Coeff >= int64(1)<<(spec.Width-1) {
 			mac = false
@@ -168,7 +170,14 @@ func (ad *Adder) NewChain(spec arith.Multiplier, ops []ChainOp) (*Chain, error) 
 		c.ops = append(c.ops, co)
 	}
 	if mac {
-		c.fn = macChain(ad.spec.Width)
+		taps := make([]macTap, len(ops))
+		for o, op := range ops {
+			taps[o] = macTap{c: op.Coeff, lag: op.Lag}
+			if op.Sub {
+				taps[o].c = -op.Coeff
+			}
+		}
+		c.fn = macChain(ad.spec.Width, taps)
 		c.fused = true
 		return c, nil
 	}
@@ -292,15 +301,24 @@ func slidingWiringT[T uint16 | uint32](w, k int, invA bool, plan slidePlan, tab 
 	mW := mask(w)
 	mk := mask(k)
 	ku := uint(k)
-	return func(c *Chain, dst, xs []int64, outShift uint, outWidth int) {
+	return func(c *Chain, dst, xs []int64, from int, outShift uint, outWidth int) {
 		ops := c.ops
 		ad := c.ad
 		last := len(ops) - 1
 		tm := plan.mask
-		// Window state for the virtual sample before the signal: every
-		// covered lag reads the zero-filled prefix.
-		S := uint64(plan.terms) * uint64(tab[0])
-		for i := range dst {
+		// Seed the window at position from-1 from the samples before
+		// from, zero before xs[0]. The first slide drops the term of
+		// sample from-1-b that the seed added the same way, so at every
+		// position the window holds exactly its covered lags' terms.
+		var S uint64
+		for l := plan.a; l <= plan.b; l++ {
+			var x int64
+			if j := from - 1 - l; j >= 0 {
+				x = xs[j]
+			}
+			S += uint64(tab[uint64(x)&tm])
+		}
+		for i := from; i < len(dst); i++ {
 			// Slide: lag a of sample i enters, lag b of sample i-1 leaves.
 			var xn, xo int64
 			if j := i - plan.a; j >= 0 {
@@ -355,21 +373,25 @@ func slidingWiringT[T uint16 | uint32](w, k int, invA bool, plan slidePlan, tab 
 // macChain is the fused fully-exact chain: one native multiply-accumulate
 // per tap with the signed coefficients folded in, equivalent to the
 // nativeChain sum of sliced exact products (see NewChain).
-func macChain(w int) chainFunc {
-	mW := mask(w)
-	return func(c *Chain, dst, xs []int64, outShift uint, outWidth int) {
-		ops := c.ops
-		for i := range dst {
+//
+// macChain itself must not inline: the compiler does not inline calls
+// inside the closure of an inlined function, and an out-of-line finish
+// would spill the loop's registers at every position.
+//
+//go:noinline
+func macChain(w int, taps []macTap) chainFunc {
+	return func(_ *Chain, dst, xs []int64, from int, outShift uint, outWidth int) {
+		for i := from; i < len(dst); i++ {
 			var s int64
-			for o := range ops {
-				op := &ops[o]
+			for o := range taps {
+				t := &taps[o]
 				var x int64
-				if j := i - op.lag; j >= 0 {
+				if j := i - t.lag; j >= 0 {
 					x = xs[j]
 				}
-				s += x * op.c
+				s += x * t.c
 			}
-			dst[i] = finish(uint64(s)&mW, w, outShift, outWidth)
+			dst[i] = finish(uint64(s), w, outShift, outWidth)
 		}
 	}
 }
@@ -400,9 +422,7 @@ func (c *Chain) ProjTables() []ProjTable {
 
 // RawTables returns the distinct raw product tables the chain
 // materialized: every tap's for the generic strategies, only the boundary
-// taps' for wiring chains, none for a fused chain. The projected taps'
-// raw tables do not exist unless another consumer (the per-sample FIR
-// path) builds them.
+// taps' for wiring chains, none for a fused chain.
 func (c *Chain) RawTables() []*ConstMulTable {
 	var out []*ConstMulTable
 	seen := map[*ConstMulTable]bool{}
@@ -417,19 +437,28 @@ func (c *Chain) RawTables() []*ConstMulTable {
 	return out
 }
 
-// Run evaluates the chain for every sample of xs into dst (dst[i] from the
-// delayed samples xs[i-lag], reading zero before the start of the signal)
+// Run evaluates the chain at positions from..len(dst)-1 of the signal xs
+// (dst[i] from the delayed samples xs[i-lag], reading zero before xs[0])
 // and applies the output bus slicing: the accumulator is sign-extended,
-// shifted right by outShift and sliced to outWidth bits. dst and xs must
-// not overlap. Run on an empty chain writes the sliced zero accumulator.
-func (c *Chain) Run(dst, xs []int64, outShift uint, outWidth int) {
-	if len(c.ops) == 0 {
-		for i := range dst {
-			dst[i] = arith.ToSigned(0, outWidth)
-		}
-		return
-	}
-	c.fn(c, dst, xs, outShift, outWidth)
+// shifted right by outShift and sliced to outWidth bits. dst[:from] is
+// left untouched. dst and xs must have equal lengths and must not
+// overlap, from must lie in [0, len(dst)], outShift below 64 and
+// outWidth in [1, 64]. Run on an empty chain writes the sliced zero
+// accumulator.
+//
+// The start index is how every caller continues a signal: from = 0 runs a
+// whole record, and packing at least the deepest tap lag's worth of a
+// stream's last inputs ahead of a block and running from their count
+// yields exactly the outputs the whole signal has at the block's
+// positions. Only positions from on are evaluated; no history position
+// is computed and discarded.
+func (c *Chain) Run(dst, xs []int64, from int, outShift uint, outWidth int) {
+	c.fn(c, dst, xs, from, outShift, outWidth)
+}
+
+// emptyChain is the chain of no taps: the sliced zero accumulator.
+func emptyChain(_ *Chain, dst, _ []int64, from int, _ uint, _ int) {
+	clear(dst[from:])
 }
 
 // product evaluates one tap's delayed sample product (samples before the
@@ -459,9 +488,15 @@ func (c *Chain) start(xs []int64, i int) (acc uint64) {
 	return uint64(p)
 }
 
-// finish applies the output bus slicing to a masked accumulator.
+// finish applies the output bus slicing to a masked accumulator: it is
+// arith.ToSigned(uint64(arith.ToSigned(acc, w))>>outShift, outWidth) for
+// widths in [1, 64] and shifts below 64, written as masked shift pairs so
+// that it inlines to plain shifts. A call left in a strategy loop would
+// force every live value of the loop onto the stack, which is most of the
+// cost of a one-position Run.
 func finish(acc uint64, w int, outShift uint, outWidth int) int64 {
-	return arith.ToSigned(uint64(arith.ToSigned(acc, w))>>outShift, outWidth)
+	sw, so := uint(64-w)&63, uint(64-outWidth)&63
+	return int64(uint64(int64(acc<<sw)>>sw)>>(outShift&63)<<so) >> so
 }
 
 // compileChain picks the chain evaluation strategy for spec.
@@ -488,10 +523,10 @@ func compileChain(spec arith.Adder, enabled bool) chainFunc {
 // models stay on the evaluation path.
 func genericChain(w int) chainFunc {
 	mW := mask(w)
-	return func(c *Chain, dst, xs []int64, outShift uint, outWidth int) {
+	return func(c *Chain, dst, xs []int64, from int, outShift uint, outWidth int) {
 		ops := c.ops
 		ad := c.ad
-		for i := range dst {
+		for i := from; i < len(dst); i++ {
 			acc := ops[0].product(xs, i)
 			if ops[0].neg != 0 {
 				acc = ad.subS(0, acc)
@@ -516,9 +551,9 @@ func genericChain(w int) chainFunc {
 // independent.
 func nativeChain(w int) chainFunc {
 	mW := mask(w)
-	return func(c *Chain, dst, xs []int64, outShift uint, outWidth int) {
+	return func(c *Chain, dst, xs []int64, from int, outShift uint, outWidth int) {
 		ops := c.ops
-		for i := range dst {
+		for i := from; i < len(dst); i++ {
 			var s uint64
 			for o := range ops {
 				op := &ops[o]
@@ -554,14 +589,14 @@ func wiringChain(w, k int, invA bool) chainFunc {
 	mW := mask(w)
 	mk := mask(k)
 	ku := uint(k)
-	return func(c *Chain, dst, xs []int64, outShift uint, outWidth int) {
+	return func(c *Chain, dst, xs []int64, from int, outShift uint, outWidth int) {
 		ops := c.ops
 		ad := c.ad
 		last := len(ops) - 1
 		if last == 0 {
 			// Single-tap chain: the opening accumulator is the result.
 			op0 := &ops[0]
-			for i := range dst {
+			for i := from; i < len(dst); i++ {
 				p0 := op0.product(xs, i)
 				var acc uint64
 				if op0.neg != 0 {
@@ -577,7 +612,7 @@ func wiringChain(w, k int, invA bool) chainFunc {
 			// AMA4: carries alternate with the opening low bits; the low
 			// region complements once per step.
 			steps := uint64(last)
-			for i := range dst {
+			for i := from; i < len(dst); i++ {
 				op0 := &ops[0]
 				p0 := op0.product(xs, i)
 				var acc uint64
@@ -611,7 +646,7 @@ func wiringChain(w, k int, invA bool) chainFunc {
 		// AMA5: every tap before the last is one projection load; the last
 		// operand keeps the low region.
 		opL := &ops[last]
-		for i := range dst {
+		for i := from; i < len(dst); i++ {
 			var u uint64
 			for o := 0; o < last; o++ {
 				op := &ops[o]
@@ -713,9 +748,9 @@ func cachedChainProj(m *Multiplier, coeff int64, w, k int, neg, round bool) Proj
 func ama2Chain(w, k int) chainFunc {
 	mW := mask(w)
 	mk := mask(k)
-	return func(c *Chain, dst, xs []int64, outShift uint, outWidth int) {
+	return func(c *Chain, dst, xs []int64, from int, outShift uint, outWidth int) {
 		ops := c.ops
-		for i := range dst {
+		for i := from; i < len(dst); i++ {
 			acc := c.start(xs, i) & mW
 			for o := 1; o < len(ops); o++ {
 				op := &ops[o]
@@ -739,9 +774,9 @@ func chunkChain(w, k int, kind approx.AdderKind) chainFunc {
 	mW := mask(w)
 	lut := chunkLUT(kind)
 	ku := uint(k)
-	return func(c *Chain, dst, xs []int64, outShift uint, outWidth int) {
+	return func(c *Chain, dst, xs []int64, from int, outShift uint, outWidth int) {
 		ops := c.ops
-		for i := range dst {
+		for i := from; i < len(dst); i++ {
 			acc := c.start(xs, i) & mW
 			for o := 1; o < len(ops); o++ {
 				op := &ops[o]

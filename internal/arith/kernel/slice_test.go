@@ -128,7 +128,7 @@ func TestChainMatchesScalar(t *testing.T) {
 						t.Fatal(err)
 					}
 					dst := make([]int64, n)
-					chain.Run(dst, xs, shift, outW)
+					chain.Run(dst, xs, 0, shift, outW)
 					for i := 0; i < n; i++ {
 						want := scalarChain(ad, ref, ops, xs, i, shift, outW)
 						if dst[i] != want {
@@ -149,6 +149,87 @@ func TestChainMatchesScalar(t *testing.T) {
 					}
 					if got != want {
 						t.Fatalf("%+v: FoldSlice(len=%d) = %d, scalar chain %d", spec, wlen, got, want)
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestChainContinuation pins the start-index contract every continuing
+// caller relies on: Run over [history | block] from len(history) writes
+// exactly the tail of Run over the whole signal at the block's positions
+// and leaves dst[:from] untouched, for every chain strategy — native,
+// fused MAC, AMA2, chunk LUT, plain and sliding wiring, single tap,
+// empty — in both compilation modes. Histories run from the deepest tap
+// lag (the least that is exact) up to the whole signal prefix.
+func TestChainContinuation(t *testing.T) {
+	hpf := make([]ChainOp, 32)
+	for i := range hpf {
+		hpf[i] = ChainOp{Coeff: 1, Lag: i, Sub: true}
+	}
+	hpf[16] = ChainOp{Coeff: 31, Lag: 16}
+	shapes := [][]ChainOp{
+		hpf,
+		{{Coeff: 1, Lag: 0}, {Coeff: 3, Lag: 1, Sub: true}, {Coeff: 2, Lag: 5}, {Coeff: 31, Lag: 12, Sub: true}},
+		{{Coeff: 2, Lag: 4, Sub: true}},
+		{},
+	}
+	exactMul := arith.Multiplier{Width: 16, ApproxLSBs: 0, Mult: approx.AccMult, Add: approx.AccAdd}
+	const sentinel = int64(-1) << 40
+	for _, mode := range []bool{true, false} {
+		mode := mode
+		t.Run(fmt.Sprintf("kernels=%v", mode), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(19))
+			xs := make([]int64, 160)
+			for i := range xs {
+				xs[i] = int64(int16(rng.Uint64()))
+			}
+			whole := make([]int64, len(xs))
+			for _, kind := range approx.AdderKinds {
+				for _, k := range []int{0, 4, 9, 16} {
+					ad, err := compileAdderMode(arith.Adder{Width: 32, ApproxLSBs: k, Kind: kind}, mode)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for _, mul := range []arith.Multiplier{chainTestSpec, exactMul} {
+						for ci, ops := range shapes {
+							chain, err := ad.NewChain(mul, ops)
+							if err != nil {
+								t.Fatal(err)
+							}
+							maxLag := 0
+							for _, op := range ops {
+								if op.Lag > maxLag {
+									maxLag = op.Lag
+								}
+							}
+							chain.Run(whole, xs, 0, 3, 29)
+							for s := 0; s < len(xs); s += 1 + rng.Intn(40) {
+								e := s + rng.Intn(len(xs)-s+1)
+								for _, h := range []int{maxLag, maxLag + 1, s} {
+									if h > s {
+										h = s
+									}
+									in := xs[s-h : e]
+									dst := make([]int64, len(in))
+									for i := range dst {
+										dst[i] = sentinel
+									}
+									chain.Run(dst, in, h, 3, 29)
+									for i := range dst {
+										want := sentinel
+										if i >= h {
+											want = whole[s-h+i]
+										}
+										if dst[i] != want {
+											t.Fatalf("%v k=%d mul %v chain %d: block [%d,%d) history %d: dst[%d] = %d, want %d",
+												kind, k, mul, ci, s, e, h, i, dst[i], want)
+										}
+									}
+								}
+							}
+						}
 					}
 				}
 			}
@@ -196,14 +277,14 @@ func TestExactChainFusion(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !chain.Fused() {
+		if !chain.fused {
 			t.Fatalf("in-range exact chain did not fuse")
 		}
 		if len(chain.RawTables()) != 0 {
 			t.Fatalf("fused chain materialized %d raw tables", len(chain.RawTables()))
 		}
 		dst := make([]int64, n)
-		chain.Run(dst, xs, 5, 16)
+		chain.Run(dst, xs, 0, 5, 16)
 		for i := 0; i < n; i++ {
 			if want := scalarChain(ad, ref, ops, xs, i, 5, 16); dst[i] != want {
 				t.Fatalf("fused chain: Run[%d] = %d, scalar %d", i, dst[i], want)
@@ -215,11 +296,11 @@ func TestExactChainFusion(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if chain.Fused() != wantFused[ci] {
-			t.Fatalf("chain %d: fused = %v, want %v", ci, chain.Fused(), wantFused[ci])
+		if chain.fused != wantFused[ci] {
+			t.Fatalf("chain %d: fused = %v, want %v", ci, chain.fused, wantFused[ci])
 		}
 		dst := make([]int64, n)
-		chain.Run(dst, xs, 5, 16)
+		chain.Run(dst, xs, 0, 5, 16)
 		for i := 0; i < n; i++ {
 			if want := scalarChain(ad, ref, ops, xs, i, 5, 16); dst[i] != want {
 				t.Fatalf("chain %d: Run[%d] = %d, scalar %d", ci, i, dst[i], want)

@@ -9,9 +9,9 @@ import (
 	"github.com/xbiosip/xbiosip/internal/arith/kernel"
 )
 
-// batchCfgs are the stage configurations the dsp block-path equivalence
-// tests sweep: exact, a wiring-mask kind and a LUT kind.
-func batchCfgs() []ArithConfig {
+// blockCfgs are the stage configurations the integrator and squarer
+// block-path tests sweep: exact, a wiring-mask kind and a LUT kind.
+func blockCfgs() []ArithConfig {
 	return []ArithConfig{
 		Accurate(),
 		{LSBs: 8, Add: approx.ApproxAdd5, Mul: approx.AppMultV1},
@@ -20,7 +20,7 @@ func batchCfgs() []ArithConfig {
 }
 
 // raggedBlocks cuts n samples into pseudo-random block lengths
-// (including empty blocks), the shape a batched drain produces.
+// (including empty blocks), the shape a serve drain produces.
 func raggedBlocks(n, seed int) []int {
 	var blocks []int
 	left := n
@@ -35,75 +35,6 @@ func raggedBlocks(n, seed int) []int {
 	return blocks
 }
 
-// TestFIRBatchHooksMatchProcess drives one filter sample by sample and
-// a second same-config filter through the batch hooks — History feeding
-// a kernel.BatchChain round, Advance committing the block — in ragged
-// blocks, checking the outputs and the delay-line state stay
-// bit-identical in both kernel modes.
-func TestFIRBatchHooksMatchProcess(t *testing.T) {
-	hpf := make([]int64, 32)
-	for i := range hpf {
-		hpf[i] = -1
-	}
-	hpf[16] = 31
-	shapes := [][]int64{
-		{1, 2, 3, 4, 5, 6, 5, 4, 3, 2, 1},
-		hpf,
-		{2, 1, 0, -1, -2},
-	}
-	for _, mode := range []bool{true, false} {
-		mode := mode
-		t.Run(fmt.Sprintf("kernels=%v", mode), func(t *testing.T) {
-			prev := kernel.SetEnabled(mode)
-			defer kernel.SetEnabled(prev)
-			rng := rand.New(rand.NewSource(11))
-			for _, cfg := range batchCfgs() {
-				for si, coeffs := range shapes {
-					scalar, err := NewFIR(coeffs, 5, cfg)
-					if err != nil {
-						t.Fatal(err)
-					}
-					batch, err := NewFIR(coeffs, 5, cfg)
-					if err != nil {
-						t.Fatal(err)
-					}
-					bc := batch.Chain().NewBatch()
-					xs := make([]int64, 173)
-					for i := range xs {
-						xs[i] = int64(int16(rng.Uint64()))
-					}
-					pos := 0
-					for _, n := range raggedBlocks(len(xs), si+3) {
-						block := xs[pos : pos+n]
-						want := make([]int64, n)
-						for i, x := range block {
-							want[i] = scalar.Process(x)
-						}
-						got := make([]int64, n)
-						bc.Run([]kernel.BatchIn{{Hist: batch.History(), Xs: block, Dst: got}},
-							uint(batch.OutShift()), SampleWidth)
-						batch.Advance(block)
-						for i := range got {
-							if got[i] != want[i] {
-								t.Fatalf("cfg %v shape %d sample %d: batch %d, scalar %d",
-									cfg, si, pos+i, got[i], want[i])
-							}
-						}
-						pos += n
-					}
-					sh, bh := scalar.History(), batch.History()
-					for i := range sh {
-						if sh[i] != bh[i] {
-							t.Fatalf("cfg %v shape %d: history diverged at %d: %d vs %d",
-								cfg, si, i, bh[i], sh[i])
-						}
-					}
-				}
-			}
-		})
-	}
-}
-
 // TestMovingSumProcessBlock checks the block continuation path against
 // per-sample Process from a mid-stream state, for exact and approximate
 // adders in both kernel modes (the oracle mode always takes the
@@ -115,7 +46,7 @@ func TestMovingSumProcessBlock(t *testing.T) {
 			prev := kernel.SetEnabled(mode)
 			defer kernel.SetEnabled(prev)
 			rng := rand.New(rand.NewSource(29))
-			for _, cfg := range batchCfgs() {
+			for _, cfg := range blockCfgs() {
 				scalar, err := NewMovingSum(8, 3, cfg)
 				if err != nil {
 					t.Fatal(err)
@@ -158,7 +89,7 @@ func TestMovingSumProcessBlock(t *testing.T) {
 // TestSquarerProcessBlock checks the block squarer against Process,
 // including the aliased dst == xs form.
 func TestSquarerProcessBlock(t *testing.T) {
-	for _, cfg := range batchCfgs() {
+	for _, cfg := range blockCfgs() {
 		sq, err := NewSquarer(1, cfg)
 		if err != nil {
 			t.Fatal(err)

@@ -6,6 +6,12 @@
 // compiled word-parallel kernels (package arith/kernel) that are
 // equivalence-tested against the bit-serial behavioural models of package
 // arith, so the output equals what the generated hardware computes.
+//
+// Each stage compiles its arithmetic once and keeps it immutable; its only
+// state is its delay line. A FIR evaluates through one chain kernel
+// whether it runs a whole record (FilterInto), a stream's next block
+// (Block) or a single sample (Process), and Clone gives another stream its
+// own delay line over the same compiled stage.
 package dsp
 
 import (
@@ -17,10 +23,9 @@ import (
 	"github.com/xbiosip/xbiosip/internal/arith/kernel"
 )
 
-// overlaps reports whether two slices share any backing memory. The batch
-// kernels read delayed input samples after earlier output indices were
-// written, so overlapping buffers must be split (the per-sample paths
-// copied inputs into the delay line first and tolerated any overlap).
+// overlaps reports whether two slices share any backing memory. The
+// whole-signal paths read input samples after earlier output indices
+// were written, so overlapping buffers must be split.
 func overlaps(a, b []int64) bool {
 	if len(a) == 0 || len(b) == 0 {
 		return false
@@ -57,52 +62,29 @@ const SampleWidth = 16
 const AccWidth = 32
 
 // FIR is a direct-form FIR filter with constant integer coefficients. Each
-// tap multiplies through a bit-true approximate multiplier (realised as an
-// exhaustive lookup table per coefficient) and the products accumulate
-// through an approximate ripple-carry adder chain in tap order, exactly
-// mirroring the generated stage netlist: negative coefficients subtract
-// their product magnitude.
+// tap multiplies through a bit-true approximate multiplier and the
+// products accumulate through an approximate ripple-carry adder chain in
+// tap order, exactly mirroring the generated stage netlist: negative
+// coefficients subtract their product magnitude.
 //
-// Raw per-coefficient product tables are built lazily: the batch path
-// (FilterInto) runs the compiled chain, which for the wiring cells
-// (AMA4/AMA5) touches only the boundary taps' raw tables — every other
-// tap reads a projection — so a batch-only workload (the design-space
-// exploration) never pays for the interior tables. The per-sample path
-// (Process) materializes its tap tables on first use.
+// The taps compile once into a kernel.Chain, and every entry point —
+// FilterInto over a whole record, Block over a stream's next block,
+// Process over one sample — evaluates through it; they differ only in
+// the start index of the Chain.Run call. The chain is immutable, so the
+// filter's only state is its delay line, and Clone hands a stream its
+// own delay line over the same chain.
 type FIR struct {
 	coeffs   []int64
-	mult     arith.Multiplier
-	ops      []firOp       // non-zero taps in tap order (built on first Process)
-	opsReady bool          // per-sample tap tables materialized
-	chain    *kernel.Chain // the taps compiled as one slice kernel
-	adder    *kernel.Adder
-	mac      []macOp // fused fully-exact taps (nil when not applicable)
-	outShift int
-	// hist is the delay line stored twice (hist[i] == hist[i+n]), so a
-	// tap's sample is always hist[pos+n-lag] and the hot loop has no
-	// wraparound branch.
-	hist []int64
-	n    int
+	chain    *kernel.Chain
+	outShift uint
+	// ring is the delay line: the last Len() inputs stored twice
+	// (ring[i] == ring[i+n]), so ring[pos:pos+n] is always the window
+	// of those inputs oldest first.
+	ring []int64
 	pos  int
-}
-
-// firOp is one non-zero tap of the compiled accumulation chain. The
-// product evaluates through ConstMulTable.Mul, whose full-table tier
-// inlines to a single load here.
-type firOp struct {
-	tab *kernel.ConstMulTable
-	lag int  // delay-line age of the tap's sample
-	sub bool // negative coefficient: subtract the product magnitude
-}
-
-// macOp is one tap of the fused fully-exact per-sample path: with an exact
-// adder and exact in-range products the whole chain is native
-// multiply-accumulate (see kernel.Adder.NewChain for the equivalence
-// argument), so the streaming hot path needs no tables and no indirect
-// calls.
-type macOp struct {
-	c   int64
-	lag int
+	// win receives Process's output at win[n-1] (Chain.Run writes a dst
+	// as long as its input).
+	win []int64
 }
 
 // NewFIR builds the filter. outShift is the right shift applied to the
@@ -118,23 +100,9 @@ func NewFIR(coeffs []int64, outShift int, cfg ArithConfig) (*FIR, error) {
 	if err := mult.Validate(); err != nil {
 		return nil, err
 	}
-	if mult.Width > 16 {
-		// The lazy per-sample tables must not be able to fail later; a
-		// full table is 2^Width entries, the same bound NewConstMulTable
-		// enforces.
-		return nil, fmt.Errorf("dsp: FIR sample width %d exceeds 16", mult.Width)
-	}
 	adder, err := kernel.CachedAdder(arith.Adder{Width: AccWidth, ApproxLSBs: cfg.LSBs, Kind: cfg.Add})
 	if err != nil {
 		return nil, err
-	}
-	f := &FIR{
-		coeffs:   append([]int64(nil), coeffs...),
-		mult:     mult,
-		adder:    adder,
-		outShift: outShift,
-		hist:     make([]int64, 2*len(coeffs)),
-		n:        len(coeffs),
 	}
 	chainOps := make([]kernel.ChainOp, 0, len(coeffs))
 	for i, c := range coeffs {
@@ -147,76 +115,32 @@ func NewFIR(coeffs []int64, outShift int, cfg ArithConfig) (*FIR, error) {
 		}
 		chainOps = append(chainOps, kernel.ChainOp{Coeff: mag, Lag: i, Sub: c < 0})
 	}
-	f.chain, err = adder.NewChain(mult, chainOps)
+	chain, err := adder.NewChain(mult, chainOps)
 	if err != nil {
 		return nil, err
 	}
-	if f.chain.Fused() && len(chainOps) > 0 {
-		// The batch kernel collapsed to native MAC; mirror it on the
-		// per-sample path so both share one fusibility decision.
-		f.mac = make([]macOp, 0, len(chainOps))
-		for i, c := range coeffs {
-			if c != 0 {
-				f.mac = append(f.mac, macOp{c: c, lag: i})
-			}
-		}
-	}
-	return f, nil
+	f := &FIR{coeffs: append([]int64(nil), coeffs...), chain: chain, outShift: uint(outShift)}
+	return f.Clone(), nil
 }
 
-// initOps materializes the per-sample tap tables (one per distinct
-// coefficient magnitude, shared through the global kernel cache). The
-// specs were validated in NewFIR, so a build failure here is impossible.
-func (f *FIR) initOps() {
-	byMag := make(map[int64]*kernel.ConstMulTable, len(f.coeffs))
-	f.ops = make([]firOp, 0, len(f.coeffs))
-	for i, c := range f.coeffs {
-		if c == 0 {
-			continue
-		}
-		mag := c
-		if mag < 0 {
-			mag = -mag
-		}
-		tab, ok := byMag[mag]
-		if !ok {
-			var err error
-			tab, err = kernel.CachedConstMulTable(f.mult, mag)
-			if err != nil {
-				panic(fmt.Sprintf("dsp: FIR table for validated spec %+v coeff %d: %v", f.mult, mag, err))
-			}
-			byMag[mag] = tab
-		}
-		f.ops = append(f.ops, firOp{tab: tab, lag: i, sub: c < 0})
-	}
-	f.opsReady = true
+// Clone returns a filter over f's compiled taps with a cleared delay line
+// of its own. The taps are shared, not copied: they are immutable, so
+// clones may run on different goroutines.
+func (f *FIR) Clone() *FIR {
+	n := len(f.coeffs)
+	return &FIR{coeffs: f.coeffs, chain: f.chain, outShift: f.outShift,
+		ring: make([]int64, 2*n), win: make([]int64, n)}
 }
 
-// Tables returns the filter's distinct live product tables: the boundary
-// taps the batch chain materialized plus, once the per-sample path has
-// run, one table per coefficient magnitude. Tables that were never built
-// (projected wiring-chain taps under a batch-only workload) do not
-// appear — this is the honest footprint, mirroring kernel.CacheStats.
-func (f *FIR) Tables() []*kernel.ConstMulTable {
-	tabs := f.chain.RawTables()
-	if !f.opsReady {
-		return tabs
-	}
-	seen := make(map[*kernel.ConstMulTable]bool, len(tabs))
-	for _, t := range tabs {
-		seen[t] = true
-	}
-	for i := range f.ops {
-		if t := f.ops[i].tab; !seen[t] {
-			seen[t] = true
-			tabs = append(tabs, t)
-		}
-	}
-	return tabs
-}
+// Tables returns the distinct raw product tables the filter's chain
+// materialized: every tap's for the generic strategies, only the
+// boundary taps' for a wiring chain (its other taps read projections,
+// see ProjTables), none for an exact chain — the honest footprint,
+// mirroring kernel.CacheStats.
+func (f *FIR) Tables() []*kernel.ConstMulTable { return f.chain.RawTables() }
 
 // ProjTables returns the distinct chain projection tables the filter's
-// batched kernel consumes (see kernel.Chain.ProjTables).
+// chain consumes (see kernel.Chain.ProjTables).
 func (f *FIR) ProjTables() []kernel.ProjTable { return f.chain.ProjTables() }
 
 // Len returns the number of taps.
@@ -226,77 +150,66 @@ func (f *FIR) Len() int { return len(f.coeffs) }
 func (f *FIR) Coeffs() []int64 { return append([]int64(nil), f.coeffs...) }
 
 // Reset clears the delay line.
-func (f *FIR) Reset() {
-	for i := range f.hist {
-		f.hist[i] = 0
+func (f *FIR) Reset() { f.load(nil) }
+
+// load sets the delay line to the inputs ending with xs, zeros before
+// them, as if xs had been streamed from a cleared filter.
+func (f *FIR) load(xs []int64) {
+	n := len(f.coeffs)
+	if len(xs) > n {
+		xs = xs[len(xs)-n:]
 	}
+	w := f.ring[:n]
+	z := n - len(xs)
+	clear(w[:z])
+	copy(w[z:], xs)
+	copy(f.ring[n:], w)
 	f.pos = 0
 }
 
 // Process consumes one SampleWidth-bit sample and produces one output
-// sample (sign-extended from the hardware's output slice). The products
-// accumulate in tap order, first tap starting the chain, exactly like the
-// generated stage netlist.
+// sample (sign-extended from the hardware's output slice): the chain runs
+// at the last position of the delay-line window, in place.
 func (f *FIR) Process(x int64) int64 {
-	n := f.n
-	f.hist[f.pos] = x
-	f.hist[f.pos+n] = x
-	base := f.pos + n
-	f.pos++
-	if f.pos == n {
-		f.pos = 0
+	n, pos, ring := len(f.coeffs), f.pos, f.ring
+	ring[pos] = x
+	ring[pos+n] = x
+	if pos++; pos == n {
+		pos = 0
 	}
-	if mac := f.mac; mac != nil {
-		// Fused fully-exact path: native MAC, sliced to the accumulator
-		// width exactly like the generic chain leaves it (see macOp).
-		hist := f.hist
-		var s int64
-		for i := range mac {
-			op := &mac[i]
-			s += hist[base-op.lag] * op.c
-		}
-		acc := arith.ToSigned(uint64(s), AccWidth)
-		return arith.ToSigned(uint64(acc)>>uint(f.outShift), SampleWidth)
-	}
-	if !f.opsReady {
-		f.initOps()
-	}
-	var acc int64
-	if ops := f.ops; len(ops) > 0 {
-		adder := f.adder
-		hist := f.hist
-		p := ops[0].tab.Mul(hist[base-ops[0].lag])
-		if ops[0].sub {
-			acc = adder.SubSigned(0, p)
-		} else {
-			acc = p
-		}
-		for i := 1; i < len(ops); i++ {
-			op := &ops[i]
-			p := op.tab.Mul(hist[base-op.lag])
-			if op.sub {
-				acc = adder.SubSigned(acc, p)
-			} else {
-				acc = adder.AddSigned(acc, p)
-			}
-		}
-	}
-	return arith.ToSigned(uint64(acc)>>uint(f.outShift), SampleWidth)
+	f.pos = pos
+	f.chain.Run(f.win, ring[pos:pos+n], n-1, f.outShift, SampleWidth)
+	return f.win[n-1]
+}
+
+// Block continues the filter over a block of inputs, writing one output
+// per input to dst[:len(xs)] exactly as len(xs) calls of Process would.
+// It packs the last Len() inputs ahead of the block in buf and runs the
+// chain from there. buf is caller-owned scratch of any length: Block
+// returns it, grown when it was short, for reuse across calls and
+// filters.
+func (f *FIR) Block(dst, xs, buf []int64) []int64 {
+	n := len(f.coeffs)
+	m := n + len(xs)
+	buf = resize(buf, 2*m)
+	in, out := buf[:m], buf[m:]
+	copy(in, f.ring[f.pos:f.pos+n])
+	copy(in[n:], xs)
+	f.chain.Run(out, in, n, f.outShift, SampleWidth)
+	copy(dst[:len(xs)], out[n:])
+	f.load(in)
+	return buf
 }
 
 // Filter runs the filter over a whole signal from a cleared delay line.
 func (f *FIR) Filter(xs []int64) []int64 { return f.FilterInto(nil, xs) }
 
 // FilterInto is Filter writing into dst, which is grown only when its
-// capacity is insufficient — the batch path for callers that stream many
-// records without per-record allocation. It returns the output slice.
-//
-// The batch path runs the compiled chain kernel: every tap's product
-// lookup and the adder's closed form are inlined in one sample loop with
-// the accumulator in a register (no per-operation indirect calls), which
-// is bit-identical to the per-sample Process chain. The delay line is
-// left exactly as if the signal had been streamed, so Process may
-// continue where the batch ended.
+// capacity is insufficient — the path for callers that run many records
+// without per-record allocation. It returns the output slice. The chain
+// runs from position 0 of the record; the delay line is left exactly as
+// if the signal had been streamed, so Process or Block may continue where
+// the record ended.
 func (f *FIR) FilterInto(dst, xs []int64) []int64 {
 	dst = resize(dst, len(xs))
 	if overlaps(dst, xs) {
@@ -304,26 +217,9 @@ func (f *FIR) FilterInto(dst, xs []int64) []int64 {
 		// written; overlapping buffers must split.
 		dst = make([]int64, len(xs))
 	}
-	f.chain.Run(dst, xs, uint(f.outShift), SampleWidth)
-	f.seedState(xs)
+	f.chain.Run(dst, xs, 0, f.outShift, SampleWidth)
+	f.load(xs)
 	return dst
-}
-
-// seedState rebuilds the delay line as the per-sample path would have
-// left it after consuming xs from a cleared filter.
-func (f *FIR) seedState(xs []int64) {
-	f.Reset()
-	n := f.n
-	start := len(xs) - n
-	if start < 0 {
-		start = 0
-	}
-	for t := start; t < len(xs); t++ {
-		s := t % n
-		f.hist[s] = xs[t]
-		f.hist[s+n] = xs[t]
-	}
-	f.pos = len(xs) % n
 }
 
 // resize returns a slice of length n, reusing s's backing array when it is
@@ -363,14 +259,18 @@ func NewMovingSum(window, outShift int, cfg ArithConfig) (*MovingSum, error) {
 	return &MovingSum{adder: adder, outShift: outShift, hist: make([]int64, window)}, nil
 }
 
+// Clone returns an integrator over m's compiled adder with a cleared
+// window of its own; clones may run on different goroutines.
+func (m *MovingSum) Clone() *MovingSum {
+	return &MovingSum{adder: m.adder, outShift: m.outShift, hist: make([]int64, len(m.hist))}
+}
+
 // Window returns the integration window length.
 func (m *MovingSum) Window() int { return len(m.hist) }
 
 // Reset clears the delay line.
 func (m *MovingSum) Reset() {
-	for i := range m.hist {
-		m.hist[i] = 0
-	}
+	clear(m.hist)
 	m.pos = 0
 }
 
@@ -388,38 +288,34 @@ func (m *MovingSum) Process(x int64) int64 {
 	return arith.ToSigned(uint64(acc)>>uint(m.outShift), AccWidth-m.outShift)
 }
 
-// Filter runs the integrator over a whole signal from a cleared window.
-func (m *MovingSum) Filter(xs []int64) []int64 { return m.FilterInto(nil, xs) }
-
-// FilterInto is Filter writing into dst (grown only when needed). With an
-// exact adder the window sum slides (add the new sample, drop the
-// expired one) instead of re-folding the window per sample — bit-identical
-// because native addition is associative modulo the accumulator width; the
-// approximate chains are order-sensitive and keep the per-sample fold.
-func (m *MovingSum) FilterInto(dst, xs []int64) []int64 {
-	m.Reset()
-	dst = resize(dst, len(xs))
-	if overlaps(dst, xs) {
-		// The sliding sum reads expired samples — and the fold loop later
-		// inputs — after earlier output indices were written; overlapping
-		// buffers must split.
-		dst = make([]int64, len(xs))
-	}
+// ProcessBlock feeds a block through the integrator from its current
+// window, writing one output per input into dst (len(dst) must be at
+// least len(xs)) exactly as len(xs) calls of Process would. With an exact adder the
+// window sum slides — seeded from the live window, then add the new
+// sample and drop the expired one — which is bit-identical to the
+// per-sample fold because native addition is associative modulo the
+// accumulator width; approximate (and oracle-mode) adders are
+// order-sensitive and re-fold the window per sample.
+func (m *MovingSum) ProcessBlock(dst, xs []int64) {
 	w := len(m.hist)
 	shift := uint(m.outShift)
 	if m.adder.Exact() {
 		const mW = uint64(1)<<AccWidth - 1
 		var s int64
+		for _, v := range m.hist {
+			s += v
+		}
 		for i, x := range xs {
-			s += x
-			if i >= w {
-				s -= xs[i-w]
+			s += x - m.hist[m.pos]
+			m.hist[m.pos] = x
+			m.pos++
+			if m.pos == w {
+				m.pos = 0
 			}
 			acc := arith.ToSigned(uint64(s)&mW, AccWidth)
 			dst[i] = arith.ToSigned(uint64(acc)>>shift, AccWidth-m.outShift)
 		}
-		m.seedState(xs)
-		return dst
+		return
 	}
 	for i, x := range xs {
 		m.hist[m.pos] = x
@@ -430,21 +326,23 @@ func (m *MovingSum) FilterInto(dst, xs []int64) []int64 {
 		acc := m.adder.FoldSlice(m.hist)
 		dst[i] = arith.ToSigned(uint64(acc)>>shift, AccWidth-m.outShift)
 	}
-	return dst
 }
 
-// seedState rebuilds the ring as the per-sample path would have left it.
-func (m *MovingSum) seedState(xs []int64) {
+// Filter runs the integrator over a whole signal from a cleared window.
+func (m *MovingSum) Filter(xs []int64) []int64 { return m.FilterInto(nil, xs) }
+
+// FilterInto is Filter writing into dst (grown only when needed): a
+// cleared window followed by ProcessBlock over the record.
+func (m *MovingSum) FilterInto(dst, xs []int64) []int64 {
 	m.Reset()
-	w := len(m.hist)
-	start := len(xs) - w
-	if start < 0 {
-		start = 0
+	dst = resize(dst, len(xs))
+	if overlaps(dst, xs) {
+		// An output write would clobber a later input; overlapping
+		// buffers must split.
+		dst = make([]int64, len(xs))
 	}
-	for t := start; t < len(xs); t++ {
-		m.hist[t%w] = xs[t]
-	}
-	m.pos = len(xs) % w
+	m.ProcessBlock(dst, xs)
+	return dst
 }
 
 // Squarer is the point-by-point squaring stage (one 16x16 multiplier,
@@ -480,6 +378,12 @@ func (s *Squarer) Reset() {}
 // Process squares one sample.
 func (s *Squarer) Process(x int64) int64 {
 	return s.tab.Square(x) >> uint(s.outShift)
+}
+
+// ProcessBlock squares a block into dst (len(dst) must be at least
+// len(xs); dst may alias xs index-for-index).
+func (s *Squarer) ProcessBlock(dst, xs []int64) {
+	s.tab.SquareSlice(dst[:len(xs)], xs, uint(s.outShift))
 }
 
 // Filter squares a whole signal.

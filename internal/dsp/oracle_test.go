@@ -1,0 +1,198 @@
+package dsp
+
+import (
+	"fmt"
+	"math/rand"
+	"testing"
+
+	"github.com/xbiosip/xbiosip/internal/approx"
+	"github.com/xbiosip/xbiosip/internal/arith"
+	"github.com/xbiosip/xbiosip/internal/arith/kernel"
+)
+
+// oracleFIR is the per-tap accumulation loop FIR.Process ran before every
+// FIR entry point evaluated through the compiled chain: one product table
+// per non-zero tap and the adder's signed operations folded tap by tap
+// over a doubled delay line. It is frozen here as the reference the
+// chain-based paths are compared against; do not optimize it.
+type oracleFIR struct {
+	ops      []oracleOp
+	adder    *kernel.Adder
+	outShift int
+	hist     []int64
+	n        int
+	pos      int
+}
+
+type oracleOp struct {
+	tab *kernel.ConstMulTable
+	lag int  // delay-line age of the tap's sample
+	sub bool // negative coefficient: subtract the product magnitude
+}
+
+func newOracleFIR(t *testing.T, coeffs []int64, outShift int, cfg ArithConfig) *oracleFIR {
+	t.Helper()
+	mult := arith.Multiplier{Width: SampleWidth, ApproxLSBs: cfg.LSBs, Mult: cfg.Mul, Add: cfg.Add}
+	adder, err := kernel.CachedAdder(arith.Adder{Width: AccWidth, ApproxLSBs: cfg.LSBs, Kind: cfg.Add})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := &oracleFIR{adder: adder, outShift: outShift, hist: make([]int64, 2*len(coeffs)), n: len(coeffs)}
+	for i, c := range coeffs {
+		if c == 0 {
+			continue
+		}
+		mag := c
+		if mag < 0 {
+			mag = -mag
+		}
+		tab, err := kernel.CachedConstMulTable(mult, mag)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f.ops = append(f.ops, oracleOp{tab: tab, lag: i, sub: c < 0})
+	}
+	return f
+}
+
+func (f *oracleFIR) Reset() {
+	for i := range f.hist {
+		f.hist[i] = 0
+	}
+	f.pos = 0
+}
+
+func (f *oracleFIR) Process(x int64) int64 {
+	n := f.n
+	f.hist[f.pos] = x
+	f.hist[f.pos+n] = x
+	base := f.pos + n
+	f.pos++
+	if f.pos == n {
+		f.pos = 0
+	}
+	var acc int64
+	if ops := f.ops; len(ops) > 0 {
+		adder := f.adder
+		hist := f.hist
+		p := ops[0].tab.Mul(hist[base-ops[0].lag])
+		if ops[0].sub {
+			acc = adder.SubSigned(0, p)
+		} else {
+			acc = p
+		}
+		for i := 1; i < len(ops); i++ {
+			op := &ops[i]
+			p := op.tab.Mul(hist[base-op.lag])
+			if op.sub {
+				acc = adder.SubSigned(acc, p)
+			} else {
+				acc = adder.AddSigned(acc, p)
+			}
+		}
+	}
+	return arith.ToSigned(uint64(acc)>>uint(f.outShift), SampleWidth)
+}
+
+// oracleShapes are the tap shapes the FIR differential crosses: the three
+// Pan-Tompkins filters, a single tap, interior and leading zero
+// coefficients, and an all-zero filter (an empty chain).
+func oracleShapes() map[string][]int64 {
+	hpf := make([]int64, 32)
+	for i := range hpf {
+		hpf[i] = -1
+	}
+	hpf[16] = 31
+	return map[string][]int64{
+		"lpf":      {1, 2, 3, 4, 5, 6, 5, 4, 3, 2, 1},
+		"hpf":      hpf,
+		"der":      {2, 1, 0, -1, -2},
+		"one-tap":  {-3},
+		"zeros":    {0, 4, 0, -1},
+		"all-zero": {0},
+	}
+}
+
+// TestFIRMatchesOracle is the seeded differential of every FIR entry
+// point against the frozen per-tap oracle: random interleavings of
+// Process, Block (lengths 0, 1 and past the tap count, sharing one
+// scratch buffer across filters) and FilterInto restarts drive one
+// filter, while the oracle is fed the same samples one at a time
+// (reset at every restart). It crosses adder kinds {exact, AMA1-AMA5},
+// approximated LSBs {0, 2, 8, 12, 16}, the tap shapes above and both
+// kernel modes; the exact kind multiplies exactly, so its chains fuse to
+// the MAC strategy, and HPF-shaped wiring chains take the sliding one.
+func TestFIRMatchesOracle(t *testing.T) {
+	kinds := append([]approx.AdderKind{approx.AccAdd}, approx.ApproxAdd1, approx.ApproxAdd2,
+		approx.ApproxAdd3, approx.ApproxAdd4, approx.ApproxAdd5)
+	for _, mode := range []bool{true, false} {
+		mode := mode
+		t.Run(fmt.Sprintf("kernels=%v", mode), func(t *testing.T) {
+			prev := kernel.SetEnabled(mode)
+			defer kernel.SetEnabled(prev)
+			rng := rand.New(rand.NewSource(61))
+			var buf []int64
+			for _, kind := range kinds {
+				mul := approx.AppMultV1
+				if kind == approx.AccAdd {
+					mul = approx.AccMult
+				}
+				for _, k := range []int{0, 2, 8, 12, 16} {
+					cfg := ArithConfig{LSBs: k, Add: kind, Mul: mul}
+					for name, coeffs := range oracleShapes() {
+						f, err := NewFIR(coeffs, 3, cfg)
+						if err != nil {
+							t.Fatal(err)
+						}
+						o := newOracleFIR(t, coeffs, 3, cfg)
+						label := fmt.Sprintf("%v %s", cfg, name)
+						buf = driveFIR(t, label, rng, f, o, buf)
+					}
+				}
+			}
+		})
+	}
+}
+
+// driveFIR runs one random interleaving of FIR entry points against the
+// oracle and returns the (possibly grown) Block scratch.
+func driveFIR(t *testing.T, label string, rng *rand.Rand, f *FIR, o *oracleFIR, buf []int64) []int64 {
+	t.Helper()
+	sample := func() int64 { return int64(int16(rng.Uint64())) }
+	pos := 0
+	check := func(op string, got []int64, in []int64) {
+		t.Helper()
+		for i, x := range in {
+			if want := o.Process(x); got[i] != want {
+				t.Fatalf("%s: %s sample %d (stream position %d): got %d, oracle %d",
+					label, op, i, pos+i, got[i], want)
+			}
+		}
+		pos += len(in)
+	}
+	for step := 0; step < 24; step++ {
+		switch rng.Intn(3) {
+		case 0:
+			x := sample()
+			check("Process", []int64{f.Process(x)}, []int64{x})
+		case 1:
+			n := [3]int{0, 1, f.Len() + 1 + rng.Intn(24)}[rng.Intn(3)]
+			xs := make([]int64, n)
+			for i := range xs {
+				xs[i] = sample()
+			}
+			dst := make([]int64, n)
+			buf = f.Block(dst, xs, buf)
+			check("Block", dst, xs)
+		default:
+			xs := make([]int64, rng.Intn(60))
+			for i := range xs {
+				xs[i] = sample()
+			}
+			o.Reset()
+			pos = 0
+			check("FilterInto", f.FilterInto(nil, xs), xs)
+		}
+	}
+	return buf
+}

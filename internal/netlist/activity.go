@@ -43,38 +43,17 @@ type Activity struct {
 }
 
 // PortStimulus is the packed stimulus stream of one input port: Values[v]
-// is the port's word value under vector v. A slice of PortStimulus is the
-// allocation-light alternative to one map per vector.
+// is the port's word value under vector v.
 type PortStimulus struct {
 	Name   string
 	Values []uint64
 }
 
-// RunActivity simulates the netlist over consecutive input vectors and
-// records output-pin toggle rates for every cell. At least two vectors are
-// required (activity is defined over consecutive pairs). This is the
-// map-per-vector convenience form of RunActivityStreams.
-func (s *Simulator) RunActivity(vectors []map[string]uint64) (Activity, error) {
-	if len(vectors) < 2 {
-		return Activity{}, fmt.Errorf("netlist %s: activity needs >= 2 vectors, got %d", s.n.Name, len(vectors))
-	}
-	ports := make([]PortStimulus, len(s.n.Inputs))
-	for pi, p := range s.n.Inputs {
-		vals := make([]uint64, len(vectors))
-		for vi, vec := range vectors {
-			v, ok := vec[p.Name]
-			if !ok {
-				return Activity{}, fmt.Errorf("netlist %s: vector %d missing input %q", s.n.Name, vi, p.Name)
-			}
-			vals[vi] = v
-		}
-		ports[pi] = PortStimulus{Name: p.Name, Values: vals}
-	}
-	return s.RunActivityStreams(ports)
-}
-
-// RunActivityStreams is RunActivity over packed per-port stimulus streams.
-// Every input port must appear exactly once with one value per vector.
+// RunActivityStreams simulates the netlist over consecutive input vectors,
+// given as packed per-port stimulus streams, and records output-pin
+// toggle rates for every cell. Every input port must appear exactly once
+// with one value per vector, and at least two vectors are required
+// (activity is defined over consecutive pairs).
 //
 // Under lane packing (the default) 64 consecutive vectors evaluate at once:
 // every net holds a uint64 whose bit l is the net's value under vector

@@ -15,7 +15,7 @@
 //   - a bit-true Simulator for combinational netlists, used to
 //     cross-validate the word-level behavioural models in package arith
 //     (the Go analogue of the paper's MATLAB-vs-ModelSim loop, Fig 9);
-//   - switching-activity analysis (RunActivity / RunActivityStreams), the
+//   - switching-activity analysis (RunActivityStreams), the
 //     stimulus-driven toggle measurement package synth weights dynamic
 //     power by. The activity engine is lane-packed: 64 stimulus vectors
 //     evaluate at once, every net carrying a uint64 of lane values and

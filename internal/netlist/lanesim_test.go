@@ -171,41 +171,23 @@ func TestActivityLaneVsScalarOracle(t *testing.T) {
 	}
 }
 
-// TestRunActivityMapWrapper checks the map-per-vector convenience form
-// against the stream form and its error cases.
-func TestRunActivityMapWrapper(t *testing.T) {
+// TestRunActivityStreamsErrors checks that the activity engine rejects
+// stimulus streams that do not bind every input port once with one
+// common vector count.
+func TestRunActivityStreamsErrors(t *testing.T) {
 	m := arith.Multiplier{Width: 4, ApproxLSBs: 4, Mult: approx.AppMultV1, Add: approx.ApproxAdd5}
 	n := mustBuild(t)(GenMultiplier(NewBuilder("mult"), m))
 	sim := mustSim(t, n)
 	rng := rand.New(rand.NewSource(43))
 	const vectors = 70
-	maps := make([]map[string]uint64, vectors)
 	as := make([]uint64, vectors)
 	bs := make([]uint64, vectors)
-	for v := range maps {
+	for v := range as {
 		as[v] = rng.Uint64() & 0xF
 		bs[v] = rng.Uint64() & 0xF
-		maps[v] = map[string]uint64{"a": as[v], "b": bs[v]}
 	}
-	am, err := sim.RunActivity(maps)
-	if err != nil {
-		t.Fatal(err)
-	}
-	asym, err := sim.RunActivityStreams([]PortStimulus{{Name: "a", Values: as}, {Name: "b", Values: bs}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range am.PerCell {
-		if am.PerCell[i] != asym.PerCell[i] {
-			t.Fatalf("cell %d: map form %v != stream form %v", i, am.PerCell[i], asym.PerCell[i])
-		}
-	}
-
-	if _, err := sim.RunActivity(maps[:1]); err == nil {
-		t.Error("single vector accepted")
-	}
-	if _, err := sim.RunActivity([]map[string]uint64{{"a": 1}, {"a": 2}}); err == nil {
-		t.Error("missing input accepted")
+	if _, err := sim.RunActivityStreams([]PortStimulus{{Name: "a", Values: as}, {Name: "b", Values: bs}}); err != nil {
+		t.Fatalf("valid streams rejected: %v", err)
 	}
 	if _, err := sim.RunActivityStreams([]PortStimulus{{Name: "a", Values: as}}); err == nil {
 		t.Error("missing stream accepted")

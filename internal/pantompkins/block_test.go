@@ -3,14 +3,19 @@ package pantompkins
 import (
 	"fmt"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"github.com/xbiosip/xbiosip/internal/approx"
 	"github.com/xbiosip/xbiosip/internal/arith/kernel"
 	"github.com/xbiosip/xbiosip/internal/dsp"
+	"github.com/xbiosip/xbiosip/internal/ecg"
 )
 
-func batchTestConfigs() []Config {
+// blockTestConfigs are the designs the block-continuation tests run: the
+// accurate pipeline (fused MAC chains, sliding exact integrator), B9
+// (wiring chains with the sliding HPF window) and a chunk-LUT design.
+func blockTestConfigs() []Config {
 	b9 := Config{}
 	for i, k := range []int{10, 12, 2, 8, 16} {
 		b9.Stage[i] = dsp.ArithConfig{LSBs: k, Add: approx.ApproxAdd5, Mul: approx.AppMultV1}
@@ -22,13 +27,14 @@ func batchTestConfigs() []Config {
 	return []Config{AccurateConfig(), b9, ama1}
 }
 
-// TestPipelineBatchMatchesStream drives many same-config sessions
-// through PipelineBatch rounds — ragged block sizes, streams sitting
-// rounds out, widths past kernel.MaxBatch so chunking runs — with each
-// round's filtered/integrated outputs fed into per-stream incremental
-// detectors, and checks every sample and the full decision trace
-// against the scalar Stream.Push path, in both kernel modes.
-func TestPipelineBatchMatchesStream(t *testing.T) {
+// TestPushBlockMatchesStream advances many streams of one pipeline —
+// sharing its compiled stages — through PushBlock into one shared
+// Outputs, with ragged block sizes (empty blocks included) and streams
+// sitting rounds out, feeding each block's filtered/integrated outputs
+// into the stream's own detector. Every stage output of every sample and
+// the full decision trace must match a separately built pipeline's
+// Stream.Push, in both kernel modes.
+func TestPushBlockMatchesStream(t *testing.T) {
 	const fs = 360
 	for _, mode := range []bool{true, false} {
 		mode := mode
@@ -36,21 +42,19 @@ func TestPipelineBatchMatchesStream(t *testing.T) {
 			prev := kernel.SetEnabled(mode)
 			defer kernel.SetEnabled(prev)
 			rng := rand.New(rand.NewSource(41))
-			widths := []int{1, 3, 70}
+			widths := []int{1, 3, 24}
 			if testing.Short() || !mode {
 				widths = []int{3}
 			}
-			for _, cfg := range batchTestConfigs() {
-				donor, err := New(cfg)
+			var out Outputs
+			for _, cfg := range blockTestConfigs() {
+				shared, err := New(cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
-				pb := NewPipelineBatch(donor)
 				for _, width := range widths {
-					// Scalar mirror sessions and batch-side sessions.
 					scalar := make([]*Stream, width)
-					pipes := make([]*Pipeline, width)
-					dets := make([]*StreamDetector, width)
+					blocked := make([]*Stream, width)
 					sigs := make([][]int16, width)
 					pos := make([]int, width)
 					for s := 0; s < width; s++ {
@@ -59,25 +63,14 @@ func TestPipelineBatchMatchesStream(t *testing.T) {
 							t.Fatal(err)
 						}
 						scalar[s] = sp.Stream(fs)
-						bp, err := New(cfg)
-						if err != nil {
-							t.Fatal(err)
-						}
-						pipes[s] = bp
-						dets[s] = NewStreamDetector(fs)
+						blocked[s] = shared.Stream(fs)
 						sig := make([]int16, 400+(s*37)%300)
 						for i := range sig {
 							sig[i] = int16(rng.Uint64())
 						}
 						sigs[s] = sig
 					}
-					roundPipes := make([]*Pipeline, 0, width)
-					blocks := make([][]int16, 0, width)
-					live := make([]int, 0, width)
 					for round := 0; ; round++ {
-						roundPipes = roundPipes[:0]
-						blocks = blocks[:0]
-						live = live[:0]
 						remaining := 0
 						for s := 0; s < width; s++ {
 							left := len(sigs[s]) - pos[s]
@@ -86,54 +79,38 @@ func TestPipelineBatchMatchesStream(t *testing.T) {
 							}
 							remaining++
 							if (s+round)%5 == 0 && round < 6 {
-								continue // churn: sat this round out
+								continue // sits this round out
 							}
-							n := (s*7 + round*11) % 24
+							n := (s*7 + round*11) % 40
 							if n > left {
 								n = left
 							}
-							roundPipes = append(roundPipes, pipes[s])
-							blocks = append(blocks, sigs[s][pos[s]:pos[s]+n])
-							live = append(live, s)
+							block := sigs[s][pos[s] : pos[s]+n]
+							blocked[s].Pipeline().PushBlock(&out, block)
+							if len(out.Filtered) != n || len(out.Integrated) != n {
+								t.Fatalf("PushBlock of %d samples left %d filtered, %d integrated",
+									n, len(out.Filtered), len(out.Integrated))
+							}
+							det := blocked[s].Detector()
+							for i, x := range block {
+								want := scalar[s].Push(x)
+								got := StreamSample{out.LowPassed[i], out.Filtered[i], out.Derivative[i],
+									out.Squared[i], out.Integrated[i]}
+								if got != want {
+									t.Fatalf("cfg %v width %d stream %d sample %d: PushBlock %+v, Push %+v",
+										cfg, width, s, pos[s]+i, got, want)
+								}
+								det.Push(got.Filtered, got.Integrated)
+							}
+							pos[s] += n
 						}
 						if remaining == 0 {
 							break
 						}
-						if len(roundPipes) == 0 {
-							continue
-						}
-						filt, integ := pb.Run(roundPipes, blocks)
-						for bi, s := range live {
-							for i := range blocks[bi] {
-								want := scalar[s].Push(blocks[bi][i])
-								if filt[bi][i] != want.Filtered || integ[bi][i] != want.Integrated {
-									t.Fatalf("cfg %v width %d stream %d sample %d: batch (%d,%d), scalar (%d,%d)",
-										cfg, width, s, pos[s]+i, filt[bi][i], integ[bi][i], want.Filtered, want.Integrated)
-								}
-								dets[s].Push(filt[bi][i], integ[bi][i])
-							}
-							pos[s] += len(blocks[bi])
-						}
 					}
 					for s := 0; s < width; s++ {
-						want := scalar[s].Finish()
-						got := dets[s].Finish()
-						if len(got.Events) != len(want.Events) || len(got.Peaks) != len(want.Peaks) {
-							t.Fatalf("cfg %v width %d stream %d: trace sizes (%d ev, %d peaks) vs scalar (%d, %d)",
-								cfg, width, s, len(got.Events), len(got.Peaks), len(want.Events), len(want.Peaks))
-						}
-						for i := range want.Events {
-							if got.Events[i] != want.Events[i] {
-								t.Fatalf("cfg %v width %d stream %d event %d: %+v vs scalar %+v",
-									cfg, width, s, i, got.Events[i], want.Events[i])
-							}
-						}
-						for i := range want.Peaks {
-							if got.Peaks[i] != want.Peaks[i] || got.MWIPeaks[i] != want.MWIPeaks[i] {
-								t.Fatalf("cfg %v width %d stream %d peak %d: (%d,%d) vs scalar (%d,%d)",
-									cfg, width, s, i, got.Peaks[i], got.MWIPeaks[i], want.Peaks[i], want.MWIPeaks[i])
-							}
-						}
+						requireSameDetection(t, fmt.Sprintf("cfg %v width %d stream %d", cfg, width, s),
+							*scalar[s].Finish(), blocked[s].Finish())
 					}
 				}
 			}
@@ -141,27 +118,51 @@ func TestPipelineBatchMatchesStream(t *testing.T) {
 	}
 }
 
-// TestPipelineBatchConfigMismatch pins the panic contract: a stream
-// whose configuration differs from the batch plan must be refused, not
-// silently evaluated with the wrong arithmetic.
-func TestPipelineBatchConfigMismatch(t *testing.T) {
-	donor, err := New(AccurateConfig())
-	if err != nil {
-		t.Fatal(err)
+// TestStreamsShareCompiledStages runs streams of one pipeline on
+// concurrent goroutines — the compiled stages are shared, each stream's
+// state is its own — and checks every stream against a separately built
+// pipeline's Push over the same record. Run under -race it also pins that
+// the shared stages are only read.
+func TestStreamsShareCompiledStages(t *testing.T) {
+	const streams = 4
+	for name, cfg := range streamConfigs(t) {
+		t.Run(name, func(t *testing.T) {
+			shared, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			recs := make([]*ecg.Record, streams)
+			got := make([]*Outputs, streams)
+			for g := range recs {
+				rec, err := ecg.NSRDBRecord(g, 900)
+				if err != nil {
+					t.Fatal(err)
+				}
+				recs[g] = rec
+			}
+			var wg sync.WaitGroup
+			for g := 0; g < streams; g++ {
+				st := shared.Stream(recs[g].FS)
+				wg.Add(1)
+				go func(g int) {
+					defer wg.Done()
+					out := &Outputs{}
+					for _, x := range recs[g].Samples {
+						out.Append(st.Push(x))
+					}
+					got[g] = out
+				}(g)
+			}
+			wg.Wait()
+			for g, rec := range recs {
+				fresh, err := New(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				requireIdenticalOutputs(t, fresh.Run(rec.Samples), got[g], fmt.Sprintf("%s stream %d", name, g))
+			}
+		})
 	}
-	pb := NewPipelineBatch(donor)
-	other := AccurateConfig()
-	other.Stage[LPF] = dsp.ArithConfig{LSBs: 4, Add: approx.ApproxAdd5, Mul: approx.AppMultV1}
-	op, err := New(other)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("config mismatch did not panic")
-		}
-	}()
-	pb.Run([]*Pipeline{op}, [][]int16{{1, 2, 3}})
 }
 
 // TestStreamDetectorDiscard checks that trimming consumed decisions

@@ -18,9 +18,15 @@ type Outputs struct {
 	Derivative []int64 // after stage C
 	Squared    []int64 // after stage D
 	Integrated []int64 // after stage E
+
+	raw []int64 // PushBlock's widened samples
+	buf []int64 // PushBlock's FIR packing scratch (dsp.FIR.Block)
 }
 
-// Pipeline is one instantiated Pan-Tompkins processing chain.
+// Pipeline is one instantiated Pan-Tompkins processing chain: five
+// compiled stages plus their state (the three FIR delay lines and the
+// integrator window). The compiled stages are immutable and safe to share
+// across goroutines; Stream hands each stream its own state over them.
 type Pipeline struct {
 	cfg Config
 	lpf *dsp.FIR
@@ -28,7 +34,7 @@ type Pipeline struct {
 	der *dsp.FIR
 	sqr *dsp.Squarer
 	mwi *dsp.MovingSum
-	xs  []int64 // RunInto's widened-sample scratch buffer
+	xs  []int64 // RunFrom's widened-sample scratch buffer
 }
 
 // New builds the pipeline for the given per-stage approximation
@@ -65,12 +71,12 @@ func (p *Pipeline) Config() Config { return p.cfg }
 
 // KernelTableBytes returns the live kernel table footprint of this design:
 // the bytes of every distinct product, squaring and chain-projection
-// table its five stages have actually materialized (tables shared between
-// stages — or with other designs, via the global kernel cache — count
-// once). Exact stages are table-free and wiring-chain interior taps build
-// their raw tables only when the per-sample path runs, so a batch-only
-// accurate pipeline reports zero and an approximate one mostly
-// projections.
+// table its five compiled stages read (tables shared between stages — or
+// with other designs, via the global kernel cache — count once). Exact
+// stages are table-free and wiring-chain interior taps read projections
+// instead of raw tables, so the accurate pipeline reports zero and an
+// approximate one mostly projections. Streams share the compiled stages,
+// so the footprint does not grow with them.
 func (p *Pipeline) KernelTableBytes() int64 {
 	var total int64
 	tabs := map[*kernel.ConstMulTable]bool{}
@@ -103,9 +109,9 @@ func (p *Pipeline) KernelTableBytes() int64 {
 }
 
 // Run processes raw ADC samples through all five stages, whole-array
-// stage by stage from cleared delay lines (the batch path). For
-// sample-at-a-time processing of a live signal use Reset and Push, whose
-// outputs are bit-identical to Run's.
+// stage by stage from cleared delay lines. For sample-at-a-time
+// processing of a live signal use Reset and Push, whose outputs are
+// bit-identical to Run's.
 func (p *Pipeline) Run(samples []int16) *Outputs {
 	return p.RunInto(&Outputs{}, samples)
 }
@@ -134,11 +140,7 @@ func (p *Pipeline) RunFrom(out *Outputs, samples []int16, from Stage) *Outputs {
 		out = &Outputs{}
 	}
 	if from <= LPF {
-		if cap(p.xs) >= len(samples) {
-			p.xs = p.xs[:len(samples)]
-		} else {
-			p.xs = make([]int64, len(samples))
-		}
+		p.xs = resize(p.xs, len(samples))
 		for i, s := range samples {
 			p.xs[i] = int64(s)
 		}
@@ -196,6 +198,40 @@ func (p *Pipeline) Push(x int16) StreamSample {
 	return s
 }
 
+// PushBlock continues the pipeline over a block of raw samples exactly as
+// len(samples) calls of Push would, and leaves the block's signals in out
+// (every field resliced to len(samples), valid until out is reused). out
+// also carries the stages' packing scratch, so a caller advancing many
+// streams through one Outputs allocates nothing once it is warm. It
+// returns out.
+func (p *Pipeline) PushBlock(out *Outputs, samples []int16) *Outputs {
+	n := len(samples)
+	out.raw = resize(out.raw, n)
+	for i, s := range samples {
+		out.raw[i] = int64(s)
+	}
+	out.LowPassed = resize(out.LowPassed, n)
+	out.buf = p.lpf.Block(out.LowPassed, out.raw, out.buf)
+	out.Filtered = resize(out.Filtered, n)
+	out.buf = p.hpf.Block(out.Filtered, out.LowPassed, out.buf)
+	out.Derivative = resize(out.Derivative, n)
+	out.buf = p.der.Block(out.Derivative, out.Filtered, out.buf)
+	out.Squared = resize(out.Squared, n)
+	p.sqr.ProcessBlock(out.Squared, out.Derivative)
+	out.Integrated = resize(out.Integrated, n)
+	p.mwi.ProcessBlock(out.Integrated, out.Squared)
+	return out
+}
+
+// resize returns a slice of length n, reusing s's backing array when it
+// is large enough.
+func resize(s []int64, n int) []int64 {
+	if cap(s) >= n {
+		return s[:n]
+	}
+	return make([]int64, n)
+}
+
 // Append accumulates one streamed sample onto the collected outputs, so
 // streaming callers can build the same Outputs batch processing returns
 // (e.g. to run detection over a completed window or record).
@@ -207,23 +243,28 @@ func (o *Outputs) Append(s StreamSample) {
 	o.Integrated = append(o.Integrated, s.Integrated)
 }
 
-// Stream couples a reset pipeline with an incremental StreamDetector:
-// the fully streaming form of Process. Each Push feeds one raw ADC sample
-// through the five stages and the new filtered/integrated samples into
-// the detector, which advances its thresholds and beat decisions in O(1)
-// — the streaming path never rescans a record. Process runs the same
-// detector over the whole batch outputs, so Finish returns the Detection
-// Process reports for the same record.
+// Stream couples a pipeline state of its own with an incremental
+// StreamDetector: the fully streaming form of Process. Each Push feeds
+// one raw ADC sample through the five stages and the new
+// filtered/integrated samples into the detector, which advances its
+// thresholds and beat decisions in O(1) — the streaming path never
+// rescans a record. Process runs the same detector over the whole-record
+// outputs, so Finish returns the Detection Process reports for the same
+// record.
 type Stream struct {
 	p   *Pipeline
 	det *StreamDetector
 }
 
-// Stream resets the pipeline and starts a streaming detection session at
-// fs Hz.
+// Stream starts a streaming detection session at fs Hz. The stream owns
+// its stage state — cleared delay lines and integrator window — over p's
+// compiled stages, which it shares with p and every other stream of p
+// without copying; p's own state is left alone. Streams of one pipeline
+// may run on different goroutines.
 func (p *Pipeline) Stream(fs int) *Stream {
-	p.Reset()
-	return &Stream{p: p, det: NewStreamDetector(fs)}
+	own := &Pipeline{cfg: p.cfg, lpf: p.lpf.Clone(), hpf: p.hpf.Clone(), der: p.der.Clone(),
+		sqr: p.sqr, mwi: p.mwi.Clone()}
+	return &Stream{p: own, det: NewStreamDetector(fs)}
 }
 
 // Push processes one raw sample through all five stages and the
@@ -237,13 +278,13 @@ func (s *Stream) Push(x int16) StreamSample {
 // Detector exposes the incremental detector (for live beat inspection).
 func (s *Stream) Detector() *StreamDetector { return s.det }
 
-// Pipeline exposes the stream's underlying pipeline, so a batched drain
-// can advance many same-config streams' stages through one
-// PipelineBatch round and feed the detectors from the round's outputs —
-// which is exactly equivalent to per-sample Push.
+// Pipeline exposes the stream's own pipeline state, so a drain can
+// advance the stream's stages a block at a time (Pipeline.PushBlock) and
+// feed the detector from the block's outputs — which is exactly
+// equivalent to per-sample Push.
 func (s *Stream) Pipeline() *Pipeline { return s.p }
 
-// Restart clears the pipeline stages and the incremental detector in
+// Restart clears the stream's stage state and the incremental detector in
 // place, beginning a fresh detection session on the same hardware without
 // allocating: the detector keeps its sample window and event buffers. A
 // multiplexing service (internal/serve) reuses one Stream per session

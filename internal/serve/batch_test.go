@@ -10,7 +10,7 @@ import (
 // drainScalar is the per-sample oracle of Service.Drain: every buffered
 // sample goes through Stream.Push one at a time, slots in ascending
 // order, with the same pending-event delivery, quantum, latency
-// attribution, finish and trim handling as the batched drain.
+// attribution, finish and trim handling as the block drain.
 func (s *Service) drainScalar(events []Event) []Event {
 	events = append(events, s.pending...)
 	s.pending = s.pending[:0]
@@ -58,9 +58,9 @@ func (s *Service) drainScalar(events []Event) []Event {
 }
 
 // TestServeBatchedMatchesScalarDrain runs two services — one drained by
-// the batched Drain, one by the per-sample drainScalar oracle — through
-// an identical schedule of frames and drains: many concurrent sessions
-// of different lengths (batch membership churns as they finish),
+// Drain a block per session, one by the per-sample drainScalar oracle —
+// through an identical schedule of frames and drains: many concurrent
+// sessions of different lengths (the live set churns as they finish),
 // irregular frame sizes, a quantum forcing multi-round drains with ring
 // wraparound, and a mid-record FlagStart reconnect. The two event
 // streams must be identical element for element. The oracle-mode

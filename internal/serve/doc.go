@@ -24,11 +24,14 @@
 //
 // Per-session state lives in a struct-of-arrays pool indexed by slot:
 // parallel arrays for sequence tracking, ring positions and emit cursors,
-// one contiguous int16 ring region per slot, and one lazily built
-// pipeline+detector pair per slot that is recycled across occupants via
-// Stream.Restart. There are no per-session goroutines and no steady-state
-// allocation; a Service is single-goroutine and a multi-core deployment
-// runs one Service shard per core — which is exactly what Gateway does.
+// one contiguous int16 ring region per slot, and one lazily built stream
+// per slot — stage state plus detector — that is recycled across
+// occupants via Stream.Restart. The Service compiles its pipeline once,
+// in New, and every slot's stream runs over those shared compiled stages,
+// so a session costs only its state. There are no per-session goroutines
+// and no steady-state allocation; a Service is single-goroutine and a
+// multi-core deployment runs one Service shard per core — which is
+// exactly what Gateway does.
 //
 // # Framing
 //
@@ -100,25 +103,24 @@
 // accepted beats, optionally with sample-to-event latency) to a reusable
 // buffer.
 //
-// # Batched drain
+// # Block drain
 //
-// All sessions of a Service share one pipeline configuration, so Drain
-// advances them together: each drain round gathers every live session
-// with buffered samples, takes direct views into their ingest rings
-// (copying only ring-wrap splits), and pushes all blocks through one
-// pantompkins.PipelineBatch round — the arithmetic stages evaluate
-// lane-packed across up to 64 sessions per kernel call, while each
-// session's filter delay lines, integrator windows and detector remain
-// its own. Sessions join and leave batch rounds freely as they connect,
-// finish or run dry; the per-sample detector feed, event order and
-// latency attribution are unchanged, so the drained event stream is
-// bit-identical to pushing every sample through Stream.Push one at a
-// time — the per-sample oracle the batched drain is tested against.
-// Drain also trims each session's already-emitted detection history
-// (StreamDetector.Discard), so an endless session's retained trace stays
-// bounded by the drain cadence instead of growing with the stream; the
-// detector's own state (a fixed sample window and one searchback
-// candidate) does not grow at all.
+// Drain advances each live session with buffered samples by one block: a
+// direct view into its ingest ring (copied only when the span wraps) goes
+// through pantompkins.Pipeline.PushBlock on the session's own stage
+// state, into one Service-owned Outputs that every session reuses. Each
+// FIR stage packs its last inputs ahead of the block and evaluates only
+// the block's positions through the design's one compiled chain (see
+// package arith/kernel, "Continuation by start index"). The block's
+// filtered/integrated outputs then feed the session's detector sample by
+// sample, in ascending slot order, with unchanged event order and latency
+// attribution, so the drained event stream is bit-identical to pushing
+// every sample through Stream.Push one at a time — the per-sample oracle
+// the drain is tested against. Drain also trims each session's
+// already-emitted detection history (StreamDetector.Discard), so an
+// endless session's retained trace stays bounded by the drain cadence
+// instead of growing with the stream; the detector's own state (a fixed
+// sample window and one searchback candidate) does not grow at all.
 //
 // # Sharded gateway
 //

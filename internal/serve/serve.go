@@ -182,8 +182,10 @@ type Health struct {
 // Service multiplexes many concurrent patient sessions over streaming
 // Pan-Tompkins detection. Per-session state lives in parallel arrays
 // indexed by slot (a struct-of-arrays pool) — there are no per-session
-// goroutines and no per-session heap churn: a slot's pipeline, detector
-// rings and buffer region are built once and recycled across occupants.
+// goroutines and no per-session heap churn: a slot's stage state,
+// detector rings and buffer region are built once and recycled across
+// occupants, and every slot's stream runs over the one compiled pipeline
+// the Service holds.
 //
 // A Service is single-goroutine by design (calls must not be concurrent);
 // a multi-core deployment runs one Service shard per core, which is how
@@ -203,7 +205,7 @@ type Service struct {
 	heads    []int32               // ring read position
 	counts   []int32               // buffered samples
 	ticks    []int64               // last accepted-frame order stamp
-	streams  []*pantompkins.Stream // built lazily, reused via Restart
+	streams  []*pantompkins.Stream // streams of pipe, built lazily, reused via Restart
 	emEvents []int32               // detector events already emitted
 	emPeaks  []int32               // detector peaks already emitted
 	ring     []int16               // slot i owns ring[i*bufN:(i+1)*bufN]
@@ -216,19 +218,13 @@ type Service struct {
 	nowFn   func() int64
 	tick    int64 // monotone accepted-frame counter (eviction ordering)
 
-	// Batched-drain round scratch: the batch plan (built on the first
-	// Drain), the live slots of the current Drain, their pipelines and
-	// sample blocks, and contiguous copies of the ring spans that wrap.
-	batch   *pantompkins.PipelineBatch
-	bslots  []int32
-	bns     []int32
-	bpipes  []*pantompkins.Pipeline
-	bblocks [][]int16
-	bbuf    []int16
+	pipe *pantompkins.Pipeline // the compiled stages every slot's stream shares
+	out  pantompkins.Outputs   // Drain's per-block signals and stage scratch
+	wrap []int16               // contiguous copy of a ring span that wraps
 }
 
-// New builds a service. The pipeline configuration is validated here;
-// per-slot pipelines are instantiated on first use.
+// New builds a service. The pipeline configuration is compiled here, once;
+// per-slot streams over it are instantiated on first use.
 func New(cfg Config) (*Service, error) {
 	if cfg.FS <= 0 {
 		cfg.FS = 360
@@ -245,12 +241,14 @@ func New(cfg Config) (*Service, error) {
 	if cfg.Conceal > GapRestart {
 		return nil, fmt.Errorf("serve: unknown gap policy %v", cfg.Conceal)
 	}
-	if _, err := pantompkins.New(cfg.Pipeline); err != nil {
+	pipe, err := pantompkins.New(cfg.Pipeline)
+	if err != nil {
 		return nil, err
 	}
 	n := cfg.MaxSessions
 	s := &Service{
 		cfg:      cfg,
+		pipe:     pipe,
 		bufN:     cfg.BufferSamples,
 		ids:      make([]uint32, n),
 		used:     make([]bool, n),
@@ -540,12 +538,7 @@ func (s *Service) reset(slot int32, seq uint16) {
 	s.tick++
 	s.ticks[slot] = s.tick
 	if s.streams[slot] == nil {
-		// Cannot fail: New validated the same configuration.
-		p, err := pantompkins.New(s.cfg.Pipeline)
-		if err != nil {
-			panic(err)
-		}
-		s.streams[slot] = p.Stream(s.cfg.FS)
+		s.streams[slot] = s.pipe.Stream(s.cfg.FS)
 	} else {
 		s.streams[slot].Restart()
 	}
@@ -591,16 +584,15 @@ func (s *Service) close(slot int32) {
 // flushed, emit EventFinished and release their slot. Pending eviction
 // events from Ingest are delivered first.
 //
-// The five pipeline stages run batched: the live sessions group into
-// ≤64-stream rounds evaluated through one shared compiled plan per stage
-// (pantompkins.PipelineBatch), with per-session state in the slot pool's
-// parallel arrays; sessions join and leave rounds as they connect, stall
-// and finish. Each session's filtered/integrated outputs then feed its
-// own incremental detector sample by sample, in ascending slot order, so
-// the emitted event sequence per session is bit-identical to pushing
-// every sample through Stream.Push one at a time. Each surviving
-// session's already-emitted decision prefix is discarded after
-// collection, so detector memory stays bounded over unbounded streams.
+// Each session's block runs through its stages in one
+// pantompkins.Pipeline.PushBlock call — a direct view of its ingest ring
+// (copied only when the span wraps) into one Service-owned Outputs — and
+// the block's filtered/integrated outputs then feed the session's own
+// incremental detector sample by sample, so the emitted event sequence
+// per session is bit-identical to pushing every sample through
+// Stream.Push one at a time. Each surviving session's already-emitted
+// decision prefix is discarded after collection, so detector memory stays
+// bounded over unbounded streams.
 func (s *Service) Drain(events []Event) []Event {
 	events = append(events, s.pending...)
 	s.pending = s.pending[:0]
@@ -608,20 +600,6 @@ func (s *Service) Drain(events []Event) []Event {
 	if s.cfg.TrackLatency {
 		now = s.nowFn()
 	}
-	if s.batch == nil {
-		p, err := pantompkins.New(s.cfg.Pipeline)
-		if err != nil {
-			// Cannot fail: New validated the same configuration.
-			panic(err)
-		}
-		s.batch = pantompkins.NewPipelineBatch(p)
-	}
-	// Gather the round set: live slots, their quanta, and contiguous
-	// views of their ring spans (spans that wrap copy into bbuf, which
-	// is pre-sized so the block views stay valid across appends).
-	s.bslots = s.bslots[:0]
-	s.bns = s.bns[:0]
-	wrapped := 0
 	for sl := range s.used {
 		if !s.used[sl] {
 			continue
@@ -631,44 +609,19 @@ func (s *Service) Drain(events []Event) []Event {
 		if q := s.cfg.Quantum; q > 0 && n > q {
 			n = q
 		}
-		s.bslots = append(s.bslots, slot)
-		s.bns = append(s.bns, int32(n))
-		if int(s.heads[slot])+n > s.bufN {
-			wrapped += n
-		}
-	}
-	if cap(s.bbuf) < wrapped {
-		s.bbuf = make([]int16, wrapped)
-	}
-	bbuf := s.bbuf[:0]
-	s.bpipes = s.bpipes[:0]
-	s.bblocks = s.bblocks[:0]
-	for i, slot := range s.bslots {
-		n := int(s.bns[i])
 		base := int(slot) * s.bufN
 		head := int(s.heads[slot])
-		var block []int16
-		if head+n <= s.bufN {
-			block = s.ring[base+head : base+head+n]
-		} else {
-			off := len(bbuf)
-			bbuf = append(bbuf, s.ring[base+head:base+s.bufN]...)
-			bbuf = append(bbuf, s.ring[base:base+head+n-s.bufN]...)
-			block = bbuf[off:]
+		block := s.ring[base+head : base+min(head+n, s.bufN)]
+		if head+n > s.bufN {
+			s.wrap = append(append(s.wrap[:0], block...), s.ring[base:base+head+n-s.bufN]...)
+			block = s.wrap
 		}
-		s.bpipes = append(s.bpipes, s.streams[slot].Pipeline())
-		s.bblocks = append(s.bblocks, block)
-	}
-	filt, integ := s.batch.Run(s.bpipes, s.bblocks)
-	for i, slot := range s.bslots {
-		n := int(s.bns[i])
 		st := s.streams[slot]
+		st.Pipeline().PushBlock(&s.out, block)
 		sd := st.Detector()
 		det := sd.Detection()
-		base := int(slot) * s.bufN
-		head := int(s.heads[slot])
 		for k := 0; k < n; k++ {
-			sd.Push(filt[i][k], integ[i][k])
+			sd.Push(s.out.Filtered[k], s.out.Integrated[k])
 			if len(det.Events) > int(s.emEvents[slot]) {
 				var lat int64
 				if s.cfg.TrackLatency {
