@@ -8,10 +8,10 @@
 # transport (loopback TCP+UDP churn) and the continuation equivalence
 # suites (whole records, blocks and single samples through one chain
 # engine, against per-sample and per-tap oracles), a fuzz smoke over the
-# wire-frame/socket-message parsers, the ingest path and the QRS
-# detector, a fixed-seed chaos run of the socket transport harness, and
-# the end-to-end benchmark module's golden-digest smoke test (which also
-# fails when a declared metric goes missing).
+# wire-frame/socket-message parsers, the ingest path, the QRS detector
+# and the moving-window integrator, a fixed-seed chaos run of the socket
+# transport harness, and the end-to-end benchmark module's golden-digest
+# smoke test (which also fails when a declared metric goes missing).
 
 GO ?= go
 GOFMT ?= gofmt
@@ -80,23 +80,26 @@ net-smoke:
 
 # The continuation equivalence suites across every layer that runs a
 # signal in blocks — kernel Chain.Run from a start index, the dsp FIR
-# entry points against the frozen per-tap oracle and the integrator and
-# squarer block paths, Pipeline.PushBlock and streams sharing one
-# compiled pipeline across goroutines, the serve block drain — plus the
-# netlist stream simulator, under -race, with the per-sample/scalar
-# paths as in-process oracles.
+# and integrator entry points against the frozen per-tap and per-sample
+# fold oracles and the squarer block path, Pipeline.PushBlock and
+# streams sharing one compiled pipeline across goroutines, the serve
+# block drain — plus the netlist stream simulator, under -race, with the
+# per-sample/scalar paths as in-process oracles.
 race-batch:
 	$(GO) test -race -count=1 -run 'Continuation|MatchesOracle|Block|Share|Batched|Streams|Discard' ./internal/arith/kernel ./internal/dsp ./internal/pantompkins ./internal/serve ./internal/netlist
 
 # Fuzz smoke: a few seconds of native fuzzing over the wire-frame
 # parser, the socket-message decoder and the ingest path (never panic,
-# never corrupt the session pool), and over the QRS detector (every
-# entry point reproduces the frozen whole-record oracle).
+# never corrupt the session pool), over the QRS detector (every entry
+# point reproduces the frozen whole-record oracle) and over the
+# moving-window integrator (every entry point reproduces the frozen
+# per-sample fold).
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzParseFrame -fuzztime=5s -run '^$$' ./internal/serve
 	$(GO) test -fuzz=FuzzParseWire -fuzztime=5s -run '^$$' ./internal/serve
 	$(GO) test -fuzz=FuzzIngest -fuzztime=5s -run '^$$' ./internal/serve
 	$(GO) test -fuzz=FuzzDetector -fuzztime=5s -run '^$$' ./internal/pantompkins
+	$(GO) test -fuzz=FuzzMovingSum -fuzztime=5s -run '^$$' ./internal/dsp
 
 # The kernel equivalence tests and the packages threaded through the
 # compiled kernels, re-run with XBIOSIP_NO_KERNELS so every plan delegates
@@ -107,10 +110,11 @@ test-reference:
 	XBIOSIP_NO_KERNELS=1 $(GO) test -count=1 -race -run 'Batched|Discard' ./internal/serve
 
 # One iteration of every benchmark: regenerates each table/figure once and
-# exercises the parallel DSE engine and the kernel-vs-reference
-# micro-benchmarks without taking benchmark-grade time.
+# exercises the parallel DSE engine, the kernel-vs-reference
+# micro-benchmarks and the integrator's window strategies without taking
+# benchmark-grade time.
 bench:
-	$(GO) test -bench=. -benchmem -benchtime=1x -run '^$$' . ./internal/arith/kernel ./internal/netlist
+	$(GO) test -bench=. -benchmem -benchtime=1x -run '^$$' . ./internal/arith/kernel ./internal/dsp ./internal/netlist
 
 # The kernel-sensitive benchmarks with kernels force-disabled — a smoke
 # pass proving the oracle path still drives the full simulation stack.

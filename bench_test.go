@@ -458,10 +458,10 @@ func BenchmarkServe(b *testing.B) {
 			}
 		}
 		// Warm a full record cycle off the clock: connect every session,
-		// build its pipeline, wrap the ingest ring and reach the drain's
-		// steady state (batch scratch sized, detector trim active), so the
-		// timed rounds measure sustained throughput rather than a cold
-		// start whose amortized cost depends on b.N.
+		// give it its pipeline stream, wrap the ingest ring and reach the
+		// drain's steady state (block outputs sized, detector trim
+		// active), so the timed rounds measure sustained throughput rather
+		// than a cold start whose amortized cost depends on b.N.
 		for r := 0; r < len(rec.Samples)/frameN; r++ {
 			round(false)
 		}

@@ -24,14 +24,15 @@ type Adder struct {
 	// closed form (including sign extension) inline in the closure body.
 	addS func(a, b int64) int64
 	subS func(a, b int64) int64
-	// chain/fold are the slice kernels (see slice.go): one
-	// indirect call per vector (chain) or window (fold) with the closed
-	// form inlined in the loop.
-	chain chainFunc
-	fold  func(vals []int64) int64
+	// chain is the accumulation-chain kernel (see slice.go): one indirect
+	// call per span of positions with the closed form inlined in the
+	// loop. window is the moving-window strategy Slide runs (window.go).
+	chain  chainFunc
+	window windowKind
 	// exact marks plans that reduce to native addition under kernel mode;
-	// enabled records the compilation mode (chain compilation consults it
-	// before attaching kernel-mode projection tables).
+	// enabled records the compilation mode (chain compilation consults
+	// both before fusing to MAC or attaching kernel-mode projection
+	// tables).
 	exact   bool
 	enabled bool
 }
@@ -51,7 +52,7 @@ func compileAdderMode(spec arith.Adder, enabled bool) (*Adder, error) {
 	ad := &Adder{spec: spec, fn: compileAddFunc(spec, enabled)}
 	ad.addS, ad.subS = compileSignedFuncs(spec, ad.fn, enabled)
 	ad.chain = compileChain(spec, enabled)
-	ad.fold = compileFold(spec, ad, enabled)
+	ad.window = compileWindow(spec, enabled)
 	ad.exact = enabled && effectiveLSBs(spec) == 0
 	ad.enabled = enabled
 	return ad, nil

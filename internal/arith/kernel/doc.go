@@ -133,6 +133,34 @@
 // the caches for cold-build benchmarks), so the working set is tracked
 // across PRs the way ns/op is.
 //
+// # Sliding integrator windows
+//
+// The integrator (dsp.MovingSum) chains its window's ring slots through
+// one adder in slot order: slot 0 opens the chain, whatever sample it
+// holds, so each slot's contribution is fixed by its index. With ub a
+// slot's w-bit pattern, W the window length and k the effective number
+// of approximated LSBs, the chain is a modular sum of per-slot terms:
+//
+//   - exact: the slots themselves;
+//   - AMA5: slots 0..W-2 each add ub>>k plus bit k-1 of ub, which is
+//     (ub + 2^(k-1)) >> k; slot W-1 adds ub>>k and supplies the low k
+//     bits;
+//   - AMA4: slots 1..W-1 each add ub>>k; slot 0 is the opening
+//     accumulator and adds ub>>k + (W-1)/2 + bit(k-1)*((W-1)&1), and its
+//     low bits leave complemented when W-1 is odd.
+//
+// A sample written to a slot therefore changes one term, and Adder.Slide
+// keeps the window in O(1) per sample on one running-sum word: S sums one
+// term form over every slot (S += term(new) - term(old)), and the output
+// corrects for the one special slot, read from the ring (AMA5 drops slot
+// W-1's carry bit, AMA4 adds slot 0's carries). A uint64 wrap of S does
+// no harm, because only the low w-k bits of the upper sum u survive
+// u<<k & mask(w). The adder picks its window strategy when it compiles:
+// the running sum for exact adders and, under the kernels, for AMA4/AMA5;
+// the per-sample re-fold through the signed closure for AMA1-AMA3 and in
+// oracle mode. Like a Chain, the strategy is immutable and holds no
+// stream state, so a stream keeps only its ring, cursor and running sum.
+//
 // # Continuation by start index
 //
 // Chain.Run(dst, xs, from, ...) evaluates positions from..len(dst)-1 of

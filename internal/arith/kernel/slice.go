@@ -7,16 +7,16 @@ import (
 	"github.com/xbiosip/xbiosip/internal/arith"
 )
 
-// This file holds the slice kernels: the signed accumulation datapaths
-// evaluated over a sample vector per call.
+// This file holds the chain kernels: a FIR's signed accumulation datapath
+// evaluated over a span of sample positions per call (the integrator's
+// window strategies live in window.go).
 //
 // Folding a FIR's taps through AddSigned/SubSigned pays one indirect call
-// per elementary operation. The slice kernels hoist that call out of the
-// loops entirely: a Chain runs a FIR's complete per-sample product
-// accumulation — every tap's table lookup and the adder's closed form
-// inlined, the accumulator held in a register — as one call per span of
-// positions, and FoldSlice collapses an integrator window to one call per
-// sample. For the chunk-LUT kinds (AMA1/AMA3) a region of up to eight
+// per elementary operation. A Chain hoists that call out of the loops
+// entirely: it runs a FIR's complete per-sample product accumulation —
+// every tap's table lookup and the adder's closed form inlined, the
+// accumulator held in a register — as one call per span of positions.
+// For the chunk-LUT kinds (AMA1/AMA3) a region of up to eight
 // approximated LSBs is one packed byte-wide table access per operation,
 // so the paper's configurations (k <= 16) cost at most two lookups per
 // accumulate.
@@ -27,9 +27,9 @@ import (
 // projection straight from the compiled multiplier plan), so a design
 // keeps just its wiring chains' boundary-tap raw tables.
 //
-// Every slice kernel is bit-identical to folding the corresponding scalar
-// operations over the vector; slice_test.go checks all cell kinds in both
-// compilation modes.
+// Every chain and window strategy is bit-identical to folding the
+// corresponding scalar operations; slice_test.go checks all cell kinds in
+// both compilation modes.
 
 // ChainOp describes one tap of an accumulation chain: the fixed signed
 // coefficient of the tap's product, the delay-line age of the sample it
@@ -798,118 +798,5 @@ func chunkChain(w, k int, kind approx.AdderKind) chainFunc {
 			}
 			dst[i] = finish(acc, w, outShift, outWidth)
 		}
-	}
-}
-
-// FoldSlice chains vals through the signed adder in index order:
-// vals[0] + vals[1] + ... exactly like starting an accumulation chain from
-// the first operand (no add against zero), so it is bit-identical to the
-// integrator's slot-order window sum. An empty slice folds to 0.
-func (ad *Adder) FoldSlice(vals []int64) int64 {
-	return ad.fold(vals)
-}
-
-// Exact reports whether the compiled plan reduces to native two's-
-// complement addition (zero effective approximated LSBs under kernel
-// mode). Callers may then use algebraic shortcuts — e.g. a sliding-window
-// sum instead of re-folding the window — that are bit-identical to the
-// cell-level chain. In oracle mode this is always false, so shortcuts stay
-// off and the bit-serial models keep running.
-func (ad *Adder) Exact() bool { return ad.exact }
-
-// compileFold builds the window-fold kernel for spec. Kinds without a
-// dedicated inline loop fold the compiled signed closure per element
-// (correct, just not faster); in oracle mode everything takes that route.
-func compileFold(spec arith.Adder, ad *Adder, enabled bool) func([]int64) int64 {
-	w := spec.Width
-	if !enabled {
-		return ad.genericFold
-	}
-	k := effectiveLSBs(spec)
-	switch {
-	case k == 0:
-		return nativeFold(w)
-	case spec.Kind == approx.ApproxAdd4 || spec.Kind == approx.ApproxAdd5:
-		return wiringFold(w, k, spec.Kind == approx.ApproxAdd4)
-	default:
-		return ad.genericFold
-	}
-}
-
-// genericFold chains the compiled signed add over the slice.
-func (ad *Adder) genericFold(vals []int64) int64 {
-	if len(vals) == 0 {
-		return 0
-	}
-	acc := vals[0]
-	for _, v := range vals[1:] {
-		acc = ad.addS(acc, v)
-	}
-	return acc
-}
-
-// nativeFold sums the slice natively. Each scalar chain step masks to the
-// word width and sign-extends, but only the low w bits feed the next add,
-// so the chain equals the plain modular sum; a single-element fold returns
-// the element untouched, exactly like starting the chain there.
-func nativeFold(w int) func([]int64) int64 {
-	mW := mask(w)
-	return func(vals []int64) int64 {
-		if len(vals) == 0 {
-			return 0
-		}
-		if len(vals) == 1 {
-			return vals[0]
-		}
-		var s int64
-		for _, v := range vals {
-			s += v
-		}
-		return arith.ToSigned(uint64(s)&mW, w)
-	}
-}
-
-// wiringFold chains the wiring-cell add (AMA5, or AMA4 with invA) over
-// the slice through the same closed form as wiringChain: independent
-// upper-slice sums with the inter-step carries read off the operands
-// (AMA5) or the opening element's alternating low bits (AMA4).
-func wiringFold(w, k int, invA bool) func([]int64) int64 {
-	mW := mask(w)
-	mk := mask(k)
-	ku := uint(k)
-	return func(vals []int64) int64 {
-		if len(vals) == 0 {
-			return 0
-		}
-		if len(vals) == 1 {
-			return vals[0]
-		}
-		acc := uint64(vals[0]) & mW
-		last := len(vals) - 1
-		u := acc >> ku
-		var low uint64
-		if invA {
-			b0 := (acc >> (ku - 1)) & 1
-			steps := uint64(last)
-			u += steps / 2
-			u += b0 * (steps & 1)
-			low = acc & mk
-			if steps&1 == 1 {
-				low = ^acc & mk
-			}
-			for _, v := range vals[1:] {
-				u += (uint64(v) & mW) >> ku
-			}
-		} else {
-			u += (acc >> (ku - 1)) & 1
-			for _, v := range vals[1:last] {
-				ub := uint64(v) & mW
-				u += ub>>ku + (ub>>(ku-1))&1
-			}
-			ub := uint64(vals[last]) & mW
-			u += ub >> ku
-			low = ub & mk
-		}
-		return arith.ToSigned((low|u<<ku)&mW, w)
 	}
 }

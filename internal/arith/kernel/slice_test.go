@@ -80,7 +80,9 @@ func scalarChain(ad *Adder, ref map[int64]func(int64) int64, ops []ChainOp, xs [
 // TestChainMatchesScalar runs compiled chains over random signals and
 // compares every output against the scalar per-sample accumulation, for
 // every cell kind in both compilation modes and for leading add and
-// leading subtract taps.
+// leading subtract taps. It checks the adder's window strategy the same
+// way: Slide over ragged blocks against the scalar chain of the ring's
+// slots.
 func TestChainMatchesScalar(t *testing.T) {
 	for _, mode := range []bool{true, false} {
 		mode := mode
@@ -136,19 +138,30 @@ func TestChainMatchesScalar(t *testing.T) {
 						}
 					}
 				}
-				// FoldSlice vs the scalar chain over window-sized slices.
+				// Slide vs the scalar chain over the ring in slot order,
+				// continued over ragged blocks from a zeroed ring.
 				for _, wlen := range []int{1, 2, 5, 32} {
-					vals := make([]int64, wlen)
-					for i := range vals {
-						vals[i] = int64(int32(rng.Uint64()))
-					}
-					got := ad.FoldSlice(vals)
-					want := vals[0]
-					for _, v := range vals[1:] {
-						want = ad.AddSigned(want, v)
-					}
-					if got != want {
-						t.Fatalf("%+v: FoldSlice(len=%d) = %d, scalar chain %d", spec, wlen, got, want)
+					ring := make([]int64, wlen)
+					model := make([]int64, wlen)
+					pos, sum, mpos := 0, uint64(0), 0
+					for b := 0; b < 8; b++ {
+						xs := make([]int64, rng.Intn(2*wlen))
+						for i := range xs {
+							xs[i] = int64(int32(rng.Uint64()))
+						}
+						dst := make([]int64, len(xs))
+						pos, sum = ad.Slide(dst, xs, ring, pos, sum, shift, outW)
+						for i, x := range xs {
+							model[mpos] = x
+							mpos = (mpos + 1) % wlen
+							acc := model[0]
+							for _, v := range model[1:] {
+								acc = ad.AddSigned(acc, v)
+							}
+							if want := arith.ToSigned(uint64(acc)>>shift, outW); dst[i] != want {
+								t.Fatalf("%+v: Slide(window %d)[%d] = %d, scalar chain %d", spec, wlen, i, dst[i], want)
+							}
+						}
 					}
 				}
 			}

@@ -10,8 +10,11 @@
 // Each stage compiles its arithmetic once and keeps it immutable; its only
 // state is its delay line. A FIR evaluates through one chain kernel
 // whether it runs a whole record (FilterInto), a stream's next block
-// (Block) or a single sample (Process), and Clone gives another stream its
-// own delay line over the same compiled stage.
+// (Block) or a single sample (Process). The integrator runs every entry
+// point through its adder's window strategy: FilterInto is a reset and
+// one block, Process a one-sample block, and its delay line carries one
+// running-sum word. Clone gives another stream its own delay line over the
+// same compiled stage.
 package dsp
 
 import (
@@ -237,11 +240,18 @@ func resize(s []int64, n int) []int64 {
 // input is the squarer's full 32-bit product — keeping the beat's energy
 // envelope in the accumulator's upper bits is what gives this stage its
 // extreme error resilience (paper §4.2 tolerates 16 approximated LSBs).
+//
+// The window chains its ring slots in slot order through the adder's
+// compiled window strategy (kernel.Adder.Slide), shared by every clone:
+// a running sum for the exact and wiring adders, the per-sample re-fold
+// for the others. The integrator's only state is the slot ring, the
+// cursor and the strategy's running-sum word.
 type MovingSum struct {
 	adder    *kernel.Adder
 	outShift int
-	hist     []int64
+	ring     []int64
 	pos      int
+	sum      uint64
 }
 
 // NewMovingSum builds the integrator with the given window length.
@@ -256,76 +266,39 @@ func NewMovingSum(window, outShift int, cfg ArithConfig) (*MovingSum, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &MovingSum{adder: adder, outShift: outShift, hist: make([]int64, window)}, nil
+	return &MovingSum{adder: adder, outShift: outShift, ring: make([]int64, window)}, nil
 }
 
 // Clone returns an integrator over m's compiled adder with a cleared
 // window of its own; clones may run on different goroutines.
 func (m *MovingSum) Clone() *MovingSum {
-	return &MovingSum{adder: m.adder, outShift: m.outShift, hist: make([]int64, len(m.hist))}
+	return &MovingSum{adder: m.adder, outShift: m.outShift, ring: make([]int64, len(m.ring))}
 }
 
 // Window returns the integration window length.
-func (m *MovingSum) Window() int { return len(m.hist) }
+func (m *MovingSum) Window() int { return len(m.ring) }
 
-// Reset clears the delay line.
+// Reset clears the window and its running sum.
 func (m *MovingSum) Reset() {
-	clear(m.hist)
-	m.pos = 0
+	clear(m.ring)
+	m.pos, m.sum = 0, 0
 }
 
 // Process consumes one sample and returns the windowed sum, shifted and
-// sliced like the hardware output bus. The window chains in ring-slot
-// order through one fold kernel (a single indirect call with the adder's
-// closed form inlined over the window).
+// sliced like the hardware output bus: a one-sample ProcessBlock.
 func (m *MovingSum) Process(x int64) int64 {
-	m.hist[m.pos] = x
-	m.pos++
-	if m.pos == len(m.hist) {
-		m.pos = 0
-	}
-	acc := m.adder.FoldSlice(m.hist)
-	return arith.ToSigned(uint64(acc)>>uint(m.outShift), AccWidth-m.outShift)
+	v := [1]int64{x}
+	m.ProcessBlock(v[:], v[:])
+	return v[0]
 }
 
 // ProcessBlock feeds a block through the integrator from its current
 // window, writing one output per input into dst (len(dst) must be at
-// least len(xs)) exactly as len(xs) calls of Process would. With an exact adder the
-// window sum slides — seeded from the live window, then add the new
-// sample and drop the expired one — which is bit-identical to the
-// per-sample fold because native addition is associative modulo the
-// accumulator width; approximate (and oracle-mode) adders are
-// order-sensitive and re-fold the window per sample.
+// least len(xs); dst may alias xs index for index) exactly as len(xs)
+// calls of Process would. Each sample costs O(1) for the exact and
+// wiring adders and a fold of the window for the others.
 func (m *MovingSum) ProcessBlock(dst, xs []int64) {
-	w := len(m.hist)
-	shift := uint(m.outShift)
-	if m.adder.Exact() {
-		const mW = uint64(1)<<AccWidth - 1
-		var s int64
-		for _, v := range m.hist {
-			s += v
-		}
-		for i, x := range xs {
-			s += x - m.hist[m.pos]
-			m.hist[m.pos] = x
-			m.pos++
-			if m.pos == w {
-				m.pos = 0
-			}
-			acc := arith.ToSigned(uint64(s)&mW, AccWidth)
-			dst[i] = arith.ToSigned(uint64(acc)>>shift, AccWidth-m.outShift)
-		}
-		return
-	}
-	for i, x := range xs {
-		m.hist[m.pos] = x
-		m.pos++
-		if m.pos == w {
-			m.pos = 0
-		}
-		acc := m.adder.FoldSlice(m.hist)
-		dst[i] = arith.ToSigned(uint64(acc)>>shift, AccWidth-m.outShift)
-	}
+	m.pos, m.sum = m.adder.Slide(dst, xs, m.ring, m.pos, m.sum, uint(m.outShift), AccWidth-m.outShift)
 }
 
 // Filter runs the integrator over a whole signal from a cleared window.

@@ -1,6 +1,7 @@
 package dsp
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -195,4 +196,186 @@ func driveFIR(t *testing.T, label string, rng *rand.Rand, f *FIR, o *oracleFIR, 
 		}
 	}
 	return buf
+}
+
+// oracleMovingSum is the per-sample window fold MovingSum ran before its
+// window slid: each sample overwrites the ring's next slot, and the
+// ring's slots chain through the adder's AddSigned in slot order, slot 0
+// opening the chain. It is frozen here as the reference the window
+// strategies are compared against; do not optimize it.
+type oracleMovingSum struct {
+	adder    *kernel.Adder
+	outShift int
+	hist     []int64
+	pos      int
+}
+
+func newOracleMovingSum(t *testing.T, window, outShift int, cfg ArithConfig) *oracleMovingSum {
+	t.Helper()
+	adder, err := kernel.CachedAdder(arith.Adder{Width: AccWidth, ApproxLSBs: cfg.LSBs, Kind: cfg.Add})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &oracleMovingSum{adder: adder, outShift: outShift, hist: make([]int64, window)}
+}
+
+func (m *oracleMovingSum) Reset() {
+	for i := range m.hist {
+		m.hist[i] = 0
+	}
+	m.pos = 0
+}
+
+func (m *oracleMovingSum) Process(x int64) int64 {
+	m.hist[m.pos] = x
+	m.pos++
+	if m.pos == len(m.hist) {
+		m.pos = 0
+	}
+	acc := m.hist[0]
+	for _, v := range m.hist[1:] {
+		acc = m.adder.AddSigned(acc, v)
+	}
+	return arith.ToSigned(uint64(acc)>>uint(m.outShift), AccWidth-m.outShift)
+}
+
+// movingSumKinds are the adder kinds the integrator differential crosses:
+// exact, and every approximate kind — the wiring kinds slide, the others
+// re-fold.
+var movingSumKinds = []approx.AdderKind{approx.AccAdd, approx.ApproxAdd1, approx.ApproxAdd2,
+	approx.ApproxAdd3, approx.ApproxAdd4, approx.ApproxAdd5}
+
+// TestMovingSumMatchesOracle is the seeded differential of every
+// integrator entry point against the frozen per-sample fold: random
+// interleavings of Process, ProcessBlock, FilterInto restarts, Reset and
+// Clone (see driveMovingSum), crossing adder kinds {exact, AMA1-AMA5} x
+// approximated LSBs {0, 1, 2, 8, 12, 16, 31, 32} x windows {2, 3, 32} x
+// both kernel modes.
+func TestMovingSumMatchesOracle(t *testing.T) {
+	for _, mode := range []bool{true, false} {
+		mode := mode
+		t.Run(fmt.Sprintf("kernels=%v", mode), func(t *testing.T) {
+			prev := kernel.SetEnabled(mode)
+			defer kernel.SetEnabled(prev)
+			rng := rand.New(rand.NewSource(67))
+			for _, kind := range movingSumKinds {
+				for _, k := range []int{0, 1, 2, 8, 12, 16, 31, 32} {
+					for _, window := range []int{2, 3, 32} {
+						cfg := ArithConfig{LSBs: k, Add: kind}
+						outShift := rng.Intn(8)
+						label := fmt.Sprintf("%v window %d shift %d", cfg, window, outShift)
+						driveMovingSum(t, label, rng.Uint64, 32, cfg, window, outShift)
+					}
+				}
+			}
+		})
+	}
+}
+
+// FuzzMovingSum runs the integrator differential on fuzzer-chosen
+// configurations and call sequences: the first four bytes pick the adder
+// kind, the approximated LSBs, the window, and the kernel mode (bit 0)
+// with the output shift (bits 1-3); the rest feed driveMovingSum's
+// choices 8 bytes at a time (zero past the end).
+func FuzzMovingSum(f *testing.F) {
+	rng := rand.New(rand.NewSource(1))
+	for i, seed := range [][3]byte{{0, 0, 30}, {5, 16, 30}, {4, 16, 30}, {1, 8, 1}, {5, 32, 0}, {4, 31, 1}} {
+		data := append(seed[:], byte(i))
+		for j := 0; j < 48; j++ {
+			data = binary.LittleEndian.AppendUint64(data, rng.Uint64())
+		}
+		f.Add(data)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 4 {
+			return
+		}
+		cfg := ArithConfig{LSBs: int(data[1]) % (AccWidth + 1), Add: movingSumKinds[int(data[0])%len(movingSumKinds)]}
+		window := 2 + int(data[2])%40
+		prev := kernel.SetEnabled(data[3]&1 == 0)
+		defer kernel.SetEnabled(prev)
+		words := data[4:]
+		next := func() uint64 {
+			var b [8]byte
+			words = words[copy(b[:], words):]
+			return binary.LittleEndian.Uint64(b[:])
+		}
+		steps := min(1+len(words)/16, 48)
+		driveMovingSum(t, fmt.Sprintf("%v window %d", cfg, window), next, steps, cfg, window, int(data[3]>>1)%8)
+	})
+}
+
+// driveMovingSum builds an integrator and its oracle and runs steps
+// entry-point calls against it, drawing every choice from next:
+// Process, ProcessBlock (lengths 0, 1 and past the window), FilterInto
+// restarts, Reset, and Clone (the clone carries on from a cleared
+// window). Samples mix the squarer's output range, the full int32 range,
+// values with bit k-1 set and arbitrary 64-bit words.
+func driveMovingSum(t *testing.T, label string, next func() uint64, steps int, cfg ArithConfig, window, outShift int) {
+	t.Helper()
+	m, err := NewMovingSum(window, outShift, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := newOracleMovingSum(t, window, outShift, cfg)
+	intn := func(n int) int { return int(next() % uint64(n)) }
+	sample := func() int64 {
+		v := next()
+		switch intn(4) {
+		case 0:
+			return int64(v % (1<<30 + 1))
+		case 1:
+			return int64(int32(v))
+		case 2:
+			if cfg.LSBs > 0 {
+				return int64(int32(v)) | 1<<(cfg.LSBs-1)
+			}
+			return int64(int32(v))
+		default:
+			return int64(v)
+		}
+	}
+	samples := func(n int) []int64 {
+		xs := make([]int64, n)
+		for i := range xs {
+			xs[i] = sample()
+		}
+		return xs
+	}
+	pos := 0
+	check := func(op string, got, in []int64) {
+		t.Helper()
+		for i, x := range in {
+			if want := o.Process(x); got[i] != want {
+				t.Fatalf("%s: %s sample %d (stream position %d): got %d, oracle %d",
+					label, op, i, pos+i, got[i], want)
+			}
+		}
+		pos += len(in)
+	}
+	for step := 0; step < steps; step++ {
+		switch op := intn(8); {
+		case op < 2:
+			x := sample()
+			check("Process", []int64{m.Process(x)}, []int64{x})
+		case op < 5:
+			xs := samples([3]int{0, 1, window + 1 + intn(24)}[intn(3)])
+			dst := make([]int64, len(xs))
+			m.ProcessBlock(dst, xs)
+			check("ProcessBlock", dst, xs)
+		case op == 5:
+			xs := samples(intn(3 * window))
+			o.Reset()
+			pos = 0
+			check("FilterInto", m.FilterInto(nil, xs), xs)
+		case op == 6:
+			m.Reset()
+			o.Reset()
+			pos = 0
+		default:
+			m = m.Clone()
+			o.Reset()
+			pos = 0
+		}
+	}
 }

@@ -259,7 +259,7 @@ func (s *Setup) Serve(cfg pantompkins.Config, opts ServeOpts) (*ServeResult, err
 func FormatServe(cfg pantompkins.Config, r *ServeResult) string {
 	var sb strings.Builder
 	faulty := r.Opts.Loss > 0 || r.Opts.Burst > 0
-	fmt.Fprintf(&sb, "Serve workload: %v, %d-shard gateway, framed ingest, lane-packed batch drain, live per-session detection\n",
+	fmt.Fprintf(&sb, "Serve workload: %v, %d-shard gateway, framed ingest, per-session block drain, live per-session detection\n",
 		cfg, r.Opts.Shards)
 	if r.Opts.Net != "" {
 		fmt.Fprintf(&sb, "transport: real %s loopback socket (length-delimited frames, NACK-driven backoff)\n", r.Opts.Net)
