@@ -8,8 +8,9 @@
 # transport (loopback TCP+UDP churn) and the continuation equivalence
 # suites (whole records, blocks and single samples through one chain
 # engine, against per-sample and per-tap oracles), a fuzz smoke over the
-# wire-frame/socket-message parsers, the ingest path, the QRS detector
-# and the moving-window integrator, a fixed-seed chaos run of the socket
+# wire-frame/socket-message parsers, the ingest path, the QRS detector,
+# the moving-window integrator and the kernel's on-demand table fills, a
+# fixed-seed chaos run of the socket
 # transport harness, and the end-to-end benchmark module's golden-digest
 # smoke test (which also fails when a declared metric goes missing).
 
@@ -40,8 +41,9 @@ race:
 
 # Focused -race pass over the arithmetic packages: the kernel's global
 # plan/table cache is hammered by concurrent cold builds (first-insert-wins
-# asserted), cheap enough to run on every CI pass in addition to the full
-# `race` sweep above.
+# asserted) whose goroutines then race to fill the shared tables, cheap
+# enough to run on every CI pass in addition to the full `race` sweep
+# above.
 race-arith:
 	$(GO) test -race -count=1 ./internal/arith/...
 
@@ -82,7 +84,8 @@ net-smoke:
 # signal in blocks — kernel Chain.Run from a start index, the dsp FIR
 # and integrator entry points against the frozen per-tap and per-sample
 # fold oracles and the squarer block path, Pipeline.PushBlock and
-# streams sharing one compiled pipeline across goroutines, the serve
+# streams sharing one compiled pipeline across goroutines (racing the
+# first fills of its tables), the serve
 # block drain — plus the netlist stream simulator, under -race, with the
 # per-sample/scalar paths as in-process oracles.
 race-batch:
@@ -91,15 +94,17 @@ race-batch:
 # Fuzz smoke: a few seconds of native fuzzing over the wire-frame
 # parser, the socket-message decoder and the ingest path (never panic,
 # never corrupt the session pool), over the QRS detector (every entry
-# point reproduces the frozen whole-record oracle) and over the
+# point reproduces the frozen whole-record oracle), over the
 # moving-window integrator (every entry point reproduces the frozen
-# per-sample fold).
+# per-sample fold) and over the kernel's on-demand table fills (every
+# read of a fresh table reproduces the full enumeration).
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzParseFrame -fuzztime=5s -run '^$$' ./internal/serve
 	$(GO) test -fuzz=FuzzParseWire -fuzztime=5s -run '^$$' ./internal/serve
 	$(GO) test -fuzz=FuzzIngest -fuzztime=5s -run '^$$' ./internal/serve
 	$(GO) test -fuzz=FuzzDetector -fuzztime=5s -run '^$$' ./internal/pantompkins
 	$(GO) test -fuzz=FuzzMovingSum -fuzztime=5s -run '^$$' ./internal/dsp
+	$(GO) test -fuzz=FuzzTableFill -fuzztime=5s -run '^$$' ./internal/arith/kernel
 
 # The kernel equivalence tests and the packages threaded through the
 # compiled kernels, re-run with XBIOSIP_NO_KERNELS so every plan delegates

@@ -281,16 +281,7 @@ func BenchmarkPipelinePush(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	cfgs := map[string]pantompkins.Config{"accurate": pantompkins.AccurateConfig()}
-	var b9 pantompkins.Config
-	for i, s := range pantompkins.Stages {
-		b9.Stage[s] = dsp.ArithConfig{
-			LSBs: []int{10, 12, 2, 8, 16}[i],
-			Add:  approx.ApproxAdd5,
-			Mul:  approx.AppMultV1,
-		}
-	}
-	cfgs["b9"] = b9
+	cfgs := map[string]pantompkins.Config{"accurate": pantompkins.AccurateConfig(), "b9": b9Config()}
 	for name, cfg := range cfgs {
 		b.Run(name, func(b *testing.B) {
 			p, err := pantompkins.New(cfg)
@@ -302,6 +293,56 @@ func BenchmarkPipelinePush(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				p.Push(rec.Samples[i%n])
+			}
+		})
+	}
+}
+
+// b9Config is the paper's headline design B9: LSBs {10, 12, 2, 8, 16}
+// on ApproxAdd5 and AppMultV1.
+func b9Config() pantompkins.Config {
+	var b9 pantompkins.Config
+	for i, s := range pantompkins.Stages {
+		b9.Stage[s] = dsp.ArithConfig{
+			LSBs: []int{10, 12, 2, 8, 16}[i],
+			Add:  approx.ApproxAdd5,
+			Mul:  approx.AppMultV1,
+		}
+	}
+	return b9
+}
+
+// BenchmarkColdDesign measures what a design costs the explorer the first
+// time it meets the design (the per-design cost of the paper's Fig 11):
+// each op drops the kernel caches, builds the pipeline with pantompkins.New
+// and runs it once over a 20,000-sample NSRDB-like record with RunInto.
+// The designs are the accurate one (table-free), B9, and the
+// pre-processing unit with 16 approximated LSBs on LPF and HPF (ApproxAdd5,
+// AppMultV1), the largest tables the explorer builds.
+func BenchmarkColdDesign(b *testing.B) {
+	rec, err := ecg.NSRDBRecord(0, 20000)
+	if err != nil {
+		b.Fatal(err)
+	}
+	pre := pantompkins.AccurateConfig()
+	for _, s := range []pantompkins.Stage{pantompkins.LPF, pantompkins.HPF} {
+		pre.Stage[s] = dsp.ArithConfig{LSBs: 16, Add: approx.ApproxAdd5, Mul: approx.AppMultV1}
+	}
+	defer kernel.DropCaches()
+	for _, d := range []struct {
+		name string
+		cfg  pantompkins.Config
+	}{{"accurate", pantompkins.AccurateConfig()}, {"b9", b9Config()}, {"pre-k16", pre}} {
+		b.Run(d.name, func(b *testing.B) {
+			var out pantompkins.Outputs
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				kernel.DropCaches()
+				p, err := pantompkins.New(d.cfg)
+				if err != nil {
+					b.Fatal(err)
+				}
+				p.RunInto(&out, rec.Samples)
 			}
 		})
 	}

@@ -65,7 +65,7 @@
 // whole approximate multiply becomes one or two cache-resident loads.
 // The representation is tiered by what the compiled plan allows —
 // shared sub-product tables, then an int32 full table, then int64, with
-// the oracle build behind them all:
+// the oracle fill behind them all:
 //
 //   - Exact plans carry no table at all: the product is a native multiply
 //     behind a branch-free sign-magnitude wrapper, and a fully exact FIR
@@ -82,33 +82,32 @@
 //
 //   - int32 full tier: plans whose root combines approximately keep the
 //     full 2^Width table — re-running the approximate combining per
-//     lookup costs more than the load it replaces — but build it through
+//     lookup costs more than the load it replaces — but fill it through
 //     the same decomposition (two compiled accumulations per entry, the
 //     two signs of one magnitude sharing one core evaluation) and store
-//     int32 entries: half the bytes of the previous int64 representation.
-//     The build checks every entry; a (spec, coeff) pair whose product
-//     overflows int32 promotes to
+//     int32 entries whenever a bound proves every product fits (see
+//     "On-demand fills"), else
 //
-//   - int64 full tier: the overflow fallback, and
+//   - int64 full tier, and
 //
 //   - the oracle: in XBIOSIP_NO_KERNELS mode plans have no decomposition,
-//     so tables build bit-serially through the reference models (contents
+//     so tables fill bit-serially through the reference models (contents
 //     are mode-independent — that is the equivalence guarantee — only the
-//     build path and resident tier differ).
+//     fill path and resident tier differ).
 //
 // SquareTable squares depend on both halves of their single operand at
 // once, so the sub-product tier does not apply: exact specs are
-// table-free, everything else keeps an int32 (or int64) full table.
+// table-free, everything else keeps an int32 full table.
 //
 // # Chain projections, sliding windows, MAC fusion and lazy raw tables
 //
 // The compiled chains layer two more compiled projections on top of the
 // tiers. For the wiring adders (AMA4/AMA5) the closed form sums, per tap,
-// only an upper slice of the product plus a carry bit; buildChainProj
+// only an upper slice of the product plus a carry bit; newChainProj
 // bakes that whole term into a 2^Width projection table per
-// (coefficient, polarity, k) — uint16 entries whenever every term fits,
-// which k >= 16 guarantees (halving the footprint per chain polarity),
-// uint32 otherwise — making each projected tap one load and one add.
+// (coefficient, polarity, k) — uint16 entries whenever a bound proves
+// every term fits (halving the footprint per chain polarity), uint32
+// otherwise — making each projected tap one load and one add.
 // And because those terms add in plain modular arithmetic, a long run of
 // taps sharing one projection over contiguous lags — the 32-tap high-pass
 // shape — collapses to an O(1) sliding window per sample (add the
@@ -118,7 +117,7 @@
 // and native accumulation is associative, so the whole chain is one
 // multiply-accumulate loop with the coefficients' signs folded in.
 //
-// Projections build straight from the compiled plan's product closure
+// Projections fill straight from the compiled plan's product closure
 // (productFn, sign-halved, with the root's accumulation adders
 // devirtualized), so a projected tap never needs its raw 2^Width table.
 // NewChain exploits that by materializing raw ConstMulTables only for
@@ -129,9 +128,68 @@
 // workload — exploration or live streams — ever builds the interior
 // taps' 256 KiB tables.
 //
-// CacheStats reports the live bytes of every tier (and DropCaches empties
-// the caches for cold-build benchmarks), so the working set is tracked
-// across PRs the way ns/op is.
+// CacheStats reports the allocated and the filled bytes of every tier
+// (and DropCaches empties the caches for cold-build benchmarks), so the
+// working set is tracked across PRs the way ns/op is.
+//
+// # On-demand fills
+//
+// A full table — the int32/int64 ConstMulTable tiers, a SquareTable, a
+// chain ProjTable — is allocated when it is created and filled on first
+// read, over the operand magnitudes the reads reach: a record set
+// reaches about a quarter of a 2^16-entry table. The check sits only at
+// the reading entry points (Chain.Run, SquareTable.SquareSlice and
+// Square, ConstMulTable.Mul); the strategy loops behind them stay one
+// load per tap with no per-sample branch, and every entry, once filled,
+// holds exactly what an enumeration at creation held.
+//
+// One coverage word per table replaces a page bitmap. Every operand a
+// chain reads is either a sample of one signal or the zero padding before
+// it, and a fill writes both signs of each magnitude, so what is filled
+// is always one interval: every entry with |x| < M. A read takes the
+// largest |x| over its operands; when that reaches M it locks the
+// table's mutex, fills magnitudes [M, M') with M' the next multiple of
+// 256 (fillStep) capped at 2^(Width-1), and publishes M' with an atomic
+// store. Readers load M atomically before they read, which orders them
+// after the fill they rely on and keeps concurrent first fills race-free.
+// A magnitude of 2^(Width-1) or more fills the whole table: the minimum
+// operand, whose entry has no positive twin; an operand outside the
+// Width-bit range, whose index wraps; and math.MinInt64, whose |x|
+// overflows int64 (the magnitude is computed as an unsigned word, so it
+// stays 2^63).
+//
+// Chain.Run covers xs[from:] only. The history before from is either
+// zero or was evaluated by an earlier Run of the same chain, which
+// covered it — a dsp delay line holds only inputs an earlier Run
+// evaluated, or zeros after Reset and Clone. A chain keeps one word, the
+// smallest coverage of its tables, so a one-sample Process pays one scan
+// of one operand and one atomic load; chains without on-demand tables
+// skip the check.
+//
+// Every tier is decided before the first fill, from a bound instead of
+// the entries:
+//
+//   - squares are int32: a square is the sign-extended 2*Width <= 32-bit
+//     core, and an even function is never negated;
+//   - a const-mul full table is int32 when Width < 16 (products have at
+//     most 30 bits), or when ApproxLSBs <= Width and |c| < 2^(Width-1).
+//     Then the root's hh child is exact (at most 128*127 at Width 16),
+//     every other child and adder output is masked to its width, and an
+//     approximate adder exceeds its exact sum by less than 2^(ka+1), so
+//     the core stays below 2^31 and both signs fit. Otherwise it is
+//     int64;
+//   - a projection is uint16 when its largest possible term fits:
+//     (maxUB + round*2^(k-1)) >> k <= 0xffff, where maxUB is the largest
+//     w-bit pattern the tap feeds the chain. That is 2^w - 1 for a
+//     subtracted tap, and 2^w - 2^z for an added one, with z =
+//     min(ApproxLSBs, Width) for an AMA5 plan with a composite root and
+//     z = 0 otherwise: the final accumulation of an AMA5 plan copies the
+//     low bits of hh << Width, which are zero, into the product, and
+//     negation keeps trailing zeros.
+//
+// TestTableTierBounds checks every bound against the enumerated entries
+// and, over the explorer's design space, that each tier equals the one
+// an enumeration at creation chose.
 //
 // # Sliding integrator windows
 //

@@ -1,7 +1,10 @@
 package kernel
 
 import (
+	"math"
 	"math/bits"
+	"slices"
+	"sync/atomic"
 
 	"github.com/xbiosip/xbiosip/internal/approx"
 	"github.com/xbiosip/xbiosip/internal/arith"
@@ -41,30 +44,23 @@ type ChainOp struct {
 	Sub   bool
 }
 
-// ProjTable is one cached wiring-chain projection (see buildChainProj):
+// ProjTable is one cached wiring-chain projection (see newChainProj):
 // entry x holds a tap's whole upper-slice term. Entries are stored as
-// uint16 when every term fits — k >= 16 approximated LSBs guarantee it
-// (terms are bounded by 2^(w-k) shifted slices of the w-bit accumulator),
-// halving the footprint per chain polarity — and uint32 otherwise.
-// Exactly one tier is set.
+// uint16 when a bound proves every term fits (see projFits16), halving
+// the footprint per chain polarity, and uint32 otherwise. Exactly one
+// tier is set. The strategy loops test the tier once per table and keep
+// the load inline (see wiringChain and slidingWiring), so the halved
+// footprint costs one perfectly-predicted branch instead of a function
+// call. The entries fill on demand, when the Run of a chain reading the
+// table reaches new operand magnitudes.
 type ProjTable struct {
 	u16 []uint16
 	u32 []uint32
+	cov *coverage
 }
 
 // valid reports whether the handle references a table at all.
 func (p ProjTable) valid() bool { return p.u16 != nil || p.u32 != nil }
-
-// at returns entry i — the construction-time accessor. The strategy loops
-// do not call it: they test the tier once per table and keep the load
-// inline (see wiringChain and slidingWiring), so the halved footprint
-// costs one perfectly-predicted branch instead of a function call.
-func (p ProjTable) at(i uint64) uint64 {
-	if p.u16 != nil {
-		return uint64(p.u16[i])
-	}
-	return uint64(p.u32[i])
-}
 
 // Entries returns the number of table entries.
 func (p ProjTable) Entries() int {
@@ -74,7 +70,8 @@ func (p ProjTable) Entries() int {
 	return len(p.u32)
 }
 
-// Bytes returns the live storage of the projection in bytes.
+// Bytes returns the allocated storage of the projection in bytes, filled
+// or not.
 func (p ProjTable) Bytes() int64 { return int64(len(p.u16))*2 + int64(len(p.u32))*4 }
 
 // Same reports whether two handles reference one cached table (pointer
@@ -120,13 +117,20 @@ type chainFunc func(c *Chain, dst, xs []int64, from int, outShift uint, outWidth
 // Chain is a compiled accumulation chain: the full per-sample fold of a
 // FIR's tap products through one adder, evaluated sample-major with the
 // adder's closed form inlined per tap. Build chains with Adder.NewChain.
-// A Chain is immutable and holds no signal state, so one Chain serves
-// any number of streams on any number of goroutines.
+// A Chain is immutable apart from its fill bound and holds no signal
+// state, so one Chain serves any number of streams on any number of
+// goroutines.
 type Chain struct {
 	ad    *Adder
 	ops   []chainOp
 	fn    chainFunc
 	fused bool // the chain compiled to the native multiply-accumulate loop
+	// covs are the coverages of the distinct on-demand tables the
+	// strategy reads, and bound the smallest of their bounds when Run
+	// last grew them: a lower bound on each, since bounds only grow, so
+	// Run compares one word per call.
+	covs  []*coverage
+	bound atomic.Uint64
 }
 
 // NewChain compiles the accumulation chain of the given taps, all
@@ -142,7 +146,7 @@ type Chain struct {
 // MAC loop — bit-identical and table-free. For the wiring adders
 // (AMA4/AMA5) every tap that contributes only its upper slice gets a
 // projection table: the per-tap term (ub >> k) + carry collapses to one
-// load (see wiringChain and buildChainProj).
+// load (see wiringChain and newChainProj).
 //
 // Raw product tables materialize only for the taps the chosen strategy
 // reads products from — every tap of the generic/native/chunk strategies,
@@ -201,12 +205,36 @@ func (ad *Adder) NewChain(spec arith.Multiplier, ops []ChainOp) (*Chain, error) 
 		}
 		op.tab, op.tab32, op.mul = t, t.tab32, t.fn
 	}
+	for o := range c.ops {
+		cv := c.ops[o].proj.cov
+		if t := c.ops[o].tab; t != nil {
+			cv = t.cov
+		}
+		if cv != nil && !slices.Contains(c.covs, cv) {
+			c.covs = append(c.covs, cv)
+		}
+	}
 	if wiring {
 		if plan, ok := slidePlanFor(c, invA); ok {
 			c.fn = slidingWiring(ad.spec.Width, k, invA, plan)
 		}
 	}
+	if c.covs != nil {
+		c.fn = coverFirst(c.fn)
+	}
 	return c, nil
+}
+
+// coverFirst wraps the strategy of a chain that reads on-demand tables:
+// before it evaluates, it fills them over the largest |x| of xs[from:]
+// (see Run). Chains without such tables run their strategy directly.
+func coverFirst(run chainFunc) chainFunc {
+	return func(c *Chain, dst, xs []int64, from int, outShift uint, outWidth int) {
+		if mag := maxMagnitude(xs[from:]); mag >= c.bound.Load() {
+			c.cover(mag)
+		}
+		run(c, dst, xs, from, outShift, outWidth)
+	}
 }
 
 // slidePlan drives the sliding-window evaluation of a wiring chain's
@@ -287,7 +315,7 @@ func slidePlanFor(c *Chain, invA bool) (slidePlan, bool) {
 // slidingWiring is wiringChain with the projected taps evaluated through
 // the sliding window of a slidePlan; bit-identical because the projected
 // terms sum in plain modular arithmetic (see wiringChain for the closed
-// form and buildChainProj for the terms). The loop is stenciled per
+// form and newChainProj for the terms). The loop is stenciled per
 // majority-table entry width, so the uint16 tier costs no per-sample
 // branches on the window loads.
 func slidingWiring(w, k int, invA bool, plan slidePlan) chainFunc {
@@ -452,8 +480,27 @@ func (c *Chain) RawTables() []*ConstMulTable {
 // yields exactly the outputs the whole signal has at the block's
 // positions. Only positions from on are evaluated; no history position
 // is computed and discarded.
+//
+// Before it evaluates, Run fills the chain's on-demand tables over the
+// largest |x| of xs[from:] — one scan and, once the tables reach that
+// far, one atomic load. The history xs[:from] is not scanned, so it must
+// hold only zeros and operands that an earlier Run of this chain
+// evaluated (at a position at or after its start index). A delay line
+// that holds a stream's past inputs, or zeros after a reset, meets this.
 func (c *Chain) Run(dst, xs []int64, from int, outShift uint, outWidth int) {
 	c.fn(c, dst, xs, from, outShift, outWidth)
+}
+
+// cover fills every on-demand table the chain reads up to operand
+// magnitude mag and republishes the chain's bound. A racing Run may
+// publish an older, smaller bound; that only costs it a later cover.
+func (c *Chain) cover(mag uint64) {
+	b := uint64(math.MaxUint64)
+	for _, cv := range c.covs {
+		cv.cover(mag)
+		b = min(b, cv.bound.Load())
+	}
+	c.bound.Store(b)
 }
 
 // emptyChain is the chain of no taps: the sliced zero accumulator.
@@ -578,7 +625,7 @@ func nativeChain(w int) chainFunc {
 // cells drop the +1 carry-in, like the scalar closures.
 //
 // Every tap that contributes only its upper slice reads its whole term
-// from a projection table (see buildChainProj): AMA5 sums
+// from a projection table (see newChainProj): AMA5 sums
 // projRound[x] = (ub + 2^(k-1)) >> k per tap before the last — the
 // opening accumulator included, because copying p and zero-subtracting
 // through the wiring datapath both leave acc = ub, making the seed
@@ -668,60 +715,94 @@ func wiringChain(w, k int, invA bool) chainFunc {
 	}
 }
 
-// buildChainProj enumerates one tap's whole upper-slice term
-// ((p(x) ^ neg) & mask(w) + round*2^(k-1)) >> k over every operand value
-// through the plan's product closure — no raw product table required.
-// Constant multiplication is odd (f(-x) == -f(x), the sign-magnitude
-// arrangement of every tier), so the two signs of one magnitude share a
-// single product evaluation, exactly like the full-table build. Entries
-// narrow to uint16 when they all fit: guaranteed at k >= 16, where a term
-// is at most a 2^(w-k) <= 2^16 slice plus the rounding carry; the value
-// check also catches the k = 16 rounding edge.
-func buildChainProj(f func(int64) int64, width, w, k int, opMask uint64, neg, round bool) ProjTable {
-	mW := mask(w)
-	var nm uint64
+// newChainProj allocates one tap's projection table: entry x is the
+// whole upper-slice term ((p(x) ^ neg) & mask(w) + round*2^(k-1)) >> k of
+// the product p(x) of x with coeff through plan m. The entries fill on
+// demand through the plan's product closure (productFn, made by the
+// first fill), so no raw product table is required. Constant
+// multiplication is odd (f(-x) == -f(x), the sign-magnitude arrangement
+// of every tier), so the two signs of one magnitude share a single
+// product evaluation, exactly like a full table's fill.
+func newChainProj(m *Multiplier, coeff int64, w, k int, neg, round bool) ProjTable {
+	n := int(m.opMask) + 1
+	var p ProjTable
+	if projFits16(m.spec, w, k, neg, round) {
+		p.u16 = make([]uint16, n)
+	} else {
+		p.u32 = make([]uint32, n)
+	}
+	term := projTerm{mW: mask(w), k: uint(k)}
 	if neg {
-		nm = ^uint64(0)
+		term.nm = ^uint64(0)
+	}
+	if round {
+		term.half = uint64(1) << (k - 1)
+	}
+	var f func(int64) int64
+	u16, u32 := p.u16, p.u32
+	p.cov = newCoverage(m.spec.Width, func(lo, hi uint64) {
+		if f == nil {
+			f = m.productFn(coeff)
+		}
+		if u16 != nil {
+			fillProj(u16, lo, hi, f, term)
+		} else {
+			fillProj(u32, lo, hi, f, term)
+		}
+	})
+	return p
+}
+
+// projTerm is the upper-slice term of one projection.
+type projTerm struct {
+	nm, mW, half uint64
+	k            uint
+}
+
+func (t projTerm) of(p int64) uint64 { return ((uint64(p)^t.nm)&t.mW + t.half) >> t.k }
+
+// projFits16 reports whether every term of a projection fits uint16,
+// from the largest w-bit pattern ub a tap can feed the accumulator
+// rather than from the entries (see the package documentation): 2^w - 1
+// in general, but at most 2^w - 2^z for an added tap of an AMA5 plan
+// with a composite root, z = min(ApproxLSBs, Width), because its final
+// accumulation copies the zero low bits of hh << Width into the product.
+func projFits16(spec arith.Multiplier, w, k int, neg, round bool) bool {
+	maxUB := mask(w)
+	// A composite root is any plan of Width > 2 that is not exact; an
+	// exact one approximates no LSBs, so mask(0) leaves maxUB as it is.
+	if !neg && spec.Add == approx.ApproxAdd5 && spec.Width > 2 {
+		maxUB &^= mask(min(spec.ApproxLSBs, spec.Width))
 	}
 	var half uint64
 	if round {
 		half = uint64(1) << (k - 1)
 	}
-	n := int(opMask) + 1
-	mid := n / 2
-	u32 := make([]uint32, n)
-	var max uint32
-	term := func(p int64) uint32 {
-		ub := (uint64(p) ^ nm) & mW
-		e := uint32((ub + half) >> uint(k))
-		if e > max {
-			max = e
+	return (maxUB+half)>>uint(k) <= 0xffff
+}
+
+// fillProj writes magnitudes [lo, hi) of a projection table: the terms
+// of +mag and -mag from one product evaluation, and the term of the
+// minimum operand, which has no positive twin, from its own.
+func fillProj[T uint16 | uint32](tab []T, lo, hi uint64, f func(int64) int64, term projTerm) {
+	n := uint64(len(tab))
+	for mag := lo; mag < hi; mag++ {
+		if mag == n/2 {
+			tab[mag] = T(term.of(f(-int64(mag))))
+			continue
 		}
-		return e
-	}
-	for u := 0; u < mid; u++ {
-		p := f(int64(u))
-		u32[u] = term(p)
-		if u > 0 {
-			u32[n-u] = term(-p)
+		p := f(int64(mag))
+		tab[mag] = T(term.of(p))
+		if mag > 0 {
+			tab[n-mag] = T(term.of(-p))
 		}
 	}
-	// The minimum value has no positive counterpart; evaluate it directly.
-	u32[mid] = term(f(arith.ToSigned(uint64(mid), width)))
-	if max <= 0xffff {
-		u16 := make([]uint16, n)
-		for i, e := range u32 {
-			u16[i] = uint16(e)
-		}
-		return ProjTable{u16: u16}
-	}
-	return ProjTable{u32: u32}
 }
 
 // cachedChainProj returns the memoized wiring-chain projection for one
-// (spec, coeff) product under the given chain parameters, built through
-// the compiled plan's product closure and cached globally like the tables
-// themselves (first insert wins).
+// (spec, coeff) product under the given chain parameters, filled through
+// the compiled plan's product closure and cached globally like the
+// tables themselves (first insert wins).
 func cachedChainProj(m *Multiplier, coeff int64, w, k int, neg, round bool) ProjTable {
 	key := projKey{spec: m.spec, coeff: coeff, w: w, k: k, neg: neg, round: round}
 	planCache.Lock()
@@ -733,7 +814,7 @@ func cachedChainProj(m *Multiplier, coeff int64, w, k int, neg, round bool) Proj
 	if ok {
 		return p
 	}
-	p = buildChainProj(m.productFn(coeff), m.spec.Width, w, k, m.opMask, neg, round)
+	p = newChainProj(m, coeff, w, k, neg, round)
 	planCache.Lock()
 	defer planCache.Unlock()
 	if prev, ok := planCache.proj[key]; ok {

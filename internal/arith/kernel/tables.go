@@ -2,7 +2,6 @@ package kernel
 
 import (
 	"fmt"
-	"math"
 	"sync"
 
 	"github.com/xbiosip/xbiosip/internal/arith"
@@ -18,16 +17,20 @@ import (
 //   - plans whose top-level decomposition is exact (a composite root whose
 //     two accumulation adders are exact) store two 2^(Width/2)-entry
 //     byte-decomposed sub-product tables plus the compiled native
-//     combining adder — 2 KB instead of 512 KB at the pipeline's 16-bit
-//     width, and ~256x cheaper to build;
+//     combining adder — 2 KB instead of 256 KB at the pipeline's 16-bit
+//     width;
 //   - plans with an approximately-combined composite root keep the full
 //     2^Width table (the approximate combining per lookup costs more than
-//     the load it replaces on ALU-bound hosts), stored as int32 unless an
-//     entry overflows — but BUILD through the decomposition: two 256-entry
-//     sub-product tables plus two compiled accumulations per entry instead
-//     of a plan-tree walk per entry;
-//   - everything else (oracle-mode plans, 2-bit leaf roots) builds the
-//     full table through the bit-serial model, int32/int64 as above.
+//     the load it replaces on ALU-bound hosts), filled through the
+//     decomposition: two 256-entry sub-product tables plus two compiled
+//     accumulations per entry instead of a plan-tree walk per entry;
+//   - everything else (oracle-mode plans, 2-bit leaf roots) keeps the full
+//     table filled through the bit-serial model.
+//
+// A full table is int32 when a bound proves every product fits (see
+// constFits32), int64 otherwise, and is filled on demand: Mul, and the
+// Chain.Run of a chain that reads the table, fill the operand magnitudes
+// they reach before they read (see coverage).
 //
 // FIR stages multiply the signal exclusively by fixed coefficients, so one
 // ConstMulTable makes each tap one or two cache-resident loads.
@@ -38,15 +41,17 @@ type ConstMulTable struct {
 	coeff  int64
 	exact  bool // tier 0: table-free native product
 	// Live storage, for footprint accounting: at most one tier is set.
-	lo, hi []uint32 // decomposed sub-product tables
-	tab32  []int32  // full table, compact
-	tab64  []int64  // full table, overflow fallback
+	lo, hi []uint32  // decomposed sub-product tables
+	tab32  []int32   // full table, compact
+	tab64  []int64   // full table, when a product may overflow int32
+	cov    *coverage // fill state of a full table, nil otherwise
 }
 
 // NewConstMulTable builds the table for coefficient c on multiplier spec.
 // The operand width must be at most 16 bits (a full table is 2^Width
 // entries; the decomposed tiers are far smaller but keep the same bound so
-// every tier covers the same specs).
+// every tier covers the same specs). A full table is only allocated here;
+// its entries fill as reads reach them.
 func NewConstMulTable(spec arith.Multiplier, c int64) (*ConstMulTable, error) {
 	m, err := CachedMultiplier(spec)
 	if err != nil {
@@ -66,31 +71,55 @@ func NewConstMulTable(spec arith.Multiplier, c int64) (*ConstMulTable, error) {
 	case m.exact:
 		t.exact = true
 		t.fn = exactConstMul(spec.Width, cm, negC)
+		return t, nil
 	case m.decompExact():
 		t.lo, t.hi = m.subProductTables(cm)
 		t.fn = m.constMulFunc(t.lo, t.hi, negC)
-	case m.composite():
-		// Full table, built through the top-level decomposition: 4 x 2^(w/2)
-		// child evaluations shared by all entries, two devirtualized
-		// accumulations per entry (see combineFn), and the two signs of one
-		// magnitude share one core evaluation.
-		lo, hi := m.subProductTables(cm)
-		core := m.combineFn(lo, hi)
-		t.tab32, t.tab64 = fullProductTable(spec.Width, true, func(mag int64) int64 {
-			p := core(uint64(mag))
-			if negC {
-				p = -p
-			}
-			return p
-		})
-		t.fn = fullTableFunc(t.tab32, t.tab64, m.opMask)
-	default:
-		t.tab32, t.tab64 = fullProductTable(spec.Width, true, func(mag int64) int64 {
-			return m.MulSigned(mag, c)
-		})
-		t.fn = fullTableFunc(t.tab32, t.tab64, m.opMask)
+		return t, nil
 	}
+	// product is the signed product of +mag, made by the first fill: a
+	// composite plan evaluates through its top-level decomposition — 4 x
+	// 2^(w/2) child evaluations shared by all entries and two
+	// devirtualized accumulations per entry (see combineFn) — everything
+	// else through the plan.
+	var product func(mag uint64) int64
+	makeProduct := func() func(mag uint64) int64 {
+		if !m.composite() {
+			return func(mag uint64) int64 { return m.MulSigned(int64(mag), c) }
+		}
+		core := m.combineFn(m.subProductTables(cm))
+		if negC {
+			return func(mag uint64) int64 { return -core(mag) }
+		}
+		return core
+	}
+	if constFits32(spec, c) {
+		t.tab32 = make([]int32, 1<<spec.Width)
+	} else {
+		t.tab64 = make([]int64, 1<<spec.Width)
+	}
+	t.cov = newCoverage(spec.Width, func(lo, hi uint64) {
+		if product == nil {
+			product = makeProduct()
+		}
+		if t.tab32 != nil {
+			fillSigned(t.tab32, lo, hi, true, product)
+		} else {
+			fillSigned(t.tab64, lo, hi, true, product)
+		}
+	})
+	t.fn = fullTableFunc(t.tab32, t.tab64, m.opMask)
 	return t, nil
+}
+
+// constFits32 reports whether every product of coefficient c's full
+// table fits int32, from a bound rather than from the entries (see the
+// package documentation for the proof): always below 16-bit operands,
+// whose products have at most 30 bits, and at 16 bits when at most Width
+// LSBs are approximated and |c| < 2^(Width-1).
+func constFits32(spec arith.Multiplier, c int64) bool {
+	return spec.Width < 16 ||
+		spec.ApproxLSBs <= spec.Width && magnitude(c) < uint64(1)<<(spec.Width-1)
 }
 
 // Exact reports whether the table is the table-free exact tier: the
@@ -119,45 +148,30 @@ func exactConstMul(w int, cm uint64, negC bool) func(int64) int64 {
 	}
 }
 
-// fullProductTable enumerates a signed product function over all 2^w
-// operand values, storing int32 entries unless a value overflows (then the
-// whole table promotes to int64). The two signs of one magnitude share a
-// single core evaluation through the sign-magnitude wrapper: odd marks
-// functions with f(-mag) == -f(mag) (constant multiplication); squares are
-// even (f(-mag) == f(mag)).
-func fullProductTable(w int, odd bool, f func(mag int64) int64) ([]int32, []int64) {
-	n := 1 << w
-	opMask := mask(w)
-	half := n / 2
-	tab := make([]int64, n)
-	fits := true
-	for mag := 0; mag <= half; mag++ {
-		p := f(int64(mag))
+// fillSigned writes magnitudes [lo, hi) of a full signed product table
+// from f, the product of +mag: entry mag holds f(mag) and entry -mag its
+// mirror, -f(mag) for odd products (constant multiplication) and f(mag)
+// for even ones (squares), so the two signs share one evaluation. The
+// minimum operand, magnitude len(tab)/2, has only its negative entry.
+func fillSigned[T int32 | int64](tab []T, lo, hi uint64, odd bool, f func(mag uint64) int64) {
+	n := uint64(len(tab))
+	for mag := lo; mag < hi; mag++ {
+		p := f(mag)
 		mirror := p
 		if odd {
 			mirror = -p
 		}
-		if p > math.MaxInt32 || p < math.MinInt32 || mirror > math.MaxInt32 {
-			fits = false
-		}
-		if mag < half {
-			tab[mag] = p
+		if mag < n/2 {
+			tab[mag] = T(p)
 		}
 		if mag > 0 {
-			tab[(uint64(n)-uint64(mag))&opMask] = mirror
+			tab[(n-mag)&(n-1)] = T(mirror)
 		}
 	}
-	if !fits {
-		return nil, tab
-	}
-	t32 := make([]int32, n)
-	for i, v := range tab {
-		t32[i] = int32(v)
-	}
-	return t32, nil
 }
 
-// fullTableFunc is the lookup closure over a full table tier.
+// fullTableFunc is the lookup closure over a full table tier. It reads
+// without filling: its callers cover the operands first.
 func fullTableFunc(tab32 []int32, tab64 []int64, opMask uint64) func(int64) int64 {
 	if tab32 != nil {
 		return func(x int64) int64 { return int64(tab32[uint64(x)&opMask]) }
@@ -169,37 +183,52 @@ func fullTableFunc(tab32 []int32, tab64 []int64, opMask uint64) func(int64) int6
 func (t *ConstMulTable) Coeff() int64 { return t.coeff }
 
 // Mul returns the bit-true product of x (interpreted in Width-bit two's
-// complement) with the fixed coefficient. The full-table tier is inline
-// (the method is small enough for the per-sample paths to inline it to a
-// single load); the other tiers evaluate through the tier closure.
+// complement) with the fixed coefficient. A full table first covers |x|
+// (one atomic load once it is filled that far), then reads the entry.
+// Chains do not call Mul: they read the tiers inline after Run covered
+// the signal.
 func (t *ConstMulTable) Mul(x int64) int64 {
+	if t.cov != nil {
+		t.cov.cover(magnitude(x))
+	}
 	if t.tab32 != nil {
 		return int64(t.tab32[uint64(x)&t.opMask])
 	}
 	return t.fn(x)
 }
 
-// Bytes returns the live table storage of this tier in bytes (zero for
-// the exact, table-free tier).
+// Bytes returns the allocated table storage of this tier in bytes (zero
+// for the exact, table-free tier), filled or not.
 func (t *ConstMulTable) Bytes() int64 {
 	return int64(len(t.lo))*4 + int64(len(t.hi))*4 + int64(len(t.tab32))*4 + int64(len(t.tab64))*8
+}
+
+// filledBytes scales a table's allocated bytes to the share of entries
+// cov has filled; a table without a coverage is filled when it is built.
+func filledBytes(cov *coverage, bytes int64) int64 {
+	if cov == nil {
+		return bytes
+	}
+	return bytes / int64(2*cov.half) * cov.entries()
 }
 
 // SquareTable evaluates x*x through a compiled multiplier plan; it
 // implements the squarer stage. Exact plans are table-free (one native
 // multiply); approximate and oracle-mode plans keep the full 2^Width
-// table, int32 unless an entry overflows. Squaring depends on both halves
-// of its single operand at once, so the byte-decomposed tier of
-// ConstMulTable does not apply.
+// int32 table, filled on demand like a ConstMulTable's. Every square
+// fits: it is the 2*Width <= 32-bit core sign-extended, and an even
+// function is never negated. Squaring depends on both halves of its
+// single operand at once, so the byte-decomposed tier of ConstMulTable
+// does not apply.
 type SquareTable struct {
-	fn     func(int64) int64
-	slice  func(dst, xs []int64, shift uint)
-	opMask uint64
-	tab32  []int32
-	tab64  []int64
+	fn    func(int64) int64
+	slice func(dst, xs []int64, shift uint)
+	tab   []int32
+	cov   *coverage // fill state of the full table, nil when exact
 }
 
-// NewSquareTable builds the squaring table for spec (Width <= 16).
+// NewSquareTable builds the squaring table for spec (Width <= 16). A full
+// table is only allocated here; its entries fill as reads reach them.
 func NewSquareTable(spec arith.Multiplier) (*SquareTable, error) {
 	m, err := CachedMultiplier(spec)
 	if err != nil {
@@ -208,7 +237,7 @@ func NewSquareTable(spec arith.Multiplier) (*SquareTable, error) {
 	if spec.Width > 16 {
 		return nil, fmt.Errorf("kernel: square table width %d exceeds 16", spec.Width)
 	}
-	t := &SquareTable{opMask: m.opMask}
+	t := &SquareTable{}
 	if m.exact {
 		opMask := m.opMask
 		pm := m.prodMask
@@ -227,48 +256,37 @@ func NewSquareTable(spec arith.Multiplier) (*SquareTable, error) {
 		}
 		return t, nil
 	}
-	t.tab32, t.tab64 = fullProductTable(spec.Width, false, func(mag int64) int64 {
-		return m.MulSigned(mag, mag)
+	tab, opMask := make([]int32, 1<<spec.Width), m.opMask
+	cov := newCoverage(spec.Width, func(lo, hi uint64) {
+		fillSigned(tab, lo, hi, false, func(mag uint64) int64 { return m.MulSigned(int64(mag), int64(mag)) })
 	})
-	t.fn = fullTableFunc(t.tab32, t.tab64, m.opMask)
-	if t.tab32 != nil {
-		tab, opMask := t.tab32, m.opMask
-		t.slice = func(dst, xs []int64, shift uint) {
-			for i, x := range xs {
-				dst[i] = int64(tab[uint64(x)&opMask]) >> shift
-			}
-		}
-	} else {
-		tab, opMask := t.tab64, m.opMask
-		t.slice = func(dst, xs []int64, shift uint) {
-			for i, x := range xs {
-				dst[i] = tab[uint64(x)&opMask] >> shift
-			}
+	t.tab, t.cov = tab, cov
+	t.fn = func(x int64) int64 {
+		cov.cover(magnitude(x))
+		return int64(tab[uint64(x)&opMask])
+	}
+	t.slice = func(dst, xs []int64, shift uint) {
+		cov.cover(maxMagnitude(xs))
+		for i, x := range xs {
+			dst[i] = int64(tab[uint64(x)&opMask]) >> shift
 		}
 	}
 	return t, nil
 }
 
 // Square returns the bit-true square of x (interpreted in Width-bit two's
-// complement). Like ConstMulTable.Mul, the full-table tier is inline.
-func (t *SquareTable) Square(x int64) int64 {
-	if t.tab32 != nil {
-		return int64(t.tab32[uint64(x)&t.opMask])
-	}
-	return t.fn(x)
-}
+// complement). Like ConstMulTable.Mul, a full table covers |x| first.
+func (t *SquareTable) Square(x int64) int64 { return t.fn(x) }
 
 // SquareSlice squares a whole signal into dst with the output shift
 // applied — one call per signal with the active tier inline in the loop
-// body. dst and xs may be the same slice (a same-index transform).
-func (t *SquareTable) SquareSlice(dst, xs []int64, shift uint) {
-	t.slice(dst, xs, shift)
-}
+// body; a full table covers the largest |x| once, before the loop. dst
+// and xs may be the same slice (a same-index transform).
+func (t *SquareTable) SquareSlice(dst, xs []int64, shift uint) { t.slice(dst, xs, shift) }
 
-// Bytes returns the live table storage in bytes (zero for exact specs).
-func (t *SquareTable) Bytes() int64 {
-	return int64(len(t.tab32))*4 + int64(len(t.tab64))*8
-}
+// Bytes returns the allocated table storage in bytes, filled or not
+// (zero for exact specs).
+func (t *SquareTable) Bytes() int64 { return int64(len(t.tab)) * 4 }
 
 // planCache memoizes compiled plans and tables globally: design-space
 // exploration rebuilds pipelines for many configurations that share stage
@@ -301,7 +319,7 @@ type constMulKey struct {
 	coeff int64
 }
 
-// projKey identifies one wiring-chain projection (see buildChainProj):
+// projKey identifies one wiring-chain projection (see newChainProj):
 // the product it projects plus the consuming chain adder's width,
 // approximated-LSB count, the tap's subtract polarity and whether the
 // term carries the rounding bit (AMA5) or truncates (AMA4).
@@ -314,9 +332,10 @@ type projKey struct {
 }
 
 // Stats is the global cache accounting CacheStats returns: entry counts
-// per cache and live table bytes per representation tier. Compiled plans
-// hold no tables (their state is a few masks and closures), so TableBytes
-// is the process's whole kernel working set.
+// per cache and allocated table bytes per representation tier, plus the
+// bytes filled so far. Compiled plans hold no tables (their state is a
+// few masks and closures), so TableBytes is the process's whole kernel
+// working set.
 type Stats struct {
 	Adders       int
 	Multipliers  int
@@ -325,14 +344,18 @@ type Stats struct {
 	ChainProjs   int
 	// SubProductBytes is the storage of the decomposed (two 256-entry
 	// sub-product tables) tier; FullTableBytes covers the int32/int64 full
-	// tables (oracle mode and approximately-combined plans);
-	// ChainProjBytes the wiring-chain projection tables (uint16 entries
-	// where every term fits — all k >= 16 chains — uint32 otherwise).
+	// product and square tables (oracle mode and approximately-combined
+	// plans); ChainProjBytes the wiring-chain projection tables (uint16
+	// entries where a bound proves every term fits, uint32 otherwise).
 	SubProductBytes int64
 	FullTableBytes  int64
 	ChainProjBytes  int64
-	// TableBytes is the total live table storage.
+	// TableBytes is the total allocated table storage.
 	TableBytes int64
+	// FilledBytes is the part of TableBytes whose entries are filled: the
+	// sub-product tier fills when it is built, full tables and chain
+	// projections as reads reach new operand magnitudes.
+	FilledBytes int64
 }
 
 // CacheStats reports the live contents of the global plan/table cache, so
@@ -351,23 +374,27 @@ func CacheStats() Stats {
 		sub := int64(len(t.lo))*4 + int64(len(t.hi))*4
 		st.SubProductBytes += sub
 		st.FullTableBytes += t.Bytes() - sub
+		st.FilledBytes += filledBytes(t.cov, t.Bytes())
 	}
 	for _, t := range planCache.sqr {
 		st.FullTableBytes += t.Bytes()
+		st.FilledBytes += filledBytes(t.cov, t.Bytes())
 	}
 	for _, p := range planCache.proj {
 		st.ChainProjBytes += p.Bytes()
+		st.FilledBytes += filledBytes(p.cov, p.Bytes())
 	}
 	st.TableBytes = st.SubProductBytes + st.FullTableBytes + st.ChainProjBytes
 	return st
 }
 
 // DropCaches empties the global plan and table caches. Existing plan and
-// table pointers remain valid (entries are immutable); only sharing with
-// future lookups is lost. It exists for cold-cache benchmarks and cache
-// accounting tests. Fresh empty maps are installed (not nil) so builders
-// racing a drop — the table fills run outside the lock — insert into a
-// live map instead of panicking.
+// table pointers remain valid, filled as far as their readers took them
+// and still filling on demand; only sharing with future lookups is lost.
+// It exists for cold-cache benchmarks and cache accounting tests. Fresh
+// empty maps are installed (not nil) so builders racing a drop — a table
+// is allocated outside the lock — insert into a live map instead of
+// panicking. Fills take each table's own lock, never the cache's.
 func DropCaches() {
 	planCache.Lock()
 	defer planCache.Unlock()
@@ -418,7 +445,8 @@ func CachedMultiplier(spec arith.Multiplier) (*Multiplier, error) {
 }
 
 // CachedConstMulTable returns a shared, memoized table for (spec, c). The
-// build runs outside the cache lock so cold-table builds do not stall
+// build — for a full table only its allocation, the entries fill on
+// demand — runs outside the cache lock so cold builds do not stall
 // concurrent plan lookups; a racing duplicate build is benign (the tables
 // are identical, the first insert wins and every caller receives it).
 func CachedConstMulTable(spec arith.Multiplier, c int64) (*ConstMulTable, error) {
@@ -446,7 +474,7 @@ func CachedConstMulTable(spec arith.Multiplier, c int64) (*ConstMulTable, error)
 }
 
 // CachedSquareTable returns a shared, memoized squaring table for spec,
-// with the same out-of-lock fill as CachedConstMulTable.
+// with the same out-of-lock build as CachedConstMulTable.
 func CachedSquareTable(spec arith.Multiplier) (*SquareTable, error) {
 	planCache.Lock()
 	if planCache.sqr == nil {

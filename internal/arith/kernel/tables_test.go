@@ -1,7 +1,7 @@
 package kernel
 
 import (
-	"math"
+	"math/rand"
 	"sync"
 	"testing"
 
@@ -61,81 +61,25 @@ func TestTableTierSelection(t *testing.T) {
 	}
 }
 
-// TestFullProductTableOverflowFallback drives the overflow-checked build
-// directly: values within int32 compress, a single out-of-range entry
-// (positive, negative, or the negated-minimum) promotes the whole table
-// to int64, bit-identically.
-func TestFullProductTableOverflowFallback(t *testing.T) {
-	cases := []struct {
-		name   string
-		f      func(mag int64) int64
-		odd    bool
-		want64 bool
-	}{
-		{"fits", func(mag int64) int64 { return mag * 3 }, true, false},
-		{"fits-min-even", func(mag int64) int64 { return math.MinInt32 }, false, false},
-		{"positive-overflow", func(mag int64) int64 {
-			if mag == 3 {
-				return math.MaxInt32 + 1
-			}
-			return mag
-		}, true, true},
-		{"negative-overflow", func(mag int64) int64 {
-			if mag == 5 {
-				return math.MinInt32 - 1
-			}
-			return -mag
-		}, true, true},
-		{"negated-min-overflow", func(mag int64) int64 {
-			if mag == 2 {
-				return math.MinInt32 // mirrored entry is +2^31
-			}
-			return 0
-		}, true, true},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			t32, t64 := fullProductTable(4, tc.odd, tc.f)
-			if got := t64 != nil; got != tc.want64 {
-				t.Fatalf("int64 fallback %v, want %v", got, tc.want64)
-			}
-			at := func(i int) int64 {
-				if t64 != nil {
-					return t64[i]
-				}
-				return int64(t32[i])
-			}
-			for mag := 0; mag <= 8; mag++ {
-				p := tc.f(int64(mag))
-				if mag < 8 && at(mag) != p {
-					t.Fatalf("entry %d = %d, want %d", mag, at(mag), p)
-				}
-				mirror := p
-				if tc.odd {
-					mirror = -p
-				}
-				if mag > 0 && at(16-mag) != mirror {
-					t.Fatalf("mirror entry %d = %d, want %d", 16-mag, at(16-mag), mirror)
-				}
-			}
-		})
-	}
-}
-
 // TestCacheStatsAccounting checks the cache accessor against a known
-// sequence of builds from an empty cache, and that DropCaches empties it.
-// Tier selection depends on the compilation mode (oracle-mode plans have
-// no decomposition), so the test pins kernel mode.
+// sequence of builds and reads from an empty cache, and that DropCaches
+// empties it: allocated bytes per tier, and filled bytes that start at
+// the sub-product tier (filled when built) and grow with the magnitudes
+// reads reach. Tier selection depends on the compilation mode
+// (oracle-mode plans have no decomposition), so the test pins kernel
+// mode.
 func TestCacheStatsAccounting(t *testing.T) {
 	prev := SetEnabled(true)
 	defer SetEnabled(prev)
 	DropCaches()
 	defer DropCaches() // leave a clean slate for other tests
 	spec := arith.Multiplier{Width: 16, ApproxLSBs: 8, Mult: approx.AppMultV1, Add: approx.ApproxAdd5}
-	if _, err := CachedConstMulTable(spec, 7); err != nil {
+	tab, err := CachedConstMulTable(spec, 7)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := CachedSquareTable(spec); err != nil {
+	sq, err := CachedSquareTable(spec)
+	if err != nil {
 		t.Fatal(err)
 	}
 	decomp := arith.Multiplier{Width: 16, ApproxLSBs: 8, Mult: approx.AppMultV1, Add: approx.AccAdd}
@@ -158,8 +102,42 @@ func TestCacheStatsAccounting(t *testing.T) {
 		t.Fatalf("TableBytes = %d, parts sum to %d", st.TableBytes,
 			st.SubProductBytes+st.FullTableBytes+st.ChainProjBytes)
 	}
+	if st.FilledBytes != wantSub {
+		t.Fatalf("FilledBytes = %d before any read, want the sub-product tier's %d", st.FilledBytes, wantSub)
+	}
+	// |300| fills the product table's magnitudes below 512, 2*512-1
+	// entries; -32,768 fills the whole square table.
+	tab.Mul(-300)
+	sq.Square(-32768)
+	if st := CacheStats(); st.FilledBytes != wantSub+(2*512-1)*4+(1<<16)*4 {
+		t.Fatalf("FilledBytes = %d after Mul and Square, want %d", st.FilledBytes, wantSub+(2*512-1)*4+(1<<16)*4)
+	}
+	// An AMA5 chain reads its first tap through a new projection and its
+	// last through the cached product table; Run over |x| <= 1000 grows
+	// both to 1024.
+	ad, err := CachedAdder(arith.Adder{Width: 32, ApproxLSBs: 8, Kind: approx.ApproxAdd5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	chain, err := ad.NewChain(spec, []ChainOp{{Coeff: 3, Lag: 0}, {Coeff: 7, Lag: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	xs := []int64{5, 1000, -20}
+	chain.Run(make([]int64, len(xs)), xs, 0, 0, 32)
+	st = CacheStats()
+	if st.ChainProjs != 1 || st.ConstTables != 2 {
+		t.Fatalf("chain built %d projections and %d const tables, want 1 and 2", st.ChainProjs, st.ConstTables)
+	}
+	wantProj := st.ChainProjBytes / (1 << 16) * (2*1024 - 1)
+	if want := wantSub + (2*1024-1)*4 + (1<<16)*4 + wantProj; st.FilledBytes != want {
+		t.Fatalf("FilledBytes = %d after Run, want %d", st.FilledBytes, want)
+	}
+	if st.FilledBytes > st.TableBytes {
+		t.Fatalf("FilledBytes %d exceeds TableBytes %d", st.FilledBytes, st.TableBytes)
+	}
 	DropCaches()
-	if st := CacheStats(); st.ConstTables != 0 || st.TableBytes != 0 || st.Adders != 0 {
+	if st := CacheStats(); st.ConstTables != 0 || st.TableBytes != 0 || st.FilledBytes != 0 || st.Adders != 0 {
 		t.Fatalf("DropCaches left %+v", st)
 	}
 }
@@ -168,12 +146,19 @@ func TestCacheStatsAccounting(t *testing.T) {
 // with concurrent cold builds of the same (spec, coeff) from many
 // goroutines (run under -race in CI): every caller must receive the same
 // inserted-first instance, for tables, squares, plans and chain
-// projections alike.
+// projections alike. Each goroutine then runs a chain and the squarer
+// over those shared, still empty tables on a signal of its own — the
+// amplitude ranges overlap, so the goroutines race to fill the same
+// magnitudes — and checks every output against the enumeration.
 func TestPlanCacheConcurrentColdBuild(t *testing.T) {
 	DropCaches()
 	defer DropCaches()
 	spec := arith.Multiplier{Width: 16, ApproxLSBs: 12, Mult: approx.AppMultV2, Add: approx.ApproxAdd3}
 	adderSpec := arith.Adder{Width: 32, ApproxLSBs: 12, Kind: approx.ApproxAdd5}
+	// The AMA5 chain projects its first three taps — the first and third
+	// through the projection built below — and reads the last raw.
+	ops := []ChainOp{{Coeff: 12345, Lag: 0, Sub: true}, {Coeff: 3, Lag: 1}, {Coeff: 12345, Lag: 2, Sub: true}, {Coeff: 6, Lag: 3}}
+	ref := refProducts(spec, []int64{12345, 3, 6})
 	const goroutines = 16
 	var (
 		wg    sync.WaitGroup
@@ -187,6 +172,7 @@ func TestPlanCacheConcurrentColdBuild(t *testing.T) {
 	for g := 0; g < goroutines; g++ {
 		go func() {
 			defer wg.Done()
+			defer runSharedTables(t, g, spec, adderSpec, ops, ref)
 			tab, err := CachedConstMulTable(spec, 12345)
 			if err != nil {
 				t.Error(err)
@@ -229,5 +215,54 @@ func TestPlanCacheConcurrentColdBuild(t *testing.T) {
 	if len(tabs) != 1 || len(sqrs) != 1 || len(adds) != 1 || len(projs) != 1 {
 		t.Fatalf("concurrent cold builds returned %d/%d/%d/%d distinct instances, want 1 each (first insert wins)",
 			len(tabs), len(sqrs), len(adds), len(projs))
+	}
+}
+
+// runSharedTables is goroutine g of TestPlanCacheConcurrentColdBuild
+// reading the shared tables: the chain in 16-sample blocks continued from
+// their history, the squarer per sample and per block, over samples of
+// amplitude up to 2,000*(g+1) (the last goroutine adds -32,768), each
+// output checked against the enumeration.
+func runSharedTables(t *testing.T, g int, spec arith.Multiplier, adderSpec arith.Adder, ops []ChainOp, ref map[int64]func(int64) int64) {
+	ad, err := CachedAdder(adderSpec)
+	if err != nil {
+		t.Error(err)
+		return
+	}
+	chain, err := ad.NewChain(spec, ops)
+	if err != nil {
+		t.Error(err)
+		return
+	}
+	sq, err := CachedSquareTable(spec)
+	if err != nil {
+		t.Error(err)
+		return
+	}
+	rng := rand.New(rand.NewSource(int64(g)))
+	amp := int64(2000 * (g + 1))
+	xs := make([]int64, 96)
+	for i := range xs {
+		xs[i] = rng.Int63n(2*amp+1) - amp
+	}
+	if g == 15 {
+		xs[50] = -32768
+	}
+	dst := make([]int64, len(xs))
+	for lo := 0; lo < len(xs); lo += 16 {
+		chain.Run(dst[:lo+16], xs[:lo+16], lo, 3, 29)
+	}
+	sqs := make([]int64, len(xs))
+	sq.SquareSlice(sqs, xs, 1)
+	for i, x := range xs {
+		if want := scalarChain(ad, ref, ops, xs, i, 3, 29); dst[i] != want {
+			t.Errorf("goroutine %d: Run[%d] = %d, enumeration %d", g, i, dst[i], want)
+			return
+		}
+		want := spec.MulSigned(x, x)
+		if sqs[i] != want>>1 || sq.Square(x) != want {
+			t.Errorf("goroutine %d: square of %d = %d (slice %d), enumeration %d", g, x, sq.Square(x), sqs[i], want)
+			return
+		}
 	}
 }

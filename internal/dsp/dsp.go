@@ -139,7 +139,9 @@ func (f *FIR) Clone() *FIR {
 // materialized: every tap's for the generic strategies, only the
 // boundary taps' for a wiring chain (its other taps read projections,
 // see ProjTables), none for an exact chain — the honest footprint,
-// mirroring kernel.CacheStats.
+// mirroring kernel.CacheStats. Their Bytes are allocated bytes: a full
+// table is allocated whole and filled as the filter's inputs reach new
+// magnitudes.
 func (f *FIR) Tables() []*kernel.ConstMulTable { return f.chain.RawTables() }
 
 // ProjTables returns the distinct chain projection tables the filter's

@@ -121,12 +121,17 @@ func TestPushBlockMatchesStream(t *testing.T) {
 // TestStreamsShareCompiledStages runs streams of one pipeline on
 // concurrent goroutines — the compiled stages are shared, each stream's
 // state is its own — and checks every stream against a separately built
-// pipeline's Push over the same record. Run under -race it also pins that
-// the shared stages are only read.
+// pipeline's Run over the same record. The shared pipeline starts from
+// empty kernel caches, so its streams race the first fills of its
+// tables, and the reference builds fresh tables of its own. Run under
+// -race it also pins that the shared stages are only read, and that the
+// fills are ordered before the reads they cover.
 func TestStreamsShareCompiledStages(t *testing.T) {
 	const streams = 4
+	defer kernel.DropCaches()
 	for name, cfg := range streamConfigs(t) {
 		t.Run(name, func(t *testing.T) {
+			kernel.DropCaches()
 			shared, err := New(cfg)
 			if err != nil {
 				t.Fatal(err)
@@ -154,6 +159,7 @@ func TestStreamsShareCompiledStages(t *testing.T) {
 				}(g)
 			}
 			wg.Wait()
+			kernel.DropCaches()
 			for g, rec := range recs {
 				fresh, err := New(cfg)
 				if err != nil {

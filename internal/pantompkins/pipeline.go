@@ -70,9 +70,10 @@ func New(cfg Config) (*Pipeline, error) {
 func (p *Pipeline) Config() Config { return p.cfg }
 
 // KernelTableBytes returns the live kernel table footprint of this design:
-// the bytes of every distinct product, squaring and chain-projection
-// table its five compiled stages read (tables shared between stages — or
-// with other designs, via the global kernel cache — count once). Exact
+// the allocated bytes of every distinct product, squaring and
+// chain-projection table its five compiled stages read (tables shared
+// between stages — or with other designs, via the global kernel cache —
+// count once), whether or not the signals have filled them yet. Exact
 // stages are table-free and wiring-chain interior taps read projections
 // instead of raw tables, so the accurate pipeline reports zero and an
 // approximate one mostly projections. Streams share the compiled stages,
