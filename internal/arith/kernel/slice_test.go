@@ -376,6 +376,72 @@ func TestChainLazyRawTables(t *testing.T) {
 	}
 }
 
+// TestChainProjTiers checks the projection tier the bound picks before a
+// table holds any entry, and the filled table against the direct uint32
+// construction: at k >= 16 every term fits and the uint16 table must be
+// element-identical to the wide one; at small k, or at a subtracted
+// tap's rounding edge, the terms exceed 16 bits and the table must stay
+// uint32. The bound does not read the coefficient, so an all-zero
+// product table takes the tier of any other.
+func TestChainProjTiers(t *testing.T) {
+	spec := arith.Multiplier{Width: 16, ApproxLSBs: 16, Mult: approx.AppMultV1, Add: approx.ApproxAdd5}
+	m, err := CachedMultiplier(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		coeff    int64
+		w, k     int
+		neg, rnd bool
+		want16   bool
+	}{
+		{1, 32, 16, true, true, false}, // rounding edge: (2^32-1 + 2^15) >> 16 == 2^16
+		{1, 32, 16, false, true, true}, // an AMA5 added tap feeds at most 2^32 - 2^16
+		{1, 32, 17, true, false, true},
+		{31, 32, 16, false, true, true},
+		{1, 32, 10, true, true, false},  // terms up to 2^22
+		{1, 32, 8, false, false, false}, // negative operands wrap high: terms > 2^16
+		{0, 32, 8, false, false, false}, // the k = 8 bound, whatever the products
+	} {
+		p := newChainProj(m, tc.coeff, tc.w, tc.k, tc.neg, tc.rnd)
+		if got := p.u16 != nil; got != tc.want16 {
+			t.Fatalf("%+v: uint16 tier = %v, want %v", tc, got, tc.want16)
+		}
+		if p.Entries() != int(m.opMask)+1 {
+			t.Fatalf("%+v: %d entries, want %d", tc, p.Entries(), int(m.opMask)+1)
+		}
+		// The minimum operand's magnitude fills the whole table.
+		p.cov.cover(p.cov.half)
+		if got := p.cov.entries(); got != int64(p.Entries()) {
+			t.Fatalf("%+v: %d entries filled, want %d", tc, got, p.Entries())
+		}
+		// Element-identity against the direct uint32 construction.
+		f := m.productFn(tc.coeff)
+		mW := mask(tc.w)
+		var nm uint64
+		if tc.neg {
+			nm = ^uint64(0)
+		}
+		var half uint64
+		if tc.rnd {
+			half = uint64(1) << (tc.k - 1)
+		}
+		for u := 0; u < p.Entries(); u++ {
+			x := arith.ToSigned(uint64(u), spec.Width)
+			want := ((uint64(f(x))^nm)&mW + half) >> uint(tc.k)
+			var got uint64
+			if p.u16 != nil {
+				got = uint64(p.u16[u])
+			} else {
+				got = uint64(p.u32[u])
+			}
+			if got != want {
+				t.Fatalf("%+v entry %d: %d, want %d", tc, u, got, want)
+			}
+		}
+	}
+}
+
 // TestProductFnMatchesReference checks the table-free product closure —
 // what projections are built from — against the bit-serial reference for
 // every representation tier.

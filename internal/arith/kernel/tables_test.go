@@ -1,6 +1,7 @@
 package kernel
 
 import (
+	"math"
 	"math/rand"
 	"sync"
 	"testing"
@@ -55,6 +56,80 @@ func TestTableTierSelection(t *testing.T) {
 					if got, want := tab.Mul(x), tc.spec.MulSigned(x, c); got != want {
 						t.Fatalf("c=%d: Mul(%d) = %d, reference %d", c, x, got, want)
 					}
+				}
+			}
+		})
+	}
+}
+
+// TestFullProductTableOverflowFallback checks full product tables at the
+// int32 edge. A 16-bit product is a 32-bit core, sign-extended and then
+// negated for a negative operand or coefficient, so every entry lies in
+// [-2^31, 2^31] and only +2^31 leaves int32. A const-mul table's tier is
+// fixed by a bound before it holds any entry (constFits32): where the
+// bound cannot rule +2^31 out, the table falls back to int64 and must
+// hold it bit-identically, both as the product of a positive operand and
+// as the negated mirror of a MinInt32 product; where it can, the int32
+// table holds every product, the extremes of the largest coefficient it
+// admits included. A square table is always int32: its even products
+// are never negated, so a MinInt32 square fits. Each case checks that
+// the reference reaches the entries it names, then reads every operand
+// through a fresh table against the bit-serial reference.
+func TestFullProductTableOverflowFallback(t *testing.T) {
+	ama4k8 := arith.Multiplier{Width: 16, ApproxLSBs: 8, Mult: approx.AppMultV1, Add: approx.ApproxAdd4}
+	ama4k31 := arith.Multiplier{Width: 16, ApproxLSBs: 31, Mult: approx.AppMultV1, Add: approx.ApproxAdd4}
+	ama1k31 := arith.Multiplier{Width: 16, ApproxLSBs: 31, Mult: approx.AppMultV1, Add: approx.ApproxAdd1}
+	cases := []struct {
+		name   string
+		spec   arith.Multiplier
+		square bool  // read the spec's square table instead of coeff's
+		coeff  int64 // const-mul coefficient
+		edges  map[int64]int64
+		want64 bool
+	}{
+		{"fits", ama4k8, false, 1<<15 - 1, map[int64]int64{-1 << 15: -1073710080, 1<<15 - 1: 1073676551}, false},
+		{"fits-min-even", ama1k31, true, 0, map[int64]int64{1 << 14: math.MinInt32, -1 << 14: math.MinInt32, -1 << 15: math.MinInt32}, false},
+		{"positive-overflow", ama4k31, false, -6, map[int64]int64{4: 1 << 31, -4: math.MinInt32}, true},
+		{"negated-min-overflow", ama4k31, false, 3, map[int64]int64{4: math.MinInt32, -4: 1 << 31}, true},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			ref := func(x int64) int64 { return tc.spec.MulSigned(x, tc.coeff) }
+			var read func(int64) int64
+			var got64 bool
+			if tc.square {
+				ref = func(x int64) int64 { return tc.spec.MulSigned(x, x) }
+				sq, err := NewSquareTable(tc.spec)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if sq.tab == nil {
+					t.Fatal("square table is table-free, want a full int32 table")
+				}
+				read = sq.Square
+			} else {
+				tab, err := NewConstMulTable(tc.spec, tc.coeff)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if tab.tab32 == nil && tab.tab64 == nil {
+					t.Fatal("const-mul table has no full tier")
+				}
+				got64 = tab.tab64 != nil
+				read = tab.Mul
+			}
+			if got64 != tc.want64 {
+				t.Fatalf("int64 fallback %v, want %v", got64, tc.want64)
+			}
+			for x, want := range tc.edges {
+				if p := ref(x); p != want {
+					t.Fatalf("reference entry %d = %d, want %d: the case misses its edge", x, p, want)
+				}
+			}
+			for i := 0; i < 1<<16; i++ {
+				x := arith.ToSigned(uint64(i), 16)
+				if got, want := read(x), ref(x); got != want {
+					t.Fatalf("entry %d = %d, reference %d", x, got, want)
 				}
 			}
 		})
