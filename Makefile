@@ -4,10 +4,11 @@
 # force-disabled (the bit-serial oracle path, including the scalar
 # activity simulator), benchmark smoke passes in both modes, focused
 # -race passes over the two global caches' concurrent cold builds, the
-# multi-patient streaming service, the sharded gateway, the real-socket
-# transport (loopback TCP+UDP churn) and the continuation equivalence
-# suites (whole records, blocks and single samples through one chain
-# engine, against per-sample and per-tap oracles), a fuzz smoke over the
+# design-space explorer's stage energies overlapped with its candidate
+# evaluations, the multi-patient streaming service, the sharded gateway,
+# the real-socket transport (loopback TCP+UDP churn) and the continuation
+# equivalence suites (whole records, blocks and single samples through one
+# chain engine, against per-sample and per-tap oracles), a fuzz smoke over the
 # wire-frame/socket-message parsers, the ingest path, the QRS detector,
 # the moving-window integrator and the kernel's on-demand table fills, a
 # fixed-seed chaos run of the socket
@@ -17,7 +18,7 @@
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: all build vet fmt-check test race race-arith race-energy race-serve race-gateway race-net race-batch fuzz-smoke net-smoke test-reference bench bench-reference bench-smoke ci
+.PHONY: all build vet fmt-check test race race-arith race-energy race-dse race-serve race-gateway race-net race-batch fuzz-smoke net-smoke test-reference bench bench-reference bench-smoke ci
 
 all: build
 
@@ -52,6 +53,13 @@ race-arith:
 # entries.
 race-energy:
 	$(GO) test -race -count=1 ./internal/energy
+
+# The design-space explorer under -race, ten times over: stage-energy
+# characterizations on the engine's worker slots overlapped with the
+# candidate scans (the worker bound, one request per key, errors and
+# goroutines on every return path), speculative scans and shared engines.
+race-dse:
+	$(GO) test -race -count=10 -run 'Overlap|EnergyErrors|Parallel|Speculative|SharedEngine' ./internal/dse
 
 # The multi-patient streaming service under -race: concurrent Service
 # shards (one per goroutine, as deployed) over the shared kernel and
@@ -133,4 +141,4 @@ bench-reference:
 bench-smoke:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
-ci: build vet fmt-check race race-arith race-energy race-serve race-gateway race-net race-batch fuzz-smoke net-smoke test-reference bench bench-reference bench-smoke
+ci: build vet fmt-check race race-arith race-energy race-dse race-serve race-gateway race-net race-batch fuzz-smoke net-smoke test-reference bench bench-reference bench-smoke

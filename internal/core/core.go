@@ -335,8 +335,10 @@ type Methodology struct {
 	Mults []approx.MultKind
 	Adds  []approx.AdderKind
 	// Workers is the candidate-evaluation parallelism of both gates
-	// (0 = runtime.GOMAXPROCS(0), 1 = strictly sequential). The generated
-	// design is identical for every value; see package sched.
+	// (0 = runtime.GOMAXPROCS(0), 1 = strictly sequential): at most Workers
+	// goroutines of an explorer evaluate candidates or characterize stage
+	// energies at once. The generated design is identical for every value;
+	// see packages dse and sched.
 	Workers int
 }
 

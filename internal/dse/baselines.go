@@ -11,12 +11,15 @@ import (
 // lowest-energy configuration satisfying the constraint. Candidates are
 // evaluated through the scheduler like Generate's phases — the cross
 // product is embarrassingly parallel, so this baseline benefits the most
-// from Options.Workers — and the trace preserves enumeration order.
+// from Options.Workers — and the trace preserves enumeration order. The
+// passing assignments' stage energies are characterized after the scan,
+// Workers-wide.
 func Exhaustive(opt Options, eval EvaluateFunc, energy StageEnergyFunc) (Result, error) {
 	if err := opt.validate(); err != nil {
 		return Result{}, err
 	}
 	e := newExplorer(opt, eval, energy)
+	defer e.jobs.Wait()
 
 	// Enumerate the full joint assignment list in the nested-loop order
 	// of the sequential recursion.
@@ -49,6 +52,17 @@ func Exhaustive(opt Options, eval EvaluateFunc, energy StageEnergyFunc) (Result,
 	if err != nil {
 		return Result{}, err
 	}
+	var energies []*energyJob
+	for i, q := range qs {
+		if q >= opt.Constraint {
+			for _, s := range opt.Stages {
+				energies = append(energies, e.want(s, assigns[i][s]))
+			}
+		}
+	}
+	if err := e.settle(); err != nil {
+		return Result{}, err
+	}
 
 	bestEnergy := 0.0
 	bestQuality := 0.0
@@ -59,12 +73,9 @@ func Exhaustive(opt Options, eval EvaluateFunc, energy StageEnergyFunc) (Result,
 			continue
 		}
 		total := 0.0
-		for _, s := range opt.Stages {
-			en, err := energy(s, assigns[i][s])
-			if err != nil {
-				return Result{}, err
-			}
-			total += en
+		for range opt.Stages {
+			total += energies[0].v
+			energies = energies[1:]
 		}
 		if !found || total < bestEnergy {
 			found = true
@@ -93,41 +104,41 @@ type GridPoint struct {
 // ExhaustiveGrid evaluates every (k1, k2) pair for two stages with fixed
 // module kinds and returns the grid (Table 2's PSNR/energy matrix). The
 // pairs are independent, so they fan out across the scheduler when
-// Options.Workers > 1.
+// Options.Workers > 1. Every cell's energy is reported, so the distinct
+// stage energies are characterized alongside the scan.
 func ExhaustiveGrid(opt Options, s1, s2 pantompkins.Stage, eval EvaluateFunc, energy StageEnergyFunc) ([]GridPoint, error) {
 	if err := opt.validate(); err != nil {
 		return nil, err
 	}
 	e := newExplorer(opt, eval, energy)
+	defer e.jobs.Wait()
 
-	type cell struct{ c1, c2 dsp.ArithConfig }
+	type cell struct {
+		k1, k2   int
+		en1, en2 *energyJob
+	}
 	var cells []cell
 	var cands []map[pantompkins.Stage]dsp.ArithConfig
 	for _, k1 := range opt.LSBs[s1] {
 		for _, k2 := range opt.LSBs[s2] {
 			c1 := dsp.ArithConfig{LSBs: k1, Add: opt.Adds[0], Mul: opt.Mults[0]}
 			c2 := dsp.ArithConfig{LSBs: k2, Add: opt.Adds[0], Mul: opt.Mults[0]}
-			cells = append(cells, cell{c1, c2})
+			cells = append(cells, cell{k1, k2, e.want(s1, c1), e.want(s2, c2)})
 			cands = append(cands, map[pantompkins.Stage]dsp.ArithConfig{s1: c1, s2: c2})
 		}
 	}
 	qs, _, err := e.scan(cands, 0, scanAll)
 	if err != nil {
+		return nil, err // the sequential grid reads no energy before its scan
+	}
+	if err := e.settle(); err != nil {
 		return nil, err
 	}
 	var grid []GridPoint
 	for i, q := range qs {
-		en1, err := energy(s1, cells[i].c1)
-		if err != nil {
-			return nil, err
-		}
-		en2, err := energy(s2, cells[i].c2)
-		if err != nil {
-			return nil, err
-		}
 		grid = append(grid, GridPoint{
-			K1: cells[i].c1.LSBs, K2: cells[i].c2.LSBs,
-			Quality: q, Energy: en1 + en2, Passed: q >= opt.Constraint,
+			K1: cells[i].k1, K2: cells[i].k2,
+			Quality: q, Energy: cells[i].en1.v + cells[i].en2.v, Passed: q >= opt.Constraint,
 		})
 	}
 	return grid, nil

@@ -19,11 +19,24 @@
 // memoizing cache additionally guarantees that designs revisited within a
 // run, or shared between Algorithm 1 and the baselines, are simulated
 // only once.
+//
+// Stage energies, the second cost, are memoized per explorer call by
+// stage and canonical stage configuration, so each distinct pair is
+// characterized at most once per call. With an engine, a
+// characterization starts on one of the engine's worker slots as soon as
+// the algorithm knows it will read the value, and the explorer waits for
+// it only where it reads it: phase 2's scan runs while the phase-1 hit is
+// characterized, phase 3's scan while phase 2's passing candidates are,
+// and each batch of reads runs Workers-wide. Reads happen in the
+// sequential algorithm's order, so the first energy error it would meet
+// is the one returned, and every call waits for the characterizations it
+// started before it returns.
 package dse
 
 import (
 	"fmt"
 	"sort"
+	"sync"
 
 	"github.com/xbiosip/xbiosip/internal/approx"
 	"github.com/xbiosip/xbiosip/internal/dsp"
@@ -39,7 +52,13 @@ import (
 type EvaluateFunc func(cfg pantompkins.Config) (float64, error)
 
 // StageEnergyFunc returns the per-operation energy of one stage
-// configuration.
+// configuration. An explorer asks for each stage and canonical stage
+// configuration at most once per call, so the function must return the
+// same value for configurations that differ only in the kinds of a stage
+// with zero approximated LSBs (energy.Model does: its cache key clears
+// them). When the explorer runs with Workers > 1 or an external Engine,
+// the function must be deterministic and safe for concurrent use, like
+// an EvaluateFunc.
 type StageEnergyFunc func(s pantompkins.Stage, cfg dsp.ArithConfig) (float64, error)
 
 // Options configures one run of the design-generation methodology.
@@ -63,11 +82,14 @@ type Options struct {
 	Constraint float64
 
 	// Workers sets the evaluation parallelism: 0 or 1 evaluates candidates
-	// strictly sequentially (exactly one evaluation per traced candidate);
-	// > 1 evaluates candidate chunks concurrently and may speculatively
-	// simulate designs past a phase's stopping point (the speculated
-	// results stay in the cache and are not traced). The result is
-	// identical for every value.
+	// and characterizes stage energies strictly sequentially (exactly one
+	// evaluation per traced candidate); > 1 evaluates candidate chunks
+	// concurrently and may speculatively simulate designs past a phase's
+	// stopping point (the speculated results stay in the cache and are
+	// not traced), and characterizes stage energies on the same worker
+	// slots, overlapped with evaluation: at most Workers goroutines
+	// evaluate or characterize at once. The result is identical for every
+	// value.
 	Workers int
 	// Chunk is the speculative batch granularity of the stopping-mode
 	// scans (candidates submitted per barrier): 0 selects twice the worker
@@ -81,6 +103,7 @@ type Options struct {
 	// EvaluateFunc passed alongside it. Sharing one engine across runs
 	// (e.g. the exhaustive baseline and Algorithm 1 over one record set)
 	// extends the never-evaluate-a-design-twice guarantee across them.
+	// Stage energies are characterized on its worker slots.
 	Engine *sched.Evaluator[float64]
 }
 
@@ -128,7 +151,30 @@ func (o *Options) validate() error {
 	return nil
 }
 
-// explorer carries the mutable state of one Generate run.
+// energyKey identifies one stage energy: the stage and its canonical
+// configuration (zero LSBs clears the dead kinds, as sched.Canonical does
+// per stage).
+type energyKey struct {
+	stage pantompkins.Stage
+	cfg   dsp.ArithConfig
+}
+
+// energyJob is one memoized stage energy; done is closed once v and err
+// are final.
+type energyJob struct {
+	stage pantompkins.Stage
+	cfg   dsp.ArithConfig
+	done  chan struct{}
+	v     float64
+	err   error
+}
+
+func (j *energyJob) run(fn StageEnergyFunc) {
+	j.v, j.err = fn(j.stage, j.cfg)
+	close(j.done)
+}
+
+// explorer carries the mutable state of one explorer call.
 type explorer struct {
 	opt    Options
 	eval   EvaluateFunc
@@ -136,6 +182,13 @@ type explorer struct {
 	eng    *sched.Evaluator[float64] // nil for strictly sequential runs
 	chosen map[pantompkins.Stage]dsp.ArithConfig
 	result Result
+	// energies memoizes the call's stage energies; reads lists, in the
+	// sequential algorithm's read order, the energies wanted since the
+	// last settle; jobs counts the characterizations still running on
+	// engine slots, which the call waits for before it returns.
+	energies map[energyKey]*energyJob
+	reads    []*energyJob
+	jobs     sync.WaitGroup
 	// scanCfgs/scanQs are the candidate-scan scratch, recycled across
 	// every scan of one run — all three phases of Algorithm 1 share one
 	// buffer pair instead of re-allocating per phase. The quality slice
@@ -148,7 +201,8 @@ type explorer struct {
 // newExplorer wires the evaluation engine per Options: a caller-shared
 // engine, a run-private one for Workers > 1, or none (sequential).
 func newExplorer(opt Options, eval EvaluateFunc, energy StageEnergyFunc) *explorer {
-	e := &explorer{opt: opt, eval: eval, energy: energy, chosen: make(map[pantompkins.Stage]dsp.ArithConfig)}
+	e := &explorer{opt: opt, eval: eval, energy: energy,
+		chosen: make(map[pantompkins.Stage]dsp.ArithConfig), energies: make(map[energyKey]*energyJob)}
 	switch {
 	case opt.Engine != nil:
 		e.eng = opt.Engine
@@ -156,6 +210,66 @@ func newExplorer(opt Options, eval EvaluateFunc, energy StageEnergyFunc) *explor
 		e.eng = sched.New(opt.Workers, sched.Func[float64](eval))
 	}
 	return e
+}
+
+// want records that the sequential algorithm reads the energy of stage s
+// at configuration c at this point, and returns its memo entry. The
+// first request for a key starts the characterization on one of the
+// engine's worker slots; a sequential explorer starts nothing and
+// computes the entry when settle reads it. The entry's value is valid
+// after the settle that reads it.
+func (e *explorer) want(s pantompkins.Stage, c dsp.ArithConfig) *energyJob {
+	key := energyKey{s, c}
+	if c.LSBs == 0 {
+		key.cfg = dsp.ArithConfig{}
+	}
+	j := e.energies[key]
+	if j == nil {
+		j = &energyJob{stage: s, cfg: c, done: make(chan struct{})}
+		e.energies[key] = j
+		if e.eng != nil {
+			e.jobs.Add(1)
+			e.eng.Go(func() {
+				defer e.jobs.Done()
+				j.run(e.energy)
+			})
+		}
+	}
+	e.reads = append(e.reads, j)
+	return j
+}
+
+// settle reads every wanted energy in the order it was wanted, waiting
+// for the ones still characterizing, and returns the first error — the
+// one the sequential algorithm meets. A sequential explorer computes each
+// entry here and stops at the first error.
+func (e *explorer) settle() error {
+	reads := e.reads
+	e.reads = e.reads[:0]
+	for _, j := range reads {
+		if e.eng == nil {
+			select {
+			case <-j.done:
+			default:
+				j.run(e.energy)
+			}
+		}
+		<-j.done
+		if j.err != nil {
+			return j.err
+		}
+	}
+	return nil
+}
+
+// fail returns the error a return path reports for err: the first error
+// among the energies the sequential algorithm would have read by now, or
+// err itself.
+func (e *explorer) fail(err error) error {
+	if eerr := e.settle(); eerr != nil {
+		return eerr
+	}
+	return err
 }
 
 // config materialises the pipeline configuration with the current chosen
@@ -297,39 +411,49 @@ func override(s pantompkins.Stage, c dsp.ArithConfig) map[pantompkins.Stage]dsp.
 
 // Generate runs the three-phase design generation methodology (paper
 // Algorithm 1) and returns the selected configuration. With Options.Workers
-// > 1 (or a shared Options.Engine) candidate evaluations fan out across
-// the scheduler's workers; the outcome is identical to the sequential
-// run in every field.
+// > 1 (or a shared Options.Engine) candidate evaluations and stage-energy
+// characterizations fan out across the scheduler's workers; the outcome
+// is identical to the sequential run in every field, errors included.
 func Generate(opt Options, eval EvaluateFunc, energy StageEnergyFunc) (Result, error) {
 	if err := opt.validate(); err != nil {
 		return Result{}, err
 	}
 	e := newExplorer(opt, eval, energy)
+	defer e.jobs.Wait()
 
-	// Line 3: sort the stage list ascending by maximum energy savings.
+	// Line 3: sort the stage list ascending by maximum energy savings:
+	// accurate energy divided by the energy at maximum approximation.
 	stages := append([]pantompkins.Stage(nil), opt.Stages...)
+	accurate := make([]*energyJob, len(stages))
+	most := make([]*energyJob, len(stages))
+	for i, s := range stages {
+		accurate[i] = e.want(s, dsp.Accurate())
+		most[i] = e.want(s, dsp.ArithConfig{LSBs: opt.LSBs[s][0], Add: opt.Adds[0], Mul: opt.Mults[0]})
+	}
+	if err := e.settle(); err != nil {
+		return Result{}, err
+	}
 	savings := make(map[pantompkins.Stage]float64, len(stages))
-	for _, s := range stages {
-		sv, err := e.maxSavings(s)
-		if err != nil {
-			return Result{}, err
+	for i, s := range stages {
+		savings[s] = 1e18
+		if most[i].v > 0 {
+			savings[s] = accurate[i].v / most[i].v
 		}
-		savings[s] = sv
 	}
 	sort.SliceStable(stages, func(i, j int) bool { return savings[stages[i]] < savings[stages[j]] })
 
+	// A scored candidate's energy is valid once a settle has read it.
 	type scored struct {
 		cfg    dsp.ArithConfig
-		energy float64
+		energy *energyJob
 	}
-	stageEnergy := func(s pantompkins.Stage, c dsp.ArithConfig) (float64, error) { return e.energy(s, c) }
-	best := func(s pantompkins.Stage, cands []scored) (dsp.ArithConfig, bool) {
+	best := func(cands []scored) (dsp.ArithConfig, bool) {
 		found := false
 		var bc dsp.ArithConfig
 		be := 0.0
 		for _, c := range cands {
-			if !found || c.energy < be {
-				bc, be, found = c.cfg, c.energy, true
+			if !found || c.energy.v < be {
+				bc, be, found = c.cfg, c.energy.v, true
 			}
 		}
 		return bc, found
@@ -353,16 +477,12 @@ func Generate(opt Options, eval EvaluateFunc, energy StageEnergyFunc) (Result, e
 	if err != nil {
 		return Result{}, err
 	}
-	var stage1 []scored
 	if hit >= 0 {
-		en, err := stageEnergy(first, arch1[hit])
-		if err != nil {
-			return Result{}, err
-		}
-		stage1 = append(stage1, scored{arch1[hit], en})
-	}
-	if c, ok := best(first, stage1); ok {
-		e.chosen[first] = c
+		// Best over the single hit is the hit whatever its energy, so it
+		// is chosen now and its energy is read with phase 2's, after
+		// phase 2's scan.
+		e.want(first, arch1[hit])
+		e.chosen[first] = arch1[hit]
 	}
 
 	// Phases 2 and 3 (lines 17-51) repeat for every remaining stage.
@@ -386,7 +506,7 @@ func Generate(opt Options, eval EvaluateFunc, energy StageEnergyFunc) (Result, e
 		}
 		_, fail, err := e.scan(cands2, 2, stopOnFail)
 		if err != nil {
-			return Result{}, err
+			return Result{}, e.fail(err)
 		}
 		passing := len(arch2)
 		if fail >= 0 {
@@ -394,11 +514,7 @@ func Generate(opt Options, eval EvaluateFunc, energy StageEnergyFunc) (Result, e
 		}
 		var stage2 []scored
 		for _, cand := range arch2[:passing] {
-			en, err := stageEnergy(cur, cand)
-			if err != nil {
-				return Result{}, err
-			}
-			stage2 = append(stage2, scored{cand, en})
+			stage2 = append(stage2, scored{cand, e.want(cur, cand)})
 		}
 
 		// Phase 3: diagonal traversal — trade LSBs from the previous
@@ -407,20 +523,17 @@ func Generate(opt Options, eval EvaluateFunc, energy StageEnergyFunc) (Result, e
 		// each iteration, which would not advance; we walk the diagonal
 		// progressively, which is the evident intent. See DESIGN.md §8.)
 		// The whole diagonal is evaluated unconditionally, so it is one
-		// scanAll batch.
+		// scanAll batch. It depends on LSB counts only, so it runs while
+		// phase 2's energies are characterized.
 		k1 := e.chosen[prev].LSBs
 		k2 := 0
-		if len(stage2) > 0 {
-			k2 = stage2[len(stage2)-1].cfg.LSBs
+		if passing > 0 {
+			k2 = arch2[passing-1].LSBs
 		}
 		maxK2 := opt.LSBs[cur][0]
-		stage1 = nil
+		var stage1 []scored
 		if c, ok := e.chosen[prev]; ok {
-			en, err := stageEnergy(prev, c)
-			if err != nil {
-				return Result{}, err
-			}
-			stage1 = append(stage1, scored{c, en})
+			stage1 = append(stage1, scored{c, e.want(prev, c)})
 		}
 		type pair struct{ c1, c2 dsp.ArithConfig }
 		var pairs []pair
@@ -439,31 +552,30 @@ func Generate(opt Options, eval EvaluateFunc, energy StageEnergyFunc) (Result, e
 		}
 		qs, _, err := e.scan(cands3, 3, scanAll)
 		if err != nil {
-			return Result{}, err
+			return Result{}, e.fail(err)
 		}
 		for pi, q := range qs {
 			if q < opt.Constraint {
 				continue
 			}
-			en1, err := stageEnergy(prev, pairs[pi].c1)
-			if err != nil {
-				return Result{}, err
-			}
-			en2, err := stageEnergy(cur, pairs[pi].c2)
-			if err != nil {
-				return Result{}, err
-			}
-			stage1 = append(stage1, scored{pairs[pi].c1, en1})
-			stage2 = append(stage2, scored{pairs[pi].c2, en2})
+			stage1 = append(stage1, scored{pairs[pi].c1, e.want(prev, pairs[pi].c1)})
+			stage2 = append(stage2, scored{pairs[pi].c2, e.want(cur, pairs[pi].c2)})
+		}
+		if err := e.settle(); err != nil {
+			return Result{}, err
 		}
 
 		// Lines 47-48: keep the lowest-energy architecture per array.
-		if c, ok := best(cur, stage2); ok {
+		if c, ok := best(stage2); ok {
 			e.chosen[cur] = c
 		}
-		if c, ok := best(prev, stage1); ok {
+		if c, ok := best(stage1); ok {
 			e.chosen[prev] = c
 		}
+	}
+	// A single-stage run reads the phase-1 hit's energy here.
+	if err := e.settle(); err != nil {
+		return Result{}, err
 	}
 
 	// Final verification of the selected configuration. The published
@@ -489,28 +601,20 @@ func Generate(opt Options, eval EvaluateFunc, energy StageEnergyFunc) (Result, e
 	return e.result, nil
 }
 
-// maxSavings estimates a stage's maximum achievable energy savings (used
-// for the AscendingSort of line 3): accurate energy divided by the energy
-// at maximum approximation.
-func (e *explorer) maxSavings(s pantompkins.Stage) (float64, error) {
-	base, err := e.energy(s, dsp.Accurate())
-	if err != nil {
-		return 0, err
-	}
-	most := dsp.ArithConfig{LSBs: e.opt.LSBs[s][0], Add: e.opt.Adds[0], Mul: e.opt.Mults[0]}
-	app, err := e.energy(s, most)
-	if err != nil {
-		return 0, err
-	}
-	if app <= 0 {
-		return 1e18, nil
-	}
-	return base / app, nil
-}
-
 // bestPassing returns the explored passing candidate with the lowest total
 // energy over the explored stages.
 func (e *explorer) bestPassing() (pantompkins.Config, float64, bool, error) {
+	var energies []*energyJob
+	for _, c := range e.result.Explored {
+		if c.Passed {
+			for _, s := range e.opt.Stages {
+				energies = append(energies, e.want(s, c.Config.Stage[s]))
+			}
+		}
+	}
+	if err := e.settle(); err != nil {
+		return pantompkins.Config{}, 0, false, err
+	}
 	found := false
 	var bestCfg pantompkins.Config
 	bestQ, bestE := 0.0, 0.0
@@ -519,12 +623,9 @@ func (e *explorer) bestPassing() (pantompkins.Config, float64, bool, error) {
 			continue
 		}
 		total := 0.0
-		for _, s := range e.opt.Stages {
-			en, err := e.energy(s, c.Config.Stage[s])
-			if err != nil {
-				return pantompkins.Config{}, 0, false, err
-			}
-			total += en
+		for range e.opt.Stages {
+			total += energies[0].v
+			energies = energies[1:]
 		}
 		if !found || total < bestE {
 			found = true

@@ -24,9 +24,14 @@
 //     Fig 9 tool-flow evaluates every candidate over a full record set),
 //     and design- and record-level work interleave freely.
 //
+// Go runs a caller's task on one of the same slots, so work that is not
+// an evaluation — the explorer's stage-energy characterizations —
+// overlaps evaluations without exceeding the worker count.
+//
 // Every goroutine the engine starts exits before the call that started
-// it returns. An engine therefore has no shutdown: dropping it releases
-// everything.
+// it returns, except the one Go starts: Go's caller waits for its task
+// before it returns. An engine therefore has no shutdown: dropping it
+// releases everything.
 //
 // Results are memoized per canonical configuration: Canonical clears the
 // elementary adder/multiplier kinds of stages with zero approximated LSBs

@@ -80,8 +80,9 @@ type entry[V any] struct {
 // never evaluated twice.
 //
 // All methods are safe for concurrent use. Every goroutine the engine
-// starts exits before the call that started it returns, so an engine
-// needs no shutdown and a dropped one holds no goroutines.
+// starts exits before the call that started it returns, except Go's,
+// whose caller waits for its task, so an engine needs no shutdown and a
+// dropped one holds no goroutines.
 type Evaluator[V any] struct {
 	fn Func[V]
 	// slots is a counting semaphore of workers tokens: each goroutine the
@@ -204,8 +205,23 @@ func (e *Evaluator[V]) scatter(n int, task func(int)) {
 	wg.Wait()
 }
 
+// Go runs task on a new goroutine that holds one of the engine's worker
+// slots while task runs, so tasks and evaluations together keep at most
+// Workers goroutines at work. Go returns at once; the goroutine first
+// waits for a free slot. It is the one engine goroutine that may outlive
+// the call that started it: the caller waits for task to finish before
+// it returns or drops what task uses. task must not itself wait on the
+// engine's slots (EvaluateBatch, Go).
+func (e *Evaluator[V]) Go(task func()) {
+	go func() {
+		e.slots <- struct{}{}
+		defer func() { <-e.slots }()
+		task()
+	}()
+}
+
 // Workers returns the worker count: the most goroutines the engine has
-// started and not yet finished at any time.
+// at work at any time.
 func (e *Evaluator[V]) Workers() int { return cap(e.slots) }
 
 // Stats returns a snapshot of the cache accounting.
