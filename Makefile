@@ -12,13 +12,14 @@
 # wire-frame/socket-message parsers, the ingest path, the QRS detector,
 # the moving-window integrator and the kernel's on-demand table fills, a
 # fixed-seed chaos run of the socket
-# transport harness, and the end-to-end benchmark module's golden-digest
-# smoke test (which also fails when a declared metric goes missing).
+# transport harness, one run of every example program, and the end-to-end
+# benchmark module's golden-digest smoke test (which also fails when a
+# declared metric goes missing).
 
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: all build vet fmt-check test race race-arith race-energy race-dse race-serve race-gateway race-net race-batch fuzz-smoke net-smoke test-reference bench bench-reference bench-smoke ci
+.PHONY: all build vet fmt-check test race race-arith race-energy race-dse race-serve race-gateway race-net race-batch fuzz-smoke net-smoke examples-smoke test-reference bench bench-reference bench-smoke ci
 
 all: build
 
@@ -88,6 +89,15 @@ net-smoke:
 	$(GO) run ./cmd/xbiosip -samples 6000 -seed 3 transport > /dev/null
 	$(GO) run ./cmd/xbiosip -samples 6000 -net udp -sessions 4 serve > /dev/null
 
+# Every example program, run once; a non-zero exit fails the target.
+# streaming_monitor exits non-zero when a streamed output diverges from
+# the batch pipeline, so its bit-identity check is gated here too.
+examples-smoke:
+	@for d in examples/*/; do \
+		echo "$(GO) run ./$$d"; \
+		$(GO) run ./$$d > /dev/null || exit 1; \
+	done
+
 # The continuation equivalence suites across every layer that runs a
 # signal in blocks — kernel Chain.Run from a start index, the dsp FIR
 # and integrator entry points against the frozen per-tap and per-sample
@@ -141,4 +151,4 @@ bench-reference:
 bench-smoke:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
-ci: build vet fmt-check race race-arith race-energy race-dse race-serve race-gateway race-net race-batch fuzz-smoke net-smoke test-reference bench bench-reference bench-smoke
+ci: build vet fmt-check race race-arith race-energy race-dse race-serve race-gateway race-net race-batch fuzz-smoke net-smoke examples-smoke test-reference bench bench-reference bench-smoke

@@ -159,6 +159,12 @@ func run(what string, records, samples int, psnr, accuracy float64, workers int,
 	if err != nil {
 		return err
 	}
+	// The deployed design of the streaming and gateway experiments.
+	b9 := experiments.Fig12Configs[9]
+	if b9.Name != "B9" {
+		return fmt.Errorf("config table changed: %s", b9.Name)
+	}
+	deployed := s.Config(b9.LSBs)
 	all := what == "all"
 	if all {
 		fmt.Print(experiments.Table1(), "\n", experiments.Fig1(), "\n")
@@ -236,54 +242,38 @@ func run(what string, records, samples int, psnr, accuracy float64, workers int,
 		fmt.Print(experiments.FormatNoiseRobustness(rows), "\n")
 	}
 	if all || what == "stream" {
-		b9 := experiments.Fig12Configs[9]
-		if b9.Name != "B9" {
-			return fmt.Errorf("config table changed: %s", b9.Name)
-		}
-		rows, err := s.Streaming(s.Config(b9.LSBs))
+		rows, err := s.Streaming(deployed)
 		if err != nil {
 			return err
 		}
-		fmt.Print(experiments.FormatStreaming(s.Config(b9.LSBs), rows), "\n")
+		fmt.Print(experiments.FormatStreaming(deployed, rows), "\n")
 	}
 	if all || what == "serve" {
-		b9 := experiments.Fig12Configs[9]
-		if b9.Name != "B9" {
-			return fmt.Errorf("config table changed: %s", b9.Name)
-		}
-		r, err := s.Serve(s.Config(b9.LSBs), serveOpts)
+		r, err := s.Serve(deployed, serveOpts)
 		if err != nil {
 			return err
 		}
-		fmt.Print(experiments.FormatServe(s.Config(b9.LSBs), r), "\n")
+		fmt.Print(experiments.FormatServe(deployed, r), "\n")
 	}
 	if all || what == "delivery" {
-		b9 := experiments.Fig12Configs[9]
-		if b9.Name != "B9" {
-			return fmt.Errorf("config table changed: %s", b9.Name)
-		}
 		// -loss caps the sweep when set; the default sweep otherwise.
 		var losses []float64
-		if l := serveOpts.Loss; l > 0 {
+		if l := serveOpts.Loss; l != 0 {
 			losses = []float64{0, l / 4, l / 2, l}
 		}
-		rows, err := s.DeliveryResilience(s.Config(b9.LSBs), losses, serveOpts.Burst, serveOpts.Seed)
+		rows, err := s.DeliveryResilience(deployed, losses, serveOpts.Burst, serveOpts.Seed)
 		if err != nil {
 			return err
 		}
 		fmt.Print(experiments.FormatDeliveryResilience(rows), "\n")
 	}
 	if all || what == "transport" {
-		b9 := experiments.Fig12Configs[9]
-		if b9.Name != "B9" {
-			return fmt.Errorf("config table changed: %s", b9.Name)
-		}
 		// -loss caps the sweep when set; the default sweep otherwise.
 		var losses []float64
-		if l := serveOpts.Loss; l > 0 {
+		if l := serveOpts.Loss; l != 0 {
 			losses = []float64{0, l / 2, l}
 		}
-		r, err := s.TransportResilience(s.Config(b9.LSBs), experiments.TransportOpts{
+		r, err := s.TransportResilience(deployed, experiments.TransportOpts{
 			Network: serveOpts.Net, Addr: serveOpts.Addr,
 			Losses: losses, Seed: serveOpts.Seed,
 		})

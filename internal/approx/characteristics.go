@@ -44,7 +44,8 @@ func (k MultKind) Characteristics() Characteristics { return multChar[k] }
 // paper's Table 1; they are standard 65nm figures documented here so the
 // synthesis reports are self-contained. Registers contribute area only:
 // the paper's stage-level energy reductions are quoted over the arithmetic
-// blocks targeted for approximation (see DESIGN.md §6).
+// blocks targeted for approximation (see the accounting rules of package
+// synth).
 var (
 	// RegisterChar characterises a 1-bit D flip-flop.
 	RegisterChar = Characteristics{Area: 16.20, Delay: 0.12, Power: 1.10, Energy: 0.132}

@@ -521,7 +521,7 @@ func Generate(opt Options, eval EvaluateFunc, energy StageEnergyFunc) (Result, e
 		// stage to the current one, two at a time. (The published
 		// pseudo-code recomputes LSB1/LSB2 from the stored architecture
 		// each iteration, which would not advance; we walk the diagonal
-		// progressively, which is the evident intent. See DESIGN.md §8.)
+		// progressively, which is the evident intent.)
 		// The whole diagonal is evaluated unconditionally, so it is one
 		// scanAll batch. It depends on LSB counts only, so it runs while
 		// phase 2's energies are characterized.
@@ -582,8 +582,7 @@ func Generate(opt Options, eval EvaluateFunc, energy StageEnergyFunc) (Result, e
 	// pseudo-code picks Best(Stage1) and Best(Stage2) independently, which
 	// can combine stage choices that were only quality-checked as part of
 	// different pairs; when that combination misses the constraint we fall
-	// back to the lowest-energy candidate that actually passed evaluation
-	// (see DESIGN.md §8).
+	// back to the lowest-energy candidate that actually passed evaluation.
 	final := e.config(nil)
 	q, err := e.evalOne(final)
 	if err != nil {

@@ -1,7 +1,7 @@
 // Package ecg is the repository's bio-signal substrate: a synthetic ECG
 // generator with ground-truth R-peak annotations, standing in for the
 // MIT-BIH Normal Sinus Rhythm Database records the paper evaluates on
-// (PhysioNet is unavailable offline; see DESIGN.md §3).
+// (PhysioNet is unavailable offline).
 //
 // The generator follows the ECGSYN modelling idea: each heartbeat is a sum
 // of Gaussian waves (P, Q, R, S, T) placed relative to the R peak, with

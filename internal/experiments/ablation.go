@@ -21,7 +21,7 @@ import (
 //   - optimised: constant propagation + dead-cell elimination, energy =
 //     total power x critical path (synthesis-like, activity-blind);
 //   - activity: optimised netlist with stimulus-driven switching-activity
-//     power (the repository's primary accounting, DESIGN.md §6).
+//     power (the repository's primary accounting; see package synth).
 type AblationRow struct {
 	Stage     pantompkins.Stage
 	K         int
@@ -31,9 +31,8 @@ type AblationRow struct {
 }
 
 // EnergyAccountingAblation quantifies how much of each stage's reported
-// energy reduction comes from which modelling choice — the ablation
-// DESIGN.md calls out. It evaluates each stage at its maximum approximated
-// LSBs under all three accountings.
+// energy reduction comes from which modelling choice. It evaluates each
+// stage at its maximum approximated LSBs under all three accountings.
 func (s *Setup) EnergyAccountingAblation() ([]AblationRow, error) {
 	var rows []AblationRow
 	for _, st := range pantompkins.Stages {

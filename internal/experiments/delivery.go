@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"github.com/xbiosip/xbiosip/internal/metrics"
 	"github.com/xbiosip/xbiosip/internal/pantompkins"
 	"github.com/xbiosip/xbiosip/internal/serve"
 )
@@ -34,87 +33,40 @@ type DeliveryRow struct {
 // stage error-resilience sweeps: instead of arithmetic approximation
 // degrading the signal, the radio link does.
 //
-// Each sweep point streams len(Records) sessions through a Service with
-// the policy under test, over fault links seeded from (seed, point,
-// session) — independent of the policy, so all policies face the
-// identical fault realization. The whole sweep is reproducible from
-// seed. Burst adds burst dropout at every point on top of the swept
+// Each sweep point streams len(Records) sessions through a 1-shard
+// gateway with the policy under test, over fault links seeded from
+// (seed, point, session) — independent of the policy, so all policies
+// face the identical fault realization. The whole sweep is reproducible
+// from seed. Burst adds burst dropout at every point on top of the swept
 // uniform loss.
 func (s *Setup) DeliveryResilience(cfg pantompkins.Config, losses []float64, burst float64, seed uint64) ([]DeliveryRow, error) {
 	if len(losses) == 0 {
 		losses = []float64{0, 0.01, 0.02, 0.05, 0.1, 0.2}
 	}
-	if len(s.Records) == 0 {
-		return nil, fmt.Errorf("experiments: no evaluation records")
+	if err := checkProbabilities("loss", losses...); err != nil {
+		return nil, err
 	}
-	p, err := pantompkins.New(cfg)
+	if err := checkProbabilities("burst", burst); err != nil {
+		return nil, err
+	}
+	ref, err := s.streamPeaks(cfg)
 	if err != nil {
 		return nil, err
 	}
-	refPeaks := make([][]int, len(s.Records))
-	for ri, rec := range s.Records {
-		st := p.Stream(rec.FS)
-		for _, x := range rec.Samples {
-			st.Push(x)
-		}
-		refPeaks[ri] = append([]int(nil), st.Finish().Peaks...)
-	}
-
 	var rows []DeliveryRow
-	for li, loss := range losses {
-		for _, policy := range DeliveryPolicies {
-			svc, err := serve.New(serve.Config{
-				FS: s.Records[0].FS, Pipeline: cfg,
-				MaxSessions: len(s.Records), Conceal: policy,
-			})
-			if err != nil {
-				return nil, err
-			}
-			sources := make([]serve.Source, len(s.Records))
-			for ri, rec := range s.Records {
-				sources[ri] = serve.Source{Session: uint32(ri + 1), Samples: rec.Samples}
-				if loss > 0 || burst > 0 {
-					// Seeded by sweep point and session, NOT policy: every
-					// policy sees the identical delivery schedule.
-					sources[ri].Link = serve.NewFaultLink(serve.FaultConfig{
-						Seed: linkSeed(seed, li, uint32(ri+1)),
-						Loss: loss, Burst: burst,
-					})
-				}
-			}
-			peaks := make([][]int, len(s.Records))
-			if _, err := serve.Run(svc, serve.TransportConfig{FrameSamples: 32}, sources,
-				func(events []serve.Event) {
-					for _, ev := range events {
-						if ev.Kind == serve.EventBeat {
-							peaks[ev.Session-1] = append(peaks[ev.Session-1], ev.Peak)
-						}
-					}
-				}); err != nil {
-				return nil, err
-			}
-			var sum float64
-			for ri := range s.Records {
-				if len(refPeaks[ri]) == 0 {
-					sum++
-					continue
-				}
-				m, err := metrics.MatchPeaks(refPeaks[ri], peaks[ri], s.Eval.Tolerance)
-				if err != nil {
-					return nil, err
-				}
-				sum += m.Sensitivity()
-			}
-			st := svc.Stats()
+	err = s.lossSweep(gatewayRun{cfg: cfg, sessions: len(s.Records), shards: 1, burst: burst, seed: seed}, losses, ref,
+		func(r gatewayRun, recovered float64, out *gatewayOut) {
 			rows = append(rows, DeliveryRow{
-				Loss:      loss,
-				Policy:    policy,
-				Recovered: sum / float64(len(s.Records)),
-				Lost:      st.LostFrames,
-				Concealed: st.Concealed,
-				Restarts:  st.GapRestarts,
+				Loss:      r.loss,
+				Policy:    r.policy,
+				Recovered: recovered,
+				Lost:      out.stats.LostFrames,
+				Concealed: out.stats.Concealed,
+				Restarts:  out.stats.GapRestarts,
 			})
-		}
+		})
+	if err != nil {
+		return nil, err
 	}
 	return rows, nil
 }
@@ -124,18 +76,7 @@ func (s *Setup) DeliveryResilience(cfg pantompkins.Config, losses []float64, bur
 func FormatDeliveryResilience(rows []DeliveryRow) string {
 	var sb strings.Builder
 	sb.WriteString("Delivery resilience: recovered detection vs packet loss, per concealment policy\n")
-	fmt.Fprintf(&sb, "%6s", "loss")
-	for _, p := range DeliveryPolicies {
-		fmt.Fprintf(&sb, " %9s", p)
-	}
-	sb.WriteString("\n")
-	for i := 0; i < len(rows); i += len(DeliveryPolicies) {
-		fmt.Fprintf(&sb, "%5.0f%%", 100*rows[i].Loss)
-		for j := 0; j < len(DeliveryPolicies); j++ {
-			fmt.Fprintf(&sb, " %8.2f%%", 100*rows[i+j].Recovered)
-		}
-		sb.WriteString("\n")
-	}
+	writeLossPivot(&sb, len(rows), func(i int) (float64, float64) { return rows[i].Loss, rows[i].Recovered })
 	var lost, concealed, restarts uint64
 	for _, r := range rows {
 		lost += r.Lost

@@ -1,8 +1,18 @@
 // Package experiments regenerates every table and figure of the paper's
-// evaluation (the per-experiment index lives in DESIGN.md §2). Each
-// experiment returns structured rows plus a formatted text rendering, so
-// the benchmark harness (bench_test.go), the CLI (cmd/xbiosip) and the
-// examples share one implementation.
+// evaluation, plus the streaming and gateway scenarios built on it (the
+// xbiosip command's usage lists them all). Each experiment returns
+// structured rows plus a formatted text rendering, so the CLI
+// (cmd/xbiosip), the examples and the root go-test benchmarks
+// (bench_test.go, which regenerate the figures) share one implementation.
+// The end-to-end benchmark is the separate bench/ module.
+//
+// The three gateway scenarios, Serve, DeliveryResilience and
+// TransportResilience, share one runner (gateway.go). It holds the
+// reference detection Streaming also reports, and one gateway run: a
+// fresh serve.Gateway behind the in-process transport or a loopback
+// listener, with optional seeded fault links. It also holds one
+// recovered-detection scorer, the loss×policy sweep and its pivot
+// rendering.
 package experiments
 
 import (

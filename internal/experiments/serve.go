@@ -67,17 +67,6 @@ type ServeResult struct {
 	SessionsPerCore float64
 }
 
-// linkSeed derives one fault link's seed from the scenario seed, a sweep
-// point and a session id (splitmix64-style mixing). Policies are NOT
-// mixed in: every policy faces the identical fault realization, which is
-// what makes policy comparisons fair.
-func linkSeed(seed uint64, point int, session uint32) uint64 {
-	z := seed + 0x9E3779B97F4A7C15*uint64(point+1) + uint64(session)
-	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-	return z ^ (z >> 31)
-}
-
 // Serve multiplexes opts.Sessions concurrent patient streams — the
 // evaluation records, round-robin — through a serve.Gateway of
 // opts.Shards Service shards, using the package's transport loop: each
@@ -98,131 +87,50 @@ func (s *Setup) Serve(cfg pantompkins.Config, opts ServeOpts) (*ServeResult, err
 	if opts.Shards <= 0 {
 		opts.Shards = 1
 	}
-	sessions := opts.Sessions
-	if len(s.Records) == 0 {
-		return nil, fmt.Errorf("experiments: no evaluation records")
+	if err := checkProbabilities("loss", opts.Loss); err != nil {
+		return nil, err
 	}
-	fs := s.Records[0].FS
-	faulty := opts.Loss > 0 || opts.Burst > 0
-
-	// Reference detections, one per record.
-	p, err := pantompkins.New(cfg)
+	if err := checkProbabilities("burst", opts.Burst); err != nil {
+		return nil, err
+	}
+	ref, err := s.streamPeaks(cfg)
 	if err != nil {
 		return nil, err
 	}
-	refPeaks := make([][]int, len(s.Records))
-	for ri, rec := range s.Records {
-		st := p.Stream(rec.FS)
-		for _, x := range rec.Samples {
-			st.Push(x)
-		}
-		refPeaks[ri] = append([]int(nil), st.Finish().Peaks...)
-	}
-
-	// Each shard can hold every session: the hash spread is even but not
-	// exact, and an eviction would break the fault-free identity gate.
-	gw, err := serve.NewGateway(serve.GatewayConfig{
-		Shards: opts.Shards,
-		Service: serve.Config{
-			FS: fs, Pipeline: cfg, MaxSessions: sessions * opts.Shards,
-			Conceal: opts.Policy,
-		},
+	// Socket mode runs the same workload over a live listener. Fault-free
+	// the lockstep client reproduces the in-process drain schedule, so the
+	// bit-identity gate below applies unchanged.
+	out, err := s.runGateway(gatewayRun{
+		cfg: cfg, sessions: opts.Sessions, shards: opts.Shards, policy: opts.Policy,
+		loss: opts.Loss, burst: opts.Burst, seed: opts.Seed,
+		network: opts.Net, addr: opts.Addr, netSeed: opts.Seed,
 	})
 	if err != nil {
 		return nil, err
 	}
-	defer gw.Close()
-
-	recOf := func(sess int) int { return sess % len(s.Records) }
-	sources := make([]serve.Source, sessions)
-	for sess := range sources {
-		sources[sess] = serve.Source{
-			Session: uint32(sess + 1),
-			Samples: s.Records[recOf(sess)].Samples,
-		}
-		if faulty {
-			sources[sess].Link = serve.NewFaultLink(serve.FaultConfig{
-				Seed: linkSeed(opts.Seed, 0, uint32(sess+1)),
-				Loss: opts.Loss, Burst: opts.Burst,
-			})
-		}
-	}
-
-	peaks := make([][]int, sessions)
-	finished := make([]bool, sessions)
-	onEvents := func(events []serve.Event) {
-		for _, ev := range events {
-			sess := int(ev.Session) - 1
-			switch ev.Kind {
-			case serve.EventBeat:
-				peaks[sess] = append(peaks[sess], ev.Peak)
-			case serve.EventFinished:
-				finished[sess] = true
-			}
-		}
-	}
-	start := time.Now()
-	var tst serve.TransportStats
-	if opts.Net != "" {
-		// Socket mode: same workload over a live listener. Fault-free the
-		// lockstep client reproduces the in-process drain schedule, so the
-		// bit-identity gate below still applies unchanged.
-		ln, err := serve.Listen(serve.ListenConfig{
-			Network: opts.Net, Addr: opts.Addr, OnEvents: onEvents,
-		}, gw)
-		if err != nil {
+	fs := s.Records[0].FS
+	res := &ServeResult{Opts: opts, Stats: out.stats, Transport: out.client.TransportStats, FS: fs, Elapsed: out.elapsed}
+	peaks, finished := out.beats(opts.Sessions)
+	if opts.Loss > 0 || opts.Burst > 0 {
+		// Sessions whose FlagEnd was lost do not finish; their live beats
+		// still count.
+		if res.Recovered, err = s.recovered(ref, peaks); err != nil {
 			return nil, err
 		}
-		nst, err := serve.RunNet(serve.NetConfig{
-			Network: opts.Net, Addr: ln.Addr().String(),
-			FrameSamples: 32, Seed: opts.Seed,
-		}, sources)
-		ln.Close()
-		if err != nil {
-			return nil, err
-		}
-		tst = nst.TransportStats
-	} else {
-		tst, err = serve.Run(gw, serve.TransportConfig{FrameSamples: 32}, sources, onEvents)
-		if err != nil {
-			return nil, err
-		}
-	}
-	elapsed := time.Since(start)
-
-	res := &ServeResult{Opts: opts, Stats: gw.Stats(), Transport: tst, FS: fs, Elapsed: elapsed}
-	if faulty {
-		// Recovered: matched beats against the fault-free reference,
-		// averaged over sessions. (Sessions whose FlagEnd was lost do not
-		// finish; their live beats still count.)
-		var sum float64
-		for sess := 0; sess < sessions; sess++ {
-			ref := refPeaks[recOf(sess)]
-			if len(ref) == 0 {
-				sum++
-				continue
-			}
-			m, err := metrics.MatchPeaks(ref, peaks[sess], s.Eval.Tolerance)
-			if err != nil {
-				return nil, err
-			}
-			sum += m.Sensitivity()
-		}
-		res.Recovered = sum / float64(sessions)
 	} else {
 		// Bit-identity gate: every session must reproduce its record's
 		// reference detection exactly, through any shard count.
-		for sess := 0; sess < sessions; sess++ {
+		for sess, got := range peaks {
 			if !finished[sess] {
 				return nil, fmt.Errorf("experiments: session %d did not finish", sess+1)
 			}
-			want := refPeaks[recOf(sess)]
-			if len(peaks[sess]) != len(want) {
+			want := ref[sess%len(ref)]
+			if len(got) != len(want) {
 				return nil, fmt.Errorf("experiments: session %d detected %d beats, reference %d",
-					sess+1, len(peaks[sess]), len(want))
+					sess+1, len(got), len(want))
 			}
 			for i := range want {
-				if peaks[sess][i] != want[i] {
+				if got[i] != want[i] {
 					return nil, fmt.Errorf("experiments: session %d peak %d diverged from the reference", sess+1, i)
 				}
 			}
@@ -232,23 +140,21 @@ func (s *Setup) Serve(cfg pantompkins.Config, opts ServeOpts) (*ServeResult, err
 
 	for ri, rec := range s.Records {
 		row := ServeRow{Record: rec.Name, Samples: len(rec.Samples), RefBeats: len(rec.Annotations)}
-		for sess := 0; sess < sessions; sess++ {
-			if recOf(sess) == ri {
-				row.Sessions++
-			}
+		for sess := ri; sess < opts.Sessions; sess += len(s.Records) {
+			row.Sessions++
 		}
 		if row.Sessions == 0 {
 			continue
 		}
-		row.Beats = len(refPeaks[ri])
-		m, err := metrics.MatchPeaks(rec.Annotations, refPeaks[ri], s.Eval.Tolerance)
+		row.Beats = len(ref[ri])
+		m, err := metrics.MatchPeaks(rec.Annotations, ref[ri], s.Eval.Tolerance)
 		if err != nil {
 			return nil, err
 		}
 		row.Accuracy = m.Sensitivity()
 		res.Rows = append(res.Rows, row)
 	}
-	if sec := elapsed.Seconds(); sec > 0 {
+	if sec := res.Elapsed.Seconds(); sec > 0 {
 		res.SamplesPerSec = float64(res.Stats.Samples) / sec
 		res.SessionsPerCore = res.SamplesPerSec / float64(fs)
 	}

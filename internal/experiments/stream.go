@@ -28,24 +28,20 @@ type StreamRow struct {
 // buffers and never rescans a record. The batch evaluation grades whole
 // records with the same detector, so the beats are the ones it finds.
 func (s *Setup) Streaming(cfg pantompkins.Config) ([]StreamRow, error) {
-	p, err := pantompkins.New(cfg)
+	peaks, err := s.streamPeaks(cfg)
 	if err != nil {
 		return nil, err
 	}
 	var rows []StreamRow
-	for _, rec := range s.Records {
-		st := p.Stream(rec.FS)
-		for _, x := range rec.Samples {
-			st.Push(x)
-		}
-		det := st.Finish()
-		m, err := metrics.MatchPeaks(rec.Annotations, det.Peaks, s.Eval.Tolerance)
+	for ri, rec := range s.Records {
+		got := peaks[ri]
+		m, err := metrics.MatchPeaks(rec.Annotations, got, s.Eval.Tolerance)
 		if err != nil {
 			return nil, err
 		}
 		bpm := 0.0
-		if n := len(det.Peaks); n >= 2 {
-			spanS := float64(det.Peaks[n-1]-det.Peaks[0]) / float64(rec.FS)
+		if n := len(got); n >= 2 {
+			spanS := float64(got[n-1]-got[0]) / float64(rec.FS)
 			if spanS > 0 {
 				bpm = 60 * float64(n-1) / spanS
 			}
@@ -53,13 +49,32 @@ func (s *Setup) Streaming(cfg pantompkins.Config) ([]StreamRow, error) {
 		rows = append(rows, StreamRow{
 			Record:   rec.Name,
 			Samples:  len(rec.Samples),
-			Beats:    len(det.Peaks),
+			Beats:    len(got),
 			RefBeats: len(rec.Annotations),
 			Accuracy: m.Sensitivity(),
 			MeanBPM:  bpm,
 		})
 	}
 	return rows, nil
+}
+
+// streamPeaks is the stream reference detection: every record pushed
+// sample by sample through one cfg pipeline's stream, returning each
+// record's detected R peaks.
+func (s *Setup) streamPeaks(cfg pantompkins.Config) ([][]int, error) {
+	p, err := pantompkins.New(cfg)
+	if err != nil {
+		return nil, err
+	}
+	peaks := make([][]int, len(s.Records))
+	for ri, rec := range s.Records {
+		st := p.Stream(rec.FS)
+		for _, x := range rec.Samples {
+			st.Push(x)
+		}
+		peaks[ri] = append([]int(nil), st.Finish().Peaks...)
+	}
+	return peaks, nil
 }
 
 // FormatStreaming renders the streaming workload summary.

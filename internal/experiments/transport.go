@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"github.com/xbiosip/xbiosip/internal/metrics"
 	"github.com/xbiosip/xbiosip/internal/pantompkins"
 	"github.com/xbiosip/xbiosip/internal/serve"
 )
@@ -78,9 +77,6 @@ type TransportResult struct {
 // measuring how much detection the concealment policies recover when
 // both the radio and the transport misbehave.
 func (s *Setup) TransportResilience(cfg pantompkins.Config, opts TransportOpts) (*TransportResult, error) {
-	if len(s.Records) == 0 {
-		return nil, fmt.Errorf("experiments: no evaluation records")
-	}
 	if opts.Sessions <= 0 {
 		opts.Sessions = 4
 	}
@@ -90,42 +86,16 @@ func (s *Setup) TransportResilience(cfg pantompkins.Config, opts TransportOpts) 
 	if opts.Disconnect == 0 {
 		opts.Disconnect = 0.01
 	}
-	fs := s.Records[0].FS
-	recOf := func(sess int) int { return sess % len(s.Records) }
-
-	p, err := pantompkins.New(cfg)
+	if err := checkProbabilities("loss", opts.Losses...); err != nil {
+		return nil, err
+	}
+	if err := checkProbabilities("disconnect", opts.Disconnect); err != nil {
+		return nil, err
+	}
+	ref, err := s.streamPeaks(cfg)
 	if err != nil {
 		return nil, err
 	}
-	refPeaks := make([][]int, len(s.Records))
-	for ri, rec := range s.Records {
-		st := p.Stream(rec.FS)
-		for _, x := range rec.Samples {
-			st.Push(x)
-		}
-		refPeaks[ri] = append([]int(nil), st.Finish().Peaks...)
-	}
-
-	sources := func() []serve.Source {
-		srcs := make([]serve.Source, opts.Sessions)
-		for sess := range srcs {
-			srcs[sess] = serve.Source{
-				Session: uint32(sess + 1),
-				Samples: s.Records[recOf(sess)].Samples,
-			}
-		}
-		return srcs
-	}
-	gateway := func(shards int, policy serve.GapPolicy) (*serve.Gateway, error) {
-		return serve.NewGateway(serve.GatewayConfig{
-			Shards: shards,
-			Service: serve.Config{
-				FS: fs, Pipeline: cfg,
-				MaxSessions: opts.Sessions * shards, Conceal: policy,
-			},
-		})
-	}
-
 	res := &TransportResult{Opts: opts}
 
 	// Phase 1: fault-free bit-identity, socket vs in-process.
@@ -134,56 +104,35 @@ func (s *Setup) TransportResilience(cfg pantompkins.Config, opts TransportOpts) 
 		networks = []string{opts.Network}
 	}
 	for _, shards := range []int{1, 4} {
-		gw, err := gateway(shards, serve.GapDrop)
+		run := gatewayRun{cfg: cfg, sessions: opts.Sessions, shards: shards, addr: opts.Addr, netSeed: opts.Seed}
+		want, err := s.runGateway(run)
 		if err != nil {
 			return nil, err
 		}
-		var want []serve.Event
-		if _, err := serve.Run(gw, serve.TransportConfig{FrameSamples: 32}, sources(),
-			func(evs []serve.Event) { want = append(want, evs...) }); err != nil {
-			return nil, err
-		}
-		gw.Close()
-		if len(want) == 0 {
+		if len(want.events) == 0 {
 			return nil, fmt.Errorf("experiments: in-process transport produced no events")
 		}
 		for _, network := range networks {
-			gw, err := gateway(shards, serve.GapDrop)
+			run.network = network
+			got, err := s.runGateway(run)
 			if err != nil {
 				return nil, err
 			}
-			var got []serve.Event
-			ln, err := serve.Listen(serve.ListenConfig{
-				Network: network, Addr: opts.Addr,
-				OnEvents: func(evs []serve.Event) { got = append(got, evs...) },
-			}, gw)
-			if err != nil {
-				return nil, err
+			if got.client.Nacks != 0 || got.client.Shed != 0 {
+				return nil, fmt.Errorf("experiments: fault-free %s run saw %d NACKs, %d shed", network, got.client.Nacks, got.client.Shed)
 			}
-			nst, err := serve.RunNet(serve.NetConfig{
-				Network: network, Addr: ln.Addr().String(),
-				FrameSamples: 32, Seed: opts.Seed,
-			}, sources())
-			ln.Close()
-			gw.Close()
-			if err != nil {
-				return nil, err
-			}
-			if nst.Nacks != 0 || nst.Shed != 0 {
-				return nil, fmt.Errorf("experiments: fault-free %s run saw %d NACKs, %d shed", network, nst.Nacks, nst.Shed)
-			}
-			if len(got) != len(want) {
+			if len(got.events) != len(want.events) {
 				return nil, fmt.Errorf("experiments: %s shards=%d emitted %d events, in-process %d",
-					network, shards, len(got), len(want))
+					network, shards, len(got.events), len(want.events))
 			}
-			for i := range want {
-				if got[i] != want[i] {
+			for i := range want.events {
+				if got.events[i] != want.events[i] {
 					return nil, fmt.Errorf("experiments: %s shards=%d event %d diverged from in-process transport",
 						network, shards, i)
 				}
 			}
 			res.Identity = append(res.Identity, TransportIdentity{
-				Network: network, Shards: shards, Events: len(want),
+				Network: network, Shards: shards, Events: len(want.events),
 			})
 		}
 	}
@@ -195,73 +144,22 @@ func (s *Setup) TransportResilience(cfg pantompkins.Config, opts TransportOpts) 
 	if network == "" {
 		network = "tcp"
 	}
-	for li, loss := range opts.Losses {
-		for _, policy := range DeliveryPolicies {
-			gw, err := gateway(2, policy)
-			if err != nil {
-				return nil, err
-			}
-			srcs := sources()
-			if loss > 0 {
-				for i := range srcs {
-					// Seeded by sweep point and session, NOT policy: every
-					// policy faces the identical delivery schedule.
-					srcs[i].Link = serve.NewFaultLink(serve.FaultConfig{
-						Seed: linkSeed(opts.Seed, li, srcs[i].Session),
-						Loss: loss,
-					})
-				}
-			}
-			peaks := make([][]int, opts.Sessions)
-			ln, err := serve.Listen(serve.ListenConfig{
-				Network: network, Addr: opts.Addr,
-				OnEvents: func(evs []serve.Event) {
-					for _, ev := range evs {
-						if ev.Kind == serve.EventBeat {
-							peaks[ev.Session-1] = append(peaks[ev.Session-1], ev.Peak)
-						}
-					}
-				},
-			}, gw)
-			if err != nil {
-				return nil, err
-			}
-			nst, err := serve.RunNet(serve.NetConfig{
-				Network: network, Addr: ln.Addr().String(),
-				FrameSamples:  32,
-				Seed:          linkSeed(opts.Seed, li, 0xC7A05),
-				Disconnect:    opts.Disconnect,
-				PartialWrites: network == "tcp",
-			}, srcs)
-			lst := ln.Stats()
-			ln.Close()
-			gw.Close()
-			if err != nil {
-				return nil, err
-			}
-			var sum float64
-			for sess := 0; sess < opts.Sessions; sess++ {
-				ref := refPeaks[recOf(sess)]
-				if len(ref) == 0 {
-					sum++
-					continue
-				}
-				m, err := metrics.MatchPeaks(ref, peaks[sess], s.Eval.Tolerance)
-				if err != nil {
-					return nil, err
-				}
-				sum += m.Sensitivity()
-			}
-			res.Rows = append(res.Rows, TransportRow{
-				Loss:       loss,
-				Policy:     policy,
-				Recovered:  sum / float64(opts.Sessions),
-				Reconnects: nst.Reconnects,
-				Nacks:      nst.Nacks,
-				Shed:       nst.TransportStats.Shed,
-				SrvFrames:  lst.Frames,
-			})
-		}
+	err = s.lossSweep(gatewayRun{
+		cfg: cfg, sessions: opts.Sessions, shards: 2, seed: opts.Seed,
+		network: network, addr: opts.Addr, disconnect: opts.Disconnect,
+	}, opts.Losses, ref, func(r gatewayRun, recovered float64, out *gatewayOut) {
+		res.Rows = append(res.Rows, TransportRow{
+			Loss:       r.loss,
+			Policy:     r.policy,
+			Recovered:  recovered,
+			Reconnects: out.client.Reconnects,
+			Nacks:      out.client.Nacks,
+			Shed:       out.client.Shed,
+			SrvFrames:  out.srvFrames,
+		})
+	})
+	if err != nil {
+		return nil, err
 	}
 	return res, nil
 }
@@ -277,18 +175,7 @@ func FormatTransportResilience(r *TransportResult) string {
 	}
 	fmt.Fprintf(&sb, "chaos sweep: disconnect %.2f per frame + partial writes, recovered detection vs loss\n",
 		r.Opts.Disconnect)
-	fmt.Fprintf(&sb, "%6s", "loss")
-	for _, p := range DeliveryPolicies {
-		fmt.Fprintf(&sb, " %9s", p)
-	}
-	sb.WriteString("\n")
-	for i := 0; i < len(r.Rows); i += len(DeliveryPolicies) {
-		fmt.Fprintf(&sb, "%5.0f%%", 100*r.Rows[i].Loss)
-		for j := 0; j < len(DeliveryPolicies); j++ {
-			fmt.Fprintf(&sb, " %8.2f%%", 100*r.Rows[i+j].Recovered)
-		}
-		sb.WriteString("\n")
-	}
+	writeLossPivot(&sb, len(r.Rows), func(i int) (float64, float64) { return r.Rows[i].Loss, r.Rows[i].Recovered })
 	var rc, nk, shed uint64
 	for _, row := range r.Rows {
 		rc += row.Reconnects

@@ -1,5 +1,5 @@
 // Package netlist provides the cell-level hardware substrate that stands in
-// for the paper's RTL + Synopsys Design Compiler flow (see DESIGN.md §3).
+// for the paper's RTL + Synopsys Design Compiler flow.
 //
 // A Netlist is a DAG of elementary cell instances — full adders and 2x2
 // multipliers from package approx, plus registers and inverters — connected

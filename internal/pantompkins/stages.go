@@ -58,10 +58,10 @@ func (s Stage) String() string {
 	}
 }
 
-// Stage structure constants. See DESIGN.md §5 for the derivations; the
-// module counts match the paper's descriptions (11-tap LPF with 10 adders
-// and 11 multipliers; 32-tap HPF with 31 adders and 32 multipliers; 5-tap
-// differentiator with coefficient magnitudes 2 and 1; adder-only MWI).
+// Stage structure constants. The module counts match the paper's
+// descriptions (11-tap LPF with 10 adders and 11 multipliers; 32-tap HPF
+// with 31 adders and 32 multipliers; 5-tap differentiator with
+// coefficient magnitudes 2 and 1; adder-only MWI).
 var (
 	// LPFCoeffs is the classic Pan-Tompkins low pass (1-z^-6)^2/(1-z^-1)^2
 	// expanded to its 11-tap FIR form (gain 36, ~12 Hz cutoff at 200 Hz).
@@ -96,7 +96,7 @@ var (
 
 	// MWIWindow is the integration window: 32 samples = 160 ms at 200 Hz
 	// (Pan-Tompkins' 150 ms rounded to a power of two so the average is an
-	// exact hardware shift; DESIGN.md §5).
+	// exact hardware shift).
 	MWIWindow = 32
 	// MWIShift is the /32 window average.
 	MWIShift = 5

@@ -13,10 +13,10 @@
 //   - FaultLink + Run — the client/radio side: framing, fault injection
 //     and the retry-with-backoff delivery loop, all wall-clock-free.
 //   - Listener + RunNet — the same two roles over real TCP/UDP sockets:
-//     Listener accepts wire-framed connections into any Sink, RunNet is
-//     Run's workload driven through a Dial-ed connection. FaultLink is
-//     the in-process test double of this wire: fault-free, the socket
-//     path must emit the bit-identical event stream (the
+//     Listener accepts wire-framed connections into any Sink, RunNet
+//     drives Run's framing round loop through a Dial-ed connection.
+//     FaultLink is the in-process test double of this wire: fault-free,
+//     the socket path must emit the bit-identical event stream (the
 //     TransportResilience identity gate), so everything proven about
 //     links, gaps and policies transfers to the real transport.
 //
@@ -162,16 +162,23 @@
 // every handler goroutine to exit — tests assert zero goroutine and
 // socket leaks afterwards.
 //
-// RunNet is the client: Run's exact framing and drain-cadence over a
-// dialed connection, in lockstep — one frame per source per round, then
-// a drain request the server answers with its buffered count — so under
-// fault-free delivery the server observes the identical ingest/drain
-// schedule as the in-process loop, which is what makes the socket and
-// FaultLink interchangeable as test doubles. NetConfig.Disconnect and
-// PartialWrites add seeded transport chaos (mid-write connection tears,
-// fragmented TCP writes) for the TransportResilience experiment; the
-// retransmit buffer plus the session acceptance bitmap absorb the
-// resulting duplicates. Before each tear the client drains once over the
-// old connection, so frames sent before it are always ingested before
-// those sent after, and a chaos run is a pure function of its seed.
+// RunNet is the client. Run and RunNet share one framing round loop:
+// every round frames one packet per unexhausted source, pushes it
+// through the source's link and delivers what survives, then closes the
+// round; after the last round the links are flushed through the same
+// delivery. Run delivers by Sink.Ingest with drain-backoff and closes
+// each round with a drain. RunNet delivers over a dialed connection and
+// closes each round in lockstep: a drain request the server answers with
+// its buffered count, settlement of the NACKs that came back, and aging
+// of its retransmit buffer. Its quiesce reads that count in place of
+// Sink.Buffered. So under fault-free delivery the server observes the
+// identical ingest/drain schedule as the in-process loop, which is what
+// makes the socket and FaultLink interchangeable as test doubles.
+// NetConfig.Disconnect and PartialWrites add seeded transport chaos
+// (mid-write connection tears, fragmented TCP writes) for the
+// TransportResilience experiment; the retransmit buffer plus the session
+// acceptance bitmap absorb the resulting duplicates. Before each tear the
+// client drains once over the old connection, so frames sent before it
+// are always ingested before those sent after, and a chaos run is a pure
+// function of its seed.
 package serve

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"testing"
+	"time"
 
 	"github.com/xbiosip/xbiosip/internal/pantompkins"
 )
@@ -497,6 +498,43 @@ func TestTransportRunFaultFree(t *testing.T) {
 			t.Fatalf("session %d did not finish", id)
 		}
 		checkIdentical(t, id, tr, want)
+	}
+}
+
+// TestTransportEmptySource: a source with no samples frames nothing and
+// does not keep the loop running; the other sessions finish as usual.
+func TestTransportEmptySource(t *testing.T) {
+	rec := record(t, 0, 500)
+	svc, err := New(Config{FS: rec.FS, MaxSessions: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	traces := make(map[uint32]*sessionTrace)
+	done := make(chan error, 1)
+	var st TransportStats
+	go func() {
+		var err error
+		st, err = Run(svc, TransportConfig{FrameSamples: 24},
+			[]Source{{Session: 1}, {Session: 2, Samples: rec.Samples}},
+			func(evs []Event) { collectTraces(traces, evs) })
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Run did not return with an empty source")
+	}
+	if want := uint64((len(rec.Samples) + 23) / 24); st.Frames != want {
+		t.Fatalf("%d frames, want %d", st.Frames, want)
+	}
+	if traces[1] != nil {
+		t.Fatal("the empty source produced events")
+	}
+	if tr := traces[2]; tr == nil || !tr.finished {
+		t.Fatal("session 2 did not finish")
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"net"
 	"os"
 	"runtime"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -526,4 +527,88 @@ func TestRunNetFrameSizeError(t *testing.T) {
 	if !errors.Is(err, ErrFrameSize) {
 		t.Fatalf("err = %v, want ErrFrameSize", err)
 	}
+}
+
+// TestRunNetLinkFlushMatchesRun: over links that reorder, lose and
+// duplicate frames (no transport chaos), RunNet's server-side event
+// stream up to Listener.Close equals Run's over identically seeded links,
+// for TCP and UDP at shard counts {1, 2}. The reordering links still hold
+// frames after the last round; both loops deliver them from Flush, and
+// RunNet must drain once more before its quiesce reads the buffered count.
+func TestRunNetLinkFlushMatchesRun(t *testing.T) {
+	ids := []uint32{1, 2, 3, 4}
+	svcCfg := Config{FS: record(t, 0, 8).FS, Pipeline: b9Config(), MaxSessions: 8, Quantum: 24, Conceal: GapHold}
+	sources := func(seed uint64) []Source {
+		srcs := gatewaySources(t, ids)
+		for i := range srcs {
+			srcs[i].Link = NewFaultLink(FaultConfig{
+				Seed: seed<<8 | uint64(srcs[i].Session),
+				Loss: 0.05, Dup: 0.03, Reorder: 0.1,
+			})
+		}
+		return srcs
+	}
+	flushed := 0
+	for seed := uint64(1); seed <= 3; seed++ {
+		// A link's draws depend only on how many frames it was offered,
+		// so a twin fed as many placeholders holds what the real one does.
+		for _, src := range sources(seed) {
+			for i := 0; i < (len(src.Samples)+23)/24; i++ {
+				src.Link.Push(nil)
+			}
+			flushed += len(src.Link.Flush())
+		}
+		for _, shards := range []int{1, 2} {
+			ref, err := NewGateway(GatewayConfig{Shards: shards, Service: svcCfg})
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := driveRun(t, ref, sources(seed))
+			ref.Close()
+			for _, network := range []string{"tcp", "udp"} {
+				t.Run(fmt.Sprintf("seed=%d/%s/shards=%d", seed, network, shards), func(t *testing.T) {
+					g, err := NewGateway(GatewayConfig{Shards: shards, Service: svcCfg})
+					if err != nil {
+						t.Fatal(err)
+					}
+					defer g.Close()
+					var mu sync.Mutex
+					var log []Event
+					ln, err := Listen(ListenConfig{
+						Network: network,
+						OnEvents: func(evs []Event) {
+							mu.Lock()
+							log = append(log, evs...)
+							mu.Unlock()
+						},
+					}, g)
+					if err != nil {
+						t.Fatal(err)
+					}
+					defer ln.Close()
+					if _, err := RunNet(NetConfig{
+						Network: network, Addr: ln.Addr().String(),
+						FrameSamples: 24, Seed: seed,
+					}, sources(seed)); err != nil {
+						t.Fatal(err)
+					}
+					mu.Lock()
+					got := append([]Event(nil), log...)
+					mu.Unlock()
+					if len(got) != len(want) {
+						t.Fatalf("%d events over %s, in-process emitted %d", len(got), network, len(want))
+					}
+					for i := range want {
+						if got[i] != want[i] {
+							t.Fatalf("event %d: %+v != in-process %+v", i, got[i], want[i])
+						}
+					}
+				})
+			}
+		}
+	}
+	if flushed == 0 {
+		t.Fatal("no link held a frame until Flush: the test no longer reaches the flush path")
+	}
+	t.Logf("%d frames delivered from link flushes per run set", flushed)
 }

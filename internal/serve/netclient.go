@@ -6,17 +6,16 @@ import (
 	"time"
 )
 
-// RunNet is the socket twin of Run: the same round-robin framing loop,
-// the same sources, but delivery crosses a real TCP or UDP connection to
-// a Listener instead of calling Sink.Ingest directly. The round
-// structure is preserved exactly — one frame per live source, then one
-// lockstep drain request — so under fault-free delivery the server's
-// ingest/drain schedule, and therefore its event stream, is bit-identical
-// to the in-process transport. On top of that it carries the robustness
-// the wire demands: NACKed frames are retransmitted under exponential
-// backoff with seeded jitter, dead connections are redialed, and seeded
-// chaos (mid-stream disconnects, partial writes) can be injected to
-// prove the server side survives.
+// RunNet is the socket twin of Run: the same framing round loop (rounds)
+// over the same sources, but delivery crosses a real TCP or UDP
+// connection to a Listener instead of calling Sink.Ingest directly. Each
+// round still ends in one lockstep drain request, so under fault-free
+// delivery the server's ingest/drain schedule, and therefore its event
+// stream, is bit-identical to the in-process transport. On top of that
+// it carries the robustness the wire demands: NACKed frames are
+// retransmitted under exponential backoff with seeded jitter, dead
+// connections are redialed, and seeded chaos (mid-stream disconnects,
+// partial writes) can be injected to prove the server side survives.
 
 // NetConfig parameterises a RunNet client.
 type NetConfig struct {
@@ -110,11 +109,9 @@ func RunNet(cfg NetConfig, sources []Source) (NetRunStats, error) {
 	if cfg.Network == "" {
 		cfg.Network = "tcp"
 	}
-	if cfg.FrameSamples <= 0 {
-		cfg.FrameSamples = 24
-	}
-	if cfg.FrameSamples > MaxFrameSamples {
-		return NetRunStats{}, fmt.Errorf("serve: %d samples per frame: %w", cfg.FrameSamples, ErrFrameSize)
+	frameN, err := frameSamples(cfg.FrameSamples)
+	if err != nil {
+		return NetRunStats{}, err
 	}
 	if cfg.MaxRetries <= 0 {
 		cfg.MaxRetries = 8
@@ -134,6 +131,7 @@ func RunNet(cfg NetConfig, sources []Source) (NetRunStats, error) {
 	c := &netClient{
 		cfg:      cfg,
 		rng:      cfg.Seed ^ 0xda3e39cb94b95bdb,
+		round:    1,
 		tmp:      make([]byte, 4096),
 		sent:     make(map[uint64]sentFrame),
 		attempts: make(map[uint64]int),
@@ -145,67 +143,9 @@ func RunNet(cfg NetConfig, sources []Source) (NetRunStats, error) {
 	c.conn = conn
 	defer func() { c.conn.Close() }()
 
-	var buf []byte
-	pos := make([]int, len(sources))
-	seqs := make([]uint16, len(sources))
-	active := len(sources)
-	for active > 0 {
-		c.round++
-		c.pruneSent()
-		for i := range sources {
-			src := &sources[i]
-			p := pos[i]
-			if p >= len(src.Samples) {
-				continue
-			}
-			n := cfg.FrameSamples
-			if p+n > len(src.Samples) {
-				n = len(src.Samples) - p
-			}
-			flags := uint8(0)
-			if p == 0 {
-				flags |= FlagStart
-			}
-			if p+n == len(src.Samples) {
-				flags |= FlagEnd
-			}
-			buf = AppendFrame(buf[:0], src.Session, seqs[i], flags, src.Samples[p:p+n])
-			c.st.Frames++
-			seqs[i]++
-			pos[i] = p + n
-			if pos[i] >= len(src.Samples) {
-				active--
-			}
-			if src.Link == nil {
-				if err := c.deliver(buf); err != nil {
-					return c.st, err
-				}
-				continue
-			}
-			for _, f := range src.Link.Push(buf) {
-				if err := c.deliver(f); err != nil {
-					return c.st, err
-				}
-			}
-		}
-		if _, err := c.drainSync(); err != nil {
-			return c.st, err
-		}
-		if err := c.settleNacks(); err != nil {
-			return c.st, err
-		}
-	}
-	flushed := 0
-	for i := range sources {
-		if sources[i].Link == nil {
-			continue
-		}
-		for _, f := range sources[i].Link.Flush() {
-			flushed++
-			if err := c.deliver(f); err != nil {
-				return c.st, err
-			}
-		}
+	flushed, err := rounds(sources, frameN, &c.st.TransportStats, c.deliver, c.endRound)
+	if err != nil {
+		return c.st, err
 	}
 	// Quiesce exactly as Run does: k drains until the server reports an
 	// empty buffer, then one final drain so end-of-stream flushes emit.
@@ -251,15 +191,25 @@ func RunNet(cfg NetConfig, sources []Source) (NetRunStats, error) {
 	return c.st, nil
 }
 
-// pruneSent ages out retransmit-buffer entries not offered for two
-// rounds: their NACK window has passed, so they were accepted.
-func (c *netClient) pruneSent() {
+// endRound closes one framing round in lockstep: a drain round trip,
+// settlement of the NACKs it brought back, then the retransmit buffer
+// ages into the next round. Entries not offered for two rounds leave it:
+// their NACK window has passed, so they were accepted.
+func (c *netClient) endRound() error {
+	if _, err := c.drainSync(); err != nil {
+		return err
+	}
+	if err := c.settleNacks(); err != nil {
+		return err
+	}
+	c.round++
 	for key, sf := range c.sent {
 		if sf.round+2 <= c.round {
 			delete(c.sent, key)
 			delete(c.attempts, key)
 		}
 	}
+	return nil
 }
 
 // deliver records frame in the retransmit buffer and sends it as a

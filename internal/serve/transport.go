@@ -62,25 +62,23 @@ type TransportStats struct {
 // documents: drain, then re-offer the same bytes, with exponentially
 // more drains per attempt (see TransportConfig.MaxRetries).
 func Run(sink Sink, cfg TransportConfig, sources []Source, onEvents func([]Event)) (TransportStats, error) {
-	if cfg.FrameSamples <= 0 {
-		cfg.FrameSamples = 24
-	}
-	if cfg.FrameSamples > MaxFrameSamples {
-		return TransportStats{}, fmt.Errorf("serve: %d samples per frame: %w", cfg.FrameSamples, ErrFrameSize)
+	frameN, err := frameSamples(cfg.FrameSamples)
+	if err != nil {
+		return TransportStats{}, err
 	}
 	if cfg.MaxRetries <= 0 {
 		cfg.MaxRetries = 8
 	}
 
 	var st TransportStats
-	var buf []byte
 	var events []Event
-	drain := func() {
+	drain := func() error {
 		events = sink.Drain(events[:0])
 		st.DrainCalls++
 		if onEvents != nil && len(events) > 0 {
 			onEvents(events)
 		}
+		return nil
 	}
 	// deliver ingests one on-the-wire frame with drain-backoff.
 	deliver := func(frame []byte) error {
@@ -102,58 +100,8 @@ func Run(sink Sink, cfg TransportConfig, sources []Source, onEvents func([]Event
 			}
 		}
 	}
-
-	pos := make([]int, len(sources))
-	seqs := make([]uint16, len(sources))
-	active := len(sources)
-	for active > 0 {
-		for i := range sources {
-			src := &sources[i]
-			p := pos[i]
-			if p >= len(src.Samples) {
-				continue
-			}
-			n := cfg.FrameSamples
-			if p+n > len(src.Samples) {
-				n = len(src.Samples) - p
-			}
-			flags := uint8(0)
-			if p == 0 {
-				flags |= FlagStart
-			}
-			if p+n == len(src.Samples) {
-				flags |= FlagEnd
-			}
-			buf = AppendFrame(buf[:0], src.Session, seqs[i], flags, src.Samples[p:p+n])
-			st.Frames++
-			seqs[i]++
-			pos[i] = p + n
-			if pos[i] >= len(src.Samples) {
-				active--
-			}
-			if src.Link == nil {
-				if err := deliver(buf); err != nil {
-					return st, err
-				}
-				continue
-			}
-			for _, f := range src.Link.Push(buf) {
-				if err := deliver(f); err != nil {
-					return st, err
-				}
-			}
-		}
-		drain()
-	}
-	for i := range sources {
-		if sources[i].Link == nil {
-			continue
-		}
-		for _, f := range sources[i].Link.Flush() {
-			if err := deliver(f); err != nil {
-				return st, err
-			}
-		}
+	if _, err := rounds(sources, frameN, &st, deliver, drain); err != nil {
+		return st, err
 	}
 	// Quiesce: with Quantum set, a single drain may leave backlog, and a
 	// drain can consume samples without emitting events — loop on the
@@ -163,4 +111,83 @@ func Run(sink Sink, cfg TransportConfig, sources []Source, onEvents func([]Event
 	}
 	drain()
 	return st, nil
+}
+
+// frameSamples resolves a configured frame size: 24 samples by default,
+// at most MaxFrameSamples.
+func frameSamples(n int) (int, error) {
+	if n <= 0 {
+		return 24, nil
+	}
+	if n > MaxFrameSamples {
+		return 0, fmt.Errorf("serve: %d samples per frame: %w", n, ErrFrameSize)
+	}
+	return n, nil
+}
+
+// rounds is the framing round loop Run and RunNet share. Every round
+// each unexhausted source frames its next frameN samples (its first
+// frame carries FlagStart, its last FlagEnd), counts the frame into st,
+// pushes it through its link and hands whatever survives to deliver;
+// endRound closes the round. Once every source is exhausted the links
+// are flushed through deliver. It returns how many frames the flushes
+// delivered.
+func rounds(sources []Source, frameN int, st *TransportStats, deliver func([]byte) error, endRound func() error) (flushed int, err error) {
+	var buf []byte
+	pos := make([]int, len(sources))
+	seqs := make([]uint16, len(sources))
+	active := 0
+	for i := range sources {
+		if len(sources[i].Samples) > 0 {
+			active++
+		}
+	}
+	for active > 0 {
+		for i := range sources {
+			src := &sources[i]
+			p := pos[i]
+			if p >= len(src.Samples) {
+				continue
+			}
+			n := min(frameN, len(src.Samples)-p)
+			flags := uint8(0)
+			if p == 0 {
+				flags |= FlagStart
+			}
+			if p+n == len(src.Samples) {
+				flags |= FlagEnd
+				active--
+			}
+			buf = AppendFrame(buf[:0], src.Session, seqs[i], flags, src.Samples[p:p+n])
+			st.Frames++
+			seqs[i]++
+			pos[i] = p + n
+			if src.Link == nil {
+				if err := deliver(buf); err != nil {
+					return 0, err
+				}
+				continue
+			}
+			for _, f := range src.Link.Push(buf) {
+				if err := deliver(f); err != nil {
+					return 0, err
+				}
+			}
+		}
+		if err := endRound(); err != nil {
+			return 0, err
+		}
+	}
+	for i := range sources {
+		if sources[i].Link == nil {
+			continue
+		}
+		for _, f := range sources[i].Link.Flush() {
+			flushed++
+			if err := deliver(f); err != nil {
+				return flushed, err
+			}
+		}
+	}
+	return flushed, nil
 }

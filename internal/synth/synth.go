@@ -1,9 +1,8 @@
 // Package synth produces synthesis-style reports — area, power, critical
 // path delay and per-operation energy — over the cell netlists of package
-// netlist, standing in for the paper's Synopsys Design Compiler tool-flow
-// (DESIGN.md §3).
+// netlist, standing in for the paper's Synopsys Design Compiler tool-flow.
 //
-// Accounting rules (DESIGN.md §6):
+// Accounting rules:
 //
 //   - Area is the sum of all instantiated cell areas, registers included.
 //   - Power is the sum of combinational cell powers; registers are
