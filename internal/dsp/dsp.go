@@ -86,7 +86,8 @@ type FIR struct {
 	ring []int64
 	pos  int
 	// win receives Process's output at win[n-1] (Chain.Run writes a dst
-	// as long as its input).
+	// as long as its input). Only Process reads it, so its first call
+	// allocates it: a stream driven by Block never carries it.
 	win []int64
 }
 
@@ -131,8 +132,7 @@ func NewFIR(coeffs []int64, outShift int, cfg ArithConfig) (*FIR, error) {
 // clones may run on different goroutines.
 func (f *FIR) Clone() *FIR {
 	n := len(f.coeffs)
-	return &FIR{coeffs: f.coeffs, chain: f.chain, outShift: f.outShift,
-		ring: make([]int64, 2*n), win: make([]int64, n)}
+	return &FIR{coeffs: f.coeffs, chain: f.chain, outShift: f.outShift, ring: make([]int64, 2*n)}
 }
 
 // Tables returns the distinct raw product tables the filter's chain
@@ -183,6 +183,9 @@ func (f *FIR) Process(x int64) int64 {
 		pos = 0
 	}
 	f.pos = pos
+	if f.win == nil {
+		f.win = make([]int64, n)
+	}
 	f.chain.Run(f.win, ring[pos:pos+n], n-1, f.outShift, SampleWidth)
 	return f.win[n-1]
 }

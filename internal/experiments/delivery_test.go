@@ -110,3 +110,32 @@ func TestDeliveryResilience(t *testing.T) {
 		}
 	}
 }
+
+// TestDeliveryBurstRestartsScore runs the sweep of `xbiosip -records 2
+// -samples 6000 -seed 3 -loss 0.2 -burst 0.01 delivery`: burst outages
+// restart detectors, and the restarted sessions' beats, which count on
+// in raw-signal samples across each gap, score against the reference
+// like any other policy's.
+func TestDeliveryBurstRestartsScore(t *testing.T) {
+	s, err := NewSetup(2, 6000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows, err := s.DeliveryResilience(s.Config(Fig12Configs[9].LSBs), []float64{0, 0.05, 0.1, 0.2}, 0.01, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var restarts uint64
+	for _, r := range rows {
+		if r.Policy != serve.GapRestart {
+			continue
+		}
+		restarts += r.Restarts
+		if r.Recovered <= 0 {
+			t.Fatalf("restart policy recovered %v at loss %v", r.Recovered, r.Loss)
+		}
+	}
+	if restarts == 0 {
+		t.Fatal("no detector restarts: the sweep no longer exercises GapRestart")
+	}
+}

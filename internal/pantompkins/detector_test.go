@@ -92,10 +92,34 @@ func detectorSignal(rng *rand.Rand, family, n, fs int) (filtered, integrated []i
 	return filtered, integrated
 }
 
+// horizonBound is the sample-window length a stream detector at fs Hz
+// may hold once its learning window has passed: twice the longest
+// lookback behind the cursor (the 200 ms peak search, or the 75 ms slope
+// window and the sample before it), the 50 ms lookahead and four spare
+// samples. It is 188 at 360 Hz.
+func horizonBound(fs int) int {
+	lookback := max(int(searchWindowS*float64(fs)), int(0.075*float64(fs))+1)
+	return 2 * (lookback + int(alignAheadS*float64(fs)) + 4)
+}
+
+// requireHorizon requires a stream detector that has pushed n samples to
+// hold at most its decision horizon once n reaches the learning window.
+func requireHorizon(t *testing.T, label string, sd *StreamDetector, n int) {
+	t.Helper()
+	if sd.fs <= 0 || n < int(learnS*float64(sd.fs)) {
+		return
+	}
+	if b := horizonBound(sd.fs); cap(sd.f) > b || cap(sd.in) > b {
+		t.Fatalf("%s: %d samples at %d Hz left a %d/%d-entry window, want at most %d",
+			label, n, sd.fs, cap(sd.f), cap(sd.in), b)
+	}
+}
+
 // requireOracle runs every entry point over one pair of signals and
 // requires each to reproduce the oracle: Detect, the caller's reused
-// PeakDetector, and a new StreamDetector before and after Reset. It
-// returns the oracle's detection.
+// PeakDetector, and a new StreamDetector before and after Reset, whose
+// window must shrink to the decision horizon once a run passes the
+// learning window. It returns the oracle's detection.
 func requireOracle(t *testing.T, label string, pd *PeakDetector, filtered, integrated []int64, fs int) Detection {
 	t.Helper()
 	want := oracleDetect(filtered, integrated, fs)
@@ -104,8 +128,11 @@ func requireOracle(t *testing.T, label string, pd *PeakDetector, filtered, integ
 	requireSameDetection(t, label+"/PeakDetector", want, pd.Detect(filtered, integrated, fs))
 	sd := NewStreamDetector(fs)
 	requireSameDetection(t, label+"/StreamDetector", want, pushAll(sd, filtered, integrated))
+	requireHorizon(t, label+"/StreamDetector", sd, len(integrated))
 	sd.Reset()
+	requireHorizon(t, label+"/StreamDetector-Reset", sd, len(integrated))
 	requireSameDetection(t, label+"/StreamDetector-after-Reset", want, pushAll(sd, filtered, integrated))
+	requireHorizon(t, label+"/StreamDetector-after-Reset", sd, len(integrated))
 	return want
 }
 

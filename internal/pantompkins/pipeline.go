@@ -286,11 +286,13 @@ func (s *Stream) Detector() *StreamDetector { return s.det }
 func (s *Stream) Pipeline() *Pipeline { return s.p }
 
 // Restart clears the stream's stage state and the incremental detector in
-// place, beginning a fresh detection session on the same hardware without
-// allocating: the detector keeps its sample window and event buffers. A
-// multiplexing service (internal/serve) reuses one Stream per session
-// slot across successive occupants this way; after Restart the stream
-// behaves exactly like a fresh Pipeline.Stream.
+// place, beginning a fresh detection session on the same hardware. The
+// stage state and the detector's event buffers are kept; a detector that
+// had finished learning regrows a learning window for the 2 s it
+// relearns (see StreamDetector.Reset). A multiplexing service
+// (internal/serve) reuses one Stream per session slot across successive
+// occupants this way; after Restart the stream behaves exactly like a
+// fresh Pipeline.Stream.
 func (s *Stream) Restart() {
 	s.p.Reset()
 	s.det.Reset()

@@ -30,10 +30,15 @@ type StreamDetector struct {
 	learn      int
 
 	// The sample window [off, t): sample j of each signal is f[j-off] and
-	// in[j-off]. A stream owns f and in, learn+alignAhead+4 entries each,
-	// allocated by the first Push and compacted when full; that covers the
-	// learning window plus the decision horizon, which dominates every
-	// lookback the decisions perform. PeakDetector points them at the
+	// in[j-off]. A stream owns f and in. While it learns they are the
+	// learning window, learn entries each, allocated by its first Push:
+	// the decisions held until seeding read all of it. The Push that seeds
+	// the thresholds runs those decisions, moves the live suffix into the
+	// horizon window, 2·(max(searchWin, slopeWin+1) + alignAhead + 4)
+	// entries each (188 at 360 Hz), and drops the learning window. The
+	// horizon window holds every lookback a future decision performs plus
+	// the decision lookahead, twice over, so each compaction (makeRoom)
+	// frees at least half of it. PeakDetector points f and in at the
 	// caller's whole signals for the duration of one call.
 	f, in []int64
 	off   int
@@ -87,12 +92,19 @@ func NewStreamDetector(fs int) *StreamDetector {
 }
 
 // Reset returns the detector to its initial state so a new record or
-// stream can start; sample and detection buffers are kept.
+// stream can start. The detection buffers are kept, and so is a learning
+// window; a detector that ran past its learning window drops the horizon
+// window instead, and its first Push regrows a learning window for the
+// 2 s it relearns.
 func (d *StreamDetector) Reset() {
 	d.det.Peaks = d.det.Peaks[:0]
 	d.det.MWIPeaks = d.det.MWIPeaks[:0]
 	d.det.Events = d.det.Events[:0]
 	d.done = false
+	if d.t >= d.learn {
+		// Past learning the window is the horizon window.
+		d.f, d.in = nil, nil
+	}
 	fs := d.fs
 	if fs <= 0 {
 		return
@@ -136,28 +148,40 @@ func (d *StreamDetector) Push(filtered, integrated int64) {
 			return
 		}
 		d.seed(d.learn)
+		d.advance(false)
+		// The learning window dies with the held decisions it served.
+		h := 2 * (max(d.searchWin, d.slopeWin+1) + d.alignAhead + 4)
+		d.compact(make([]int64, h), make([]int64, h))
+		return
 	}
 	d.advance(false)
 }
 
-// makeRoom frees window space for the next sample. The first Push
-// allocates the buffers; afterwards the samples before the earliest one a
-// future candidate reads are dropped, once the searchback candidate's
-// slope is filled in from them. Learning never fills the buffer, so the
-// cursor is past the learning window here.
+// makeRoom frees window space for the next sample. A learning stream's
+// first Push allocates the learning window, which seeding replaces
+// before it fills; past learning, makeRoom compacts inside the horizon
+// window.
 func (d *StreamDetector) makeRoom() {
-	if len(d.f) == 0 {
-		n := d.learn + d.alignAhead + 4
-		d.f, d.in = make([]int64, n), make([]int64, n)
+	if !d.seeded {
+		d.f, d.in = make([]int64, d.learn), make([]int64, d.learn)
 		return
 	}
+	d.compact(d.f, d.in)
+}
+
+// compact moves the window's live suffix — from the earliest sample a
+// future candidate reads, cursor − max(searchWin, slopeWin+1), up to t —
+// to the start of f and in, which become the window (they may be the
+// current one). The searchback candidate's slope is filled in first,
+// since it may read samples the move drops.
+func (d *StreamDetector) compact(f, in []int64) {
 	if d.hasBest && d.best.slope < 0 {
 		d.best.slope = d.slopeBefore(d.best.idx)
 	}
 	keep := d.cursor - max(d.searchWin, d.slopeWin+1)
-	copy(d.f, d.f[keep-d.off:d.t-d.off])
-	copy(d.in, d.in[keep-d.off:d.t-d.off])
-	d.off = keep
+	copy(f, d.f[keep-d.off:d.t-d.off])
+	copy(in, d.in[keep-d.off:d.t-d.off])
+	d.f, d.in, d.off = f, in, keep
 }
 
 // Finish flushes every decision held for lookahead — clamping the search
@@ -179,6 +203,10 @@ func (d *StreamDetector) Finish() *Detection {
 	d.done = true
 	return &d.det
 }
+
+// Samples returns the number of samples pushed since the last Reset (none
+// at a non-positive sampling rate, where Push ignores them).
+func (d *StreamDetector) Samples() int { return d.t }
 
 // Detection returns the decisions made so far (beats whose lookahead is
 // complete). The result aliases the detector's buffers.

@@ -254,7 +254,8 @@ func TestStreamDetectorLiveView(t *testing.T) {
 // follow every 300 samples, so each of those is an aligned noise
 // candidate. Trimming the emitted decisions after every 24-sample chunk,
 // as the serve drain does, the detector must hold its state in fixed
-// memory: pushing samples 2×10^5 to 10^6 allocates nothing.
+// memory: pushing samples 2×10^5 to 10^6 allocates nothing, and the
+// sample window stays within the 188-entry decision horizon.
 func TestStreamDetectorBoundedState(t *testing.T) {
 	const fs, warm, total, chunk = 360, 200_000, 1_000_000, 24
 	signal := func(j int) int64 {
@@ -292,6 +293,10 @@ func TestStreamDetectorBoundedState(t *testing.T) {
 	if n := after.Mallocs - before.Mallocs; n != 0 {
 		t.Fatalf("pushing samples %d to %d allocated %d times, want 0", warm, total, n)
 	}
+	if b := horizonBound(fs); b != 188 {
+		t.Fatalf("horizon bound at %d Hz = %d, want 188", fs, b)
+	}
+	requireHorizon(t, "bounded stream", d, total)
 	if want := total/300 - 2; noise < want {
 		t.Fatalf("%d noise decisions, want at least %d: the signal no longer exercises the searchback state", noise, want)
 	}

@@ -28,10 +28,15 @@
 // per slot — stage state plus detector — that is recycled across
 // occupants via Stream.Restart. The Service compiles its pipeline once,
 // in New, and every slot's stream runs over those shared compiled stages,
-// so a session costs only its state. There are no per-session goroutines
-// and no steady-state allocation; a Service is single-goroutine and a
-// multi-core deployment runs one Service shard per core — which is
-// exactly what Gateway does.
+// so a session costs only its state. The largest part of that state is
+// the detector's sample window, and it is large only while the detector
+// learns: each start (a connect, a FlagStart or a GapRestart) allocates a
+// 2 s learning window, and seeding the thresholds replaces it with the
+// decision horizon (188 samples per signal at 360 Hz). A warm B9 session
+// at 360 Hz keeps about 6 KiB live; TestSessionMemoryBound holds it
+// under 8 KiB. There are no per-session goroutines and no steady-state
+// allocation; a Service is single-goroutine and a multi-core deployment
+// runs one Service shard per core — which is exactly what Gateway does.
 //
 // # Framing
 //
@@ -80,7 +85,9 @@
 //     Config.GapRestartSamples restarts the session's detector in place:
 //     past a long outage the detector's thresholds and RR history
 //     describe a signal that no longer exists, and relearning beats
-//     extrapolating.
+//     extrapolating. The session's beat positions (Event.Peak) keep
+//     counting raw-signal samples across the restart, past the discarded
+//     backlog and the estimated gap, so they still ascend.
 //
 // Every gap emits an EventGap with the synthesized span, counts into
 // Stats (GapFrames, LostFrames, Concealed, GapRestarts) and into the
@@ -119,8 +126,9 @@
 // the drain is tested against. Drain also trims each session's
 // already-emitted detection history (StreamDetector.Discard), so an
 // endless session's retained trace stays bounded by the drain cadence
-// instead of growing with the stream; the detector's own state (a fixed
-// sample window and one searchback candidate) does not grow at all.
+// instead of growing with the stream; the detector's own state (its
+// decision-horizon window and one searchback candidate) does not grow at
+// all.
 //
 // # Sharded gateway
 //

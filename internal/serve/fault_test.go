@@ -379,8 +379,84 @@ func TestGapRestart(t *testing.T) {
 	if tr == nil || !tr.finished {
 		t.Fatal("session did not finish")
 	}
-	// The pre-gap backlog was discarded: detection covers post only.
-	checkIdentical(t, 1, tr, refDetection(t, pantompkins.AccurateConfig(), rec.FS, post))
+	// The pre-gap backlog was discarded: detection covers post only. The
+	// beat positions count on past the 2-frame backlog and the 10×64
+	// gap estimate.
+	want := refDetection(t, pantompkins.AccurateConfig(), rec.FS, post)
+	for i := range want.Peaks {
+		want.Peaks[i] += 2*n + 10*64
+	}
+	checkIdentical(t, 1, tr, want)
+}
+
+// TestGapRestartPeaksAscend: across gap-forced restarts a session's beat
+// positions keep counting raw-signal samples, past what the detector
+// consumed, the discarded backlog and the estimated gap, so its peaks
+// strictly increase. With fixed-size frames the estimate is exact: each
+// restarted detector's beats are a fresh stream's over the samples after
+// its gap, shifted by the raw index of the first of them. A FlagStart
+// reconnect then starts a new count.
+func TestGapRestartPeaksAscend(t *testing.T) {
+	rec := record(t, 0, 7200)
+	const n = 24
+	s := concealService(t, rec.FS, GapRestart, 10*n)
+	// Frames [0,100) and [130,200) drain as they arrive; 100 and 101 and
+	// then 200 and 201 stay buffered when the next gap restarts the
+	// detector; frames [102,130) and [202,240) are lost.
+	lost := func(f int) bool { return f >= 102 && f < 130 || f >= 202 && f < 240 }
+	traces := make(map[uint32]*sessionTrace)
+	var events []Event
+	frames := len(rec.Samples) / n
+	for f := 0; f < frames; f++ {
+		if lost(f) {
+			continue
+		}
+		flags := uint8(0)
+		if f == frames-1 {
+			flags = FlagEnd
+		}
+		sendFrame(t, s, 1, uint16(f), flags, rec.Samples[f*n:(f+1)*n])
+		if !lost(f+2) && !lost(f+1) {
+			events = s.Drain(events[:0])
+			collectTraces(traces, events)
+		}
+	}
+	events = s.Drain(events[:0])
+	collectTraces(traces, events)
+	if st := s.Stats(); st.GapRestarts != 2 {
+		t.Fatalf("GapRestarts = %d, want 2", st.GapRestarts)
+	}
+	tr := traces[1]
+	if tr == nil || !tr.finished {
+		t.Fatal("session did not finish")
+	}
+	for i := 1; i < len(tr.peaks); i++ {
+		if tr.peaks[i] <= tr.peaks[i-1] {
+			t.Fatalf("peak %d at %d after peak at %d: positions must ascend across restarts", i, tr.peaks[i], tr.peaks[i-1])
+		}
+	}
+	want := refDetection(t, pantompkins.AccurateConfig(), rec.FS, rec.Samples[240*n:])
+	if len(want.Peaks) < 5 || len(tr.peaks) < len(want.Peaks) {
+		t.Fatalf("%d session peaks, %d after the last gap in the reference", len(tr.peaks), len(want.Peaks))
+	}
+	last := tr.peaks[len(tr.peaks)-len(want.Peaks):]
+	for i, p := range want.Peaks {
+		if last[i] != p+240*n {
+			t.Fatalf("post-gap peak %d at %d, want %d", i, last[i], p+240*n)
+		}
+	}
+
+	// A reconnect numbers its beats from its own first sample, though a
+	// gap had moved the count on.
+	sendFrame(t, s, 1, 0, 0, rec.Samples[:n])
+	sendFrame(t, s, 1, 20, 0, rec.Samples[20*n:21*n])
+	s.Drain(nil)
+	if st := s.Stats(); st.GapRestarts != 3 {
+		t.Fatalf("GapRestarts = %d, want 3", st.GapRestarts)
+	}
+	traces = make(map[uint32]*sessionTrace)
+	streamRecord(t, s, 1, rec.Samples[:3000], nil, traces)
+	checkIdentical(t, 1, traces[1], refDetection(t, pantompkins.AccurateConfig(), rec.FS, rec.Samples[:3000]))
 }
 
 // TestGapShortUnderRestart: below the threshold GapRestart conceals like

@@ -141,7 +141,11 @@ type Event struct {
 	// to the Events trace of Pipeline.Stream over the same samples.
 	Det pantompkins.Event
 	// Peak is the accepted R position in raw-signal samples (EventBeat
-	// only; -1 otherwise).
+	// only; -1 otherwise), counted from the occupant's first sample. A
+	// GapRestart continues the count past the discarded backlog and the
+	// estimated gap, so a session's peaks ascend; a FlagStart reconnect
+	// starts a new count. Det keeps the restarted detector's own
+	// coordinates.
 	Peak int
 	// LatencyNs is the sample-to-event latency of the sample whose push
 	// produced this event (Config.TrackLatency only).
@@ -182,10 +186,14 @@ type Health struct {
 // Service multiplexes many concurrent patient sessions over streaming
 // Pan-Tompkins detection. Per-session state lives in parallel arrays
 // indexed by slot (a struct-of-arrays pool) — there are no per-session
-// goroutines and no per-session heap churn: a slot's stage state,
-// detector rings and buffer region are built once and recycled across
-// occupants, and every slot's stream runs over the one compiled pipeline
-// the Service holds.
+// goroutines: a slot's stage state and buffer region are built once and
+// recycled across occupants, and every slot's stream runs over the one
+// compiled pipeline the Service holds. The only per-session heap churn is
+// the detector's sample window: a detector that starts (a new occupant, a
+// FlagStart or a GapRestart) allocates a 2 s learning window, and seeding
+// its thresholds replaces that with the short decision horizon it keeps
+// from then on (see pantompkins.StreamDetector). Steady-state rounds
+// allocate nothing.
 //
 // A Service is single-goroutine by design (calls must not be concurrent);
 // a multi-core deployment runs one Service shard per core, which is how
@@ -206,6 +214,7 @@ type Service struct {
 	counts   []int32               // buffered samples
 	ticks    []int64               // last accepted-frame order stamp
 	streams  []*pantompkins.Stream // streams of pipe, built lazily, reused via Restart
+	origins  []int                 // raw-signal index of the detector's sample 0
 	emEvents []int32               // detector events already emitted
 	emPeaks  []int32               // detector peaks already emitted
 	ring     []int16               // slot i owns ring[i*bufN:(i+1)*bufN]
@@ -261,6 +270,7 @@ func New(cfg Config) (*Service, error) {
 		counts:   make([]int32, n),
 		ticks:    make([]int64, n),
 		streams:  make([]*pantompkins.Stream, n),
+		origins:  make([]int, n),
 		emEvents: make([]int32, n),
 		emPeaks:  make([]int32, n),
 		ring:     make([]int16, n*cfg.BufferSamples),
@@ -426,7 +436,11 @@ func (s *Service) ingestFrame(hdr frameHeader, payload []byte) error {
 			// a signal that is gone: restart in place (discarding the
 			// pre-gap backlog, like a FlagStart reconnect) and relearn.
 			s.pending = append(s.pending, Event{Session: hdr.session, Kind: EventGap, Peak: -1, Gap: gap * hdr.count})
+			// The occupant's raw-signal count goes on past the samples
+			// the detector consumed, the backlog and the estimated gap.
+			origin := s.origins[slot] + s.streams[slot].Detector().Samples() + int(s.counts[slot]) + gap*hdr.count
 			s.reset(slot, hdr.seq)
+			s.origins[slot] = origin
 			s.health[slot].Gaps++
 			s.health[slot].Restarts++
 			s.stats.GapRestarts++
@@ -535,6 +549,7 @@ func (s *Service) reset(slot int32, seq uint16) {
 	s.counts[slot] = 0
 	s.emEvents[slot] = 0
 	s.emPeaks[slot] = 0
+	s.origins[slot] = 0
 	s.tick++
 	s.ticks[slot] = s.tick
 	if s.streams[slot] == nil {
@@ -665,7 +680,7 @@ func (s *Service) collect(slot int32, det *pantompkins.Detection, lat int64, eve
 		ev := Event{Session: s.ids[slot], Kind: EventTrace, Det: de, Peak: -1, LatencyNs: lat}
 		if de.Kind == pantompkins.EventAccepted || de.Kind == pantompkins.EventSearchback {
 			ev.Kind = EventBeat
-			ev.Peak = det.Peaks[s.emPeaks[slot]]
+			ev.Peak = s.origins[slot] + det.Peaks[s.emPeaks[slot]]
 			s.emPeaks[slot]++
 		}
 		events = append(events, ev)
