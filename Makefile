@@ -58,9 +58,10 @@ race-energy:
 # The design-space explorer under -race, ten times over: stage-energy
 # characterizations on the engine's worker slots overlapped with the
 # candidate scans (the worker bound, one request per key, errors and
-# goroutines on every return path), speculative scans and shared engines.
+# goroutines on every return path), speculative scans and the one-slot
+# explorer that evaluates only the candidates it traces.
 race-dse:
-	$(GO) test -race -count=10 -run 'Overlap|EnergyErrors|Parallel|Speculative|SharedEngine' ./internal/dse
+	$(GO) test -race -count=10 -run 'Overlap|EnergyErrors|Parallel|Speculative|OneWorker' ./internal/dse
 
 # The multi-patient streaming service under -race: concurrent Service
 # shards (one per goroutine, as deployed) over the shared kernel and

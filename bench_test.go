@@ -413,10 +413,10 @@ func BenchmarkDSEWorkers(b *testing.B) {
 // Fig 11 cost) as a fresh `xbiosip dse` pays it: each op drops the kernel
 // and energy caches, builds a fresh evaluator over 2 NSRDB-like records x
 // 20,000 samples (record sub-jobs inline, Workers 1) and runs
-// core.Methodology with the sub-benchmark's explorer workers. workers=1
-// is the sequential explorer; at workers=2 the explorer characterizes
-// stage energies on its worker slots, overlapped with candidate
-// evaluation. The records and the energy stimulus are built once,
+// core.Methodology with the sub-benchmark's explorer workers. The
+// explorer characterizes stage energies on its engine's slots: at
+// workers=1 they take turns with candidate evaluations, at workers=2 they
+// overlap them. The records and the energy stimulus are built once,
 // outside the timer.
 func BenchmarkMethodologyCold(b *testing.B) {
 	var recs []*ecg.Record

@@ -77,7 +77,7 @@ func run(recordNum, samples int, inFile, lsbs, adder, mult string, verbose bool)
 		if err != nil {
 			return fmt.Errorf("-lsbs %v: %w", st, err)
 		}
-		if k > 0 {
+		if k != 0 { // pantompkins.New rejects counts out of range
 			cfg.Stage[st] = dsp.ArithConfig{LSBs: k, Add: ak, Mul: mk}
 		}
 	}

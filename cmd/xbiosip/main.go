@@ -11,9 +11,11 @@
 //
 // Flags -records and -samples control the synthetic NSRDB-like evaluation
 // set (the paper's unit is one 20,000-sample recording). -workers sets the
-// design-evaluation pool size, shared by candidate designs and the
-// per-record simulations of one design (see package sched); every table,
-// figure and generated design is bit-identical for all -workers settings.
+// slot count of two engines (see package sched): the evaluator's, which
+// runs the per-record simulations of one design, and each design-space
+// exploration's, which runs its candidate designs and stage-energy
+// characterizations. Every table, figure and generated design is
+// bit-identical for all -workers settings.
 package main
 
 import (

@@ -67,10 +67,11 @@ const DefaultPeakTolerance = 30
 
 // EvalOptions tunes the evaluation engine behind an Evaluator.
 type EvalOptions struct {
-	// Workers is the evaluation pool size (0 = runtime.GOMAXPROCS(0)).
-	// The pool serves both whole-design jobs (the explorer's candidate
-	// batches) and the per-record sub-jobs a single design splits into.
-	// Results are bit-identical for every value; see package sched.
+	// Workers is the slot count of the evaluator's engine (0 =
+	// runtime.GOMAXPROCS(0)), which runs the per-record sub-jobs a
+	// cache-missing design splits into. A design-space explorer calling
+	// Evaluate runs its candidate jobs on an engine of its own. Results
+	// are bit-identical for every value; see package sched.
 	Workers int
 }
 
@@ -79,11 +80,11 @@ type EvalOptions struct {
 // evaluation loop of the paper's tool-flow, Fig 9).
 //
 // Evaluate is safe for concurrent use and memoized through a two-level
-// sched engine: the design-space explorer fans candidate evaluations out
-// across worker goroutines, a cache-missing design additionally splits
-// into one sub-job per record on the same pool, and any design revisited
-// — by a later phase, a baseline, or another experiment over the same
-// record set — is served from the cache instead of re-simulated.
+// sched engine: a design-space explorer calls it from its own engine's
+// worker goroutines, a cache-missing design splits into one sub-job per
+// record on this engine's slots, and any design revisited — by a later
+// phase, the exhaustive grid, or another experiment over the same record
+// set — is served from the cache instead of re-simulated.
 type Evaluator struct {
 	Records []*ecg.Record
 	// Tolerance is the peak matching window in samples. It may be set
@@ -334,11 +335,12 @@ type Methodology struct {
 	// restricts both to a single kind (ApproxAdd5 / AppMultV1).
 	Mults []approx.MultKind
 	Adds  []approx.AdderKind
-	// Workers is the candidate-evaluation parallelism of both gates
-	// (0 = runtime.GOMAXPROCS(0), 1 = strictly sequential): at most Workers
+	// Workers is the slot count of each gate's explorer engine
+	// (dse.Options.Workers; 0 = runtime.GOMAXPROCS(0)): at most Workers
 	// goroutines of an explorer evaluate candidates or characterize stage
-	// energies at once. The generated design is identical for every value;
-	// see packages dse and sched.
+	// energies at once, and with 1 an explorer evaluates only the
+	// candidates it traces. The generated design is identical for every
+	// value; see packages dse and sched.
 	Workers int
 }
 
@@ -397,12 +399,6 @@ type Design struct {
 
 // Run executes both gates and returns the generated design.
 func (m *Methodology) Run() (*Design, error) {
-	// Resolve the documented default here: dse treats 0 as sequential,
-	// this layer promises 0 = all CPUs.
-	workers := m.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	// Gate 1: approximations in data pre-processing, judged by signal
 	// PSNR.
 	preOpt := dse.Options{
@@ -412,7 +408,7 @@ func (m *Methodology) Run() (*Design, error) {
 		Mults:      m.Mults,
 		Adds:       m.Adds,
 		Constraint: m.SignalConstraint,
-		Workers:    workers,
+		Workers:    m.Workers,
 	}
 	// Gate 1 candidates must not only clear the signal-quality bar but
 	// also preserve the final application quality: the paper's §6.2
@@ -444,7 +440,7 @@ func (m *Methodology) Run() (*Design, error) {
 		Mults:      m.Mults,
 		Adds:       m.Adds,
 		Constraint: m.FinalConstraint,
-		Workers:    workers,
+		Workers:    m.Workers,
 	}
 	evalAcc := func(cfg pantompkins.Config) (float64, error) {
 		q, err := m.Eval.Evaluate(cfg)

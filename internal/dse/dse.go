@@ -1,7 +1,7 @@
 // Package dse implements XBioSiP's three-phase design generation
-// methodology (paper Algorithm 1) together with the exhaustive and
-// heuristic baselines it is compared against, and the exploration-cost
-// model behind the paper's Fig 11.
+// methodology (paper Algorithm 1) together with the exhaustive grid it is
+// compared against (Table 2), and the exploration-cost model behind the
+// paper's Fig 11.
 //
 // The methodology explores, stage by stage, the number of approximated
 // LSBs and the elementary adder/multiplier kinds, evaluating candidate
@@ -10,27 +10,27 @@
 // small number of design points (11 instead of 81 for the paper's
 // pre-processing case) rather than searching for a Pareto-optimal front.
 //
-// Candidate evaluation — a full pipeline simulation per design — is the
-// dominant cost, so every explorer routes its candidates through a
-// sched.Evaluator: each phase's candidate sequence is enumerated up front
-// and evaluated speculatively in parallel chunks, then walked in order so
-// the trace, the evaluation count and the selected design are identical
-// to the sequential algorithm regardless of worker count. The engine's
-// memoizing cache additionally guarantees that designs revisited within a
-// run, or shared between Algorithm 1 and the baselines, are simulated
-// only once.
+// Every explorer call runs on its own sched.Evaluator of Options.Workers
+// slots. Candidate evaluation — a full pipeline simulation per design — is
+// the dominant cost: each phase's candidate sequence is enumerated up
+// front and evaluated in batches, then walked in order, so the trace, the
+// evaluation count, the selected design and the error returned are those
+// of the sequential algorithm for every worker count. With one slot a
+// stopping scan submits one candidate per batch and evaluates only the
+// traced candidates; with more, its batches of twice the slots may
+// speculate past the stopping point. The engine's memoizing cache
+// simulates a design revisited within a call only once.
 //
-// Stage energies, the second cost, are memoized per explorer call by
-// stage and canonical stage configuration, so each distinct pair is
-// characterized at most once per call. With an engine, a
-// characterization starts on one of the engine's worker slots as soon as
-// the algorithm knows it will read the value, and the explorer waits for
-// it only where it reads it: phase 2's scan runs while the phase-1 hit is
-// characterized, phase 3's scan while phase 2's passing candidates are,
-// and each batch of reads runs Workers-wide. Reads happen in the
-// sequential algorithm's order, so the first energy error it would meet
-// is the one returned, and every call waits for the characterizations it
-// started before it returns.
+// Stage energies, the second cost, are memoized per call by stage and
+// canonical stage configuration, so each distinct pair is characterized at
+// most once per call. A characterization starts on one of the engine's
+// slots as soon as the algorithm knows it will read the value, and the
+// explorer waits for it only where it reads it: phase 2's scan runs while
+// the phase-1 hit is characterized, phase 3's scan while phase 2's passing
+// candidates are, and each batch of reads runs Workers-wide. Reads happen
+// in the sequential algorithm's order, so the first energy error it would
+// meet is the one returned, and every call waits for the
+// characterizations it started before it returns.
 package dse
 
 import (
@@ -46,9 +46,9 @@ import (
 
 // EvaluateFunc returns the application quality of a full pipeline
 // configuration (PSNR for the pre-processing gate, peak detection accuracy
-// for the final gate — the caller chooses the metric). When the explorer
-// runs with Workers > 1 or an external Engine, the function must be
-// deterministic and safe for concurrent use.
+// for the final gate — the caller chooses the metric). The explorer calls
+// it from its engine's worker goroutines, so it must be deterministic and
+// safe for concurrent use.
 type EvaluateFunc func(cfg pantompkins.Config) (float64, error)
 
 // StageEnergyFunc returns the per-operation energy of one stage
@@ -56,9 +56,8 @@ type EvaluateFunc func(cfg pantompkins.Config) (float64, error)
 // configuration at most once per call, so the function must return the
 // same value for configurations that differ only in the kinds of a stage
 // with zero approximated LSBs (energy.Model does: its cache key clears
-// them). When the explorer runs with Workers > 1 or an external Engine,
-// the function must be deterministic and safe for concurrent use, like
-// an EvaluateFunc.
+// them). Like an EvaluateFunc it runs on the engine's worker goroutines,
+// so it must be deterministic and safe for concurrent use.
 type StageEnergyFunc func(s pantompkins.Stage, cfg dsp.ArithConfig) (float64, error)
 
 // Options configures one run of the design-generation methodology.
@@ -81,30 +80,15 @@ type Options struct {
 	// satisfy (same units as the EvaluateFunc).
 	Constraint float64
 
-	// Workers sets the evaluation parallelism: 0 or 1 evaluates candidates
-	// and characterizes stage energies strictly sequentially (exactly one
-	// evaluation per traced candidate); > 1 evaluates candidate chunks
-	// concurrently and may speculatively simulate designs past a phase's
-	// stopping point (the speculated results stay in the cache and are
-	// not traced), and characterizes stage energies on the same worker
-	// slots, overlapped with evaluation: at most Workers goroutines
-	// evaluate or characterize at once. The result is identical for every
-	// value.
+	// Workers is the slot count of the call's engine (sched.New): 0
+	// selects runtime.GOMAXPROCS(0). At most Workers goroutines evaluate
+	// candidates or characterize stage energies at once. With one slot the
+	// stopping-mode scans submit one candidate per batch, so only traced
+	// candidates are evaluated; with more they submit 2×Workers and may
+	// speculatively simulate designs past a phase's stopping point (the
+	// results stay in the engine's cache and are not traced). The result
+	// is identical for every value.
 	Workers int
-	// Chunk is the speculative batch granularity of the stopping-mode
-	// scans (candidates submitted per barrier): 0 selects twice the worker
-	// count. Larger chunks amortise the per-batch barrier when individual
-	// evaluations are cheap, at the price of more speculated simulations
-	// past a stopping point; the traced result is identical for every
-	// value. Unbounded scans (scanAll) always go out as one batch.
-	Chunk int
-	// Engine, when non-nil, is a caller-shared evaluation engine used
-	// instead of a run-private one; its function must agree with the
-	// EvaluateFunc passed alongside it. Sharing one engine across runs
-	// (e.g. the exhaustive baseline and Algorithm 1 over one record set)
-	// extends the never-evaluate-a-design-twice guarantee across them.
-	// Stage energies are characterized on its worker slots.
-	Engine *sched.Evaluator[float64]
 }
 
 // Candidate is one evaluated design point (for exploration traces).
@@ -152,8 +136,7 @@ func (o *Options) validate() error {
 }
 
 // energyKey identifies one stage energy: the stage and its canonical
-// configuration (zero LSBs clears the dead kinds, as sched.Canonical does
-// per stage).
+// configuration (dsp.ArithConfig.Canonical).
 type energyKey struct {
 	stage pantompkins.Stage
 	cfg   dsp.ArithConfig
@@ -162,24 +145,16 @@ type energyKey struct {
 // energyJob is one memoized stage energy; done is closed once v and err
 // are final.
 type energyJob struct {
-	stage pantompkins.Stage
-	cfg   dsp.ArithConfig
-	done  chan struct{}
-	v     float64
-	err   error
-}
-
-func (j *energyJob) run(fn StageEnergyFunc) {
-	j.v, j.err = fn(j.stage, j.cfg)
-	close(j.done)
+	done chan struct{}
+	v    float64
+	err  error
 }
 
 // explorer carries the mutable state of one explorer call.
 type explorer struct {
 	opt    Options
-	eval   EvaluateFunc
 	energy StageEnergyFunc
-	eng    *sched.Evaluator[float64] // nil for strictly sequential runs
+	eng    *sched.Evaluator[float64]
 	chosen map[pantompkins.Stage]dsp.ArithConfig
 	result Result
 	// energies memoizes the call's stage energies; reads lists, in the
@@ -193,47 +168,33 @@ type explorer struct {
 	// every scan of one run — all three phases of Algorithm 1 share one
 	// buffer pair instead of re-allocating per phase. The quality slice
 	// scan returns aliases scanQs and is valid until the next scan call.
-	scanCfgs  []pantompkins.Config
-	scanQs    []float64
-	scanBatch []float64
+	scanCfgs []pantompkins.Config
+	scanQs   []float64
 }
 
-// newExplorer wires the evaluation engine per Options: a caller-shared
-// engine, a run-private one for Workers > 1, or none (sequential).
+// newExplorer builds the call's engine of opt.Workers slots over eval.
 func newExplorer(opt Options, eval EvaluateFunc, energy StageEnergyFunc) *explorer {
-	e := &explorer{opt: opt, eval: eval, energy: energy,
+	return &explorer{opt: opt, energy: energy, eng: sched.New(opt.Workers, sched.Func[float64](eval)),
 		chosen: make(map[pantompkins.Stage]dsp.ArithConfig), energies: make(map[energyKey]*energyJob)}
-	switch {
-	case opt.Engine != nil:
-		e.eng = opt.Engine
-	case opt.Workers > 1:
-		e.eng = sched.New(opt.Workers, sched.Func[float64](eval))
-	}
-	return e
 }
 
 // want records that the sequential algorithm reads the energy of stage s
 // at configuration c at this point, and returns its memo entry. The
 // first request for a key starts the characterization on one of the
-// engine's worker slots; a sequential explorer starts nothing and
-// computes the entry when settle reads it. The entry's value is valid
-// after the settle that reads it.
+// engine's worker slots. The entry's value is valid after the settle that
+// reads it.
 func (e *explorer) want(s pantompkins.Stage, c dsp.ArithConfig) *energyJob {
-	key := energyKey{s, c}
-	if c.LSBs == 0 {
-		key.cfg = dsp.ArithConfig{}
-	}
+	key := energyKey{s, c.Canonical()}
 	j := e.energies[key]
 	if j == nil {
-		j = &energyJob{stage: s, cfg: c, done: make(chan struct{})}
+		j = &energyJob{done: make(chan struct{})}
 		e.energies[key] = j
-		if e.eng != nil {
-			e.jobs.Add(1)
-			e.eng.Go(func() {
-				defer e.jobs.Done()
-				j.run(e.energy)
-			})
-		}
+		e.jobs.Add(1)
+		e.eng.Go(func() {
+			defer e.jobs.Done()
+			j.v, j.err = e.energy(s, c)
+			close(j.done)
+		})
 	}
 	e.reads = append(e.reads, j)
 	return j
@@ -241,19 +202,11 @@ func (e *explorer) want(s pantompkins.Stage, c dsp.ArithConfig) *energyJob {
 
 // settle reads every wanted energy in the order it was wanted, waiting
 // for the ones still characterizing, and returns the first error — the
-// one the sequential algorithm meets. A sequential explorer computes each
-// entry here and stops at the first error.
+// one the sequential algorithm meets.
 func (e *explorer) settle() error {
 	reads := e.reads
 	e.reads = e.reads[:0]
 	for _, j := range reads {
-		if e.eng == nil {
-			select {
-			case <-j.done:
-			default:
-				j.run(e.energy)
-			}
-		}
 		<-j.done
 		if j.err != nil {
 			return j.err
@@ -285,36 +238,6 @@ func (e *explorer) config(overrides map[pantompkins.Stage]dsp.ArithConfig) panto
 	return cfg
 }
 
-// evalOne evaluates a single configuration through the engine (memoized)
-// or directly when running sequentially.
-func (e *explorer) evalOne(cfg pantompkins.Config) (float64, error) {
-	if e.eng != nil {
-		return e.eng.Evaluate(cfg)
-	}
-	return e.eval(cfg)
-}
-
-// evalChunk evaluates a slice of configurations, in parallel when an
-// engine is available. The sequential path returns a slice aliasing the
-// explorer's batch scratch, valid until the next evalChunk call.
-func (e *explorer) evalChunk(cfgs []pantompkins.Config) ([]float64, error) {
-	if e.eng != nil {
-		return e.eng.EvaluateBatch(cfgs)
-	}
-	if cap(e.scanBatch) < len(cfgs) {
-		e.scanBatch = make([]float64, len(cfgs))
-	}
-	out := e.scanBatch[:len(cfgs)]
-	for i, cfg := range cfgs {
-		q, err := e.eval(cfg)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = q
-	}
-	return out, nil
-}
-
 // scanMode states when an ordered candidate scan stops.
 type scanMode int
 
@@ -327,12 +250,12 @@ const (
 // scan evaluates the candidate overrides in order, tracing each under the
 // given phase, until the mode's stopping condition fires (the stopping
 // candidate is traced too). It returns the traced qualities and the index
-// the scan stopped at (-1 if it ran through). With an engine, candidates
-// are evaluated speculatively — scanAll mode has no stopping condition,
-// so its whole list goes out as one batch; the stopping modes go out in
-// chunks of twice the worker count to bound wasted work. Results past
-// the stopping point are cached but not traced, so the trace is
-// identical to a sequential scan. So is error behaviour: a failed batch
+// the scan stopped at (-1 if it ran through). scanAll mode has no stopping
+// condition, so its whole list goes out as one batch; the stopping modes
+// go out one candidate at a time on a one-slot engine and in chunks of
+// twice the worker count otherwise, which bounds the speculation past the
+// stopping point. Results past it are cached but not traced, so the trace
+// is identical to a sequential scan. So is error behaviour: a failed batch
 // is replayed in order from the cache, and only an error the sequential
 // walk would have reached (no stop before it) propagates.
 func (e *explorer) scan(cands []map[pantompkins.Stage]dsp.ArithConfig, phase int, mode scanMode) ([]float64, int, error) {
@@ -343,18 +266,12 @@ func (e *explorer) scan(cands []map[pantompkins.Stage]dsp.ArithConfig, phase int
 	for i, ov := range cands {
 		cfgs[i] = e.config(ov)
 	}
-	chunk := 1
-	if e.eng != nil {
-		chunk = e.opt.Chunk
-		if chunk <= 0 {
-			chunk = 2 * e.eng.Workers()
-		}
-		if mode == scanAll {
-			chunk = len(cfgs) // no stopping point, no reason for barriers
-		}
-	}
-	if chunk < 1 {
+	chunk := len(cfgs)
+	if mode != scanAll {
 		chunk = 1
+		if w := e.eng.Workers(); w > 1 {
+			chunk = 2 * w
+		}
 	}
 	if cap(e.scanQs) < len(cfgs) {
 		e.scanQs = make([]float64, 0, len(cfgs))
@@ -369,17 +286,9 @@ func (e *explorer) scan(cands []map[pantompkins.Stage]dsp.ArithConfig, phase int
 		return (mode == stopOnPass && passed) || (mode == stopOnFail && !passed)
 	}
 	for lo := 0; lo < len(cfgs); lo += chunk {
-		hi := lo + chunk
-		if hi > len(cfgs) {
-			hi = len(cfgs)
-		}
-		batch, err := e.evalChunk(cfgs[lo:hi])
+		hi := min(lo+chunk, len(cfgs))
+		batch, err := e.eng.EvaluateBatch(cfgs[lo:hi])
 		if err != nil {
-			if e.eng == nil {
-				// Sequential evaluation stops exactly at the failing
-				// candidate; nothing was speculated.
-				return nil, 0, err
-			}
 			// The batch error may come from a candidate the sequential
 			// algorithm never reaches (past the stopping point). Replay
 			// the chunk in order against the cache so only sequentially
@@ -410,10 +319,10 @@ func override(s pantompkins.Stage, c dsp.ArithConfig) map[pantompkins.Stage]dsp.
 }
 
 // Generate runs the three-phase design generation methodology (paper
-// Algorithm 1) and returns the selected configuration. With Options.Workers
-// > 1 (or a shared Options.Engine) candidate evaluations and stage-energy
-// characterizations fan out across the scheduler's workers; the outcome
-// is identical to the sequential run in every field, errors included.
+// Algorithm 1) and returns the selected configuration. Candidate
+// evaluations and stage-energy characterizations run on the call's engine
+// of Options.Workers slots; the outcome is identical to the sequential
+// algorithm's in every field, errors included, for every worker count.
 func Generate(opt Options, eval EvaluateFunc, energy StageEnergyFunc) (Result, error) {
 	if err := opt.validate(); err != nil {
 		return Result{}, err
@@ -584,7 +493,7 @@ func Generate(opt Options, eval EvaluateFunc, energy StageEnergyFunc) (Result, e
 	// different pairs; when that combination misses the constraint we fall
 	// back to the lowest-energy candidate that actually passed evaluation.
 	final := e.config(nil)
-	q, err := e.evalOne(final)
+	q, err := e.eng.Evaluate(final)
 	if err != nil {
 		return Result{}, err
 	}

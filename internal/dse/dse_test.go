@@ -3,11 +3,13 @@ package dse
 import (
 	"errors"
 	"math"
+	"sync"
 	"testing"
 
 	"github.com/xbiosip/xbiosip/internal/approx"
 	"github.com/xbiosip/xbiosip/internal/dsp"
 	"github.com/xbiosip/xbiosip/internal/pantompkins"
+	"github.com/xbiosip/xbiosip/internal/sched"
 )
 
 // syntheticQuality models a quality surface that degrades with total
@@ -89,16 +91,16 @@ func TestGenerateEvaluatesFarFewerThanExhaustive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	exh, err := Exhaustive(opt, syntheticQuality(weights), syntheticEnergy(energyBase))
+	grid, err := ExhaustiveGrid(opt, pantompkins.LPF, pantompkins.HPF, syntheticQuality(weights), syntheticEnergy(energyBase))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if exh.Evaluations != 81 {
-		t.Errorf("exhaustive evaluations = %d, want 81 (9x9 grid)", exh.Evaluations)
+	if len(grid) != 81 {
+		t.Errorf("exhaustive grid has %d cells, want 81 (9x9)", len(grid))
 	}
 	// Paper: Algorithm 1 evaluates ~11 designs instead of 81.
-	if gen.Evaluations >= exh.Evaluations/2 {
-		t.Errorf("Algorithm 1 used %d evaluations vs exhaustive %d", gen.Evaluations, exh.Evaluations)
+	if gen.Evaluations >= len(grid)/2 {
+		t.Errorf("Algorithm 1 used %d evaluations vs exhaustive %d", gen.Evaluations, len(grid))
 	}
 }
 
@@ -177,7 +179,7 @@ func TestGenerateValidation(t *testing.T) {
 // TestSpeculativeErrorDoesNotAbortParallelRun: with workers > 1 the
 // engine speculatively evaluates candidates past a scan's stopping point;
 // an error among those speculated designs must not fail a run the
-// sequential algorithm completes.
+// one-slot explorer, which evaluates only traced candidates, completes.
 func TestSpeculativeErrorDoesNotAbortParallelRun(t *testing.T) {
 	eval := func(cfg pantompkins.Config) (float64, error) {
 		k := cfg.Stage[pantompkins.LPF].LSBs
@@ -189,12 +191,13 @@ func TestSpeculativeErrorDoesNotAbortParallelRun(t *testing.T) {
 		return 100 - float64(k), nil
 	}
 	opt := defaultOptions(50, pantompkins.LPF)
+	opt.Workers = 1
 	seq, err := Generate(opt, eval, syntheticEnergy(nil))
 	if err != nil {
-		t.Fatalf("sequential run failed: %v", err)
+		t.Fatalf("one-slot run failed: %v", err)
 	}
 	if seq.Config.Stage[pantompkins.LPF].LSBs != 16 {
-		t.Fatalf("sequential selected k=%d, want 16", seq.Config.Stage[pantompkins.LPF].LSBs)
+		t.Fatalf("one-slot run selected k=%d, want 16", seq.Config.Stage[pantompkins.LPF].LSBs)
 	}
 	opt.Workers = 4
 	par, err := Generate(opt, eval, syntheticEnergy(nil))
@@ -202,7 +205,7 @@ func TestSpeculativeErrorDoesNotAbortParallelRun(t *testing.T) {
 		t.Fatalf("parallel run aborted on a speculated error: %v", err)
 	}
 	if par.Config != seq.Config || par.Evaluations != seq.Evaluations {
-		t.Errorf("parallel result %v (%d evals) differs from sequential %v (%d evals)",
+		t.Errorf("parallel result %v (%d evals) differs from one-slot %v (%d evals)",
 			par.Config, par.Evaluations, seq.Config, seq.Evaluations)
 	}
 
@@ -212,27 +215,35 @@ func TestSpeculativeErrorDoesNotAbortParallelRun(t *testing.T) {
 	if _, err := Generate(opt, eval, syntheticEnergy(nil)); err == nil {
 		t.Error("reachable evaluation error was swallowed by the parallel path")
 	}
-	opt.Workers = 0
+	opt.Workers = 1
 	if _, err := Generate(opt, eval, syntheticEnergy(nil)); err == nil {
-		t.Error("reachable evaluation error was swallowed by the sequential path")
+		t.Error("reachable evaluation error was swallowed by the one-slot explorer")
 	}
 }
 
 func TestExhaustiveFindsLowestEnergyFeasible(t *testing.T) {
 	weights := map[pantompkins.Stage]float64{pantompkins.LPF: 2, pantompkins.HPF: 3}
 	opt := defaultOptions(40, pantompkins.LPF, pantompkins.HPF)
-	res, err := Exhaustive(opt, syntheticQuality(weights), syntheticEnergy(nil))
+	grid, err := ExhaustiveGrid(opt, pantompkins.LPF, pantompkins.HPF, syntheticQuality(weights), syntheticEnergy(nil))
 	if err != nil {
 		t.Fatal(err)
+	}
+	// The first passing cell of least energy, in grid order.
+	var best *GridPoint
+	for i := range grid {
+		if grid[i].Passed && (best == nil || grid[i].Energy < best.Energy) {
+			best = &grid[i]
+		}
+	}
+	if best == nil {
+		t.Fatal("no grid cell passes")
 	}
 	// With quality 100-2a-3b >= 40 and energy decreasing in a+b, the
 	// optimum maximises 2.5a+2.5b... energy 100(1-a/40)+100(1-b/40)
 	// decreasing in a+b; constraint 2a+3b <= 60 with a<=16,b<=16. Optimal
 	// a=16 (cheap on quality), then 3b <= 28 -> b = 8 (multiples of 2).
-	a := res.Config.Stage[pantompkins.LPF].LSBs
-	b := res.Config.Stage[pantompkins.HPF].LSBs
-	if a != 16 || b != 8 {
-		t.Errorf("exhaustive optimum (%d,%d), want (16,8)", a, b)
+	if best.K1 != 16 || best.K2 != 8 {
+		t.Errorf("exhaustive optimum (%d,%d), want (16,8)", best.K1, best.K2)
 	}
 }
 
@@ -298,29 +309,95 @@ func TestMeasuredCost(t *testing.T) {
 // TestScanScratchReuse guards the per-run scan scratch: once an explorer
 // has scanned a candidate list, further scans of the same size — the way
 // the later phases of Algorithm 1 revisit candidate sweeps — must reuse
-// the configuration and quality buffers. Sequential mode with a
-// pre-grown trace isolates the scan itself, so a warm scan allocates
-// nothing.
+// the configuration and quality buffers. With a pre-grown trace and every
+// candidate cached, a warm scan allocates exactly what its one
+// EvaluateBatch call allocates.
 func TestScanScratchReuse(t *testing.T) {
 	weights := map[pantompkins.Stage]float64{pantompkins.LPF: 2}
 	opt := defaultOptions(40, pantompkins.LPF)
 	e := newExplorer(opt, syntheticQuality(weights), syntheticEnergy(nil))
 	var cands []map[pantompkins.Stage]dsp.ArithConfig
+	var cfgs []pantompkins.Config
 	for _, k := range opt.LSBs[pantompkins.LPF] {
-		cands = append(cands, map[pantompkins.Stage]dsp.ArithConfig{
+		ov := map[pantompkins.Stage]dsp.ArithConfig{
 			pantompkins.LPF: {LSBs: k, Add: approx.ApproxAdd5, Mul: approx.AppMultV1},
-		})
+		}
+		cands = append(cands, ov)
+		cfgs = append(cfgs, e.config(ov))
 	}
-	if _, _, err := e.scan(cands, 1, scanAll); err != nil { // warm the buffers
+	if _, _, err := e.scan(cands, 1, scanAll); err != nil { // warm the buffers and the cache
 		t.Fatal(err)
 	}
+	batch := testing.AllocsPerRun(50, func() {
+		if _, err := e.eng.EvaluateBatch(cfgs); err != nil {
+			t.Fatal(err)
+		}
+	})
 	explored := e.result.Explored[:0]
-	if avg := testing.AllocsPerRun(50, func() {
+	scan := testing.AllocsPerRun(50, func() {
 		e.result.Explored = explored
 		if _, _, err := e.scan(cands, 1, scanAll); err != nil {
 			t.Fatal(err)
 		}
-	}); avg != 0 {
-		t.Fatalf("warm scan allocates %.1f objects/run; scratch not reused", avg)
+	})
+	if scan != batch {
+		t.Fatalf("warm scan allocates %.1f objects/run, its EvaluateBatch %.1f; scratch not reused", scan, batch)
+	}
+}
+
+// TestOneWorkerEvaluatesOnlyTraced pins the one-slot contract: with
+// Workers 1 a stopping scan submits one candidate per batch, so Generate
+// calls its EvaluateFunc only for canonical configurations its trace
+// lists, plus the final verification as the last call, and at most once
+// for each.
+func TestOneWorkerEvaluatesOnlyTraced(t *testing.T) {
+	two := []int{8, 6, 4, 2, 0}
+	rp, rpEval, rpEnergy := readPointOptions()
+	cases := []struct {
+		name   string
+		opt    Options
+		eval   EvaluateFunc
+		energy StageEnergyFunc
+	}{
+		{"2-stage", defaultOptions(40, pantompkins.LPF, pantompkins.HPF),
+			syntheticQuality(map[pantompkins.Stage]float64{pantompkins.LPF: 2, pantompkins.HPF: 3}), syntheticEnergy(nil)},
+		{"3-stage", defaultOptions(50, pantompkins.DER, pantompkins.SQR, pantompkins.MWI),
+			syntheticQuality(map[pantompkins.Stage]float64{pantompkins.DER: 5, pantompkins.SQR: 3, pantompkins.MWI: 1}), syntheticEnergy(nil)},
+		{"two kinds", Options{Base: pantompkins.AccurateConfig(), Stages: []pantompkins.Stage{pantompkins.LPF, pantompkins.HPF},
+			LSBs:  map[pantompkins.Stage][]int{pantompkins.LPF: two, pantompkins.HPF: two},
+			Mults: []approx.MultKind{approx.AppMultV2, approx.AppMultV1}, Adds: []approx.AdderKind{approx.ApproxAdd1, approx.ApproxAdd5},
+			Constraint: 70},
+			syntheticQuality(map[pantompkins.Stage]float64{pantompkins.LPF: 2, pantompkins.HPF: 3}), syntheticEnergy(nil)},
+		{"fallback", rp, rpEval, rpEnergy},
+	}
+	for _, tc := range cases {
+		var mu sync.Mutex
+		var calls []pantompkins.Config
+		eval := func(cfg pantompkins.Config) (float64, error) {
+			mu.Lock()
+			calls = append(calls, sched.Canonical(cfg))
+			mu.Unlock()
+			return tc.eval(cfg)
+		}
+		opt := tc.opt
+		opt.Workers = 1
+		res, err := Generate(opt, eval, tc.energy)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		traced := make(map[pantompkins.Config]bool)
+		for _, c := range res.Explored {
+			traced[sched.Canonical(c.Config)] = true
+		}
+		seen := make(map[pantompkins.Config]bool)
+		for i, cfg := range calls {
+			if seen[cfg] {
+				t.Errorf("%s: call %d evaluated %v again", tc.name, i, cfg)
+			}
+			seen[cfg] = true
+			if !traced[cfg] && i < len(calls)-1 {
+				t.Errorf("%s: call %d evaluated %v, which the trace does not list", tc.name, i, cfg)
+			}
+		}
 	}
 }

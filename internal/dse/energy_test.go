@@ -13,7 +13,6 @@ import (
 	"github.com/xbiosip/xbiosip/internal/approx"
 	"github.com/xbiosip/xbiosip/internal/dsp"
 	"github.com/xbiosip/xbiosip/internal/pantompkins"
-	"github.com/xbiosip/xbiosip/internal/sched"
 )
 
 // readPointOptions is a two-stage run in which Algorithm 1 reaches each
@@ -80,13 +79,10 @@ func phaseOf(cfg pantompkins.Config) int {
 }
 
 // probe instruments an explorer's callbacks. It keeps the high-water
-// mark of evaluations plus characterizations in flight, counts energy
-// requests per canonical key, and flags a callback that runs while more
-// goroutines exist than before the call (spawnBase > 0).
+// mark of evaluations plus characterizations in flight and counts energy
+// requests per canonical key.
 type probe struct {
 	inflight, peak atomic.Int64
-	spawned        atomic.Bool
-	spawnBase      int
 
 	mu    sync.Mutex
 	calls map[energyKey]int
@@ -97,9 +93,6 @@ func newProbe() *probe { return &probe{calls: make(map[energyKey]int)} }
 func (p *probe) enter() {
 	n := p.inflight.Add(1)
 	for m := p.peak.Load(); n > m && !p.peak.CompareAndSwap(m, n); m = p.peak.Load() {
-	}
-	if p.spawnBase > 0 && runtime.NumGoroutine() > p.spawnBase {
-		p.spawned.Store(true)
 	}
 	// Hold the slot long enough for callbacks to overlap.
 	time.Sleep(20 * time.Microsecond)
@@ -117,49 +110,24 @@ func (p *probe) energy(f StageEnergyFunc) StageEnergyFunc {
 	return func(s pantompkins.Stage, c dsp.ArithConfig) (float64, error) {
 		p.enter()
 		defer p.inflight.Add(-1)
-		key := energyKey{s, c}
-		if c.LSBs == 0 {
-			key.cfg = dsp.ArithConfig{}
-		}
 		p.mu.Lock()
-		p.calls[key]++
+		p.calls[energyKey{s, c.Canonical()}]++
 		p.mu.Unlock()
 		return f(s, c)
 	}
 }
 
-// mode is one way to run an explorer: a worker count, or a shared engine
-// of the given size.
-type mode struct {
-	workers, engine int
-}
+// workerCounts are the Options.Workers values every explorer test runs:
+// the GOMAXPROCS default, one slot and more slots than the host's cores.
+var workerCounts = []int{0, 1, 2, 4}
 
-var modes = []mode{{workers: 0}, {workers: 1}, {workers: 2}, {workers: 4}, {engine: 3}}
-
-func (m mode) String() string {
-	if m.engine > 0 {
-		return fmt.Sprintf("engine=%d", m.engine)
+// bound is the most callbacks an explorer of the given worker count may
+// run at once: its engine's slot count.
+func bound(workers int) int64 {
+	if workers == 0 {
+		return int64(runtime.GOMAXPROCS(0))
 	}
-	return fmt.Sprintf("workers=%d", m.workers)
-}
-
-func (m mode) options(opt Options, eval EvaluateFunc) Options {
-	opt.Workers = m.workers
-	if m.engine > 0 {
-		opt.Engine = sched.New(m.engine, sched.Func[float64](eval))
-	}
-	return opt
-}
-
-// bound is the most callbacks the mode may run at once.
-func (m mode) bound() int64 {
-	switch {
-	case m.engine > 0:
-		return int64(m.engine)
-	case m.workers > 1:
-		return int64(m.workers)
-	}
-	return 1
+	return int64(workers)
 }
 
 // exploreFunc runs one explorer entry point; the grid explores the first
@@ -175,9 +143,6 @@ var explorers = []struct {
 	}},
 	{"ExhaustiveGrid", func(opt Options, eval EvaluateFunc, energy StageEnergyFunc) (any, error) {
 		return ExhaustiveGrid(opt, opt.Stages[0], opt.Stages[1], eval, energy)
-	}},
-	{"Exhaustive", func(opt Options, eval EvaluateFunc, energy StageEnergyFunc) (any, error) {
-		return Exhaustive(opt, eval, energy)
 	}},
 }
 
@@ -198,20 +163,20 @@ func waitGoroutines(t *testing.T, base int, label string) {
 // TestExplorerOverlapsEnergy pins the explorer's stage-energy contract:
 // characterizations overlap the scans that follow their request, each
 // canonical (stage, config) is requested once per call, evaluations plus
-// characterizations never exceed the worker bound, nothing runs after
-// return, sequential explorers start no goroutine, and every mode returns
-// the sequential result.
+// characterizations never exceed the engine's slot count, nothing runs
+// after return, and every worker count returns the one-slot result.
 func TestExplorerOverlapsEnergy(t *testing.T) {
 	t.Run("overlap", func(t *testing.T) {
 		opt, eval, energy := readPointOptions()
+		opt.Workers = 1
 		seq, err := Generate(opt, eval, energy)
 		if err != nil {
 			t.Fatal(err)
 		}
 		// The hit's energy waits for a phase-2 evaluation, the first
-		// passing phase-2 candidate's for a phase-3 evaluation: the
-		// sequential order reads each before that scan starts, so it
-		// times out. One call blocks at a time, so a slot stays free.
+		// passing phase-2 candidate's for a phase-3 evaluation: reading
+		// each before that scan starts would time out. One call blocks
+		// at a time, so a slot stays free.
 		var began [4]chan struct{}
 		var once [4]sync.Once
 		for i := range began {
@@ -249,7 +214,7 @@ func TestExplorerOverlapsEnergy(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(par, seq) {
-			t.Errorf("overlapped result %+v, sequential %+v", par, seq)
+			t.Errorf("overlapped result %+v, one-slot %+v", par, seq)
 		}
 	})
 
@@ -285,30 +250,25 @@ func TestExplorerOverlapsEnergy(t *testing.T) {
 			if ex.name == "ExhaustiveGrid" && len(opt.Stages) < 2 {
 				continue
 			}
+			opt.Workers = 1
 			seq, err := ex.run(opt, eval, energy)
 			if err != nil {
-				t.Fatalf("%s %s sequential: %v", set.name, ex.name, err)
+				t.Fatalf("%s %s one slot: %v", set.name, ex.name, err)
 			}
-			for _, m := range modes {
-				label := fmt.Sprintf("%s %s %v", set.name, ex.name, m)
+			for _, workers := range workerCounts {
+				label := fmt.Sprintf("%s %s workers=%d", set.name, ex.name, workers)
 				p := newProbe()
 				base := runtime.NumGoroutine()
-				if m.bound() == 1 {
-					p.spawnBase = base
-				}
-				peval := p.eval(eval)
-				got, err := ex.run(m.options(opt, peval), peval, p.energy(energy))
+				opt.Workers = workers
+				got, err := ex.run(opt, p.eval(eval), p.energy(energy))
 				if err != nil {
 					t.Fatalf("%s: %v", label, err)
 				}
 				if n := p.inflight.Load(); n != 0 {
 					t.Errorf("%s: %d callbacks still running after return", label, n)
 				}
-				if peak := p.peak.Load(); peak > m.bound() {
-					t.Errorf("%s: %d evaluations and characterizations at once, bound %d", label, peak, m.bound())
-				}
-				if p.spawned.Load() {
-					t.Errorf("%s: a sequential explorer started a goroutine", label)
+				if peak := p.peak.Load(); peak > bound(workers) {
+					t.Errorf("%s: %d evaluations and characterizations at once, bound %d", label, peak, bound(workers))
 				}
 				for key, n := range p.calls {
 					if n > 1 {
@@ -316,7 +276,7 @@ func TestExplorerOverlapsEnergy(t *testing.T) {
 					}
 				}
 				if !reflect.DeepEqual(got, seq) {
-					t.Errorf("%s: result %+v, sequential %+v", label, got, seq)
+					t.Errorf("%s: result %+v, one-slot %+v", label, got, seq)
 				}
 				waitGoroutines(t, base, label)
 			}
@@ -325,9 +285,9 @@ func TestExplorerOverlapsEnergy(t *testing.T) {
 }
 
 // TestExplorerEnergyErrorsMatchSequential injects an energy error at each
-// read point, some alongside an evaluation error, and requires every mode
-// to return the error the sequential algorithm returns, with no callback
-// running and no goroutine left after return.
+// read point, some alongside an evaluation error, and requires every
+// worker count to return the error the sequential algorithm returns, with
+// no callback running and no goroutine left after return.
 func TestExplorerEnergyErrorsMatchSequential(t *testing.T) {
 	errEnergy := errors.New("injected energy error")
 	errEval := errors.New("injected evaluation error")
@@ -352,7 +312,7 @@ func TestExplorerEnergyErrorsMatchSequential(t *testing.T) {
 			evalFail: func(cfg pantompkins.Config) bool {
 				return cfg.Stage[pantompkins.LPF].LSBs == 2 && cfg.Stage[pantompkins.HPF].LSBs == 2
 			}, want: errEval},
-		{name: "exhaustive passing", explore: "Exhaustive", energy: fault{pantompkins.LPF, pair3}, want: errEnergy},
+		{name: "grid cell", explore: "ExhaustiveGrid", energy: fault{pantompkins.LPF, pair3}, want: errEnergy},
 	}
 	for _, tc := range cases {
 		opt, eval, energy := readPointOptions()
@@ -374,12 +334,12 @@ func TestExplorerEnergyErrorsMatchSequential(t *testing.T) {
 				run = ex.run
 			}
 		}
-		for _, m := range []mode{{workers: 0}, {workers: 2}, {workers: 4}, {engine: 3}} {
-			label := fmt.Sprintf("%s %v", tc.name, m)
+		for _, workers := range workerCounts {
+			label := fmt.Sprintf("%s workers=%d", tc.name, workers)
 			p := newProbe()
 			base := runtime.NumGoroutine()
-			peval := p.eval(faultyEval)
-			_, err := run(m.options(opt, peval), peval, p.energy(faultyEnergy))
+			opt.Workers = workers
+			_, err := run(opt, p.eval(faultyEval), p.energy(faultyEnergy))
 			if !errors.Is(err, tc.want) {
 				t.Errorf("%s: error %v, want %v", label, err, tc.want)
 			}

@@ -13,7 +13,6 @@ import (
 	"github.com/xbiosip/xbiosip/internal/ecg"
 	"github.com/xbiosip/xbiosip/internal/energy"
 	"github.com/xbiosip/xbiosip/internal/pantompkins"
-	"github.com/xbiosip/xbiosip/internal/sched"
 )
 
 // goldenSamples fixes the synthetic record the golden values below were
@@ -23,7 +22,7 @@ const goldenSamples = 4000
 
 // Golden sequential-seed behaviour of the pre-processing exploration
 // (stages {LPF, HPF}, PSNR >= 15, ApproxAdd5/AppMultV1): the selected
-// per-stage LSBs and the exploration cost. The parallel engine must
+// per-stage LSBs and the exploration cost. Every worker count must
 // reproduce these exactly.
 const (
 	goldenLPFLSBs = 14
@@ -86,12 +85,13 @@ func requireEqualResults(t *testing.T, seq, par dse.Result, label string) {
 }
 
 // TestGenerateParallelMatchesSequentialGolden runs the real pre-processing
-// exploration sequentially and through the parallel engine and demands an
-// identical outcome, pinned against golden values so a behaviour change in
-// either path is caught even if both drift together.
+// exploration on a one-slot engine and on wider ones and demands an
+// identical outcome, pinned against golden values so a behaviour change is
+// caught even if every worker count drifts together.
 func TestGenerateParallelMatchesSequentialGolden(t *testing.T) {
 	opt, evalPSNR, stageEnergy := preOptions(t)
 
+	opt.Workers = 1
 	seq, err := dse.Generate(opt, evalPSNR, stageEnergy)
 	if err != nil {
 		t.Fatal(err)
@@ -109,7 +109,7 @@ func TestGenerateParallelMatchesSequentialGolden(t *testing.T) {
 		t.Errorf("evaluation count %d disagrees with trace length %d", seq.Evaluations, len(seq.Explored))
 	}
 
-	for _, workers := range []int{2, 4, 8} {
+	for _, workers := range []int{0, 2, 4, 8} {
 		opt.Workers = workers
 		par, err := dse.Generate(opt, evalPSNR, stageEnergy)
 		if err != nil {
@@ -119,74 +119,31 @@ func TestGenerateParallelMatchesSequentialGolden(t *testing.T) {
 	}
 }
 
-// TestBaselinesParallelMatchSequential covers the exhaustive baseline and
-// the grid: same best design, same 81-point trace, any worker count.
+// TestBaselinesParallelMatchSequential covers the exhaustive grid: the
+// same 81 cells, qualities and energies for every worker count.
 func TestBaselinesParallelMatchSequential(t *testing.T) {
 	opt, evalPSNR, stageEnergy := preOptions(t)
 
-	seq, err := dse.Exhaustive(opt, evalPSNR, stageEnergy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if seq.Evaluations != 81 {
-		t.Errorf("exhaustive evaluations = %d, want 81", seq.Evaluations)
-	}
+	opt.Workers = 1
 	gridSeq, err := dse.ExhaustiveGrid(opt, pantompkins.LPF, pantompkins.HPF, evalPSNR, stageEnergy)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if len(gridSeq) != 81 {
+		t.Errorf("exhaustive grid has %d cells, want 81", len(gridSeq))
+	}
 
 	opt.Workers = 4
-	par, err := dse.Exhaustive(opt, evalPSNR, stageEnergy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireEqualResults(t, seq, par, "exhaustive workers=4")
-
 	gridPar, err := dse.ExhaustiveGrid(opt, pantompkins.LPF, pantompkins.HPF, evalPSNR, stageEnergy)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(gridPar) != len(gridSeq) {
-		t.Fatalf("grid size %d, sequential %d", len(gridPar), len(gridSeq))
+		t.Fatalf("grid size %d, one-slot %d", len(gridPar), len(gridSeq))
 	}
 	for i := range gridSeq {
 		if gridPar[i] != gridSeq[i] {
-			t.Errorf("grid[%d] = %+v, sequential %+v", i, gridPar[i], gridSeq[i])
+			t.Errorf("grid[%d] = %+v, one-slot %+v", i, gridPar[i], gridSeq[i])
 		}
-	}
-}
-
-// TestSharedEngineDedupsAcrossRuns shares one engine between the
-// exhaustive baseline and Algorithm 1: the second run must be answered
-// entirely from the cache (Algorithm 1 only visits grid points the
-// baseline already simulated).
-func TestSharedEngineDedupsAcrossRuns(t *testing.T) {
-	opt, evalPSNR, stageEnergy := preOptions(t)
-	eng := sched.New[float64](4, sched.Func[float64](evalPSNR))
-	opt.Engine = eng
-
-	if _, err := dse.Exhaustive(opt, evalPSNR, stageEnergy); err != nil {
-		t.Fatal(err)
-	}
-	afterExhaustive := eng.Stats()
-	if afterExhaustive.Misses != 81 {
-		t.Errorf("exhaustive simulated %d designs, want 81", afterExhaustive.Misses)
-	}
-
-	res, err := dse.Generate(opt, evalPSNR, stageEnergy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	afterGenerate := eng.Stats()
-	if res.Evaluations == 0 {
-		t.Fatal("Algorithm 1 traced no evaluations")
-	}
-	if afterGenerate.Misses != afterExhaustive.Misses {
-		t.Errorf("Algorithm 1 simulated %d new designs after the exhaustive run, want 0 (all cached)",
-			afterGenerate.Misses-afterExhaustive.Misses)
-	}
-	if afterGenerate.Hits <= afterExhaustive.Hits {
-		t.Error("Algorithm 1 recorded no cache hits on a shared engine")
 	}
 }

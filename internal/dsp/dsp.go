@@ -52,6 +52,17 @@ type ArithConfig struct {
 // Accurate returns the exact configuration.
 func Accurate() ArithConfig { return ArithConfig{} }
 
+// Canonical returns the configuration with its dead parameters cleared:
+// with zero approximated LSBs the arithmetic is exact whatever the
+// elementary kinds, so every spelling of an accurate stage maps to
+// Accurate(). Caches key stages on it.
+func (c ArithConfig) Canonical() ArithConfig {
+	if c.LSBs == 0 {
+		return ArithConfig{}
+	}
+	return c
+}
+
 // String renders the configuration compactly, e.g. "k=8/ApproxAdd5/AppMultV1".
 func (c ArithConfig) String() string {
 	return fmt.Sprintf("k=%d/%v/%v", c.LSBs, c.Add, c.Mul)

@@ -120,6 +120,19 @@ func TestFIRValidation(t *testing.T) {
 	}
 }
 
+// TestArithConfigCanonical: zero LSBs clears the dead kinds, any other
+// count keeps the configuration as it is.
+func TestArithConfigCanonical(t *testing.T) {
+	spelled := ArithConfig{Add: approx.ApproxAdd3, Mul: approx.AppMultV2}
+	if got := spelled.Canonical(); got != Accurate() {
+		t.Errorf("%v.Canonical() = %v, want %v", spelled, got, Accurate())
+	}
+	approxCfg := ArithConfig{LSBs: 4, Add: approx.ApproxAdd3, Mul: approx.AppMultV2}
+	if got := approxCfg.Canonical(); got != approxCfg {
+		t.Errorf("%v.Canonical() = %v, want it unchanged", approxCfg, got)
+	}
+}
+
 func TestFIRAccessors(t *testing.T) {
 	coeffs := []int64{3, -1, 4}
 	f, err := NewFIR(coeffs, 0, Accurate())

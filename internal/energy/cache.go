@@ -31,9 +31,9 @@ import (
 // would pay on every warm lookup.
 
 // charKey identifies one characterization: the stage, its canonical
-// arithmetic configuration (zero approximated LSBs make the elementary
-// kinds dead parameters, exactly like sched.Canonical), the two stimulus
-// fingerprints and the analysis window.
+// arithmetic configuration (dsp.ArithConfig.Canonical, so every accurate
+// spelling shares one entry), the two stimulus fingerprints and the
+// analysis window.
 type charKey struct {
 	stage   pantompkins.Stage
 	cfg     dsp.ArithConfig
@@ -41,15 +41,6 @@ type charKey struct {
 	stim2   uint64
 	vectors int
 	warmup  int
-}
-
-// canonicalStageCfg clears the dead elementary-kind parameters of an
-// accurate stage so equivalent spellings share one entry.
-func canonicalStageCfg(cfg dsp.ArithConfig) dsp.ArithConfig {
-	if cfg.LSBs == 0 {
-		return dsp.ArithConfig{}
-	}
-	return cfg
 }
 
 // charEntry is one cached characterization: the optimised combinational

@@ -122,7 +122,7 @@ func TestCharacterizationKeyedByStimulusAndWindow(t *testing.T) {
 
 // TestCanonicalAccurateSharesEntry checks that every accurate spelling of
 // a stage configuration maps onto one cache entry (the kinds are dead
-// parameters at k=0), mirroring sched.Canonical.
+// parameters at k=0), per dsp.ArithConfig.Canonical.
 func TestCanonicalAccurateSharesEntry(t *testing.T) {
 	m := freshModel(t)
 	if _, err := m.StageEnergy(pantompkins.DER, dsp.Accurate()); err != nil {

@@ -234,7 +234,7 @@ func (m *Model) characterize(s pantompkins.Stage, cfg dsp.ArithConfig) (*charEnt
 func (m *Model) stageChar(s pantompkins.Stage, cfg dsp.ArithConfig) (*charEntry, error) {
 	key := charKey{
 		stage:   s,
-		cfg:     canonicalStageCfg(cfg),
+		cfg:     cfg.Canonical(),
 		stim:    m.stim.hash[s],
 		stim2:   m.stim.hash2[s],
 		vectors: m.Vectors,

@@ -39,10 +39,11 @@ type Setup struct {
 	// (the paper restricts §6 to ApproxAdd5 and AppMultV1).
 	Add approx.AdderKind
 	Mul approx.MultKind
-	// Workers is the candidate-evaluation parallelism the design-space
-	// explorations run with (0 = GOMAXPROCS, 1 = sequential); the
-	// evaluator's per-record sub-jobs share the same pool. Results are
-	// identical for every value; see package sched.
+	// Workers is the slot count of each design-space exploration's engine
+	// (0 = GOMAXPROCS). NewSetupOpts sets it to the evaluator's resolved
+	// worker count, but the two are separate engines: the explorer's runs
+	// candidate jobs, the evaluator's the per-record sub-jobs of each
+	// design. Results are identical for every value; see package sched.
 	Workers int
 }
 
@@ -88,15 +89,6 @@ func NewSetupOpts(numRecords, n int, opts core.EvalOptions) (*Setup, error) {
 		Mul:     approx.AppMultV1,
 		Workers: workers,
 	}, nil
-}
-
-// workers resolves the Setup's worker count to the documented default
-// (0 = all CPUs); dse.Options itself treats 0 as sequential.
-func (s *Setup) workers() int {
-	if s.Workers <= 0 {
-		return runtime.GOMAXPROCS(0)
-	}
-	return s.Workers
 }
 
 // stageCfg builds the stage configuration with the setup's module kinds.

@@ -263,6 +263,29 @@ func TestTable2SmallGrid(t *testing.T) {
 	}
 }
 
+// TestTable2AlgorithmReusesGridSimulations pins the dedup across Table 2's
+// two explorer calls, which run on engines of their own: the evaluator's
+// cache serves every Algorithm 1 candidate, each a grid cell, so the
+// record set is simulated for the grid's 81 designs and nothing more, at
+// every worker count.
+func TestTable2AlgorithmReusesGridSimulations(t *testing.T) {
+	if testing.Short() {
+		t.Skip("table 2 is slow")
+	}
+	for _, workers := range []int{1, 2, 4} {
+		s, err := NewSetupOpts(1, 4000, core.EvalOptions{Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Table2(15); err != nil {
+			t.Fatal(err)
+		}
+		if n := s.Eval.Evaluations(); n != 81 {
+			t.Errorf("workers=%d: %d simulations after Table 2, want the grid's 81", workers, n)
+		}
+	}
+}
+
 func TestExplorationTime(t *testing.T) {
 	if testing.Short() {
 		t.Skip("exploration sweep is slow")

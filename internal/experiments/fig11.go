@@ -44,7 +44,7 @@ func (s *Setup) ExplorationTime() ([]Fig11Row, error) {
 			Mults:      []approx.MultKind{s.Mul},
 			Adds:       []approx.AdderKind{s.Add},
 			Constraint: 15, // signal PSNR gate, as in §6.1
-			Workers:    s.workers(),
+			Workers:    s.Workers,
 		}
 		evalPSNR := func(cfg pantompkins.Config) (float64, error) {
 			q, err := s.Eval.Evaluate(cfg)

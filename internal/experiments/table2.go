@@ -33,7 +33,7 @@ func (s *Setup) Table2(constraint float64) (*Table2Result, error) {
 		Mults:      []approx.MultKind{s.Mul},
 		Adds:       []approx.AdderKind{s.Add},
 		Constraint: constraint,
-		Workers:    s.workers(),
+		Workers:    s.Workers,
 	}
 	evalPSNR := func(cfg pantompkins.Config) (float64, error) {
 		q, err := s.Eval.Evaluate(cfg)

@@ -24,6 +24,10 @@
 //     Fig 9 tool-flow evaluates every candidate over a full record set),
 //     and design- and record-level work interleave freely.
 //
+// The methodology runs the two levels on two engines: each dse explorer
+// call batches its candidates on an engine of its own, whose function
+// asks core.Evaluator's sharded engine for the design's quality.
+//
 // Go runs a caller's task on one of the same slots, so work that is not
 // an evaluation — the explorer's stage-energy characterizations —
 // overlaps evaluations without exceeding the worker count.
@@ -37,8 +41,8 @@
 // elementary adder/multiplier kinds of stages with zero approximated LSBs
 // (the arithmetic is exact at k=0 whatever the kinds), so every spelling
 // of "accurate stage" shares one cache entry, and any design revisited —
-// by Algorithm 1's phases, the exhaustive and heuristic baselines, or
-// repeated experiments over one record set — is simulated exactly once.
+// by Algorithm 1's phases, the exhaustive grid, or repeated experiments
+// over one record set — is simulated exactly once.
 //
 // Determinism holds at both levels regardless of worker count: each
 // design's value is computed by a single in-flight call (concurrent
@@ -49,7 +53,10 @@
 //
 // Choosing parallelism: evaluations are CPU-bound bit-true simulation, so
 // the default of GOMAXPROCS workers saturates the machine and more does
-// not help; workers=1 reproduces the strictly sequential seed behaviour.
+// not help. With workers=1 the goroutines the engine starts run one at a
+// time, a sharded design runs its records inline in order, and a caller
+// that submits one configuration per batch (the explorer's one-slot
+// scans) evaluates exactly the designs it asks for.
 // Evaluation functions must be deterministic and safe for concurrent use,
 // and must not block waiting on the same engine's slots (record sub-jobs
 // use non-blocking dispatch for exactly that reason).

@@ -4,7 +4,6 @@ import (
 	"runtime"
 	"sync"
 
-	"github.com/xbiosip/xbiosip/internal/dsp"
 	"github.com/xbiosip/xbiosip/internal/pantompkins"
 )
 
@@ -38,16 +37,12 @@ type Stats struct {
 	Misses int64
 }
 
-// Canonical returns the memoization key of a configuration: per stage,
-// zero approximated LSBs means the elementary adder/multiplier kinds are
-// dead parameters (both arith.Adder and arith.Multiplier are exact when
-// ApproxLSBs == 0), so they are cleared. Configurations that generate the
-// same hardware therefore share one cache entry.
+// Canonical returns the memoization key of a configuration: every stage
+// in its canonical form (dsp.ArithConfig.Canonical), so configurations
+// that generate the same hardware share one cache entry.
 func Canonical(cfg pantompkins.Config) pantompkins.Config {
 	for i := range cfg.Stage {
-		if cfg.Stage[i].LSBs == 0 {
-			cfg.Stage[i] = dsp.ArithConfig{}
-		}
+		cfg.Stage[i] = cfg.Stage[i].Canonical()
 	}
 	return cfg
 }
@@ -76,8 +71,8 @@ type entry[V any] struct {
 // Evaluator fans configuration evaluations out across at most workers
 // goroutines and memoizes every result by canonical configuration, so a
 // design revisited by any caller — Algorithm 1's phases, the exhaustive
-// and heuristic baselines, repeated experiments over one record set — is
-// never evaluated twice.
+// grid, repeated experiments over one record set — is never evaluated
+// twice.
 //
 // All methods are safe for concurrent use. Every goroutine the engine
 // starts exits before the call that started it returns, except Go's,
