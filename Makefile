@@ -10,7 +10,8 @@
 # equivalence suites (whole records, blocks and single samples through one
 # chain engine, against per-sample and per-tap oracles), a fuzz smoke over the
 # wire-frame/socket-message parsers, the ingest path, the QRS detector,
-# the moving-window integrator and the kernel's on-demand table fills, a
+# the moving-window integrator, the kernel's on-demand table fills and its
+# chain strategies, a
 # fixed-seed chaos run of the socket
 # transport harness, one run of every example program, and the end-to-end
 # benchmark module's golden-digest smoke test (which also fails when a
@@ -115,8 +116,10 @@ race-batch:
 # never corrupt the session pool), over the QRS detector (every entry
 # point reproduces the frozen whole-record oracle), over the
 # moving-window integrator (every entry point reproduces the frozen
-# per-sample fold) and over the kernel's on-demand table fills (every
-# read of a fresh table reproduces the full enumeration).
+# per-sample fold), over the kernel's on-demand table fills (every
+# read of a fresh table reproduces the full enumeration) and over its
+# chain strategies (fuzzed tap shapes through the fused exact chain and
+# the AMA5 wiring chains reproduce the scalar fold from any start index).
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzParseFrame -fuzztime=5s -run '^$$' ./internal/serve
 	$(GO) test -fuzz=FuzzParseWire -fuzztime=5s -run '^$$' ./internal/serve
@@ -124,6 +127,7 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzDetector -fuzztime=5s -run '^$$' ./internal/pantompkins
 	$(GO) test -fuzz=FuzzMovingSum -fuzztime=5s -run '^$$' ./internal/dsp
 	$(GO) test -fuzz=FuzzTableFill -fuzztime=5s -run '^$$' ./internal/arith/kernel
+	$(GO) test -fuzz=FuzzChainRun -fuzztime=5s -run '^$$' ./internal/arith/kernel
 
 # The kernel equivalence tests and the packages threaded through the
 # compiled kernels, re-run with XBIOSIP_NO_KERNELS so every plan delegates

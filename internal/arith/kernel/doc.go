@@ -117,6 +117,35 @@
 // and native accumulation is associative, so the whole chain is one
 // multiply-accumulate loop with the coefficients' signs folded in.
 //
+// A fused chain is linear, so it also runs as a recurrence when that is
+// cheaper. NewChain merges the taps per lag and picks the sparsest of the
+// coefficients h, their first difference d1[l] = h[l] - h[l-1] and their
+// second difference, counting nonzero taps plus the order's recurrence
+// terms: with y the 64-bit accumulator, order 1 is
+// y[i] = y[i-1] + d1·x and order 2 is v[i] = v[i-1] + d2·x,
+// y[i] = y[i-1] + v[i]. The Pan-Tompkins HPF (31 taps of -1 around one
+// of 31) has a first difference of 4 taps, the LPF triangle
+// (1, 2, ..., 6, ..., 1) a second difference of 3, and the DER's 4 taps
+// stay direct. Direct sums at p-1 (and p-2) seed the recurrence at its
+// first position p. The identities hold in wrapping 64-bit arithmetic and
+// the output slicing reads only the low Width bits, so every output is
+// the direct sum's, bit for bit. A span too short to repay the seeds,
+// such as one dsp.FIR.Process sample, runs the direct loop.
+//
+// # Check-free loops past the deepest lag
+//
+// Only a position below a chain's deepest tap lag can read before xs[0].
+// The strategies the paper's designs reach — the fused MAC, the AMA5
+// wiring chain in both projection tiers and the AMA5 sliding window —
+// run every later position through a loop with no j >= 0 test, over
+// compact per-tap (lag, table) arrays that NewChain builds once (32 bytes
+// a projected tap, split by projection tier, instead of a 120-byte
+// chainOp and a tier branch per tap). The checked loop stays as the head
+// and runs only the earlier positions, on dst[:deep] and xs[:deep]. A
+// stream's block starts at the tap count and a Process sample at the
+// last tap, so only a whole-record run from 0 has a head. The AMA1-AMA4,
+// native and generic strategies keep their checked loops throughout.
+//
 // Projections fill straight from the compiled plan's product closure
 // (productFn, sign-halved, with the root's accumulation adders
 // devirtualized), so a projected tap never needs its raw 2^Width table.
@@ -238,12 +267,13 @@
 // from 0 and discarding the history outputs instead would waste, for a
 // 24-sample serve frame through the Pan-Tompkins FIRs, 45 of the 117
 // positions computed (LPF 10, HPF 31, DER 4). The sliding-window wiring
-// strategy seeds its window from the samples before from, so it
-// continues exactly too. Because a Chain
-// holds no signal state, one compiled chain serves every stream of a
-// design. TestChainContinuation pins that a run over [history | block]
+// strategy seeds its window from the samples before from, and a fused
+// recurrence its accumulators, so they continue exactly too. Because a
+// Chain holds no signal state, one compiled chain serves every stream of
+// a design. TestChainContinuation pins that a run over [history | block]
 // from len(history) equals the tail of a whole-signal run, for every
-// strategy in both compilation modes.
+// strategy in both compilation modes, and FuzzChainRun checks fuzzed tap
+// shapes from fuzzed start indices against the scalar fold.
 //
 // # Fallback to the bit-serial oracle
 //

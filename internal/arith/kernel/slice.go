@@ -1,6 +1,7 @@
 package kernel
 
 import (
+	"cmp"
 	"math"
 	"math/bits"
 	"slices"
@@ -48,11 +49,12 @@ type ChainOp struct {
 // entry x holds a tap's whole upper-slice term. Entries are stored as
 // uint16 when a bound proves every term fits (see projFits16), halving
 // the footprint per chain polarity, and uint32 otherwise. Exactly one
-// tier is set. The strategy loops test the tier once per table and keep
-// the load inline (see wiringChain and slidingWiring), so the halved
-// footprint costs one perfectly-predicted branch instead of a function
-// call. The entries fill on demand, when the Run of a chain reading the
-// table reaches new operand magnitudes.
+// tier is set. The checked strategy loops test the tier once per table
+// and keep the load inline (see wiringChain and slidingWiring), so the
+// halved footprint costs one perfectly-predicted branch instead of a
+// function call; the check-free AMA5 loops split their taps by tier
+// (projTaps) and test nothing. The entries fill on demand, when the Run
+// of a chain reading the table reaches new operand magnitudes.
 type ProjTable struct {
 	u16 []uint16
 	u32 []uint32
@@ -110,6 +112,42 @@ type macTap struct {
 	lag int
 }
 
+// projTap is one projected tap in the compact form the check-free AMA5
+// loops read: its lag and its projection entries, 32 bytes instead of a
+// chainOp's 120.
+type projTap[T uint16 | uint32] struct {
+	lag int
+	tab []T
+}
+
+// projTaps are projected taps split by projection tier, so that each
+// loop reads one entry width with no per-tap tier branch.
+type projTaps struct {
+	p16 []projTap[uint16]
+	p32 []projTap[uint32]
+}
+
+func (t *projTaps) add(op *chainOp) {
+	if op.proj.u16 != nil {
+		t.p16 = append(t.p16, projTap[uint16]{op.lag, op.proj.u16})
+	} else {
+		t.p32 = append(t.p32, projTap[uint32]{op.lag, op.proj.u32})
+	}
+}
+
+// sum adds the taps' terms at position i, which must be at or past their
+// deepest lag: no tap reads before xs[0].
+func (t *projTaps) sum(xs []int64, i int, m uint64) uint64 {
+	var u uint64
+	for _, p := range t.p16 {
+		u += uint64(p.tab[uint64(xs[i-p.lag])&m])
+	}
+	for _, p := range t.p32 {
+		u += uint64(p.tab[uint64(xs[i-p.lag])&m])
+	}
+	return u
+}
+
 // chainFunc evaluates a compiled chain at positions from..len(dst)-1 (see
 // Chain.Run).
 type chainFunc func(c *Chain, dst, xs []int64, from int, outShift uint, outWidth int)
@@ -143,10 +181,18 @@ type Chain struct {
 // multiply-accumulate: the sliced product of a Width-bit operand with
 // |c| < 2^(Width-1) is the plain integer product, and native accumulation
 // is associative modulo the accumulator width, so the whole chain is one
-// MAC loop — bit-identical and table-free. For the wiring adders
-// (AMA4/AMA5) every tap that contributes only its upper slice gets a
-// projection table: the per-tap term (ub >> k) + carry collapses to one
-// load (see wiringChain and newChainProj).
+// MAC loop — bit-identical and table-free — or, when the coefficients'
+// first or second difference is sparser, a recurrence over it (see
+// macChain). For the wiring adders (AMA4/AMA5) every tap that contributes
+// only its upper slice gets a projection table: the per-tap term
+// (ub >> k) + carry collapses to one load (see wiringChain and
+// newChainProj).
+//
+// The fused MAC and the AMA5 strategies (ama5Chain, slidingAMA5) also
+// take the chain's deepest lag here: every position at or past it runs a
+// loop that reads each tap's sample with no j >= 0 test, over compact
+// per-tap arrays built once, and the strategy's checked loop runs only
+// the positions before it, as the head (see runHead).
 //
 // Raw product tables materialize only for the taps the chosen strategy
 // reads products from — every tap of the generic/native/chunk strategies,
@@ -214,9 +260,13 @@ func (ad *Adder) NewChain(spec arith.Multiplier, ops []ChainOp) (*Chain, error) 
 			c.covs = append(c.covs, cv)
 		}
 	}
-	if wiring {
-		if plan, ok := slidePlanFor(c, invA); ok {
-			c.fn = slidingWiring(ad.spec.Width, k, invA, plan)
+	if wiring && last != 0 {
+		plan, ok := slidePlanFor(c, invA)
+		switch {
+		case ok:
+			c.fn = slidingWiring(ad.spec.Width, k, invA, plan, c.ops)
+		case !invA:
+			c.fn = ama5Chain(ad.spec.Width, k, c.ops, ad.chain)
 		}
 	}
 	if c.covs != nil {
@@ -235,6 +285,36 @@ func coverFirst(run chainFunc) chainFunc {
 		}
 		run(c, dst, xs, from, outShift, outWidth)
 	}
+}
+
+// runHead runs a strategy's checked loop, its head, at the positions of a
+// run before deep, the deepest lag the strategy's taps read at: only
+// there can a tap read before xs[0]. The head runs on dst[:deep] and
+// xs[:deep], which hold every sample those positions read; then run, the
+// strategy's check-free loop, continues from deep. A stream's block or
+// one-sample window starts at or past the deepest lag, so only a
+// whole-record run from 0 has a head.
+//
+// A strategy calls runHead last, so that nothing of its loop stays live
+// across the calls, and runHead must not inline into it for the same
+// reason.
+//
+//go:noinline
+func runHead(run, head chainFunc, deep int, c *Chain, dst, xs []int64, from int, outShift uint, outWidth int) {
+	h := min(deep, len(dst))
+	head(c, dst[:h], xs[:h], from, outShift, outWidth)
+	if h < len(dst) {
+		run(c, dst, xs, h, outShift, outWidth)
+	}
+}
+
+// deepestLag returns the largest lag of the chain's taps.
+func deepestLag(ops []chainOp) int {
+	deep := 0
+	for o := range ops {
+		deep = max(deep, ops[o].lag)
+	}
+	return deep
 }
 
 // slidePlan drives the sliding-window evaluation of a wiring chain's
@@ -317,19 +397,21 @@ func slidePlanFor(c *Chain, invA bool) (slidePlan, bool) {
 // terms sum in plain modular arithmetic (see wiringChain for the closed
 // form and newChainProj for the terms). The loop is stenciled per
 // majority-table entry width, so the uint16 tier costs no per-sample
-// branches on the window loads.
-func slidingWiring(w, k int, invA bool, plan slidePlan) chainFunc {
+// branches on the window loads. An AMA5 chain runs slidingAMA5, with
+// this checked loop as its head; an AMA4 chain runs the checked loop
+// alone.
+func slidingWiring(w, k int, invA bool, plan slidePlan, ops []chainOp) chainFunc {
 	if plan.tab.u16 != nil {
-		return slidingWiringT(w, k, invA, plan, plan.tab.u16)
+		return slidingWiringT(w, k, invA, plan, plan.tab.u16, ops)
 	}
-	return slidingWiringT(w, k, invA, plan, plan.tab.u32)
+	return slidingWiringT(w, k, invA, plan, plan.tab.u32, ops)
 }
 
-func slidingWiringT[T uint16 | uint32](w, k int, invA bool, plan slidePlan, tab []T) chainFunc {
+func slidingWiringT[T uint16 | uint32](w, k int, invA bool, plan slidePlan, tab []T, ops []chainOp) chainFunc {
 	mW := mask(w)
 	mk := mask(k)
 	ku := uint(k)
-	return func(c *Chain, dst, xs []int64, from int, outShift uint, outWidth int) {
+	checked := func(c *Chain, dst, xs []int64, from int, outShift uint, outWidth int) {
 		ops := c.ops
 		ad := c.ad
 		last := len(ops) - 1
@@ -396,11 +478,65 @@ func slidingWiringT[T uint16 | uint32](w, k int, invA bool, plan slidePlan, tab 
 			dst[i] = finish(acc, w, outShift, outWidth)
 		}
 	}
+	if invA {
+		return checked
+	}
+	return slidingAMA5(w, k, plan, tab, ops, checked)
 }
 
-// macChain is the fused fully-exact chain: one native multiply-accumulate
-// per tap with the signed coefficients folded in, equivalent to the
-// nativeChain sum of sliced exact products (see NewChain).
+// slidingAMA5 is the AMA5 loop of slidingWiringT run check-free from the
+// deepest lag it reads on, which is the chain's deepest tap lag or the
+// lag b+1 of the sample leaving the window, whichever is larger: the
+// window, the correction taps (in compact form, plus the majority terms
+// they replace) and the last tap read their samples with no j >= 0 test.
+// slidingWiringT's checked loop is the head.
+//
+//go:noinline
+func slidingAMA5[T uint16 | uint32](w, k int, plan slidePlan, tab []T, ops []chainOp, head chainFunc) chainFunc {
+	mW := mask(w)
+	mk := mask(k)
+	ku := uint(k)
+	tm, a, b := plan.mask, plan.a, plan.b
+	var corr projTaps
+	corrLags := make([]int, len(plan.corr))
+	for n, o := range plan.corr {
+		corr.add(&ops[o])
+		corrLags[n] = ops[o].lag
+	}
+	opL := &ops[len(ops)-1]
+	deep := max(deepestLag(ops), b+1)
+	var run chainFunc
+	run = func(c *Chain, dst, xs []int64, from int, outShift uint, outWidth int) {
+		if from < deep {
+			runHead(run, head, deep, c, dst, xs, from, outShift, outWidth)
+			return
+		}
+		// Seed the window at position from-1, as the checked loop does.
+		var S uint64
+		for l := a; l <= b; l++ {
+			S += uint64(tab[uint64(xs[from-1-l])&tm])
+		}
+		for i := from; i < len(dst); i++ {
+			S += uint64(tab[uint64(xs[i-a])&tm]) - uint64(tab[uint64(xs[i-1-b])&tm])
+			u := S + corr.sum(xs, i, tm)
+			for _, l := range corrLags {
+				u -= uint64(tab[uint64(xs[i-l])&tm])
+			}
+			ub := (uint64(opL.at(xs[i-opL.lag])) ^ opL.neg) & mW
+			dst[i] = finish((ub&mk|(u+ub>>ku)<<ku)&mW, w, outShift, outWidth)
+		}
+	}
+	return run
+}
+
+// macChain is the fused fully-exact chain: native multiply-accumulate with
+// the signed coefficients folded in, equivalent to the nativeChain sum of
+// sliced exact products (see NewChain). The taps merge per lag and run
+// check-free from their deepest lag on, with macHead as the head. When
+// their first or second difference is sparser (sparsestDifference: the
+// HPF's 32 taps difference to 4, the LPF triangle's 11 to 3), a span
+// long enough to repay the seeding runs through macRecurrence; a shorter
+// one, such as one Process sample, keeps the direct loop.
 //
 // macChain itself must not inline: the compiler does not inline calls
 // inside the closure of an inlined function, and an out-of-line finish
@@ -408,6 +544,123 @@ func slidingWiringT[T uint16 | uint32](w, k int, invA bool, plan slidePlan, tab 
 //
 //go:noinline
 func macChain(w int, taps []macTap) chainFunc {
+	direct := mergeLags(taps)
+	deep := 0
+	if len(direct) > 0 {
+		deep = direct[len(direct)-1].lag
+	}
+	head := macHead(w, direct)
+	diff, order := sparsestDifference(direct)
+	// Seeding costs order direct sums; a recurrence position costs
+	// len(diff)+order operations against a direct one's len(direct).
+	minSpan := math.MaxInt
+	if order > 0 {
+		minSpan = order*len(direct)/(len(direct)-len(diff)-order) + 1
+	}
+	deepDiff := deep + order
+	var run chainFunc
+	run = func(c *Chain, dst, xs []int64, from int, outShift uint, outWidth int) {
+		if from < deep {
+			runHead(run, head, deep, c, dst, xs, from, outShift, outWidth)
+			return
+		}
+		if p := max(from, deepDiff); len(dst)-p >= minSpan {
+			macRecurrence(w, direct, diff, order, dst, xs, from, p, outShift, outWidth)
+			return
+		}
+		for i := from; i < len(dst); i++ {
+			dst[i] = finish(uint64(macSum(direct, xs, i)), w, outShift, outWidth)
+		}
+	}
+	return run
+}
+
+// macSum is the direct multiply-accumulate of taps at position i, which
+// must be at or past their deepest lag.
+func macSum(taps []macTap, xs []int64, i int) int64 {
+	var s int64
+	for _, t := range taps {
+		s += xs[i-t.lag] * t.c
+	}
+	return s
+}
+
+// macRecurrence evaluates positions from..len(dst)-1 of a fused chain:
+// directly up to p, then through diff, the order-th difference of the
+// direct taps, with p at or past diff's deepest lag. With y the
+// accumulator, order 1 runs y[i] = y[i-1] + diff·x and order 2 runs
+// v[i] = v[i-1] + diff·x, y[i] = y[i-1] + v[i], seeded by the direct sums
+// at p-1 and p-2, which read no sample before xs[0] either. The
+// identities hold in wrapping 64-bit arithmetic and finish reads only the
+// low w bits, so every output is the direct sum's. It runs the direct
+// positions before p itself so that macChain's closure calls it last and
+// keeps nothing of its own loop live across the call.
+func macRecurrence(w int, direct, diff []macTap, order int, dst, xs []int64, from, p int, outShift uint, outWidth int) {
+	for i := from; i < p; i++ {
+		dst[i] = finish(uint64(macSum(direct, xs, i)), w, outShift, outWidth)
+	}
+	y := macSum(direct, xs, p-1)
+	if order == 1 {
+		for i := p; i < len(dst); i++ {
+			y += macSum(diff, xs, i)
+			dst[i] = finish(uint64(y), w, outShift, outWidth)
+		}
+		return
+	}
+	v := y - macSum(direct, xs, p-2)
+	for i := p; i < len(dst); i++ {
+		v += macSum(diff, xs, i)
+		y += v
+		dst[i] = finish(uint64(y), w, outShift, outWidth)
+	}
+}
+
+// mergeLags sorts taps by lag in place, sums the coefficients of equal
+// lags and drops zero sums: the same wrapping sum at every position.
+func mergeLags(taps []macTap) []macTap {
+	slices.SortFunc(taps, func(a, b macTap) int { return cmp.Compare(a.lag, b.lag) })
+	out := taps[:0]
+	for _, t := range taps {
+		if n := len(out); n > 0 && out[n-1].lag == t.lag {
+			out[n-1].c += t.c
+			continue
+		}
+		out = append(out, t)
+	}
+	return slices.DeleteFunc(out, func(t macTap) bool { return t.c == 0 })
+}
+
+// difference returns the first difference of a tap sequence: tap (c, l)
+// adds c at lag l and -c at lag l+1.
+func difference(taps []macTap) []macTap {
+	d := make([]macTap, 0, 2*len(taps))
+	for _, t := range taps {
+		d = append(d, t, macTap{c: -t.c, lag: t.lag + 1})
+	}
+	return mergeLags(d)
+}
+
+// sparsestDifference picks the cheapest form of merged direct taps by
+// nonzero taps plus the recurrence terms of its order: order 0 (the taps
+// themselves, diff nil), 1 or 2 (their first or second difference), the
+// lower order on a tie. The DER's 4 taps stay direct.
+func sparsestDifference(direct []macTap) (diff []macTap, order int) {
+	best := len(direct)
+	d := direct
+	for o := 1; o <= 2; o++ {
+		d = difference(d)
+		if len(d)+o < best {
+			diff, order, best = d, o, len(d)+o
+		}
+	}
+	return diff, order
+}
+
+// macHead is the fused chain's checked loop, which reads zero before
+// xs[0]: the head of a run (see runHead).
+//
+//go:noinline
+func macHead(w int, taps []macTap) chainFunc {
 	return func(_ *Chain, dst, xs []int64, from int, outShift uint, outWidth int) {
 		for i := from; i < len(dst); i++ {
 			var s int64
@@ -509,14 +762,19 @@ func emptyChain(_ *Chain, dst, _ []int64, from int, _ uint, _ int) {
 }
 
 // product evaluates one tap's delayed sample product (samples before the
-// start of the signal read as zero): the full int32 table inline when the
-// tap has one, the tier closure otherwise. Only taps holding a raw table
-// reach here — the strategies read projected taps through proj.
+// start of the signal read as zero). Only taps holding a raw table reach
+// here — the strategies read projected taps through proj.
 func (op *chainOp) product(xs []int64, i int) int64 {
 	var x int64
 	if j := i - op.lag; j >= 0 {
 		x = xs[j]
 	}
+	return op.at(x)
+}
+
+// at is the tap's product of operand x: the full int32 table inline when
+// the tap has one, the tier closure otherwise.
+func (op *chainOp) at(x int64) int64 {
 	if op.tab32 != nil {
 		return int64(op.tab32[uint64(x)&op.mask])
 	}
@@ -632,6 +890,11 @@ func nativeChain(w int) chainFunc {
 // acc>>k plus its k-1 bit the same rounded shift — and AMA4 sums
 // projTrunc[x] = ub >> k for every tap after the opening one. The hot
 // loop is one table load and one add per such tap.
+//
+// wiringChain is the adder's chain strategy. It runs AMA4 chains and
+// single-tap chains whole; a multi-tap AMA5 chain runs ama5Chain past its
+// deepest lag and wiringChain only as the head before it (a chain with a
+// sliding plan runs slidingWiring instead).
 func wiringChain(w, k int, invA bool) chainFunc {
 	mW := mask(w)
 	mk := mask(k)
@@ -713,6 +976,39 @@ func wiringChain(w, k int, invA bool) chainFunc {
 			dst[i] = finish((ub&mk|u<<ku)&mW, w, outShift, outWidth)
 		}
 	}
+}
+
+// ama5Chain is the AMA5 loop of wiringChain run check-free from the
+// chain's deepest lag on: the projected taps are compact (lag, table)
+// pairs split by tier, and every tap reads its sample with no j >= 0
+// test. wiringChain itself, the adder's chain strategy, is the head.
+//
+//go:noinline
+func ama5Chain(w, k int, ops []chainOp, head chainFunc) chainFunc {
+	mW := mask(w)
+	mk := mask(k)
+	ku := uint(k)
+	last := len(ops) - 1
+	var taps projTaps
+	for o := range ops[:last] {
+		taps.add(&ops[o])
+	}
+	opL := &ops[last]
+	m := opL.mask
+	deep := deepestLag(ops)
+	var run chainFunc
+	run = func(c *Chain, dst, xs []int64, from int, outShift uint, outWidth int) {
+		if from < deep {
+			runHead(run, head, deep, c, dst, xs, from, outShift, outWidth)
+			return
+		}
+		for i := from; i < len(dst); i++ {
+			u := taps.sum(xs, i, m)
+			ub := (uint64(opL.at(xs[i-opL.lag])) ^ opL.neg) & mW
+			dst[i] = finish((ub&mk|(u+ub>>ku)<<ku)&mW, w, outShift, outWidth)
+		}
+	}
+	return run
 }
 
 // newChainProj allocates one tap's projection table: entry x is the

@@ -169,25 +169,86 @@ func TestChainMatchesScalar(t *testing.T) {
 	}
 }
 
+// signedOps lowers signed FIR coefficients to chain taps the way
+// dsp.NewFIR does: zero coefficients drop, negative ones subtract their
+// magnitude.
+func signedOps(coeffs ...int64) []ChainOp {
+	var ops []ChainOp
+	for lag, c := range coeffs {
+		switch {
+		case c > 0:
+			ops = append(ops, ChainOp{Coeff: c, Lag: lag})
+		case c < 0:
+			ops = append(ops, ChainOp{Coeff: -c, Lag: lag, Sub: true})
+		}
+	}
+	return ops
+}
+
+// firShape is a chain shape with the merged tap count and difference
+// order sparsestDifference must pick for its fused exact form.
+type firShape struct {
+	name        string
+	ops         []ChainOp
+	taps, order int
+}
+
+// firShapes are chain shapes whose fused exact forms take each path of
+// macChain: the HPF (its 32 taps difference to 4), the LPF triangle
+// (second difference, 3 taps), a linear ramp (second difference), a run
+// of one subtracted coefficient starting past lag 0 (first difference)
+// and the DER, which stays direct.
+func firShapes() []firShape {
+	hpf := make([]int64, 32)
+	for i := range hpf {
+		hpf[i] = -1
+	}
+	hpf[16] = 31
+	run := make([]int64, 14)
+	for i := 2; i < len(run); i++ {
+		run[i] = -7
+	}
+	return []firShape{
+		{"hpf", signedOps(hpf...), 4, 1},
+		{"lpf", signedOps(1, 2, 3, 4, 5, 6, 5, 4, 3, 2, 1), 3, 2},
+		{"ramp", signedOps(1, 2, 3, 4, 5, 6, 7, 8, 9), 3, 2},
+		{"run", signedOps(run...), 2, 1},
+		{"der", signedOps(2, 1, 0, -1, -2), 4, 0},
+	}
+}
+
+// maxChainLag returns the deepest lag of ops (0 for none).
+func maxChainLag(ops []ChainOp) int {
+	deep := 0
+	for _, op := range ops {
+		deep = max(deep, op.Lag)
+	}
+	return deep
+}
+
 // TestChainContinuation pins the start-index contract every continuing
 // caller relies on: Run over [history | block] from len(history) writes
 // exactly the tail of Run over the whole signal at the block's positions
 // and leaves dst[:from] untouched, for every chain strategy — native,
-// fused MAC, AMA2, chunk LUT, plain and sliding wiring, single tap,
-// empty — in both compilation modes. Histories run from the deepest tap
-// lag (the least that is exact) up to the whole signal prefix.
+// fused MAC and its difference recurrences, AMA2, chunk LUT, plain and
+// sliding wiring, single tap, empty — in both compilation modes, with a
+// 32-bit and (exact) a 16-bit accumulator, whose sums wrap. Histories run
+// from the deepest tap lag (the least that is exact) up to the whole
+// signal prefix. The whole run itself must equal the scalar fold, a run
+// over the whole signal from the positions around the deepest lag (where
+// the checked head hands over to the check-free loop, and past it where
+// a recurrence starts) its tail, and a run over a signal shorter than
+// the deepest lag its prefix.
 func TestChainContinuation(t *testing.T) {
-	hpf := make([]ChainOp, 32)
-	for i := range hpf {
-		hpf[i] = ChainOp{Coeff: 1, Lag: i, Sub: true}
-	}
-	hpf[16] = ChainOp{Coeff: 31, Lag: 16}
 	shapes := [][]ChainOp{
-		hpf,
 		{{Coeff: 1, Lag: 0}, {Coeff: 3, Lag: 1, Sub: true}, {Coeff: 2, Lag: 5}, {Coeff: 31, Lag: 12, Sub: true}},
 		{{Coeff: 2, Lag: 4, Sub: true}},
 		{},
 	}
+	for _, s := range firShapes() {
+		shapes = append(shapes, s.ops)
+	}
+	coeffs := []int64{1, 2, 3, 4, 5, 6, 7, 8, 9, 31}
 	exactMul := arith.Multiplier{Width: 16, ApproxLSBs: 0, Mult: approx.AccMult, Add: approx.AccAdd}
 	const sentinel = int64(-1) << 40
 	for _, mode := range []bool{true, false} {
@@ -198,47 +259,86 @@ func TestChainContinuation(t *testing.T) {
 			for i := range xs {
 				xs[i] = int64(int16(rng.Uint64()))
 			}
-			whole := make([]int64, len(xs))
+			refs := map[arith.Multiplier]map[int64]func(int64) int64{
+				chainTestSpec: refMul(t, chainTestSpec, coeffs),
+				exactMul:      refMul(t, exactMul, coeffs),
+			}
+			adders := []arith.Adder{{Width: 16, ApproxLSBs: 0, Kind: approx.AccAdd}}
 			for _, kind := range approx.AdderKinds {
 				for _, k := range []int{0, 4, 9, 16} {
-					ad, err := compileAdderMode(arith.Adder{Width: 32, ApproxLSBs: k, Kind: kind}, mode)
-					if err != nil {
-						t.Fatal(err)
-					}
-					for _, mul := range []arith.Multiplier{chainTestSpec, exactMul} {
-						for ci, ops := range shapes {
-							chain, err := ad.NewChain(mul, ops)
-							if err != nil {
-								t.Fatal(err)
+					adders = append(adders, arith.Adder{Width: 32, ApproxLSBs: k, Kind: kind})
+				}
+			}
+			whole := make([]int64, len(xs))
+			dst := make([]int64, len(xs))
+			for _, spec := range adders {
+				ad, err := compileAdderMode(spec, mode)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, mul := range []arith.Multiplier{chainTestSpec, exactMul} {
+					for ci, ops := range shapes {
+						chain, err := ad.NewChain(mul, ops)
+						if err != nil {
+							t.Fatal(err)
+						}
+						at := fmt.Sprintf("%+v mul %v chain %d", spec, mul, ci)
+						chain.Run(whole, xs, 0, 3, 29)
+						for i := range whole {
+							if want := scalarChain(ad, refs[mul], ops, xs, i, 3, 29); whole[i] != want {
+								t.Fatalf("%s: Run[%d] = %d, scalar chain %d", at, i, whole[i], want)
 							}
-							maxLag := 0
-							for _, op := range ops {
-								if op.Lag > maxLag {
-									maxLag = op.Lag
+						}
+						maxLag := maxChainLag(ops)
+						// Whole-signal runs from around the deepest lag and
+						// runs over signals shorter than it.
+						for _, from := range []int{maxLag - 1, maxLag, maxLag + 1, maxLag + 2} {
+							from = max(from, 0)
+							for i := range dst {
+								dst[i] = sentinel
+							}
+							chain.Run(dst, xs, from, 3, 29)
+							for i := range dst {
+								want := sentinel
+								if i >= from {
+									want = whole[i]
+								}
+								if dst[i] != want {
+									t.Fatalf("%s: run from %d: dst[%d] = %d, want %d", at, from, i, dst[i], want)
 								}
 							}
-							chain.Run(whole, xs, 0, 3, 29)
-							for s := 0; s < len(xs); s += 1 + rng.Intn(40) {
-								e := s + rng.Intn(len(xs)-s+1)
-								for _, h := range []int{maxLag, maxLag + 1, s} {
-									if h > s {
-										h = s
+						}
+						for _, n := range []int{1, maxLag / 2, maxLag - 1, maxLag} {
+							if n < 1 {
+								continue
+							}
+							chain.Run(dst[:n], xs[:n], 0, 3, 29)
+							for i := 0; i < n; i++ {
+								if dst[i] != whole[i] {
+									t.Fatalf("%s: %d-sample signal: dst[%d] = %d, want %d", at, n, i, dst[i], whole[i])
+								}
+							}
+						}
+						for s := 0; s < len(xs); s += 1 + rng.Intn(40) {
+							e := s + rng.Intn(len(xs)-s+1)
+							for _, h := range []int{maxLag, maxLag + 1, s} {
+								if h > s {
+									h = s
+								}
+								in := xs[s-h : e]
+								out := dst[:len(in)]
+								for i := range out {
+									out[i] = sentinel
+								}
+								chain.Run(out, in, h, 3, 29)
+								for i := range out {
+									want := sentinel
+									if i >= h {
+										want = whole[s-h+i]
 									}
-									in := xs[s-h : e]
-									dst := make([]int64, len(in))
-									for i := range dst {
-										dst[i] = sentinel
-									}
-									chain.Run(dst, in, h, 3, 29)
-									for i := range dst {
-										want := sentinel
-										if i >= h {
-											want = whole[s-h+i]
-										}
-										if dst[i] != want {
-											t.Fatalf("%v k=%d mul %v chain %d: block [%d,%d) history %d: dst[%d] = %d, want %d",
-												kind, k, mul, ci, s, e, h, i, dst[i], want)
-										}
+									if out[i] != want {
+										t.Fatalf("%s: block [%d,%d) history %d: dst[%d] = %d, want %d",
+											at, s, e, h, i, out[i], want)
 									}
 								}
 							}
@@ -251,13 +351,15 @@ func TestChainContinuation(t *testing.T) {
 }
 
 // TestExactChainFusion compares the fused exact chain (native
-// multiply-accumulate) and its non-fusible fallbacks against the scalar
-// accumulation: small coefficients of both signs fuse, a coefficient at
-// the sign boundary (2^15) must not, and the behaviour is identical
-// either way. Fused chains must also be table-free.
+// multiply-accumulate and its difference recurrences) and its non-fusible
+// fallbacks against the scalar accumulation: small coefficients of both
+// signs fuse, a coefficient at the sign boundary (2^15) must not, and the
+// behaviour is identical either way, through a 32-bit and a wrapping
+// 16-bit accumulator. Fused chains must also be table-free, and each FIR
+// shape must compile to the difference form firShapes names.
 func TestExactChainFusion(t *testing.T) {
 	spec := arith.Multiplier{Width: 16, ApproxLSBs: 0, Mult: approx.AccMult, Add: approx.AccAdd}
-	coeffs := []int64{1, 7, -3, 31, 1 << 15}
+	coeffs := []int64{1, 2, 3, 4, 5, 6, 7, 8, 9, -3, 31, 1 << 15}
 	ref := refMul(t, spec, coeffs)
 	ad, err := CompileAdder(arith.Adder{Width: 32, ApproxLSBs: 0, Kind: approx.AccAdd})
 	if err != nil {
@@ -276,31 +378,51 @@ func TestExactChainFusion(t *testing.T) {
 	}
 	// A negative or out-of-range coefficient blocks fusion in every mode.
 	wantFused := []bool{false, false, false}
-	// Fusion itself requires a kernel-mode exact adder (oracle mode keeps
-	// the bit-serial models on the path), so pin the mode here.
-	adK, err := compileAdderMode(arith.Adder{Width: 32, ApproxLSBs: 0, Kind: approx.AccAdd}, true)
-	if err != nil {
-		t.Fatal(err)
-	}
 	fusible := [][]ChainOp{
 		{{Coeff: 1, Lag: 0}, {Coeff: 7, Lag: 1, Sub: true}, {Coeff: 31, Lag: 7, Sub: true}},
 	}
-	for _, ops := range fusible {
-		chain, err := adK.NewChain(spec, ops)
+	for _, s := range firShapes() {
+		fusible = append(fusible, s.ops)
+		taps := make([]macTap, len(s.ops))
+		for o, op := range s.ops {
+			taps[o] = macTap{c: op.Coeff, lag: op.Lag}
+			if op.Sub {
+				taps[o].c = -op.Coeff
+			}
+		}
+		direct := mergeLags(taps)
+		form, order := sparsestDifference(direct)
+		if order == 0 {
+			form = direct
+		}
+		if len(form) != s.taps || order != s.order {
+			t.Fatalf("%s: %d taps of difference order %d, want %d of order %d", s.name, len(form), order, s.taps, s.order)
+		}
+	}
+	// Fusion itself requires a kernel-mode exact adder (oracle mode keeps
+	// the bit-serial models on the path), so pin the mode here.
+	for _, w := range []int{32, 16} {
+		adK, err := compileAdderMode(arith.Adder{Width: w, ApproxLSBs: 0, Kind: approx.AccAdd}, true)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !chain.fused {
-			t.Fatalf("in-range exact chain did not fuse")
-		}
-		if len(chain.RawTables()) != 0 {
-			t.Fatalf("fused chain materialized %d raw tables", len(chain.RawTables()))
-		}
-		dst := make([]int64, n)
-		chain.Run(dst, xs, 0, 5, 16)
-		for i := 0; i < n; i++ {
-			if want := scalarChain(ad, ref, ops, xs, i, 5, 16); dst[i] != want {
-				t.Fatalf("fused chain: Run[%d] = %d, scalar %d", i, dst[i], want)
+		for ci, ops := range fusible {
+			chain, err := adK.NewChain(spec, ops)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !chain.fused {
+				t.Fatalf("in-range exact chain %d did not fuse", ci)
+			}
+			if len(chain.RawTables()) != 0 {
+				t.Fatalf("fused chain materialized %d raw tables", len(chain.RawTables()))
+			}
+			dst := make([]int64, n)
+			chain.Run(dst, xs, 0, 5, 16)
+			for i := 0; i < n; i++ {
+				if want := scalarChain(adK, ref, ops, xs, i, 5, 16); dst[i] != want {
+					t.Fatalf("%d-bit fused chain %d: Run[%d] = %d, scalar %d", w, ci, i, dst[i], want)
+				}
 			}
 		}
 	}
@@ -469,4 +591,108 @@ func TestProductFnMatchesReference(t *testing.T) {
 			}
 		}
 	}
+}
+
+// FuzzChainRun checks fuzzed chains against the scalar fold of the
+// bit-serial reference products. The taps come from a small magnitude
+// alphabet through moves that keep, step or replace the previous tap's
+// magnitude and keep or flip its sign, so runs, ramps and the FIR shapes
+// occur; lags reach at most 40. The adder is exact, through the fused
+// chain with a 32- or a wrapping 16-bit accumulator, or AMA5 at k 4, 10,
+// 12 or 16, through the wiring projections of both tiers. A Run from 0
+// over the history (which Run's contract requires an earlier run to
+// have evaluated) precedes a Run from a fuzzed start index over the
+// whole fuzzed-length signal, which must leave dst before it untouched.
+//
+// data[0] picks the adder, data[1] seeds the signal, data[2] sets its
+// length (1..96) and data[3] the start index. Every later byte is one
+// tap: bits 0-1 move the magnitude (keep, up, down, or jump to the
+// alphabet entry in bits 2-4), bit 5 flips the sign and bits 6-7 step
+// the next tap's lag by 1, 1, 2 or 0 (a repeated lag).
+func FuzzChainRun(f *testing.F) {
+	lpf := []byte{0x00, 0x01, 0x01, 0x01, 0x01, 0x01, 0x02, 0x02, 0x02, 0x02, 0x02}
+	hpf := append([]byte{0x20}, make([]byte, 15)...)
+	hpf = append(hpf, 0x3f, 0x27)
+	hpf = append(hpf, make([]byte, 14)...)
+	der := []byte{0x0b, 0x82, 0x20, 0x01}
+	f.Add(append([]byte{0, 7, 95, 0}, lpf...))
+	f.Add(append([]byte{1, 2, 50, 12}, hpf...))
+	f.Add(append([]byte{3, 9, 60, 40}, lpf...))
+	f.Add(append([]byte{5, 1, 80, 31}, hpf...))
+	f.Add(append([]byte{4, 3, 20, 4}, der...))
+	f.Add(append([]byte{2, 5, 6, 0}, hpf...))
+	mags := []int64{0, 1, 2, 3, 4, 5, 6, 31}
+	exactMul := arith.Multiplier{Width: 16, ApproxLSBs: 0, Mult: approx.AccMult, Add: approx.AccAdd}
+	type config struct {
+		adder arith.Adder
+		mul   arith.Multiplier
+	}
+	configs := []config{
+		{arith.Adder{Width: 32, ApproxLSBs: 0, Kind: approx.AccAdd}, exactMul},
+		{arith.Adder{Width: 16, ApproxLSBs: 0, Kind: approx.AccAdd}, exactMul},
+	}
+	for _, k := range []int{4, 10, 12, 16} {
+		configs = append(configs, config{
+			arith.Adder{Width: 32, ApproxLSBs: k, Kind: approx.ApproxAdd5},
+			arith.Multiplier{Width: 16, ApproxLSBs: k, Mult: approx.AppMultV1, Add: approx.ApproxAdd5},
+		})
+	}
+	const sentinel = int64(-1) << 40
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 5 {
+			return
+		}
+		cfg := configs[int(data[0])%len(configs)]
+		ad, err := compileAdderMode(cfg.adder, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(int64(data[1])))
+		xs := make([]int64, 1+int(data[2])%96)
+		for i := range xs {
+			xs[i] = int64(int16(rng.Uint64()))
+		}
+		from := int(data[3]) % (len(xs) + 1)
+		var ops []ChainOp
+		idx, sub, lag := 1, false, 0
+		for _, b := range data[4:] {
+			if lag > 40 || len(ops) == 64 {
+				break
+			}
+			switch b & 3 {
+			case 1:
+				idx = min(idx+1, len(mags)-1)
+			case 2:
+				idx = max(idx-1, 0)
+			case 3:
+				idx = int(b>>2) & 7
+			}
+			sub = sub != (b>>5&1 == 1)
+			ops = append(ops, ChainOp{Coeff: mags[idx], Lag: lag, Sub: sub})
+			lag += [4]int{1, 1, 2, 0}[b>>6]
+		}
+		chain, err := ad.NewChain(cfg.mul, ops)
+		if err != nil {
+			t.Fatal(err)
+		}
+		shift, outW := uint(3), cfg.adder.Width-3
+		hist := make([]int64, from)
+		chain.Run(hist, xs[:from], 0, shift, outW)
+		dst := make([]int64, len(xs))
+		for i := range dst {
+			dst[i] = sentinel
+		}
+		chain.Run(dst, xs, from, shift, outW)
+		ref := refProducts(cfg.mul, mags)
+		for i := range dst {
+			want := scalarChain(ad, ref, ops, xs, i, shift, outW)
+			switch {
+			case i < from && (hist[i] != want || dst[i] != sentinel):
+				t.Fatalf("%+v taps %v from %d: history run [%d] = %d, want %d; dst[%d] = %d, want it untouched",
+					cfg.adder, ops, from, i, hist[i], want, i, dst[i])
+			case i >= from && dst[i] != want:
+				t.Fatalf("%+v taps %v from %d: dst[%d] = %d, want %d", cfg.adder, ops, from, i, dst[i], want)
+			}
+		}
+	})
 }

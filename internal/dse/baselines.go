@@ -1,6 +1,9 @@
 package dse
 
 import (
+	"fmt"
+	"slices"
+
 	"github.com/xbiosip/xbiosip/internal/dsp"
 	"github.com/xbiosip/xbiosip/internal/pantompkins"
 )
@@ -16,12 +19,22 @@ type GridPoint struct {
 
 // ExhaustiveGrid evaluates every (k1, k2) pair for two stages with fixed
 // module kinds and returns the grid (Table 2's PSNR/energy matrix). The
-// pairs are independent, so they go out as one batch across the call's
-// engine of Options.Workers slots. Every cell's energy is reported, so the
-// distinct stage energies are characterized alongside the scan.
+// two stages must differ and both be among opt.Stages, whose LSB lists
+// span the grid. The pairs are independent, so they go out as one batch
+// across the call's engine of Options.Workers slots. Every cell's energy
+// is reported, so the distinct stage energies are characterized alongside
+// the scan.
 func ExhaustiveGrid(opt Options, s1, s2 pantompkins.Stage, eval EvaluateFunc, energy StageEnergyFunc) ([]GridPoint, error) {
 	if err := opt.validate(); err != nil {
 		return nil, err
+	}
+	if s1 == s2 {
+		return nil, fmt.Errorf("dse: grid needs two distinct stages, got %v twice", s1)
+	}
+	for _, s := range []pantompkins.Stage{s1, s2} {
+		if !slices.Contains(opt.Stages, s) {
+			return nil, fmt.Errorf("dse: grid stage %v is not among the explored stages %v", s, opt.Stages)
+		}
 	}
 	e := newExplorer(opt, eval, energy)
 	defer e.jobs.Wait()

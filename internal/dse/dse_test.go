@@ -3,6 +3,7 @@ package dse
 import (
 	"errors"
 	"math"
+	"strings"
 	"sync"
 	"testing"
 
@@ -265,6 +266,32 @@ func TestExhaustiveGridShape(t *testing.T) {
 		if g.Passed != (g.Quality >= 40) {
 			t.Fatalf("grid (%d,%d) pass flag wrong", g.K1, g.K2)
 		}
+	}
+}
+
+// TestExhaustiveGridRejectsStages pins that a grid over a repeated stage
+// or a stage outside Options.Stages fails with an error naming the stage
+// instead of returning an empty grid.
+func TestExhaustiveGridRejectsStages(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		stages []pantompkins.Stage
+		s1, s2 pantompkins.Stage
+		want   string
+	}{
+		{"same stage", []pantompkins.Stage{pantompkins.LPF, pantompkins.HPF}, pantompkins.LPF, pantompkins.LPF, "LPF"},
+		{"both outside", []pantompkins.Stage{pantompkins.LPF}, pantompkins.DER, pantompkins.MWI, "DER"},
+		{"second outside", []pantompkins.Stage{pantompkins.LPF, pantompkins.HPF}, pantompkins.LPF, pantompkins.MWI, "MWI"},
+		{"first outside", []pantompkins.Stage{pantompkins.LPF, pantompkins.HPF}, pantompkins.SQR, pantompkins.HPF, "SQR"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			grid, err := ExhaustiveGrid(defaultOptions(40, tc.stages...), tc.s1, tc.s2,
+				syntheticQuality(nil), syntheticEnergy(nil))
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("ExhaustiveGrid(%v, %v) over %v = %d cells, error %v; want an error naming %v",
+					tc.s1, tc.s2, tc.stages, len(grid), err, tc.want)
+			}
+		})
 	}
 }
 

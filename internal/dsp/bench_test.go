@@ -1,12 +1,73 @@
 package dsp_test
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
 	"github.com/xbiosip/xbiosip/internal/approx"
 	"github.com/xbiosip/xbiosip/internal/dsp"
+	"github.com/xbiosip/xbiosip/internal/pantompkins"
 )
+
+// BenchmarkFIR times the Pan-Tompkins FIR shapes through their compiled
+// chains on ApproxAdd5 and AppMultV1: k = 0 (the fused exact chain),
+// design B9's k for the stage (LPF 10, HPF 12; the DER takes 10) and
+// k = 16. record runs FilterInto over one 20,000-sample record per op;
+// block24 continues 256 streams of the filter by one 24-sample serve
+// frame each per op. Both report ns/sample.
+func BenchmarkFIR(b *testing.B) {
+	rng := rand.New(rand.NewSource(3))
+	xs := make([]int64, 20000)
+	for i := range xs {
+		xs[i] = int64(int16(rng.Uint64())) >> 3
+	}
+	shapes := []struct {
+		name   string
+		coeffs []int64
+		shift  int
+		k      int
+	}{
+		{"lpf", pantompkins.LPFCoeffs, pantompkins.LPFShift, 10},
+		{"hpf", pantompkins.HPFCoeffs, pantompkins.HPFShift, 12},
+		{"der", pantompkins.DERCoeffs, pantompkins.DERShift, 10},
+	}
+	for _, s := range shapes {
+		for _, k := range []int{0, s.k, 16} {
+			f, err := dsp.NewFIR(s.coeffs, s.shift, dsp.ArithConfig{LSBs: k, Add: approx.ApproxAdd5, Mul: approx.AppMultV1})
+			if err != nil {
+				b.Fatal(err)
+			}
+			dst := f.FilterInto(nil, xs) // fills the tables the record reaches
+			name := fmt.Sprintf("%s-k%d", s.name, k)
+			b.Run(name+"/record", func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					dst = f.FilterInto(dst, xs)
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(xs)), "ns/sample")
+			})
+			b.Run(name+"/block24", func(b *testing.B) {
+				const streams, frame = 256, 24
+				fs := make([]*dsp.FIR, streams)
+				for j := range fs {
+					fs[j] = f.Clone()
+				}
+				var buf []int64
+				pos := 0
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					for _, g := range fs {
+						if pos += frame; pos+frame > len(xs) {
+							pos = 0
+						}
+						buf = g.Block(dst[:frame], xs[pos:pos+frame], buf)
+					}
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*streams*frame), "ns/sample")
+			})
+		}
+	}
+}
 
 // BenchmarkMovingSum times the Pan-Tompkins integrator (32-sample window,
 // output shift 5) through the exact adder, the wiring adders at the
