@@ -13,7 +13,8 @@
 # the moving-window integrator, the kernel's on-demand table fills and its
 # chain strategies, a
 # fixed-seed chaos run of the socket
-# transport harness, one run of every example program, and the end-to-end
+# transport harness, fault-free serve runs over loopback TCP (the batched
+# writes) and UDP, one run of every example program, and the end-to-end
 # benchmark module's golden-digest smoke test (which also fails when a
 # declared metric goes missing).
 
@@ -86,9 +87,12 @@ race-net:
 
 # Fixed-seed chaos smoke of the socket harness through the CLI: identity
 # gate on both networks plus the loss x policy sweep with disconnects
-# and partial writes over a real loopback socket.
+# and partial writes over a real loopback socket, then the serve
+# scenario fault-free over TCP (one batched write per round) and UDP (one
+# datagram per message), each through its own bit-identity gate.
 net-smoke:
 	$(GO) run ./cmd/xbiosip -samples 6000 -seed 3 transport > /dev/null
+	$(GO) run ./cmd/xbiosip -samples 6000 -net tcp -sessions 4 serve > /dev/null
 	$(GO) run ./cmd/xbiosip -samples 6000 -net udp -sessions 4 serve > /dev/null
 
 # Every example program, run once; a non-zero exit fails the target.

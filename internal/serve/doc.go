@@ -35,7 +35,8 @@
 // decision horizon (188 samples per signal at 360 Hz). A warm B9 session
 // at 360 Hz keeps about 6 KiB live; TestSessionMemoryBound holds it
 // under 8 KiB. There are no per-session goroutines and no steady-state
-// allocation; a Service is single-goroutine and a multi-core deployment
+// allocation (TestSessionLongRunBounded streams one session for 10⁶
+// samples); a Service is single-goroutine and a multi-core deployment
 // runs one Service shard per core — which is exactly what Gateway does.
 //
 // # Framing
@@ -189,4 +190,15 @@
 // client drains once over the old connection, so frames sent before it
 // are always ingested before those sent after, and a chaos run is a pure
 // function of its seed.
+//
+// On TCP the client batches: a round's data messages wait in one buffer
+// and go out in a single write with the round's drain request, and the
+// quiesce drains and the final bye flush it the same way, so a lockstep
+// round costs one write and one read on each side of the socket. The
+// server reads the same messages in the same order, only cut into other
+// segments. A batch is kept until its drain reply and resent whole
+// after a redial (a failed write, a dead connection, or a busy listener
+// that refused the connection and everything on it). UDP is not batched:
+// every message is one datagram. Under NetConfig.PartialWrites neither
+// is TCP data: each frame is written at once, in chunks of 1–13 bytes.
 package serve

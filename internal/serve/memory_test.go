@@ -85,3 +85,76 @@ func TestSessionMemoryBound(t *testing.T) {
 	}
 	check("restarted")
 }
+
+// TestSessionLongRunBounded streams one B9 session at 360 Hz through
+// Ingest and Drain for 10⁶ samples in 24-sample frames (a 60 s record,
+// cycled). Past 2×10⁵ samples every ingest+drain step allocates nothing,
+// and the live heap at 10⁶ samples exceeds the one at 2×10⁵ by at most
+// 64 KiB: the ingest ring, the block scratch, the stage delay lines and
+// the detector all stay bounded over an endless session.
+func TestSessionLongRunBounded(t *testing.T) {
+	const total, warm, frameN, growth = 1_000_000, 200_000, 24, 64 << 10
+	gen, err := ecg.NSRDBConfig(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gen.FS = 360
+	rec, err := gen.Generate("longrun-360", 60*360)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := New(Config{FS: rec.FS, Pipeline: b9Config(), MaxSessions: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var (
+		buf    []byte
+		events []Event
+		seq    uint16
+		pos    int
+		frames int
+		beats  int
+	)
+	step := func() {
+		if pos+frameN > len(rec.Samples) {
+			pos = 0
+		}
+		buf = AppendFrame(buf[:0], 1, seq, 0, rec.Samples[pos:pos+frameN])
+		if _, err := s.Ingest(buf); err != nil {
+			t.Fatal(err)
+		}
+		seq++
+		pos += frameN
+		frames++
+		events = s.Drain(events[:0])
+		for _, ev := range events {
+			if ev.Kind == EventBeat {
+				beats++
+			}
+		}
+	}
+	for frames*frameN < warm {
+		step()
+	}
+	before, warmBeats := liveHeap(), beats
+	// AllocsPerRun calls step once more than it counts.
+	runs := (total+frameN-1)/frameN - frames - 1
+	if avg := testing.AllocsPerRun(runs, step); avg != 0 {
+		t.Fatalf("ingest+drain step allocates %.4f objects past %d samples, want 0", avg, warm)
+	}
+	after := liveHeap()
+	drift := int64(after) - int64(before)
+	t.Logf("%d samples, %d beats; live heap %+.1f KiB from sample %d", frames*frameN, beats, float64(drift)/1024, warm)
+	if frames*frameN < total {
+		t.Fatalf("streamed %d samples, want %d", frames*frameN, total)
+	}
+	if drift > growth {
+		t.Fatalf("live heap grew %d bytes between %d and %d samples, want at most %d", drift, warm, frames*frameN, growth)
+	}
+	// The measured stretch is four times the warm-up over the same
+	// cycled record, so a detector that keeps working finds more beats.
+	if st := s.Stats(); st.Backpressure != 0 || st.Evictions != 0 || beats-warmBeats < warmBeats {
+		t.Fatalf("%d beats before sample %d, %d after; %d backpressured frames, %d evictions",
+			warmBeats, warm, beats-warmBeats, st.Backpressure, st.Evictions)
+	}
+}

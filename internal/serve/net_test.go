@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"net"
@@ -32,17 +33,25 @@ func leakBaseline(t *testing.T) func() {
 	g0, fd0 := runtime.NumGoroutine(), countFDs()
 	return func() {
 		t.Helper()
-		deadline := time.Now().Add(2 * time.Second)
-		for {
-			g, fd := runtime.NumGoroutine(), countFDs()
-			if g <= g0 && (fd0 < 0 || fd <= fd0) {
-				return
-			}
-			if time.Now().After(deadline) {
-				t.Fatalf("leak: %d goroutines (baseline %d), %d fds (baseline %d)", g, g0, fd, fd0)
-			}
-			time.Sleep(10 * time.Millisecond)
+		withinCounts(t, "leak", g0, fd0)
+	}
+}
+
+// withinCounts waits up to a grace period for the goroutine and fd
+// counts to fall to at most gMax and fdMax (fds only where countFDs
+// works), and fails the test if they do not.
+func withinCounts(t *testing.T, what string, gMax, fdMax int) {
+	t.Helper()
+	deadline := time.Now().Add(2 * time.Second)
+	for {
+		g, fd := runtime.NumGoroutine(), countFDs()
+		if g <= gMax && (fd < 0 || fd <= fdMax) {
+			return
 		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%s: %d goroutines (at most %d), %d fds (at most %d)", what, g, gMax, fd, fdMax)
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }
 
@@ -611,4 +620,310 @@ func TestRunNetLinkFlushMatchesRun(t *testing.T) {
 		t.Fatal("no link held a frame until Flush: the test no longer reaches the flush path")
 	}
 	t.Logf("%d frames delivered from link flushes per run set", flushed)
+}
+
+// recordConn stands in for a Listener's end of a connection: it records
+// every Write and answers each drain request written to it with
+// wireDrained(0), one reply per Read. The client never calls the
+// embedded Conn's other methods.
+type recordConn struct {
+	net.Conn
+	writes  [][]byte
+	stream  []byte // every byte written, parsed up to parsed
+	parsed  int
+	replies [][]byte
+}
+
+func (r *recordConn) Write(b []byte) (int, error) {
+	r.writes = append(r.writes, append([]byte(nil), b...))
+	r.stream = append(r.stream, b...)
+	for {
+		typ, _, m, err := parseWire(r.stream[r.parsed:])
+		if err != nil {
+			return len(b), nil // the rest of a message is still to come
+		}
+		r.parsed += m
+		if typ == wireDrainReq {
+			r.replies = append(r.replies, appendDrainedMsg(nil, 0))
+		}
+	}
+}
+
+func (r *recordConn) Read(b []byte) (int, error) {
+	if len(r.replies) == 0 {
+		return 0, os.ErrDeadlineExceeded
+	}
+	n := copy(b, r.replies[0])
+	r.replies = r.replies[1:]
+	return n, nil
+}
+
+func (r *recordConn) Close() error                     { return nil }
+func (r *recordConn) SetReadDeadline(time.Time) error  { return nil }
+func (r *recordConn) SetWriteDeadline(time.Time) error { return nil }
+
+// splitWire cuts a stream of whole wire messages into its messages.
+func splitWire(t *testing.T, b []byte) [][]byte {
+	t.Helper()
+	var msgs [][]byte
+	for len(b) > 0 {
+		_, _, m, err := parseWire(b)
+		if err != nil {
+			t.Fatalf("stream does not split into messages: %v", err)
+		}
+		msgs = append(msgs, b[:m])
+		b = b[m:]
+	}
+	return msgs
+}
+
+// TestNetRoundWrites pins which of RunNet's writes are batched, over an
+// in-memory connection that records every write. Sources of unequal
+// length give rounds of 3, 3, 2, 2 and 1 frames. On TCP every write is
+// one round's data messages, in source order, followed by its drain
+// request; then come the quiesce drain and the bye on their own. On UDP
+// every write is one message, and with PartialWrites each data message
+// goes out in chunks of 1–13 bytes before the next one starts. On every
+// path the writes joined together are the per-message byte stream.
+func TestNetRoundWrites(t *testing.T) {
+	const frameN = 24
+	ramp := func(n int) []int16 {
+		s := make([]int16, n)
+		for i := range s {
+			s[i] = int16(i*37 - 900)
+		}
+		return s
+	}
+	sources := []Source{
+		{Session: 7, Samples: ramp(100)},
+		{Session: 3, Samples: ramp(48)},
+		{Session: 9, Samples: ramp(75)},
+	}
+	// Each round's data messages, framed independently of rounds().
+	var perRound [][]byte
+	for r := 0; ; r++ {
+		var msgs []byte
+		for _, src := range sources {
+			p := r * frameN
+			if p >= len(src.Samples) {
+				continue
+			}
+			n := min(frameN, len(src.Samples)-p)
+			flags := uint8(0)
+			if p == 0 {
+				flags |= FlagStart
+			}
+			if p+n == len(src.Samples) {
+				flags |= FlagEnd
+			}
+			msgs = appendWire(msgs, wireData, AppendFrame(nil, src.Session, uint16(r), flags, src.Samples[p:p+n]))
+		}
+		if msgs == nil {
+			break
+		}
+		perRound = append(perRound, msgs)
+	}
+	// The per-message stream: every round's frames and its drain
+	// request, the final quiesce drain, then the bye.
+	var wantWrites [][]byte
+	for _, msgs := range perRound {
+		wantWrites = append(wantWrites, appendWire(append([]byte(nil), msgs...), wireDrainReq, nil))
+	}
+	wantWrites = append(wantWrites, appendWire(nil, wireDrainReq, nil), appendWire(nil, wireBye, nil))
+	var stream []byte
+	for _, w := range wantWrites {
+		stream = append(stream, w...)
+	}
+	frames := 0
+	for _, msgs := range perRound {
+		frames += len(splitWire(t, msgs))
+	}
+
+	run := func(t *testing.T, cfg NetConfig) [][]byte {
+		t.Helper()
+		c, err := newNetClient(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		conn := &recordConn{}
+		st, err := c.run(conn, sources)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Frames != uint64(frames) || st.DrainCalls != uint64(len(perRound)+1) || st.Resyncs != 0 {
+			t.Fatalf("stats %+v, want %d frames and %d drains", st, frames, len(perRound)+1)
+		}
+		if joined := bytes.Join(conn.writes, nil); !bytes.Equal(joined, stream) {
+			t.Fatalf("writes join to %d bytes that differ from the %d-byte per-message stream", len(joined), len(stream))
+		}
+		return conn.writes
+	}
+
+	t.Run("tcp", func(t *testing.T) {
+		writes := run(t, NetConfig{Network: "tcp", FrameSamples: frameN, Seed: 5})
+		if len(writes) != len(wantWrites) {
+			t.Fatalf("%d writes, want %d: one per round, the quiesce drain and the bye", len(writes), len(wantWrites))
+		}
+		for i, w := range writes {
+			if !bytes.Equal(w, wantWrites[i]) {
+				t.Fatalf("write %d (%d messages) differs from the expected %d-message write", i, len(splitWire(t, w)), len(splitWire(t, wantWrites[i])))
+			}
+		}
+	})
+	t.Run("udp", func(t *testing.T) {
+		for i, w := range run(t, NetConfig{Network: "udp", FrameSamples: frameN, Seed: 5}) {
+			if n := len(splitWire(t, w)); n != 1 {
+				t.Fatalf("datagram %d holds %d messages, want 1", i, n)
+			}
+		}
+	})
+	t.Run("tcp-partial", func(t *testing.T) {
+		writes := run(t, NetConfig{Network: "tcp", FrameSamples: frameN, Seed: 5, PartialWrites: true})
+		for _, msg := range splitWire(t, stream) {
+			if msg[2] != wireData {
+				if len(writes) == 0 || !bytes.Equal(writes[0], msg) {
+					t.Fatalf("control message 0x%02x is not one write of its own", msg[2])
+				}
+				writes = writes[1:]
+				continue
+			}
+			for got := 0; got < len(msg); writes = writes[1:] {
+				if len(writes) == 0 {
+					t.Fatal("writes end mid-message")
+				}
+				n := len(writes[0])
+				if n < 1 || n > 13 || got+n > len(msg) {
+					t.Fatalf("a %d-byte write at byte %d of a %d-byte data message", n, got, len(msg))
+				}
+				got += n
+			}
+		}
+		if len(writes) != 0 {
+			t.Fatalf("%d writes left after the bye", len(writes))
+		}
+	})
+}
+
+// TestNetConnFloodBound floods a listener capped at MaxConns 4 with 64
+// clients that each send a drain request and then stay connected. The
+// first four are served, the other 60 read wireBusy, and while all 64
+// hold their sockets the listener runs at most one goroutine per
+// accepted connection plus its accept (or datagram) loop, and holds at
+// most one fd per accepted connection plus its listening socket, next to
+// the clients' own 64. Everything is released after the clients and the
+// listener close.
+func TestNetConnFloodBound(t *testing.T) {
+	const maxConns, clients = 4, 64
+	for _, network := range []string{"tcp", "udp"} {
+		t.Run(network, func(t *testing.T) {
+			leaks := leakBaseline(t)
+			g0, fd0 := runtime.NumGoroutine(), countFDs()
+			svc, err := New(Config{FS: 360, MaxSessions: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ln, err := Listen(ListenConfig{Network: network, MaxConns: maxConns}, svc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			conns := make([]*rawConn, clients)
+			for i := range conns {
+				conns[i] = dialRaw(t, network, ln.Addr().String())
+				conns[i].send(wireDrainReq, nil)
+				want := wireBusy
+				if i < maxConns {
+					want = wireDrained
+				}
+				if typ, _, err := conns[i].readErr(); err != nil || typ != want {
+					t.Fatalf("client %d got 0x%02x err=%v, want 0x%02x", i, typ, err, want)
+				}
+			}
+			if st := ln.Stats(); st.Accepted != maxConns || st.Shed != clients-maxConns || st.Active > maxConns {
+				t.Fatalf("flood stats: %+v", st)
+			}
+			// A refused connection's server socket closes just after its
+			// wireBusy is written, so the counts may need a moment.
+			withinCounts(t, "flood", g0+maxConns+1, fd0+clients+maxConns+1)
+			t.Logf("%d goroutines (baseline %d), %d fds (baseline %d) with %d clients connected",
+				runtime.NumGoroutine(), g0, countFDs(), fd0, clients)
+			for _, c := range conns {
+				c.close()
+			}
+			ln.Close()
+			leaks()
+		})
+	}
+}
+
+// TestNetBusyRedialResendsRound: a RunNet whose connection a full
+// listener sheds redials with backoff until a slot frees, and resends
+// the round it had batched on the refused connection with its drain
+// request, so no frame is lost and the event stream still equals the
+// in-process one.
+func TestNetBusyRedialResendsRound(t *testing.T) {
+	leaks := leakBaseline(t)
+	svcCfg := Config{FS: record(t, 0, 8).FS, Pipeline: b9Config(), MaxSessions: 8}
+	ids := []uint32{1, 2, 3}
+	ref, err := New(svcCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := driveRun(t, ref, gatewaySources(t, ids))
+	svc, err := New(svcCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	var log []Event
+	ln, err := Listen(ListenConfig{
+		Network: "tcp", MaxConns: 1,
+		OnEvents: func(evs []Event) {
+			mu.Lock()
+			log = append(log, evs...)
+			mu.Unlock()
+		},
+	}, svc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hold := dialRaw(t, "tcp", ln.Addr().String())
+	hold.send(wireDrainReq, nil)
+	if typ, _ := hold.read(); typ != wireDrained {
+		t.Fatalf("holder got 0x%02x, want wireDrained", typ)
+	}
+	type result struct {
+		st  NetRunStats
+		err error
+	}
+	done := make(chan result, 1)
+	sources := gatewaySources(t, ids)
+	go func() {
+		st, err := RunNet(NetConfig{
+			Network: "tcp", Addr: ln.Addr().String(),
+			FrameSamples: 24, Seed: 1, BackoffBase: 50 * time.Microsecond,
+		}, sources)
+		done <- result{st, err}
+	}()
+	waitFor(t, "the client's connection shed", func() bool { return ln.Stats().Shed >= 1 })
+	hold.close()
+	r := <-done
+	if r.err != nil {
+		t.Fatal(r.err)
+	}
+	if r.st.Reconnects == 0 || r.st.Shed != 0 {
+		t.Fatalf("client stats after a shed connection: %+v", r.st)
+	}
+	ln.Close()
+	mu.Lock()
+	got := append([]Event(nil), log...)
+	mu.Unlock()
+	if len(got) != len(want) {
+		t.Fatalf("%d events after a busy redial, in-process emitted %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("event %d: %+v != in-process %+v", i, got[i], want[i])
+		}
+	}
+	leaks()
 }

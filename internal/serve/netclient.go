@@ -16,6 +16,15 @@ import (
 // retransmitted under exponential backoff with seeded jitter, dead
 // connections are redialed, and seeded chaos (mid-stream disconnects,
 // partial writes) can be injected to prove the server side survives.
+//
+// Which writes are batched: on TCP a round's data messages wait in one
+// client buffer and go out in a single write together with the round's
+// drain request (the quiesce drains and the final bye flush it the same
+// way), so a lockstep round costs one write and one read on each side
+// of the socket. The server reads the same messages in the same order,
+// only cut into different segments. UDP sends one datagram per message,
+// and under PartialWrites every data frame is written at once, in small
+// jittered chunks, so neither queues anything.
 
 // NetConfig parameterises a RunNet client.
 type NetConfig struct {
@@ -52,9 +61,11 @@ type NetConfig struct {
 	// by one drain round trip on the old connection, so what the server
 	// ingests stays a pure function of the seed.
 	Disconnect float64
-	// PartialWrites (TCP only) writes data frames in small jittered
-	// chunks so the server proves its cross-segment reassembly, and makes
-	// chaos disconnects tear mid-message.
+	// PartialWrites (TCP only) writes each data frame at once, in
+	// jittered chunks of 1–13 bytes, instead of batching the round's
+	// frames into its drain request's write, so the server proves its
+	// cross-segment reassembly; it also makes chaos disconnects tear
+	// mid-message.
 	PartialWrites bool
 }
 
@@ -84,34 +95,56 @@ type sentFrame struct {
 }
 
 type netClient struct {
-	cfg  NetConfig
-	conn net.Conn
-	rng  uint64
-	st   NetRunStats
+	cfg    NetConfig
+	frameN int
+	conn   net.Conn
+	rng    uint64
+	st     NetRunStats
 
 	acc     []byte // TCP reassembly accumulator
 	tmp     []byte // read scratch
 	scratch []byte // payload copy returned by readOne
 	msg     []byte // outgoing message scratch
+	out     []byte // TCP data messages waiting for the next drain request or bye
 
 	sent     map[uint64]sentFrame // retransmit buffer keyed session<<16|seq
+	free     [][]byte             // frame buffers of entries gone from sent, for reuse
 	attempts map[uint64]int       // per-frame retransmission counts
 	pending  []nackInfo           // NACKs awaiting settlement
 	round    uint64
 	buffered int // server's buffered count from the last drain reply
 }
 
+// The client's control messages never change, so they are encoded once.
+var (
+	drainReqMsg = appendWire(nil, wireDrainReq, nil)
+	byeMsg      = appendWire(nil, wireBye, nil)
+)
+
 // RunNet executes the transport loop against a Listener at cfg.Addr and
 // reports what it did. Events are observed server-side (see
 // ListenConfig.OnEvents). It returns ErrServerClosing if the server
 // announces shutdown mid-run.
 func RunNet(cfg NetConfig, sources []Source) (NetRunStats, error) {
+	c, err := newNetClient(cfg)
+	if err != nil {
+		return NetRunStats{}, err
+	}
+	conn, err := net.DialTimeout(c.cfg.Network, c.cfg.Addr, c.cfg.DialTimeout)
+	if err != nil {
+		return c.st, err
+	}
+	return c.run(conn, sources)
+}
+
+// newNetClient resolves cfg's defaults into a client ready to run.
+func newNetClient(cfg NetConfig) (*netClient, error) {
 	if cfg.Network == "" {
 		cfg.Network = "tcp"
 	}
 	frameN, err := frameSamples(cfg.FrameSamples)
 	if err != nil {
-		return NetRunStats{}, err
+		return nil, err
 	}
 	if cfg.MaxRetries <= 0 {
 		cfg.MaxRetries = 8
@@ -128,22 +161,24 @@ func RunNet(cfg NetConfig, sources []Source) (NetRunStats, error) {
 	if cfg.DialTimeout <= 0 {
 		cfg.DialTimeout = 2 * time.Second
 	}
-	c := &netClient{
+	return &netClient{
 		cfg:      cfg,
+		frameN:   frameN,
 		rng:      cfg.Seed ^ 0xda3e39cb94b95bdb,
 		round:    1,
 		tmp:      make([]byte, 4096),
 		sent:     make(map[uint64]sentFrame),
 		attempts: make(map[uint64]int),
-	}
-	conn, err := net.DialTimeout(cfg.Network, cfg.Addr, cfg.DialTimeout)
-	if err != nil {
-		return c.st, err
-	}
+	}, nil
+}
+
+// run streams sources over conn, a connection to the Listener, and
+// closes it (or the last redialed one) before returning.
+func (c *netClient) run(conn net.Conn, sources []Source) (NetRunStats, error) {
 	c.conn = conn
 	defer func() { c.conn.Close() }()
 
-	flushed, err := rounds(sources, frameN, &c.st.TransportStats, c.deliver, c.endRound)
+	flushed, err := rounds(sources, c.frameN, &c.st.TransportStats, c.deliver, c.endRound)
 	if err != nil {
 		return c.st, err
 	}
@@ -186,8 +221,13 @@ func RunNet(cfg NetConfig, sources []Source) (NetRunStats, error) {
 			}
 		}
 	}
-	c.conn.SetWriteDeadline(time.Now().Add(cfg.SyncTimeout))
-	c.conn.Write(appendWire(nil, wireBye, nil)) // best effort
+	if len(c.out) > 0 {
+		// Retransmits the last settlement queued ride with the bye and
+		// are resent on a failed write like any data.
+		return c.st, c.writeMsg(append(c.out, byeMsg...), false)
+	}
+	c.conn.SetWriteDeadline(time.Now().Add(c.cfg.SyncTimeout))
+	c.conn.Write(byeMsg) // best effort
 	return c.st, nil
 }
 
@@ -205,11 +245,20 @@ func (c *netClient) endRound() error {
 	c.round++
 	for key, sf := range c.sent {
 		if sf.round+2 <= c.round {
-			delete(c.sent, key)
-			delete(c.attempts, key)
+			c.forget(key, sf)
 		}
 	}
 	return nil
+}
+
+// forget drops a frame from the retransmit buffer and keeps its byte
+// buffer for the next new frame to reuse.
+func (c *netClient) forget(key uint64, sf sentFrame) {
+	delete(c.sent, key)
+	delete(c.attempts, key)
+	if sf.buf != nil {
+		c.free = append(c.free, sf.buf[:0])
+	}
 }
 
 // deliver records frame in the retransmit buffer and sends it as a
@@ -220,7 +269,10 @@ func (c *netClient) deliver(frame []byte) error {
 		return err
 	}
 	key := uint64(hdr.session)<<16 | uint64(hdr.seq)
-	sf := c.sent[key]
+	sf, ok := c.sent[key]
+	if n := len(c.free); !ok && n > 0 {
+		sf.buf, c.free = c.free[n-1], c.free[:n-1]
+	}
 	sf.buf = append(sf.buf[:0], frame...)
 	sf.round = c.round
 	c.sent[key] = sf
@@ -230,6 +282,8 @@ func (c *netClient) deliver(frame []byte) error {
 // send transmits one data frame, applying the chaos knobs: a disconnect
 // draw tears the connection down first (mid-message when PartialWrites
 // makes that possible), redials and then sends on the fresh connection.
+// On TCP without PartialWrites the frame's message only joins c.out,
+// which the next drain request, or the bye, writes.
 func (c *netClient) send(frame []byte) error {
 	c.msg = appendWire(c.msg[:0], wireData, frame)
 	if c.cfg.Disconnect > 0 && c.chance(c.cfg.Disconnect) {
@@ -250,13 +304,18 @@ func (c *netClient) send(frame []byte) error {
 			return err
 		}
 	}
+	if c.cfg.Network == "tcp" && !c.cfg.PartialWrites {
+		c.out = append(c.out, c.msg...)
+		return nil
+	}
 	return c.writeMsg(c.msg, true)
 }
 
-// writeMsg writes one full message, redialing with backoff on error; the
-// whole message is resent from the start on a fresh connection (the
-// server discards a torn prefix with the dead connection, and duplicate
-// frames are absorbed by the session's acceptance window).
+// writeMsg writes one full message, or a batch of them, redialing with
+// backoff on error; the whole of msg is resent from the start on a fresh
+// connection (the server discards a torn prefix with the dead
+// connection, and duplicate frames are absorbed by the session's
+// acceptance window).
 func (c *netClient) writeMsg(msg []byte, data bool) error {
 	for attempt := 0; ; attempt++ {
 		err := c.writeOnce(msg, data)
@@ -313,14 +372,19 @@ func (c *netClient) redial() error {
 	return fmt.Errorf("serve: redial %s %s: %w", c.cfg.Network, c.cfg.Addr, err)
 }
 
-// drainSync asks the server for one drain and waits for the wireDrained
-// reply, absorbing whatever else arrives first: NACKs are queued for
-// settlement, a busy rejection backs off and redials, a lost reply is
-// re-requested, a server bye surfaces as ErrServerClosing. Returns the
-// server's post-drain buffered count.
+// drainSync sends the queued data messages and a drain request in one
+// write (on UDP nothing is queued and the request is one datagram) and
+// waits for the wireDrained reply, absorbing whatever else arrives
+// first: NACKs are queued for settlement, a busy rejection backs off and
+// redials, a lost reply is re-requested, a server bye surfaces as
+// ErrServerClosing. The batch is kept until the reply: after a redial it
+// is resent whole, since it may have died with the connection (a busy
+// listener refuses everything on it), while a timed-out reply on a live
+// connection re-requests only the drain. Returns the server's post-drain
+// buffered count.
 func (c *netClient) drainSync() (int, error) {
-	req := appendWire(nil, wireDrainReq, nil)
-	if err := c.writeMsg(req, false); err != nil {
+	c.out = append(c.out, drainReqMsg...)
+	if err := c.writeMsg(c.out, false); err != nil {
 		return 0, err
 	}
 	resend := 0
@@ -332,10 +396,12 @@ func (c *netClient) drainSync() (int, error) {
 			}
 			c.st.Resyncs++
 			resend++
+			req := drainReqMsg
 			if ne, ok := err.(net.Error); !ok || !ne.Timeout() {
 				if rerr := c.redial(); rerr != nil {
 					return 0, rerr
 				}
+				req = c.out
 			}
 			if werr := c.writeMsg(req, false); werr != nil {
 				return 0, werr
@@ -350,6 +416,7 @@ func (c *netClient) drainSync() (int, error) {
 			}
 			c.st.DrainCalls++
 			c.buffered = b
+			c.out = c.out[:0]
 			return b, nil
 		case wireNack:
 			c.noteNack(payload)
@@ -362,7 +429,7 @@ func (c *netClient) drainSync() (int, error) {
 			if rerr := c.redial(); rerr != nil {
 				return 0, rerr
 			}
-			if werr := c.writeMsg(req, false); werr != nil {
+			if werr := c.writeMsg(c.out, false); werr != nil {
 				return 0, werr
 			}
 		default:
@@ -398,15 +465,13 @@ func (c *netClient) settleNacks() error {
 			// Aged out of the retransmit window, or the server is
 			// draining for shutdown: lost on the wire.
 			c.st.Shed++
-			delete(c.sent, key)
-			delete(c.attempts, key)
+			c.forget(key, sf)
 			continue
 		}
 		attempt := c.attempts[key]
 		if attempt >= c.cfg.MaxRetries {
 			c.st.Shed++
-			delete(c.sent, key)
-			delete(c.attempts, key)
+			c.forget(key, sf)
 			continue
 		}
 		c.attempts[key] = attempt + 1
