@@ -8,7 +8,8 @@
 # evaluations, the multi-patient streaming service, the sharded gateway,
 # the real-socket transport (loopback TCP+UDP churn) and the continuation
 # equivalence suites (whole records, blocks and single samples through one
-# chain engine, against per-sample and per-tap oracles), a fuzz smoke over the
+# chain engine and the QRS detector, against per-sample and per-tap
+# oracles, the serve drain's event latencies included), a fuzz smoke over the
 # wire-frame/socket-message parsers, the ingest path, the QRS detector,
 # the moving-window integrator, the kernel's on-demand table fills and its
 # chain strategies, a
@@ -109,9 +110,10 @@ examples-smoke:
 # and integrator entry points against the frozen per-tap and per-sample
 # fold oracles and the squarer block path, Pipeline.PushBlock and
 # streams sharing one compiled pipeline across goroutines (racing the
-# first fills of its tables), the serve
-# block drain — plus the netlist stream simulator, under -race, with the
-# per-sample/scalar paths as in-process oracles.
+# first fills of its tables), StreamDetector.PushBlock's edge cases, the
+# serve block drain (its events and their exact latencies) — plus the
+# netlist stream simulator, under -race, with the per-sample/scalar
+# paths as in-process oracles.
 race-batch:
 	$(GO) test -race -count=1 -run 'Continuation|MatchesOracle|Block|Share|Batched|Streams|Discard' ./internal/arith/kernel ./internal/dsp ./internal/pantompkins ./internal/serve ./internal/netlist
 
@@ -143,10 +145,11 @@ test-reference:
 
 # One iteration of every benchmark: regenerates each table/figure once and
 # exercises the parallel DSE engine, the kernel-vs-reference
-# micro-benchmarks and the integrator's window strategies without taking
-# benchmark-grade time.
+# micro-benchmarks, the integrator's window strategies and the QRS
+# detector's whole-record, per-sample and block entry points without
+# taking benchmark-grade time.
 bench:
-	$(GO) test -bench=. -benchmem -benchtime=1x -run '^$$' . ./internal/arith/kernel ./internal/dsp ./internal/netlist
+	$(GO) test -bench=. -benchmem -benchtime=1x -run '^$$' . ./internal/arith/kernel ./internal/dsp ./internal/netlist ./internal/pantompkins
 
 # The kernel-sensitive benchmarks with kernels force-disabled — a smoke
 # pass proving the oracle path still drives the full simulation stack.

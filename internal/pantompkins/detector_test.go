@@ -115,11 +115,31 @@ func requireHorizon(t *testing.T, label string, sd *StreamDetector, n int) {
 	}
 }
 
+// blockCycles are the block-size cycles requireOracle pushes n samples
+// at fs Hz through PushBlock with: a mixed cycle, the serve drain's
+// 24-sample frames, the whole signal in one call, and a first block that
+// ends one sample before the learning boundary followed by the rest.
+func blockCycles(n, fs int) [][]int {
+	return [][]int{{1, 7, 24, 300, 3}, {24}, {max(n, 1)}, {max(int(learnS*float64(fs))-1, 1), max(n, 1)}}
+}
+
+// pushBlocks streams both detector inputs through PushBlock in blocks
+// whose sizes cycle through sizes and returns the finished detection.
+func pushBlocks(d *StreamDetector, filtered, integrated []int64, sizes []int) *Detection {
+	for i, k := 0, 0; i < len(filtered); k++ {
+		m := min(sizes[k%len(sizes)], len(filtered)-i)
+		d.PushBlock(filtered[i:i+m], integrated[i:i+m])
+		i += m
+	}
+	return d.Finish()
+}
+
 // requireOracle runs every entry point over one pair of signals and
 // requires each to reproduce the oracle: Detect, the caller's reused
-// PeakDetector, and a new StreamDetector before and after Reset, whose
-// window must shrink to the decision horizon once a run passes the
-// learning window. It returns the oracle's detection.
+// PeakDetector, a new StreamDetector pushed sample by sample before and
+// after Reset, and new StreamDetectors pushed in every blockCycles
+// cycle. Every stream's window must shrink to the decision horizon once
+// a run passes the learning window. It returns the oracle's detection.
 func requireOracle(t *testing.T, label string, pd *PeakDetector, filtered, integrated []int64, fs int) Detection {
 	t.Helper()
 	want := oracleDetect(filtered, integrated, fs)
@@ -133,6 +153,12 @@ func requireOracle(t *testing.T, label string, pd *PeakDetector, filtered, integ
 	requireHorizon(t, label+"/StreamDetector-Reset", sd, len(integrated))
 	requireSameDetection(t, label+"/StreamDetector-after-Reset", want, pushAll(sd, filtered, integrated))
 	requireHorizon(t, label+"/StreamDetector-after-Reset", sd, len(integrated))
+	for _, sizes := range blockCycles(len(integrated), fs) {
+		sd := NewStreamDetector(fs)
+		l := fmt.Sprintf("%s/PushBlock%v", label, sizes)
+		requireSameDetection(t, l, want, pushBlocks(sd, filtered, integrated, sizes))
+		requireHorizon(t, l, sd, len(integrated))
+	}
 	return want
 }
 
@@ -212,8 +238,9 @@ func FuzzDetector(f *testing.F) {
 }
 
 // BenchmarkDetector times one op as detection over 8 accurate-pipeline
-// records of 20,000 samples, whole-record through a warm PeakDetector and
-// sample by sample through a reset StreamDetector.
+// records of 20,000 samples: whole-record through a warm PeakDetector,
+// and through a reset StreamDetector sample by sample (Push) and in the
+// serve drain's 24-sample blocks (PushBlock).
 func BenchmarkDetector(b *testing.B) {
 	p, err := New(AccurateConfig())
 	if err != nil {
@@ -242,6 +269,15 @@ func BenchmarkDetector(b *testing.B) {
 			for _, out := range outs {
 				sd.Reset()
 				pushAll(sd, out.Filtered, out.Integrated)
+			}
+		}
+	})
+	b.Run("block", func(b *testing.B) {
+		sd := NewStreamDetector(fs)
+		for b.Loop() {
+			for _, out := range outs {
+				sd.Reset()
+				pushBlocks(sd, out.Filtered, out.Integrated, []int{24})
 			}
 		}
 	})

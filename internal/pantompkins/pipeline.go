@@ -281,8 +281,9 @@ func (s *Stream) Detector() *StreamDetector { return s.det }
 
 // Pipeline exposes the stream's own pipeline state, so a drain can
 // advance the stream's stages a block at a time (Pipeline.PushBlock) and
-// feed the detector from the block's outputs — which is exactly
-// equivalent to per-sample Push.
+// feed the block's outputs to the detector in one
+// StreamDetector.PushBlock call — which is exactly equivalent to
+// per-sample Push.
 func (s *Stream) Pipeline() *Pipeline { return s.p }
 
 // Restart clears the stream's stage state and the incremental detector in

@@ -2,10 +2,13 @@ package pantompkins
 
 // StreamDetector is the adaptive-threshold peak detector described at
 // Detect, and the only implementation of its decisions: Detect and
-// PeakDetector run it over whole signals. Pushed sample by sample, it
-// advances the Pan-Tompkins thresholds, RR statistics and searchback
-// state in O(1) amortised work and bounded memory, so an endless stream
-// neither rescans nor accumulates its history.
+// PeakDetector run it over whole signals. Pushed a sample (Push) or a
+// block (PushBlock) at a time, it advances the Pan-Tompkins thresholds,
+// RR statistics and searchback state in O(1) amortised work per sample
+// and bounded memory, so an endless stream neither rescans nor
+// accumulates its history. Both entry points make the same decisions in
+// the same order: a block only batches the window writes and the
+// decision passes of its samples.
 //
 // The detector lags the signal head by a bounded horizon: a candidate
 // peak at index i is decided once filtered samples up to i+alignAhead
@@ -31,15 +34,16 @@ type StreamDetector struct {
 
 	// The sample window [off, t): sample j of each signal is f[j-off] and
 	// in[j-off]. A stream owns f and in. While it learns they are the
-	// learning window, learn entries each, allocated by its first Push:
-	// the decisions held until seeding read all of it. The Push that seeds
-	// the thresholds runs those decisions, moves the live suffix into the
-	// horizon window, 2·(max(searchWin, slopeWin+1) + alignAhead + 4)
-	// entries each (188 at 360 Hz), and drops the learning window. The
-	// horizon window holds every lookback a future decision performs plus
-	// the decision lookahead, twice over, so each compaction (makeRoom)
-	// frees at least half of it. PeakDetector points f and in at the
-	// caller's whole signals for the duration of one call.
+	// learning window, learn entries each, allocated by its first push:
+	// the decisions held until seeding read all of it. The push of the
+	// sample that seeds the thresholds (endLearning) runs those decisions,
+	// moves the live suffix into the horizon window, 2·(max(searchWin,
+	// slopeWin+1) + alignAhead + 4) entries each (188 at 360 Hz), and
+	// drops the learning window. The horizon window holds every lookback a
+	// future decision performs plus the decision lookahead, twice over, so
+	// each compaction (makeRoom) frees at least half of it for the next
+	// samples. PeakDetector points f and in at the caller's whole signals
+	// for the duration of one call.
 	f, in []int64
 	off   int
 
@@ -94,7 +98,7 @@ func NewStreamDetector(fs int) *StreamDetector {
 // Reset returns the detector to its initial state so a new record or
 // stream can start. The detection buffers are kept, and so is a learning
 // window; a detector that ran past its learning window drops the horizon
-// window instead, and its first Push regrows a learning window for the
+// window instead, and its first push regrows a learning window for the
 // 2 s it relearns.
 func (d *StreamDetector) Reset() {
 	d.det.Peaks = d.det.Peaks[:0]
@@ -144,21 +148,66 @@ func (d *StreamDetector) Push(filtered, integrated int64) {
 	d.t++
 	if !d.seeded {
 		d.learnSample(filtered, integrated)
-		if d.t < d.learn {
-			return
+		if d.t == d.learn {
+			d.endLearning()
 		}
-		d.seed(d.learn)
-		d.advance(false)
-		// The learning window dies with the held decisions it served.
-		h := 2 * (max(d.searchWin, d.slopeWin+1) + d.alignAhead + 4)
-		d.compact(make([]int64, h), make([]int64, h))
 		return
 	}
 	d.advance(false)
 }
 
+// PushBlock feeds a block of both detector inputs (integrated as long as
+// filtered) and leaves the detector exactly as len(filtered) calls of
+// Push would: the same decisions in the same order, the same window. It
+// copies each fill of the sample window in one copy and runs the
+// decisions once per fill instead of once per sample; candidate i's
+// search window ends at i+alignAhead however often they run, so no
+// decision changes. A learning stream fills its learning window the same
+// way, folding each sample into the threshold seeds, and seeds at the
+// sample where Push seeds. An empty block is a no-op.
+func (d *StreamDetector) PushBlock(filtered, integrated []int64) {
+	if d.fs <= 0 || len(filtered) == 0 {
+		return
+	}
+	if d.done {
+		panic("pantompkins: StreamDetector.PushBlock after Finish (Reset first)")
+	}
+	integrated = integrated[:len(filtered)]
+	for len(filtered) > 0 {
+		if d.t-d.off == len(d.f) {
+			d.makeRoom()
+		}
+		w := d.t - d.off
+		m := copy(d.f[w:], filtered)
+		copy(d.in[w:w+m], integrated)
+		d.t += m
+		if d.seeded {
+			d.advance(false)
+		} else {
+			for j := range m {
+				d.learnSample(filtered[j], integrated[j])
+			}
+			if d.t == d.learn {
+				d.endLearning()
+			}
+		}
+		filtered, integrated = filtered[m:], integrated[m:]
+	}
+}
+
+// endLearning seeds the thresholds from the learning window's samples,
+// runs the decisions held for it and moves the live suffix into a new
+// horizon window: the learning window dies with the held decisions it
+// served.
+func (d *StreamDetector) endLearning() {
+	d.seed(d.learn)
+	d.advance(false)
+	h := 2 * (max(d.searchWin, d.slopeWin+1) + d.alignAhead + 4)
+	d.compact(make([]int64, h), make([]int64, h))
+}
+
 // makeRoom frees window space for the next sample. A learning stream's
-// first Push allocates the learning window, which seeding replaces
+// first push allocates the learning window, which seeding replaces
 // before it fills; past learning, makeRoom compacts inside the horizon
 // window.
 func (d *StreamDetector) makeRoom() {
@@ -205,7 +254,7 @@ func (d *StreamDetector) Finish() *Detection {
 }
 
 // Samples returns the number of samples pushed since the last Reset (none
-// at a non-positive sampling rate, where Push ignores them).
+// at a non-positive sampling rate, where pushes are ignored).
 func (d *StreamDetector) Samples() int { return d.t }
 
 // Detection returns the decisions made so far (beats whose lookahead is
@@ -359,16 +408,23 @@ func (d *StreamDetector) event(kind EventKind, c candidate) {
 
 // peakNear returns the position and absolute value of the largest
 // filtered sample in [lo, hi], lo clamped to the signal start; the first
-// maximum wins ties.
+// maximum wins ties. It compares integer magnitudes and converts only
+// the winner: the pipeline's filtered samples are dsp.SampleWidth (16)
+// bits wide, far below 2^53, where every magnitude converts to float64
+// exactly, so the argmax and the tie rule are those of a float64
+// comparison.
 func (d *StreamDetector) peakNear(lo, hi int) (int, float64) {
 	lo = max(lo, 0)
-	best, bestV := lo, -1.0
+	best, bestV := lo, int64(-1)
 	for j, x := range d.f[lo-d.off : hi+1-d.off] {
-		if v := absf(x); v > bestV {
-			best, bestV = lo+j, v
+		if x < 0 {
+			x = -x
+		}
+		if x > bestV {
+			best, bestV = lo+j, x
 		}
 	}
-	return best, bestV
+	return best, float64(bestV)
 }
 
 // slopeBefore returns the maximum rising slope of the integrated signal

@@ -215,6 +215,46 @@ func TestStreamDetectorDegenerateInputs(t *testing.T) {
 	}
 }
 
+// TestStreamDetectorPushBlockEdges pins PushBlock's edge cases: an empty
+// block is a no-op, before Finish and after it, and a non-empty block
+// after Finish panics just as Push does.
+func TestStreamDetectorPushBlockEdges(t *testing.T) {
+	rec := testRecord(t, 3000)
+	p, err := New(AccurateConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := p.Run(rec.Samples)
+	want := oracleDetect(out.Filtered, out.Integrated, rec.FS)
+	n := len(out.Filtered)
+	sd := NewStreamDetector(rec.FS)
+	for i := 0; i < n; i += 100 {
+		j := min(i+100, n)
+		sd.PushBlock(nil, nil)
+		sd.PushBlock(out.Filtered[i:i], out.Integrated[i:i])
+		sd.PushBlock(out.Filtered[i:j], out.Integrated[i:j])
+	}
+	if got := sd.Samples(); got != n {
+		t.Fatalf("empty blocks counted: %d samples pushed, want %d", got, n)
+	}
+	requireSameDetection(t, "interleaved empty blocks", want, sd.Finish())
+	sd.PushBlock(nil, nil)
+	requireSameDetection(t, "empty block after Finish", want, sd.Finish())
+	for name, push := range map[string]func(){
+		"Push":      func() { sd.Push(1, 1) },
+		"PushBlock": func() { sd.PushBlock([]int64{1}, []int64{1}) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s after Finish did not panic", name)
+				}
+			}()
+			push()
+		}()
+	}
+}
+
 // TestStreamDetectorLiveView checks the partial Detection view never
 // reports a beat the oracle would not: every prefix of the streamed
 // decisions is a prefix of the final ones.

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"github.com/xbiosip/xbiosip/internal/arith/kernel"
+	"github.com/xbiosip/xbiosip/internal/ecg"
 	"github.com/xbiosip/xbiosip/internal/pantompkins"
 )
 
@@ -57,14 +58,106 @@ func (s *Service) drainScalar(events []Event) []Event {
 	return events
 }
 
-// TestServeBatchedMatchesScalarDrain runs two services — one drained by
-// Drain a block per session, one by the per-sample drainScalar oracle —
-// through an identical schedule of frames and drains: many concurrent
-// sessions of different lengths (the live set churns as they finish),
-// irregular frame sizes, a quantum forcing multi-round drains with ring
-// wraparound, and a mid-record FlagStart reconnect. The two event
-// streams must be identical element for element. The oracle-mode
-// variant repeats a smaller schedule with the kernels disabled.
+// compareDrains runs two services built by mk — one drained by Drain a
+// block per session, one by the per-sample drainScalar oracle — through
+// an identical schedule of frames and drains over rec: sessions of
+// staggered lengths up to samples (the live set churns as they finish),
+// irregular frame sizes, a drain every other round, and a mid-record
+// FlagStart reconnect of session 4. The two event streams must be
+// identical element for element, and both services must end with no
+// live session and equal stats. It returns every event Drain emitted.
+func compareDrains(t *testing.T, mk func() *Service, rec *ecg.Record, sessions, samples int) []Event {
+	t.Helper()
+	batched, scalar := mk(), mk()
+	var all, evA, evB []Event
+	drains := 0
+	drainBoth := func() {
+		drains++
+		evA = batched.Drain(evA[:0])
+		evB = scalar.drainScalar(evB[:0])
+		if len(evA) != len(evB) {
+			t.Fatalf("drain %d: batched drain emitted %d events, scalar %d", drains, len(evA), len(evB))
+		}
+		for i := range evA {
+			if evA[i] != evB[i] {
+				t.Fatalf("drain %d, event %d: batched %+v, scalar %+v", drains, i, evA[i], evB[i])
+			}
+		}
+		all = append(all, evA...)
+	}
+	ingestBoth := func(buf []byte) {
+		_, errA := batched.Ingest(buf)
+		_, errB := scalar.Ingest(buf)
+		if errA != errB {
+			t.Fatalf("ingest: batched err %v, scalar err %v", errA, errB)
+		}
+		if errA == ErrBackpressure {
+			drainBoth()
+			if _, err := batched.Ingest(buf); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := scalar.Ingest(buf); err != nil {
+				t.Fatal(err)
+			}
+		} else if errA != nil {
+			t.Fatal(errA)
+		}
+	}
+	type cursor struct {
+		pos, end int
+		seq      uint16
+	}
+	curs := make([]cursor, sessions)
+	for i := range curs {
+		curs[i].end = max(samples-(i*97)%600, 200)
+	}
+	reconnected := false
+	active := sessions
+	for round := 0; active > 0; round++ {
+		for id := range curs {
+			c := &curs[id]
+			if c.pos >= c.end {
+				continue
+			}
+			n := min(5+(id*7+round*3)%19, c.end-c.pos)
+			flags := uint8(0)
+			if c.pos == 0 {
+				flags |= FlagStart
+			}
+			if id == 3 && !reconnected && c.pos > c.end/2 {
+				flags |= FlagStart
+				reconnected = true
+			}
+			if c.pos+n == c.end {
+				flags |= FlagEnd
+			}
+			ingestBoth(AppendFrame(nil, uint32(id+1), c.seq, flags, rec.Samples[c.pos:c.pos+n]))
+			c.seq++
+			c.pos += n
+			if c.pos >= c.end {
+				active--
+			}
+		}
+		if round%2 == 0 {
+			drainBoth()
+		}
+	}
+	for i := 0; i < 4; i++ { // flush quantum-limited backlogs
+		drainBoth()
+	}
+	if a, b := batched.Sessions(), scalar.Sessions(); a != 0 || b != 0 {
+		t.Fatalf("sessions still live after final drains: batched %d, scalar %d", a, b)
+	}
+	if a, b := batched.Stats(), scalar.Stats(); a != b {
+		t.Fatalf("stats diverged: batched %+v, scalar %+v", a, b)
+	}
+	return all
+}
+
+// TestServeBatchedMatchesScalarDrain runs compareDrains with a small ring
+// and a quantum that force multi-round drains with ring wraparound. The
+// oracle-mode variant repeats a smaller schedule with the kernels
+// disabled.
 func TestServeBatchedMatchesScalarDrain(t *testing.T) {
 	type variant struct {
 		name     string
@@ -79,12 +172,11 @@ func TestServeBatchedMatchesScalarDrain(t *testing.T) {
 		{"reference/accurate", false, pantompkins.AccurateConfig(), 4, 700},
 	}
 	for _, v := range variants {
-		v := v
 		t.Run(v.name, func(t *testing.T) {
 			prev := kernel.SetEnabled(v.kernels)
 			defer kernel.SetEnabled(prev)
 			rec := record(t, 0, v.samples+v.sessions*40)
-			mk := func() *Service {
+			compareDrains(t, func() *Service {
 				s, err := New(Config{
 					FS:          rec.FS,
 					Pipeline:    v.cfg,
@@ -98,98 +190,47 @@ func TestServeBatchedMatchesScalarDrain(t *testing.T) {
 					t.Fatal(err)
 				}
 				return s
-			}
-			batched, scalar := mk(), mk()
-			var evA, evB []Event
-			drainBoth := func() {
-				evA = batched.Drain(evA[:0])
-				evB = scalar.drainScalar(evB[:0])
-				if len(evA) != len(evB) {
-					t.Fatalf("batched drain emitted %d events, scalar %d", len(evA), len(evB))
-				}
-				for i := range evA {
-					if evA[i] != evB[i] {
-						t.Fatalf("event %d: batched %+v, scalar %+v", i, evA[i], evB[i])
-					}
-				}
-			}
-			ingestBoth := func(buf []byte) {
-				_, errA := batched.Ingest(buf)
-				_, errB := scalar.Ingest(buf)
-				if errA != errB {
-					t.Fatalf("ingest: batched err %v, scalar err %v", errA, errB)
-				}
-				if errA == ErrBackpressure {
-					drainBoth()
-					if _, err := batched.Ingest(buf); err != nil {
-						t.Fatal(err)
-					}
-					if _, err := scalar.Ingest(buf); err != nil {
-						t.Fatal(err)
-					}
-				} else if errA != nil {
-					t.Fatal(errA)
-				}
-			}
-			// Sessions of staggered lengths; session 3 reconnects in
-			// place halfway through.
-			type cursor struct {
-				pos, end int
-				seq      uint16
-			}
-			curs := make([]cursor, v.sessions)
-			for i := range curs {
-				curs[i].end = v.samples - (i*97)%600
-				if curs[i].end < 200 {
-					curs[i].end = 200
-				}
-			}
-			reconnected := false
-			active := v.sessions
-			for round := 0; active > 0; round++ {
-				for id := range curs {
-					c := &curs[id]
-					if c.pos >= c.end {
-						continue
-					}
-					n := 5 + (id*7+round*3)%19
-					if c.pos+n > c.end {
-						n = c.end - c.pos
-					}
-					flags := uint8(0)
-					if c.pos == 0 {
-						flags |= FlagStart
-					}
-					if id == 3 && !reconnected && c.pos > c.end/2 {
-						flags |= FlagStart
-						reconnected = true
-					}
-					if c.pos+n == c.end {
-						flags |= FlagEnd
-					}
-					frame := AppendFrame(nil, uint32(id+1), c.seq, flags, rec.Samples[c.pos:c.pos+n])
-					ingestBoth(frame)
-					c.seq++
-					c.pos += n
-					if c.pos >= c.end {
-						active--
-					}
-				}
-				if round%2 == 0 {
-					drainBoth()
-				}
-			}
-			for i := 0; i < 4; i++ { // flush quantum-limited backlogs
-				drainBoth()
-			}
-			if a, b := batched.Sessions(), scalar.Sessions(); a != 0 || b != 0 {
-				t.Fatalf("sessions still live after final drains: batched %d, scalar %d", a, b)
-			}
-			if a, b := batched.Stats(), scalar.Stats(); a != b {
-				t.Fatalf("stats diverged: batched %+v, scalar %+v", a, b)
-			}
+			}, rec, v.sessions, v.samples)
 		})
 	}
+}
+
+// TestServeBatchedLatencyMatchesScalar repeats compareDrains with latency
+// tracking on and a fake clock that advances on every call, so every
+// frame gets its own ingest stamp and each drain a later now. The
+// schedule's irregular frames make one drain block (Quantum 40) span
+// several stamps, and the block drain must still attribute every event
+// the latency of the sample whose push produced it, exactly as the
+// per-sample oracle does.
+func TestServeBatchedLatencyMatchesScalar(t *testing.T) {
+	const sessions, samples = 12, 3000
+	rec := record(t, 0, samples)
+	events := compareDrains(t, func() *Service {
+		var clock int64
+		s, err := New(Config{
+			FS:            rec.FS,
+			Pipeline:      b9Config(),
+			MaxSessions:   sessions,
+			BufferSamples: 96,
+			Quantum:       40,
+			TrackLatency:  true,
+			Now:           func() int64 { clock += 7; return clock },
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}, rec, sessions, samples)
+	nonzero := map[int64]bool{}
+	for _, e := range events {
+		if e.LatencyNs != 0 {
+			nonzero[e.LatencyNs] = true
+		}
+	}
+	if len(nonzero) < 2 {
+		t.Fatalf("events carry %d distinct nonzero latencies: the schedule no longer tests latency attribution", len(nonzero))
+	}
+	t.Logf("%d events, %d distinct nonzero latencies", len(events), len(nonzero))
 }
 
 // TestServeDrainBoundsDetectorMemory pins the trim contract: after many

@@ -120,16 +120,21 @@
 // FIR stage packs its last inputs ahead of the block and evaluates only
 // the block's positions through the design's one compiled chain (see
 // package arith/kernel, "Continuation by start index"). The block's
-// filtered/integrated outputs then feed the session's detector sample by
-// sample, in ascending slot order, with unchanged event order and latency
-// attribution, so the drained event stream is bit-identical to pushing
-// every sample through Stream.Push one at a time — the per-sample oracle
-// the drain is tested against. Drain also trims each session's
-// already-emitted detection history (StreamDetector.Discard), so an
-// endless session's retained trace stays bounded by the drain cadence
-// instead of growing with the stream; the detector's own state (its
-// decision-horizon window and one searchback candidate) does not grow at
-// all.
+// filtered/integrated outputs then feed the session's detector in one
+// StreamDetector.PushBlock call, in ascending slot order, and one
+// collection emits the events it produced: the decisions, and their
+// order, are those of per-sample pushes. With Config.TrackLatency on,
+// the drain calls PushBlock once per run of equal ingest stamps instead:
+// a frame's samples share one stamp and a drain reads one clock, so each
+// event keeps the latency of the sample whose push produced it. The
+// drained event stream is therefore bit-identical to pushing every
+// sample through Stream.Push one at a time — the per-sample oracle the
+// drain is tested against, latencies included. Drain also trims each
+// session's already-emitted detection history (StreamDetector.Discard),
+// so an endless session's retained trace stays bounded by the drain
+// cadence instead of growing with the stream; the detector's own state
+// (its decision-horizon window and one searchback candidate) does not
+// grow at all.
 //
 // # Sharded gateway
 //

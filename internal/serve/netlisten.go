@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"net/netip"
 	"sync"
 	"time"
 )
@@ -86,10 +87,10 @@ type Listener struct {
 	mu       sync.Mutex
 	closed   bool
 	stats    NetStats
-	nextSeq  map[uint32]uint16   // live sample session -> next expected seq
-	owner    map[uint32]uint64   // sample session -> transport session id
-	conns    map[uint64]*netConn // live TCP connections
-	peers    map[string]*udpPeer // live UDP peers by remote address
+	nextSeq  map[uint32]uint16           // live sample session -> next expected seq
+	owner    map[uint32]uint64           // sample session -> transport session id
+	conns    map[uint64]*netConn         // live TCP connections
+	peers    map[netip.AddrPort]*udpPeer // live UDP peers by remote address
 	connID   uint64
 	tokens   float64
 	lastFill int64
@@ -109,10 +110,9 @@ type netConn struct {
 	l   *Listener
 }
 
-// udpPeer is one tracked UDP remote.
+// udpPeer is one tracked UDP remote; its address is its peers key.
 type udpPeer struct {
 	id       uint64
-	addr     *net.UDPAddr
 	lastSeen time.Time
 }
 
@@ -175,7 +175,7 @@ func Listen(cfg ListenConfig, sink Sink) (*Listener, error) {
 			return nil, err
 		}
 		l.udp = pc
-		l.peers = make(map[string]*udpPeer)
+		l.peers = make(map[netip.AddrPort]*udpPeer)
 		l.wg.Add(1)
 		go l.udpLoop()
 	default:
@@ -290,7 +290,8 @@ func (nc *netConn) reply(msg []byte) error {
 
 // udpLoop serves the datagram transport: every datagram is one message
 // from one peer; peers are tracked for reply routing, shedding and idle
-// reaping.
+// reaping. Peer addresses are netip.AddrPort values, so reading, keying
+// and replying to a datagram allocate nothing for its address.
 func (l *Listener) udpLoop() {
 	defer l.wg.Done()
 	buf := make([]byte, 2048)
@@ -300,7 +301,7 @@ func (l *Listener) udpLoop() {
 	}
 	for {
 		l.udp.SetReadDeadline(time.Now().Add(reap))
-		n, addr, err := l.udp.ReadFromUDP(buf)
+		n, addr, err := l.udp.ReadFromUDPAddrPort(buf)
 		if n > 0 {
 			l.handleDatagram(buf[:n], addr)
 		}
@@ -318,24 +319,23 @@ func (l *Listener) udpLoop() {
 
 // handleDatagram admits (or sheds) the sending peer and dispatches the
 // single message a datagram carries.
-func (l *Listener) handleDatagram(b []byte, addr *net.UDPAddr) {
-	key := addr.String()
+func (l *Listener) handleDatagram(b []byte, addr netip.AddrPort) {
 	l.mu.Lock()
 	if l.closed {
 		l.mu.Unlock()
 		return
 	}
-	p := l.peers[key]
+	p := l.peers[addr]
 	if p == nil {
 		if len(l.peers) >= l.cfg.MaxConns {
 			l.stats.Shed++
 			l.mu.Unlock()
-			l.udp.WriteToUDP(appendWire(nil, wireBusy, nil), addr)
+			l.udp.WriteToUDPAddrPort(appendWire(nil, wireBusy, nil), addr)
 			return
 		}
 		l.connID++
-		p = &udpPeer{id: l.connID, addr: addr}
-		l.peers[key] = p
+		p = &udpPeer{id: l.connID}
+		l.peers[addr] = p
 		l.stats.Accepted++
 		l.stats.Active++
 	}
@@ -349,13 +349,13 @@ func (l *Listener) handleDatagram(b []byte, addr *net.UDPAddr) {
 		return
 	}
 	reply := func(msg []byte) error {
-		_, werr := l.udp.WriteToUDP(msg, addr)
+		_, werr := l.udp.WriteToUDPAddrPort(msg, addr)
 		return werr
 	}
 	if !l.handleMsg(id, reply, typ, payload) {
 		l.mu.Lock()
-		if q := l.peers[key]; q != nil && q.id == id {
-			delete(l.peers, key)
+		if q := l.peers[addr]; q != nil && q.id == id {
+			delete(l.peers, addr)
 			l.stats.Active--
 		}
 		l.mu.Unlock()
@@ -586,9 +586,9 @@ func (l *Listener) Close() error {
 	for _, nc := range l.conns {
 		conns = append(conns, nc)
 	}
-	var peerAddrs []*net.UDPAddr
-	for _, p := range l.peers {
-		peerAddrs = append(peerAddrs, p.addr)
+	var peerAddrs []netip.AddrPort
+	for addr := range l.peers {
+		peerAddrs = append(peerAddrs, addr)
 	}
 	l.mu.Unlock()
 
@@ -599,7 +599,7 @@ func (l *Listener) Close() error {
 	}
 	if l.udp != nil {
 		for _, addr := range peerAddrs {
-			l.udp.WriteToUDP(bye, addr)
+			l.udp.WriteToUDPAddrPort(bye, addr)
 		}
 		l.udp.Close()
 	}

@@ -603,11 +603,15 @@ func (s *Service) close(slot int32) {
 // pantompkins.Pipeline.PushBlock call — a direct view of its ingest ring
 // (copied only when the span wraps) into one Service-owned Outputs — and
 // the block's filtered/integrated outputs then feed the session's own
-// incremental detector sample by sample, so the emitted event sequence
-// per session is bit-identical to pushing every sample through
-// Stream.Push one at a time. Each surviving session's already-emitted
-// decision prefix is discarded after collection, so detector memory stays
-// bounded over unbounded streams.
+// incremental detector in one StreamDetector.PushBlock call, followed by
+// one collection of the events it produced. With Config.TrackLatency the
+// detector takes one PushBlock per run of equal ingest stamps instead: a
+// frame's samples share one stamp and a drain reads one now, so each
+// event still carries the latency of the sample whose push produced it.
+// Either way the emitted event sequence per session is bit-identical to
+// pushing every sample through Stream.Push one at a time. Each surviving
+// session's already-emitted decision prefix is discarded after
+// collection, so detector memory stays bounded over unbounded streams.
 func (s *Service) Drain(events []Event) []Event {
 	events = append(events, s.pending...)
 	s.pending = s.pending[:0]
@@ -635,15 +639,22 @@ func (s *Service) Drain(events []Event) []Event {
 		st.Pipeline().PushBlock(&s.out, block)
 		sd := st.Detector()
 		det := sd.Detection()
-		for k := 0; k < n; k++ {
-			sd.Push(s.out.Filtered[k], s.out.Integrated[k])
-			if len(det.Events) > int(s.emEvents[slot]) {
-				var lat int64
-				if s.cfg.TrackLatency {
-					lat = now - s.ts[base+(head+k)%s.bufN]
+		for k := 0; k < n; {
+			// Without latency tracking the run is the whole block.
+			// With it, a run is one stamp's samples: every event their
+			// pushes produce carries that stamp's latency.
+			end, lat := n, int64(0)
+			if s.cfg.TrackLatency {
+				stamp := s.ts[base+(head+k)%s.bufN]
+				end = k + 1
+				for end < n && s.ts[base+(head+end)%s.bufN] == stamp {
+					end++
 				}
-				events = s.collect(slot, det, lat, events)
+				lat = now - stamp
 			}
+			sd.PushBlock(s.out.Filtered[k:end], s.out.Integrated[k:end])
+			events = s.collect(slot, det, lat, events)
+			k = end
 		}
 		s.heads[slot] = int32((head + n) % s.bufN)
 		s.counts[slot] -= int32(n)
