@@ -1,8 +1,9 @@
 # Developer and CI entry points. `make ci` is the gate: build, vet, a
-# gofmt check over every tracked Go file, race-clean tests (which include the kernel-vs-reference equivalence
-# suite), the same equivalence suite with the word-parallel kernels
-# force-disabled (the bit-serial oracle path, including the scalar
-# activity simulator), benchmark smoke passes in both modes, focused
+# gofmt check over every tracked Go file, race-clean tests (which include
+# the equivalence suites: the word-parallel kernels, the dsp stages and
+# whole pipelines against folds through the bit-serial arith models, and
+# the lane-packed activity simulator against a one-vector-at-a-time fold,
+# all in test code), a benchmark smoke pass, focused
 # -race passes over the two global caches' concurrent cold builds, the
 # design-space explorer's stage energies overlapped with its candidate
 # evaluations, the multi-patient streaming service, the sharded gateway,
@@ -22,7 +23,7 @@
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: all build vet fmt-check test race race-arith race-energy race-dse race-serve race-gateway race-net race-batch fuzz-smoke net-smoke examples-smoke test-reference bench bench-reference bench-smoke ci
+.PHONY: all build vet fmt-check test race race-arith race-energy race-dse race-serve race-gateway race-net race-batch fuzz-smoke net-smoke examples-smoke bench bench-smoke ci
 
 all: build
 
@@ -112,8 +113,7 @@ examples-smoke:
 # streams sharing one compiled pipeline across goroutines (racing the
 # first fills of its tables), StreamDetector.PushBlock's edge cases, the
 # serve block drain (its events and their exact latencies) — plus the
-# netlist stream simulator, under -race, with the per-sample/scalar
-# paths as in-process oracles.
+# netlist stream simulator against per-vector Run, under -race.
 race-batch:
 	$(GO) test -race -count=1 -run 'Continuation|MatchesOracle|Block|Share|Batched|Streams|Discard' ./internal/arith/kernel ./internal/dsp ./internal/pantompkins ./internal/serve ./internal/netlist
 
@@ -135,14 +135,6 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzTableFill -fuzztime=5s -run '^$$' ./internal/arith/kernel
 	$(GO) test -fuzz=FuzzChainRun -fuzztime=5s -run '^$$' ./internal/arith/kernel
 
-# The kernel equivalence tests and the packages threaded through the
-# compiled kernels, re-run with XBIOSIP_NO_KERNELS so every plan delegates
-# to the bit-serial reference models and the activity engine to the scalar
-# oracle: keeps both oracle paths green.
-test-reference:
-	XBIOSIP_NO_KERNELS=1 $(GO) test -count=1 -race ./internal/arith/kernel ./internal/dsp ./internal/pantompkins ./internal/netlist ./internal/energy
-	XBIOSIP_NO_KERNELS=1 $(GO) test -count=1 -race -run 'Batched|Discard' ./internal/serve
-
 # One iteration of every benchmark: regenerates each table/figure once and
 # exercises the parallel DSE engine, the kernel-vs-reference
 # micro-benchmarks, the integrator's window strategies and the QRS
@@ -151,11 +143,6 @@ test-reference:
 bench:
 	$(GO) test -bench=. -benchmem -benchtime=1x -run '^$$' . ./internal/arith/kernel ./internal/dsp ./internal/netlist ./internal/pantompkins
 
-# The kernel-sensitive benchmarks with kernels force-disabled — a smoke
-# pass proving the oracle path still drives the full simulation stack.
-bench-reference:
-	XBIOSIP_NO_KERNELS=1 $(GO) test -bench '(KernelVsReference|PipelinePush|Activity)' -benchmem -benchtime=1x -run '^$$' . ./internal/arith/kernel ./internal/netlist
-
 # The end-to-end benchmark's own module (bench/ has a go.mod of its own,
 # so the root `go test ./...` never builds it): vet it and run its smoke
 # test, which checks every design and grid of seed 1 against the golden
@@ -163,4 +150,4 @@ bench-reference:
 bench-smoke:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
-ci: build vet fmt-check race race-arith race-energy race-dse race-serve race-gateway race-net race-batch fuzz-smoke net-smoke examples-smoke test-reference bench bench-reference bench-smoke
+ci: build vet fmt-check race race-arith race-energy race-dse race-serve race-gateway race-net race-batch fuzz-smoke net-smoke examples-smoke bench bench-smoke

@@ -29,32 +29,21 @@ type Adder struct {
 	// loop. window is the moving-window strategy Slide runs (window.go).
 	chain  chainFunc
 	window windowKind
-	// exact marks plans that reduce to native addition under kernel mode;
-	// enabled records the compilation mode (chain compilation consults
-	// both before fusing to MAC or attaching kernel-mode projection
-	// tables).
-	exact   bool
-	enabled bool
+	// exact marks plans that reduce to native addition (chain
+	// compilation consults it before fusing to MAC).
+	exact bool
 }
 
-// CompileAdder validates spec and builds its evaluation plan under the
-// current compilation mode.
+// CompileAdder validates spec and builds its evaluation plan.
 func CompileAdder(spec arith.Adder) (*Adder, error) {
-	return compileAdderMode(spec, Enabled())
-}
-
-// compileAdderMode builds the plan for an explicit mode, so callers that
-// key caches on the mode cannot race a concurrent SetEnabled flip.
-func compileAdderMode(spec arith.Adder, enabled bool) (*Adder, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	ad := &Adder{spec: spec, fn: compileAddFunc(spec, enabled)}
-	ad.addS, ad.subS = compileSignedFuncs(spec, ad.fn, enabled)
-	ad.chain = compileChain(spec, enabled)
-	ad.window = compileWindow(spec, enabled)
-	ad.exact = enabled && effectiveLSBs(spec) == 0
-	ad.enabled = enabled
+	ad := &Adder{spec: spec, fn: compileAddFunc(spec)}
+	ad.addS, ad.subS = compileSignedFuncs(spec, ad.fn)
+	ad.chain = compileChain(spec)
+	ad.window = compileWindow(spec)
+	ad.exact = effectiveLSBs(spec) == 0
 	return ad, nil
 }
 
@@ -91,22 +80,10 @@ func (ad *Adder) SubSigned(a, b int64) int64 { return ad.subS(a, b) }
 // the subtract path and the sign extension — so an accumulation chain pays
 // a single indirect call per operation; kinds without a closed form wrap
 // the compiled AddCarry.
-func compileSignedFuncs(spec arith.Adder, fn addFunc, enabled bool) (add, sub func(int64, int64) int64) {
+func compileSignedFuncs(spec arith.Adder, fn addFunc) (add, sub func(int64, int64) int64) {
 	w := spec.Width
 	mW := mask(w)
 	sign := uint64(1) << (w - 1)
-	generic := func() (func(int64, int64) int64, func(int64, int64) int64) {
-		return func(a, b int64) int64 {
-				s, _ := fn(uint64(a), uint64(b), 0)
-				return arith.ToSigned(s, w)
-			}, func(a, b int64) int64 {
-				s, _ := fn(uint64(a), ^uint64(b)&mW, 1)
-				return arith.ToSigned(s, w)
-			}
-	}
-	if !enabled {
-		return generic()
-	}
 	k := effectiveLSBs(spec)
 	switch {
 	case k == 0:
@@ -171,7 +148,13 @@ func compileSignedFuncs(spec arith.Adder, fn addFunc, enabled bool) (add, sub fu
 		}
 		return ama2(false), ama2(true)
 	default:
-		return generic()
+		return func(a, b int64) int64 {
+				s, _ := fn(uint64(a), uint64(b), 0)
+				return arith.ToSigned(s, w)
+			}, func(a, b int64) int64 {
+				s, _ := fn(uint64(a), ^uint64(b)&mW, 1)
+				return arith.ToSigned(s, w)
+			}
 	}
 }
 
@@ -188,10 +171,7 @@ func effectiveLSBs(spec arith.Adder) int {
 }
 
 // compileAddFunc picks the evaluation strategy for spec.
-func compileAddFunc(spec arith.Adder, enabled bool) addFunc {
-	if !enabled {
-		return spec.AddCarry
-	}
+func compileAddFunc(spec arith.Adder) addFunc {
 	k := effectiveLSBs(spec)
 	if k == 0 {
 		return nativeAdd(spec.Width)

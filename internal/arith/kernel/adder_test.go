@@ -127,33 +127,3 @@ func TestAdderQuickEquivalence(t *testing.T) {
 		}
 	}
 }
-
-// TestAdderOracleFallback proves that plans compiled in oracle mode still
-// match (trivially, by delegation) and that re-enabling restores the fast
-// path, so the CI mode switch cannot change results.
-func TestAdderOracleFallback(t *testing.T) {
-	prev := kernel.SetEnabled(false)
-	defer kernel.SetEnabled(prev)
-	ref := arith.Adder{Width: 32, ApproxLSBs: 12, Kind: approx.ApproxAdd3}
-	kad, err := kernel.CompileAdder(ref)
-	if err != nil {
-		t.Fatal(err)
-	}
-	kernel.SetEnabled(true)
-	fast, err := kernel.CompileAdder(ref)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(7))
-	for n := 0; n < 2000; n++ {
-		a, b := rng.Uint64(), rng.Uint64()
-		cin := uint8(rng.Intn(2))
-		ws, wc := ref.AddCarry(a, b, cin)
-		if gs, gc := kad.AddCarry(a, b, cin); gs != ws || gc != wc {
-			t.Fatalf("oracle-mode plan diverged at AddCarry(%#x,%#x,%d)", a, b, cin)
-		}
-		if gs, gc := fast.AddCarry(a, b, cin); gs != ws || gc != wc {
-			t.Fatalf("fast plan diverged at AddCarry(%#x,%#x,%d)", a, b, cin)
-		}
-	}
-}

@@ -94,9 +94,11 @@ func BenchmarkKernelVsReference(b *testing.B) {
 	}
 
 	// Approximate 32-tap FIR in the HPF's shape (31 taps of -1 around one
-	// +31), with the paper's default modules at k=8. The reference variant
-	// is the same dsp.FIR built from plans compiled in oracle mode, so the
-	// whole accumulation chain ripples bit-serially.
+	// +31), with the paper's default modules at k=8 and k=16. The kernel
+	// variant is dsp.FIR; the reference variant folds the same taps per
+	// sample through the bit-serial models (referenceFIR), so the whole
+	// accumulation chain ripples bit-serially. Both produce the same
+	// output, which is checked once before the timed runs.
 	coeffs := make([]int64, 32)
 	for i := range coeffs {
 		coeffs[i] = -1
@@ -111,33 +113,68 @@ func BenchmarkKernelVsReference(b *testing.B) {
 		samples[i] = int64(s)
 	}
 	out := make([]int64, len(samples))
-	// The "kernel" variant builds under the ambient mode (so the oracle
-	// smoke run really measures the oracle path throughout); "reference"
-	// always force-disables kernels for its plans.
-	buildFIR := func(forceReference bool, cfg dsp.ArithConfig) *dsp.FIR {
-		if forceReference {
-			prev := kernel.SetEnabled(false)
-			defer kernel.SetEnabled(prev)
-		}
+	ref := make([]int64, len(samples))
+	for _, k := range []int{8, 16} {
+		cfg := dsp.ArithConfig{LSBs: k, Add: approx.ApproxAdd5, Mul: approx.AppMultV1}
 		f, err := dsp.NewFIR(coeffs, 5, cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
-		return f
-	}
-	for _, k := range []int{8, 16} {
-		firCfg := dsp.ArithConfig{LSBs: k, Add: approx.ApproxAdd5, Mul: approx.AppMultV1}
-		for _, mode := range []struct {
-			name           string
-			forceReference bool
-		}{{"kernel", false}, {"reference", true}} {
-			f := buildFIR(mode.forceReference, firCfg)
-			b.Run(fmt.Sprintf("fir32/k%d/%s", k, mode.name), func(b *testing.B) {
-				b.SetBytes(int64(len(samples)))
-				for i := 0; i < b.N; i++ {
-					out = f.FilterInto(out, samples)
-				}
-			})
+		mult := arith.Multiplier{Width: dsp.SampleWidth, ApproxLSBs: k, Mult: cfg.Mul, Add: cfg.Add}
+		adder := arith.Adder{Width: dsp.AccWidth, ApproxLSBs: k, Kind: cfg.Add}
+		out = f.FilterInto(out, samples)
+		referenceFIR(ref, samples, coeffs, 5, mult, adder)
+		for i := range out {
+			if out[i] != ref[i] {
+				b.Fatalf("fir32/k%d: sample %d: kernel %d, reference %d", k, i, out[i], ref[i])
+			}
 		}
+		b.Run(fmt.Sprintf("fir32/k%d/kernel", k), func(b *testing.B) {
+			b.SetBytes(int64(len(samples)))
+			for i := 0; i < b.N; i++ {
+				out = f.FilterInto(out, samples)
+			}
+		})
+		b.Run(fmt.Sprintf("fir32/k%d/reference", k), func(b *testing.B) {
+			b.SetBytes(int64(len(samples)))
+			for i := 0; i < b.N; i++ {
+				referenceFIR(ref, samples, coeffs, 5, mult, adder)
+			}
+		})
+	}
+}
+
+// referenceFIR is dsp.FIR's datapath restated over the bit-serial
+// models: for every position, each non-zero tap's product of the delayed
+// sample with the coefficient magnitude (zero before the signal) is
+// copied or zero-subtracted into the accumulator at the first tap and
+// added or subtracted (negative coefficients) at the rest, and the
+// accumulator is shifted and sliced to the sample width.
+func referenceFIR(dst, xs, coeffs []int64, shift uint, mult arith.Multiplier, adder arith.Adder) {
+	for n := range xs {
+		var acc int64
+		first := true
+		for lag, c := range coeffs {
+			if c == 0 {
+				continue
+			}
+			var x int64
+			if n >= lag {
+				x = xs[n-lag]
+			}
+			p := mult.MulSigned(x, max(c, -c))
+			switch {
+			case first && c < 0:
+				acc = adder.SubSigned(0, p)
+			case first:
+				acc = p
+			case c < 0:
+				acc = adder.SubSigned(acc, p)
+			default:
+				acc = adder.AddSigned(acc, p)
+			}
+			first = false
+		}
+		dst[n] = arith.ToSigned(uint64(acc)>>shift, dsp.SampleWidth)
 	}
 }

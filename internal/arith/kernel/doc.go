@@ -64,8 +64,7 @@
 // products of one (coefficient, multiplier-config) pair once and the
 // whole approximate multiply becomes one or two cache-resident loads.
 // The representation is tiered by what the compiled plan allows —
-// shared sub-product tables, then an int32 full table, then int64, with
-// the oracle fill behind them all:
+// shared sub-product tables, then an int32 full table, then int64:
 //
 //   - Exact plans carry no table at all: the product is a native multiply
 //     behind a branch-free sign-magnitude wrapper, and a fully exact FIR
@@ -88,12 +87,10 @@
 //     int32 entries whenever a bound proves every product fits (see
 //     "On-demand fills"), else
 //
-//   - int64 full tier, and
+//   - int64 full tier.
 //
-//   - the oracle: in XBIOSIP_NO_KERNELS mode plans have no decomposition,
-//     so tables fill bit-serially through the reference models (contents
-//     are mode-independent — that is the equivalence guarantee — only the
-//     fill path and resident tier differ).
+// A plan with a 2-bit leaf root (Width 2) has no decomposition, so its
+// full table fills through the plan walk.
 //
 // SquareTable squares depend on both halves of their single operand at
 // once, so the sub-product tier does not apply: exact specs are
@@ -243,10 +240,10 @@
 // W-1's carry bit, AMA4 adds slot 0's carries). A uint64 wrap of S does
 // no harm, because only the low w-k bits of the upper sum u survive
 // u<<k & mask(w). The adder picks its window strategy when it compiles:
-// the running sum for exact adders and, under the kernels, for AMA4/AMA5;
-// the per-sample re-fold through the signed closure for AMA1-AMA3 and in
-// oracle mode. Like a Chain, the strategy is immutable and holds no
-// stream state, so a stream keeps only its ring, cursor and running sum.
+// the running sum for exact adders and for AMA4/AMA5, the per-sample
+// re-fold through the signed closure for AMA1-AMA3. Like a Chain, the
+// strategy is immutable and holds no stream state, so a stream keeps only
+// its ring, cursor and running sum.
 //
 // # Continuation by start index
 //
@@ -272,15 +269,16 @@
 // Chain holds no signal state, one compiled chain serves every stream of
 // a design. TestChainContinuation pins that a run over [history | block]
 // from len(history) equals the tail of a whole-signal run, for every
-// strategy in both compilation modes, and FuzzChainRun checks fuzzed tap
-// shapes from fuzzed start indices against the scalar fold.
+// strategy, and FuzzChainRun checks fuzzed tap shapes from fuzzed start
+// indices against the scalar fold.
 //
-// # Fallback to the bit-serial oracle
+// # The bit-serial reference
 //
-// Setting the environment variable XBIOSIP_NO_KERNELS (to anything but
-// "0") or calling SetEnabled(false) makes subsequent compilations return
-// plans that delegate to the bit-serial reference implementations in
-// package arith. The CI gate runs the equivalence tests and a benchmark
-// smoke in both modes so the oracle path stays green; results are
-// bit-identical either way, only the evaluation speed differs.
+// The arith models are the reference the tests call: the kernel tests
+// compare every plan, table, chain and window strategy with them, the
+// dsp oracles fold FIR taps and integrator windows through
+// arith.Multiplier.MulSigned and arith.Adder.AddSigned/SubSigned, and
+// pantompkins' TestPipelineMatchesBitSerial folds every stage of whole
+// pipelines through them. Nothing switches production code onto them:
+// every compiled plan is a kernel plan.
 package kernel

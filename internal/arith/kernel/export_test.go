@@ -13,12 +13,6 @@ func ProjFits16(spec arith.Multiplier, w, k int, neg, round bool) bool {
 	return projFits16(spec, w, k, neg, round)
 }
 
-// KernelPlan compiles spec in kernel mode whatever the process's mode:
-// the enumerations must not run through the bit-serial oracle.
-func KernelPlan(spec arith.Multiplier) (*Multiplier, error) {
-	return compileMultiplierMode(spec, true)
-}
-
 // ProductFn returns the constant-product closure for c, MulSigned(x, c)
 // bit for bit: the function every table enumerates.
 func (m *Multiplier) ProductFn(c int64) func(int64) int64 { return m.productFn(c) }

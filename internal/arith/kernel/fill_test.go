@@ -80,11 +80,11 @@ func chainTiers(c *Chain) map[string]bool {
 	return got
 }
 
-// fillChainCases returns the chain shapes of one compilation mode. In
-// kernel mode the wiring chains read uint16 and uint32 projections (the
-// 14-tap AMA5 shape through the sliding window) and a chunk chain reads
-// int64 raw tables; in oracle mode every tap reads a raw table.
-func fillChainCases(kernels bool) []fillChainCase {
+// fillChainCases returns the chain shapes the fill tests run: wiring
+// chains that read uint16 and uint32 projections (the 14-tap AMA5 shape
+// through the sliding window) and a chunk chain that reads int64 raw
+// tables.
+func fillChainCases() []fillChainCase {
 	hpf := make([]ChainOp, 14)
 	for i := range hpf {
 		hpf[i] = ChainOp{Coeff: 1, Lag: i, Sub: true}
@@ -92,13 +92,6 @@ func fillChainCases(kernels bool) []fillChainCase {
 	hpf[6] = ChainOp{Coeff: 31, Lag: 6}
 	hpf[12] = ChainOp{Coeff: 2, Lag: 12}
 	mixed := []ChainOp{{Coeff: 3, Lag: 0}, {Coeff: 5, Lag: 1, Sub: true}, {Coeff: 2, Lag: 3}, {Coeff: 1, Lag: 4, Sub: true}}
-	if !kernels {
-		return []fillChainCase{
-			{"generic", arith.Adder{Width: 32, ApproxLSBs: 8, Kind: approx.ApproxAdd5},
-				arith.Multiplier{Width: 16, ApproxLSBs: 8, Mult: approx.AppMultV1, Add: approx.ApproxAdd4},
-				[]ChainOp{{Coeff: 3, Lag: 0}, {Coeff: 5, Lag: 1, Sub: true}, {Coeff: 1 << 15, Lag: 2}}, []string{"raw32", "raw64"}},
-		}
-	}
 	return []fillChainCase{
 		{"ama5-k16", arith.Adder{Width: 32, ApproxLSBs: 16, Kind: approx.ApproxAdd5},
 			arith.Multiplier{Width: 16, ApproxLSBs: 16, Mult: approx.AppMultV1, Add: approx.ApproxAdd5},
@@ -116,62 +109,55 @@ func fillChainCases(kernels bool) []fillChainCase {
 // through every reading entry point — Mul, Square, SquareSlice and
 // Chain.Run from 0, from a start index after a run that covered the
 // history, and at one position at a time — over operand sequences that
-// grow and shrink across fill steps, in both compilation modes. Every
-// output must equal the full enumeration: the reference MulSigned of the
-// wrapped operand, and for chains the scalar AddSigned fold of those
-// products, which is what every projection term sums to. Oracle-mode
-// fills run through the bit-serial model, so that mode reads the first
-// two sequences; under -short and in race builds kernel mode reads the
-// first three and oracle mode the first.
-func TestTablesFillOnDemand(t *testing.T) {
+// grow and shrink across fill steps. Every output must equal the full
+// enumeration: the reference MulSigned of the wrapped operand, and for
+// chains the bit-serial AddSigned fold of those products, which is what
+// every projection term sums to. The leaf-root case is a Width-2 plan,
+// whose table fills through the plan walk instead of a decomposition.
+// Under -short and in race builds the tests read the first three
+// sequences.
+// It runs as the subtest kernels=true, the name it kept from when a
+// bit-serial mode ran it a second time as kernels=false.
+func TestTablesFillOnDemand(t *testing.T) { t.Run("kernels=true", tablesFillOnDemand) }
+
+func tablesFillOnDemand(t *testing.T) {
 	tables := []fillTableCase{
 		{"int32", arith.Multiplier{Width: 16, ApproxLSBs: 8, Mult: approx.AppMultV1, Add: approx.ApproxAdd4}, -6, false},
 		{"int32-ama5", arith.Multiplier{Width: 16, ApproxLSBs: 12, Mult: approx.AppMultV2, Add: approx.ApproxAdd5}, 31, false},
 		{"int64-coeff", arith.Multiplier{Width: 16, ApproxLSBs: 8, Mult: approx.AppMultV1, Add: approx.ApproxAdd4}, -1 << 15, true},
 		{"int64-k", arith.Multiplier{Width: 16, ApproxLSBs: 20, Mult: approx.AppMultV2, Add: approx.ApproxAdd3}, 3, true},
+		{"leaf-root", arith.Multiplier{Width: 2, ApproxLSBs: 4, Mult: approx.AppMultV2, Add: approx.ApproxAdd5}, -3, false},
 	}
-	for _, mode := range []bool{true, false} {
-		t.Run(fmt.Sprintf("kernels=%v", mode), func(t *testing.T) {
-			prev := SetEnabled(mode)
-			defer SetEnabled(prev)
-			DropCaches()
-			defer DropCaches()
-			n := len(fillOperands)
-			switch sample := testing.Short() || raceBuild; {
-			case mode && sample:
-				n = 3
-			case !mode && sample:
-				n = 1
-			case !mode:
-				n = 2
+	DropCaches()
+	defer DropCaches()
+	seqs := fillOperands
+	if testing.Short() || raceBuild {
+		seqs = fillOperands[:3]
+	}
+	squared := map[arith.Multiplier]bool{}
+	for _, tc := range tables {
+		ref := refProducts(tc.spec, []int64{tc.coeff})[tc.coeff]
+		for si, seq := range seqs {
+			tab, err := NewConstMulTable(tc.spec, tc.coeff)
+			if err != nil {
+				t.Fatal(err)
 			}
-			seqs := fillOperands[:n]
-			squared := map[arith.Multiplier]bool{}
-			for _, tc := range tables {
-				ref := refProducts(tc.spec, []int64{tc.coeff})[tc.coeff]
-				for si, seq := range seqs {
-					tab, err := NewConstMulTable(tc.spec, tc.coeff)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if tab.cov == nil || (tab.tab64 != nil) != tc.tab64 {
-						t.Fatalf("%s: not a full table of the expected tier (int64 %v)", tc.name, tc.tab64)
-					}
-					for _, x := range seq {
-						if got, want := tab.Mul(x), ref(x); got != want {
-							t.Fatalf("%s seq %d: Mul(%d) = %d, enumeration %d", tc.name, si, x, got, want)
-						}
-					}
-				}
-				if !squared[tc.spec] {
-					squared[tc.spec] = true
-					checkSquareFills(t, tc.spec, seqs)
+			if tab.cov == nil || (tab.tab64 != nil) != tc.tab64 {
+				t.Fatalf("%s: not a full table of the expected tier (int64 %v)", tc.name, tc.tab64)
+			}
+			for _, x := range seq {
+				if got, want := tab.Mul(x), ref(x); got != want {
+					t.Fatalf("%s seq %d: Mul(%d) = %d, enumeration %d", tc.name, si, x, got, want)
 				}
 			}
-			for _, cc := range fillChainCases(mode) {
-				checkChainFills(t, cc, mode, seqs)
-			}
-		})
+		}
+		if !squared[tc.spec] {
+			squared[tc.spec] = true
+			checkSquareFills(t, tc.spec, seqs)
+		}
+	}
+	for _, cc := range fillChainCases() {
+		checkChainFills(t, cc, seqs)
 	}
 }
 
@@ -221,9 +207,9 @@ func checkSquareFills(t *testing.T, spec arith.Multiplier, seqs [][]int64) {
 // run from fresh tables, in the three ways a signal reaches a chain:
 // whole, continued from a start index after a run over the history, and
 // one position at a time.
-func checkChainFills(t *testing.T, cc fillChainCase, mode bool, seqs [][]int64) {
+func checkChainFills(t *testing.T, cc fillChainCase, seqs [][]int64) {
 	t.Helper()
-	ad, err := compileAdderMode(cc.adder, mode)
+	ad, err := CompileAdder(cc.adder)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,7 +241,7 @@ func checkChainFills(t *testing.T, cc fillChainCase, mode bool, seqs [][]int64) 
 	check := func(how string, si int, seq, dst []int64, from int) {
 		t.Helper()
 		for i := from; i < len(dst); i++ {
-			if want := scalarChain(ad, ref, cc.ops, seq, i, shift, outW); dst[i] != want {
+			if want := scalarChain(cc.adder, ref, cc.ops, seq, i, shift, outW); dst[i] != want {
 				t.Fatalf("%s %s seq %d: Run[%d] = %d, scalar fold of the enumeration %d", cc.name, how, si, i, dst[i], want)
 			}
 		}
@@ -293,8 +279,8 @@ func FuzzTableFill(f *testing.F) {
 	f.Add([]byte{1, 0, 0, 10, 0xff, 0xff, 0, 0x00, 0x80, 0})
 	f.Add([]byte{5, 0x10, 0x27, 4, 0xf0, 0xd8, 2, 0x01, 0x01, 9, 0xff, 0x00, 7})
 	spec := arith.Multiplier{Width: 16, ApproxLSBs: 16, Mult: approx.AppMultV1, Add: approx.ApproxAdd5}
-	cc := fillChainCases(true)[0]
-	ad, err := compileAdderMode(cc.adder, true)
+	cc := fillChainCases()[0]
+	ad, err := CompileAdder(cc.adder)
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -346,7 +332,7 @@ func FuzzTableFill(f *testing.F) {
 			chain.Run(dst[:hi], seq[:hi], lo, 3, 29)
 		}
 		for i := range seq {
-			if want := scalarChain(ad, ref, cc.ops, seq, i, 3, 29); dst[i] != want {
+			if want := scalarChain(cc.adder, ref, cc.ops, seq, i, 3, 29); dst[i] != want {
 				t.Fatalf("block %d: Run[%d] = %d, scalar fold of the enumeration %d", block, i, dst[i], want)
 			}
 		}

@@ -1,31 +1,5 @@
 package kernel
 
-import (
-	"os"
-	"sync/atomic"
-)
-
-// disabled flips the package into oracle mode: plans compiled while it is
-// set delegate to the bit-serial reference models in package arith.
-var disabled atomic.Bool
-
-func init() {
-	if v := os.Getenv("XBIOSIP_NO_KERNELS"); v != "" && v != "0" {
-		disabled.Store(true)
-	}
-}
-
-// Enabled reports whether newly compiled plans use the word-parallel fast
-// paths. It defaults to true and is false when the XBIOSIP_NO_KERNELS
-// environment variable is set (the CI oracle run).
-func Enabled() bool { return !disabled.Load() }
-
-// SetEnabled switches the compilation mode and returns the previous value.
-// It only affects plans compiled after the call (compiled plans keep the
-// strategy they were built with; the caches key on the mode), and exists so
-// tests and benchmarks can compare the kernel and oracle paths in-process.
-func SetEnabled(on bool) bool { return !disabled.Swap(!on) }
-
 // mask returns the w-bit word mask, matching package arith.
 func mask(w int) uint64 {
 	if w >= 64 {

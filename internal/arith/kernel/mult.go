@@ -17,8 +17,7 @@ type Multiplier struct {
 	opMask   uint64
 	prodMask uint64
 	exact    bool
-	fallback bool     // oracle mode: delegate to the reference model
-	root     *mulNode // nil when exact or fallback
+	root     *mulNode // nil when exact
 }
 
 // mulNode is one subtree of the plan: either a native multiply (the whole
@@ -37,15 +36,8 @@ type mulNode struct {
 	addMid, addLo  *Adder // hl+lh at width 2h+1; the two 2w-bit accumulations
 }
 
-// CompileMultiplier validates spec and builds its evaluation plan under
-// the current compilation mode.
+// CompileMultiplier validates spec and builds its evaluation plan.
 func CompileMultiplier(spec arith.Multiplier) (*Multiplier, error) {
-	return compileMultiplierMode(spec, Enabled())
-}
-
-// compileMultiplierMode builds the plan for an explicit mode, so callers
-// that key caches on the mode cannot race a concurrent SetEnabled flip.
-func compileMultiplierMode(spec arith.Multiplier, enabled bool) (*Multiplier, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
@@ -56,10 +48,6 @@ func compileMultiplierMode(spec arith.Multiplier, enabled bool) (*Multiplier, er
 	}
 	if spec.ApproxLSBs == 0 || (spec.Mult == approx.AccMult && spec.Add == approx.AccAdd) {
 		m.exact = true
-		return m, nil
-	}
-	if !enabled {
-		m.fallback = true
 		return m, nil
 	}
 	root, err := compileMulNode(spec, spec.Width, 0)
@@ -80,9 +68,6 @@ func (m *Multiplier) Mul(a, b uint64) uint64 {
 	b &= m.opMask
 	if m.exact {
 		return (a * b) & m.prodMask
-	}
-	if m.fallback {
-		return m.spec.Mul(a, b)
 	}
 	return m.root.eval(a, b) & m.prodMask
 }
@@ -158,9 +143,7 @@ func compileAccAdder(spec arith.Multiplier, w, off int) (*Adder, error) {
 	if ka > w {
 		ka = w
 	}
-	// Plan trees are only built in kernel mode; compile the node adders
-	// explicitly as such so a concurrent mode flip cannot mix strategies.
-	ad, err := compileAdderMode(arith.Adder{Width: w, ApproxLSBs: ka, Kind: spec.Add}, true)
+	ad, err := CompileAdder(arith.Adder{Width: w, ApproxLSBs: ka, Kind: spec.Add})
 	if err != nil {
 		return nil, fmt.Errorf("kernel: accumulation adder w=%d off=%d: %w", w, off, err)
 	}
@@ -194,8 +177,8 @@ func (m *Multiplier) subProductTables(cm uint64) (lo, hi []uint32) {
 }
 
 // composite reports whether the plan has a composite root whose top-level
-// decomposition the table builders can exploit (false for exact plans,
-// oracle-mode fallbacks and 2-bit leaf roots).
+// decomposition the table builders can exploit (false for exact plans and
+// 2-bit leaf roots).
 func (m *Multiplier) composite() bool {
 	return m.root != nil && !m.root.leaf && !m.root.exact
 }
@@ -282,11 +265,11 @@ func (m *Multiplier) constMulFunc(lo, hi []uint32, negC bool) func(int64) int64 
 // c without materializing any full table: exact plans multiply natively,
 // composite plans combine two small sub-product tables per call (with the
 // root's accumulation adders devirtualized, see combineFn), and
-// everything else walks the plan (or, in oracle mode, the bit-serial
-// reference). It reproduces MulSigned(x, c) bit for bit — in particular
-// it is odd, f(-x) == -f(x), the property the sign-halved enumerations
-// rely on — and is what the wiring-chain projection builder enumerates,
-// the reason a projected tap's 2^Width raw table never needs to exist.
+// everything else (a 2-bit leaf root) walks the plan. It reproduces
+// MulSigned(x, c) bit for bit — in particular it is odd, f(-x) == -f(x),
+// the property the sign-halved enumerations rely on — and is what the
+// wiring-chain projection builder enumerates, the reason a projected
+// tap's 2^Width raw table never needs to exist.
 func (m *Multiplier) productFn(c int64) func(int64) int64 {
 	negC := c < 0
 	cm := uint64(c)
@@ -358,7 +341,7 @@ func adderAddFn(ad *Adder) func(a, b uint64) uint64 {
 	if ad.exact {
 		return func(a, b uint64) uint64 { return (a + b) & mW }
 	}
-	if k := effectiveLSBs(ad.spec); ad.enabled && k >= 1 &&
+	if k := effectiveLSBs(ad.spec); k >= 1 &&
 		(ad.spec.Kind == approx.ApproxAdd4 || ad.spec.Kind == approx.ApproxAdd5) {
 		mk := mask(k)
 		ku := uint(k)

@@ -140,7 +140,8 @@ func TestMultiplierQuickEquivalence(t *testing.T) {
 // coefficient and squaring tables identical to the bit-serial model they
 // enumerate (arith.Multiplier.MulSigned), for the pipeline's coefficient
 // set, the edge coefficients 0, -1, -32 and 12345, and representative
-// configurations.
+// configurations, 2-bit leaf roots (tables filled through the plan walk)
+// among them.
 func TestTablesMatchReference(t *testing.T) {
 	configs := []arith.Multiplier{
 		{Width: 16, ApproxLSBs: 0, Mult: approx.AccMult, Add: approx.AccAdd},
@@ -150,6 +151,9 @@ func TestTablesMatchReference(t *testing.T) {
 		// Exactly-combined plans: the live decomposed (sub-product) tier.
 		{Width: 16, ApproxLSBs: 8, Mult: approx.AppMultV1, Add: approx.AccAdd},
 		{Width: 16, ApproxLSBs: 6, Mult: approx.AppMultV2, Add: approx.AccAdd},
+		// Leaf roots: no decomposition.
+		{Width: 2, ApproxLSBs: 2, Mult: approx.AppMultV1, Add: approx.AccAdd},
+		{Width: 2, ApproxLSBs: 4, Mult: approx.AppMultV2, Add: approx.ApproxAdd5},
 	}
 	coeffs := []int64{0, 1, -1, 2, 3, 4, 5, 6, 31, -32, 12345}
 	for _, m := range configs {
@@ -161,8 +165,8 @@ func TestTablesMatchReference(t *testing.T) {
 			if got.Coeff() != c {
 				t.Fatalf("cfg %+v: Coeff() = %d, want %d", m, got.Coeff(), c)
 			}
-			for i := 0; i < 1<<16; i++ {
-				x := arith.ToSigned(uint64(i), 16)
+			for i := 0; i < 1<<m.Width; i++ {
+				x := arith.ToSigned(uint64(i), m.Width)
 				if want := m.MulSigned(x, c); got.Mul(x) != want {
 					t.Fatalf("cfg %+v coeff %d: table mismatch at x=%d: kernel %d, reference %d",
 						m, c, x, got.Mul(x), want)
@@ -173,8 +177,8 @@ func TestTablesMatchReference(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i := 0; i < 1<<16; i++ {
-			x := arith.ToSigned(uint64(i), 16)
+		for i := 0; i < 1<<m.Width; i++ {
+			x := arith.ToSigned(uint64(i), m.Width)
 			if want := m.MulSigned(x, x); got.Square(x) != want {
 				t.Fatalf("cfg %+v: square table mismatch at x=%d: kernel %d, reference %d",
 					m, x, got.Square(x), want)

@@ -32,8 +32,8 @@ import (
 // keeps just its wiring chains' boundary-tap raw tables.
 //
 // Every chain and window strategy is bit-identical to folding the
-// corresponding scalar operations; slice_test.go checks all cell kinds in
-// both compilation modes.
+// corresponding scalar operations; slice_test.go checks all cell kinds
+// against the fold through the bit-serial arith models.
 
 // ChainOp describes one tap of an accumulation chain: the fixed signed
 // coefficient of the tap's product, the delay-line age of the sample it
@@ -232,7 +232,7 @@ func (ad *Adder) NewChain(spec arith.Multiplier, ops []ChainOp) (*Chain, error) 
 		return c, nil
 	}
 	invA := ad.spec.Kind == approx.ApproxAdd4
-	wiring := ad.enabled && !ad.exact && (invA || ad.spec.Kind == approx.ApproxAdd5)
+	wiring := !ad.exact && (invA || ad.spec.Kind == approx.ApproxAdd5)
 	k := effectiveLSBs(ad.spec)
 	last := len(c.ops) - 1
 	for o := range c.ops {
@@ -805,11 +805,8 @@ func finish(acc uint64, w int, outShift uint, outWidth int) int64 {
 }
 
 // compileChain picks the chain evaluation strategy for spec.
-func compileChain(spec arith.Adder, enabled bool) chainFunc {
+func compileChain(spec arith.Adder) chainFunc {
 	w := spec.Width
-	if !enabled {
-		return genericChain(w)
-	}
 	k := effectiveLSBs(spec)
 	switch {
 	case k == 0:
@@ -820,33 +817,6 @@ func compileChain(spec arith.Adder, enabled bool) chainFunc {
 		return ama2Chain(w, k)
 	default:
 		return chunkChain(w, k, spec.Kind)
-	}
-}
-
-// genericChain folds the compiled signed closures per tap — the scalar
-// path restated; oracle mode takes this route so the bit-serial reference
-// models stay on the evaluation path.
-func genericChain(w int) chainFunc {
-	mW := mask(w)
-	return func(c *Chain, dst, xs []int64, from int, outShift uint, outWidth int) {
-		ops := c.ops
-		ad := c.ad
-		for i := from; i < len(dst); i++ {
-			acc := ops[0].product(xs, i)
-			if ops[0].neg != 0 {
-				acc = ad.subS(0, acc)
-			}
-			for o := 1; o < len(ops); o++ {
-				op := &ops[o]
-				p := op.product(xs, i)
-				if op.neg != 0 {
-					acc = ad.subS(acc, p)
-				} else {
-					acc = ad.addS(acc, p)
-				}
-			}
-			dst[i] = finish(uint64(acc)&mW, w, outShift, outWidth)
-		}
 	}
 }
 

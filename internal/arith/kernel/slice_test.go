@@ -36,26 +36,11 @@ var chainTestSpec = arith.Multiplier{Width: 16, ApproxLSBs: 4, Mult: approx.AppM
 // distinct magnitudes of both signs.
 var chainTestCoeffs = []int64{1, 3, -2, 31}
 
-// refMul returns reference product closures (via eagerly built tables,
-// which are themselves equivalence-tested against the bit-serial model)
-// for the scalar chain reference.
-func refMul(t *testing.T, spec arith.Multiplier, coeffs []int64) map[int64]func(int64) int64 {
-	t.Helper()
-	ref := make(map[int64]func(int64) int64, len(coeffs))
-	for _, c := range coeffs {
-		tab, err := NewConstMulTable(spec, c)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ref[c] = tab.Mul
-	}
-	return ref
-}
-
-// scalarChain folds one sample through the reference per-tap operations:
+// scalarChain folds one sample through the bit-serial reference: the
+// products of ref (see refProducts), then the adder model's operations —
 // product copy or zero-subtract for the first tap, AddSigned/SubSigned
-// for the rest, then the output bus slicing.
-func scalarChain(ad *Adder, ref map[int64]func(int64) int64, ops []ChainOp, xs []int64, i int, shift uint, outW int) int64 {
+// for the rest — then the output bus slicing.
+func scalarChain(ad arith.Adder, ref map[int64]func(int64) int64, ops []ChainOp, xs []int64, i int, shift uint, outW int) int64 {
 	var acc int64
 	for o, op := range ops {
 		var x int64
@@ -78,94 +63,93 @@ func scalarChain(ad *Adder, ref map[int64]func(int64) int64, ops []ChainOp, xs [
 }
 
 // TestChainMatchesScalar runs compiled chains over random signals and
-// compares every output against the scalar per-sample accumulation, for
-// every cell kind in both compilation modes and for leading add and
-// leading subtract taps. It checks the adder's window strategy the same
-// way: Slide over ragged blocks against the scalar chain of the ring's
-// slots.
-func TestChainMatchesScalar(t *testing.T) {
-	for _, mode := range []bool{true, false} {
-		mode := mode
-		t.Run(fmt.Sprintf("kernels=%v", mode), func(t *testing.T) {
-			rng := rand.New(rand.NewSource(7))
-			ref := refMul(t, chainTestSpec, chainTestCoeffs)
-			const n = 64
-			xs := make([]int64, n)
-			for i := range xs {
-				xs[i] = int64(int16(rng.Uint64()))
+// compares every output against the scalar per-sample accumulation
+// through the bit-serial models, for every cell kind and for leading add
+// and leading subtract taps. It checks the adder's window strategy the
+// same way: Slide over ragged blocks against the bit-serial chain of the
+// ring's slots.
+// It runs as the subtest kernels=true, the name it kept from when a
+// bit-serial mode ran it a second time as kernels=false.
+func TestChainMatchesScalar(t *testing.T) { t.Run("kernels=true", chainMatchesScalar) }
+
+func chainMatchesScalar(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	ref := refProducts(chainTestSpec, chainTestCoeffs)
+	const n = 64
+	xs := make([]int64, n)
+	for i := range xs {
+		xs[i] = int64(int16(rng.Uint64()))
+	}
+	// hpfLike triggers the sliding-window wiring evaluation: a long
+	// run of one subtracted coefficient with a differing tap in the
+	// middle (the high-pass shape); hpfHole breaks lag contiguity
+	// so the plain projected loop stays covered at length.
+	hpfLike := make([]ChainOp, 12)
+	hpfHole := make([]ChainOp, 0, 11)
+	for i := range hpfLike {
+		hpfLike[i] = ChainOp{Coeff: 1, Lag: i, Sub: true}
+		if i != 4 {
+			hpfHole = append(hpfHole, ChainOp{Coeff: 1, Lag: i, Sub: i%2 == 0})
+		}
+	}
+	hpfLike[6] = ChainOp{Coeff: 31, Lag: 6, Sub: false}
+	chains := [][]ChainOp{
+		{{Coeff: 1, Lag: 0}, {Coeff: 3, Lag: 1, Sub: true}, {Coeff: -2, Lag: 5}, {Coeff: 31, Lag: 31, Sub: true}},
+		{{Coeff: 31, Lag: 2, Sub: true}, {Coeff: 1, Lag: 0}, {Coeff: 3, Lag: n + 3, Sub: true}},
+		{{Coeff: -2, Lag: 4}},
+		{{Coeff: 1, Lag: 0}, {Coeff: 31, Lag: 6, Sub: true}},
+		{{Coeff: 3, Lag: 1, Sub: true}, {Coeff: -2, Lag: 0, Sub: true}},
+		hpfLike,
+		hpfHole,
+		{},
+	}
+	for _, spec := range sliceSpecs() {
+		ad, err := CompileAdder(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		shift := uint(3)
+		outW := spec.Width - 3
+		for ci, ops := range chains {
+			chain, err := ad.NewChain(chainTestSpec, ops)
+			if err != nil {
+				t.Fatal(err)
 			}
-			// hpfLike triggers the sliding-window wiring evaluation: a long
-			// run of one subtracted coefficient with a differing tap in the
-			// middle (the high-pass shape); hpfHole breaks lag contiguity
-			// so the plain projected loop stays covered at length.
-			hpfLike := make([]ChainOp, 12)
-			hpfHole := make([]ChainOp, 0, 11)
-			for i := range hpfLike {
-				hpfLike[i] = ChainOp{Coeff: 1, Lag: i, Sub: true}
-				if i != 4 {
-					hpfHole = append(hpfHole, ChainOp{Coeff: 1, Lag: i, Sub: i%2 == 0})
+			dst := make([]int64, n)
+			chain.Run(dst, xs, 0, shift, outW)
+			for i := 0; i < n; i++ {
+				want := scalarChain(spec, ref, ops, xs, i, shift, outW)
+				if dst[i] != want {
+					t.Fatalf("%+v chain %d: Run[%d] = %d, scalar chain %d", spec, ci, i, dst[i], want)
 				}
 			}
-			hpfLike[6] = ChainOp{Coeff: 31, Lag: 6, Sub: false}
-			chains := [][]ChainOp{
-				{{Coeff: 1, Lag: 0}, {Coeff: 3, Lag: 1, Sub: true}, {Coeff: -2, Lag: 5}, {Coeff: 31, Lag: 31, Sub: true}},
-				{{Coeff: 31, Lag: 2, Sub: true}, {Coeff: 1, Lag: 0}, {Coeff: 3, Lag: n + 3, Sub: true}},
-				{{Coeff: -2, Lag: 4}},
-				{{Coeff: 1, Lag: 0}, {Coeff: 31, Lag: 6, Sub: true}},
-				{{Coeff: 3, Lag: 1, Sub: true}, {Coeff: -2, Lag: 0, Sub: true}},
-				hpfLike,
-				hpfHole,
-				{},
-			}
-			for _, spec := range sliceSpecs() {
-				ad, err := compileAdderMode(spec, mode)
-				if err != nil {
-					t.Fatal(err)
+		}
+		// Slide vs the scalar chain over the ring in slot order,
+		// continued over ragged blocks from a zeroed ring.
+		for _, wlen := range []int{1, 2, 5, 32} {
+			ring := make([]int64, wlen)
+			model := make([]int64, wlen)
+			pos, sum, mpos := 0, uint64(0), 0
+			for b := 0; b < 8; b++ {
+				xs := make([]int64, rng.Intn(2*wlen))
+				for i := range xs {
+					xs[i] = int64(int32(rng.Uint64()))
 				}
-				shift := uint(3)
-				outW := spec.Width - 3
-				for ci, ops := range chains {
-					chain, err := ad.NewChain(chainTestSpec, ops)
-					if err != nil {
-						t.Fatal(err)
+				dst := make([]int64, len(xs))
+				pos, sum = ad.Slide(dst, xs, ring, pos, sum, shift, outW)
+				for i, x := range xs {
+					model[mpos] = x
+					mpos = (mpos + 1) % wlen
+					acc := model[0]
+					for _, v := range model[1:] {
+						acc = spec.AddSigned(acc, v)
 					}
-					dst := make([]int64, n)
-					chain.Run(dst, xs, 0, shift, outW)
-					for i := 0; i < n; i++ {
-						want := scalarChain(ad, ref, ops, xs, i, shift, outW)
-						if dst[i] != want {
-							t.Fatalf("%+v chain %d: Run[%d] = %d, scalar chain %d", spec, ci, i, dst[i], want)
-						}
-					}
-				}
-				// Slide vs the scalar chain over the ring in slot order,
-				// continued over ragged blocks from a zeroed ring.
-				for _, wlen := range []int{1, 2, 5, 32} {
-					ring := make([]int64, wlen)
-					model := make([]int64, wlen)
-					pos, sum, mpos := 0, uint64(0), 0
-					for b := 0; b < 8; b++ {
-						xs := make([]int64, rng.Intn(2*wlen))
-						for i := range xs {
-							xs[i] = int64(int32(rng.Uint64()))
-						}
-						dst := make([]int64, len(xs))
-						pos, sum = ad.Slide(dst, xs, ring, pos, sum, shift, outW)
-						for i, x := range xs {
-							model[mpos] = x
-							mpos = (mpos + 1) % wlen
-							acc := model[0]
-							for _, v := range model[1:] {
-								acc = ad.AddSigned(acc, v)
-							}
-							if want := arith.ToSigned(uint64(acc)>>shift, outW); dst[i] != want {
-								t.Fatalf("%+v: Slide(window %d)[%d] = %d, scalar chain %d", spec, wlen, i, dst[i], want)
-							}
-						}
+					if want := arith.ToSigned(uint64(acc)>>shift, outW); dst[i] != want {
+						t.Fatalf("%+v: Slide(window %d)[%d] = %d, scalar chain %d", spec, wlen, i, dst[i], want)
 					}
 				}
 			}
-		})
+		}
 	}
 }
 
@@ -231,15 +215,19 @@ func maxChainLag(ops []ChainOp) int {
 // exactly the tail of Run over the whole signal at the block's positions
 // and leaves dst[:from] untouched, for every chain strategy — native,
 // fused MAC and its difference recurrences, AMA2, chunk LUT, plain and
-// sliding wiring, single tap, empty — in both compilation modes, with a
-// 32-bit and (exact) a 16-bit accumulator, whose sums wrap. Histories run
+// sliding wiring, single tap, empty — with a 32-bit and (exact) a 16-bit
+// accumulator, whose sums wrap. Histories run
 // from the deepest tap lag (the least that is exact) up to the whole
 // signal prefix. The whole run itself must equal the scalar fold, a run
 // over the whole signal from the positions around the deepest lag (where
 // the checked head hands over to the check-free loop, and past it where
 // a recurrence starts) its tail, and a run over a signal shorter than
 // the deepest lag its prefix.
-func TestChainContinuation(t *testing.T) {
+// It runs as the subtest kernels=true, the name it kept from when a
+// bit-serial mode ran it a second time as kernels=false.
+func TestChainContinuation(t *testing.T) { t.Run("kernels=true", chainContinuation) }
+
+func chainContinuation(t *testing.T) {
 	shapes := [][]ChainOp{
 		{{Coeff: 1, Lag: 0}, {Coeff: 3, Lag: 1, Sub: true}, {Coeff: 2, Lag: 5}, {Coeff: 31, Lag: 12, Sub: true}},
 		{{Coeff: 2, Lag: 4, Sub: true}},
@@ -251,102 +239,97 @@ func TestChainContinuation(t *testing.T) {
 	coeffs := []int64{1, 2, 3, 4, 5, 6, 7, 8, 9, 31}
 	exactMul := arith.Multiplier{Width: 16, ApproxLSBs: 0, Mult: approx.AccMult, Add: approx.AccAdd}
 	const sentinel = int64(-1) << 40
-	for _, mode := range []bool{true, false} {
-		mode := mode
-		t.Run(fmt.Sprintf("kernels=%v", mode), func(t *testing.T) {
-			rng := rand.New(rand.NewSource(19))
-			xs := make([]int64, 160)
-			for i := range xs {
-				xs[i] = int64(int16(rng.Uint64()))
-			}
-			refs := map[arith.Multiplier]map[int64]func(int64) int64{
-				chainTestSpec: refMul(t, chainTestSpec, coeffs),
-				exactMul:      refMul(t, exactMul, coeffs),
-			}
-			adders := []arith.Adder{{Width: 16, ApproxLSBs: 0, Kind: approx.AccAdd}}
-			for _, kind := range approx.AdderKinds {
-				for _, k := range []int{0, 4, 9, 16} {
-					adders = append(adders, arith.Adder{Width: 32, ApproxLSBs: k, Kind: kind})
-				}
-			}
-			whole := make([]int64, len(xs))
-			dst := make([]int64, len(xs))
-			for _, spec := range adders {
-				ad, err := compileAdderMode(spec, mode)
+	rng := rand.New(rand.NewSource(19))
+	xs := make([]int64, 160)
+	for i := range xs {
+		xs[i] = int64(int16(rng.Uint64()))
+	}
+	refs := map[arith.Multiplier]map[int64]func(int64) int64{
+		chainTestSpec: refProducts(chainTestSpec, coeffs),
+		exactMul:      refProducts(exactMul, coeffs),
+	}
+	adders := []arith.Adder{{Width: 16, ApproxLSBs: 0, Kind: approx.AccAdd}}
+	for _, kind := range approx.AdderKinds {
+		for _, k := range []int{0, 4, 9, 16} {
+			adders = append(adders, arith.Adder{Width: 32, ApproxLSBs: k, Kind: kind})
+		}
+	}
+	whole := make([]int64, len(xs))
+	dst := make([]int64, len(xs))
+	for _, spec := range adders {
+		ad, err := CompileAdder(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, mul := range []arith.Multiplier{chainTestSpec, exactMul} {
+			for ci, ops := range shapes {
+				chain, err := ad.NewChain(mul, ops)
 				if err != nil {
 					t.Fatal(err)
 				}
-				for _, mul := range []arith.Multiplier{chainTestSpec, exactMul} {
-					for ci, ops := range shapes {
-						chain, err := ad.NewChain(mul, ops)
-						if err != nil {
-							t.Fatal(err)
+				at := fmt.Sprintf("%+v mul %v chain %d", spec, mul, ci)
+				chain.Run(whole, xs, 0, 3, 29)
+				for i := range whole {
+					if want := scalarChain(spec, refs[mul], ops, xs, i, 3, 29); whole[i] != want {
+						t.Fatalf("%s: Run[%d] = %d, scalar chain %d", at, i, whole[i], want)
+					}
+				}
+				maxLag := maxChainLag(ops)
+				// Whole-signal runs from around the deepest lag and
+				// runs over signals shorter than it.
+				for _, from := range []int{maxLag - 1, maxLag, maxLag + 1, maxLag + 2} {
+					from = max(from, 0)
+					for i := range dst {
+						dst[i] = sentinel
+					}
+					chain.Run(dst, xs, from, 3, 29)
+					for i := range dst {
+						want := sentinel
+						if i >= from {
+							want = whole[i]
 						}
-						at := fmt.Sprintf("%+v mul %v chain %d", spec, mul, ci)
-						chain.Run(whole, xs, 0, 3, 29)
-						for i := range whole {
-							if want := scalarChain(ad, refs[mul], ops, xs, i, 3, 29); whole[i] != want {
-								t.Fatalf("%s: Run[%d] = %d, scalar chain %d", at, i, whole[i], want)
-							}
+						if dst[i] != want {
+							t.Fatalf("%s: run from %d: dst[%d] = %d, want %d", at, from, i, dst[i], want)
 						}
-						maxLag := maxChainLag(ops)
-						// Whole-signal runs from around the deepest lag and
-						// runs over signals shorter than it.
-						for _, from := range []int{maxLag - 1, maxLag, maxLag + 1, maxLag + 2} {
-							from = max(from, 0)
-							for i := range dst {
-								dst[i] = sentinel
-							}
-							chain.Run(dst, xs, from, 3, 29)
-							for i := range dst {
-								want := sentinel
-								if i >= from {
-									want = whole[i]
-								}
-								if dst[i] != want {
-									t.Fatalf("%s: run from %d: dst[%d] = %d, want %d", at, from, i, dst[i], want)
-								}
-							}
+					}
+				}
+				for _, n := range []int{1, maxLag / 2, maxLag - 1, maxLag} {
+					if n < 1 {
+						continue
+					}
+					chain.Run(dst[:n], xs[:n], 0, 3, 29)
+					for i := 0; i < n; i++ {
+						if dst[i] != whole[i] {
+							t.Fatalf("%s: %d-sample signal: dst[%d] = %d, want %d", at, n, i, dst[i], whole[i])
 						}
-						for _, n := range []int{1, maxLag / 2, maxLag - 1, maxLag} {
-							if n < 1 {
-								continue
-							}
-							chain.Run(dst[:n], xs[:n], 0, 3, 29)
-							for i := 0; i < n; i++ {
-								if dst[i] != whole[i] {
-									t.Fatalf("%s: %d-sample signal: dst[%d] = %d, want %d", at, n, i, dst[i], whole[i])
-								}
-							}
+					}
+				}
+				for s := 0; s < len(xs); s += 1 + rng.Intn(40) {
+					e := s + rng.Intn(len(xs)-s+1)
+					for _, h := range []int{maxLag, maxLag + 1, s} {
+						if h > s {
+							h = s
 						}
-						for s := 0; s < len(xs); s += 1 + rng.Intn(40) {
-							e := s + rng.Intn(len(xs)-s+1)
-							for _, h := range []int{maxLag, maxLag + 1, s} {
-								if h > s {
-									h = s
-								}
-								in := xs[s-h : e]
-								out := dst[:len(in)]
-								for i := range out {
-									out[i] = sentinel
-								}
-								chain.Run(out, in, h, 3, 29)
-								for i := range out {
-									want := sentinel
-									if i >= h {
-										want = whole[s-h+i]
-									}
-									if out[i] != want {
-										t.Fatalf("%s: block [%d,%d) history %d: dst[%d] = %d, want %d",
-											at, s, e, h, i, out[i], want)
-									}
-								}
+						in := xs[s-h : e]
+						out := dst[:len(in)]
+						for i := range out {
+							out[i] = sentinel
+						}
+						chain.Run(out, in, h, 3, 29)
+						for i := range out {
+							want := sentinel
+							if i >= h {
+								want = whole[s-h+i]
+							}
+							if out[i] != want {
+								t.Fatalf("%s: block [%d,%d) history %d: dst[%d] = %d, want %d",
+									at, s, e, h, i, out[i], want)
 							}
 						}
 					}
 				}
 			}
-		})
+		}
 	}
 }
 
@@ -360,7 +343,7 @@ func TestChainContinuation(t *testing.T) {
 func TestExactChainFusion(t *testing.T) {
 	spec := arith.Multiplier{Width: 16, ApproxLSBs: 0, Mult: approx.AccMult, Add: approx.AccAdd}
 	coeffs := []int64{1, 2, 3, 4, 5, 6, 7, 8, 9, -3, 31, 1 << 15}
-	ref := refMul(t, spec, coeffs)
+	ref := refProducts(spec, coeffs)
 	ad, err := CompileAdder(arith.Adder{Width: 32, ApproxLSBs: 0, Kind: approx.AccAdd})
 	if err != nil {
 		t.Fatal(err)
@@ -376,7 +359,7 @@ func TestExactChainFusion(t *testing.T) {
 		{{Coeff: 1 << 15, Lag: 0}, {Coeff: 1, Lag: 2, Sub: true}}, // 2^15 coefficient: no fusion
 		{{Coeff: -3, Lag: 1, Sub: true}},
 	}
-	// A negative or out-of-range coefficient blocks fusion in every mode.
+	// A negative or out-of-range coefficient blocks fusion.
 	wantFused := []bool{false, false, false}
 	fusible := [][]ChainOp{
 		{{Coeff: 1, Lag: 0}, {Coeff: 7, Lag: 1, Sub: true}, {Coeff: 31, Lag: 7, Sub: true}},
@@ -399,10 +382,8 @@ func TestExactChainFusion(t *testing.T) {
 			t.Fatalf("%s: %d taps of difference order %d, want %d of order %d", s.name, len(form), order, s.taps, s.order)
 		}
 	}
-	// Fusion itself requires a kernel-mode exact adder (oracle mode keeps
-	// the bit-serial models on the path), so pin the mode here.
 	for _, w := range []int{32, 16} {
-		adK, err := compileAdderMode(arith.Adder{Width: w, ApproxLSBs: 0, Kind: approx.AccAdd}, true)
+		adK, err := CompileAdder(arith.Adder{Width: w, ApproxLSBs: 0, Kind: approx.AccAdd})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -420,7 +401,7 @@ func TestExactChainFusion(t *testing.T) {
 			dst := make([]int64, n)
 			chain.Run(dst, xs, 0, 5, 16)
 			for i := 0; i < n; i++ {
-				if want := scalarChain(adK, ref, ops, xs, i, 5, 16); dst[i] != want {
+				if want := scalarChain(adK.Spec(), ref, ops, xs, i, 5, 16); dst[i] != want {
 					t.Fatalf("%d-bit fused chain %d: Run[%d] = %d, scalar %d", w, ci, i, dst[i], want)
 				}
 			}
@@ -437,7 +418,7 @@ func TestExactChainFusion(t *testing.T) {
 		dst := make([]int64, n)
 		chain.Run(dst, xs, 0, 5, 16)
 		for i := 0; i < n; i++ {
-			if want := scalarChain(ad, ref, ops, xs, i, 5, 16); dst[i] != want {
+			if want := scalarChain(ad.Spec(), ref, ops, xs, i, 5, 16); dst[i] != want {
 				t.Fatalf("chain %d: Run[%d] = %d, scalar %d", ci, i, dst[i], want)
 			}
 		}
@@ -452,9 +433,7 @@ func TestChainLazyRawTables(t *testing.T) {
 	DropCaches()
 	defer DropCaches()
 	spec := arith.Multiplier{Width: 16, ApproxLSBs: 10, Mult: approx.AppMultV1, Add: approx.ApproxAdd5}
-	// The wiring-projection strategy only compiles in kernel mode; pin it
-	// so the laziness contract holds under the oracle CI run too.
-	ad, err := compileAdderMode(arith.Adder{Width: 32, ApproxLSBs: 10, Kind: approx.ApproxAdd5}, true)
+	ad, err := CompileAdder(arith.Adder{Width: 32, ApproxLSBs: 10, Kind: approx.ApproxAdd5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -482,19 +461,6 @@ func TestChainLazyRawTables(t *testing.T) {
 	}
 	if st.ChainProjs != 2 {
 		t.Fatalf("global cache has %d projections, want 2", st.ChainProjs)
-	}
-
-	// An oracle-mode adder chain reads every tap's product: all tables.
-	adO, err := compileAdderMode(arith.Adder{Width: 32, ApproxLSBs: 10, Kind: approx.ApproxAdd5}, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	chainO, err := adO.NewChain(spec, ops)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := len(chainO.RawTables()); got != 2 {
-		t.Fatalf("oracle chain materialized %d raw tables, want 2 (both magnitudes)", got)
 	}
 }
 
@@ -566,27 +532,32 @@ func TestChainProjTiers(t *testing.T) {
 
 // TestProductFnMatchesReference checks the table-free product closure —
 // what projections are built from — against the bit-serial reference for
-// every representation tier.
+// every representation tier and for 2-bit leaf roots, whose closure walks
+// the plan (16-bit operands are sampled, 2-bit ones enumerated).
 func TestProductFnMatchesReference(t *testing.T) {
 	specs := []arith.Multiplier{
 		{Width: 16, ApproxLSBs: 0, Mult: approx.AccMult, Add: approx.AccAdd},       // exact
 		{Width: 16, ApproxLSBs: 8, Mult: approx.AppMultV1, Add: approx.AccAdd},     // decomposed-exact
 		{Width: 16, ApproxLSBs: 8, Mult: approx.AppMultV1, Add: approx.ApproxAdd5}, // composite approx
 		{Width: 16, ApproxLSBs: 12, Mult: approx.AppMultV2, Add: approx.ApproxAdd3},
+		{Width: 2, ApproxLSBs: 2, Mult: approx.AppMultV1, Add: approx.AccAdd},     // leaf root
+		{Width: 2, ApproxLSBs: 4, Mult: approx.AppMultV2, Add: approx.ApproxAdd5}, // leaf root
 	}
-	for _, mode := range []bool{true, false} {
-		for _, spec := range specs {
-			m, err := compileMultiplierMode(spec, mode)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, c := range []int64{0, 1, -2, 31, -31, 255} {
-				f := m.productFn(c)
-				for i := 0; i < 1<<16; i += 7 {
-					x := arith.ToSigned(uint64(i), 16)
-					if got, want := f(x), spec.MulSigned(x, c); got != want {
-						t.Fatalf("mode=%v %+v c=%d: productFn(%d) = %d, reference %d", mode, spec, c, x, got, want)
-					}
+	for _, spec := range specs {
+		m, err := CompileMultiplier(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		step := 1
+		if spec.Width == 16 {
+			step = 7
+		}
+		for _, c := range []int64{0, 1, -2, 31, -31, 255} {
+			f := m.productFn(c)
+			for i := 0; i < 1<<spec.Width; i += step {
+				x := arith.ToSigned(uint64(i), spec.Width)
+				if got, want := f(x), spec.MulSigned(x, c); got != want {
+					t.Fatalf("%+v c=%d: productFn(%d) = %d, reference %d", spec, c, x, got, want)
 				}
 			}
 		}
@@ -643,7 +614,7 @@ func FuzzChainRun(f *testing.F) {
 			return
 		}
 		cfg := configs[int(data[0])%len(configs)]
-		ad, err := compileAdderMode(cfg.adder, true)
+		ad, err := CompileAdder(cfg.adder)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -685,7 +656,7 @@ func FuzzChainRun(f *testing.F) {
 		chain.Run(dst, xs, from, shift, outW)
 		ref := refProducts(cfg.mul, mags)
 		for i := range dst {
-			want := scalarChain(ad, ref, ops, xs, i, shift, outW)
+			want := scalarChain(cfg.adder, ref, ops, xs, i, shift, outW)
 			switch {
 			case i < from && (hist[i] != want || dst[i] != sentinel):
 				t.Fatalf("%+v taps %v from %d: history run [%d] = %d, want %d; dst[%d] = %d, want it untouched",

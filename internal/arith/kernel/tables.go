@@ -24,8 +24,7 @@ import (
 //     the load it replaces on ALU-bound hosts), filled through the
 //     decomposition: two 256-entry sub-product tables plus two compiled
 //     accumulations per entry instead of a plan-tree walk per entry;
-//   - everything else (oracle-mode plans, 2-bit leaf roots) keeps the full
-//     table filled through the bit-serial model.
+//   - 2-bit leaf roots keep the full table filled through the plan walk.
 //
 // A full table is int32 when a bound proves every product fits (see
 // constFits32), int64 otherwise, and is filled on demand: Mul, and the
@@ -214,12 +213,11 @@ func filledBytes(cov *coverage, bytes int64) int64 {
 
 // SquareTable evaluates x*x through a compiled multiplier plan; it
 // implements the squarer stage. Exact plans are table-free (one native
-// multiply); approximate and oracle-mode plans keep the full 2^Width
-// int32 table, filled on demand like a ConstMulTable's. Every square
-// fits: it is the 2*Width <= 32-bit core sign-extended, and an even
-// function is never negated. Squaring depends on both halves of its
-// single operand at once, so the byte-decomposed tier of ConstMulTable
-// does not apply.
+// multiply); approximate plans keep the full 2^Width int32 table, filled
+// on demand like a ConstMulTable's. Every square fits: it is the
+// 2*Width <= 32-bit core sign-extended, and an even function is never
+// negated. Squaring depends on both halves of its single operand at
+// once, so the byte-decomposed tier of ConstMulTable does not apply.
 type SquareTable struct {
 	fn    func(int64) int64
 	slice func(dst, xs []int64, shift uint)
@@ -291,27 +289,13 @@ func (t *SquareTable) Bytes() int64 { return int64(len(t.tab)) * 4 }
 // planCache memoizes compiled plans and tables globally: design-space
 // exploration rebuilds pipelines for many configurations that share stage
 // settings, so each distinct plan/table is paid for once per process.
-// Compiled plans are keyed by (spec, mode) because a plan freezes the
-// kernel/oracle mode it was compiled under; table contents are mode-
-// independent (that is the equivalence guarantee), so tables key on the
-// spec alone — only the representation tier differs between modes.
 var planCache struct {
 	sync.Mutex
-	adders map[adderPlanKey]*Adder
-	mults  map[multPlanKey]*Multiplier
+	adders map[arith.Adder]*Adder
+	mults  map[arith.Multiplier]*Multiplier
 	cmul   map[constMulKey]*ConstMulTable
 	sqr    map[arith.Multiplier]*SquareTable
 	proj   map[projKey]ProjTable
-}
-
-type adderPlanKey struct {
-	spec    arith.Adder
-	enabled bool
-}
-
-type multPlanKey struct {
-	spec    arith.Multiplier
-	enabled bool
 }
 
 type constMulKey struct {
@@ -344,8 +328,8 @@ type Stats struct {
 	ChainProjs   int
 	// SubProductBytes is the storage of the decomposed (two 256-entry
 	// sub-product tables) tier; FullTableBytes covers the int32/int64 full
-	// product and square tables (oracle mode and approximately-combined
-	// plans); ChainProjBytes the wiring-chain projection tables (uint16
+	// product and square tables (approximately-combined plans and 2-bit
+	// leaf roots); ChainProjBytes the wiring-chain projection tables (uint16
 	// entries where a bound proves every term fits, uint32 otherwise).
 	SubProductBytes int64
 	FullTableBytes  int64
@@ -398,8 +382,8 @@ func CacheStats() Stats {
 func DropCaches() {
 	planCache.Lock()
 	defer planCache.Unlock()
-	planCache.adders = make(map[adderPlanKey]*Adder)
-	planCache.mults = make(map[multPlanKey]*Multiplier)
+	planCache.adders = make(map[arith.Adder]*Adder)
+	planCache.mults = make(map[arith.Multiplier]*Multiplier)
 	planCache.cmul = make(map[constMulKey]*ConstMulTable)
 	planCache.sqr = make(map[arith.Multiplier]*SquareTable)
 	planCache.proj = make(map[projKey]ProjTable)
@@ -408,39 +392,37 @@ func DropCaches() {
 // CachedAdder returns a shared compiled plan for spec. Plans are immutable
 // after compilation, so sharing is safe.
 func CachedAdder(spec arith.Adder) (*Adder, error) {
-	key := adderPlanKey{spec, Enabled()}
 	planCache.Lock()
 	defer planCache.Unlock()
 	if planCache.adders == nil {
-		planCache.adders = make(map[adderPlanKey]*Adder)
+		planCache.adders = make(map[arith.Adder]*Adder)
 	}
-	if ad, ok := planCache.adders[key]; ok {
+	if ad, ok := planCache.adders[spec]; ok {
 		return ad, nil
 	}
-	ad, err := compileAdderMode(spec, key.enabled)
+	ad, err := CompileAdder(spec)
 	if err != nil {
 		return nil, err
 	}
-	planCache.adders[key] = ad
+	planCache.adders[spec] = ad
 	return ad, nil
 }
 
 // CachedMultiplier returns a shared compiled plan for spec.
 func CachedMultiplier(spec arith.Multiplier) (*Multiplier, error) {
-	key := multPlanKey{spec, Enabled()}
 	planCache.Lock()
 	defer planCache.Unlock()
 	if planCache.mults == nil {
-		planCache.mults = make(map[multPlanKey]*Multiplier)
+		planCache.mults = make(map[arith.Multiplier]*Multiplier)
 	}
-	if m, ok := planCache.mults[key]; ok {
+	if m, ok := planCache.mults[spec]; ok {
 		return m, nil
 	}
-	m, err := compileMultiplierMode(spec, key.enabled)
+	m, err := CompileMultiplier(spec)
 	if err != nil {
 		return nil, err
 	}
-	planCache.mults[key] = m
+	planCache.mults[spec] = m
 	return m, nil
 }
 

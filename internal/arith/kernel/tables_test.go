@@ -12,28 +12,22 @@ import (
 
 // TestTableTierSelection pins the representation tier each plan class
 // gets: exact plans are table-free, exactly-decomposable plans keep the
-// 2x256-entry sub-product tables, approximately-combined plans a full
-// int32 table, and oracle-mode fallbacks a full table built through the
-// bit-serial model — with Mul bit-identical to the reference in every
-// tier.
+// 2x256-entry sub-product tables and approximately-combined plans a full
+// int32 table — with Mul bit-identical to the reference in every tier.
 func TestTableTierSelection(t *testing.T) {
 	cases := []struct {
 		name string
 		spec arith.Multiplier
-		mode bool // compilation mode while building
 		sub  bool // expect the decomposed sub-product tier
 		full bool // expect a full table
 	}{
-		{"exact", arith.Multiplier{Width: 16, ApproxLSBs: 0, Mult: approx.AccMult, Add: approx.AccAdd}, true, false, false},
-		{"exact-kinds", arith.Multiplier{Width: 16, ApproxLSBs: 8, Mult: approx.AccMult, Add: approx.AccAdd}, true, false, false},
-		{"decomposed", arith.Multiplier{Width: 16, ApproxLSBs: 8, Mult: approx.AppMultV1, Add: approx.AccAdd}, true, true, false},
-		{"full-int32", arith.Multiplier{Width: 16, ApproxLSBs: 8, Mult: approx.AppMultV1, Add: approx.ApproxAdd5}, true, false, true},
-		{"oracle", arith.Multiplier{Width: 16, ApproxLSBs: 8, Mult: approx.AppMultV1, Add: approx.ApproxAdd5}, false, false, true},
+		{"exact", arith.Multiplier{Width: 16, ApproxLSBs: 0, Mult: approx.AccMult, Add: approx.AccAdd}, false, false},
+		{"exact-kinds", arith.Multiplier{Width: 16, ApproxLSBs: 8, Mult: approx.AccMult, Add: approx.AccAdd}, false, false},
+		{"decomposed", arith.Multiplier{Width: 16, ApproxLSBs: 8, Mult: approx.AppMultV1, Add: approx.AccAdd}, true, false},
+		{"full-int32", arith.Multiplier{Width: 16, ApproxLSBs: 8, Mult: approx.AppMultV1, Add: approx.ApproxAdd5}, false, true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			prev := SetEnabled(tc.mode)
-			defer SetEnabled(prev)
 			for _, c := range []int64{1, 31, -6} {
 				tab, err := NewConstMulTable(tc.spec, c)
 				if err != nil {
@@ -140,12 +134,8 @@ func TestFullProductTableOverflowFallback(t *testing.T) {
 // sequence of builds and reads from an empty cache, and that DropCaches
 // empties it: allocated bytes per tier, and filled bytes that start at
 // the sub-product tier (filled when built) and grow with the magnitudes
-// reads reach. Tier selection depends on the compilation mode
-// (oracle-mode plans have no decomposition), so the test pins kernel
-// mode.
+// reads reach.
 func TestCacheStatsAccounting(t *testing.T) {
-	prev := SetEnabled(true)
-	defer SetEnabled(prev)
 	DropCaches()
 	defer DropCaches() // leave a clean slate for other tests
 	spec := arith.Multiplier{Width: 16, ApproxLSBs: 8, Mult: approx.AppMultV1, Add: approx.ApproxAdd5}
@@ -330,7 +320,7 @@ func runSharedTables(t *testing.T, g int, spec arith.Multiplier, adderSpec arith
 	sqs := make([]int64, len(xs))
 	sq.SquareSlice(sqs, xs, 1)
 	for i, x := range xs {
-		if want := scalarChain(ad, ref, ops, xs, i, 3, 29); dst[i] != want {
+		if want := scalarChain(adderSpec, ref, ops, xs, i, 3, 29); dst[i] != want {
 			t.Errorf("goroutine %d: Run[%d] = %d, enumeration %d", g, i, dst[i], want)
 			return
 		}

@@ -30,7 +30,7 @@ type productRange struct {
 
 func enumerateProducts(t *testing.T, spec arith.Multiplier, c int64) productRange {
 	t.Helper()
-	m, err := kernel.KernelPlan(spec)
+	m, err := kernel.CompileMultiplier(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +74,7 @@ func (r productRange) projFits16(i, k int, neg, round bool) bool {
 // are even, so the magnitudes 0..2^(Width-1) cover every entry.
 func squaresFit32(t *testing.T, spec arith.Multiplier) bool {
 	t.Helper()
-	m, err := kernel.KernelPlan(spec)
+	m, err := kernel.CompileMultiplier(spec)
 	if err != nil {
 		t.Fatal(err)
 	}

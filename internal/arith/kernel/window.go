@@ -21,12 +21,9 @@ const (
 )
 
 // compileWindow picks the moving-window strategy for spec: a running sum
-// for the exact and wiring adders under the kernels, the per-sample
-// re-fold through the signed closure otherwise (AMA1-AMA3, oracle mode).
-func compileWindow(spec arith.Adder, enabled bool) windowKind {
-	if !enabled {
-		return windowFold
-	}
+// for the exact and wiring adders, the per-sample re-fold through the
+// signed closure otherwise (AMA1-AMA3).
+func compileWindow(spec arith.Adder) windowKind {
 	switch k := effectiveLSBs(spec); {
 	case k == 0:
 		return windowNative

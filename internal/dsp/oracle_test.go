@@ -8,17 +8,18 @@ import (
 
 	"github.com/xbiosip/xbiosip/internal/approx"
 	"github.com/xbiosip/xbiosip/internal/arith"
-	"github.com/xbiosip/xbiosip/internal/arith/kernel"
 )
 
-// oracleFIR is the per-tap accumulation loop FIR.Process ran before every
-// FIR entry point evaluated through the compiled chain: one product table
-// per non-zero tap and the adder's signed operations folded tap by tap
-// over a doubled delay line. It is frozen here as the reference the
-// chain-based paths are compared against; do not optimize it.
+// oracleFIR is the per-tap accumulation loop of the FIR datapath over
+// the bit-serial models: each non-zero tap's product through
+// arith.Multiplier.MulSigned and the products folded tap by tap through
+// arith.Adder.AddSigned/SubSigned over a doubled delay line. It is
+// frozen here as the reference the chain-based paths are compared
+// against; do not optimize it.
 type oracleFIR struct {
 	ops      []oracleOp
-	adder    *kernel.Adder
+	mult     arith.Multiplier
+	adder    arith.Adder
 	outShift int
 	hist     []int64
 	n        int
@@ -26,34 +27,32 @@ type oracleFIR struct {
 }
 
 type oracleOp struct {
-	tab *kernel.ConstMulTable
-	lag int  // delay-line age of the tap's sample
-	sub bool // negative coefficient: subtract the product magnitude
+	mag int64 // coefficient magnitude
+	lag int   // delay-line age of the tap's sample
+	sub bool  // negative coefficient: subtract the product magnitude
 }
 
-func newOracleFIR(t *testing.T, coeffs []int64, outShift int, cfg ArithConfig) *oracleFIR {
-	t.Helper()
-	mult := arith.Multiplier{Width: SampleWidth, ApproxLSBs: cfg.LSBs, Mult: cfg.Mul, Add: cfg.Add}
-	adder, err := kernel.CachedAdder(arith.Adder{Width: AccWidth, ApproxLSBs: cfg.LSBs, Kind: cfg.Add})
-	if err != nil {
-		t.Fatal(err)
+func newOracleFIR(coeffs []int64, outShift int, cfg ArithConfig) *oracleFIR {
+	f := &oracleFIR{
+		mult:     arith.Multiplier{Width: SampleWidth, ApproxLSBs: cfg.LSBs, Mult: cfg.Mul, Add: cfg.Add},
+		adder:    arith.Adder{Width: AccWidth, ApproxLSBs: cfg.LSBs, Kind: cfg.Add},
+		outShift: outShift,
+		hist:     make([]int64, 2*len(coeffs)),
+		n:        len(coeffs),
 	}
-	f := &oracleFIR{adder: adder, outShift: outShift, hist: make([]int64, 2*len(coeffs)), n: len(coeffs)}
 	for i, c := range coeffs {
-		if c == 0 {
-			continue
+		if c != 0 {
+			f.ops = append(f.ops, oracleOp{mag: max(c, -c), lag: i, sub: c < 0})
 		}
-		mag := c
-		if mag < 0 {
-			mag = -mag
-		}
-		tab, err := kernel.CachedConstMulTable(mult, mag)
-		if err != nil {
-			t.Fatal(err)
-		}
-		f.ops = append(f.ops, oracleOp{tab: tab, lag: i, sub: c < 0})
 	}
 	return f
+}
+
+// product is one tap's product: the delayed sample enters the multiplier
+// as a SampleWidth-bit word.
+func (f *oracleFIR) product(op *oracleOp, base int) int64 {
+	x := arith.ToSigned(uint64(f.hist[base-op.lag]), SampleWidth)
+	return f.mult.MulSigned(x, op.mag)
 }
 
 func (f *oracleFIR) Reset() {
@@ -75,8 +74,7 @@ func (f *oracleFIR) Process(x int64) int64 {
 	var acc int64
 	if ops := f.ops; len(ops) > 0 {
 		adder := f.adder
-		hist := f.hist
-		p := ops[0].tab.Mul(hist[base-ops[0].lag])
+		p := f.product(&ops[0], base)
 		if ops[0].sub {
 			acc = adder.SubSigned(0, p)
 		} else {
@@ -84,7 +82,7 @@ func (f *oracleFIR) Process(x int64) int64 {
 		}
 		for i := 1; i < len(ops); i++ {
 			op := &ops[i]
-			p := op.tab.Mul(hist[base-op.lag])
+			p := f.product(op, base)
 			if op.sub {
 				acc = adder.SubSigned(acc, p)
 			} else {
@@ -120,38 +118,35 @@ func oracleShapes() map[string][]int64 {
 // scratch buffer across filters) and FilterInto restarts drive one
 // filter, while the oracle is fed the same samples one at a time
 // (reset at every restart). It crosses adder kinds {exact, AMA1-AMA5},
-// approximated LSBs {0, 2, 8, 12, 16}, the tap shapes above and both
-// kernel modes; the exact kind multiplies exactly, so its chains fuse to
-// the MAC strategy, and HPF-shaped wiring chains take the sliding one.
-func TestFIRMatchesOracle(t *testing.T) {
+// approximated LSBs {0, 2, 8, 12, 16} and the tap shapes above; the
+// exact kind multiplies exactly, so its chains fuse to the MAC strategy,
+// and HPF-shaped wiring chains take the sliding one.
+// It runs as the subtest kernels=true, the name it kept from when a
+// bit-serial mode ran it a second time as kernels=false.
+func TestFIRMatchesOracle(t *testing.T) { t.Run("kernels=true", firMatchesOracle) }
+
+func firMatchesOracle(t *testing.T) {
 	kinds := append([]approx.AdderKind{approx.AccAdd}, approx.ApproxAdd1, approx.ApproxAdd2,
 		approx.ApproxAdd3, approx.ApproxAdd4, approx.ApproxAdd5)
-	for _, mode := range []bool{true, false} {
-		mode := mode
-		t.Run(fmt.Sprintf("kernels=%v", mode), func(t *testing.T) {
-			prev := kernel.SetEnabled(mode)
-			defer kernel.SetEnabled(prev)
-			rng := rand.New(rand.NewSource(61))
-			var buf []int64
-			for _, kind := range kinds {
-				mul := approx.AppMultV1
-				if kind == approx.AccAdd {
-					mul = approx.AccMult
+	rng := rand.New(rand.NewSource(61))
+	var buf []int64
+	for _, kind := range kinds {
+		mul := approx.AppMultV1
+		if kind == approx.AccAdd {
+			mul = approx.AccMult
+		}
+		for _, k := range []int{0, 2, 8, 12, 16} {
+			cfg := ArithConfig{LSBs: k, Add: kind, Mul: mul}
+			for name, coeffs := range oracleShapes() {
+				f, err := NewFIR(coeffs, 3, cfg)
+				if err != nil {
+					t.Fatal(err)
 				}
-				for _, k := range []int{0, 2, 8, 12, 16} {
-					cfg := ArithConfig{LSBs: k, Add: kind, Mul: mul}
-					for name, coeffs := range oracleShapes() {
-						f, err := NewFIR(coeffs, 3, cfg)
-						if err != nil {
-							t.Fatal(err)
-						}
-						o := newOracleFIR(t, coeffs, 3, cfg)
-						label := fmt.Sprintf("%v %s", cfg, name)
-						buf = driveFIR(t, label, rng, f, o, buf)
-					}
-				}
+				o := newOracleFIR(coeffs, 3, cfg)
+				label := fmt.Sprintf("%v %s", cfg, name)
+				buf = driveFIR(t, label, rng, f, o, buf)
 			}
-		})
+		}
 	}
 }
 
@@ -198,24 +193,20 @@ func driveFIR(t *testing.T, label string, rng *rand.Rand, f *FIR, o *oracleFIR, 
 	return buf
 }
 
-// oracleMovingSum is the per-sample window fold MovingSum ran before its
-// window slid: each sample overwrites the ring's next slot, and the
-// ring's slots chain through the adder's AddSigned in slot order, slot 0
-// opening the chain. It is frozen here as the reference the window
-// strategies are compared against; do not optimize it.
+// oracleMovingSum is the per-sample window fold of the integrator over
+// the bit-serial adder model: each sample overwrites the ring's next
+// slot, and the ring's slots chain through arith.Adder.AddSigned in slot
+// order, slot 0 opening the chain. It is frozen here as the reference
+// the window strategies are compared against; do not optimize it.
 type oracleMovingSum struct {
-	adder    *kernel.Adder
+	adder    arith.Adder
 	outShift int
 	hist     []int64
 	pos      int
 }
 
-func newOracleMovingSum(t *testing.T, window, outShift int, cfg ArithConfig) *oracleMovingSum {
-	t.Helper()
-	adder, err := kernel.CachedAdder(arith.Adder{Width: AccWidth, ApproxLSBs: cfg.LSBs, Kind: cfg.Add})
-	if err != nil {
-		t.Fatal(err)
-	}
+func newOracleMovingSum(window, outShift int, cfg ArithConfig) *oracleMovingSum {
+	adder := arith.Adder{Width: AccWidth, ApproxLSBs: cfg.LSBs, Kind: cfg.Add}
 	return &oracleMovingSum{adder: adder, outShift: outShift, hist: make([]int64, window)}
 }
 
@@ -249,34 +240,30 @@ var movingSumKinds = []approx.AdderKind{approx.AccAdd, approx.ApproxAdd1, approx
 // integrator entry point against the frozen per-sample fold: random
 // interleavings of Process, ProcessBlock, FilterInto restarts, Reset and
 // Clone (see driveMovingSum), crossing adder kinds {exact, AMA1-AMA5} x
-// approximated LSBs {0, 1, 2, 8, 12, 16, 31, 32} x windows {2, 3, 32} x
-// both kernel modes.
-func TestMovingSumMatchesOracle(t *testing.T) {
-	for _, mode := range []bool{true, false} {
-		mode := mode
-		t.Run(fmt.Sprintf("kernels=%v", mode), func(t *testing.T) {
-			prev := kernel.SetEnabled(mode)
-			defer kernel.SetEnabled(prev)
-			rng := rand.New(rand.NewSource(67))
-			for _, kind := range movingSumKinds {
-				for _, k := range []int{0, 1, 2, 8, 12, 16, 31, 32} {
-					for _, window := range []int{2, 3, 32} {
-						cfg := ArithConfig{LSBs: k, Add: kind}
-						outShift := rng.Intn(8)
-						label := fmt.Sprintf("%v window %d shift %d", cfg, window, outShift)
-						driveMovingSum(t, label, rng.Uint64, 32, cfg, window, outShift)
-					}
-				}
+// approximated LSBs {0, 1, 2, 8, 12, 16, 31, 32} x windows {2, 3, 32}.
+// It runs as the subtest kernels=true, the name it kept from when a
+// bit-serial mode ran it a second time as kernels=false.
+func TestMovingSumMatchesOracle(t *testing.T) { t.Run("kernels=true", movingSumMatchesOracle) }
+
+func movingSumMatchesOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(67))
+	for _, kind := range movingSumKinds {
+		for _, k := range []int{0, 1, 2, 8, 12, 16, 31, 32} {
+			for _, window := range []int{2, 3, 32} {
+				cfg := ArithConfig{LSBs: k, Add: kind}
+				outShift := rng.Intn(8)
+				label := fmt.Sprintf("%v window %d shift %d", cfg, window, outShift)
+				driveMovingSum(t, label, rng.Uint64, 32, cfg, window, outShift)
 			}
-		})
+		}
 	}
 }
 
 // FuzzMovingSum runs the integrator differential on fuzzer-chosen
 // configurations and call sequences: the first four bytes pick the adder
-// kind, the approximated LSBs, the window, and the kernel mode (bit 0)
-// with the output shift (bits 1-3); the rest feed driveMovingSum's
-// choices 8 bytes at a time (zero past the end).
+// kind, the approximated LSBs, the window and the output shift (byte 3
+// modulo 8); the rest feed driveMovingSum's choices 8 bytes at a time
+// (zero past the end).
 func FuzzMovingSum(f *testing.F) {
 	rng := rand.New(rand.NewSource(1))
 	for i, seed := range [][3]byte{{0, 0, 30}, {5, 16, 30}, {4, 16, 30}, {1, 8, 1}, {5, 32, 0}, {4, 31, 1}} {
@@ -292,8 +279,6 @@ func FuzzMovingSum(f *testing.F) {
 		}
 		cfg := ArithConfig{LSBs: int(data[1]) % (AccWidth + 1), Add: movingSumKinds[int(data[0])%len(movingSumKinds)]}
 		window := 2 + int(data[2])%40
-		prev := kernel.SetEnabled(data[3]&1 == 0)
-		defer kernel.SetEnabled(prev)
 		words := data[4:]
 		next := func() uint64 {
 			var b [8]byte
@@ -301,7 +286,7 @@ func FuzzMovingSum(f *testing.F) {
 			return binary.LittleEndian.Uint64(b[:])
 		}
 		steps := min(1+len(words)/16, 48)
-		driveMovingSum(t, fmt.Sprintf("%v window %d", cfg, window), next, steps, cfg, window, int(data[3]>>1)%8)
+		driveMovingSum(t, fmt.Sprintf("%v window %d", cfg, window), next, steps, cfg, window, int(data[3])%8)
 	})
 }
 
@@ -317,7 +302,7 @@ func driveMovingSum(t *testing.T, label string, next func() uint64, steps int, c
 	if err != nil {
 		t.Fatal(err)
 	}
-	o := newOracleMovingSum(t, window, outShift, cfg)
+	o := newOracleMovingSum(window, outShift, cfg)
 	intn := func(n int) int { return int(next() % uint64(n)) }
 	sample := func() int64 {
 		v := next()

@@ -290,39 +290,101 @@ func TestStimulusFingerprintCollisionDoesNotAlias(t *testing.T) {
 }
 
 // TestStageEnergyLaneVsScalarOracle characterizes every stage at several
-// approximation depths with the lane-packed activity engine and the scalar
-// oracle and requires bit-identical per-cell activity and energy — the
-// acceptance bar for the word-parallel rewrite, over the real bundled
+// approximation depths with the lane-packed activity engine and requires
+// per-cell activity and energy bit-identical to scalarActivity's fold
+// over the same optimised stage netlist and stimulus (m.stageStreams) —
+// the acceptance bar for the word-parallel engine, over the real bundled
 // stage netlists and real pipeline stimulus.
 func TestStageEnergyLaneVsScalarOracle(t *testing.T) {
 	m := freshModel(t)
 	for _, s := range pantompkins.Stages {
 		for _, k := range []int{0, 2, 8, pantompkins.MaxLSBs[s]} {
 			cfg := ama5(k)
-			prev := netlist.SetLanePacking(true)
-			nLane, actLane, laneErr := m.StageActivity(s, cfg)
-			eLane, laneErr2 := m.StageEnergy(s, cfg)
-			DropCaches() // force a scalar re-characterization
-			netlist.SetLanePacking(false)
-			nScalar, actScalar, scalarErr := m.StageActivity(s, cfg)
-			eScalar, scalarErr2 := m.StageEnergy(s, cfg)
-			netlist.SetLanePacking(prev)
-			DropCaches()
-			if laneErr != nil || scalarErr != nil || laneErr2 != nil || scalarErr2 != nil {
-				t.Fatalf("stage %v k=%d: errs %v %v %v %v", s, k, laneErr, scalarErr, laneErr2, scalarErr2)
+			n, act, err := m.StageActivity(s, cfg)
+			if err != nil {
+				t.Fatalf("stage %v k=%d: %v", s, k, err)
 			}
-			if len(nLane.Cells) != len(nScalar.Cells) || len(actLane.PerCell) != len(actScalar.PerCell) {
-				t.Fatalf("stage %v k=%d: netlist shape differs between paths", s, k)
+			e, err := m.StageEnergy(s, cfg)
+			if err != nil {
+				t.Fatalf("stage %v k=%d: %v", s, k, err)
 			}
-			for i := range actLane.PerCell {
-				if actLane.PerCell[i] != actScalar.PerCell[i] {
+			ports, err := m.stageStreams(s, n)
+			if err != nil {
+				t.Fatalf("stage %v k=%d: %v", s, k, err)
+			}
+			scalar := scalarActivity(t, n, ports)
+			if act.Vectors != scalar.Vectors || len(act.PerCell) != len(scalar.PerCell) {
+				t.Fatalf("stage %v k=%d: activity shape differs from the scalar fold", s, k)
+			}
+			for i := range act.PerCell {
+				if act.PerCell[i] != scalar.PerCell[i] {
 					t.Fatalf("stage %v k=%d cell %d: lane activity %v != scalar %v",
-						s, k, i, actLane.PerCell[i], actScalar.PerCell[i])
+						s, k, i, act.PerCell[i], scalar.PerCell[i])
 				}
 			}
-			if eLane != eScalar {
-				t.Fatalf("stage %v k=%d: lane energy %v != scalar %v", s, k, eLane, eScalar)
+			if want := synth.ActivityWeight(synth.Analyze(n), n, scalar).Energy; e != want {
+				t.Fatalf("stage %v k=%d: lane energy %v != scalar %v", s, k, e, want)
 			}
 		}
 	}
+}
+
+// scalarActivity is the activity oracle: the combinational netlist
+// simulated one stimulus vector at a time, one uint8 per net, each cell
+// evaluated through its elementary truth table and adding n/len(Out) per
+// consecutive vector pair whose n output pins differ.
+func scalarActivity(t *testing.T, n *netlist.Netlist, ports []netlist.PortStimulus) netlist.Activity {
+	t.Helper()
+	streams := make([][]uint64, len(n.Inputs))
+	for _, ps := range ports {
+		for pi, p := range n.Inputs {
+			if p.Name == ps.Name {
+				streams[pi] = ps.Values
+			}
+		}
+	}
+	vectors := len(ports[0].Values)
+	vals := make([]uint8, n.NumNets)
+	toggles := make([]float64, len(n.Cells))
+	prev := make([][4]uint8, len(n.Cells))
+	for v := 0; v < vectors; v++ {
+		clear(vals)
+		vals[netlist.Const1] = 1
+		for pi, p := range n.Inputs {
+			for i, b := range p.Bits {
+				vals[b] = uint8(streams[pi][v]>>i) & 1
+			}
+		}
+		for ci := range n.Cells {
+			c := &n.Cells[ci]
+			in := func(j int) uint8 { return vals[c.In[j]] }
+			var out [4]uint8
+			switch c.Kind {
+			case netlist.CellFA:
+				out[0], out[1] = c.Add.Eval(in(0), in(1), in(2))
+			case netlist.CellMult2:
+				p := c.Mul.Eval(in(0)|in(1)<<1, in(2)|in(3)<<1)
+				out = [4]uint8{p & 1, p >> 1 & 1, p >> 2 & 1, p >> 3 & 1}
+			case netlist.CellInv:
+				out[0] = 1 - in(0)
+			default:
+				t.Fatalf("%s cell %d: %v in a combinational netlist", n.Name, ci, c.Kind)
+			}
+			toggled := 0
+			for j, net := range c.Out {
+				vals[net] = out[j]
+				if out[j] != prev[ci][j] {
+					toggled++
+				}
+			}
+			if v > 0 {
+				toggles[ci] += float64(toggled) / float64(len(c.Out))
+			}
+			prev[ci] = out
+		}
+	}
+	for i := range toggles {
+		toggles[i] /= float64(vectors - 1)
+	}
+	return netlist.Activity{PerCell: toggles, Vectors: vectors}
 }

@@ -3,31 +3,7 @@ package netlist
 import (
 	"fmt"
 	"math/bits"
-	"os"
-	"sync/atomic"
 )
-
-// lanesDisabled flips activity analysis onto the scalar oracle path: one
-// vector at a time, one uint8 per net, exactly the pre-lane-packing
-// simulator. It honours the same XBIOSIP_NO_KERNELS environment variable
-// as the arithmetic kernels, so the CI oracle run exercises the scalar
-// reference end to end.
-var lanesDisabled atomic.Bool
-
-func init() {
-	if v := os.Getenv("XBIOSIP_NO_KERNELS"); v != "" && v != "0" {
-		lanesDisabled.Store(true)
-	}
-}
-
-// LanePackingEnabled reports whether activity analysis uses the 64-lane
-// word-parallel evaluation (the default) or the scalar oracle.
-func LanePackingEnabled() bool { return !lanesDisabled.Load() }
-
-// SetLanePacking switches the activity evaluation path and returns the
-// previous setting. It exists so equivalence tests and benchmarks can
-// compare the lane-packed and scalar paths in-process.
-func SetLanePacking(on bool) bool { return !lanesDisabled.Swap(!on) }
 
 // Activity holds per-cell switching activity measured by simulating a
 // netlist over a stimulus vector sequence — the netlist-level equivalent
@@ -55,12 +31,12 @@ type PortStimulus struct {
 // with one value per vector, and at least two vectors are required
 // (activity is defined over consecutive pairs).
 //
-// Under lane packing (the default) 64 consecutive vectors evaluate at once:
-// every net holds a uint64 whose bit l is the net's value under vector
-// base+l, each cell's logic function is applied bitwise across all lanes,
-// and a toggle count is the popcount of the XOR between an output word and
-// its one-lane shift. Toggle counts stay integer either way, so PerCell is
-// bit-identical to the scalar oracle path (XBIOSIP_NO_KERNELS=1).
+// 64 consecutive vectors evaluate at once: every net holds a uint64 whose
+// bit l is the net's value under vector base+l, each cell's logic function
+// is applied bitwise across all lanes, and a toggle count is the popcount
+// of the XOR between an output word and its one-lane shift. Toggle counts
+// stay integer, so PerCell is bit-identical to simulating one vector at a
+// time (the activity oracle of the package tests).
 func (s *Simulator) RunActivityStreams(ports []PortStimulus) (Activity, error) {
 	vectors, err := s.bindStreams(ports)
 	if err != nil {
@@ -69,10 +45,7 @@ func (s *Simulator) RunActivityStreams(ports []PortStimulus) (Activity, error) {
 	if vectors < 2 {
 		return Activity{}, fmt.Errorf("netlist %s: activity needs >= 2 vectors, got %d", s.n.Name, vectors)
 	}
-	if LanePackingEnabled() {
-		return s.runActivityLanes(vectors)
-	}
-	return s.runActivityScalar(vectors)
+	return s.runActivityLanes(vectors)
 }
 
 // bindStreams validates the stimulus streams against the netlist's input
@@ -117,64 +90,17 @@ func (s *Simulator) bindStreams(ports []PortStimulus) (int, error) {
 	return vectors, nil
 }
 
-// runActivityScalar is the oracle path: the pre-lane-packing simulator
-// restated over stimulus streams, one vector at a time and one uint8 per
-// net, kept as the equivalence-tested reference for the lane engine.
-func (s *Simulator) runActivityScalar(vectors int) (Activity, error) {
-	toggles := make([]float64, len(s.n.Cells))
-	prev := make([][4]uint8, len(s.n.Cells))
-
-	vals := s.vals
-	var in [4]uint8
-	for vi := 0; vi < vectors; vi++ {
-		for i := range vals {
-			vals[i] = 0
-		}
-		vals[Const1] = 1
-		for pi, p := range s.n.Inputs {
-			v := s.streams[pi][vi]
-			for i, b := range p.Bits {
-				vals[b] = uint8(v>>i) & 1
-			}
-		}
-		for ci := range s.n.Cells {
-			c := &s.n.Cells[ci]
-			for j, net := range c.In {
-				in[j] = vals[net]
-			}
-			out := evalCell(c, in[:len(c.In)])
-			for j, net := range c.Out {
-				vals[net] = out[j]
-			}
-			if vi > 0 {
-				n := 0
-				for j := range c.Out {
-					if out[j] != prev[ci][j] {
-						n++
-					}
-				}
-				toggles[ci] += float64(n) / float64(len(c.Out))
-			}
-			prev[ci] = out
-		}
-	}
-	act := Activity{PerCell: toggles, Vectors: vectors}
-	for i := range act.PerCell {
-		act.PerCell[i] /= float64(vectors - 1)
-	}
-	return act, nil
-}
-
-// runActivityLanes is the word-parallel path: vectors are processed in
-// blocks of 64, every net carrying one uint64 of lane values. Per block a
-// cell costs a handful of word operations instead of 64 truth-table
-// walks; toggles accumulate as integers via popcount, with the last lane
-// of each block carried into the next so block boundaries count too.
+// runActivityLanes evaluates bound streams in blocks of 64 vectors, every
+// net carrying one uint64 of lane values. Per block a cell costs a
+// handful of word operations instead of 64 truth-table walks; toggles
+// accumulate as integers via popcount, with the last lane of each block
+// carried into the next so block boundaries count too.
 //
-// PerCell is bit-identical to the scalar path: a cell has 1, 2 or 4
-// output pins, so every scalar partial sum n/len(Out) is an exact dyadic
-// rational and the scalar accumulation is exact — both paths compute the
-// same real number and round it identically in the final division.
+// PerCell is bit-identical to a one-vector-at-a-time fold that adds
+// n/len(Out) per cell and vector pair: a cell has 1, 2 or 4 output pins,
+// so every such partial sum is an exact dyadic rational and the fold is
+// exact — both compute the same real number and round it identically in
+// the final division.
 func (s *Simulator) runActivityLanes(vectors int) (Activity, error) {
 	cells := s.n.Cells
 	toggles := make([]int64, len(cells))

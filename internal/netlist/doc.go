@@ -21,9 +21,8 @@
 //     evaluate at once, every net carrying a uint64 of lane values and
 //     every cell applying its logic function bitwise across all lanes
 //     (classic multi-pattern gate-level simulation). Toggle counts stay
-//     integer, so the result is bit-identical to the scalar one-vector-
-//     at-a-time oracle, which XBIOSIP_NO_KERNELS=1 (or SetLanePacking)
-//     keeps on the evaluation path for the CI reference run;
+//     integer, so the result is bit-identical to simulating one vector at
+//     a time, the fold the package tests compare it with;
 //   - synthesis-style optimisation passes: constant propagation by partial
 //     evaluation of cell truth tables (this is how multiplications by fixed
 //     FIR coefficients collapse, exactly as a logic synthesiser would fold

@@ -133,10 +133,59 @@ func activityNetlists(t *testing.T) []*Netlist {
 	return nets
 }
 
+// activityOracle is the activity engine's reference: the simulator as it
+// was before lane packing, restated over stimulus streams — one vector at
+// a time, one uint8 per net, and per cell n/len(Out) added for each
+// consecutive vector pair whose n output pins differ.
+func activityOracle(s *Simulator, ports []PortStimulus) (Activity, error) {
+	vectors, err := s.bindStreams(ports)
+	if err != nil {
+		return Activity{}, err
+	}
+	toggles := make([]float64, len(s.n.Cells))
+	prev := make([][4]uint8, len(s.n.Cells))
+	vals := s.vals
+	var in [4]uint8
+	for vi := 0; vi < vectors; vi++ {
+		clear(vals)
+		vals[Const1] = 1
+		for pi, p := range s.n.Inputs {
+			v := s.streams[pi][vi]
+			for i, b := range p.Bits {
+				vals[b] = uint8(v>>i) & 1
+			}
+		}
+		for ci := range s.n.Cells {
+			c := &s.n.Cells[ci]
+			for j, net := range c.In {
+				in[j] = vals[net]
+			}
+			out := evalCell(c, in[:len(c.In)])
+			for j, net := range c.Out {
+				vals[net] = out[j]
+			}
+			if vi > 0 {
+				n := 0
+				for j := range c.Out {
+					if out[j] != prev[ci][j] {
+						n++
+					}
+				}
+				toggles[ci] += float64(n) / float64(len(c.Out))
+			}
+			prev[ci] = out
+		}
+	}
+	for i := range toggles {
+		toggles[i] /= float64(vectors - 1)
+	}
+	return Activity{PerCell: toggles, Vectors: vectors}, nil
+}
+
 // TestActivityLaneVsScalarOracle drives every generated stage netlist with
 // randomized stimulus streams at vector counts straddling the 64-lane
 // block boundaries and requires PerCell to be bit-identical between the
-// lane-packed engine and the scalar oracle.
+// lane-packed engine and the one-vector-at-a-time activityOracle.
 func TestActivityLaneVsScalarOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for _, n := range activityNetlists(t) {
@@ -150,11 +199,8 @@ func TestActivityLaneVsScalarOracle(t *testing.T) {
 				ports[pi] = PortStimulus{Name: p.Name, Values: vals}
 			}
 			sim := mustSim(t, n)
-			prev := SetLanePacking(true)
 			lane, laneErr := sim.RunActivityStreams(ports)
-			SetLanePacking(false)
-			scalar, scalarErr := sim.RunActivityStreams(ports)
-			SetLanePacking(prev)
+			scalar, scalarErr := activityOracle(sim, ports)
 			if laneErr != nil || scalarErr != nil {
 				t.Fatalf("%s vectors=%d: lane err %v, scalar err %v", n.Name, vectors, laneErr, scalarErr)
 			}
@@ -210,8 +256,8 @@ func TestRunActivityStreamsErrors(t *testing.T) {
 }
 
 // BenchmarkActivity measures the activity engine over an optimised
-// HPF-like FIR netlist, lane-packed vs the scalar oracle — the inner loop
-// of every cold energy characterization.
+// HPF-like FIR netlist — the inner loop of every cold energy
+// characterization — against the one-vector-at-a-time activityOracle.
 func BenchmarkActivity(b *testing.B) {
 	mult := arith.Multiplier{Width: 16, ApproxLSBs: 10, Mult: approx.AppMultV1, Add: approx.ApproxAdd5}
 	ad := arith.Adder{Width: 32, ApproxLSBs: 10, Kind: approx.ApproxAdd5}
@@ -240,21 +286,21 @@ func BenchmarkActivity(b *testing.B) {
 		}
 		ports[pi] = PortStimulus{Name: p.Name, Values: vals}
 	}
-	for _, lanes := range []bool{true, false} {
-		name := "lanes"
-		if !lanes {
-			name = "scalar"
-		}
-		b.Run(name, func(b *testing.B) {
+	for _, v := range []struct {
+		name string
+		run  func(*Simulator, []PortStimulus) (Activity, error)
+	}{
+		{"lanes", (*Simulator).RunActivityStreams},
+		{"scalar", activityOracle},
+	} {
+		b.Run(v.name, func(b *testing.B) {
 			sim, err := NewSimulator(n)
 			if err != nil {
 				b.Fatal(err)
 			}
-			prev := SetLanePacking(lanes)
-			defer SetLanePacking(prev)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := sim.RunActivityStreams(ports); err != nil {
+				if _, err := v.run(sim, ports); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -12,12 +12,10 @@ package netlist
 // one packed stream per output port, in the netlist's output-port
 // order.
 //
-// Under lane packing (the default) 64 consecutive vectors evaluate at
-// once: every net holds a uint64 whose bit l is the net's value under
-// vector base+l and each cell's logic function applies bitwise across
-// the lanes. Outputs are bit-identical to calling Run once per vector;
-// the scalar path (XBIOSIP_NO_KERNELS=1) is exactly that loop, kept as
-// the equivalence oracle.
+// 64 consecutive vectors evaluate at once: every net holds a uint64
+// whose bit l is the net's value under vector base+l and each cell's
+// logic function applies bitwise across the lanes. Outputs are
+// bit-identical to calling Run once per vector.
 func (s *Simulator) RunStreams(ports []PortStimulus) ([]PortStimulus, error) {
 	vectors, err := s.bindStreams(ports)
 	if err != nil {
@@ -27,51 +25,11 @@ func (s *Simulator) RunStreams(ports []PortStimulus) ([]PortStimulus, error) {
 	for i, p := range s.n.Outputs {
 		outs[i] = PortStimulus{Name: p.Name, Values: make([]uint64, vectors)}
 	}
-	if LanePackingEnabled() {
-		s.runStreamsLanes(vectors, outs)
-	} else {
-		s.runStreamsScalar(vectors, outs)
-	}
+	s.runStreamsLanes(vectors, outs)
 	return outs, nil
 }
 
-// runStreamsScalar is the oracle path: one vector at a time, one uint8
-// per net — Run restated over bound streams.
-func (s *Simulator) runStreamsScalar(vectors int, outs []PortStimulus) {
-	vals := s.vals
-	var in [4]uint8
-	for vi := 0; vi < vectors; vi++ {
-		for i := range vals {
-			vals[i] = 0
-		}
-		vals[Const1] = 1
-		for pi, p := range s.n.Inputs {
-			v := s.streams[pi][vi]
-			for i, b := range p.Bits {
-				vals[b] = uint8(v>>i) & 1
-			}
-		}
-		for ci := range s.n.Cells {
-			c := &s.n.Cells[ci]
-			for j, net := range c.In {
-				in[j] = vals[net]
-			}
-			out := evalCell(c, in[:len(c.In)])
-			for j, net := range c.Out {
-				vals[net] = out[j]
-			}
-		}
-		for oi, p := range s.n.Outputs {
-			var v uint64
-			for i, b := range p.Bits {
-				v |= uint64(vals[b]) << i
-			}
-			outs[oi].Values[vi] = v
-		}
-	}
-}
-
-// runStreamsLanes is the word-parallel path: blocks of 64 vectors, one
+// runStreamsLanes evaluates bound streams in blocks of 64 vectors, one
 // uint64 of lane values per net, sharing the activity engine's cell
 // evaluation (evalCellLanes).
 func (s *Simulator) runStreamsLanes(vectors int, outs []PortStimulus) {

@@ -10,49 +10,44 @@ import (
 )
 
 // TestRunStreamsMatchesRun pins the lane-packed multi-vector simulator
-// against the per-vector Run oracle: for every lane mode and stream
-// width — one vector, a ragged sub-block, exactly one full 64-lane
-// block, one lane over, and multiple blocks — the packed outputs must
-// equal Run's, bit for bit, on a netlist mixing accurate and
-// approximate cells.
+// against the per-vector Run oracle: for every stream width — one
+// vector, a ragged sub-block, exactly one full 64-lane block, one lane
+// over, and multiple blocks — the packed outputs must equal Run's, bit
+// for bit, on a netlist mixing accurate and approximate cells.
 func TestRunStreamsMatchesRun(t *testing.T) {
 	m := arith.Multiplier{Width: 16, ApproxLSBs: 8, Mult: approx.AppMultV1, Add: approx.ApproxAdd5}
 	n := mustBuild(t)(GenMultiplier(NewBuilder("streams"), m))
 	rng := rand.New(rand.NewSource(23))
-	for _, lanes := range []bool{true, false} {
-		prev := SetLanePacking(lanes)
-		for _, vectors := range []int{1, 3, 63, 64, 65, 130} {
-			t.Run(fmt.Sprintf("lanes=%v/vectors=%d", lanes, vectors), func(t *testing.T) {
-				sim := mustSim(t, n)
-				as := make([]uint64, vectors)
-				bs := make([]uint64, vectors)
-				for i := range as {
-					as[i] = rng.Uint64() & 0xFFFF
-					bs[i] = rng.Uint64() & 0xFFFF
-				}
-				outs, err := sim.RunStreams([]PortStimulus{
-					{Name: "a", Values: as},
-					{Name: "b", Values: bs},
-				})
+	for _, vectors := range []int{1, 3, 63, 64, 65, 130} {
+		t.Run(fmt.Sprintf("vectors=%d", vectors), func(t *testing.T) {
+			sim := mustSim(t, n)
+			as := make([]uint64, vectors)
+			bs := make([]uint64, vectors)
+			for i := range as {
+				as[i] = rng.Uint64() & 0xFFFF
+				bs[i] = rng.Uint64() & 0xFFFF
+			}
+			outs, err := sim.RunStreams([]PortStimulus{
+				{Name: "a", Values: as},
+				{Name: "b", Values: bs},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(outs) != 1 || outs[0].Name != "p" || len(outs[0].Values) != vectors {
+				t.Fatalf("RunStreams shape %v, want one %d-vector stream for p", outs, vectors)
+			}
+			for i := range as {
+				ref, err := sim.Run(map[string]uint64{"a": as[i], "b": bs[i]})
 				if err != nil {
 					t.Fatal(err)
 				}
-				if len(outs) != 1 || outs[0].Name != "p" || len(outs[0].Values) != vectors {
-					t.Fatalf("RunStreams shape %v, want one %d-vector stream for p", outs, vectors)
+				if outs[0].Values[i] != ref["p"] {
+					t.Fatalf("vector %d: RunStreams %#x, Run %#x for a=%#x b=%#x",
+						i, outs[0].Values[i], ref["p"], as[i], bs[i])
 				}
-				for i := range as {
-					ref, err := sim.Run(map[string]uint64{"a": as[i], "b": bs[i]})
-					if err != nil {
-						t.Fatal(err)
-					}
-					if outs[0].Values[i] != ref["p"] {
-						t.Fatalf("vector %d: RunStreams %#x, Run %#x for a=%#x b=%#x",
-							i, outs[0].Values[i], ref["p"], as[i], bs[i])
-					}
-				}
-			})
-		}
-		SetLanePacking(prev)
+			}
+		})
 	}
 }
 

@@ -33,88 +33,85 @@ func blockTestConfigs() []Config {
 // sitting rounds out, feeding each block's filtered/integrated outputs
 // into the stream's own detector. Every stage output of every sample and
 // the full decision trace must match a separately built pipeline's
-// Stream.Push, in both kernel modes.
-func TestPushBlockMatchesStream(t *testing.T) {
+// Stream.Push.
+// It runs as the subtest kernels=true, the name it kept from when a
+// bit-serial mode ran it a second time as kernels=false.
+func TestPushBlockMatchesStream(t *testing.T) { t.Run("kernels=true", pushBlockMatchesStream) }
+
+func pushBlockMatchesStream(t *testing.T) {
 	const fs = 360
-	for _, mode := range []bool{true, false} {
-		mode := mode
-		t.Run(fmt.Sprintf("kernels=%v", mode), func(t *testing.T) {
-			prev := kernel.SetEnabled(mode)
-			defer kernel.SetEnabled(prev)
-			rng := rand.New(rand.NewSource(41))
-			widths := []int{1, 3, 24}
-			if testing.Short() || !mode {
-				widths = []int{3}
-			}
-			var out Outputs
-			for _, cfg := range blockTestConfigs() {
-				shared, err := New(cfg)
+	rng := rand.New(rand.NewSource(41))
+	widths := []int{1, 3, 24}
+	if testing.Short() {
+		widths = []int{3}
+	}
+	var out Outputs
+	for _, cfg := range blockTestConfigs() {
+		shared, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, width := range widths {
+			scalar := make([]*Stream, width)
+			blocked := make([]*Stream, width)
+			sigs := make([][]int16, width)
+			pos := make([]int, width)
+			for s := 0; s < width; s++ {
+				sp, err := New(cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
-				for _, width := range widths {
-					scalar := make([]*Stream, width)
-					blocked := make([]*Stream, width)
-					sigs := make([][]int16, width)
-					pos := make([]int, width)
-					for s := 0; s < width; s++ {
-						sp, err := New(cfg)
-						if err != nil {
-							t.Fatal(err)
-						}
-						scalar[s] = sp.Stream(fs)
-						blocked[s] = shared.Stream(fs)
-						sig := make([]int16, 400+(s*37)%300)
-						for i := range sig {
-							sig[i] = int16(rng.Uint64())
-						}
-						sigs[s] = sig
+				scalar[s] = sp.Stream(fs)
+				blocked[s] = shared.Stream(fs)
+				sig := make([]int16, 400+(s*37)%300)
+				for i := range sig {
+					sig[i] = int16(rng.Uint64())
+				}
+				sigs[s] = sig
+			}
+			for round := 0; ; round++ {
+				remaining := 0
+				for s := 0; s < width; s++ {
+					left := len(sigs[s]) - pos[s]
+					if left == 0 {
+						continue
 					}
-					for round := 0; ; round++ {
-						remaining := 0
-						for s := 0; s < width; s++ {
-							left := len(sigs[s]) - pos[s]
-							if left == 0 {
-								continue
-							}
-							remaining++
-							if (s+round)%5 == 0 && round < 6 {
-								continue // sits this round out
-							}
-							n := (s*7 + round*11) % 40
-							if n > left {
-								n = left
-							}
-							block := sigs[s][pos[s] : pos[s]+n]
-							blocked[s].Pipeline().PushBlock(&out, block)
-							if len(out.Filtered) != n || len(out.Integrated) != n {
-								t.Fatalf("PushBlock of %d samples left %d filtered, %d integrated",
-									n, len(out.Filtered), len(out.Integrated))
-							}
-							det := blocked[s].Detector()
-							for i, x := range block {
-								want := scalar[s].Push(x)
-								got := StreamSample{out.LowPassed[i], out.Filtered[i], out.Derivative[i],
-									out.Squared[i], out.Integrated[i]}
-								if got != want {
-									t.Fatalf("cfg %v width %d stream %d sample %d: PushBlock %+v, Push %+v",
-										cfg, width, s, pos[s]+i, got, want)
-								}
-								det.Push(got.Filtered, got.Integrated)
-							}
-							pos[s] += n
-						}
-						if remaining == 0 {
-							break
-						}
+					remaining++
+					if (s+round)%5 == 0 && round < 6 {
+						continue // sits this round out
 					}
-					for s := 0; s < width; s++ {
-						requireSameDetection(t, fmt.Sprintf("cfg %v width %d stream %d", cfg, width, s),
-							*scalar[s].Finish(), blocked[s].Finish())
+					n := (s*7 + round*11) % 40
+					if n > left {
+						n = left
 					}
+					block := sigs[s][pos[s] : pos[s]+n]
+					blocked[s].Pipeline().PushBlock(&out, block)
+					if len(out.Filtered) != n || len(out.Integrated) != n {
+						t.Fatalf("PushBlock of %d samples left %d filtered, %d integrated",
+							n, len(out.Filtered), len(out.Integrated))
+					}
+					det := blocked[s].Detector()
+					for i, x := range block {
+						want := scalar[s].Push(x)
+						got := StreamSample{out.LowPassed[i], out.Filtered[i], out.Derivative[i],
+							out.Squared[i], out.Integrated[i]}
+						if got != want {
+							t.Fatalf("cfg %v width %d stream %d sample %d: PushBlock %+v, Push %+v",
+								cfg, width, s, pos[s]+i, got, want)
+						}
+						det.Push(got.Filtered, got.Integrated)
+					}
+					pos[s] += n
+				}
+				if remaining == 0 {
+					break
 				}
 			}
-		})
+			for s := 0; s < width; s++ {
+				requireSameDetection(t, fmt.Sprintf("cfg %v width %d stream %d", cfg, width, s),
+					*scalar[s].Finish(), blocked[s].Finish())
+			}
+		}
 	}
 }
 

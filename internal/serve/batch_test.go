@@ -3,7 +3,6 @@ package serve
 import (
 	"testing"
 
-	"github.com/xbiosip/xbiosip/internal/arith/kernel"
 	"github.com/xbiosip/xbiosip/internal/ecg"
 	"github.com/xbiosip/xbiosip/internal/pantompkins"
 )
@@ -155,26 +154,20 @@ func compareDrains(t *testing.T, mk func() *Service, rec *ecg.Record, sessions, 
 }
 
 // TestServeBatchedMatchesScalarDrain runs compareDrains with a small ring
-// and a quantum that force multi-round drains with ring wraparound. The
-// oracle-mode variant repeats a smaller schedule with the kernels
-// disabled.
+// and a quantum that force multi-round drains with ring wraparound.
 func TestServeBatchedMatchesScalarDrain(t *testing.T) {
 	type variant struct {
 		name     string
-		kernels  bool
 		cfg      pantompkins.Config
 		sessions int
 		samples  int
 	}
 	variants := []variant{
-		{"kernels/b9", true, b9Config(), 12, 1500},
-		{"kernels/accurate", true, pantompkins.AccurateConfig(), 12, 1500},
-		{"reference/accurate", false, pantompkins.AccurateConfig(), 4, 700},
+		{"kernels/b9", b9Config(), 12, 1500},
+		{"kernels/accurate", pantompkins.AccurateConfig(), 12, 1500},
 	}
 	for _, v := range variants {
 		t.Run(v.name, func(t *testing.T) {
-			prev := kernel.SetEnabled(v.kernels)
-			defer kernel.SetEnabled(prev)
 			rec := record(t, 0, v.samples+v.sessions*40)
 			compareDrains(t, func() *Service {
 				s, err := New(Config{
