@@ -10,7 +10,9 @@
 # the real-socket transport (loopback TCP+UDP churn) and the continuation
 # equivalence suites (whole records, blocks and single samples through one
 # chain engine and the QRS detector, against per-sample and per-tap
-# oracles, the serve drain's event latencies included), a fuzz smoke over the
+# oracles, the serve drain's event latencies included; the AMA5 chains'
+# blocks straddle the span at which they switch from their short-span
+# sample-major loop to one pass per tap), a fuzz smoke over the
 # wire-frame/socket-message parsers, the ingest path, the QRS detector,
 # the moving-window integrator, the kernel's on-demand table fills and its
 # chain strategies, a
@@ -107,13 +109,16 @@ examples-smoke:
 	done
 
 # The continuation equivalence suites across every layer that runs a
-# signal in blocks — kernel Chain.Run from a start index, the dsp FIR
-# and integrator entry points against the frozen per-tap and per-sample
-# fold oracles and the squarer block path, Pipeline.PushBlock and
-# streams sharing one compiled pipeline across goroutines (racing the
-# first fills of its tables), StreamDetector.PushBlock's edge cases, the
-# serve block drain (its events and their exact latencies) — plus the
-# netlist stream simulator against per-vector Run, under -race.
+# signal in blocks — kernel Chain.Run from a start index (blocks of 3, 4
+# and 5 positions after a history of the deepest lag straddle the span
+# at which the AMA5 chains leave their short-span sample-major loop for
+# one pass per tap), the dsp FIR and integrator entry points against the
+# frozen per-tap and per-sample fold oracles and the squarer block path,
+# Pipeline.PushBlock and streams sharing one compiled pipeline across
+# goroutines (racing the first fills of its tables),
+# StreamDetector.PushBlock's edge cases, the serve block drain (its
+# events and their exact latencies) — plus the netlist stream simulator
+# against per-vector Run, under -race.
 race-batch:
 	$(GO) test -race -count=1 -run 'Continuation|MatchesOracle|Block|Share|Batched|Streams|Discard' ./internal/arith/kernel ./internal/dsp ./internal/pantompkins ./internal/serve ./internal/netlist
 
@@ -125,7 +130,9 @@ race-batch:
 # per-sample fold), over the kernel's on-demand table fills (every
 # read of a fresh table reproduces the full enumeration) and over its
 # chain strategies (fuzzed tap shapes through the fused exact chain and
-# the AMA5 wiring chains reproduce the scalar fold from any start index).
+# the AMA5 wiring chains, short spans sample-major and longer ones in
+# passes, reproduce the scalar fold from any start index; seeds replay
+# design B9's LPF, HPF and DER as one 24-sample serve block).
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzParseFrame -fuzztime=5s -run '^$$' ./internal/serve
 	$(GO) test -fuzz=FuzzParseWire -fuzztime=5s -run '^$$' ./internal/serve
@@ -137,7 +144,10 @@ fuzz-smoke:
 
 # One iteration of every benchmark: regenerates each table/figure once and
 # exercises the parallel DSE engine, the kernel-vs-reference
-# micro-benchmarks, the integrator's window strategies and the QRS
+# micro-benchmarks, the FIR chains (BenchmarkFIR: whole records and
+# 24-sample blocks, which run the AMA5 passes, and per-sample Process,
+# which runs their short-span loop, at B9's k per stage, DER k=2
+# included), the integrator's window strategies and the QRS
 # detector's whole-record, per-sample and block entry points without
 # taking benchmark-grade time.
 bench:

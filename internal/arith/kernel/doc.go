@@ -134,14 +134,28 @@
 // Only a position below a chain's deepest tap lag can read before xs[0].
 // The strategies the paper's designs reach — the fused MAC, the AMA5
 // wiring chain in both projection tiers and the AMA5 sliding window —
-// run every later position through a loop with no j >= 0 test, over
-// compact per-tap (lag, table) arrays that NewChain builds once (32 bytes
-// a projected tap, split by projection tier, instead of a 120-byte
-// chainOp and a tier branch per tap). The checked loop stays as the head
-// and runs only the earlier positions, on dst[:deep] and xs[:deep]. A
-// stream's block starts at the tap count and a Process sample at the
-// last tap, so only a whole-record run from 0 has a head. The AMA1-AMA4,
-// native and generic strategies keep their checked loops throughout.
+// run every later position with no j >= 0 test, over compact per-tap
+// (lag, table) arrays that NewChain builds once (32 bytes a projected
+// tap, split by projection tier, instead of a 120-byte chainOp and a tier
+// branch per tap). The checked loop stays as the head and runs only the
+// earlier positions, on dst[:deep] and xs[:deep]. A stream's block starts
+// at the tap count and a Process sample at the last tap, so only a
+// whole-record run from 0 has a head. The AMA1-AMA4, native and generic
+// strategies keep their checked loops throughout.
+//
+// Past the head, the two AMA5 strategies evaluate a span of at least
+// passMin positions (4) in passes over dst[from:], which serves as the
+// accumulator. Each projected tap is one small loop that adds its terms
+// tab[x&m] over the span (the first writes them); the sliding window is
+// one pass that carries its running sum S; each correction tap is one
+// pass, and one more subtracts the majority term it replaces; a last pass
+// reads the last tap's raw product and applies the AMA5 closed form and
+// the output slicing. The projected terms are a modular sum, so the pass
+// order changes no bit. A sample-major loop over every tap keeps its
+// running sum and cursors on the stack, storing and reloading them per
+// tap; each pass keeps its few live values in registers. A shorter span,
+// such as one dsp.FIR.Process sample, runs the sample-major loop, since
+// each pass costs a call and a reload of the span.
 //
 // Projections fill straight from the compiled plan's product closure
 // (productFn, sign-halved, with the root's accumulation adders

@@ -193,21 +193,6 @@ func (m *Multiplier) decompExact() bool {
 	return m.composite() && m.root.addMid.exact && m.root.addLo.exact
 }
 
-// combineCore runs the root node's two compiled accumulations over one
-// operand magnitude's sub-product table entries and returns the signed
-// core product (the coefficient's sign not yet applied) — exactly the
-// per-entry evaluation MulSigned performs after its sign-magnitude split.
-func (m *Multiplier) combineCore(lo, hi []uint32, mag uint64) int64 {
-	n := m.root
-	a := mag & m.opMask
-	le := lo[a&n.hMask]
-	he := hi[a>>uint(n.h)]
-	mid := n.addMid.Add(uint64(he&0xffff), uint64(le>>16))
-	s := n.addLo.Add(uint64(le&0xffff), mid<<uint(n.h))
-	s = n.addLo.Add(s, uint64(he>>16)<<uint(n.w))
-	return arith.ToSigned(s&n.prodMask&m.prodMask, 2*m.spec.Width)
-}
-
 // constMulFunc compiles the signed constant-multiply closure over a pair
 // of sub-product tables: the per-sample form of the decomposed table tier.
 // The closure reproduces MulSigned exactly — branch-free sign-magnitude
@@ -304,10 +289,13 @@ func (m *Multiplier) productFn(c int64) func(int64) int64 {
 }
 
 // combineFn compiles the magnitude-core closure over one coefficient's
-// sub-product tables: combineCore with the root's two accumulation adders
-// devirtualized where they have closed forms — native addition and the
-// wiring kinds AMA4/AMA5 (the paper's evaluation sweep) run inline, other
-// kinds go through the compiled closures. Enumeration-heavy builders
+// sub-product tables: the root node's two accumulations over one operand
+// magnitude's entries, returning the signed core product (the
+// coefficient's sign not yet applied), exactly the per-entry evaluation
+// MulSigned performs after its sign-magnitude split. The accumulation
+// adders run devirtualized where they have closed forms: native addition
+// and the wiring kinds AMA4/AMA5 (the paper's evaluation sweep) inline,
+// other kinds through the compiled closures. Enumeration-heavy builders
 // (full product tables, chain projections) call it 2^(Width-1) times per
 // coefficient, so the saved indirect calls are the build cost.
 func (m *Multiplier) combineFn(lo, hi []uint32) func(mag uint64) int64 {

@@ -25,6 +25,13 @@ import (
 // so the paper's configurations (k <= 16) cost at most two lookups per
 // accumulate.
 //
+// Most strategies run sample-major: one loop over the positions, each
+// folding every tap. The AMA5 wiring chain and sliding window (design
+// B9's LPF and DER, and its HPF) evaluate a span of at least passMin
+// positions tap-major instead: their per-tap terms are a modular sum, so
+// dst serves as the accumulator and each tap is one pass over the span
+// whose loop keeps its few values in registers (see termPass).
+//
 // Chains also own the decision of which product representations exist at
 // all: a tap the strategy reads only through a wiring-chain projection
 // never materializes its 2^Width raw product table (NewChain builds the
@@ -52,9 +59,9 @@ type ChainOp struct {
 // tier is set. The checked strategy loops test the tier once per table
 // and keep the load inline (see wiringChain and slidingWiring), so the
 // halved footprint costs one perfectly-predicted branch instead of a
-// function call; the check-free AMA5 loops split their taps by tier
-// (projTaps) and test nothing. The entries fill on demand, when the Run
-// of a chain reading the table reaches new operand magnitudes.
+// function call; the check-free AMA5 loops and passes split their taps
+// by tier (projTaps) and test nothing. The entries fill on demand, when
+// the Run of a chain reading the table reaches new operand magnitudes.
 type ProjTable struct {
 	u16 []uint16
 	u32 []uint32
@@ -113,15 +120,15 @@ type macTap struct {
 }
 
 // projTap is one projected tap in the compact form the check-free AMA5
-// loops read: its lag and its projection entries, 32 bytes instead of a
-// chainOp's 120.
+// strategies read: its lag and its projection entries, 32 bytes instead
+// of a chainOp's 120.
 type projTap[T uint16 | uint32] struct {
 	lag int
 	tab []T
 }
 
 // projTaps are projected taps split by projection tier, so that each
-// loop reads one entry width with no per-tap tier branch.
+// loop or pass reads one entry width with no per-tap tier branch.
 type projTaps struct {
 	p16 []projTap[uint16]
 	p32 []projTap[uint32]
@@ -148,13 +155,121 @@ func (t *projTaps) sum(xs []int64, i int, m uint64) uint64 {
 	return u
 }
 
+// passMin is the shortest span of positions the check-free AMA5
+// strategies evaluate in passes; a shorter one, such as the single
+// position of a FIR.Process sample, runs their sample-major loop. Each
+// pass costs a call and a reload of the span, which a few positions do
+// not repay: in a sweep of FIR.Block calls of 1 to 8 positions over
+// B9's LPF, HPF and DER, passes were faster from 4 positions on, and
+// slower on the LPF and the DER below that.
+const passMin = 4
+
+// addTo adds the taps' terms at positions from..from+len(d)-1 of xs to
+// d, one pass per tap. The positions must be at or past the taps'
+// deepest lag. With set, the first pass writes d instead of adding.
+func (t *projTaps) addTo(d, xs []int64, from int, m uint64, set bool) {
+	for _, p := range t.p16 {
+		termPass(d, xs[from-p.lag:], p.tab, m, set)
+		set = false
+	}
+	for _, p := range t.p32 {
+		termPass(d, xs[from-p.lag:], p.tab, m, set)
+		set = false
+	}
+}
+
+// termPass adds the term tab[x&m] of each xs[i] to d[i], i < len(d), or
+// writes it with set. Terms are modular sums, so the order of a span's
+// passes changes no bit, and one tap's loop keeps its few live values in
+// registers where a sample-major loop over all taps spills its sum and
+// cursors on every tap.
+//
+//go:noinline
+func termPass[T uint16 | uint32](d, xs []int64, tab []T, m uint64, set bool) {
+	xs = xs[:len(d)]
+	_ = tab[m] // every index x&m is at most m: no bounds check in the loops
+	if set {
+		for i, x := range xs {
+			d[i] = int64(tab[uint64(x)&m])
+		}
+		return
+	}
+	for i, x := range xs {
+		d[i] += int64(tab[uint64(x)&m])
+	}
+}
+
+// subPass subtracts the term tab[x&m] of each xs[i] from d[i],
+// i < len(d): the majority-table term a sliding window's correction tap
+// replaces (see slidingAMA5).
+//
+//go:noinline
+func subPass[T uint16 | uint32](d, xs []int64, tab []T, m uint64) {
+	xs = xs[:len(d)]
+	_ = tab[m]
+	for i, x := range xs {
+		d[i] -= int64(tab[uint64(x)&m])
+	}
+}
+
+// slidePass writes the sliding window's sum at each position of d. S is
+// the window at the position before d[0]; at position i the term of
+// enter[i] enters and that of leave[i] leaves.
+//
+//go:noinline
+func slidePass[T uint16 | uint32](d, enter, leave []int64, tab []T, m, S uint64) {
+	enter, leave = enter[:len(d)], leave[:len(d)]
+	_ = tab[m]
+	for i := range d {
+		S += uint64(tab[uint64(enter[i])&m]) - uint64(tab[uint64(leave[i])&m])
+		d[i] = int64(S)
+	}
+}
+
+// finishPass is the last pass of the check-free AMA5 strategies: d holds
+// the sum u of the projected terms at positions from..from+len(d)-1 of
+// xs, and the pass adds the last tap's raw product ub through the AMA5
+// closed form (see wiringChain) and slices the accumulator. The last tap
+// reads its full int32 table inline when it has one, its tier closure
+// otherwise.
+//
+// The closed form (ub&mk | (u + ub>>k)<<k) & mW is ub + u<<k in its low
+// w bits, and finish reads only those, so the pass masks nothing. When
+// the output slice lies inside the accumulator (outShift+outWidth <= w,
+// as at every pipeline stage), finish is the slice's bits sign-extended:
+// one left and one arithmetic right shift. That loop shifts left by
+// multiplying with powers of two, since an amd64 shift by a variable
+// count ties up the count register: with fewer live values it runs in
+// registers.
+//
+//go:noinline
+func finishPass(d, xs []int64, from int, op *chainOp, w, k int, outShift uint, outWidth int) {
+	ku, neg := uint(k), op.neg
+	xs = xs[from-op.lag:][:len(d)]
+	if tab, m := op.tab32, op.mask; tab != nil && outShift+uint(outWidth) <= uint(w) {
+		pk := uint64(1) << ku                               // u<<k
+		pl := uint64(1) << (64 - outShift - uint(outWidth)) // the slice's top bit to bit 63
+		r := uint(64-outWidth) & 63
+		_ = tab[m]
+		for i, x := range xs {
+			d[i] = int64(((uint64(tab[uint64(x)&m])^neg)+uint64(d[i])*pk)*pl) >> r
+		}
+		return
+	}
+	for i, x := range xs {
+		d[i] = finish((uint64(op.at(x))^neg)+uint64(d[i])<<ku, w, outShift, outWidth)
+	}
+}
+
 // chainFunc evaluates a compiled chain at positions from..len(dst)-1 (see
 // Chain.Run).
 type chainFunc func(c *Chain, dst, xs []int64, from int, outShift uint, outWidth int)
 
 // Chain is a compiled accumulation chain: the full per-sample fold of a
-// FIR's tap products through one adder, evaluated sample-major with the
-// adder's closed form inlined per tap. Build chains with Adder.NewChain.
+// FIR's tap products through one adder, with the adder's closed form
+// inlined per tap, evaluated sample-major or, for the AMA5 strategies
+// over a span of at least passMin positions, one pass per tap. Build
+// chains with Adder.NewChain.
 // A Chain is immutable apart from its fill bound and holds no signal
 // state, so one Chain serves any number of streams on any number of
 // goroutines.
@@ -189,10 +304,12 @@ type Chain struct {
 // newChainProj).
 //
 // The fused MAC and the AMA5 strategies (ama5Chain, slidingAMA5) also
-// take the chain's deepest lag here: every position at or past it runs a
-// loop that reads each tap's sample with no j >= 0 test, over compact
-// per-tap arrays built once, and the strategy's checked loop runs only
-// the positions before it, as the head (see runHead).
+// take the chain's deepest lag here: every position at or past it reads
+// each tap's sample with no j >= 0 test, over compact per-tap arrays
+// built once, and the strategy's checked loop runs only the positions
+// before it, as the head (see runHead). Past the head, the AMA5
+// strategies run a span of at least passMin positions in passes, one per
+// tap, and a shorter one sample-major.
 //
 // Raw product tables materialize only for the taps the chosen strategy
 // reads products from — every tap of the generic/native/chunk strategies,
@@ -491,6 +608,12 @@ func slidingWiringT[T uint16 | uint32](w, k int, invA bool, plan slidePlan, tab 
 // they replace) and the last tap read their samples with no j >= 0 test.
 // slidingWiringT's checked loop is the head.
 //
+// A span of at least passMin positions runs in passes over dst: the
+// window is one pass that carries S and writes it at every position,
+// each correction tap adds its terms in one pass and subtracts the
+// majority terms it replaces in another, and finishPass applies the last
+// tap. A shorter span runs the sample-major loop.
+//
 //go:noinline
 func slidingAMA5[T uint16 | uint32](w, k int, plan slidePlan, tab []T, ops []chainOp, head chainFunc) chainFunc {
 	mW := mask(w)
@@ -515,6 +638,16 @@ func slidingAMA5[T uint16 | uint32](w, k int, plan slidePlan, tab []T, ops []cha
 		var S uint64
 		for l := a; l <= b; l++ {
 			S += uint64(tab[uint64(xs[from-1-l])&tm])
+		}
+		if len(dst)-from >= passMin {
+			d := dst[from:]
+			slidePass(d, xs[from-a:], xs[from-1-b:], tab, tm, S)
+			corr.addTo(d, xs, from, tm, false)
+			for _, l := range corrLags {
+				subPass(d, xs[from-l:], tab, tm)
+			}
+			finishPass(d, xs, from, opL, w, k, outShift, outWidth)
+			return
 		}
 		for i := from; i < len(dst); i++ {
 			S += uint64(tab[uint64(xs[i-a])&tm]) - uint64(tab[uint64(xs[i-1-b])&tm])
@@ -953,6 +1086,11 @@ func wiringChain(w, k int, invA bool) chainFunc {
 // pairs split by tier, and every tap reads its sample with no j >= 0
 // test. wiringChain itself, the adder's chain strategy, is the head.
 //
+// A span of at least passMin positions runs in passes over dst: the
+// first projected tap writes its terms, each further one adds them, and
+// finishPass applies the last tap. A shorter span runs the sample-major
+// loop.
+//
 //go:noinline
 func ama5Chain(w, k int, ops []chainOp, head chainFunc) chainFunc {
 	mW := mask(w)
@@ -970,6 +1108,12 @@ func ama5Chain(w, k int, ops []chainOp, head chainFunc) chainFunc {
 	run = func(c *Chain, dst, xs []int64, from int, outShift uint, outWidth int) {
 		if from < deep {
 			runHead(run, head, deep, c, dst, xs, from, outShift, outWidth)
+			return
+		}
+		if len(dst)-from >= passMin {
+			d := dst[from:]
+			taps.addTo(d, xs, from, m, true)
+			finishPass(d, xs, from, opL, w, k, outShift, outWidth)
 			return
 		}
 		for i := from; i < len(dst); i++ {

@@ -222,7 +222,12 @@ func maxChainLag(ops []ChainOp) int {
 // over the whole signal from the positions around the deepest lag (where
 // the checked head hands over to the check-free loop, and past it where
 // a recurrence starts) its tail, and a run over a signal shorter than
-// the deepest lag its prefix.
+// the deepest lag its prefix. Blocks of passMin-1, passMin and passMin+1
+// positions after a history of exactly the deepest lag, the least a
+// continuing caller packs, straddle the span at which the AMA5
+// strategies switch from their sample-major loop to passes; they run at
+// a second output slicing too, one reaching past the accumulator width,
+// which the passes finish through the general slicing.
 // It runs as the subtest kernels=true, the name it kept from when a
 // bit-serial mode ran it a second time as kernels=false.
 func TestChainContinuation(t *testing.T) { t.Run("kernels=true", chainContinuation) }
@@ -255,6 +260,7 @@ func chainContinuation(t *testing.T) {
 		}
 	}
 	whole := make([]int64, len(xs))
+	wide := make([]int64, len(xs))
 	dst := make([]int64, len(xs))
 	for _, spec := range adders {
 		ad, err := CompileAdder(spec)
@@ -324,6 +330,38 @@ func chainContinuation(t *testing.T) {
 							if out[i] != want {
 								t.Fatalf("%s: block [%d,%d) history %d: dst[%d] = %d, want %d",
 									at, s, e, h, i, out[i], want)
+							}
+						}
+					}
+				}
+				chain.Run(wide, xs, 0, 20, 16)
+				for i := range wide {
+					if want := scalarChain(spec, refs[mul], ops, xs, i, 20, 16); wide[i] != want {
+						t.Fatalf("%s: Run[%d] sliced (20, 16) = %d, scalar chain %d", at, i, wide[i], want)
+					}
+				}
+				for _, sl := range []struct {
+					shift uint
+					outW  int
+					whole []int64
+				}{{3, 29, whole}, {20, 16, wide}} {
+					for _, n := range []int{passMin - 1, passMin, passMin + 1} {
+						for s := maxLag; s+n <= len(xs); s += 23 {
+							in := xs[s-maxLag : s+n]
+							out := dst[:len(in)]
+							for i := range out {
+								out[i] = sentinel
+							}
+							chain.Run(out, in, maxLag, sl.shift, sl.outW)
+							for i := range out {
+								want := sentinel
+								if i >= maxLag {
+									want = sl.whole[s-maxLag+i]
+								}
+								if out[i] != want {
+									t.Fatalf("%s: %d-position block at %d sliced (%d, %d): dst[%d] = %d, want %d",
+										at, n, s, sl.shift, sl.outW, i, out[i], want)
+								}
 							}
 						}
 					}
@@ -570,7 +608,8 @@ func TestProductFnMatchesReference(t *testing.T) {
 // magnitude and keep or flip its sign, so runs, ramps and the FIR shapes
 // occur; lags reach at most 40. The adder is exact, through the fused
 // chain with a 32- or a wrapping 16-bit accumulator, or AMA5 at k 4, 10,
-// 12 or 16, through the wiring projections of both tiers. A Run from 0
+// 12, 16 or 2 (B9's DER; last, so that earlier inputs keep their
+// configs), through the wiring projections of both tiers. A Run from 0
 // over the history (which Run's contract requires an earlier run to
 // have evaluated) precedes a Run from a fuzzed start index over the
 // whole fuzzed-length signal, which must leave dst before it untouched.
@@ -579,7 +618,9 @@ func TestProductFnMatchesReference(t *testing.T) {
 // length (1..96) and data[3] the start index. Every later byte is one
 // tap: bits 0-1 move the magnitude (keep, up, down, or jump to the
 // alphabet entry in bits 2-4), bit 5 flips the sign and bits 6-7 step
-// the next tap's lag by 1, 1, 2 or 0 (a repeated lag).
+// the next tap's lag by 1, 1, 2 or 0 (a repeated lag). The last seeds
+// replay B9's LPF (k=10), HPF (k=12) and DER (k=2) as one 24-sample
+// serve block after a history of the deepest lag.
 func FuzzChainRun(f *testing.F) {
 	lpf := []byte{0x00, 0x01, 0x01, 0x01, 0x01, 0x01, 0x02, 0x02, 0x02, 0x02, 0x02}
 	hpf := append([]byte{0x20}, make([]byte, 15)...)
@@ -592,6 +633,9 @@ func FuzzChainRun(f *testing.F) {
 	f.Add(append([]byte{5, 1, 80, 31}, hpf...))
 	f.Add(append([]byte{4, 3, 20, 4}, der...))
 	f.Add(append([]byte{2, 5, 6, 0}, hpf...))
+	f.Add(append([]byte{3, 11, 10 + 23, 10}, lpf...))
+	f.Add(append([]byte{4, 12, 31 + 23, 31}, hpf...))
+	f.Add(append([]byte{6, 13, 4 + 23, 4}, der...))
 	mags := []int64{0, 1, 2, 3, 4, 5, 6, 31}
 	exactMul := arith.Multiplier{Width: 16, ApproxLSBs: 0, Mult: approx.AccMult, Add: approx.AccAdd}
 	type config struct {
@@ -602,7 +646,7 @@ func FuzzChainRun(f *testing.F) {
 		{arith.Adder{Width: 32, ApproxLSBs: 0, Kind: approx.AccAdd}, exactMul},
 		{arith.Adder{Width: 16, ApproxLSBs: 0, Kind: approx.AccAdd}, exactMul},
 	}
-	for _, k := range []int{4, 10, 12, 16} {
+	for _, k := range []int{4, 10, 12, 16, 2} {
 		configs = append(configs, config{
 			arith.Adder{Width: 32, ApproxLSBs: k, Kind: approx.ApproxAdd5},
 			arith.Multiplier{Width: 16, ApproxLSBs: k, Mult: approx.AppMultV1, Add: approx.ApproxAdd5},

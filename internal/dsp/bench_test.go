@@ -12,10 +12,12 @@ import (
 
 // BenchmarkFIR times the Pan-Tompkins FIR shapes through their compiled
 // chains on ApproxAdd5 and AppMultV1: k = 0 (the fused exact chain),
-// design B9's k for the stage (LPF 10, HPF 12; the DER takes 10) and
-// k = 16. record runs FilterInto over one 20,000-sample record per op;
-// block24 continues 256 streams of the filter by one 24-sample serve
-// frame each per op. Both report ns/sample.
+// design B9's k for the stage (LPF 10, HPF 12, DER 2) and k = 16; the
+// DER also runs at k = 10, the case earlier versions of this benchmark
+// named after B9. record runs FilterInto over one 20,000-sample record
+// per op; block24 continues 256 streams of the filter by one 24-sample
+// serve frame each per op; process runs Process over the record, one
+// chain position per Run. All report ns/sample.
 func BenchmarkFIR(b *testing.B) {
 	rng := rand.New(rand.NewSource(3))
 	xs := make([]int64, 20000)
@@ -26,14 +28,14 @@ func BenchmarkFIR(b *testing.B) {
 		name   string
 		coeffs []int64
 		shift  int
-		k      int
+		ks     []int
 	}{
-		{"lpf", pantompkins.LPFCoeffs, pantompkins.LPFShift, 10},
-		{"hpf", pantompkins.HPFCoeffs, pantompkins.HPFShift, 12},
-		{"der", pantompkins.DERCoeffs, pantompkins.DERShift, 10},
+		{"lpf", pantompkins.LPFCoeffs, pantompkins.LPFShift, []int{0, 10, 16}},
+		{"hpf", pantompkins.HPFCoeffs, pantompkins.HPFShift, []int{0, 12, 16}},
+		{"der", pantompkins.DERCoeffs, pantompkins.DERShift, []int{0, 2, 10, 16}},
 	}
 	for _, s := range shapes {
-		for _, k := range []int{0, s.k, 16} {
+		for _, k := range s.ks {
 			f, err := dsp.NewFIR(s.coeffs, s.shift, dsp.ArithConfig{LSBs: k, Add: approx.ApproxAdd5, Mul: approx.AppMultV1})
 			if err != nil {
 				b.Fatal(err)
@@ -64,6 +66,15 @@ func BenchmarkFIR(b *testing.B) {
 					}
 				}
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*streams*frame), "ns/sample")
+			})
+			b.Run(name+"/process", func(b *testing.B) {
+				g := f.Clone()
+				for i := 0; i < b.N; i++ {
+					for j, x := range xs {
+						dst[j] = g.Process(x)
+					}
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(xs)), "ns/sample")
 			})
 		}
 	}
