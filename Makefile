@@ -9,16 +9,16 @@
 # evaluations, the multi-patient streaming service, the sharded gateway,
 # the real-socket transport (loopback TCP+UDP churn) and the continuation
 # equivalence suites (whole records, blocks and single samples through one
-# chain engine and the QRS detector, against per-sample and per-tap
-# oracles, the serve drain's event latencies included; the AMA5 chains'
-# blocks straddle the span at which they switch from their short-span
-# sample-major loop to one pass per tap), a fuzz smoke over the
-# wire-frame/socket-message parsers, the ingest path, the QRS detector,
-# the moving-window integrator, the kernel's on-demand table fills and its
-# chain strategies, a
-# fixed-seed chaos run of the socket
-# transport harness, fault-free serve runs over loopback TCP (the batched
-# writes) and UDP, one run of every example program, and the end-to-end
+# chain engine, one FIR window and the QRS detector, against per-sample
+# and per-tap oracles, the serve drain's event latencies included; the
+# AMA5 chains' blocks straddle the span at which they switch from their
+# short-span sample-major loop to one pass per tap), a fuzz smoke over
+# the wire-frame/socket-message parsers, the ingest path, the QRS
+# detector, the FIR and moving-window integrator entry points, the
+# kernel's on-demand table fills and its chain strategies, a fixed-seed
+# chaos run of the socket transport harness, fault-free serve runs over
+# loopback TCP (the batched writes) and UDP, one run of every example
+# program, and the end-to-end
 # benchmark module's golden-digest smoke test (which also fails when a
 # declared metric goes missing).
 
@@ -113,7 +113,9 @@ examples-smoke:
 # and 5 positions after a history of the deepest lag straddle the span
 # at which the AMA5 chains leave their short-span sample-major loop for
 # one pass per tap), the dsp FIR and integrator entry points against the
-# frozen per-tap and per-sample fold oracles and the squarer block path,
+# frozen per-tap and per-sample fold oracles (the FIR's window filled
+# exactly, grown, and continued by an empty block; the FIR fuzz target's
+# seeds too) and the squarer block path,
 # Pipeline.PushBlock and streams sharing one compiled pipeline across
 # goroutines (racing the first fills of its tables),
 # StreamDetector.PushBlock's edge cases, the serve block drain (its
@@ -125,9 +127,12 @@ race-batch:
 # Fuzz smoke: a few seconds of native fuzzing over the wire-frame
 # parser, the socket-message decoder and the ingest path (never panic,
 # never corrupt the session pool), over the QRS detector (every entry
-# point reproduces the frozen whole-record oracle), over the
-# moving-window integrator (every entry point reproduces the frozen
-# per-sample fold), over the kernel's on-demand table fills (every
+# point reproduces the frozen whole-record oracle), over the FIR (every
+# entry point, its window filled exactly, grown and continued, reproduces
+# the frozen per-tap fold; seeds replay design B9's LPF, HPF and DER in
+# 24-sample serve blocks), over the moving-window integrator (every
+# entry point reproduces the frozen per-sample fold), over the kernel's
+# on-demand table fills (every
 # read of a fresh table reproduces the full enumeration) and over its
 # chain strategies (fuzzed tap shapes through the fused exact chain and
 # the AMA5 wiring chains, short spans sample-major and longer ones in
@@ -138,6 +143,7 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzParseWire -fuzztime=5s -run '^$$' ./internal/serve
 	$(GO) test -fuzz=FuzzIngest -fuzztime=5s -run '^$$' ./internal/serve
 	$(GO) test -fuzz=FuzzDetector -fuzztime=5s -run '^$$' ./internal/pantompkins
+	$(GO) test -fuzz=FuzzFIRMatchesOracle -fuzztime=5s -run '^$$' ./internal/dsp
 	$(GO) test -fuzz=FuzzMovingSum -fuzztime=5s -run '^$$' ./internal/dsp
 	$(GO) test -fuzz=FuzzTableFill -fuzztime=5s -run '^$$' ./internal/arith/kernel
 	$(GO) test -fuzz=FuzzChainRun -fuzztime=5s -run '^$$' ./internal/arith/kernel

@@ -138,13 +138,13 @@
 // (lag, table) arrays that NewChain builds once (32 bytes a projected
 // tap, split by projection tier, instead of a 120-byte chainOp and a tier
 // branch per tap). The checked loop stays as the head and runs only the
-// earlier positions, on dst[:deep] and xs[:deep]. A stream's block starts
-// at the tap count and a Process sample at the last tap, so only a
-// whole-record run from 0 has a head. The AMA1-AMA4, native and generic
-// strategies keep their checked loops throughout.
+// earlier positions, reading xs[:deep]. A stream's window runs from its
+// history length, the tap count, so only a whole-record run from 0 has a
+// head. The AMA1-AMA4, native and generic strategies keep their checked
+// loops throughout.
 //
 // Past the head, the two AMA5 strategies evaluate a span of at least
-// passMin positions (4) in passes over dst[from:], which serves as the
+// passMin positions (4) in passes over dst, which serves as the
 // accumulator. Each projected tap is one small loop that adds its terms
 // tab[x&m] over the span (the first writes them); the sliding window is
 // one pass that carries its running sum S; each correction tap is one
@@ -261,30 +261,32 @@
 //
 // # Continuation by start index
 //
-// Chain.Run(dst, xs, from, ...) evaluates positions from..len(dst)-1 of
-// the signal xs and reads zero before xs[0]. Every strategy computes
-// dst[i] from xs[i-lag] with lag at most the deepest tap lag, so the
-// start index is the only difference between the three ways a signal
-// reaches a chain:
+// Chain.Run(dst, xs, from, ...) evaluates positions from..len(xs)-1 of
+// the signal xs, reading zero before xs[0], and writes position i to
+// dst[i-from]: dst receives the evaluated positions and nothing else.
+// Every strategy computes position i from xs[i-lag] with lag at most the
+// deepest tap lag, so the start index is the only difference between the
+// two ways a signal reaches a chain:
 //
-//   - a whole record runs from 0 (dsp.FIR.FilterInto, the design-space
-//     exploration);
-//   - a stream's next block runs over [last n inputs | block] from n,
-//     with n the filter's tap count (dsp.FIR.Block, the serve drain);
-//   - a single sample runs at the last position of the delay-line window,
-//     in place (dsp.FIR.Process).
+//   - a whole record runs from 0 into a dst as long as the record
+//     (dsp.FIR.FilterInto, the design-space exploration);
+//   - a stream's window, its last n inputs (n the tap count) followed by
+//     the next block, runs from n straight into the block's destination
+//     (dsp.FIR.Block, the serve drain; dsp.FIR.Process is a one-sample
+//     block).
 //
-// The history is only read, never evaluated. Evaluating the packed span
-// from 0 and discarding the history outputs instead would waste, for a
-// 24-sample serve frame through the Pan-Tompkins FIRs, 45 of the 117
-// positions computed (LPF 10, HPF 31, DER 4). The sliding-window wiring
+// The history is only read, never evaluated: evaluating the window from
+// 0 and discarding the history outputs would waste, for a 24-sample
+// serve frame through the Pan-Tompkins FIRs, 48 of the 120 positions
+// computed (LPF 11, HPF 32, DER 5). The sliding-window wiring
 // strategy seeds its window from the samples before from, and a fused
 // recurrence its accumulators, so they continue exactly too. Because a
 // Chain holds no signal state, one compiled chain serves every stream of
 // a design. TestChainContinuation pins that a run over [history | block]
-// from len(history) equals the tail of a whole-signal run, for every
-// strategy, and FuzzChainRun checks fuzzed tap shapes from fuzzed start
-// indices against the scalar fold.
+// from len(history) writes exactly the whole-signal run's outputs at the
+// block's positions, and not one element past them, for every strategy;
+// FuzzChainRun checks fuzzed tap shapes from fuzzed start indices
+// against the scalar fold.
 //
 // # The bit-serial reference
 //

@@ -254,13 +254,13 @@ func checkChainFills(t *testing.T, cc fillChainCase, seqs [][]int64) {
 		for _, h := range []int{1, len(seq) / 2} {
 			c := fresh()
 			c.Run(dst[:h], seq[:h], 0, shift, outW)
-			c.Run(dst, seq, h, shift, outW)
+			c.Run(dst[h:], seq, h, shift, outW)
 			check(fmt.Sprintf("history %d", h), si, seq, dst, 0)
 		}
 
 		c := fresh()
 		for i := range seq {
-			c.Run(dst[:i+1], seq[:i+1], i, shift, outW)
+			c.Run(dst[i:i+1], seq[:i+1], i, shift, outW)
 		}
 		check("per position", si, seq, dst, 0)
 	}
@@ -329,7 +329,7 @@ func FuzzTableFill(f *testing.F) {
 		dst := make([]int64, len(seq))
 		for lo := 0; lo < len(seq); lo += block {
 			hi := min(lo+block, len(seq))
-			chain.Run(dst[:hi], seq[:hi], lo, 3, 29)
+			chain.Run(dst[lo:hi], seq[:hi], lo, 3, 29)
 		}
 		for i := range seq {
 			if want := scalarChain(cc.adder, ref, cc.ops, seq, i, 3, 29); dst[i] != want {

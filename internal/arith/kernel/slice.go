@@ -32,6 +32,10 @@ import (
 // dst serves as the accumulator and each tap is one pass over the span
 // whose loop keeps its few values in registers (see termPass).
 //
+// A strategy writes position i to dst[i-from]. Its loops count positions:
+// one over dst indices keeps one more value live, and the fused MAC's
+// recurrence then spills its sum on every tap.
+//
 // Chains also own the decision of which product representations exist at
 // all: a tap the strategy reads only through a wiring-chain projection
 // never materializes its 2^Width raw product table (NewChain builds the
@@ -261,8 +265,8 @@ func finishPass(d, xs []int64, from int, op *chainOp, w, k int, outShift uint, o
 	}
 }
 
-// chainFunc evaluates a compiled chain at positions from..len(dst)-1 (see
-// Chain.Run).
+// chainFunc evaluates a compiled chain at positions from..len(xs)-1 into
+// dst[:len(xs)-from], which is all of dst (see Chain.Run).
 type chainFunc func(c *Chain, dst, xs []int64, from int, outShift uint, outWidth int)
 
 // Chain is a compiled accumulation chain: the full per-sample fold of a
@@ -406,11 +410,12 @@ func coverFirst(run chainFunc) chainFunc {
 
 // runHead runs a strategy's checked loop, its head, at the positions of a
 // run before deep, the deepest lag the strategy's taps read at: only
-// there can a tap read before xs[0]. The head runs on dst[:deep] and
-// xs[:deep], which hold every sample those positions read; then run, the
-// strategy's check-free loop, continues from deep. A stream's block or
-// one-sample window starts at or past the deepest lag, so only a
-// whole-record run from 0 has a head.
+// there can a tap read before xs[0]. The head runs on xs[:deep], which
+// holds every sample those positions read, into the first deep-from
+// elements of dst; then run, the strategy's check-free loop, continues
+// from deep into the rest. A stream's window runs from its history
+// length, at or past the deepest lag, so only a whole-record run from 0
+// has a head.
 //
 // A strategy calls runHead last, so that nothing of its loop stays live
 // across the calls, and runHead must not inline into it for the same
@@ -418,10 +423,10 @@ func coverFirst(run chainFunc) chainFunc {
 //
 //go:noinline
 func runHead(run, head chainFunc, deep int, c *Chain, dst, xs []int64, from int, outShift uint, outWidth int) {
-	h := min(deep, len(dst))
-	head(c, dst[:h], xs[:h], from, outShift, outWidth)
-	if h < len(dst) {
-		run(c, dst, xs, h, outShift, outWidth)
+	h := min(deep, len(xs))
+	head(c, dst[:h-from], xs[:h], from, outShift, outWidth)
+	if h < len(xs) {
+		run(c, dst[h-from:], xs, h, outShift, outWidth)
 	}
 }
 
@@ -545,7 +550,7 @@ func slidingWiringT[T uint16 | uint32](w, k int, invA bool, plan slidePlan, tab 
 			}
 			S += uint64(tab[uint64(x)&tm])
 		}
-		for i := from; i < len(dst); i++ {
+		for i := from; i < len(xs); i++ {
 			// Slide: lag a of sample i enters, lag b of sample i-1 leaves.
 			var xn, xo int64
 			if j := i - plan.a; j >= 0 {
@@ -592,7 +597,7 @@ func slidingWiringT[T uint16 | uint32](w, k int, invA bool, plan slidePlan, tab 
 				u += ub >> ku
 				acc = (ub&mk | u<<ku) & mW
 			}
-			dst[i] = finish(acc, w, outShift, outWidth)
+			dst[i-from] = finish(acc, w, outShift, outWidth)
 		}
 	}
 	if invA {
@@ -639,24 +644,23 @@ func slidingAMA5[T uint16 | uint32](w, k int, plan slidePlan, tab []T, ops []cha
 		for l := a; l <= b; l++ {
 			S += uint64(tab[uint64(xs[from-1-l])&tm])
 		}
-		if len(dst)-from >= passMin {
-			d := dst[from:]
-			slidePass(d, xs[from-a:], xs[from-1-b:], tab, tm, S)
-			corr.addTo(d, xs, from, tm, false)
+		if len(dst) >= passMin {
+			slidePass(dst, xs[from-a:], xs[from-1-b:], tab, tm, S)
+			corr.addTo(dst, xs, from, tm, false)
 			for _, l := range corrLags {
-				subPass(d, xs[from-l:], tab, tm)
+				subPass(dst, xs[from-l:], tab, tm)
 			}
-			finishPass(d, xs, from, opL, w, k, outShift, outWidth)
+			finishPass(dst, xs, from, opL, w, k, outShift, outWidth)
 			return
 		}
-		for i := from; i < len(dst); i++ {
+		for i := from; i < len(xs); i++ {
 			S += uint64(tab[uint64(xs[i-a])&tm]) - uint64(tab[uint64(xs[i-1-b])&tm])
 			u := S + corr.sum(xs, i, tm)
 			for _, l := range corrLags {
 				u -= uint64(tab[uint64(xs[i-l])&tm])
 			}
 			ub := (uint64(opL.at(xs[i-opL.lag])) ^ opL.neg) & mW
-			dst[i] = finish((ub&mk|(u+ub>>ku)<<ku)&mW, w, outShift, outWidth)
+			dst[i-from] = finish((ub&mk|(u+ub>>ku)<<ku)&mW, w, outShift, outWidth)
 		}
 	}
 	return run
@@ -697,12 +701,12 @@ func macChain(w int, taps []macTap) chainFunc {
 			runHead(run, head, deep, c, dst, xs, from, outShift, outWidth)
 			return
 		}
-		if p := max(from, deepDiff); len(dst)-p >= minSpan {
+		if p := max(from, deepDiff); len(xs)-p >= minSpan {
 			macRecurrence(w, direct, diff, order, dst, xs, from, p, outShift, outWidth)
 			return
 		}
-		for i := from; i < len(dst); i++ {
-			dst[i] = finish(uint64(macSum(direct, xs, i)), w, outShift, outWidth)
+		for i := from; i < len(xs); i++ {
+			dst[i-from] = finish(uint64(macSum(direct, xs, i)), w, outShift, outWidth)
 		}
 	}
 	return run
@@ -718,8 +722,8 @@ func macSum(taps []macTap, xs []int64, i int) int64 {
 	return s
 }
 
-// macRecurrence evaluates positions from..len(dst)-1 of a fused chain:
-// directly up to p, then through diff, the order-th difference of the
+// macRecurrence evaluates positions from..len(xs)-1 of a fused chain into
+// dst: directly up to p, then through diff, the order-th difference of the
 // direct taps, with p at or past diff's deepest lag. With y the
 // accumulator, order 1 runs y[i] = y[i-1] + diff·x and order 2 runs
 // v[i] = v[i-1] + diff·x, y[i] = y[i-1] + v[i], seeded by the direct sums
@@ -730,21 +734,21 @@ func macSum(taps []macTap, xs []int64, i int) int64 {
 // keeps nothing of its own loop live across the call.
 func macRecurrence(w int, direct, diff []macTap, order int, dst, xs []int64, from, p int, outShift uint, outWidth int) {
 	for i := from; i < p; i++ {
-		dst[i] = finish(uint64(macSum(direct, xs, i)), w, outShift, outWidth)
+		dst[i-from] = finish(uint64(macSum(direct, xs, i)), w, outShift, outWidth)
 	}
 	y := macSum(direct, xs, p-1)
 	if order == 1 {
-		for i := p; i < len(dst); i++ {
+		for i := p; i < len(xs); i++ {
 			y += macSum(diff, xs, i)
-			dst[i] = finish(uint64(y), w, outShift, outWidth)
+			dst[i-from] = finish(uint64(y), w, outShift, outWidth)
 		}
 		return
 	}
 	v := y - macSum(direct, xs, p-2)
-	for i := p; i < len(dst); i++ {
+	for i := p; i < len(xs); i++ {
 		v += macSum(diff, xs, i)
 		y += v
-		dst[i] = finish(uint64(y), w, outShift, outWidth)
+		dst[i-from] = finish(uint64(y), w, outShift, outWidth)
 	}
 }
 
@@ -795,7 +799,7 @@ func sparsestDifference(direct []macTap) (diff []macTap, order int) {
 //go:noinline
 func macHead(w int, taps []macTap) chainFunc {
 	return func(_ *Chain, dst, xs []int64, from int, outShift uint, outWidth int) {
-		for i := from; i < len(dst); i++ {
+		for i := from; i < len(xs); i++ {
 			var s int64
 			for o := range taps {
 				t := &taps[o]
@@ -805,7 +809,7 @@ func macHead(w int, taps []macTap) chainFunc {
 				}
 				s += x * t.c
 			}
-			dst[i] = finish(uint64(s), w, outShift, outWidth)
+			dst[i-from] = finish(uint64(s), w, outShift, outWidth)
 		}
 	}
 }
@@ -851,21 +855,22 @@ func (c *Chain) RawTables() []*ConstMulTable {
 	return out
 }
 
-// Run evaluates the chain at positions from..len(dst)-1 of the signal xs
-// (dst[i] from the delayed samples xs[i-lag], reading zero before xs[0])
-// and applies the output bus slicing: the accumulator is sign-extended,
-// shifted right by outShift and sliced to outWidth bits. dst[:from] is
-// left untouched. dst and xs must have equal lengths and must not
-// overlap, from must lie in [0, len(dst)], outShift below 64 and
-// outWidth in [1, 64]. Run on an empty chain writes the sliced zero
-// accumulator.
+// Run evaluates the chain at positions from..len(xs)-1 of the signal xs
+// (position i from the delayed samples xs[i-lag], reading zero before
+// xs[0]) and applies the output bus slicing: the accumulator is
+// sign-extended, shifted right by outShift and sliced to outWidth bits.
+// Position i goes to dst[i-from], so Run writes dst[:len(xs)-from] and
+// nothing else; a whole-record run from 0 fills dst index for index. dst
+// must be at least len(xs)-from long and must not overlap xs, from must
+// lie in [0, len(xs)], outShift below 64 and outWidth in [1, 64]. Run on
+// an empty chain writes the sliced zero accumulator.
 //
 // The start index is how every caller continues a signal: from = 0 runs a
-// whole record, and packing at least the deepest tap lag's worth of a
-// stream's last inputs ahead of a block and running from their count
-// yields exactly the outputs the whole signal has at the block's
-// positions. Only positions from on are evaluated; no history position
-// is computed and discarded.
+// whole record, and a stream's window — at least the deepest tap lag's
+// worth of its last inputs followed by the next block — run from the
+// history's length yields exactly the outputs the whole signal has at
+// the block's positions, and only those. No history position is computed
+// and discarded.
 //
 // Before it evaluates, Run fills the chain's on-demand tables over the
 // largest |x| of xs[from:] — one scan and, once the tables reach that
@@ -874,7 +879,9 @@ func (c *Chain) RawTables() []*ConstMulTable {
 // evaluated (at a position at or after its start index). A delay line
 // that holds a stream's past inputs, or zeros after a reset, meets this.
 func (c *Chain) Run(dst, xs []int64, from int, outShift uint, outWidth int) {
-	c.fn(c, dst, xs, from, outShift, outWidth)
+	// The full slice expression bounds the span by len(dst), not cap(dst):
+	// every strategy then writes exactly the dst it is handed.
+	c.fn(c, dst[:len(xs)-from:len(dst)], xs, from, outShift, outWidth)
 }
 
 // cover fills every on-demand table the chain reads up to operand
@@ -890,8 +897,8 @@ func (c *Chain) cover(mag uint64) {
 }
 
 // emptyChain is the chain of no taps: the sliced zero accumulator.
-func emptyChain(_ *Chain, dst, _ []int64, from int, _ uint, _ int) {
-	clear(dst[from:])
+func emptyChain(_ *Chain, dst, _ []int64, _ int, _ uint, _ int) {
+	clear(dst)
 }
 
 // product evaluates one tap's delayed sample product (samples before the
@@ -961,14 +968,14 @@ func nativeChain(w int) chainFunc {
 	mW := mask(w)
 	return func(c *Chain, dst, xs []int64, from int, outShift uint, outWidth int) {
 		ops := c.ops
-		for i := from; i < len(dst); i++ {
+		for i := from; i < len(xs); i++ {
 			var s uint64
 			for o := range ops {
 				op := &ops[o]
 				p := uint64(op.product(xs, i))
 				s += (p ^ op.neg) + (op.neg & 1)
 			}
-			dst[i] = finish(s&mW, w, outShift, outWidth)
+			dst[i-from] = finish(s&mW, w, outShift, outWidth)
 		}
 	}
 }
@@ -1009,7 +1016,7 @@ func wiringChain(w, k int, invA bool) chainFunc {
 		if last == 0 {
 			// Single-tap chain: the opening accumulator is the result.
 			op0 := &ops[0]
-			for i := from; i < len(dst); i++ {
+			for i := from; i < len(xs); i++ {
 				p0 := op0.product(xs, i)
 				var acc uint64
 				if op0.neg != 0 {
@@ -1017,7 +1024,7 @@ func wiringChain(w, k int, invA bool) chainFunc {
 				} else {
 					acc = uint64(p0) & mW
 				}
-				dst[i] = finish(acc, w, outShift, outWidth)
+				dst[i-from] = finish(acc, w, outShift, outWidth)
 			}
 			return
 		}
@@ -1025,7 +1032,7 @@ func wiringChain(w, k int, invA bool) chainFunc {
 			// AMA4: carries alternate with the opening low bits; the low
 			// region complements once per step.
 			steps := uint64(last)
-			for i := from; i < len(dst); i++ {
+			for i := from; i < len(xs); i++ {
 				op0 := &ops[0]
 				p0 := op0.product(xs, i)
 				var acc uint64
@@ -1052,14 +1059,14 @@ func wiringChain(w, k int, invA bool) chainFunc {
 						u += uint64(op.proj.u32[xi])
 					}
 				}
-				dst[i] = finish((low|u<<ku)&mW, w, outShift, outWidth)
+				dst[i-from] = finish((low|u<<ku)&mW, w, outShift, outWidth)
 			}
 			return
 		}
 		// AMA5: every tap before the last is one projection load; the last
 		// operand keeps the low region.
 		opL := &ops[last]
-		for i := from; i < len(dst); i++ {
+		for i := from; i < len(xs); i++ {
 			var u uint64
 			for o := 0; o < last; o++ {
 				op := &ops[o]
@@ -1076,7 +1083,7 @@ func wiringChain(w, k int, invA bool) chainFunc {
 			}
 			ub := (uint64(opL.product(xs, i)) ^ opL.neg) & mW
 			u += ub >> ku
-			dst[i] = finish((ub&mk|u<<ku)&mW, w, outShift, outWidth)
+			dst[i-from] = finish((ub&mk|u<<ku)&mW, w, outShift, outWidth)
 		}
 	}
 }
@@ -1110,16 +1117,15 @@ func ama5Chain(w, k int, ops []chainOp, head chainFunc) chainFunc {
 			runHead(run, head, deep, c, dst, xs, from, outShift, outWidth)
 			return
 		}
-		if len(dst)-from >= passMin {
-			d := dst[from:]
-			taps.addTo(d, xs, from, m, true)
-			finishPass(d, xs, from, opL, w, k, outShift, outWidth)
+		if len(dst) >= passMin {
+			taps.addTo(dst, xs, from, m, true)
+			finishPass(dst, xs, from, opL, w, k, outShift, outWidth)
 			return
 		}
-		for i := from; i < len(dst); i++ {
+		for i := from; i < len(xs); i++ {
 			u := taps.sum(xs, i, m)
 			ub := (uint64(opL.at(xs[i-opL.lag])) ^ opL.neg) & mW
-			dst[i] = finish((ub&mk|(u+ub>>ku)<<ku)&mW, w, outShift, outWidth)
+			dst[i-from] = finish((ub&mk|(u+ub>>ku)<<ku)&mW, w, outShift, outWidth)
 		}
 	}
 	return run
@@ -1241,7 +1247,7 @@ func ama2Chain(w, k int) chainFunc {
 	mk := mask(k)
 	return func(c *Chain, dst, xs []int64, from int, outShift uint, outWidth int) {
 		ops := c.ops
-		for i := from; i < len(dst); i++ {
+		for i := from; i < len(xs); i++ {
 			acc := c.start(xs, i) & mW
 			for o := 1; o < len(ops); o++ {
 				op := &ops[o]
@@ -1253,7 +1259,7 @@ func ama2Chain(w, k int) chainFunc {
 				couts := ((acc ^ ub ^ v) >> 1) | cf<<(w-1)
 				acc = ((v &^ mk) | (^couts & mk)) & mW
 			}
-			dst[i] = finish(acc, w, outShift, outWidth)
+			dst[i-from] = finish(acc, w, outShift, outWidth)
 		}
 	}
 }
@@ -1267,7 +1273,7 @@ func chunkChain(w, k int, kind approx.AdderKind) chainFunc {
 	ku := uint(k)
 	return func(c *Chain, dst, xs []int64, from int, outShift uint, outWidth int) {
 		ops := c.ops
-		for i := from; i < len(dst); i++ {
+		for i := from; i < len(xs); i++ {
 			acc := c.start(xs, i) & mW
 			for o := 1; o < len(ops); o++ {
 				op := &ops[o]
@@ -1287,7 +1293,7 @@ func chunkChain(w, k int, kind approx.AdderKind) chainFunc {
 				}
 				acc = (sum | (acc>>ku+ub>>ku+carry)<<ku) & mW
 			}
-			dst[i] = finish(acc, w, outShift, outWidth)
+			dst[i-from] = finish(acc, w, outShift, outWidth)
 		}
 	}
 }

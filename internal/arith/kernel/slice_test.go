@@ -212,11 +212,12 @@ func maxChainLag(ops []ChainOp) int {
 
 // TestChainContinuation pins the start-index contract every continuing
 // caller relies on: Run over [history | block] from len(history) writes
-// exactly the tail of Run over the whole signal at the block's positions
-// and leaves dst[:from] untouched, for every chain strategy — native,
-// fused MAC and its difference recurrences, AMA2, chunk LUT, plain and
-// sliding wiring, single tap, empty — with a 32-bit and (exact) a 16-bit
-// accumulator, whose sums wrap. Histories run
+// the outputs Run over the whole signal has at the block's positions to
+// dst[:len(block)], exactly those, and leaves a sentinel just past them
+// untouched, for every chain strategy — native, fused MAC and its
+// difference recurrences, AMA2, chunk LUT, plain and sliding wiring,
+// single tap, empty — with a 32-bit and (exact) a 16-bit accumulator,
+// whose sums wrap. Histories run
 // from the deepest tap lag (the least that is exact) up to the whole
 // signal prefix. The whole run itself must equal the scalar fold, a run
 // over the whole signal from the positions around the deepest lag (where
@@ -261,7 +262,7 @@ func chainContinuation(t *testing.T) {
 	}
 	whole := make([]int64, len(xs))
 	wide := make([]int64, len(xs))
-	dst := make([]int64, len(xs))
+	dst := make([]int64, len(xs)+1)
 	for _, spec := range adders {
 		ad, err := CompileAdder(spec)
 		if err != nil {
@@ -274,6 +275,25 @@ func chainContinuation(t *testing.T) {
 					t.Fatal(err)
 				}
 				at := fmt.Sprintf("%+v mul %v chain %d", spec, mul, ci)
+				// span runs the chain over in from h into a sentinel-filled
+				// dst, which must then hold want and, just past it, the
+				// sentinel still.
+				span := func(what string, in []int64, h int, shift uint, outW int, want []int64) {
+					t.Helper()
+					for i := range dst {
+						dst[i] = sentinel
+					}
+					chain.Run(dst, in, h, shift, outW)
+					for i, v := range want {
+						if dst[i] != v {
+							t.Fatalf("%s: %s: dst[%d] = %d, want %d", at, what, i, dst[i], v)
+						}
+					}
+					if dst[len(want)] != sentinel {
+						t.Fatalf("%s: %s: dst[%d] = %d past the %d outputs, want it untouched",
+							at, what, len(want), dst[len(want)], len(want))
+					}
+				}
 				chain.Run(whole, xs, 0, 3, 29)
 				for i := range whole {
 					if want := scalarChain(spec, refs[mul], ops, xs, i, 3, 29); whole[i] != want {
@@ -285,30 +305,13 @@ func chainContinuation(t *testing.T) {
 				// runs over signals shorter than it.
 				for _, from := range []int{maxLag - 1, maxLag, maxLag + 1, maxLag + 2} {
 					from = max(from, 0)
-					for i := range dst {
-						dst[i] = sentinel
-					}
-					chain.Run(dst, xs, from, 3, 29)
-					for i := range dst {
-						want := sentinel
-						if i >= from {
-							want = whole[i]
-						}
-						if dst[i] != want {
-							t.Fatalf("%s: run from %d: dst[%d] = %d, want %d", at, from, i, dst[i], want)
-						}
-					}
+					span(fmt.Sprintf("run from %d", from), xs, from, 3, 29, whole[from:])
 				}
 				for _, n := range []int{1, maxLag / 2, maxLag - 1, maxLag} {
 					if n < 1 {
 						continue
 					}
-					chain.Run(dst[:n], xs[:n], 0, 3, 29)
-					for i := 0; i < n; i++ {
-						if dst[i] != whole[i] {
-							t.Fatalf("%s: %d-sample signal: dst[%d] = %d, want %d", at, n, i, dst[i], whole[i])
-						}
-					}
+					span(fmt.Sprintf("%d-sample signal", n), xs[:n], 0, 3, 29, whole[:n])
 				}
 				for s := 0; s < len(xs); s += 1 + rng.Intn(40) {
 					e := s + rng.Intn(len(xs)-s+1)
@@ -316,22 +319,7 @@ func chainContinuation(t *testing.T) {
 						if h > s {
 							h = s
 						}
-						in := xs[s-h : e]
-						out := dst[:len(in)]
-						for i := range out {
-							out[i] = sentinel
-						}
-						chain.Run(out, in, h, 3, 29)
-						for i := range out {
-							want := sentinel
-							if i >= h {
-								want = whole[s-h+i]
-							}
-							if out[i] != want {
-								t.Fatalf("%s: block [%d,%d) history %d: dst[%d] = %d, want %d",
-									at, s, e, h, i, out[i], want)
-							}
-						}
+						span(fmt.Sprintf("block [%d,%d) history %d", s, e, h), xs[s-h:e], h, 3, 29, whole[s:e])
 					}
 				}
 				chain.Run(wide, xs, 0, 20, 16)
@@ -347,22 +335,8 @@ func chainContinuation(t *testing.T) {
 				}{{3, 29, whole}, {20, 16, wide}} {
 					for _, n := range []int{passMin - 1, passMin, passMin + 1} {
 						for s := maxLag; s+n <= len(xs); s += 23 {
-							in := xs[s-maxLag : s+n]
-							out := dst[:len(in)]
-							for i := range out {
-								out[i] = sentinel
-							}
-							chain.Run(out, in, maxLag, sl.shift, sl.outW)
-							for i := range out {
-								want := sentinel
-								if i >= maxLag {
-									want = sl.whole[s-maxLag+i]
-								}
-								if out[i] != want {
-									t.Fatalf("%s: %d-position block at %d sliced (%d, %d): dst[%d] = %d, want %d",
-										at, n, s, sl.shift, sl.outW, i, out[i], want)
-								}
-							}
+							span(fmt.Sprintf("%d-position block at %d sliced (%d, %d)", n, s, sl.shift, sl.outW),
+								xs[s-maxLag:s+n], maxLag, sl.shift, sl.outW, sl.whole[s:s+n])
 						}
 					}
 				}
@@ -612,7 +586,8 @@ func TestProductFnMatchesReference(t *testing.T) {
 // configs), through the wiring projections of both tiers. A Run from 0
 // over the history (which Run's contract requires an earlier run to
 // have evaluated) precedes a Run from a fuzzed start index over the
-// whole fuzzed-length signal, which must leave dst before it untouched.
+// whole fuzzed-length signal, which must write exactly its positions to
+// the front of dst and leave the element past them untouched.
 //
 // data[0] picks the adder, data[1] seeds the signal, data[2] sets its
 // length (1..96) and data[3] the start index. Every later byte is one
@@ -693,21 +668,25 @@ func FuzzChainRun(f *testing.F) {
 		shift, outW := uint(3), cfg.adder.Width-3
 		hist := make([]int64, from)
 		chain.Run(hist, xs[:from], 0, shift, outW)
-		dst := make([]int64, len(xs))
+		dst := make([]int64, len(xs)+1)
 		for i := range dst {
 			dst[i] = sentinel
 		}
 		chain.Run(dst, xs, from, shift, outW)
 		ref := refProducts(cfg.mul, mags)
-		for i := range dst {
+		for i := range xs {
 			want := scalarChain(cfg.adder, ref, ops, xs, i, shift, outW)
 			switch {
-			case i < from && (hist[i] != want || dst[i] != sentinel):
-				t.Fatalf("%+v taps %v from %d: history run [%d] = %d, want %d; dst[%d] = %d, want it untouched",
-					cfg.adder, ops, from, i, hist[i], want, i, dst[i])
-			case i >= from && dst[i] != want:
-				t.Fatalf("%+v taps %v from %d: dst[%d] = %d, want %d", cfg.adder, ops, from, i, dst[i], want)
+			case i < from && hist[i] != want:
+				t.Fatalf("%+v taps %v from %d: history run [%d] = %d, want %d", cfg.adder, ops, from, i, hist[i], want)
+			case i >= from && dst[i-from] != want:
+				t.Fatalf("%+v taps %v from %d: position %d: dst[%d] = %d, want %d",
+					cfg.adder, ops, from, i, i-from, dst[i-from], want)
 			}
+		}
+		if n := len(xs) - from; dst[n] != sentinel {
+			t.Fatalf("%+v taps %v from %d: dst[%d] = %d past the %d outputs, want it untouched",
+				cfg.adder, ops, from, n, dst[n], n)
 		}
 	})
 }

@@ -315,7 +315,7 @@ func runSharedTables(t *testing.T, g int, spec arith.Multiplier, adderSpec arith
 	}
 	dst := make([]int64, len(xs))
 	for lo := 0; lo < len(xs); lo += 16 {
-		chain.Run(dst[:lo+16], xs[:lo+16], lo, 3, 29)
+		chain.Run(dst[lo:lo+16], xs[:lo+16], lo, 3, 29)
 	}
 	sqs := make([]int64, len(xs))
 	sq.SquareSlice(sqs, xs, 1)

@@ -54,7 +54,6 @@ func BenchmarkFIR(b *testing.B) {
 				for j := range fs {
 					fs[j] = f.Clone()
 				}
-				var buf []int64
 				pos := 0
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
@@ -62,7 +61,7 @@ func BenchmarkFIR(b *testing.B) {
 						if pos += frame; pos+frame > len(xs) {
 							pos = 0
 						}
-						buf = g.Block(dst[:frame], xs[pos:pos+frame], buf)
+						g.Block(dst[:frame], xs[pos:pos+frame])
 					}
 				}
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*streams*frame), "ns/sample")

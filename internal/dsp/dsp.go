@@ -9,12 +9,13 @@
 //
 // Each stage compiles its arithmetic once and keeps it immutable; its only
 // state is its delay line. A FIR evaluates through one chain kernel
-// whether it runs a whole record (FilterInto), a stream's next block
-// (Block) or a single sample (Process). The integrator runs every entry
-// point through its adder's window strategy: FilterInto is a reset and
-// one block, Process a one-sample block, and its delay line carries one
-// running-sum word. Clone gives another stream its own delay line over the
-// same compiled stage.
+// whether it runs a whole record (FilterInto) or a stream's next block
+// (Block, and Process as a one-sample block): its delay line is one
+// linear window that each block is appended to and the chain runs over.
+// The integrator runs every entry point through its adder's window
+// strategy: FilterInto is a reset and one block, Process a one-sample
+// block, and its delay line carries one running-sum word. Clone gives
+// another stream its own delay line over the same compiled stage.
 package dsp
 
 import (
@@ -81,25 +82,26 @@ const AccWidth = 32
 // tap order, exactly mirroring the generated stage netlist: negative
 // coefficients subtract their product magnitude.
 //
-// The taps compile once into a kernel.Chain, and every entry point —
-// FilterInto over a whole record, Block over a stream's next block,
-// Process over one sample — evaluates through it; they differ only in
-// the start index of the Chain.Run call. The chain is immutable, so the
-// filter's only state is its delay line, and Clone hands a stream its
-// own delay line over the same chain.
+// The taps compile once into a kernel.Chain, and every entry point
+// evaluates through it: FilterInto runs a whole record from position 0,
+// Block runs the stream's window from its history length, and Process is
+// a one-sample Block. The chain is immutable, so the filter's only state
+// is its delay line, and Clone hands a stream its own delay line over the
+// same chain.
 type FIR struct {
-	coeffs   []int64
+	n        int // taps, and the history length of the window
 	chain    *kernel.Chain
 	outShift uint
-	// ring is the delay line: the last Len() inputs stored twice
-	// (ring[i] == ring[i+n]), so ring[pos:pos+n] is always the window
-	// of those inputs oldest first.
-	ring []int64
-	pos  int
-	// win receives Process's output at win[n-1] (Chain.Run writes a dst
-	// as long as its input). Only Process reads it, so its first call
-	// allocates it: a stream driven by Block never carries it.
-	win []int64
+	// win is the delay line, one linear window: win[fill-n:fill] holds the
+	// last n inputs oldest first (zeros before the first input), and a
+	// block is appended at win[fill:]. Block moves the history to the
+	// front when a block does not fit, so its copies are the block itself
+	// and, once per fill, n samples.
+	win  []int64
+	fill int
+	// out is Process's destination. Chain.Run's dst escapes through the
+	// strategy's func value, so a local array would be allocated per call.
+	out [1]int64
 }
 
 // NewFIR builds the filter. outShift is the right shift applied to the
@@ -134,16 +136,17 @@ func NewFIR(coeffs []int64, outShift int, cfg ArithConfig) (*FIR, error) {
 	if err != nil {
 		return nil, err
 	}
-	f := &FIR{coeffs: append([]int64(nil), coeffs...), chain: chain, outShift: uint(outShift)}
+	f := &FIR{n: len(coeffs), chain: chain, outShift: uint(outShift)}
 	return f.Clone(), nil
 }
 
 // Clone returns a filter over f's compiled taps with a cleared delay line
 // of its own. The taps are shared, not copied: they are immutable, so
-// clones may run on different goroutines.
+// clones may run on different goroutines. The window starts with room
+// for n more inputs, so per-sample Process moves its history once every
+// n samples.
 func (f *FIR) Clone() *FIR {
-	n := len(f.coeffs)
-	return &FIR{coeffs: f.coeffs, chain: f.chain, outShift: f.outShift, ring: make([]int64, 2*n)}
+	return &FIR{n: f.n, chain: f.chain, outShift: f.outShift, win: make([]int64, 2*f.n), fill: f.n}
 }
 
 // Tables returns the distinct raw product tables the filter's chain
@@ -160,75 +163,51 @@ func (f *FIR) Tables() []*kernel.ConstMulTable { return f.chain.RawTables() }
 func (f *FIR) ProjTables() []kernel.ProjTable { return f.chain.ProjTables() }
 
 // Len returns the number of taps.
-func (f *FIR) Len() int { return len(f.coeffs) }
-
-// Coeffs returns a copy of the coefficients.
-func (f *FIR) Coeffs() []int64 { return append([]int64(nil), f.coeffs...) }
+func (f *FIR) Len() int { return f.n }
 
 // Reset clears the delay line.
-func (f *FIR) Reset() { f.load(nil) }
-
-// load sets the delay line to the inputs ending with xs, zeros before
-// them, as if xs had been streamed from a cleared filter.
-func (f *FIR) load(xs []int64) {
-	n := len(f.coeffs)
-	if len(xs) > n {
-		xs = xs[len(xs)-n:]
-	}
-	w := f.ring[:n]
-	z := n - len(xs)
-	clear(w[:z])
-	copy(w[z:], xs)
-	copy(f.ring[n:], w)
-	f.pos = 0
+func (f *FIR) Reset() {
+	f.fill = f.n
+	clear(f.win[:f.n])
 }
 
 // Process consumes one SampleWidth-bit sample and produces one output
-// sample (sign-extended from the hardware's output slice): the chain runs
-// at the last position of the delay-line window, in place.
+// sample (sign-extended from the hardware's output slice): a one-sample
+// Block.
 func (f *FIR) Process(x int64) int64 {
-	n, pos, ring := len(f.coeffs), f.pos, f.ring
-	ring[pos] = x
-	ring[pos+n] = x
-	if pos++; pos == n {
-		pos = 0
-	}
-	f.pos = pos
-	if f.win == nil {
-		f.win = make([]int64, n)
-	}
-	f.chain.Run(f.win, ring[pos:pos+n], n-1, f.outShift, SampleWidth)
-	return f.win[n-1]
+	v := [1]int64{x}
+	f.Block(f.out[:], v[:])
+	return f.out[0]
 }
 
 // Block continues the filter over a block of inputs, writing one output
-// per input to dst[:len(xs)] exactly as len(xs) calls of Process would.
-// It packs the last Len() inputs ahead of the block in buf and runs the
-// chain from there. buf is caller-owned scratch of any length: Block
-// returns it, grown when it was short, for reuse across calls and
-// filters.
-func (f *FIR) Block(dst, xs, buf []int64) []int64 {
-	n := len(f.coeffs)
-	m := n + len(xs)
-	buf = resize(buf, 2*m)
-	in, out := buf[:m], buf[m:]
-	copy(in, f.ring[f.pos:f.pos+n])
-	copy(in[n:], xs)
-	f.chain.Run(out, in, n, f.outShift, SampleWidth)
-	copy(dst[:len(xs)], out[n:])
-	f.load(in)
-	return buf
+// per input to dst[:len(xs)] exactly as len(xs) calls of Process would;
+// dst may alias xs. It appends the block to the window and runs the chain
+// from the history length straight into dst. A block that does not fit
+// moves the history to the front first; only a block longer than any
+// before grows the window, to the history plus the block.
+func (f *FIR) Block(dst, xs []int64) {
+	n := f.n
+	if f.fill+len(xs) > len(f.win) {
+		w := f.win
+		if n+len(xs) > len(w) {
+			w = make([]int64, n+len(xs))
+		}
+		copy(w, f.win[f.fill-n:f.fill])
+		f.win, f.fill = w, n
+	}
+	end := f.fill + copy(f.win[f.fill:], xs)
+	f.chain.Run(dst, f.win[f.fill-n:end], n, f.outShift, SampleWidth)
+	f.fill = end
 }
 
-// Filter runs the filter over a whole signal from a cleared delay line.
-func (f *FIR) Filter(xs []int64) []int64 { return f.FilterInto(nil, xs) }
-
-// FilterInto is Filter writing into dst, which is grown only when its
-// capacity is insufficient — the path for callers that run many records
-// without per-record allocation. It returns the output slice. The chain
-// runs from position 0 of the record; the delay line is left exactly as
-// if the signal had been streamed, so Process or Block may continue where
-// the record ended.
+// FilterInto runs the filter over a whole signal from a cleared delay
+// line, writing into dst, which is grown only when its capacity is
+// insufficient — the path for callers that run many records without
+// per-record allocation. It returns the output slice. The chain runs from
+// position 0 of the record; the delay line is left exactly as if the
+// signal had been streamed, so Process or Block may continue where the
+// record ended.
 func (f *FIR) FilterInto(dst, xs []int64) []int64 {
 	dst = resize(dst, len(xs))
 	if overlaps(dst, xs) {
@@ -237,7 +216,9 @@ func (f *FIR) FilterInto(dst, xs []int64) []int64 {
 		dst = make([]int64, len(xs))
 	}
 	f.chain.Run(dst, xs, 0, f.outShift, SampleWidth)
-	f.load(xs)
+	f.Reset()
+	tail := xs[max(len(xs)-f.n, 0):]
+	copy(f.win[f.n-len(tail):f.n], tail)
 	return dst
 }
 
@@ -291,9 +272,6 @@ func (m *MovingSum) Clone() *MovingSum {
 	return &MovingSum{adder: m.adder, outShift: m.outShift, ring: make([]int64, len(m.ring))}
 }
 
-// Window returns the integration window length.
-func (m *MovingSum) Window() int { return len(m.ring) }
-
 // Reset clears the window and its running sum.
 func (m *MovingSum) Reset() {
 	clear(m.ring)
@@ -317,11 +295,9 @@ func (m *MovingSum) ProcessBlock(dst, xs []int64) {
 	m.pos, m.sum = m.adder.Slide(dst, xs, m.ring, m.pos, m.sum, uint(m.outShift), AccWidth-m.outShift)
 }
 
-// Filter runs the integrator over a whole signal from a cleared window.
-func (m *MovingSum) Filter(xs []int64) []int64 { return m.FilterInto(nil, xs) }
-
-// FilterInto is Filter writing into dst (grown only when needed): a
-// cleared window followed by ProcessBlock over the record.
+// FilterInto runs the integrator over a whole signal, writing into dst
+// (grown only when needed): a cleared window followed by ProcessBlock
+// over the record.
 func (m *MovingSum) FilterInto(dst, xs []int64) []int64 {
 	m.Reset()
 	dst = resize(dst, len(xs))
@@ -359,11 +335,6 @@ func NewSquarer(outShift int, cfg ArithConfig) (*Squarer, error) {
 // kernel table footprint (exact configurations are table-free: 0 bytes).
 func (s *Squarer) Table() *kernel.SquareTable { return s.tab }
 
-// Reset is a no-op: the squarer is combinational (no delay line). It
-// exists so all stages share the Reset/Process per-sample interface the
-// streaming pipeline drives.
-func (s *Squarer) Reset() {}
-
 // Process squares one sample.
 func (s *Squarer) Process(x int64) int64 {
 	return s.tab.Square(x) >> uint(s.outShift)
@@ -375,10 +346,7 @@ func (s *Squarer) ProcessBlock(dst, xs []int64) {
 	s.tab.SquareSlice(dst[:len(xs)], xs, uint(s.outShift))
 }
 
-// Filter squares a whole signal.
-func (s *Squarer) Filter(xs []int64) []int64 { return s.FilterInto(nil, xs) }
-
-// FilterInto is Filter writing into dst (grown only when needed).
+// FilterInto squares a whole signal into dst (grown only when needed).
 func (s *Squarer) FilterInto(dst, xs []int64) []int64 {
 	dst = resize(dst, len(xs))
 	if overlaps(dst, xs) && &dst[0] != &xs[0] {

@@ -20,7 +20,7 @@ func TestAccurateFIRMatchesConvolution(t *testing.T) {
 		// Small values: |y| <= 500*36 stays inside the 16-bit output slice.
 		xs[i] = int64(rng.Intn(1000) - 500)
 	}
-	got := f.Filter(xs)
+	got := f.FilterInto(nil, xs)
 	for n := range xs {
 		var want int64
 		for i, c := range coeffs {
@@ -45,7 +45,7 @@ func TestAccurateFIRNegativeCoefficients(t *testing.T) {
 	for i := range xs {
 		xs[i] = int64(int16(rng.Uint64())) / 8
 	}
-	got := f.Filter(xs)
+	got := f.FilterInto(nil, xs)
 	for n := range xs {
 		var want int64
 		for i, c := range coeffs {
@@ -142,11 +142,6 @@ func TestFIRAccessors(t *testing.T) {
 	if f.Len() != 3 {
 		t.Errorf("Len = %d", f.Len())
 	}
-	got := f.Coeffs()
-	got[0] = 99 // must be a copy
-	if f.Coeffs()[0] != 3 {
-		t.Error("Coeffs returned internal slice")
-	}
 }
 
 func TestMovingSumAccurate(t *testing.T) {
@@ -156,7 +151,7 @@ func TestMovingSumAccurate(t *testing.T) {
 	}
 	xs := []int64{1, 2, 3, 4, 5, 6}
 	want := []int64{1, 3, 6, 10, 14, 18}
-	got := m.Filter(xs)
+	got := m.FilterInto(nil, xs)
 	for i := range want {
 		if got[i] != want[i] {
 			t.Errorf("sample %d: got %d, want %d", i, got[i], want[i])
@@ -175,9 +170,6 @@ func TestMovingSumShift(t *testing.T) {
 	}
 	if last != 32 { // (32*32)>>5
 		t.Errorf("windowed average = %d, want 32", last)
-	}
-	if m.Window() != 32 {
-		t.Errorf("Window = %d", m.Window())
 	}
 }
 
@@ -248,9 +240,9 @@ func TestQuickFIRLinearityAccurate(t *testing.T) {
 			b[i] = int64(r) * 2
 			sum[i] = a[i] + b[i]
 		}
-		ya := f1.Filter(a)
-		yb := f2.Filter(b)
-		ys := f3.Filter(sum)
+		ya := f1.FilterInto(nil, a)
+		yb := f2.FilterInto(nil, b)
+		ys := f3.FilterInto(nil, sum)
 		for i := range ys {
 			if ys[i] != ya[i]+yb[i] {
 				return false
@@ -297,18 +289,18 @@ func TestFilterIntoReusesBuffers(t *testing.T) {
 		fBuf = fir.FilterInto(fBuf, xs)
 		mBuf = mwi.FilterInto(mBuf, xs)
 		sBuf = sqr.FilterInto(sBuf, xs)
-		wantF := fir.Filter(xs)
-		wantM := mwi.Filter(xs)
-		wantS := sqr.Filter(xs)
+		wantF := fir.FilterInto(nil, xs)
+		wantM := mwi.FilterInto(nil, xs)
+		wantS := sqr.FilterInto(nil, xs)
 		for i := range xs {
 			if fBuf[i] != wantF[i] {
-				t.Fatalf("FIR FilterInto[%d] = %d, Filter = %d", i, fBuf[i], wantF[i])
+				t.Fatalf("FIR FilterInto[%d] = %d, fresh buffer %d", i, fBuf[i], wantF[i])
 			}
 			if mBuf[i] != wantM[i] {
-				t.Fatalf("MovingSum FilterInto[%d] = %d, Filter = %d", i, mBuf[i], wantM[i])
+				t.Fatalf("MovingSum FilterInto[%d] = %d, fresh buffer %d", i, mBuf[i], wantM[i])
 			}
 			if sBuf[i] != wantS[i] {
-				t.Fatalf("Squarer FilterInto[%d] = %d, Filter = %d", i, sBuf[i], wantS[i])
+				t.Fatalf("Squarer FilterInto[%d] = %d, fresh buffer %d", i, sBuf[i], wantS[i])
 			}
 		}
 	}

@@ -3,7 +3,9 @@ package dsp
 import (
 	"encoding/binary"
 	"fmt"
+	"maps"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"github.com/xbiosip/xbiosip/internal/approx"
@@ -114,47 +116,119 @@ func oracleShapes() map[string][]int64 {
 
 // TestFIRMatchesOracle is the seeded differential of every FIR entry
 // point against the frozen per-tap oracle: random interleavings of
-// Process, Block (lengths 0, 1 and past the tap count, sharing one
-// scratch buffer across filters) and FilterInto restarts drive one
-// filter, while the oracle is fed the same samples one at a time
-// (reset at every restart). It crosses adder kinds {exact, AMA1-AMA5},
-// approximated LSBs {0, 2, 8, 12, 16} and the tap shapes above; the
-// exact kind multiplies exactly, so its chains fuse to the MAC strategy,
-// and HPF-shaped wiring chains take the sliding one.
+// Process, Block, FilterInto restarts, Reset and Clone (see driveFIR)
+// drive one filter, while the oracle is fed the same samples one at a
+// time (reset at every restart). It crosses adder kinds {exact,
+// AMA1-AMA5}, approximated LSBs {0, 2, 8, 12, 16} and the tap shapes
+// above; the exact kind multiplies exactly, so its chains fuse to the MAC
+// strategy, and HPF-shaped wiring chains take the sliding one.
 // It runs as the subtest kernels=true, the name it kept from when a
 // bit-serial mode ran it a second time as kernels=false.
 func TestFIRMatchesOracle(t *testing.T) { t.Run("kernels=true", firMatchesOracle) }
 
 func firMatchesOracle(t *testing.T) {
-	kinds := append([]approx.AdderKind{approx.AccAdd}, approx.ApproxAdd1, approx.ApproxAdd2,
-		approx.ApproxAdd3, approx.ApproxAdd4, approx.ApproxAdd5)
 	rng := rand.New(rand.NewSource(61))
-	var buf []int64
-	for _, kind := range kinds {
-		mul := approx.AppMultV1
-		if kind == approx.AccAdd {
-			mul = approx.AccMult
-		}
+	for _, kind := range adderKinds {
 		for _, k := range []int{0, 2, 8, 12, 16} {
-			cfg := ArithConfig{LSBs: k, Add: kind, Mul: mul}
+			cfg := ArithConfig{LSBs: k, Add: kind, Mul: firMult(kind)}
 			for name, coeffs := range oracleShapes() {
-				f, err := NewFIR(coeffs, 3, cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				o := newOracleFIR(coeffs, 3, cfg)
-				label := fmt.Sprintf("%v %s", cfg, name)
-				buf = driveFIR(t, label, rng, f, o, buf)
+				driveFIR(t, fmt.Sprintf("%v %s", cfg, name), rng.Uint64, 24, coeffs, 3, cfg)
 			}
 		}
 	}
 }
 
-// driveFIR runs one random interleaving of FIR entry points against the
-// oracle and returns the (possibly grown) Block scratch.
-func driveFIR(t *testing.T, label string, rng *rand.Rand, f *FIR, o *oracleFIR, buf []int64) []int64 {
+// firMult is the multiplier kind the FIR differentials pair with an
+// adder kind: exact with the exact adder, so that its chains fuse,
+// AppMultV1 with the others.
+func firMult(kind approx.AdderKind) approx.MultKind {
+	if kind == approx.AccAdd {
+		return approx.AccMult
+	}
+	return approx.AppMultV1
+}
+
+// FuzzFIRMatchesOracle runs the FIR differential on fuzzer-chosen
+// configurations and call sequences: the first four bytes pick the adder
+// kind (its multiplier as in firMult), the approximated LSBs (0-16), the
+// tap shape (oracleShapes by name) and the output shift (byte 3 modulo
+// 8); the rest feed driveFIR's choices 8 bytes at a time (zero past the
+// end). Seeds replay design B9's LPF (k=10), HPF (k=12) and DER (k=2),
+// AMA5 and AppMultV1 at the pipeline's output shifts, as a stream of
+// 24-sample serve blocks.
+func FuzzFIRMatchesOracle(f *testing.F) {
+	shapes := oracleShapes()
+	names := slices.Sorted(maps.Keys(shapes))
+	rng := rand.New(rand.NewSource(1))
+	appendWords := func(data []byte, ws ...uint64) []byte {
+		for _, w := range ws {
+			data = binary.LittleEndian.AppendUint64(data, w)
+		}
+		return data
+	}
+	for _, seed := range []struct {
+		kind, k int
+		shape   string
+		shift   int
+	}{{5, 10, "lpf", 5}, {5, 12, "hpf", 5}, {5, 2, "der", 3}} {
+		data := []byte{byte(seed.kind), byte(seed.k), byte(slices.Index(names, seed.shape)), byte(seed.shift)}
+		for range 6 {
+			// A Block step (op 2), length choice 2: 1+23 samples.
+			data = appendWords(data, 2, 2, 23)
+			for range 24 {
+				data = appendWords(data, rng.Uint64()>>1)
+			}
+		}
+		f.Add(data)
+	}
+	for i, seed := range [][4]byte{{0, 0, 2, 5}, {1, 8, 3, 3}, {4, 16, 1, 3}, {2, 12, 5, 0}} {
+		data := seed[:]
+		for j := 0; j < 48+i; j++ {
+			data = appendWords(data, rng.Uint64())
+		}
+		f.Add(data)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 4 {
+			return
+		}
+		kind := adderKinds[int(data[0])%len(adderKinds)]
+		cfg := ArithConfig{LSBs: int(data[1]) % 17, Add: kind, Mul: firMult(kind)}
+		name := names[int(data[2])%len(names)]
+		words := data[4:]
+		next := func() uint64 {
+			var b [8]byte
+			words = words[copy(b[:], words):]
+			return binary.LittleEndian.Uint64(b[:])
+		}
+		steps := min(1+len(words)/16, 48)
+		driveFIR(t, fmt.Sprintf("%v %s", cfg, name), next, steps, shapes[name], int(data[3])%8, cfg)
+	})
+}
+
+// driveFIR builds a filter and its oracle and runs steps entry-point
+// calls against it, drawing every choice from next: Process, Block,
+// FilterInto restarts, Reset, and Clone (the clone carries on from a
+// cleared delay line). Block lengths are 0, 1, anything from 1 to 24
+// past the tap count, exactly the window's free room (which must then be
+// full), and more than the window holds past the history, which must
+// grow it to the history plus the block, followed at once by an empty
+// block.
+func driveFIR(t *testing.T, label string, next func() uint64, steps int, coeffs []int64, outShift int, cfg ArithConfig) {
 	t.Helper()
-	sample := func() int64 { return int64(int16(rng.Uint64())) }
+	f, err := NewFIR(coeffs, outShift, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := newOracleFIR(coeffs, outShift, cfg)
+	intn := func(n int) int { return int(next() % uint64(n)) }
+	samples := func(n int) []int64 {
+		xs := make([]int64, n)
+		for i := range xs {
+			xs[i] = int64(int16(next()))
+		}
+		return xs
+	}
 	pos := 0
 	check := func(op string, got []int64, in []int64) {
 		t.Helper()
@@ -166,31 +240,52 @@ func driveFIR(t *testing.T, label string, rng *rand.Rand, f *FIR, o *oracleFIR, 
 		}
 		pos += len(in)
 	}
-	for step := 0; step < 24; step++ {
-		switch rng.Intn(3) {
-		case 0:
-			x := sample()
+	block := func(op string, n int) {
+		t.Helper()
+		xs := samples(n)
+		dst := make([]int64, n)
+		f.Block(dst, xs)
+		check(op, dst, xs)
+	}
+	for step := 0; step < steps; step++ {
+		switch op := intn(8); {
+		case op < 2:
+			x := samples(1)[0]
 			check("Process", []int64{f.Process(x)}, []int64{x})
-		case 1:
-			n := [3]int{0, 1, f.Len() + 1 + rng.Intn(24)}[rng.Intn(3)]
-			xs := make([]int64, n)
-			for i := range xs {
-				xs[i] = sample()
+		case op < 5:
+			switch intn(5) {
+			case 0, 1:
+				block("Block", intn(2))
+			case 2:
+				block("Block", 1+intn(f.Len()+24))
+			case 3:
+				block("Block filling the window", len(f.win)-f.fill)
+				if f.fill != len(f.win) {
+					t.Fatalf("%s: a block of the window's free room left %d of %d filled", label, f.fill, len(f.win))
+				}
+			default:
+				n := len(f.win) - f.Len() + 1 + intn(24)
+				block("Block growing the window", n)
+				if want := f.Len() + n; len(f.win) != want {
+					t.Fatalf("%s: a %d-sample block grew the window to %d, want %d", label, n, len(f.win), want)
+				}
+				block("Block after growth", 0)
 			}
-			dst := make([]int64, n)
-			buf = f.Block(dst, xs, buf)
-			check("Block", dst, xs)
-		default:
-			xs := make([]int64, rng.Intn(60))
-			for i := range xs {
-				xs[i] = sample()
-			}
+		case op == 5:
+			xs := samples(intn(60))
 			o.Reset()
 			pos = 0
 			check("FilterInto", f.FilterInto(nil, xs), xs)
+		case op == 6:
+			f.Reset()
+			o.Reset()
+			pos = 0
+		default:
+			f = f.Clone()
+			o.Reset()
+			pos = 0
 		}
 	}
-	return buf
 }
 
 // oracleMovingSum is the per-sample window fold of the integrator over
@@ -230,10 +325,10 @@ func (m *oracleMovingSum) Process(x int64) int64 {
 	return arith.ToSigned(uint64(acc)>>uint(m.outShift), AccWidth-m.outShift)
 }
 
-// movingSumKinds are the adder kinds the integrator differential crosses:
-// exact, and every approximate kind — the wiring kinds slide, the others
-// re-fold.
-var movingSumKinds = []approx.AdderKind{approx.AccAdd, approx.ApproxAdd1, approx.ApproxAdd2,
+// adderKinds are the adder kinds the FIR and integrator differentials
+// cross: exact, and every approximate kind — in the integrator, the
+// wiring kinds slide and the others re-fold.
+var adderKinds = []approx.AdderKind{approx.AccAdd, approx.ApproxAdd1, approx.ApproxAdd2,
 	approx.ApproxAdd3, approx.ApproxAdd4, approx.ApproxAdd5}
 
 // TestMovingSumMatchesOracle is the seeded differential of every
@@ -247,7 +342,7 @@ func TestMovingSumMatchesOracle(t *testing.T) { t.Run("kernels=true", movingSumM
 
 func movingSumMatchesOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(67))
-	for _, kind := range movingSumKinds {
+	for _, kind := range adderKinds {
 		for _, k := range []int{0, 1, 2, 8, 12, 16, 31, 32} {
 			for _, window := range []int{2, 3, 32} {
 				cfg := ArithConfig{LSBs: k, Add: kind}
@@ -277,7 +372,7 @@ func FuzzMovingSum(f *testing.F) {
 		if len(data) < 4 {
 			return
 		}
-		cfg := ArithConfig{LSBs: int(data[1]) % (AccWidth + 1), Add: movingSumKinds[int(data[0])%len(movingSumKinds)]}
+		cfg := ArithConfig{LSBs: int(data[1]) % (AccWidth + 1), Add: adderKinds[int(data[0])%len(adderKinds)]}
 		window := 2 + int(data[2])%40
 		words := data[4:]
 		next := func() uint64 {

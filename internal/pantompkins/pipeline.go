@@ -20,7 +20,6 @@ type Outputs struct {
 	Integrated []int64 // after stage E
 
 	raw []int64 // PushBlock's widened samples
-	buf []int64 // PushBlock's FIR packing scratch (dsp.FIR.Block)
 }
 
 // Pipeline is one instantiated Pan-Tompkins processing chain: five
@@ -180,7 +179,6 @@ func (p *Pipeline) Reset() {
 	p.lpf.Reset()
 	p.hpf.Reset()
 	p.der.Reset()
-	p.sqr.Reset()
 	p.mwi.Reset()
 }
 
@@ -201,10 +199,11 @@ func (p *Pipeline) Push(x int16) StreamSample {
 
 // PushBlock continues the pipeline over a block of raw samples exactly as
 // len(samples) calls of Push would, and leaves the block's signals in out
-// (every field resliced to len(samples), valid until out is reused). out
-// also carries the stages' packing scratch, so a caller advancing many
-// streams through one Outputs allocates nothing once it is warm. It
-// returns out.
+// (every field resliced to len(samples), valid until out is reused). Each
+// FIR stage writes its block straight into out from its own delay line,
+// so a caller advancing many streams through one Outputs allocates
+// nothing once the buffers and each stream's delay lines have grown to
+// its block length. It returns out.
 func (p *Pipeline) PushBlock(out *Outputs, samples []int16) *Outputs {
 	n := len(samples)
 	out.raw = resize(out.raw, n)
@@ -212,11 +211,11 @@ func (p *Pipeline) PushBlock(out *Outputs, samples []int16) *Outputs {
 		out.raw[i] = int64(s)
 	}
 	out.LowPassed = resize(out.LowPassed, n)
-	out.buf = p.lpf.Block(out.LowPassed, out.raw, out.buf)
+	p.lpf.Block(out.LowPassed, out.raw)
 	out.Filtered = resize(out.Filtered, n)
-	out.buf = p.hpf.Block(out.Filtered, out.LowPassed, out.buf)
+	p.hpf.Block(out.Filtered, out.LowPassed)
 	out.Derivative = resize(out.Derivative, n)
-	out.buf = p.der.Block(out.Derivative, out.Filtered, out.buf)
+	p.der.Block(out.Derivative, out.Filtered)
 	out.Squared = resize(out.Squared, n)
 	p.sqr.ProcessBlock(out.Squared, out.Derivative)
 	out.Integrated = resize(out.Integrated, n)

@@ -117,9 +117,10 @@
 // direct view into its ingest ring (copied only when the span wraps) goes
 // through pantompkins.Pipeline.PushBlock on the session's own stage
 // state, into one Service-owned Outputs that every session reuses. Each
-// FIR stage packs its last inputs ahead of the block and evaluates only
-// the block's positions through the design's one compiled chain (see
-// package arith/kernel, "Continuation by start index"). The block's
+// FIR stage appends the block to its delay line, a linear window that
+// holds its last inputs, and evaluates only the block's positions through
+// the design's one compiled chain, straight into the Outputs (see package
+// arith/kernel, "Continuation by start index"). The block's
 // filtered/integrated outputs then feed the session's detector in one
 // StreamDetector.PushBlock call, in ascending slot order, and one
 // collection emits the events it produced: the decisions, and their

@@ -228,7 +228,7 @@ type Service struct {
 	tick    int64 // monotone accepted-frame counter (eviction ordering)
 
 	pipe *pantompkins.Pipeline // the compiled stages every slot's stream shares
-	out  pantompkins.Outputs   // Drain's per-block signals and stage scratch
+	out  pantompkins.Outputs   // Drain's per-block signals
 	wrap []int16               // contiguous copy of a ring span that wraps
 }
 
