@@ -11,8 +11,8 @@
 # equivalence suites (whole records, blocks and single samples through one
 # chain engine, one FIR window and the QRS detector, against per-sample
 # and per-tap oracles, the serve drain's event latencies included; the
-# AMA5 chains' blocks straddle the span at which they switch from their
-# short-span sample-major loop to one pass per tap), a fuzz smoke over
+# AMA5 chains' and the fused exact MAC's blocks straddle the spans at
+# which they switch from their short-span loop to passes), a fuzz smoke over
 # the wire-frame/socket-message parsers, the ingest path, the QRS
 # detector, the FIR and moving-window integrator entry points, the
 # kernel's on-demand table fills and its chain strategies, a fixed-seed
@@ -109,10 +109,11 @@ examples-smoke:
 	done
 
 # The continuation equivalence suites across every layer that runs a
-# signal in blocks — kernel Chain.Run from a start index (blocks of 3, 4
-# and 5 positions after a history of the deepest lag straddle the span
-# at which the AMA5 chains leave their short-span sample-major loop for
-# one pass per tap), the dsp FIR and integrator entry points against the
+# signal in blocks — kernel Chain.Run from a start index (blocks of 3 to
+# 7 positions after a history of the deepest lag straddle the spans at
+# which the AMA5 chains, from 4, and the fused exact MAC, from 6 over its
+# direct taps and from 5 over the LPF's recurrence, leave their
+# short-span loop for passes), the dsp FIR and integrator entry points against the
 # frozen per-tap and per-sample fold oracles (the FIR's window filled
 # exactly, grown, and continued by an empty block; the FIR fuzz target's
 # seeds too) and the squarer block path,
@@ -137,7 +138,9 @@ race-batch:
 # chain strategies (fuzzed tap shapes through the fused exact chain and
 # the AMA5 wiring chains, short spans sample-major and longer ones in
 # passes, reproduce the scalar fold from any start index; seeds replay
-# design B9's LPF, HPF and DER as one 24-sample serve block).
+# design B9's LPF, HPF and DER as one 24-sample serve block, and the
+# accurate ones, which run the fused MAC's passes, as one such block and
+# as a whole record).
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzParseFrame -fuzztime=5s -run '^$$' ./internal/serve
 	$(GO) test -fuzz=FuzzParseWire -fuzztime=5s -run '^$$' ./internal/serve
@@ -151,11 +154,12 @@ fuzz-smoke:
 # One iteration of every benchmark: regenerates each table/figure once and
 # exercises the parallel DSE engine, the kernel-vs-reference
 # micro-benchmarks, the FIR chains (BenchmarkFIR: whole records and
-# 24-sample blocks, which run the AMA5 passes, and per-sample Process,
-# which runs their short-span loop, at B9's k per stage, DER k=2
-# included), the integrator's window strategies and the QRS
-# detector's whole-record, per-sample and block entry points without
-# taking benchmark-grade time.
+# 24-sample blocks, which run the passes of the AMA5 chains and, at k=0,
+# of the fused exact MAC, and per-sample Process, which runs their
+# short-span loops, at B9's k per stage, DER k=2 included), the squarer's
+# exact and table paths (BenchmarkSquarer), the integrator's window
+# strategies and the QRS detector's whole-record, per-sample and block
+# entry points without taking benchmark-grade time.
 bench:
 	$(GO) test -bench=. -benchmem -benchtime=1x -run '^$$' . ./internal/arith/kernel ./internal/dsp ./internal/netlist ./internal/pantompkins
 

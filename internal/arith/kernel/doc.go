@@ -94,7 +94,10 @@
 //
 // SquareTable squares depend on both halves of their single operand at
 // once, so the sub-product tier does not apply: exact specs are
-// table-free, everything else keeps an int32 full table.
+// table-free, everything else keeps an int32 full table. An exact square
+// is the plain square v*v of the operand v sign-extended from Width bits:
+// |v| <= 2^(Width-1), so the 2*Width-bit product needs no mask and no
+// sign extension.
 //
 // # Chain projections, sliding windows, MAC fusion and lazy raw tables
 //
@@ -127,7 +130,8 @@
 // first position p. The identities hold in wrapping 64-bit arithmetic and
 // the output slicing reads only the low Width bits, so every output is
 // the direct sum's, bit for bit. A span too short to repay the seeds,
-// such as one dsp.FIR.Process sample, runs the direct loop.
+// such as one dsp.FIR.Process sample, runs the direct loop (see the
+// passes below).
 //
 // # Check-free loops past the deepest lag
 //
@@ -156,6 +160,25 @@
 // tap; each pass keeps its few live values in registers. A shorter span,
 // such as one dsp.FIR.Process sample, runs the sample-major loop, since
 // each pass costs a call and a reload of the span.
+//
+// The fused MAC runs the same way: a span of at least macPassMin
+// positions (6) in passes over its direct taps (the DER), and a span
+// that repays its recurrence's seeds (minSpan: the HPF from 2 positions,
+// the LPF from 5) in passes over the difference taps. Each pass adds two
+// taps' products over the span, and one finishing pass integrates the
+// recurrence's order from the seeds (order 0 integrates nothing) and
+// slices every output. A shorter span runs the direct loop.
+//
+// The slicing loops these strategies run over many positions — the
+// finishing passes of both and the integrator's running sums below —
+// compute the slicing's shifts once per call. When the slice lies inside
+// the accumulator (outShift+outWidth <= w, at every pipeline stage), it
+// is one multiply, which moves the slice's top bit to bit 63, and one
+// arithmetic right shift. An amd64 shift by a variable count needs the
+// count register, so a loop slicing with the general form's three shifts
+// reloads their counts at every position. Other slicings write the raw
+// accumulators and slice them through the general form afterwards
+// (TestSliceShifts checks both against it).
 //
 // Projections fill straight from the compiled plan's product closure
 // (productFn, sign-halved, with the root's accumulation adders
@@ -253,7 +276,9 @@
 // corrects for the one special slot, read from the ring (AMA5 drops slot
 // W-1's carry bit, AMA4 adds slot 0's carries). A uint64 wrap of S does
 // no harm, because only the low w-k bits of the upper sum u survive
-// u<<k & mask(w). The adder picks its window strategy when it compiles:
+// u<<k & mask(w). The running sums slice their outputs with the shifts
+// computed once per call (see the passes above). The adder picks its
+// window strategy when it compiles:
 // the running sum for exact adders and for AMA4/AMA5, the per-sample
 // re-fold through the signed closure for AMA1-AMA3. Like a Chain, the
 // strategy is immutable and holds no stream state, so a stream keeps only

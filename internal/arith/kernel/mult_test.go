@@ -187,6 +187,41 @@ func TestTablesMatchReference(t *testing.T) {
 	}
 }
 
+// TestExactSquareSliceExhaustive checks the exact squarer's block path,
+// which squares the operand sign-extended from Width bits: SquareSlice of
+// an exact 16-bit spec over every 16-bit operand, and over operands past
+// 16 bits, which wrap to their low 16, at shifts 0, 1 and 3, against the
+// bit-serial square of the wrapped operand. Shifts 40 and 64 check the
+// bound on the shift count, which must keep every square's shifted value.
+func TestExactSquareSliceExhaustive(t *testing.T) {
+	spec := arith.Multiplier{Width: 16, ApproxLSBs: 0, Mult: approx.AccMult, Add: approx.AccAdd}
+	sq, err := kernel.NewSquareTable(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := make([]int64, 1<<16) // by the operand's low 16 bits
+	var xs []int64
+	for u := range ref {
+		x := arith.ToSigned(uint64(u), 16)
+		ref[u] = spec.MulSigned(x, x)
+		xs = append(xs, x, x+1<<16, x-5<<20, int64(uint64(x)^0xdead<<40))
+	}
+	rng := rand.New(rand.NewSource(29))
+	for range 4096 {
+		xs = append(xs, int64(rng.Uint64()))
+	}
+	xs = append(xs, -1<<63, 1<<63-1)
+	dst := make([]int64, len(xs))
+	for _, shift := range []uint{0, 1, 3, 40, 64} {
+		sq.SquareSlice(dst, xs, shift)
+		for i, x := range xs {
+			if want := ref[uint16(x)] >> shift; dst[i] != want {
+				t.Fatalf("SquareSlice(x=%d, shift %d) = %d, reference %d", x, shift, dst[i], want)
+			}
+		}
+	}
+}
+
 // TestConstTableRejectsWideMultipliers pins the table width bound: a
 // 2^Width-entry table is only built for operands of at most 16 bits.
 func TestConstTableRejectsWideMultipliers(t *testing.T) {

@@ -26,15 +26,24 @@ import (
 // accumulate.
 //
 // Most strategies run sample-major: one loop over the positions, each
-// folding every tap. The AMA5 wiring chain and sliding window (design
-// B9's LPF and DER, and its HPF) evaluate a span of at least passMin
-// positions tap-major instead: their per-tap terms are a modular sum, so
-// dst serves as the accumulator and each tap is one pass over the span
-// whose loop keeps its few values in registers (see termPass).
+// folding every tap. The strategies the paper's designs reach evaluate a
+// span long enough to repay a few calls tap-major instead: the AMA5
+// wiring chain and sliding window (design B9's LPF and DER, and its HPF)
+// from passMin positions, and the fused exact MAC (every k = 0 FIR) from
+// macPassMin, or from its recurrence's minSpan. Their per-tap terms are a
+// modular sum, so dst serves as the accumulator and each tap, or pair of
+// MAC taps, is one pass over the span whose loop keeps its few values in
+// registers (see termPass and macPass); a last pass slices the span.
 //
-// A strategy writes position i to dst[i-from]. Its loops count positions:
-// one over dst indices keeps one more value live, and the fused MAC's
-// recurrence then spills its sum on every tap.
+// The slicing loops the paper's designs run over many positions — those
+// last passes and the integrator's running sums (window.go) — compute the
+// output slicing's shifts once per call (see sliceShifts); finish stays
+// the definition, the general path and the slicing of the other
+// strategies.
+//
+// A strategy writes position i to dst[i-from]. Its sample-major loops
+// count positions: one over dst indices keeps one more value live, which
+// spills the running sum of a loop over the taps on every tap.
 //
 // Chains also own the decision of which product representations exist at
 // all: a tap the strategy reads only through a wiring-chain projection
@@ -168,6 +177,16 @@ func (t *projTaps) sum(xs []int64, i int, m uint64) uint64 {
 // slower on the LPF and the DER below that.
 const passMin = 4
 
+// macPassMin is the shortest span the fused MAC evaluates in passes over
+// its direct taps; a recurrence over their difference takes passes from
+// its own minSpan on (see macChain), and a shorter span runs the direct
+// loop. In sweeps of FIR.Block calls of 1 to 8 positions over the exact
+// LPF, HPF and DER, passes over the DER's 4 direct taps were faster than
+// the direct loop from 6 positions on; the HPF's recurrence was faster
+// from its minSpan (2 positions), and the LPF's was even with the direct
+// loop from its minSpan (5) and faster from 7.
+const macPassMin = 6
+
 // addTo adds the taps' terms at positions from..from+len(d)-1 of xs to
 // d, one pass per tap. The positions must be at or past the taps'
 // deepest lag. With set, the first pass writes d instead of adding.
@@ -233,27 +252,25 @@ func slidePass[T uint16 | uint32](d, enter, leave []int64, tab []T, m, S uint64)
 // finishPass is the last pass of the check-free AMA5 strategies: d holds
 // the sum u of the projected terms at positions from..from+len(d)-1 of
 // xs, and the pass adds the last tap's raw product ub through the AMA5
-// closed form (see wiringChain) and slices the accumulator. The last tap
-// reads its full int32 table inline when it has one, its tier closure
-// otherwise.
+// closed form (see wiringChain) and slices the accumulator with the
+// shifts of sliceShifts.
 //
 // The closed form (ub&mk | (u + ub>>k)<<k) & mW is ub + u<<k in its low
-// w bits, and finish reads only those, so the pass masks nothing. When
-// the output slice lies inside the accumulator (outShift+outWidth <= w,
-// as at every pipeline stage), finish is the slice's bits sign-extended:
-// one left and one arithmetic right shift. That loop shifts left by
-// multiplying with powers of two, since an amd64 shift by a variable
-// count ties up the count register: with fewer live values it runs in
-// registers.
+// w bits, and the slicing reads only those, so the pass masks nothing.
+// When the slice lies inside the accumulator, the loop shifts u left by
+// multiplying with 2^k, since an amd64 shift by a variable count ties up
+// the count register: with fewer live values it runs in registers. Other
+// slicings, or a last tap without an int32 table, take a loop through
+// finish.
 //
 //go:noinline
 func finishPass(d, xs []int64, from int, op *chainOp, w, k int, outShift uint, outWidth int) {
 	ku, neg := uint(k), op.neg
 	xs = xs[from-op.lag:][:len(d)]
-	if tab, m := op.tab32, op.mask; tab != nil && outShift+uint(outWidth) <= uint(w) {
-		pk := uint64(1) << ku                               // u<<k
-		pl := uint64(1) << (64 - outShift - uint(outWidth)) // the slice's top bit to bit 63
-		r := uint(64-outWidth) & 63
+	pl, r, inside := sliceShifts(w, outShift, outWidth)
+	if tab, m := op.tab32, op.mask; tab != nil && inside {
+		pk := uint64(1) << ku // u<<k
+		r &= 63               // no change to r, but the loop then shifts with no range check
 		_ = tab[m]
 		for i, x := range xs {
 			d[i] = int64(((uint64(tab[uint64(x)&m])^neg)+uint64(d[i])*pk)*pl) >> r
@@ -272,8 +289,8 @@ type chainFunc func(c *Chain, dst, xs []int64, from int, outShift uint, outWidth
 // Chain is a compiled accumulation chain: the full per-sample fold of a
 // FIR's tap products through one adder, with the adder's closed form
 // inlined per tap, evaluated sample-major or, for the AMA5 strategies
-// over a span of at least passMin positions, one pass per tap. Build
-// chains with Adder.NewChain.
+// and the fused MAC over a long enough span, in passes over the taps.
+// Build chains with Adder.NewChain.
 // A Chain is immutable apart from its fill bound and holds no signal
 // state, so one Chain serves any number of streams on any number of
 // goroutines.
@@ -313,7 +330,9 @@ type Chain struct {
 // built once, and the strategy's checked loop runs only the positions
 // before it, as the head (see runHead). Past the head, the AMA5
 // strategies run a span of at least passMin positions in passes, one per
-// tap, and a shorter one sample-major.
+// tap, and the fused MAC a span of at least macPassMin (or its
+// recurrence's minSpan) in passes over pairs of taps; a shorter span runs
+// sample-major.
 //
 // Raw product tables materialize only for the taps the chosen strategy
 // reads products from — every tap of the generic/native/chunk strategies,
@@ -669,11 +688,13 @@ func slidingAMA5[T uint16 | uint32](w, k int, plan slidePlan, tab []T, ops []cha
 // macChain is the fused fully-exact chain: native multiply-accumulate with
 // the signed coefficients folded in, equivalent to the nativeChain sum of
 // sliced exact products (see NewChain). The taps merge per lag and run
-// check-free from their deepest lag on, with macHead as the head. When
-// their first or second difference is sparser (sparsestDifference: the
-// HPF's 32 taps difference to 4, the LPF triangle's 11 to 3), a span
-// long enough to repay the seeding runs through macRecurrence; a shorter
-// one, such as one Process sample, keeps the direct loop.
+// check-free from their deepest lag on, with macHead as the head. Past
+// the head, a span runs in passes over dst (see macPasses): over the
+// order-th difference of the taps when that is sparser
+// (sparsestDifference: the HPF's 32 taps difference to 4, the LPF
+// triangle's 11 to 3) and the span repays its seeds (minSpan), over the
+// direct taps when it has at least macPassMin positions. A shorter span,
+// such as one Process sample, runs the direct loop.
 //
 // macChain itself must not inline: the compiler does not inline calls
 // inside the closure of an inlined function, and an out-of-line finish
@@ -682,10 +703,10 @@ func slidingAMA5[T uint16 | uint32](w, k int, plan slidePlan, tab []T, ops []cha
 //go:noinline
 func macChain(w int, taps []macTap) chainFunc {
 	direct := mergeLags(taps)
-	deep := 0
-	if len(direct) > 0 {
-		deep = direct[len(direct)-1].lag
+	if len(direct) == 0 {
+		return emptyChain // the taps cancel: every output is the sliced zero
 	}
+	deep := direct[len(direct)-1].lag
 	head := macHead(w, direct)
 	diff, order := sparsestDifference(direct)
 	// Seeding costs order direct sums; a recurrence position costs
@@ -702,7 +723,11 @@ func macChain(w int, taps []macTap) chainFunc {
 			return
 		}
 		if p := max(from, deepDiff); len(xs)-p >= minSpan {
-			macRecurrence(w, direct, diff, order, dst, xs, from, p, outShift, outWidth)
+			macPasses(w, direct, diff, order, dst, xs, from, p, outShift, outWidth)
+			return
+		}
+		if len(dst) >= macPassMin {
+			macPasses(w, direct, direct, 0, dst, xs, from, from, outShift, outWidth)
 			return
 		}
 		for i := from; i < len(xs); i++ {
@@ -722,33 +747,88 @@ func macSum(taps []macTap, xs []int64, i int) int64 {
 	return s
 }
 
-// macRecurrence evaluates positions from..len(xs)-1 of a fused chain into
-// dst: directly up to p, then through diff, the order-th difference of the
-// direct taps, with p at or past diff's deepest lag. With y the
-// accumulator, order 1 runs y[i] = y[i-1] + diff·x and order 2 runs
-// v[i] = v[i-1] + diff·x, y[i] = y[i-1] + v[i], seeded by the direct sums
-// at p-1 and p-2, which read no sample before xs[0] either. The
-// identities hold in wrapping 64-bit arithmetic and finish reads only the
-// low w bits, so every output is the direct sum's. It runs the direct
-// positions before p itself so that macChain's closure calls it last and
-// keeps nothing of its own loop live across the call.
-func macRecurrence(w int, direct, diff []macTap, order int, dst, xs []int64, from, p int, outShift uint, outWidth int) {
+// macPasses evaluates positions from..len(xs)-1 of a fused chain into dst
+// in passes: directly up to p, then over taps, which are the direct taps
+// (order 0, p = from) or their order-th difference (p at or past its
+// deepest lag). dst serves as the accumulator: each macPass adds two taps'
+// products over the span (the first writes them), and macFinish
+// integrates the sums and slices them. With y the accumulator, order 1 is
+// y[i] = y[i-1] + diff·x and order 2 is v[i] = v[i-1] + diff·x,
+// y[i] = y[i-1] + v[i], seeded by the direct sums at p-1 and p-2, which
+// read no sample before xs[0] either. The identities hold in wrapping
+// 64-bit arithmetic and the slicing reads only the low w bits, so every
+// output is the direct sum's.
+func macPasses(w int, direct, taps []macTap, order int, dst, xs []int64, from, p int, outShift uint, outWidth int) {
 	for i := from; i < p; i++ {
 		dst[i-from] = finish(uint64(macSum(direct, xs, i)), w, outShift, outWidth)
 	}
-	y := macSum(direct, xs, p-1)
-	if order == 1 {
-		for i := p; i < len(xs); i++ {
-			y += macSum(diff, xs, i)
-			dst[i-from] = finish(uint64(y), w, outShift, outWidth)
+	var y, v int64
+	if order > 0 {
+		y = macSum(direct, xs, p-1)
+	}
+	if order > 1 {
+		v = y - macSum(direct, xs, p-2)
+	}
+	d := dst[p-from:]
+	for t := 0; t < len(taps); t += 2 {
+		a, b := taps[t], macTap{lag: taps[t].lag} // an odd last tap pairs with a zero product
+		if t+1 < len(taps) {
+			b = taps[t+1]
+		}
+		macPass(d, xs[p-a.lag:], xs[p-b.lag:], a.c, b.c, t == 0)
+	}
+	pl, r, inside := sliceShifts(w, outShift, outWidth)
+	macFinish(d, order, y, v, pl, r)
+	if !inside {
+		finishAll(d, w, outShift, outWidth)
+	}
+}
+
+// macPass adds the products ca·xa[i] + cb·xb[i] of two taps to d[i],
+// i < len(d), or writes them with set. A sample-major loop over the taps
+// reloads each tap's coefficient and lag at every position and keeps its
+// sum and cursors on the stack; one pass keeps its few values in
+// registers, as termPass does.
+//
+//go:noinline
+func macPass(d, xa, xb []int64, ca, cb int64, set bool) {
+	xa, xb = xa[:len(d)], xb[:len(d)]
+	if set {
+		for i := range d {
+			d[i] = xa[i]*ca + xb[i]*cb
 		}
 		return
 	}
-	v := y - macSum(direct, xs, p-2)
-	for i := p; i < len(xs); i++ {
-		v += macSum(diff, xs, i)
-		y += v
-		dst[i-from] = finish(uint64(y), w, outShift, outWidth)
+	for i := range d {
+		d[i] += xa[i]*ca + xb[i]*cb
+	}
+}
+
+// macFinish is the last pass of the fused MAC: d holds the taps' sums at
+// each position, and the pass integrates them order times from the seeds
+// y, the accumulator at the position before d[0], and v, its first
+// difference there, then slices each accumulator with sliceShifts' pl
+// and r.
+//
+//go:noinline
+func macFinish(d []int64, order int, y, v int64, pl uint64, r uint) {
+	r &= 63 // no change to r, but the loops then shift with no range check
+	switch order {
+	case 0:
+		for i, s := range d {
+			d[i] = int64(uint64(s)*pl) >> r
+		}
+	case 1:
+		for i, s := range d {
+			y += s
+			d[i] = int64(uint64(y)*pl) >> r
+		}
+	default:
+		for i, s := range d {
+			v += s
+			y += v
+			d[i] = int64(uint64(y)*pl) >> r
+		}
 	}
 }
 
@@ -939,9 +1019,39 @@ func (c *Chain) start(xs []int64, i int) (acc uint64) {
 // that it inlines to plain shifts. A call left in a strategy loop would
 // force every live value of the loop onto the stack, which is most of the
 // cost of a one-position Run.
+//
+// finish is the definition of the slicing and its general path. Its three
+// shift counts all need amd64's shift-count register, so a loop that
+// inlines it reloads them at every position; the hot loops over many
+// positions slice with sliceShifts instead.
 func finish(acc uint64, w int, outShift uint, outWidth int) int64 {
 	sw, so := uint(64-w)&63, uint(64-outWidth)&63
 	return int64(uint64(int64(acc<<sw)>>sw)>>(outShift&63)<<so) >> so
+}
+
+// sliceShifts computes the output slicing of finish once per call, as a
+// multiply and an arithmetic right shift: int64(acc*pl) >> r. When the
+// slice lies inside the accumulator (outShift+outWidth <= w, as at every
+// pipeline stage), its bits are bits of acc itself, so finish is those
+// bits sign-extended: pl moves the slice's top bit to bit 63 and r brings
+// it down sign-extended. The multiply is a left shift that leaves the
+// count register to r. Any other slicing reads sign-extension bits of the
+// accumulator and takes the general path: sliceShifts then returns the
+// identity (pl 1, r 0) and inside false, and the caller's loop writes the
+// raw accumulators for finishAll to slice.
+func sliceShifts(w int, outShift uint, outWidth int) (pl uint64, r uint, inside bool) {
+	if outShift+uint(outWidth) > uint(w) {
+		return 1, 0, false
+	}
+	return uint64(1) << (64 - outShift - uint(outWidth)), uint(64-outWidth) & 63, true
+}
+
+// finishAll slices every raw accumulator of d through finish: the general
+// path of the loops that slice with sliceShifts.
+func finishAll(d []int64, w int, outShift uint, outWidth int) {
+	for i, acc := range d {
+		d[i] = finish(uint64(acc), w, outShift, outWidth)
+	}
 }
 
 // compileChain picks the chain evaluation strategy for spec.

@@ -67,7 +67,7 @@ func scalarChain(ad arith.Adder, ref map[int64]func(int64) int64, ops []ChainOp,
 // through the bit-serial models, for every cell kind and for leading add
 // and leading subtract taps. It checks the adder's window strategy the
 // same way: Slide over ragged blocks against the bit-serial chain of the
-// ring's slots.
+// ring's slots, at two output slicings.
 // It runs as the subtest kernels=true, the name it kept from when a
 // bit-serial mode ran it a second time as kernels=false.
 func TestChainMatchesScalar(t *testing.T) { t.Run("kernels=true", chainMatchesScalar) }
@@ -125,27 +125,39 @@ func chainMatchesScalar(t *testing.T) {
 			}
 		}
 		// Slide vs the scalar chain over the ring in slot order,
-		// continued over ragged blocks from a zeroed ring.
+		// continued over ragged blocks from a zeroed ring, at the slicing
+		// above and at one reaching past the accumulator width, which the
+		// running sums slice through the general path.
 		for _, wlen := range []int{1, 2, 5, 32} {
-			ring := make([]int64, wlen)
-			model := make([]int64, wlen)
-			pos, sum, mpos := 0, uint64(0), 0
-			for b := 0; b < 8; b++ {
+			blocks := make([][]int64, 8)
+			for b := range blocks {
 				xs := make([]int64, rng.Intn(2*wlen))
 				for i := range xs {
 					xs[i] = int64(int32(rng.Uint64()))
 				}
-				dst := make([]int64, len(xs))
-				pos, sum = ad.Slide(dst, xs, ring, pos, sum, shift, outW)
-				for i, x := range xs {
-					model[mpos] = x
-					mpos = (mpos + 1) % wlen
-					acc := model[0]
-					for _, v := range model[1:] {
-						acc = spec.AddSigned(acc, v)
-					}
-					if want := arith.ToSigned(uint64(acc)>>shift, outW); dst[i] != want {
-						t.Fatalf("%+v: Slide(window %d)[%d] = %d, scalar chain %d", spec, wlen, i, dst[i], want)
+				blocks[b] = xs
+			}
+			for _, sliceW := range []int{outW, outW + 2} {
+				ring := make([]int64, wlen)
+				model := make([]int64, wlen)
+				pos, sum, mpos := 0, uint64(0), 0
+				for _, xs := range blocks {
+					dst := make([]int64, len(xs))
+					pos, sum = ad.Slide(dst, xs, ring, pos, sum, shift, sliceW)
+					for i, x := range xs {
+						model[mpos] = x
+						mpos = (mpos + 1) % wlen
+						acc := model[0]
+						for _, v := range model[1:] {
+							acc = spec.AddSigned(acc, v)
+						}
+						// The accumulator is w bits wide: sign-extend it
+						// first, as a one-slot window adds nothing.
+						acc = arith.ToSigned(uint64(acc), spec.Width)
+						if want := arith.ToSigned(uint64(acc)>>shift, sliceW); dst[i] != want {
+							t.Fatalf("%+v: Slide(window %d) sliced (%d, %d) [%d] = %d, scalar chain %d",
+								spec, wlen, shift, sliceW, i, dst[i], want)
+						}
 					}
 				}
 			}
@@ -223,12 +235,14 @@ func maxChainLag(ops []ChainOp) int {
 // over the whole signal from the positions around the deepest lag (where
 // the checked head hands over to the check-free loop, and past it where
 // a recurrence starts) its tail, and a run over a signal shorter than
-// the deepest lag its prefix. Blocks of passMin-1, passMin and passMin+1
+// the deepest lag its prefix. Blocks of passMin-1 to macPassMin+1
 // positions after a history of exactly the deepest lag, the least a
-// continuing caller packs, straddle the span at which the AMA5
-// strategies switch from their sample-major loop to passes; they run at
-// a second output slicing too, one reaching past the accumulator width,
-// which the passes finish through the general slicing.
+// continuing caller packs, straddle the spans at which the AMA5
+// strategies (passMin) and the fused MAC's direct taps (macPassMin)
+// switch from their sample-major loop to passes, and the LPF's minSpan;
+// they run at a second output slicing too, one reaching past the
+// accumulator width, which the passes finish through the general
+// slicing.
 // It runs as the subtest kernels=true, the name it kept from when a
 // bit-serial mode ran it a second time as kernels=false.
 func TestChainContinuation(t *testing.T) { t.Run("kernels=true", chainContinuation) }
@@ -333,11 +347,51 @@ func chainContinuation(t *testing.T) {
 					outW  int
 					whole []int64
 				}{{3, 29, whole}, {20, 16, wide}} {
-					for _, n := range []int{passMin - 1, passMin, passMin + 1} {
+					for n := min(passMin, macPassMin) - 1; n <= max(passMin, macPassMin)+1; n++ {
 						for s := maxLag; s+n <= len(xs); s += 23 {
 							span(fmt.Sprintf("%d-position block at %d sliced (%d, %d)", n, s, sl.shift, sl.outW),
 								xs[s-maxLag:s+n], maxLag, sl.shift, sl.outW, sl.whole[s:s+n])
 						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestSliceShifts checks the once-per-call output slicing against
+// finish, its definition, over every accumulator width w, shift and
+// output width of finish's domain: where the slice lies inside the
+// accumulator (outShift+outWidth <= w), int64(acc*pl) >> r equals finish
+// for random, small signed and edge accumulators, which are not masked to
+// w bits, as the strategies' running sums are not. Every other slicing
+// must take the general path: sliceShifts reports it and returns the
+// identity, so finish over the accumulator the loop writes is finish.
+func TestSliceShifts(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	accs := make([]uint64, 8)
+	for w := 1; w <= 64; w++ {
+		for outShift := uint(0); outShift < 64; outShift++ {
+			for outW := 1; outW <= 64; outW++ {
+				pl, r, inside := sliceShifts(w, outShift, outW)
+				if want := int(outShift)+outW <= w; inside != want {
+					t.Fatalf("sliceShifts(%d, %d, %d) inside = %v, want %v", w, outShift, outW, inside, want)
+				}
+				if !inside && (pl != 1 || r != 0) {
+					t.Fatalf("sliceShifts(%d, %d, %d) = (%d, %d) on the general path, want the identity", w, outShift, outW, pl, r)
+				}
+				accs[0], accs[1], accs[2] = 0, ^uint64(0), uint64(1)<<(w-1)
+				accs[3] = uint64(rng.Int63n(1<<20) - 1<<19)
+				for i := 4; i < len(accs); i++ {
+					accs[i] = rng.Uint64()
+				}
+				for _, acc := range accs {
+					got := int64(acc*pl) >> r
+					if !inside {
+						got = finish(uint64(got), w, outShift, outW)
+					}
+					if want := finish(acc, w, outShift, outW); got != want {
+						t.Fatalf("w %d slice (%d, %d) acc %#x: %d, finish %d", w, outShift, outW, acc, got, want)
 					}
 				}
 			}
@@ -593,9 +647,11 @@ func TestProductFnMatchesReference(t *testing.T) {
 // length (1..96) and data[3] the start index. Every later byte is one
 // tap: bits 0-1 move the magnitude (keep, up, down, or jump to the
 // alphabet entry in bits 2-4), bit 5 flips the sign and bits 6-7 step
-// the next tap's lag by 1, 1, 2 or 0 (a repeated lag). The last seeds
+// the next tap's lag by 1, 1, 2 or 0 (a repeated lag). Seeds #6 to #8
 // replay B9's LPF (k=10), HPF (k=12) and DER (k=2) as one 24-sample
-// serve block after a history of the deepest lag.
+// serve block after a history of the deepest lag; the last six replay
+// the accurate LPF, HPF and DER (exact 32-bit adder), the fused MAC's
+// passes, as one such block and as a whole 96-sample record.
 func FuzzChainRun(f *testing.F) {
 	lpf := []byte{0x00, 0x01, 0x01, 0x01, 0x01, 0x01, 0x02, 0x02, 0x02, 0x02, 0x02}
 	hpf := append([]byte{0x20}, make([]byte, 15)...)
@@ -611,6 +667,12 @@ func FuzzChainRun(f *testing.F) {
 	f.Add(append([]byte{3, 11, 10 + 23, 10}, lpf...))
 	f.Add(append([]byte{4, 12, 31 + 23, 31}, hpf...))
 	f.Add(append([]byte{6, 13, 4 + 23, 4}, der...))
+	f.Add(append([]byte{0, 14, 10 + 23, 10}, lpf...))
+	f.Add(append([]byte{0, 15, 31 + 23, 31}, hpf...))
+	f.Add(append([]byte{0, 16, 4 + 23, 4}, der...))
+	f.Add(append([]byte{0, 17, 95, 0}, lpf...))
+	f.Add(append([]byte{0, 18, 95, 0}, hpf...))
+	f.Add(append([]byte{0, 19, 95, 0}, der...))
 	mags := []int64{0, 1, 2, 3, 4, 5, 6, 31}
 	exactMul := arith.Multiplier{Width: 16, ApproxLSBs: 0, Mult: approx.AccMult, Add: approx.AccAdd}
 	type config struct {

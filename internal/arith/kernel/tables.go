@@ -237,19 +237,23 @@ func NewSquareTable(spec arith.Multiplier) (*SquareTable, error) {
 	}
 	t := &SquareTable{}
 	if m.exact {
-		opMask := m.opMask
-		pm := m.prodMask
-		sign := uint(spec.Width - 1)
-		sx := uint(64 - 2*spec.Width)
-		// Squares are sign-symmetric, so the result needs no sign flip.
+		// The exact square is the plain square of the operand sign-extended
+		// from Width bits, v*v: |v| <= 2^(Width-1), so v*v <= 2^(2*Width-2)
+		// and the 2*Width-bit product mask and its sign extension change no
+		// bit. The block path computes its shifts once per call, bounded so
+		// that the loop needs no range check: a square is at most 2^30, so
+		// a shift of 63 or more yields 0 either way.
+		width := spec.Width
 		t.fn = func(x int64) int64 {
-			mag, _ := signMag(uint64(x)&opMask, opMask, sign)
-			return sext(mag*mag&pm, sx)
+			sx := uint(64-width) & 63
+			v := int64(uint64(x)<<sx) >> sx
+			return v * v
 		}
 		t.slice = func(dst, xs []int64, shift uint) {
+			sx, sh := uint(64-width)&63, min(shift, 63)&63
 			for i, x := range xs {
-				mag, _ := signMag(uint64(x)&opMask, opMask, sign)
-				dst[i] = sext(mag*mag&pm, sx) >> shift
+				v := int64(uint64(x)<<sx) >> sx
+				dst[i] = v * v >> sh
 			}
 		}
 		return t, nil

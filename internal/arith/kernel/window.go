@@ -49,27 +49,38 @@ func compileWindow(spec arith.Adder) windowKind {
 // at least len(xs) entries; dst may alias xs index for index. The
 // strategy is the adder's and holds no stream state, so one adder serves
 // any number of streams on any number of goroutines.
+//
+// The running-sum strategies slice with the shifts of sliceShifts, which
+// Slide computes once per call; when the slice does not lie inside the
+// accumulator, they write raw accumulators and Slide slices them through
+// finishAll.
 func (ad *Adder) Slide(dst, xs, ring []int64, pos int, sum uint64, outShift uint, outWidth int) (int, uint64) {
 	w, k := ad.spec.Width, uint(effectiveLSBs(ad.spec))
+	pl, r, inside := sliceShifts(w, outShift, outWidth)
 	switch ad.window {
 	case windowNative:
-		return slideNative(dst, xs, ring, pos, sum, w, outShift, outWidth)
+		pos, sum = slideNative(dst, xs, ring, pos, sum, pl, r)
 	case windowAMA4:
-		return slideAMA4(dst, xs, ring, pos, sum, w, k, outShift, outWidth)
+		pos, sum = slideAMA4(dst, xs, ring, pos, sum, w, k, pl, r)
 	case windowAMA5:
-		return slideAMA5(dst, xs, ring, pos, sum, w, k, outShift, outWidth)
+		pos, sum = slideAMA5(dst, xs, ring, pos, sum, w, k, pl, r)
+	default:
+		// The re-fold: the chain of every slot through the signed closure.
+		for i, x := range xs {
+			ring[pos] = x
+			if pos++; pos == len(ring) {
+				pos = 0
+			}
+			acc := ring[0]
+			for _, v := range ring[1:] {
+				acc = ad.addS(acc, v)
+			}
+			dst[i] = finish(uint64(acc), w, outShift, outWidth)
+		}
+		return pos, sum
 	}
-	// The re-fold: the chain of every slot through the signed closure.
-	for i, x := range xs {
-		ring[pos] = x
-		if pos++; pos == len(ring) {
-			pos = 0
-		}
-		acc := ring[0]
-		for _, v := range ring[1:] {
-			acc = ad.addS(acc, v)
-		}
-		dst[i] = finish(uint64(acc), w, outShift, outWidth)
+	if !inside {
+		finishAll(dst[:len(xs)], w, outShift, outWidth)
 	}
 	return pos, sum
 }
@@ -77,15 +88,16 @@ func (ad *Adder) Slide(dst, xs, ring []int64, pos int, sum uint64, outShift uint
 // slideNative is the exact window: each scalar step masks to the word
 // width, but only the low w bits feed the next add, so the chain is the
 // plain modular sum of the slots and s carries it.
-func slideNative(dst, xs, ring []int64, pos int, s uint64, w int, outShift uint, outWidth int) (int, uint64) {
+func slideNative(dst, xs, ring []int64, pos int, s, pl uint64, r uint) (int, uint64) {
 	dst = dst[:len(xs)]
+	r &= 63 // no change to r, but the loop then shifts with no range check
 	for i, x := range xs {
 		s += uint64(x) - uint64(ring[pos])
 		ring[pos] = x
 		if pos++; pos == len(ring) {
 			pos = 0
 		}
-		dst[i] = finish(s, w, outShift, outWidth)
+		dst[i] = int64(s*pl) >> r
 	}
 	return pos, s
 }
@@ -95,11 +107,12 @@ func slideNative(dst, xs, ring []int64, pos int, s uint64, w int, outShift uint,
 // k; the last slot adds only its upper slice and keeps its low k bits. s
 // sums the first term over every slot, and the output drops the last
 // slot's carry bit.
-func slideAMA5(dst, xs, ring []int64, pos int, s uint64, w int, k, outShift uint, outWidth int) (int, uint64) {
+func slideAMA5(dst, xs, ring []int64, pos int, s uint64, w int, k uint, pl uint64, r uint) (int, uint64) {
 	mW, mk := mask(w), mask(int(k))
 	half := uint64(1) << (k - 1)
 	last := len(ring) - 1
 	dst = dst[:len(xs)]
+	r &= 63 // no change to r, but the loop then shifts with no range check
 	for i, x := range xs {
 		s += (uint64(x)&mW+half)>>k - (uint64(ring[pos])&mW+half)>>k
 		ring[pos] = x
@@ -108,7 +121,7 @@ func slideAMA5(dst, xs, ring []int64, pos int, s uint64, w int, k, outShift uint
 		}
 		ub := uint64(ring[last]) & mW
 		u := s - ub>>(k-1)&1
-		dst[i] = finish(ub&mk|u<<k, w, outShift, outWidth)
+		dst[i] = int64((ub&mk|u<<k)*pl) >> r
 	}
 	return pos, s
 }
@@ -119,12 +132,13 @@ func slideAMA5(dst, xs, ring []int64, pos int, s uint64, w int, k, outShift uint
 // W-1 steps, (W-1)/2 + bit k-1 when W-1 is odd, and its low k bits leave
 // complemented when W-1 is odd. s sums ub >> k over every slot, and the
 // output adds the opening slot's carries.
-func slideAMA4(dst, xs, ring []int64, pos int, s uint64, w int, k, outShift uint, outWidth int) (int, uint64) {
+func slideAMA4(dst, xs, ring []int64, pos int, s uint64, w int, k uint, pl uint64, r uint) (int, uint64) {
 	mW, mk := mask(w), mask(int(k))
 	steps := uint64(len(ring) - 1)
 	odd, carries := steps&1, steps/2
 	flip := -odd
 	dst = dst[:len(xs)]
+	r &= 63 // no change to r, but the loop then shifts with no range check
 	for i, x := range xs {
 		s += (uint64(x)&mW)>>k - (uint64(ring[pos])&mW)>>k
 		ring[pos] = x
@@ -133,7 +147,7 @@ func slideAMA4(dst, xs, ring []int64, pos int, s uint64, w int, k, outShift uint
 		}
 		acc := uint64(ring[0]) & mW
 		u := s + carries + acc>>(k-1)&odd
-		dst[i] = finish((acc^flip)&mk|u<<k, w, outShift, outWidth)
+		dst[i] = int64(((acc^flip)&mk|u<<k)*pl) >> r
 	}
 	return pos, s
 }

@@ -79,6 +79,51 @@ func BenchmarkFIR(b *testing.B) {
 	}
 }
 
+// BenchmarkSquarer times the Pan-Tompkins squarer (output shift
+// SQRShift) on the exact spec, its table-free block path, and on design
+// B9's k = 8 on ApproxAdd5 and AppMultV1, its full table, over the
+// derivative-range input of BenchmarkFIR: record runs FilterInto over one
+// 20,000-sample record per op, block24 continues one 24-sample serve
+// frame per op through ProcessBlock. Both report ns/sample.
+func BenchmarkSquarer(b *testing.B) {
+	rng := rand.New(rand.NewSource(3))
+	xs := make([]int64, 20000)
+	for i := range xs {
+		xs[i] = int64(int16(rng.Uint64())) >> 3
+	}
+	cfgs := []struct {
+		name string
+		cfg  dsp.ArithConfig
+	}{
+		{"exact", dsp.Accurate()},
+		{"b9-k8", dsp.ArithConfig{LSBs: 8, Add: approx.ApproxAdd5, Mul: approx.AppMultV1}},
+	}
+	for _, c := range cfgs {
+		s, err := dsp.NewSquarer(pantompkins.SQRShift, c.cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		dst := s.FilterInto(nil, xs) // fills the table the record reaches
+		b.Run(c.name+"/record", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				dst = s.FilterInto(dst, xs)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(xs)), "ns/sample")
+		})
+		b.Run(c.name+"/block24", func(b *testing.B) {
+			const frame = 24
+			pos := 0
+			for i := 0; i < b.N; i++ {
+				if pos += frame; pos+frame > len(xs) {
+					pos = 0
+				}
+				s.ProcessBlock(dst[:frame], xs[pos:pos+frame])
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*frame), "ns/sample")
+		})
+	}
+}
+
 // BenchmarkMovingSum times the Pan-Tompkins integrator (32-sample window,
 // output shift 5) through the exact adder, the wiring adders at the
 // paper's 16 MWI LSBs and a chunk-LUT adder at 8 LSBs, over squarer-range

@@ -196,7 +196,13 @@ func (f *FIR) Block(dst, xs []int64) {
 		copy(w, f.win[f.fill-n:f.fill])
 		f.win, f.fill = w, n
 	}
-	end := f.fill + copy(f.win[f.fill:], xs)
+	end := f.fill + len(xs)
+	if len(xs) == 1 {
+		// Process's sample: a store, where copy would call memmove.
+		f.win[f.fill] = xs[0]
+	} else {
+		copy(f.win[f.fill:], xs)
+	}
 	f.chain.Run(dst, f.win[f.fill-n:end], n, f.outShift, SampleWidth)
 	f.fill = end
 }
