@@ -15,7 +15,8 @@
 # which they switch from their short-span loop to passes), a fuzz smoke over
 # the wire-frame/socket-message parsers, the ingest path, the QRS
 # detector, the FIR and moving-window integrator entry points, the
-# kernel's on-demand table fills and its chain strategies, a fixed-seed
+# kernel's on-demand table fills and its chain strategies, the PSNR/SSIM
+# grader's integer pass and its float fallback, a fixed-seed
 # chaos run of the socket transport harness, fault-free serve runs over
 # loopback TCP (the batched writes) and UDP, one run of every example
 # program, and the end-to-end
@@ -140,7 +141,10 @@ race-batch:
 # passes, reproduce the scalar fold from any start index; seeds replay
 # design B9's LPF, HPF and DER as one 24-sample serve block, and the
 # accurate ones, which run the fused MAC's passes, as one such block and
-# as a whole record).
+# as a whole record), and over the PSNR/SSIM grader (SignalRef.Quality
+# reproduces PSNR and SSIM of float copies bit for bit, through its
+# integer pass inside its sample, window and error bounds and through the
+# float loops outside them).
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzParseFrame -fuzztime=5s -run '^$$' ./internal/serve
 	$(GO) test -fuzz=FuzzParseWire -fuzztime=5s -run '^$$' ./internal/serve
@@ -150,6 +154,7 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzMovingSum -fuzztime=5s -run '^$$' ./internal/dsp
 	$(GO) test -fuzz=FuzzTableFill -fuzztime=5s -run '^$$' ./internal/arith/kernel
 	$(GO) test -fuzz=FuzzChainRun -fuzztime=5s -run '^$$' ./internal/arith/kernel
+	$(GO) test -fuzz=FuzzQuality -fuzztime=5s -run '^$$' ./internal/metrics
 
 # One iteration of every benchmark: regenerates each table/figure once and
 # exercises the parallel DSE engine, the kernel-vs-reference
@@ -158,10 +163,12 @@ fuzz-smoke:
 # of the fused exact MAC, and per-sample Process, which runs their
 # short-span loops, at B9's k per stage, DER k=2 included), the squarer's
 # exact and table paths (BenchmarkSquarer), the integrator's window
-# strategies and the QRS detector's whole-record, per-sample and block
-# entry points without taking benchmark-grade time.
+# strategies, the QRS detector's whole-record, per-sample and block
+# entry points and the Table 2 grid's 81 outputs (BenchmarkDetector/grid),
+# and the PSNR/SSIM grader over those outputs, integer pass and float
+# loops (BenchmarkQuality), without taking benchmark-grade time.
 bench:
-	$(GO) test -bench=. -benchmem -benchtime=1x -run '^$$' . ./internal/arith/kernel ./internal/dsp ./internal/netlist ./internal/pantompkins
+	$(GO) test -bench=. -benchmem -benchtime=1x -run '^$$' . ./internal/arith/kernel ./internal/dsp ./internal/metrics ./internal/netlist ./internal/pantompkins
 
 # The end-to-end benchmark's own module (bench/ has a go.mod of its own,
 # so the root `go test ./...` never builds it): vet it and run its smoke

@@ -258,6 +258,10 @@ func NewSquareTable(spec arith.Multiplier) (*SquareTable, error) {
 		}
 		return t, nil
 	}
+	// The block path clamps its shift once per call, as the exact path
+	// does: entries are int32, so a shift of 63 or more yields 0 or -1
+	// either way. opMask is len(tab)-1, so indexing tab[opMask] once
+	// lets the loop index without a bounds check.
 	tab, opMask := make([]int32, 1<<spec.Width), m.opMask
 	cov := newCoverage(spec.Width, func(lo, hi uint64) {
 		fillSigned(tab, lo, hi, false, func(mag uint64) int64 { return m.MulSigned(int64(mag), int64(mag)) })
@@ -269,8 +273,11 @@ func NewSquareTable(spec arith.Multiplier) (*SquareTable, error) {
 	}
 	t.slice = func(dst, xs []int64, shift uint) {
 		cov.cover(maxMagnitude(xs))
+		sh := min(shift, 63) & 63
+		_ = tab[opMask]
+		dst = dst[:len(xs)]
 		for i, x := range xs {
-			dst[i] = int64(tab[uint64(x)&opMask]) >> shift
+			dst[i] = int64(tab[uint64(x)&opMask]) >> sh
 		}
 	}
 	return t, nil

@@ -199,24 +199,53 @@ func ClampPSNR(psnr float64) float64 {
 	return psnr
 }
 
-// refWindow is one precomputed SSIM window statistic of the reference.
+// refWindow is one precomputed SSIM window statistic of the reference:
+// its mean and variance, and its sample sum for the integer pass.
 type refWindow struct {
 	mx, vx float64
+	sx     int64
 }
+
+// exactBits bounds the samples the integer pass grades: every sample of
+// both signals must lie in [-2^exactBits, 2^exactBits).
+const exactBits = 16
 
 // SignalRef is a reference signal prepared for repeated single-pass
 // quality evaluation: the peak, dynamic range and per-window SSIM
 // statistics are computed once, so grading one candidate signal against
-// it traverses only the candidate — no intermediate float conversion, no
-// re-derivation of reference statistics. Quality results are bit-identical
-// to PSNR and SSIM over ToFloat copies (the accumulation orders match and
-// int64-to-float64 conversion of bounded signals is exact).
+// it traverses only the candidate. Quality results are bit-identical to
+// PSNR and SSIM over ToFloat copies.
+//
+// Quality grades in one integer pass when every sample of both signals
+// lies in [-2^16, 2^16), the window is a power of two no longer than 64,
+// the signals are shorter than 2^29 samples and the summed squared error
+// is at most 2^53. For each half-window it sums Σy, Σy² and Σxy in int64,
+// and each window of w samples takes its moments from its two halves:
+// my = Sy/w, vy = (w²Σy² − w·Sy²)/w² and cov = (w²Σxy − w·Sx·Sy)/w², the
+// last two then divided by w−1 as SSIM divides them. PSNR takes
+// mse = (Σx² − 2Σxy + Σy²)/len. These are the values the float loops of
+// PSNR and SSIM compute, bit for bit, because under those bounds every
+// value those loops form is exact. A window's sums are integers of at
+// most 2^22 in magnitude, so its means are exact. Each deviation
+// x − Sx/w = (w·x − Sx)/w has an integer numerator of at most 2^23, so a
+// product of two deviations is a multiple of 1/w² with a numerator of at
+// most 2^46 in magnitude, and every partial window sum is a multiple of
+// 1/w² below 2^53 (at most 2^52 in those units). PSNR's squared
+// differences are integers, and their running sum never exceeds its
+// final value, at most 2^53. An exact value rounds to itself, so the
+// order of the float loops' additions does not matter, and neither does
+// fusing a product into its sum (the FMA arm64 may make of
+// `vy += dy * dy`). Quality checks the sample bound with a branch-free OR
+// of biased samples and the error bound after the pass; any input outside
+// the bounds is graded by the float loops.
 type SignalRef struct {
 	ref    []int64
 	window int
 	peak   float64 // max |ref|, the PSNR peak
 	c1, c2 float64 // SSIM stabilisation constants from the dynamic range
 	wins   []refWindow
+	sxx    int64 // Σx² of the reference, for the integer pass
+	exact  bool  // the reference, its length and the window admit the integer pass
 }
 
 // NewSignalRef prepares ref for repeated evaluation; the slice is
@@ -235,6 +264,7 @@ func NewSignalRef(ref []int64, window int) (*SignalRef, error) {
 	}
 	r := &SignalRef{ref: ref, window: window}
 	lo, hi := float64(ref[0]), float64(ref[0])
+	var bias uint64
 	for _, v := range ref {
 		f := float64(v)
 		if a := math.Abs(f); a > r.peak {
@@ -246,6 +276,8 @@ func NewSignalRef(ref []int64, window int) (*SignalRef, error) {
 		if f > hi {
 			hi = f
 		}
+		r.sxx += v * v
+		bias |= uint64(v + 1<<exactBits)
 	}
 	l := hi - lo
 	if l == 0 {
@@ -255,8 +287,10 @@ func NewSignalRef(ref []int64, window int) (*SignalRef, error) {
 	r.c2 = (0.03 * l) * (0.03 * l)
 	for start := 0; start+window <= len(ref); start += window / 2 {
 		var mx float64
+		var sx int64
 		for i := start; i < start+window; i++ {
 			mx += float64(ref[i])
+			sx += ref[i]
 		}
 		n := float64(window)
 		mx /= n
@@ -266,8 +300,9 @@ func NewSignalRef(ref []int64, window int) (*SignalRef, error) {
 			vx += dx * dx
 		}
 		vx /= n - 1
-		r.wins = append(r.wins, refWindow{mx: mx, vx: vx})
+		r.wins = append(r.wins, refWindow{mx: mx, vx: vx, sx: sx})
 	}
+	r.exact = bias>>(exactBits+1) == 0 && window <= 64 && window&(window-1) == 0 && len(ref) < 1<<29
 	return r, nil
 }
 
@@ -276,18 +311,16 @@ func (r *SignalRef) Len() int { return len(r.ref) }
 
 // Quality grades out against the prepared reference and returns the raw
 // PSNR (+Inf for identical signals; clamp with ClampPSNR when
-// aggregating) and the mean SSIM, allocation-free.
+// aggregating) and the mean SSIM, allocation-free. It is safe for
+// concurrent use.
 func (r *SignalRef) Quality(out []int64) (psnr, ssim float64, err error) {
-	ref := r.ref
-	if len(out) != len(ref) {
-		return 0, 0, fmt.Errorf("metrics: PSNR length mismatch %d vs %d", len(ref), len(out))
+	if len(out) != len(r.ref) {
+		return 0, 0, fmt.Errorf("metrics: PSNR length mismatch %d vs %d", len(r.ref), len(out))
 	}
-	var mse float64
-	for i := range ref {
-		d := float64(ref[i]) - float64(out[i])
-		mse += d * d
+	mse, ssim, ok := r.intMoments(out)
+	if !ok {
+		mse, ssim = r.floatMoments(out)
 	}
-	mse /= float64(len(ref))
 	switch {
 	case mse == 0:
 		psnr = math.Inf(1)
@@ -296,6 +329,78 @@ func (r *SignalRef) Quality(out []int64) (psnr, ssim float64, err error) {
 	default:
 		psnr = 10 * math.Log10(r.peak*r.peak/mse)
 	}
+	return psnr, ssim, nil
+}
+
+// intMoments grades out in the integer pass the SignalRef doc describes
+// and returns PSNR's mean squared error and the mean SSIM. ok is false,
+// and the results meaningless, when the inputs are outside its bounds.
+func (r *SignalRef) intMoments(out []int64) (mse, ssim float64, ok bool) {
+	if !r.exact {
+		return 0, 0, false
+	}
+	ref, h := r.ref, r.window/2
+	w, n := int64(r.window), float64(r.window)
+	// w²(w−1) is exact, and the w² division is exact, so one division by
+	// it rounds as SSIM's two do.
+	div := n * n * (n - 1)
+	sy0, syy0, sxy0, bias := halfMoments(ref[:h], out[:h])
+	syy, sxy := syy0, sxy0
+	var total float64
+	for wi, rw := range r.wins {
+		at := (wi + 1) * h
+		sy1, syy1, sxy1, b := halfMoments(ref[at:at+h], out[at:at+h])
+		bias |= b
+		syy += syy1
+		sxy += sxy1
+		sy := sy0 + sy1
+		my := float64(sy) / n
+		vy := float64(w*w*(syy0+syy1)-w*sy*sy) / div
+		cov := float64(w*w*(sxy0+sxy1)-w*rw.sx*sy) / div
+		total += ((2*rw.mx*my + r.c1) * (2*cov + r.c2)) /
+			((rw.mx*rw.mx + my*my + r.c1) * (rw.vx + vy + r.c2))
+		sy0, syy0, sxy0 = sy1, syy1, sxy1
+	}
+	at := (len(r.wins) + 1) * h
+	_, tyy, txy, b := halfMoments(ref[at:], out[at:])
+	bias |= b
+	// Σd² < 2^63 for samples in bounds and fewer than 2^29 of them, so the
+	// wrapping int64 sums give it exactly.
+	d2 := r.sxx - 2*(sxy+txy) + syy + tyy
+	if bias>>(exactBits+1) != 0 || d2 > 1<<53 {
+		return 0, 0, false
+	}
+	return float64(d2) / float64(len(ref)), total / float64(len(r.wins)), true
+}
+
+// halfMoments returns Σy, Σy² and Σxy over y and the samples of x beside
+// it, and the OR of y's samples biased by 2^exactBits, which has no bit
+// from exactBits+1 up exactly when every sample lies in
+// [-2^exactBits, 2^exactBits). It stays out of line: inlined into
+// intMoments' window loop, its accumulators spill to the stack.
+//
+//go:noinline
+func halfMoments(x, y []int64) (sy, syy, sxy int64, bias uint64) {
+	x = x[:len(y)]
+	for i, v := range y {
+		sy += v
+		syy += v * v
+		sxy += x[i] * v
+		bias |= uint64(v + 1<<exactBits)
+	}
+	return sy, syy, sxy, bias
+}
+
+// floatMoments grades out with the float loops of PSNR and SSIM over the
+// prepared reference statistics and returns PSNR's mean squared error
+// and the mean SSIM.
+func (r *SignalRef) floatMoments(out []int64) (mse, ssim float64) {
+	ref := r.ref
+	for i := range ref {
+		d := float64(ref[i]) - float64(out[i])
+		mse += d * d
+	}
+	mse /= float64(len(ref))
 
 	window := r.window
 	n := float64(window)
@@ -319,17 +424,5 @@ func (r *SignalRef) Quality(out []int64) (psnr, ssim float64, err error) {
 		total += ((2*rw.mx*my + r.c1) * (2*cov + r.c2)) /
 			((rw.mx*rw.mx + my*my + r.c1) * (rw.vx + vy + r.c2))
 	}
-	return psnr, total / float64(len(r.wins)), nil
-}
-
-// SignalQuality computes PSNR and SSIM of out against ref in one call
-// without materialising float copies of either signal — the fused form of
-// ToFloat + PSNR + SSIM, bit-identical to that sequence. Callers grading
-// many candidates against one reference should build the SignalRef once.
-func SignalQuality(ref, out []int64, window int) (psnr, ssim float64, err error) {
-	r, err := NewSignalRef(ref, window)
-	if err != nil {
-		return 0, 0, err
-	}
-	return r.Quality(out)
+	return mse, total / float64(len(r.wins))
 }

@@ -240,7 +240,10 @@ func FuzzDetector(f *testing.F) {
 // BenchmarkDetector times one op as detection over 8 accurate-pipeline
 // records of 20,000 samples: whole-record through a warm PeakDetector,
 // and through a reset StreamDetector sample by sample (Push) and in the
-// serve drain's 24-sample blocks (PushBlock).
+// serve drain's 24-sample blocks (PushBlock). Its grid case runs a warm
+// PeakDetector over the 81 Table 2 grid outputs of one such record (LPF
+// × HPF k ∈ {0, 2, …, 16}, ApproxAdd5/AppMultV1), whose noisier signals
+// make many more decisions per beat than accurate ones.
 func BenchmarkDetector(b *testing.B) {
 	p, err := New(AccurateConfig())
 	if err != nil {
@@ -280,5 +283,33 @@ func BenchmarkDetector(b *testing.B) {
 				pushBlocks(sd, out.Filtered, out.Integrated, []int{24})
 			}
 		}
+	})
+	b.Run("grid", func(b *testing.B) {
+		rec, err := ecg.NSRDBRecord(3, 20000)
+		if err != nil {
+			b.Fatal(err)
+		}
+		var grid []*Outputs
+		events := 0
+		for k1 := 0; k1 <= MaxLSBs[LPF]; k1 += 2 {
+			for k2 := 0; k2 <= MaxLSBs[HPF]; k2 += 2 {
+				var ks [NumStages]int
+				ks[LPF], ks[HPF] = k1, k2
+				p, err := New(cfgWith(ks))
+				if err != nil {
+					b.Fatal(err)
+				}
+				out := p.Run(rec.Samples)
+				grid = append(grid, out)
+				events += len(Detect(out.Filtered, out.Integrated, rec.FS).Events)
+			}
+		}
+		var pd PeakDetector
+		for b.Loop() {
+			for _, out := range grid {
+				pd.Detect(out.Filtered, out.Integrated, rec.FS)
+			}
+		}
+		b.ReportMetric(float64(events)/float64(len(grid)), "decisions/signal")
 	})
 }

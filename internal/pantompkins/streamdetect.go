@@ -20,6 +20,14 @@ package pantompkins
 // returns the final Detection: the one Detect returns for the same two
 // signals.
 //
+// Two scans keep the per-sample work small. The local-maximum scan
+// starts each pass past the refractory span of the last accepted QRS,
+// where no candidate can be decided, and walks to the next local maximum
+// with its two neighbours held in registers. The filtered-peak search
+// keeps the last window's end, first maximum and magnitude: decision
+// windows only move right, so while that maximum is still inside the next
+// window only the samples past the kept end are read.
+//
 // Degenerate inputs match Detect: a non-positive sampling rate or an
 // empty stream yields an empty Detection.
 type StreamDetector struct {
@@ -72,6 +80,12 @@ type StreamDetector struct {
 	// qualifies, so no other candidate could win.
 	best    candidate
 	hasBest bool
+
+	// The last peakNear window ended at pkHi, and its first largest
+	// |filtered| sample is at pkPos, of magnitude pkMax (pkPos < 0: no
+	// window since Reset).
+	pkHi, pkPos int
+	pkMax       int64
 
 	det Detection
 }
@@ -127,6 +141,7 @@ func (d *StreamDetector) Reset() {
 	d.rrMean = float64(fs) * 0.8 // prior: 75 bpm until measured
 	d.rrLen, d.rrPos = 0, 0
 	d.hasBest = false
+	d.pkHi, d.pkPos, d.pkMax = -1, -1, -1
 }
 
 // Push feeds one sample of the filtered and integrated signals (the pair
@@ -303,21 +318,40 @@ func (d *StreamDetector) seed(learn int) {
 // advance examines candidates while their decision context is complete:
 // index i needs integrated[i+1] (the local-maximum test) and filtered up
 // to i+alignAhead (the peak search window); final mode clamps the search
-// window to the end of the signal instead.
+// window to the end of the signal instead. A candidate within the
+// refractory span of the last QRS is never decided, so each scan starts
+// past it; a decision may accept a QRS and move that span.
 func (d *StreamDetector) advance(final bool) {
 	n := d.t
 	last := n - 2
 	if !final && last > n-1-d.alignAhead {
 		last = n - 1 - d.alignAhead
 	}
-	in, off := d.in, d.off
-	for i := d.cursor; i <= last; i++ {
-		v := in[i-off]
-		if in[i-1-off] < v && v >= in[i+1-off] && i-d.lastQRS > d.refractory {
-			d.decide(i, v, min(i+d.alignAhead, n-1))
+	for i := d.cursor; ; i++ {
+		if i = d.nextPeak(max(i, d.lastQRS+d.refractory+1), last); i > last {
+			break
 		}
+		d.decide(i, d.in[i-d.off], min(i+d.alignAhead, n-1))
 	}
 	d.cursor = max(d.cursor, last+1)
+}
+
+// nextPeak returns the first local maximum of the integrated signal in
+// [i, last], the first j with integrated[j-1] < integrated[j] >=
+// integrated[j+1], or last+1 when there is none.
+func (d *StreamDetector) nextPeak(i, last int) int {
+	if i > last {
+		return last + 1
+	}
+	w := d.in[i-1-d.off : last+2-d.off]
+	prev, cur := w[0], w[1]
+	for j, next := range w[2:] {
+		if prev < cur && cur >= next {
+			return i + j
+		}
+		prev, cur = cur, next
+	}
+	return last + 1
 }
 
 // decide classifies the local maximum v = integrated[i] outside the
@@ -413,30 +447,41 @@ func (d *StreamDetector) event(kind EventKind, c candidate) {
 // bits wide, far below 2^53, where every magnitude converts to float64
 // exactly, so the argmax and the tie rule are those of a float64
 // comparison.
+//
+// Successive windows of one run never move left (both ends grow with the
+// candidate index, and the signal end with it). While the last window's
+// first maximum is at or past lo, it is also the first maximum of
+// [lo, pkHi], so only the samples past pkHi are read, and a strict > keeps
+// the earlier of two equal magnitudes.
 func (d *StreamDetector) peakNear(lo, hi int) (int, float64) {
 	lo = max(lo, 0)
-	best, bestV := lo, int64(-1)
-	for j, x := range d.f[lo-d.off : hi+1-d.off] {
+	from, best, bestV := lo, lo, int64(-1)
+	if d.pkPos >= lo {
+		from, best, bestV = d.pkHi+1, d.pkPos, d.pkMax
+	}
+	for j, x := range d.f[from-d.off : hi+1-d.off] {
 		if x < 0 {
 			x = -x
 		}
 		if x > bestV {
-			best, bestV = lo+j, x
+			best, bestV = from+j, x
 		}
 	}
+	d.pkHi, d.pkPos, d.pkMax = hi, best, bestV
 	return best, float64(bestV)
 }
 
 // slopeBefore returns the maximum rising slope of the integrated signal
-// in the 75 ms window before idx (the Pan-Tompkins T-wave discriminator).
+// in the 75 ms window before idx (the Pan-Tompkins T-wave discriminator),
+// zero when it never rises. It takes the integer maximum and converts it
+// once: conversion to float64 is monotone, so that is the maximum of the
+// converted differences.
 func (d *StreamDetector) slopeBefore(idx int) float64 {
 	lo := max(idx-d.slopeWin, 1)
 	w := d.in[lo-1-d.off : idx+1-d.off]
-	maxS := 0.0
+	var maxS int64
 	for j := 1; j < len(w); j++ {
-		if s := float64(w[j] - w[j-1]); s > maxS {
-			maxS = s
-		}
+		maxS = max(maxS, w[j]-w[j-1])
 	}
-	return maxS
+	return float64(maxS)
 }
