@@ -16,7 +16,8 @@
 # the wire-frame/socket-message parsers, the ingest path, the QRS
 # detector, the FIR and moving-window integrator entry points, the
 # kernel's on-demand table fills and its chain strategies, the PSNR/SSIM
-# grader's integer pass and its float fallback, a fixed-seed
+# grader's integer pass and its float fallback, the netlist activity
+# engine against its one-vector-at-a-time oracle, a fixed-seed
 # chaos run of the socket transport harness, fault-free serve runs over
 # loopback TCP (the batched writes) and UDP, one run of every example
 # program, and the end-to-end
@@ -141,20 +142,26 @@ race-batch:
 # passes, reproduce the scalar fold from any start index; seeds replay
 # design B9's LPF, HPF and DER as one 24-sample serve block, and the
 # accurate ones, which run the fused MAC's passes, as one such block and
-# as a whole record), and over the PSNR/SSIM grader (SignalRef.Quality
+# as a whole record), over the PSNR/SSIM grader (SignalRef.Quality
 # reproduces PSNR and SSIM of float copies bit for bit, through its
 # integer pass inside its sample, window and error bounds and through the
-# float loops outside them).
+# float loops outside them), and over the netlist activity engine (fuzzed
+# port widths, past 64 bits too, 2 to 200 vectors of full 64-bit values
+# and cell mixes reproduce the one-vector-at-a-time toggle fold). Each
+# line bounds the minimization of each input it finds to 100 calls: with
+# the default of 60 s a line spends its 5 s minimizing the first new input
+# instead of fuzzing.
 fuzz-smoke:
-	$(GO) test -fuzz=FuzzParseFrame -fuzztime=5s -run '^$$' ./internal/serve
-	$(GO) test -fuzz=FuzzParseWire -fuzztime=5s -run '^$$' ./internal/serve
-	$(GO) test -fuzz=FuzzIngest -fuzztime=5s -run '^$$' ./internal/serve
-	$(GO) test -fuzz=FuzzDetector -fuzztime=5s -run '^$$' ./internal/pantompkins
-	$(GO) test -fuzz=FuzzFIRMatchesOracle -fuzztime=5s -run '^$$' ./internal/dsp
-	$(GO) test -fuzz=FuzzMovingSum -fuzztime=5s -run '^$$' ./internal/dsp
-	$(GO) test -fuzz=FuzzTableFill -fuzztime=5s -run '^$$' ./internal/arith/kernel
-	$(GO) test -fuzz=FuzzChainRun -fuzztime=5s -run '^$$' ./internal/arith/kernel
-	$(GO) test -fuzz=FuzzQuality -fuzztime=5s -run '^$$' ./internal/metrics
+	$(GO) test -fuzz=FuzzParseFrame -fuzztime=5s -fuzzminimizetime=100x -run '^$$' ./internal/serve
+	$(GO) test -fuzz=FuzzParseWire -fuzztime=5s -fuzzminimizetime=100x -run '^$$' ./internal/serve
+	$(GO) test -fuzz=FuzzIngest -fuzztime=5s -fuzzminimizetime=100x -run '^$$' ./internal/serve
+	$(GO) test -fuzz=FuzzDetector -fuzztime=5s -fuzzminimizetime=100x -run '^$$' ./internal/pantompkins
+	$(GO) test -fuzz=FuzzFIRMatchesOracle -fuzztime=5s -fuzzminimizetime=100x -run '^$$' ./internal/dsp
+	$(GO) test -fuzz=FuzzMovingSum -fuzztime=5s -fuzzminimizetime=100x -run '^$$' ./internal/dsp
+	$(GO) test -fuzz=FuzzTableFill -fuzztime=5s -fuzzminimizetime=100x -run '^$$' ./internal/arith/kernel
+	$(GO) test -fuzz=FuzzChainRun -fuzztime=5s -fuzzminimizetime=100x -run '^$$' ./internal/arith/kernel
+	$(GO) test -fuzz=FuzzQuality -fuzztime=5s -fuzzminimizetime=100x -run '^$$' ./internal/metrics
+	$(GO) test -fuzz=FuzzActivity -fuzztime=5s -fuzzminimizetime=100x -run '^$$' ./internal/netlist
 
 # One iteration of every benchmark: regenerates each table/figure once and
 # exercises the parallel DSE engine, the kernel-vs-reference
@@ -165,10 +172,14 @@ fuzz-smoke:
 # exact and table paths (BenchmarkSquarer), the integrator's window
 # strategies, the QRS detector's whole-record, per-sample and block
 # entry points and the Table 2 grid's 81 outputs (BenchmarkDetector/grid),
-# and the PSNR/SSIM grader over those outputs, integer pass and float
-# loops (BenchmarkQuality), without taking benchmark-grade time.
+# the PSNR/SSIM grader over those outputs, integer pass and float
+# loops (BenchmarkQuality), and the energy characterization: the activity
+# engine (BenchmarkActivity), each stage's folded netlist build with
+# dead-cell elimination (BenchmarkStageNetlist) and one cold
+# characterization per stage (BenchmarkCharacterize), without taking
+# benchmark-grade time.
 bench:
-	$(GO) test -bench=. -benchmem -benchtime=1x -run '^$$' . ./internal/arith/kernel ./internal/dsp ./internal/metrics ./internal/netlist ./internal/pantompkins
+	$(GO) test -bench=. -benchmem -benchtime=1x -run '^$$' . ./internal/arith/kernel ./internal/dsp ./internal/energy ./internal/metrics ./internal/netlist ./internal/pantompkins
 
 # The end-to-end benchmark's own module (bench/ has a go.mod of its own,
 # so the root `go test ./...` never builds it): vet it and run its smoke

@@ -30,6 +30,17 @@ func freshModel(t *testing.T) *Model {
 	return m
 }
 
+// StageActivity returns the switching-activity measurement and optimised
+// netlist behind one stage configuration's report (both shared cache
+// state: the netlist and activity must not be mutated).
+func (m *Model) StageActivity(s pantompkins.Stage, cfg dsp.ArithConfig) (*netlist.Netlist, netlist.Activity, error) {
+	e, err := m.stageChar(s, cfg)
+	if err != nil {
+		return nil, netlist.Activity{}, err
+	}
+	return e.net, e.act, nil
+}
+
 // TestCharacterizationSharedAcrossModels checks the tentpole property: a
 // second model over the same record and window re-characterizes nothing,
 // and its reports are identical to the first model's.

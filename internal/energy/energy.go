@@ -11,14 +11,19 @@
 //
 // Characterizing one (stage, configuration) pair — synthesizing the stage
 // netlist (built constant-folded, so the raw constant-coefficient netlist
-// is never materialized), simulating it over the stimulus window with the
-// lane-packed activity engine of package netlist, and weighting power by
-// the measured toggle rates — is a pure function of the pair and the
-// stimulus, so the results live in a process-wide cache (see cache.go):
-// every Model whose stimulus, vector count and warmup match shares the
-// same entries, across core.Evaluator instances, design-space-exploration
-// phases and experiments. CacheStats and DropCaches expose it the way
-// kernel.CacheStats/DropCaches expose the arithmetic plan/table cache.
+// is never materialized, and each constant multiplier folded once per
+// netlist and replayed onto every tap with that coefficient magnitude),
+// simulating it over the stimulus window with the lane-packed activity
+// engine of package netlist (each 64-vector block of a port packed by one
+// bit transpose), and weighting power by the measured toggle rates — is a
+// pure function of the pair and the stimulus, so the results live in a
+// process-wide cache (see cache.go): every Model whose stimulus, vector
+// count and warmup match shares the same entries, across core.Evaluator
+// instances, design-space-exploration phases and experiments. CacheStats
+// and DropCaches expose it the way kernel.CacheStats/DropCaches expose the
+// arithmetic plan/table cache. The multiplier templates live only as long
+// as one stage netlist's builder, so after DropCaches the next
+// characterization starts cold.
 //
 // Energy figures are per processed sample (fJ). Reductions are always
 // quoted against the accurate configuration of the same unit, matching the
@@ -273,17 +278,6 @@ func (m *Model) StageOptimizedReport(s pantompkins.Stage, cfg dsp.ArithConfig) (
 		return synth.Report{}, err
 	}
 	return e.opt, nil
-}
-
-// StageActivity returns the switching-activity measurement and optimised
-// netlist behind one stage configuration's report (both shared cache
-// state: the netlist and activity must not be mutated).
-func (m *Model) StageActivity(s pantompkins.Stage, cfg dsp.ArithConfig) (*netlist.Netlist, netlist.Activity, error) {
-	e, err := m.stageChar(s, cfg)
-	if err != nil {
-		return nil, netlist.Activity{}, err
-	}
-	return e.net, e.act, nil
 }
 
 // StageEnergy returns the per-operation energy (fJ) of one stage

@@ -258,3 +258,32 @@ func TestSensorNodes(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkCharacterize measures one cold characterization per op — the
+// folded stage netlist, DeadCellElim, the activity simulation over the
+// default 600-vector window and the activity-weighted report — for each
+// stage, the AMA5/AppMultV1 configuration's LSB count cycling from 0 to
+// the stage's bound. It calls characterize directly, so the
+// process-wide cache is neither read nor filled.
+func BenchmarkCharacterize(b *testing.B) {
+	rec, err := ecg.NSRDBRecord(0, 3000)
+	if err != nil {
+		b.Fatal(err)
+	}
+	stim, err := NewStimulus(rec)
+	if err != nil {
+		b.Fatal(err)
+	}
+	m := NewModel(stim)
+	for _, s := range pantompkins.Stages {
+		b.Run(s.String(), func(b *testing.B) {
+			k := 0
+			for b.Loop() {
+				if _, err := m.characterize(s, ama5(k)); err != nil {
+					b.Fatal(err)
+				}
+				k = (k + 1) % (pantompkins.MaxLSBs[s] + 1)
+			}
+		})
+	}
+}

@@ -32,11 +32,12 @@ type PortStimulus struct {
 // (activity is defined over consecutive pairs).
 //
 // 64 consecutive vectors evaluate at once: every net holds a uint64 whose
-// bit l is the net's value under vector base+l, each cell's logic function
-// is applied bitwise across all lanes, and a toggle count is the popcount
-// of the XOR between an output word and its one-lane shift. Toggle counts
-// stay integer, so PerCell is bit-identical to simulating one vector at a
-// time (the activity oracle of the package tests).
+// bit l is the net's value under vector base+l (a port's words are one bit
+// transpose of the block's values), each cell's logic function is applied
+// bitwise across all lanes, and a toggle count is the popcount of the XOR
+// between an output word and its one-lane shift. Toggle counts stay
+// integer, so PerCell is bit-identical to simulating one vector at a time
+// (the activity oracle of the package tests).
 func (s *Simulator) RunActivityStreams(ports []PortStimulus) (Activity, error) {
 	vectors, err := s.bindStreams(ports)
 	if err != nil {
@@ -91,10 +92,12 @@ func (s *Simulator) bindStreams(ports []PortStimulus) (int, error) {
 }
 
 // runActivityLanes evaluates bound streams in blocks of 64 vectors, every
-// net carrying one uint64 of lane values. Per block a cell costs a
-// handful of word operations instead of 64 truth-table walks; toggles
-// accumulate as integers via popcount, with the last lane of each block
-// carried into the next so block boundaries count too.
+// net carrying one uint64 of lane values. Each port's lane words come
+// from one 64×64 bit transpose of the block's values (packLanes). Per
+// block a cell costs a handful of word operations instead of 64
+// truth-table walks; toggles accumulate as integers via popcount, with
+// the last lane of each block carried into the next so block boundaries
+// count too.
 //
 // PerCell is bit-identical to a one-vector-at-a-time fold that adds
 // n/len(Out) per cell and vector pair: a cell has 1, 2 or 4 output pins,
@@ -111,6 +114,7 @@ func (s *Simulator) runActivityLanes(vectors int) (Activity, error) {
 	}
 	lanes := s.lanes
 	var in, out [4]uint64
+	var plane [64]uint64
 	for base := 0; base < vectors; base += 64 {
 		nl := vectors - base
 		if nl > 64 {
@@ -132,14 +136,7 @@ func (s *Simulator) runActivityLanes(vectors int) (Activity, error) {
 		}
 		lanes[Const1] = full
 		for pi, p := range s.n.Inputs {
-			vals := s.streams[pi][base : base+nl]
-			for i, b := range p.Bits {
-				var w uint64
-				for l, v := range vals {
-					w |= (v >> i & 1) << l
-				}
-				lanes[b] = w
-			}
+			packLanes(lanes, p.Bits, s.streams[pi][base:base+nl], &plane)
 		}
 		for ci := range cells {
 			c := &cells[ci]
@@ -162,4 +159,51 @@ func (s *Simulator) runActivityLanes(vectors int) (Activity, error) {
 		act.PerCell[i] = float64(toggles[i]) / float64(len(cells[i].Out)) / float64(vectors-1)
 	}
 	return act, nil
+}
+
+// packLanes writes the lane words of one port for a block of at most 64
+// vectors: bit l of lanes[bus[i]] becomes bit i of vals[l]. The block's
+// values are copied into plane, zero-filled past len(vals), and
+// transposed in place, so plane[i] is then the lane word of port bit i.
+// Lanes past len(vals) and port bits at 64 and above read 0. Every lane
+// engine packs its stimulus through here.
+func packLanes(lanes []uint64, bus Bus, vals []uint64, plane *[64]uint64) {
+	clear(plane[copy(plane[:], vals):])
+	transpose64(plane)
+	for i, b := range bus {
+		if i < len(plane) {
+			lanes[b] = plane[i]
+		} else {
+			lanes[b] = 0
+		}
+	}
+}
+
+// transpose64 transposes the 64×64 bit matrix a in place, with bit 0 as
+// column 0: afterwards bit l of a[i] is what bit i of a[l] was. It is the
+// classic transpose by six rounds of masked swaps (Hacker's Delight
+// §7-3). The round of width j swaps, in every 2j×2j tile, the j×j block
+// of the tile's first j rows and high j columns with the block of its
+// last j rows and low j columns; after the rounds for j = 32, 16, ..., 1
+// every block has been transposed down to single bits.
+func transpose64(a *[64]uint64) {
+	swapRound(a, 32, 0x00000000FFFFFFFF)
+	swapRound(a, 16, 0x0000FFFF0000FFFF)
+	swapRound(a, 8, 0x00FF00FF00FF00FF)
+	swapRound(a, 4, 0x0F0F0F0F0F0F0F0F)
+	swapRound(a, 2, 0x3333333333333333)
+	swapRound(a, 1, 0x5555555555555555)
+}
+
+// swapRound is the round of width j of transpose64; m selects the low j
+// columns of every 2j-column group. Indices are masked to 63, which
+// leaves them unchanged and drops the bounds checks.
+func swapRound(a *[64]uint64, j uint, m uint64) {
+	for base := uint(0); base < 64; base += 2 * j {
+		for k := base; k < base+j; k++ {
+			t := (a[k&63]>>j ^ a[(k+j)&63]) & m
+			a[k&63] ^= t << j
+			a[(k+j)&63] ^= t
+		}
+	}
 }

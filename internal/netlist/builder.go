@@ -22,11 +22,27 @@ import (
 // — approximation artefacts included — and may still hold dead cells,
 // which DeadCellElim removes. ConstProp is a replay of a finished netlist
 // through a folding builder.
+//
+// A folding builder also builds each constant multiplier once. When
+// Multiplier gets an operand bb made only of constant nets and a fresh
+// operand a — consecutive non-constant nets, none of them holding a cached
+// inverter, as an input port declared by InputBus is until it is used —
+// it folds the multiplier once per (spec, constant) into a private
+// folding builder over a fresh input bus and replays that template onto
+// a: constant nets stay, template input i becomes a[i], the template's
+// own nets follow the builder's current net count, its cells append in
+// order and its inverters enter the inverter cache. Folding reads only
+// which inputs are constant and their values, so the replay adds exactly
+// the cells and nets, in the same order and numbering, that folding the
+// multiplier there would have added. Any other call, the squarer's x × x
+// among them, folds as it goes. The templates live as long as the
+// builder.
 type Builder struct {
 	n        *Netlist
 	invCache map[Net]Net
 	fold     bool
 	err      error
+	mulMemo  map[mulKey]*mulTemplate
 }
 
 // NewBuilder returns a Builder for a netlist with the given name.
@@ -337,7 +353,124 @@ func (b *Builder) Multiplier(m arith.Multiplier, a, bb Bus) Bus {
 		b.fail("multiplier operand widths %d/%d, want %d", len(a), len(bb), m.Width)
 		return b.newBus(2 * m.Width)
 	}
+	if b.fold && b.fresh(a) {
+		if c, ok := constValue(bb); ok {
+			if t := b.template(m, c); t != nil {
+				return b.replay(t, a)
+			}
+		}
+	}
 	return b.mulRec(m, a, bb, 0)
+}
+
+// mulKey names one constant multiplier: its spec and the constant.
+type mulKey struct {
+	m arith.Multiplier
+	c uint64
+}
+
+// mulTemplate is a constant multiplier folded over a fresh input bus in a
+// builder of its own: nets below numReservedNets are the constants, the
+// next Width nets the input bus, and every later net one of the
+// template's own, numNets of them.
+type mulTemplate struct {
+	cells   []Cell
+	pins    int // total pin count of cells
+	numNets int
+	out     Bus
+}
+
+// constValue returns the value of a bus made only of constant nets.
+func constValue(bus Bus) (uint64, bool) {
+	var c uint64
+	for i, x := range bus {
+		if !x.IsConst() {
+			return 0, false
+		}
+		c |= uint64(x.ConstVal()) << i
+	}
+	return c, true
+}
+
+// fresh reports whether bus is consecutive non-constant nets, none of
+// which holds a cached inverter: a multiplier over it folds exactly as
+// over a template's own input bus.
+func (b *Builder) fresh(bus Bus) bool {
+	for i, x := range bus {
+		if x.IsConst() || x != bus[0]+Net(i) {
+			return false
+		}
+		if _, ok := b.invCache[x]; ok {
+			return false
+		}
+	}
+	return true
+}
+
+// template returns the template of multiplier m by constant c, folding it
+// on first use; nil if the fold failed (the caller then folds in place and
+// records the error).
+func (b *Builder) template(m arith.Multiplier, c uint64) *mulTemplate {
+	key := mulKey{m, c}
+	if t, ok := b.mulMemo[key]; ok {
+		return t
+	}
+	tb := NewFoldingBuilder(b.n.Name)
+	out := tb.mulRec(m, tb.newBus(m.Width), tb.ConstBus(c, m.Width), 0)
+	if tb.err != nil {
+		return nil
+	}
+	t := &mulTemplate{cells: tb.n.Cells, numNets: tb.n.NumNets - numReservedNets - m.Width, out: out}
+	for i := range t.cells {
+		t.pins += len(t.cells[i].In) + len(t.cells[i].Out)
+	}
+	if b.mulMemo == nil {
+		b.mulMemo = make(map[mulKey]*mulTemplate)
+	}
+	b.mulMemo[key] = t
+	return t
+}
+
+// replay adds template t's cells and nets over the fresh bus a and
+// returns the product bus (see Builder).
+func (b *Builder) replay(t *mulTemplate, a Bus) Bus {
+	in := Net(numReservedNets)
+	own := in + Net(len(a))
+	shift := Net(b.n.NumNets) - own
+	mapNet := func(x Net) Net {
+		switch {
+		case x < in:
+			return x
+		case x < own:
+			return a[0] + x - in
+		default:
+			return x + shift
+		}
+	}
+	pins := make([]Net, t.pins)
+	for i := range t.cells {
+		tc := &t.cells[i]
+		c := Cell{Kind: tc.Kind, Add: tc.Add, Mul: tc.Mul}
+		nin, nout := len(tc.In), len(tc.Out)
+		c.In, c.Out = pins[:nin:nin], pins[nin:nin+nout:nin+nout]
+		pins = pins[nin+nout:]
+		for j, x := range tc.In {
+			c.In[j] = mapNet(x)
+		}
+		for j, x := range tc.Out {
+			c.Out[j] = mapNet(x)
+		}
+		if c.Kind == CellInv {
+			b.invCache[c.In[0]] = c.Out[0]
+		}
+		b.n.Cells = append(b.n.Cells, c)
+	}
+	b.n.NumNets += t.numNets
+	out := make(Bus, len(t.out))
+	for i, x := range t.out {
+		out[i] = mapNet(x)
+	}
+	return out
 }
 
 func (b *Builder) mulRec(m arith.Multiplier, a, bb Bus, off int) Bus {

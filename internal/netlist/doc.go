@@ -11,7 +11,12 @@
 //     and the squarer. A generator builds into the Builder it is given: a
 //     plain one (NewBuilder) materializes every cell, a folding one
 //     (NewFoldingBuilder) partially evaluates each cell as it is added, so
-//     multipliers by constant FIR coefficients never exist unfolded;
+//     multipliers by constant FIR coefficients never exist unfolded. A
+//     folding builder also folds each constant multiplier once per
+//     (spec, constant) over an input bus of its own and replays that
+//     template onto every fresh operand bus it multiplies by the same
+//     constant (an HPF's 32 taps take two folds), adding exactly the cells
+//     and nets, in order, that folding in place would;
 //   - a bit-true Simulator for combinational netlists, used to
 //     cross-validate the word-level behavioural models in package arith
 //     (the Go analogue of the paper's MATLAB-vs-ModelSim loop, Fig 9);
@@ -20,9 +25,12 @@
 //     power by. The activity engine is lane-packed: 64 stimulus vectors
 //     evaluate at once, every net carrying a uint64 of lane values and
 //     every cell applying its logic function bitwise across all lanes
-//     (classic multi-pattern gate-level simulation). Toggle counts stay
-//     integer, so the result is bit-identical to simulating one vector at
-//     a time, the fold the package tests compare it with;
+//     (classic multi-pattern gate-level simulation). A port's lane words
+//     for a block come from one 64×64 bit transpose of the block's values
+//     (six rounds of masked swaps), not from one shift per vector and
+//     bit. Toggle counts stay integer, so the result is bit-identical to
+//     simulating one vector at a time, the fold the package tests compare
+//     it with;
 //   - synthesis-style optimisation passes: constant propagation by partial
 //     evaluation of cell truth tables (this is how multiplications by fixed
 //     FIR coefficients collapse, exactly as a logic synthesiser would fold

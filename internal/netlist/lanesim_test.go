@@ -182,14 +182,59 @@ func activityOracle(s *Simulator, ports []PortStimulus) (Activity, error) {
 	return Activity{PerCell: toggles, Vectors: vectors}, nil
 }
 
+// portWidthNetlist is a plain netlist over input ports 1, 32, 64 and 80
+// bits wide whose cells read the bottom, middle and top bits of each port:
+// bit 63 of the 64- and 80-bit ports, and bits 64 to 79 of the 80-bit
+// port, which every engine reads as 0.
+func portWidthNetlist(t *testing.T) *Netlist {
+	t.Helper()
+	b := NewBuilder("ports")
+	w1 := b.InputBus("w1", 1)
+	w32 := b.InputBus("w32", 32)
+	w64 := b.InputBus("w64", 64)
+	w80 := b.InputBus("w80", 80)
+	s, _ := b.RCA(approx.AccAdd, 0, w32, w64[32:], w1[0])
+	s, _ = b.RCA(approx.ApproxAdd1, 8, w80[48:], s, w64[63])
+	b.Mult2(approx.AccMult, w64[63], w80[63], w80[64], w1[0])
+	b.NotBus(w80[60:70])
+	b.FullAdder(approx.ApproxAdd3, w64[0], w80[0], w32[31])
+	b.OutputBus("y", s)
+	return mustBuild(t)(b.Build())
+}
+
+// requireActivityOracle runs the stimulus through the activity engine and
+// through activityOracle and requires PerCell to be bit-identical.
+func requireActivityOracle(t *testing.T, n *Netlist, ports []PortStimulus) {
+	t.Helper()
+	sim := mustSim(t, n)
+	lane, laneErr := sim.RunActivityStreams(ports)
+	scalar, scalarErr := activityOracle(sim, ports)
+	vectors := len(ports[0].Values)
+	if laneErr != nil || scalarErr != nil {
+		t.Fatalf("%s vectors=%d: lane err %v, scalar err %v", n.Name, vectors, laneErr, scalarErr)
+	}
+	if lane.Vectors != scalar.Vectors || len(lane.PerCell) != len(scalar.PerCell) {
+		t.Fatalf("%s vectors=%d: shape mismatch", n.Name, vectors)
+	}
+	for i := range lane.PerCell {
+		if lane.PerCell[i] != scalar.PerCell[i] {
+			t.Fatalf("%s vectors=%d cell %d (%s): lane %v != scalar %v",
+				n.Name, vectors, i, n.Cells[i].TypeName(), lane.PerCell[i], scalar.PerCell[i])
+		}
+	}
+}
+
 // TestActivityLaneVsScalarOracle drives every generated stage netlist with
 // randomized stimulus streams at vector counts straddling the 64-lane
 // block boundaries and requires PerCell to be bit-identical between the
-// lane-packed engine and the one-vector-at-a-time activityOracle.
+// lane-packed engine and the one-vector-at-a-time activityOracle. The
+// port-width netlist then takes full 64-bit values, bit 63 and the bits
+// past each narrower port's width included.
 func TestActivityLaneVsScalarOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
+	counts := []int{2, 63, 64, 65, 130, 200}
 	for _, n := range activityNetlists(t) {
-		for _, vectors := range []int{2, 63, 64, 65, 130, 200} {
+		for _, vectors := range counts {
 			ports := make([]PortStimulus, len(n.Inputs))
 			for pi, p := range n.Inputs {
 				vals := make([]uint64, vectors)
@@ -198,23 +243,155 @@ func TestActivityLaneVsScalarOracle(t *testing.T) {
 				}
 				ports[pi] = PortStimulus{Name: p.Name, Values: vals}
 			}
-			sim := mustSim(t, n)
-			lane, laneErr := sim.RunActivityStreams(ports)
-			scalar, scalarErr := activityOracle(sim, ports)
-			if laneErr != nil || scalarErr != nil {
-				t.Fatalf("%s vectors=%d: lane err %v, scalar err %v", n.Name, vectors, laneErr, scalarErr)
+			requireActivityOracle(t, n, ports)
+		}
+	}
+	n := portWidthNetlist(t)
+	for _, vectors := range counts {
+		ports := make([]PortStimulus, len(n.Inputs))
+		for pi, p := range n.Inputs {
+			vals := make([]uint64, vectors)
+			for v := range vals {
+				vals[v] = rng.Uint64() | uint64(v&1)<<63
 			}
-			if lane.Vectors != scalar.Vectors || len(lane.PerCell) != len(scalar.PerCell) {
-				t.Fatalf("%s vectors=%d: shape mismatch", n.Name, vectors)
+			ports[pi] = PortStimulus{Name: p.Name, Values: vals}
+		}
+		requireActivityOracle(t, n, ports)
+	}
+}
+
+// FuzzActivity drives fuzzed netlists through the activity engine against
+// activityOracle: up to 8 input ports of fuzzed widths (1 to 96 bits, so
+// some have bits at 64 and above, which read 0), 2 to 200 vectors of full
+// 64-bit values (bits past a port's width set, which both must ignore)
+// and a fuzzed mix of up to 256 full adders, 2x2 multipliers and inverters
+// of every kind over nets drawn from the ports, the constants and earlier
+// cells.
+func FuzzActivity(f *testing.F) {
+	f.Add(int64(1), []byte{15, 15}, uint8(61), []byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17})
+	f.Add(int64(2), []byte{0, 31, 63, 79}, uint8(198), []byte{0, 3, 6, 9, 12, 15, 1, 4, 7, 2, 2, 2, 0, 1})
+	f.Add(int64(3), []byte{95}, uint8(0), []byte{2, 1, 0})
+	f.Add(int64(4), []byte{7, 7, 7}, uint8(126), []byte{})
+	f.Fuzz(func(t *testing.T, seed int64, widths []byte, vectors uint8, mix []byte) {
+		widths = widths[:min(len(widths), 8)]
+		if len(widths) == 0 {
+			widths = []byte{0}
+		}
+		mix = mix[:min(len(mix), 256)]
+		rng := rand.New(rand.NewSource(seed))
+		b := NewBuilder("fuzz")
+		nets := []Net{Const0, Const1}
+		for i, w := range widths {
+			nets = append(nets, b.InputBus(fmt.Sprintf("p%d", i), 1+int(w)%96)...)
+		}
+		pick := func() Net { return nets[rng.Intn(len(nets))] }
+		for _, op := range mix {
+			switch op % 3 {
+			case 0:
+				s, c := b.FullAdder(approx.AdderKinds[int(op/3)%len(approx.AdderKinds)], pick(), pick(), pick())
+				nets = append(nets, s, c)
+			case 1:
+				nets = append(nets, b.Mult2(approx.MultKinds[int(op/3)%len(approx.MultKinds)], pick(), pick(), pick(), pick())...)
+			default:
+				nets = append(nets, b.Not(pick()))
 			}
-			for i := range lane.PerCell {
-				if lane.PerCell[i] != scalar.PerCell[i] {
-					t.Fatalf("%s vectors=%d cell %d (%s): lane %v != scalar %v",
-						n.Name, vectors, i, n.Cells[i].TypeName(), lane.PerCell[i], scalar.PerCell[i])
+		}
+		n := mustBuild(t)(b.Build())
+		nv := 2 + int(vectors)%199
+		ports := make([]PortStimulus, len(n.Inputs))
+		for pi, p := range n.Inputs {
+			vals := make([]uint64, nv)
+			for v := range vals {
+				vals[v] = rng.Uint64()
+			}
+			ports[pi] = PortStimulus{Name: p.Name, Values: vals}
+		}
+		requireActivityOracle(t, n, ports)
+	})
+}
+
+// TestPackLanes checks the stimulus packer against its definition: after
+// packing a block, bit l of the lane word of port bit i is bit i of value
+// l, and 0 for lanes past the block and for port bits at 64 and above,
+// whatever an earlier block left in the scratch plane.
+func TestPackLanes(t *testing.T) {
+	rng := rand.New(rand.NewSource(47))
+	for _, width := range []int{1, 16, 64, 80} {
+		bus := make(Bus, width)
+		for i := range bus {
+			bus[i] = Net(numReservedNets + i)
+		}
+		for _, nl := range []int{1, 3, 63, 64} {
+			vals := make([]uint64, nl)
+			for l := range vals {
+				vals[l] = rng.Uint64() | uint64(l&1)<<63
+			}
+			var plane [64]uint64
+			for i := range plane {
+				plane[i] = ^uint64(0)
+			}
+			lanes := make([]uint64, numReservedNets+width)
+			packLanes(lanes, bus, vals, &plane)
+			for i, b := range bus {
+				var want uint64
+				for l, v := range vals {
+					if i < 64 {
+						want |= (v >> i & 1) << l
+					}
+				}
+				if lanes[b] != want {
+					t.Fatalf("width %d, %d vectors: lane word of bit %d = %#x, want %#x", width, nl, i, lanes[b], want)
 				}
 			}
 		}
 	}
+}
+
+// TestTranspose64 checks the bit transpose against its definition (bit l
+// of word i of the result is bit i of word l of the input): on every
+// matrix with a single set bit, on random matrices, on the all-ones
+// matrix and, transposed twice, back to the input.
+func TestTranspose64(t *testing.T) {
+	def := func(a *[64]uint64) (w [64]uint64) {
+		for i := range w {
+			for l := range a {
+				w[i] |= (a[l] >> i & 1) << l
+			}
+		}
+		return w
+	}
+	check := func(a [64]uint64) {
+		t.Helper()
+		got := a
+		transpose64(&got)
+		if want := def(&a); got != want {
+			t.Fatalf("transpose64 of %#x = %#x, want %#x", a, got, want)
+		}
+		transpose64(&got)
+		if got != a {
+			t.Fatalf("transpose64 twice of %#x = %#x", a, got)
+		}
+	}
+	for r := 0; r < 64; r++ {
+		for c := 0; c < 64; c++ {
+			var a [64]uint64
+			a[r] = 1 << c
+			check(a)
+		}
+	}
+	rng := rand.New(rand.NewSource(46))
+	for it := 0; it < 64; it++ {
+		var a [64]uint64
+		for i := range a {
+			a[i] = rng.Uint64()
+		}
+		check(a)
+	}
+	var ones [64]uint64
+	for i := range ones {
+		ones[i] = ^uint64(0)
+	}
+	check(ones)
 }
 
 // TestRunActivityStreamsErrors checks that the activity engine rejects

@@ -137,8 +137,17 @@ func (n *Netlist) NumRegisters() int {
 	return c
 }
 
-// Validate checks structural invariants: net indices in range, topological
-// cell order, correct pin counts, and no multiply-driven nets.
+// cellPins[k] is the input and output pin count of cell kind k.
+var cellPins = [...][2]int{
+	CellFA:    {3, 2},
+	CellMult2: {4, 4},
+	CellInv:   {1, 1},
+	CellReg:   {1, 1},
+}
+
+// Validate checks structural invariants: known cell kinds, net indices in
+// range, topological cell order, correct pin counts, and no
+// multiply-driven nets.
 func (n *Netlist) Validate() error {
 	defined := make([]bool, n.NumNets)
 	defined[Const0] = true
@@ -151,15 +160,13 @@ func (n *Netlist) Validate() error {
 			defined[b] = true
 		}
 	}
-	pinCounts := map[CellKind][2]int{
-		CellFA:    {3, 2},
-		CellMult2: {4, 4},
-		CellInv:   {1, 1},
-		CellReg:   {1, 1},
-	}
 	for i := range n.Cells {
 		c := &n.Cells[i]
-		want := pinCounts[c.Kind]
+		if int(c.Kind) >= len(cellPins) {
+			return fmt.Errorf("netlist %s: cell %d has unknown kind %s with %d/%d pins",
+				n.Name, i, c.Kind, len(c.In), len(c.Out))
+		}
+		want := cellPins[c.Kind]
 		if len(c.In) != want[0] || len(c.Out) != want[1] {
 			return fmt.Errorf("netlist %s: cell %d (%s) has %d/%d pins, want %d/%d",
 				n.Name, i, c.TypeName(), len(c.In), len(c.Out), want[0], want[1])

@@ -2,6 +2,7 @@ package netlist
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"github.com/xbiosip/xbiosip/internal/approx"
@@ -322,6 +323,16 @@ func TestValidateCatchesCorruptNetlists(t *testing.T) {
 	if err := n4.Validate(); err == nil {
 		t.Error("pin-count violation not caught")
 	}
+	// Unknown cell kinds, with and without pins.
+	for _, c := range []Cell{
+		{Kind: CellReg + 1},
+		{Kind: 255, In: []Net{2, 2, 2}, Out: []Net{3, 4}},
+	} {
+		n5 := &Netlist{Name: "k", NumNets: 5, Inputs: []Port{{Name: "x", Bits: Bus{2}}}, Cells: []Cell{c}}
+		if err := n5.Validate(); err == nil {
+			t.Errorf("unknown cell kind %d with %d/%d pins not caught", c.Kind, len(c.In), len(c.Out))
+		}
+	}
 }
 
 func TestGenFIRStructure(t *testing.T) {
@@ -395,5 +406,109 @@ func TestBuilderReportsErrors(t *testing.T) {
 	b.RCA(approx.AccAdd, 0, a, c, Const0) // width mismatch
 	if _, err := b.Build(); err == nil {
 		t.Error("width-mismatched RCA accepted")
+	}
+}
+
+// requireFoldMatchesConstProp builds one structure twice, into a folding
+// builder and into a plain one that ConstProp then folds, and requires the
+// two netlists to be equal cell for cell and net for net. It returns the
+// folding builder for inspection.
+func requireFoldMatchesConstProp(t *testing.T, name string, build func(b *Builder)) *Builder {
+	t.Helper()
+	fb := NewFoldingBuilder(name)
+	build(fb)
+	got := mustBuild(t)(fb.Build())
+	pb := NewBuilder(name)
+	build(pb)
+	want, err := ConstProp(mustBuild(t)(pb.Build()), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("%s: folded build differs from ConstProp of the plain build (%d vs %d cells, %d vs %d nets)",
+			name, len(got.Cells), len(want.Cells), got.NumNets, want.NumNets)
+	}
+	return fb
+}
+
+// TestMultiplierTemplates pins the folding builder's constant-multiplier
+// templates: multipliers by constants over fresh operand buses replay one
+// template per (spec, constant), and every call the template must not
+// serve — an operand bus with a cached inverter, a bus that is not
+// consecutive nets, an operand that is not all constant nets — folds in
+// place. Every case equals ConstProp of the plain build.
+func TestMultiplierTemplates(t *testing.T) {
+	// AMA4 accumulation cells invert their a input, so this multiplier's
+	// fold inverts every bit of its operand bus.
+	m := arith.Multiplier{Width: 8, ApproxLSBs: 16, Mult: approx.AppMultV1, Add: approx.ApproxAdd4}
+	const c = 0x5B
+	mul := func(b *Builder, a Bus, c uint64) {
+		b.OutputBus("p", b.Multiplier(m, a, b.ConstBus(c, m.Width)))
+	}
+	m8 := m
+	m8.ApproxLSBs = 8
+	fb := requireFoldMatchesConstProp(t, "fresh", func(b *Builder) {
+		x, y, z, w := b.InputBus("x", 8), b.InputBus("y", 8), b.InputBus("z", 8), b.InputBus("w", 8)
+		mul(b, x, c)
+		mul(b, y, c)
+		b.NotBus(x) // inverters already cached by the first replay
+		mul(b, z, 1)
+		b.OutputBus("q", b.Multiplier(m8, w, b.ConstBus(c, m8.Width)))
+	})
+	if len(fb.mulMemo) != 3 {
+		t.Errorf("fresh operands: %d templates, want 3 (one per spec and constant)", len(fb.mulMemo))
+	}
+	inverted := 0
+	for _, cell := range fb.n.Cells {
+		if cell.Kind == CellInv && cell.In[0] == fb.n.Inputs[0].Bits[3] {
+			inverted++
+		}
+	}
+	if inverted != 1 {
+		t.Fatalf("fold of %+v by %#x inverts operand bit 3 %d times, want once", m, c, inverted)
+	}
+
+	for _, tc := range []struct {
+		name  string
+		build func(b *Builder)
+	}{
+		{"cached-inverter", func(b *Builder) {
+			x := b.InputBus("x", 8)
+			b.OutputBus("inv", Bus{b.Not(x[3])})
+			mul(b, x, c)
+		}},
+		{"reversed", func(b *Builder) {
+			x := b.InputBus("x", 8)
+			a := make(Bus, len(x))
+			for i := range a {
+				a[i] = x[len(x)-1-i]
+			}
+			mul(b, a, c)
+		}},
+		{"interleaved", func(b *Builder) {
+			x, y := b.InputBus("x", 4), b.InputBus("y", 4)
+			mul(b, Bus{x[0], y[0], x[1], y[1], x[2], y[2], x[3], y[3]}, c)
+		}},
+		{"repeated-net", func(b *Builder) {
+			x := b.InputBus("x", 8)
+			mul(b, Bus{x[0], x[0], x[1], x[2], x[3], x[4], x[5], x[6]}, c)
+		}},
+		{"constant-bit", func(b *Builder) {
+			x := b.InputBus("x", 7)
+			mul(b, append(Bus{Const1}, x...), c)
+		}},
+		{"variable-operand", func(b *Builder) {
+			x, y := b.InputBus("x", 8), b.InputBus("y", 4)
+			bb := append(b.ConstBus(c, 4), y...)
+			b.OutputBus("p", b.Multiplier(m, x, bb))
+		}},
+		{"squarer", func(b *Builder) {
+			x := b.InputBus("x", 8)
+			b.OutputBus("p", b.Multiplier(m, x, x))
+		}},
+	} {
+		if fb := requireFoldMatchesConstProp(t, tc.name, tc.build); len(fb.mulMemo) != 0 {
+			t.Errorf("%s: %d templates built, want none", tc.name, len(fb.mulMemo))
+		}
 	}
 }

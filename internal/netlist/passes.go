@@ -99,6 +99,13 @@ func DeadCellElim(n *Netlist) (*Netlist, error) {
 	}
 	remap[Const0] = Const0
 	remap[Const1] = Const1
+	pinCount := 0
+	for ci := range n.Cells {
+		if liveCell[ci] {
+			pinCount += len(n.Cells[ci].In) + len(n.Cells[ci].Out)
+		}
+	}
+	pins := make([]Net, pinCount) // every live cell's pins, in cell order
 	out := &Netlist{Name: n.Name, NumNets: numReservedNets}
 	mapNet := func(old Net) Net {
 		if remap[old] < 0 {
@@ -119,8 +126,10 @@ func DeadCellElim(n *Netlist) (*Netlist, error) {
 			continue
 		}
 		c := &n.Cells[ci]
+		nin, nout := len(c.In), len(c.Out)
 		nc := Cell{Kind: c.Kind, Add: c.Add, Mul: c.Mul,
-			In: make([]Net, len(c.In)), Out: make([]Net, len(c.Out))}
+			In: pins[:nin:nin], Out: pins[nin : nin+nout : nin+nout]}
+		pins = pins[nin+nout:]
 		for i, in := range c.In {
 			nc.In[i] = mapNet(in)
 		}

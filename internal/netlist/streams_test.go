@@ -9,6 +9,66 @@ import (
 	"github.com/xbiosip/xbiosip/internal/arith"
 )
 
+// RunStreams is the multi-vector form of Run the cross-validation suites
+// drive their vector sweeps through: it evaluates the netlist over packed
+// per-port stimulus streams (Values[v] is the port's word under vector v;
+// every input port must appear exactly once, with at least one vector)
+// and returns one packed stream per output port, in the netlist's
+// output-port order. 64 consecutive vectors evaluate at once, lane-packed
+// like the activity engine, so a sweep does not pay one truth-table walk
+// per cell per vector. Outputs equal calling Run once per vector.
+func (s *Simulator) RunStreams(ports []PortStimulus) ([]PortStimulus, error) {
+	vectors, err := s.bindStreams(ports)
+	if err != nil {
+		return nil, err
+	}
+	outs := make([]PortStimulus, len(s.n.Outputs))
+	for i, p := range s.n.Outputs {
+		outs[i] = PortStimulus{Name: p.Name, Values: make([]uint64, vectors)}
+	}
+	s.runStreamsLanes(vectors, outs)
+	return outs, nil
+}
+
+// runStreamsLanes evaluates bound streams in blocks of 64 vectors, one
+// uint64 of lane values per net, through the activity engine's packer
+// (packLanes) and cell evaluation (evalCellLanes). Each output port's
+// lane words are transposed back into its values.
+func (s *Simulator) runStreamsLanes(vectors int, outs []PortStimulus) {
+	if s.lanes == nil {
+		s.lanes = make([]uint64, s.n.NumNets)
+	}
+	lanes := s.lanes
+	var in, out [4]uint64
+	var plane [64]uint64
+	for base := 0; base < vectors; base += 64 {
+		nl := min(vectors-base, 64)
+		clear(lanes)
+		lanes[Const1] = ^uint64(0) >> (64 - nl)
+		for pi, p := range s.n.Inputs {
+			packLanes(lanes, p.Bits, s.streams[pi][base:base+nl], &plane)
+		}
+		for ci := range s.n.Cells {
+			c := &s.n.Cells[ci]
+			for j, net := range c.In {
+				in[j] = lanes[net]
+			}
+			evalCellLanes(c, &in, &out)
+			for j, net := range c.Out {
+				lanes[net] = out[j]
+			}
+		}
+		for oi, p := range s.n.Outputs {
+			clear(plane[:])
+			for i, b := range p.Bits[:min(len(p.Bits), 64)] {
+				plane[i] = lanes[b]
+			}
+			transpose64(&plane)
+			copy(outs[oi].Values[base:base+nl], plane[:nl])
+		}
+	}
+}
+
 // TestRunStreamsMatchesRun pins the lane-packed multi-vector simulator
 // against the per-vector Run oracle: for every stream width — one
 // vector, a ragged sub-block, exactly one full 64-lane block, one lane

@@ -248,6 +248,70 @@ func TestFoldedStageNetlistsMatchOptimize(t *testing.T) {
 	}
 }
 
+// TestFoldedStageNetlistsMatchConstProp pins the folding builder, and its
+// constant-multiplier templates, before dead-cell elimination renumbers
+// any net: for every stage at every LSB count up to its bound and every
+// adder x multiplier kind, the combinational netlist built folded equals
+// ConstProp of the plain build cell for cell and net for net, the order
+// synth sums area and power in. Under -short only every third
+// configuration runs.
+func TestFoldedStageNetlistsMatchConstProp(t *testing.T) {
+	for _, s := range Stages {
+		for _, add := range approx.AdderKinds {
+			t.Run(fmt.Sprintf("%v/%v", s, add), func(t *testing.T) {
+				t.Parallel()
+				for k := 0; k <= MaxLSBs[s]; k++ {
+					for _, mul := range approx.MultKinds {
+						if testing.Short() && (k+int(mul))%3 != 0 {
+							continue
+						}
+						cfg := dsp.ArithConfig{LSBs: k, Add: add, Mul: mul}
+						plain, err := stageNetlist(s, cfg, true, netlist.NewBuilder)
+						if err != nil {
+							t.Fatal(err)
+						}
+						want, err := netlist.ConstProp(plain, nil)
+						if err != nil {
+							t.Fatal(err)
+						}
+						got, err := StageNetlistCombinational(s, cfg)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if !reflect.DeepEqual(got, want) {
+							t.Fatalf("%+v: folded build differs from ConstProp (%d vs %d cells, %d vs %d nets)",
+								cfg, len(got.Cells), len(want.Cells), got.NumNets, want.NumNets)
+						}
+					}
+				}
+			})
+		}
+	}
+}
+
+// BenchmarkStageNetlist measures the netlist half of a cold energy
+// characterization: per op, one stage's folded combinational build plus
+// DeadCellElim, the AMA5/AppMultV1 configuration's LSB count cycling from
+// 0 to the stage's bound.
+func BenchmarkStageNetlist(b *testing.B) {
+	for _, s := range Stages {
+		b.Run(s.String(), func(b *testing.B) {
+			k := 0
+			for b.Loop() {
+				cfg := dsp.ArithConfig{LSBs: k, Add: approx.ApproxAdd5, Mul: approx.AppMultV1}
+				n, err := StageNetlistCombinational(s, cfg)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := netlist.DeadCellElim(n); err != nil {
+					b.Fatal(err)
+				}
+				k = (k + 1) % (MaxLSBs[s] + 1)
+			}
+		})
+	}
+}
+
 func TestMWINetlistHasNoMultipliers(t *testing.T) {
 	n, err := StageNetlist(MWI, dsp.Accurate())
 	if err != nil {
