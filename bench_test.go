@@ -1,8 +1,7 @@
 // Package xbiosip_test is the benchmark harness that regenerates every
 // table and figure of the paper's evaluation (run with
 // go test -bench=. -benchmem). Each benchmark executes the corresponding
-// experiment from internal/experiments and logs the regenerated artefact;
-// EXPERIMENTS.md records paper-vs-measured values.
+// experiment from internal/experiments and logs the regenerated artefact.
 //
 // Benchmarks default to a reduced record set (one 6,000-sample synthetic
 // NSRDB-like record) so the whole suite completes in minutes; cmd/xbiosip

@@ -54,7 +54,11 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	psnr, err := metrics.PSNR(metrics.ToFloat(accRes.Outputs.Filtered), metrics.ToFloat(appRes.Outputs.Filtered))
+	ref, err := metrics.NewSignalRef(accRes.Outputs.Filtered, metrics.SSIMWindow)
+	if err != nil {
+		log.Fatal(err)
+	}
+	psnr, _, err := ref.Quality(appRes.Outputs.Filtered)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -80,6 +80,20 @@ func TestApproxAdd5IsPureWiring(t *testing.T) {
 	}
 }
 
+// ErrorPatterns returns the number of the 8 input patterns for which the
+// cell's Sum or Cout (or both) differ from the exact full adder.
+func (k AdderKind) ErrorPatterns() int {
+	n := 0
+	acc := &adderTruth[AccAdd]
+	t := &adderTruth[k]
+	for i := 0; i < 8; i++ {
+		if t.sum[i] != acc.sum[i] || t.cout[i] != acc.cout[i] {
+			n++
+		}
+	}
+	return n
+}
+
 func TestAdderErrorPatternCounts(t *testing.T) {
 	want := map[AdderKind]int{
 		AccAdd:     0,

@@ -81,29 +81,3 @@ func ParseMultKind(s string) (MultKind, error) {
 	}
 	return 0, fmt.Errorf("approx: unknown multiplier kind %q", s)
 }
-
-// ErrorPatterns returns the number of the 16 input patterns for which the
-// cell's product differs from the exact 2x2 multiplier.
-func (k MultKind) ErrorPatterns() int {
-	n := 0
-	for i := 0; i < 16; i++ {
-		if multTruth[k][i] != multTruth[AccMult][i] {
-			n++
-		}
-	}
-	return n
-}
-
-// MeanAbsError returns the mean absolute product error of the cell over all
-// 16 input patterns.
-func (k MultKind) MeanAbsError() float64 {
-	sum := 0.0
-	for i := 0; i < 16; i++ {
-		d := int(multTruth[k][i]) - int(multTruth[AccMult][i])
-		if d < 0 {
-			d = -d
-		}
-		sum += float64(d)
-	}
-	return sum / 16
-}

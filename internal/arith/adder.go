@@ -10,21 +10,12 @@ import (
 // significant full-adder cells are of the approximate Kind and whose
 // remaining cells are accurate (paper Fig 6).
 //
-// The zero value is not useful; use NewAdder or fill in all fields. Width
-// must be in [1, 64].
+// The zero value is not useful; fill in all fields. Width must be in
+// [1, 64].
 type Adder struct {
 	Width      int              // word width in bits, 1..64
 	ApproxLSBs int              // k: cells at bit positions < k use Kind
 	Kind       approx.AdderKind // elementary cell for the approximated LSBs
-}
-
-// NewAdder returns an Adder after validating its parameters.
-func NewAdder(width, approxLSBs int, kind approx.AdderKind) (Adder, error) {
-	a := Adder{Width: width, ApproxLSBs: approxLSBs, Kind: kind}
-	if err := a.Validate(); err != nil {
-		return Adder{}, err
-	}
-	return a, nil
 }
 
 // Validate checks the adder parameters.

@@ -185,11 +185,8 @@ func TestAdderValidate(t *testing.T) {
 			t.Errorf("Validate(%+v) = nil, want error", ad)
 		}
 	}
-	if _, err := NewAdder(32, 8, approx.ApproxAdd5); err != nil {
-		t.Errorf("NewAdder(32,8,AMA5): %v", err)
-	}
-	if _, err := NewAdder(32, 40, approx.ApproxAdd5); err == nil {
-		t.Error("NewAdder with k>width succeeded, want error")
+	if err := (Adder{Width: 32, ApproxLSBs: 8, Kind: approx.ApproxAdd5}).Validate(); err != nil {
+		t.Errorf("Validate(32,8,AMA5): %v", err)
 	}
 }
 

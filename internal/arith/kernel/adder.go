@@ -47,32 +47,11 @@ func CompileAdder(spec arith.Adder) (*Adder, error) {
 	return ad, nil
 }
 
-// Spec returns the configuration the plan was compiled from.
-func (ad *Adder) Spec() arith.Adder { return ad.spec }
-
-// AddCarry adds a, b and the carry-in bit and returns the Width-bit sum
-// with the carry out of the final cell, bit-identical to the reference.
-func (ad *Adder) AddCarry(a, b uint64, cin uint8) (uint64, uint8) {
-	return ad.fn(a, b, cin)
-}
-
 // Add returns the Width-bit sum of a and b (carry-in 0, carry-out dropped).
 func (ad *Adder) Add(a, b uint64) uint64 {
 	s, _ := ad.fn(a, b, 0)
 	return s
 }
-
-// Sub returns the Width-bit difference a-b computed as a + NOT b + 1.
-func (ad *Adder) Sub(a, b uint64) uint64 {
-	s, _ := ad.fn(a, ^b&mask(ad.spec.Width), 1)
-	return s
-}
-
-// AddSigned adds two signed values through the two's-complement datapath.
-func (ad *Adder) AddSigned(a, b int64) int64 { return ad.addS(a, b) }
-
-// SubSigned subtracts b from a through the two's-complement datapath.
-func (ad *Adder) SubSigned(a, b int64) int64 { return ad.subS(a, b) }
 
 // compileSignedFuncs builds the signed add/sub closures for spec,
 // semantically identical to the reference AddSigned/SubSigned. Each

@@ -202,9 +202,9 @@
 // read, over the operand magnitudes the reads reach: a record set
 // reaches about a quarter of a 2^16-entry table. The check sits only at
 // the reading entry points (Chain.Run, SquareTable.SquareSlice and
-// Square, ConstMulTable.Mul); the strategy loops behind them stay one
-// load per tap with no per-sample branch, and every entry, once filled,
-// holds exactly what an enumeration at creation held.
+// Square); the strategy loops behind them stay one load per tap with no
+// per-sample branch, and every entry, once filled, holds exactly what an
+// enumeration at creation held.
 //
 // One coverage word per table replaces a page bitmap. Every operand a
 // chain reads is either a sample of one signal or the zero padding before

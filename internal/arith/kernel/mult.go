@@ -58,9 +58,6 @@ func CompileMultiplier(spec arith.Multiplier) (*Multiplier, error) {
 	return m, nil
 }
 
-// Spec returns the configuration the plan was compiled from.
-func (m *Multiplier) Spec() arith.Multiplier { return m.spec }
-
 // Mul returns the 2*Width-bit unsigned product of the low Width bits of a
 // and b, bit-identical to the reference model.
 func (m *Multiplier) Mul(a, b uint64) uint64 {

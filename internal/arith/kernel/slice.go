@@ -84,14 +84,6 @@ type ProjTable struct {
 // valid reports whether the handle references a table at all.
 func (p ProjTable) valid() bool { return p.u16 != nil || p.u32 != nil }
 
-// Entries returns the number of table entries.
-func (p ProjTable) Entries() int {
-	if p.u16 != nil {
-		return len(p.u16)
-	}
-	return len(p.u32)
-}
-
 // Bytes returns the allocated storage of the projection in bytes, filled
 // or not.
 func (p ProjTable) Bytes() int64 { return int64(len(p.u16))*2 + int64(len(p.u32))*4 }

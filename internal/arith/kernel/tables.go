@@ -27,18 +27,15 @@ import (
 //   - 2-bit leaf roots keep the full table filled through the plan walk.
 //
 // A full table is int32 when a bound proves every product fits (see
-// constFits32), int64 otherwise, and is filled on demand: Mul, and the
-// Chain.Run of a chain that reads the table, fill the operand magnitudes
-// they reach before they read (see coverage).
+// constFits32), int64 otherwise, and is filled on demand: the Chain.Run
+// of a chain that reads the table fills the operand magnitudes it reaches
+// before it reads (see coverage).
 //
 // FIR stages multiply the signal exclusively by fixed coefficients, so one
 // ConstMulTable makes each tap one or two cache-resident loads.
 type ConstMulTable struct {
-	fn     func(int64) int64
-	spec   arith.Multiplier
-	opMask uint64
-	coeff  int64
-	exact  bool // tier 0: table-free native product
+	fn    func(int64) int64
+	coeff int64
 	// Live storage, for footprint accounting: at most one tier is set.
 	lo, hi []uint32  // decomposed sub-product tables
 	tab32  []int32   // full table, compact
@@ -59,7 +56,7 @@ func NewConstMulTable(spec arith.Multiplier, c int64) (*ConstMulTable, error) {
 	if spec.Width > 16 {
 		return nil, fmt.Errorf("kernel: const-mul table width %d exceeds 16", spec.Width)
 	}
-	t := &ConstMulTable{spec: spec, opMask: m.opMask, coeff: c}
+	t := &ConstMulTable{coeff: c}
 	negC := c < 0
 	cm := uint64(c)
 	if negC {
@@ -68,7 +65,6 @@ func NewConstMulTable(spec arith.Multiplier, c int64) (*ConstMulTable, error) {
 	cm &= m.opMask
 	switch {
 	case m.exact:
-		t.exact = true
 		t.fn = exactConstMul(spec.Width, cm, negC)
 		return t, nil
 	case m.decompExact():
@@ -121,12 +117,6 @@ func constFits32(spec arith.Multiplier, c int64) bool {
 		spec.ApproxLSBs <= spec.Width && magnitude(c) < uint64(1)<<(spec.Width-1)
 }
 
-// Exact reports whether the table is the table-free exact tier: the
-// product is a native multiply of the operand with Coeff. Callers with an
-// exact accumulator may then fuse the whole chain into native
-// multiply-accumulate (see Adder.NewChain).
-func (t *ConstMulTable) Exact() bool { return t.exact }
-
 // exactConstMul is the table-free tier: the exact plan's product is a
 // native multiply behind the same branch-free sign-magnitude wrapper as
 // the decomposed tier.
@@ -176,24 +166,6 @@ func fullTableFunc(tab32 []int32, tab64 []int64, opMask uint64) func(int64) int6
 		return func(x int64) int64 { return int64(tab32[uint64(x)&opMask]) }
 	}
 	return func(x int64) int64 { return tab64[uint64(x)&opMask] }
-}
-
-// Coeff returns the fixed coefficient.
-func (t *ConstMulTable) Coeff() int64 { return t.coeff }
-
-// Mul returns the bit-true product of x (interpreted in Width-bit two's
-// complement) with the fixed coefficient. A full table first covers |x|
-// (one atomic load once it is filled that far), then reads the entry.
-// Chains do not call Mul: they read the tiers inline after Run covered
-// the signal.
-func (t *ConstMulTable) Mul(x int64) int64 {
-	if t.cov != nil {
-		t.cov.cover(magnitude(x))
-	}
-	if t.tab32 != nil {
-		return int64(t.tab32[uint64(x)&t.opMask])
-	}
-	return t.fn(x)
 }
 
 // Bytes returns the allocated table storage of this tier in bytes (zero
@@ -284,7 +256,7 @@ func NewSquareTable(spec arith.Multiplier) (*SquareTable, error) {
 }
 
 // Square returns the bit-true square of x (interpreted in Width-bit two's
-// complement). Like ConstMulTable.Mul, a full table covers |x| first.
+// complement). A full table covers |x| first.
 func (t *SquareTable) Square(x int64) int64 { return t.fn(x) }
 
 // SquareSlice squares a whole signal into dst with the output shift

@@ -331,3 +331,24 @@ func runSharedTables(t *testing.T, g int, spec arith.Multiplier, adderSpec arith
 		}
 	}
 }
+
+// TestSquareTableMatchesMultiplier pins a freshly built (uncached) square
+// table of a spec TestTablesMatchReference does not sweep against the
+// bit-serial square it enumerates.
+func TestSquareTableMatchesMultiplier(t *testing.T) {
+	m := arith.Multiplier{Width: 16, ApproxLSBs: 8, Mult: approx.AppMultV2, Add: approx.ApproxAdd5}
+	tab, err := NewSquareTable(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(16))
+	for i := 0; i < 500; i++ {
+		x := int64(int16(rng.Uint64()))
+		if got, want := tab.Square(x), m.MulSigned(x, x); got != want {
+			t.Fatalf("Square(%d) = %d, want %d", x, got, want)
+		}
+	}
+	if tab.Square(0) != 0 {
+		t.Error("Square(0) != 0")
+	}
+}

@@ -23,15 +23,6 @@ type Multiplier struct {
 	Add        approx.AdderKind // full-adder cell for approximated accumulation positions
 }
 
-// NewMultiplier returns a Multiplier after validating its parameters.
-func NewMultiplier(width, approxLSBs int, mk approx.MultKind, ak approx.AdderKind) (Multiplier, error) {
-	m := Multiplier{Width: width, ApproxLSBs: approxLSBs, Mult: mk, Add: ak}
-	if err := m.Validate(); err != nil {
-		return Multiplier{}, err
-	}
-	return m, nil
-}
-
 // Validate checks the multiplier parameters.
 func (m Multiplier) Validate() error {
 	if m.Width < 2 || m.Width > 32 || bits.OnesCount(uint(m.Width)) != 1 {

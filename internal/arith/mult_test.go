@@ -196,8 +196,8 @@ func TestMultiplierValidate(t *testing.T) {
 			t.Errorf("Validate(%+v) = nil, want error", m)
 		}
 	}
-	if _, err := NewMultiplier(16, 8, approx.AppMultV1, approx.ApproxAdd5); err != nil {
-		t.Errorf("NewMultiplier: %v", err)
+	if err := (Multiplier{Width: 16, ApproxLSBs: 8, Mult: approx.AppMultV1, Add: approx.ApproxAdd5}).Validate(); err != nil {
+		t.Errorf("Validate(16,8,V1,AMA5): %v", err)
 	}
 }
 

@@ -87,14 +87,6 @@ type EvalOptions struct {
 // set — is served from the cache instead of re-simulated.
 type Evaluator struct {
 	Records []*ecg.Record
-	// Tolerance is the peak matching window in samples. It may be set
-	// freely before the first Evaluate; the first evaluation latches it
-	// (cached results are keyed on it implicitly), and any later mutation
-	// makes Evaluate fail instead of silently mixing windows.
-	Tolerance int
-
-	tolOnce sync.Once
-	tol     int
 
 	refs []*metrics.SignalRef
 	eng  *sched.Evaluator[Quality]
@@ -153,7 +145,7 @@ func NewEvaluatorOpts(records []*ecg.Record, opts EvalOptions) (*Evaluator, erro
 	if len(records) == 0 {
 		return nil, fmt.Errorf("core: evaluator needs at least one record")
 	}
-	e := &Evaluator{Records: records, Tolerance: DefaultPeakTolerance}
+	e := &Evaluator{Records: records}
 	acc, err := pantompkins.New(pantompkins.AccurateConfig())
 	if err != nil {
 		return nil, err
@@ -181,23 +173,7 @@ func (e *Evaluator) CacheStats() sched.Stats { return e.eng.Stats() }
 // Evaluate returns the (possibly cached) aggregated quality of cfg over
 // every record.
 func (e *Evaluator) Evaluate(cfg pantompkins.Config) (Quality, error) {
-	if err := e.latchTolerance(); err != nil {
-		return Quality{}, err
-	}
 	return e.eng.Evaluate(cfg)
-}
-
-// latchTolerance pins the matching window at the first evaluation and
-// rejects later mutation: the cache cannot be invalidated, so changing
-// the window mid-flight would silently mix results measured under
-// different tolerances.
-func (e *Evaluator) latchTolerance() error {
-	e.tolOnce.Do(func() { e.tol = e.Tolerance })
-	if e.Tolerance != e.tol {
-		return fmt.Errorf("core: Tolerance mutated after the first Evaluate (latched %d, now %d); build a new Evaluator instead",
-			e.tol, e.Tolerance)
-	}
-	return nil
 }
 
 // getScratch pops warm simulation state (or a fresh zero one).
@@ -293,7 +269,7 @@ func (e *Evaluator) signalQuality(ri int, filtered []int64) (psnr, ssim float64,
 func (e *Evaluator) matchRecord(ri int, filtered, integrated []int64, sc *recScratch) (metrics.MatchResult, error) {
 	rec := e.Records[ri]
 	det := sc.det.Detect(filtered, integrated, rec.FS)
-	return metrics.MatchPeaks(rec.Annotations, det.Peaks, e.tol)
+	return metrics.MatchPeaks(rec.Annotations, det.Peaks, DefaultPeakTolerance)
 }
 
 // reduce folds the record partials — always in record order, whatever the

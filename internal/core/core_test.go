@@ -420,22 +420,3 @@ func TestDroppedEvaluatorsHoldNoGoroutines(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 }
-
-// TestEvaluatorToleranceLatch pins the Tolerance contract: mutation before
-// the first Evaluate applies, mutation after it fails loudly instead of
-// silently mixing matching windows with cached results.
-func TestEvaluatorToleranceLatch(t *testing.T) {
-	eval := testEvaluator(t, 3000)
-	eval.Tolerance = 10 // before the first Evaluate: honoured
-	if _, err := eval.Evaluate(pantompkins.AccurateConfig()); err != nil {
-		t.Fatal(err)
-	}
-	eval.Tolerance = 25
-	if _, err := eval.Evaluate(pantompkins.AccurateConfig()); err == nil {
-		t.Fatal("Tolerance mutation after the first Evaluate was silently accepted")
-	}
-	eval.Tolerance = 10 // restoring the latched value heals the evaluator
-	if _, err := eval.Evaluate(pantompkins.AccurateConfig()); err != nil {
-		t.Fatalf("restored tolerance rejected: %v", err)
-	}
-}

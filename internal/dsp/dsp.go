@@ -162,9 +162,6 @@ func (f *FIR) Tables() []*kernel.ConstMulTable { return f.chain.RawTables() }
 // chain consumes (see kernel.Chain.ProjTables).
 func (f *FIR) ProjTables() []kernel.ProjTable { return f.chain.ProjTables() }
 
-// Len returns the number of taps.
-func (f *FIR) Len() int { return f.n }
-
 // Reset clears the delay line.
 func (f *FIR) Reset() {
 	f.fill = f.n

@@ -139,8 +139,8 @@ func TestFIRAccessors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if f.Len() != 3 {
-		t.Errorf("Len = %d", f.Len())
+	if f.n != 3 {
+		t.Errorf("taps = %d", f.n)
 	}
 }
 

@@ -257,16 +257,16 @@ func driveFIR(t *testing.T, label string, next func() uint64, steps int, coeffs 
 			case 0, 1:
 				block("Block", intn(2))
 			case 2:
-				block("Block", 1+intn(f.Len()+24))
+				block("Block", 1+intn(f.n+24))
 			case 3:
 				block("Block filling the window", len(f.win)-f.fill)
 				if f.fill != len(f.win) {
 					t.Fatalf("%s: a block of the window's free room left %d of %d filled", label, f.fill, len(f.win))
 				}
 			default:
-				n := len(f.win) - f.Len() + 1 + intn(24)
+				n := len(f.win) - f.n + 1 + intn(24)
 				block("Block growing the window", n)
-				if want := f.Len() + n; len(f.win) != want {
+				if want := f.n + n; len(f.win) != want {
 					t.Fatalf("%s: a %d-sample block grew the window to %d, want %d", label, n, len(f.win), want)
 				}
 				block("Block after growth", 0)

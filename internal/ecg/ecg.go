@@ -246,14 +246,3 @@ func (c Config) Generate(name string, n int) (*Record, error) {
 	}
 	return rec, nil
 }
-
-// MilliVolts converts ADC samples back to millivolts (for plotting and
-// floating-point metrics).
-func (c Config) MilliVolts(samples []int16) []float64 {
-	scale := c.ADCRangeMV / math.Exp2(float64(c.ADCBits-1))
-	out := make([]float64, len(samples))
-	for i, s := range samples {
-		out[i] = float64(s) * scale
-	}
-	return out
-}

@@ -113,7 +113,7 @@ func TestPipelineReductionAccurateIsOne(t *testing.T) {
 
 func TestB9ReductionInPaperBand(t *testing.T) {
 	// The paper reports ~19.7x for B9; our activity-based model must land
-	// in the same order of magnitude (documented in EXPERIMENTS.md).
+	// in the same order of magnitude (xbiosip fig12 prints its value).
 	m := model(t)
 	var b9 pantompkins.Config
 	ks := []int{10, 12, 2, 8, 16}

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"time"
 
+	"github.com/xbiosip/xbiosip/internal/core"
 	"github.com/xbiosip/xbiosip/internal/metrics"
 	"github.com/xbiosip/xbiosip/internal/pantompkins"
 	"github.com/xbiosip/xbiosip/internal/serve"
@@ -154,7 +155,7 @@ func (s *Setup) recovered(ref, peaks [][]int) (float64, error) {
 			sum++
 			continue
 		}
-		m, err := metrics.MatchPeaks(want, got, s.Eval.Tolerance)
+		m, err := metrics.MatchPeaks(want, got, core.DefaultPeakTolerance)
 		if err != nil {
 			return 0, err
 		}

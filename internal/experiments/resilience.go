@@ -134,8 +134,3 @@ func FormatUniform(r UniformResult) string {
 			"  pipeline energy reduction: %.2fx\n",
 		r.K, r.PSNR, r.SSIM, r.AccuratePeaks, r.ApproxPeaks, 100*r.Accuracy, r.EnergyReduction)
 }
-
-// Accuracy reduces a peak-matching result to the single detection-accuracy
-// number the paper's figures report (sensitivity: matched reference peaks
-// over all reference peaks); convenience for callers that only need it.
-func Accuracy(m metrics.MatchResult) float64 { return m.Sensitivity() }

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"time"
 
+	"github.com/xbiosip/xbiosip/internal/core"
 	"github.com/xbiosip/xbiosip/internal/metrics"
 	"github.com/xbiosip/xbiosip/internal/pantompkins"
 	"github.com/xbiosip/xbiosip/internal/serve"
@@ -147,7 +148,7 @@ func (s *Setup) Serve(cfg pantompkins.Config, opts ServeOpts) (*ServeResult, err
 			continue
 		}
 		row.Beats = len(ref[ri])
-		m, err := metrics.MatchPeaks(rec.Annotations, ref[ri], s.Eval.Tolerance)
+		m, err := metrics.MatchPeaks(rec.Annotations, ref[ri], core.DefaultPeakTolerance)
 		if err != nil {
 			return nil, err
 		}

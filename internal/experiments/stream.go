@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"github.com/xbiosip/xbiosip/internal/core"
 	"github.com/xbiosip/xbiosip/internal/metrics"
 	"github.com/xbiosip/xbiosip/internal/pantompkins"
 )
@@ -35,7 +36,7 @@ func (s *Setup) Streaming(cfg pantompkins.Config) ([]StreamRow, error) {
 	var rows []StreamRow
 	for ri, rec := range s.Records {
 		got := peaks[ri]
-		m, err := metrics.MatchPeaks(rec.Annotations, got, s.Eval.Tolerance)
+		m, err := metrics.MatchPeaks(rec.Annotations, got, core.DefaultPeakTolerance)
 		if err != nil {
 			return nil, err
 		}

@@ -1,7 +1,10 @@
 // Package metrics implements the three quality measures XBioSiP's
 // two-stage evaluation uses (paper §4): PSNR and SSIM for the intermediate
-// pre-processed signal, and peak-detection accuracy (reference-matched
-// within a tolerance window) for the final application output.
+// pre-processed signal, both graded in one pass over a candidate by
+// SignalRef.Quality, and peak-detection accuracy (MatchPeaks: detections
+// matched to reference peaks within a tolerance window) for the final
+// application output. The float definitions of PSNR and SSIM live in the
+// package tests, as the oracle Quality is compared with bit for bit.
 package metrics
 
 import (
@@ -9,98 +12,9 @@ import (
 	"math"
 )
 
-// PSNR returns the peak signal-to-noise ratio of sig against ref in dB,
-// with the peak taken as the maximum absolute value of the reference
-// (the convention used for bipolar bio-signals). It returns +Inf for
-// identical signals.
-func PSNR(ref, sig []float64) (float64, error) {
-	if len(ref) != len(sig) {
-		return 0, fmt.Errorf("metrics: PSNR length mismatch %d vs %d", len(ref), len(sig))
-	}
-	if len(ref) == 0 {
-		return 0, fmt.Errorf("metrics: PSNR of empty signals")
-	}
-	var peak, mse float64
-	for i := range ref {
-		if a := math.Abs(ref[i]); a > peak {
-			peak = a
-		}
-		d := ref[i] - sig[i]
-		mse += d * d
-	}
-	mse /= float64(len(ref))
-	if mse == 0 {
-		return math.Inf(1), nil
-	}
-	if peak == 0 {
-		return 0, fmt.Errorf("metrics: PSNR reference is identically zero")
-	}
-	return 10 * math.Log10(peak*peak/mse), nil
-}
-
 // SSIMWindow is the default sliding-window length for the 1-D SSIM,
 // roughly a third of a second at the paper's 200 Hz sampling rate.
 const SSIMWindow = 64
-
-// SSIM returns the mean structural similarity index between ref and sig
-// over sliding windows (1-D adaptation of the standard image metric; the
-// paper uses SSIM to grade the pre-processed signal). The dynamic range L
-// is taken from the reference; the standard constants C1=(0.01L)^2 and
-// C2=(0.03L)^2 stabilise the ratio.
-func SSIM(ref, sig []float64, window int) (float64, error) {
-	if len(ref) != len(sig) {
-		return 0, fmt.Errorf("metrics: SSIM length mismatch %d vs %d", len(ref), len(sig))
-	}
-	if window < 2 {
-		return 0, fmt.Errorf("metrics: SSIM window %d too small", window)
-	}
-	if len(ref) < window {
-		return 0, fmt.Errorf("metrics: SSIM input shorter than window (%d < %d)", len(ref), window)
-	}
-	lo, hi := ref[0], ref[0]
-	for _, v := range ref {
-		if v < lo {
-			lo = v
-		}
-		if v > hi {
-			hi = v
-		}
-	}
-	l := hi - lo
-	if l == 0 {
-		return 0, fmt.Errorf("metrics: SSIM reference has zero dynamic range")
-	}
-	c1 := (0.01 * l) * (0.01 * l)
-	c2 := (0.03 * l) * (0.03 * l)
-
-	var total float64
-	var count int
-	for start := 0; start+window <= len(ref); start += window / 2 {
-		var mx, my float64
-		for i := start; i < start+window; i++ {
-			mx += ref[i]
-			my += sig[i]
-		}
-		n := float64(window)
-		mx /= n
-		my /= n
-		var vx, vy, cov float64
-		for i := start; i < start+window; i++ {
-			dx, dy := ref[i]-mx, sig[i]-my
-			vx += dx * dx
-			vy += dy * dy
-			cov += dx * dy
-		}
-		vx /= n - 1
-		vy /= n - 1
-		cov /= n - 1
-		s := ((2*mx*my + c1) * (2*cov + c2)) /
-			((mx*mx + my*my + c1) * (vx + vy + c2))
-		total += s
-		count++
-	}
-	return total / float64(count), nil
-}
 
 // MatchResult summarises reference-vs-detected peak matching.
 type MatchResult struct {
@@ -174,16 +88,6 @@ func MatchPeaks(ref, det []int, tol int) (MatchResult, error) {
 	return res, nil
 }
 
-// ToFloat converts an integer signal to float64 for the floating-point
-// metrics.
-func ToFloat[T int16 | int32 | int64 | int](xs []T) []float64 {
-	out := make([]float64, len(xs))
-	for i, x := range xs {
-		out[i] = float64(x)
-	}
-	return out
-}
-
 // PSNRClamp is the PSNR (dB) assigned to bit-identical signals when a
 // finite value is needed for aggregation or display: +Inf clamps here.
 const PSNRClamp = 120
@@ -214,7 +118,8 @@ const exactBits = 16
 // quality evaluation: the peak, dynamic range and per-window SSIM
 // statistics are computed once, so grading one candidate signal against
 // it traverses only the candidate. Quality results are bit-identical to
-// PSNR and SSIM over ToFloat copies.
+// the float definitions of PSNR and SSIM over float64 copies of the
+// signals (the package tests' PSNR and SSIM).
 //
 // Quality grades in one integer pass when every sample of both signals
 // lies in [-2^16, 2^16), the window is a power of two no longer than 64,
@@ -249,7 +154,8 @@ type SignalRef struct {
 }
 
 // NewSignalRef prepares ref for repeated evaluation; the slice is
-// retained. The validation matches PSNR and SSIM: non-empty, at least one
+// retained. The validation matches the float definitions of PSNR and
+// SSIM: non-empty, at least one
 // window long, and non-degenerate (nonzero dynamic range implies a
 // nonzero peak for any signal, so the PSNR zero-peak error cannot occur).
 func NewSignalRef(ref []int64, window int) (*SignalRef, error) {
@@ -305,9 +211,6 @@ func NewSignalRef(ref []int64, window int) (*SignalRef, error) {
 	r.exact = bias>>(exactBits+1) == 0 && window <= 64 && window&(window-1) == 0 && len(ref) < 1<<29
 	return r, nil
 }
-
-// Len returns the reference length.
-func (r *SignalRef) Len() int { return len(r.ref) }
 
 // Quality grades out against the prepared reference and returns the raw
 // PSNR (+Inf for identical signals; clamp with ClampPSNR when

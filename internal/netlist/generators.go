@@ -11,34 +11,6 @@ import (
 // chooses between a plain netlist (NewBuilder) and one constant-folded as
 // it is built (NewFoldingBuilder), and names the netlist through it.
 
-// GenRCA generates the netlist of a word-level ripple-carry adder (paper
-// Fig 6) with ports a, b, cin, sum and cout.
-func GenRCA(b *Builder, ad arith.Adder) (*Netlist, error) {
-	if err := ad.Validate(); err != nil {
-		return nil, err
-	}
-	a := b.InputBus("a", ad.Width)
-	bb := b.InputBus("b", ad.Width)
-	cin := b.InputBus("cin", 1)
-	sum, cout := b.RCA(ad.Kind, ad.ApproxLSBs, a, bb, cin[0])
-	b.OutputBus("sum", sum)
-	b.OutputBus("cout", Bus{cout})
-	return b.Build()
-}
-
-// GenMultiplier generates the netlist of a recursive multiplier (paper
-// Fig 7) with ports a, b and p (2*Width bits).
-func GenMultiplier(b *Builder, m arith.Multiplier) (*Netlist, error) {
-	if err := m.Validate(); err != nil {
-		return nil, err
-	}
-	a := b.InputBus("a", m.Width)
-	bb := b.InputBus("b", m.Width)
-	p := b.Multiplier(m, a, bb)
-	b.OutputBus("p", p)
-	return b.Build()
-}
-
 // FIRSpec describes the hardware of one direct-form FIR stage: a register
 // delay line, one constant-coefficient multiplier per tap and a
 // ripple-carry accumulation chain. Negative coefficients subtract their

@@ -144,7 +144,7 @@ func activityOracle(s *Simulator, ports []PortStimulus) (Activity, error) {
 	}
 	toggles := make([]float64, len(s.n.Cells))
 	prev := make([][4]uint8, len(s.n.Cells))
-	vals := s.vals
+	vals := make([]uint8, s.n.NumNets)
 	var in [4]uint8
 	for vi := 0; vi < vectors; vi++ {
 		clear(vals)

@@ -2,13 +2,12 @@ package netlist
 
 import "fmt"
 
-// Simulator evaluates a combinational netlist bit-true. It is the
-// repository's stand-in for RTL simulation (ModelSim in the paper's
-// tool-flow) and is used to cross-validate the word-level behavioural
-// models in package arith.
+// Simulator evaluates a combinational netlist bit-true over stimulus
+// streams to measure its switching activity (RunActivityStreams). It is
+// the repository's stand-in for RTL simulation (ModelSim in the paper's
+// tool-flow).
 type Simulator struct {
-	n    *Netlist
-	vals []uint8
+	n *Netlist
 	// Activity-analysis state (see activity.go): per-input stimulus
 	// streams and the 64-lane value word of every net.
 	streams [][]uint64
@@ -24,11 +23,12 @@ func NewSimulator(n *Netlist) (*Simulator, error) {
 	if r := n.NumRegisters(); r > 0 {
 		return nil, fmt.Errorf("netlist %s: cannot simulate %d registers combinationally", n.Name, r)
 	}
-	return &Simulator{n: n, vals: make([]uint8, n.NumNets)}, nil
+	return &Simulator{n: n}, nil
 }
 
-// evalCell computes the outputs of a cell from concrete input bits.
-// It is shared by the simulator and the constant-propagation pass.
+// evalCell computes the outputs of a cell from concrete input bits. The
+// folding Builder enumerates cell truth tables through it (foldCell), so
+// constant propagation has one definition of every cell kind.
 func evalCell(c *Cell, in []uint8) (out [4]uint8) {
 	switch c.Kind {
 	case CellFA:
@@ -42,43 +42,4 @@ func evalCell(c *Cell, in []uint8) (out [4]uint8) {
 		out[0] = in[0]
 	}
 	return out
-}
-
-// Run evaluates the netlist for one input binding (port name to LSB-first
-// word value) and returns every output port's value.
-func (s *Simulator) Run(inputs map[string]uint64) (map[string]uint64, error) {
-	vals := s.vals
-	for i := range vals {
-		vals[i] = 0
-	}
-	vals[Const1] = 1
-	for _, p := range s.n.Inputs {
-		v, ok := inputs[p.Name]
-		if !ok {
-			return nil, fmt.Errorf("netlist %s: missing input %q", s.n.Name, p.Name)
-		}
-		for i, b := range p.Bits {
-			vals[b] = uint8(v>>i) & 1
-		}
-	}
-	var in [4]uint8
-	for i := range s.n.Cells {
-		c := &s.n.Cells[i]
-		for j, net := range c.In {
-			in[j] = vals[net]
-		}
-		out := evalCell(c, in[:len(c.In)])
-		for j, net := range c.Out {
-			vals[net] = out[j]
-		}
-	}
-	res := make(map[string]uint64, len(s.n.Outputs))
-	for _, p := range s.n.Outputs {
-		var v uint64
-		for i, b := range p.Bits {
-			v |= uint64(vals[b]) << i
-		}
-		res[p.Name] = v
-	}
-	return res, nil
 }

@@ -204,50 +204,6 @@ func TestStageNetlistsGenerate(t *testing.T) {
 	}
 }
 
-// TestFoldedStageNetlistsMatchOptimize pins the folding builder to the
-// synthesis passes: for every stage at every even LSB count up to its
-// bound and every adder x multiplier kind, the combinational netlist built
-// folded, after dead-cell elimination, is structurally identical to
-// Optimize of the plain build. Under -short only every third
-// configuration runs.
-func TestFoldedStageNetlistsMatchOptimize(t *testing.T) {
-	for _, s := range Stages {
-		for _, add := range approx.AdderKinds {
-			t.Run(fmt.Sprintf("%v/%v", s, add), func(t *testing.T) {
-				t.Parallel()
-				for k := 0; k <= MaxLSBs[s]; k += 2 {
-					for _, mul := range approx.MultKinds {
-						if testing.Short() && (k/2+int(mul))%3 != 0 {
-							continue
-						}
-						cfg := dsp.ArithConfig{LSBs: k, Add: add, Mul: mul}
-						plain, err := stageNetlist(s, cfg, true, netlist.NewBuilder)
-						if err != nil {
-							t.Fatal(err)
-						}
-						want, err := netlist.Optimize(plain, nil)
-						if err != nil {
-							t.Fatal(err)
-						}
-						folded, err := StageNetlistCombinational(s, cfg)
-						if err != nil {
-							t.Fatal(err)
-						}
-						got, err := netlist.DeadCellElim(folded)
-						if err != nil {
-							t.Fatal(err)
-						}
-						if !reflect.DeepEqual(got, want) {
-							t.Fatalf("%+v: folded build differs from Optimize (%d vs %d cells)",
-								cfg, len(got.Cells), len(want.Cells))
-						}
-					}
-				}
-			})
-		}
-	}
-}
-
 // TestFoldedStageNetlistsMatchConstProp pins the folding builder, and its
 // constant-multiplier templates, before dead-cell elimination renumbers
 // any net: for every stage at every LSB count up to its bound and every

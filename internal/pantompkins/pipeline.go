@@ -27,7 +27,6 @@ type Outputs struct {
 // integrator window). The compiled stages are immutable and safe to share
 // across goroutines; Stream hands each stream its own state over them.
 type Pipeline struct {
-	cfg Config
 	lpf *dsp.FIR
 	hpf *dsp.FIR
 	der *dsp.FIR
@@ -62,11 +61,8 @@ func New(cfg Config) (*Pipeline, error) {
 	if err != nil {
 		return nil, fmt.Errorf("pantompkins: MWI: %w", err)
 	}
-	return &Pipeline{cfg: cfg, lpf: lpf, hpf: hpf, der: der, sqr: sqr, mwi: mwi}, nil
+	return &Pipeline{lpf: lpf, hpf: hpf, der: der, sqr: sqr, mwi: mwi}, nil
 }
-
-// Config returns the pipeline's approximation configuration.
-func (p *Pipeline) Config() Config { return p.cfg }
 
 // KernelTableBytes returns the live kernel table footprint of this design:
 // the allocated bytes of every distinct product, squaring and
@@ -232,17 +228,6 @@ func resize(s []int64, n int) []int64 {
 	return make([]int64, n)
 }
 
-// Append accumulates one streamed sample onto the collected outputs, so
-// streaming callers can build the same Outputs batch processing returns
-// (e.g. to run detection over a completed window or record).
-func (o *Outputs) Append(s StreamSample) {
-	o.LowPassed = append(o.LowPassed, s.LowPassed)
-	o.Filtered = append(o.Filtered, s.Filtered)
-	o.Derivative = append(o.Derivative, s.Derivative)
-	o.Squared = append(o.Squared, s.Squared)
-	o.Integrated = append(o.Integrated, s.Integrated)
-}
-
 // Stream couples a pipeline state of its own with an incremental
 // StreamDetector: the fully streaming form of Process. Each Push feeds
 // one raw ADC sample through the five stages and the new
@@ -262,7 +247,7 @@ type Stream struct {
 // without copying; p's own state is left alone. Streams of one pipeline
 // may run on different goroutines.
 func (p *Pipeline) Stream(fs int) *Stream {
-	own := &Pipeline{cfg: p.cfg, lpf: p.lpf.Clone(), hpf: p.hpf.Clone(), der: p.der.Clone(),
+	own := &Pipeline{lpf: p.lpf.Clone(), hpf: p.hpf.Clone(), der: p.der.Clone(),
 		sqr: p.sqr, mwi: p.mwi.Clone()}
 	return &Stream{p: own, det: NewStreamDetector(fs)}
 }

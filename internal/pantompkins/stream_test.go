@@ -30,6 +30,16 @@ func streamConfigs(t *testing.T) map[string]Config {
 	return cfgs
 }
 
+// Append accumulates one streamed sample onto the collected outputs, so a
+// test can compare a stream with the Outputs batch processing returns.
+func (o *Outputs) Append(s StreamSample) {
+	o.LowPassed = append(o.LowPassed, s.LowPassed)
+	o.Filtered = append(o.Filtered, s.Filtered)
+	o.Derivative = append(o.Derivative, s.Derivative)
+	o.Squared = append(o.Squared, s.Squared)
+	o.Integrated = append(o.Integrated, s.Integrated)
+}
+
 func testRecord(t *testing.T, n int) *ecg.Record {
 	t.Helper()
 	rec, err := ecg.NSRDBRecord(0, n)

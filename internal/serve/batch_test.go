@@ -247,10 +247,11 @@ func TestServeDrainBoundsDetectorMemory(t *testing.T) {
 		seq++
 		events = s.Drain(events[:0])
 		total += len(events)
-		det, ok := s.Detection(1)
+		slot, ok := s.index[1]
 		if !ok {
 			t.Fatal("session 1 not live")
 		}
+		det := s.streams[slot].Detector().Detection()
 		if len(det.Events) > 64 || len(det.Peaks) > 64 {
 			t.Fatalf("retained trace grew to %d events / %d peaks at sample %d",
 				len(det.Events), len(det.Peaks), pos)

@@ -90,12 +90,12 @@
 //     counting raw-signal samples across the restart, past the discarded
 //     backlog and the estimated gap, so they still ascend.
 //
-// Every gap emits an EventGap with the synthesized span, counts into
-// Stats (GapFrames, LostFrames, Concealed, GapRestarts) and into the
-// per-occupant Health report SessionHealth exposes, so a client can mark
-// exactly which stretches of a live detection are degraded. A per-slot
-// acceptance bitmap distinguishes true duplicates from reordered frames
-// that straggle in after their slot was concealed past.
+// Every gap emits an EventGap with its session and the synthesized span,
+// so a client can mark exactly which stretches of a live detection are
+// degraded, and counts into Stats (GapFrames, LostFrames, Concealed,
+// GapRestarts). A per-slot acceptance bitmap distinguishes true
+// duplicates from reordered frames that straggle in after their slot was
+// concealed past.
 //
 // # Backpressure and eviction
 //

@@ -96,11 +96,8 @@ func NewGateway(cfg GatewayConfig) (*Gateway, error) {
 	return g, nil
 }
 
-// Shards returns the shard count.
-func (g *Gateway) Shards() int { return len(g.shards) }
-
-// ShardOf returns the shard a session id routes to.
-func (g *Gateway) ShardOf(session uint32) int {
+// shardOf returns the shard a session id routes to.
+func (g *Gateway) shardOf(session uint32) int {
 	// Multiplicative hash: consecutive patient ids spread evenly.
 	h := session * 0x9E3779B9
 	h ^= h >> 16
@@ -148,19 +145,6 @@ func (g *Gateway) Stats() Stats {
 	return t
 }
 
-// ShardStats returns one shard's counters.
-func (g *Gateway) ShardStats(i int) Stats { return g.shards[i].Stats() }
-
-// Backlog returns the buffered sample count of a live session.
-func (g *Gateway) Backlog(session uint32) (int, bool) {
-	return g.shards[g.ShardOf(session)].Backlog(session)
-}
-
-// SessionHealth returns a live session's degraded-state report.
-func (g *Gateway) SessionHealth(session uint32) (Health, bool) {
-	return g.shards[g.ShardOf(session)].SessionHealth(session)
-}
-
 // Ingest routes the frames packed in buf to their owning shards, frame
 // by frame, and returns the number of frames consumed. The error
 // contract is Service.Ingest's: ErrBackpressure leaves the offending
@@ -176,7 +160,7 @@ func (g *Gateway) Ingest(buf []byte) (int, error) {
 		if _, seen := g.rank[hdr.session]; !seen {
 			g.admit(hdr.session)
 		}
-		if _, err := g.shards[g.ShardOf(hdr.session)].Ingest(buf[:n]); err != nil {
+		if _, err := g.shards[g.shardOf(hdr.session)].Ingest(buf[:n]); err != nil {
 			return frames, err
 		}
 		buf = buf[n:]

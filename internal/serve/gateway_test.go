@@ -201,7 +201,7 @@ func TestGatewayHashSpread(t *testing.T) {
 	defer g.Close()
 	hit := make(map[int]int)
 	for id := uint32(1); id <= 64; id++ {
-		hit[g.ShardOf(id)]++
+		hit[g.shardOf(id)]++
 	}
 	if len(hit) != 4 {
 		t.Fatalf("64 consecutive ids landed on %d of 4 shards: %v", len(hit), hit)
@@ -214,7 +214,7 @@ func TestGatewayHashSpread(t *testing.T) {
 }
 
 // TestGatewayStatsAndAccessors covers the aggregate views: summed stats,
-// per-session backlog/health routing, and the session count.
+// per-session routing, and the session count.
 func TestGatewayStatsAndAccessors(t *testing.T) {
 	rec := record(t, 0, 1200)
 	g, err := NewGateway(GatewayConfig{Shards: 2, Service: Config{FS: rec.FS, MaxSessions: 8}})
@@ -235,19 +235,16 @@ func TestGatewayStatsAndAccessors(t *testing.T) {
 	if got := g.Buffered(); got != 120 {
 		t.Fatalf("Buffered = %d, want 120", got)
 	}
-	if n, ok := g.Backlog(2); !ok || n != 40 {
-		t.Fatalf("Backlog(2) = %d,%v, want 40,true", n, ok)
-	}
-	if _, ok := g.SessionHealth(2); !ok {
-		t.Fatal("SessionHealth(2) missing")
+	if n, ok := backlog(g.shards[g.shardOf(2)], 2); !ok || n != 40 {
+		t.Fatalf("backlog(2) = %d,%v, want 40,true", n, ok)
 	}
 	st := g.Stats()
 	if st.Frames != 3 || st.Samples != 120 || st.Connects != 3 {
 		t.Fatalf("summed stats off: %+v", st)
 	}
 	var per uint64
-	for i := 0; i < g.Shards(); i++ {
-		per += g.ShardStats(i).Frames
+	for _, s := range g.shards {
+		per += s.Stats().Frames
 	}
 	if per != st.Frames {
 		t.Fatalf("shard stats sum %d != total %d", per, st.Frames)

@@ -174,15 +174,6 @@ type Stats struct {
 	Backpressure uint64 // frames rejected by a full session buffer
 }
 
-// Health is the degraded-state report of one live session: how much of
-// its accepted signal is synthetic and how often its detector was
-// restarted by the gap policy.
-type Health struct {
-	Gaps      uint32 // gap episodes concealed or restarted over
-	Concealed uint64 // samples synthesized for this occupant
-	Restarts  uint32 // gap-forced detector restarts
-}
-
 // Service multiplexes many concurrent patient sessions over streaming
 // Pan-Tompkins detection. Per-session state lives in parallel arrays
 // indexed by slot (a struct-of-arrays pool) — there are no per-session
@@ -208,7 +199,6 @@ type Service struct {
 	seqs     []uint16              // next expected frame sequence
 	seen     []uint64              // acceptance bitmap of the last 64 sequences
 	lastS    []int16               // last accepted sample (hold-last concealment)
-	health   []Health              // per-occupant degraded-state counters
 	ended    []bool                // FlagEnd received; finish after drain
 	heads    []int32               // ring read position
 	counts   []int32               // buffered samples
@@ -264,7 +254,6 @@ func New(cfg Config) (*Service, error) {
 		seqs:     make([]uint16, n),
 		seen:     make([]uint64, n),
 		lastS:    make([]int16, n),
-		health:   make([]Health, n),
 		ended:    make([]bool, n),
 		heads:    make([]int32, n),
 		counts:   make([]int32, n),
@@ -305,39 +294,6 @@ func (s *Service) Buffered() int {
 		}
 	}
 	return total
-}
-
-// Backlog returns the buffered sample count of a live session.
-func (s *Service) Backlog(session uint32) (int, bool) {
-	slot, ok := s.index[session]
-	if !ok {
-		return 0, false
-	}
-	return int(s.counts[slot]), true
-}
-
-// SessionHealth returns a live session's degraded-state report: the gap
-// episodes, concealed samples and gap-forced detector restarts of the
-// current occupant (FlagStart reconnects clear it).
-func (s *Service) SessionHealth(session uint32) (Health, bool) {
-	slot, ok := s.index[session]
-	if !ok {
-		return Health{}, false
-	}
-	return s.health[slot], true
-}
-
-// Detection exposes a live session's decisions not yet emitted through
-// Drain (each Drain delivers and then discards the emitted prefix, so
-// detector memory stays bounded). The result aliases detector state: it
-// is valid until the session is drained further, restarted or closed,
-// and must not be mutated.
-func (s *Service) Detection(session uint32) (*pantompkins.Detection, bool) {
-	slot, ok := s.index[session]
-	if !ok {
-		return nil, false
-	}
-	return s.streams[slot].Detector().Detection(), true
 }
 
 // Ingest consumes the frames packed back-to-back in buf (the shape of a
@@ -441,12 +397,9 @@ func (s *Service) ingestFrame(hdr frameHeader, payload []byte) error {
 			origin := s.origins[slot] + s.streams[slot].Detector().Samples() + int(s.counts[slot]) + gap*hdr.count
 			s.reset(slot, hdr.seq)
 			s.origins[slot] = origin
-			s.health[slot].Gaps++
-			s.health[slot].Restarts++
 			s.stats.GapRestarts++
 		} else {
 			s.pending = append(s.pending, Event{Session: hdr.session, Kind: EventGap, Peak: -1, Gap: conceal})
-			s.health[slot].Gaps++
 		}
 	}
 	base := slot * int32(s.bufN)
@@ -467,7 +420,6 @@ func (s *Service) ingestFrame(hdr frameHeader, payload []byte) error {
 			}
 			s.counts[slot]++
 		}
-		s.health[slot].Concealed += uint64(conceal)
 		s.stats.Concealed += uint64(conceal)
 	}
 	// Mark any skipped sequences unseen so their frames, should they
@@ -521,7 +473,6 @@ func (s *Service) connect(id uint32, seq uint16) int32 {
 	s.ids[slot] = id
 	s.used[slot] = true
 	s.index[id] = slot
-	s.health[slot] = Health{}
 	s.reset(slot, seq)
 	s.stats.Connects++
 	return slot
@@ -531,15 +482,12 @@ func (s *Service) connect(id uint32, seq uint16) int32 {
 // buffered samples are discarded and detection begins anew at the given
 // sequence number, exactly as if the session had reconnected.
 func (s *Service) restart(slot int32, seq uint16) {
-	s.health[slot] = Health{}
 	s.reset(slot, seq)
 	s.stats.Reconnects++
 }
 
 // reset clears a slot's per-occupant detection state and (re)starts its
-// stream. Health counters survive: a gap-forced restart (GapRestart)
-// resets through here while the occupant's degraded-state history keeps
-// accumulating; connect and FlagStart clear them explicitly.
+// stream.
 func (s *Service) reset(slot int32, seq uint16) {
 	s.seqs[slot] = seq
 	s.seen[slot] = 0

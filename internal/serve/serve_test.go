@@ -242,7 +242,7 @@ func TestServeSessionChurn(t *testing.T) {
 	if _, err := s.Ingest(leftover); err != nil {
 		t.Fatal(err)
 	}
-	if got, _ := s.Backlog(7); got != 16 {
+	if got, _ := backlog(s, 7); got != 16 {
 		t.Fatalf("pre-restart backlog = %d, want 16", got)
 	}
 
@@ -283,6 +283,15 @@ func TestServeSessionChurn(t *testing.T) {
 		t.Fatal("session 8 did not finish after reconnect")
 	}
 	checkIdentical(t, 8, tr, refDetection(t, cfg, rec.FS, rec.Samples))
+}
+
+// backlog returns the buffered sample count of a live session.
+func backlog(s *Service, session uint32) (int, bool) {
+	slot, ok := s.index[session]
+	if !ok {
+		return 0, false
+	}
+	return int(s.counts[slot]), true
 }
 
 // streamPlain streams samples in fixed 8-sample frames without draining,
@@ -403,7 +412,7 @@ func TestServeBackpressure(t *testing.T) {
 	if n, err := s.Ingest(over); err != ErrBackpressure || n != 0 {
 		t.Fatalf("overflow: n=%d err=%v, want 0 and ErrBackpressure", n, err)
 	}
-	if got, _ := s.Backlog(1); got != 64 {
+	if got, _ := backlog(s, 1); got != 64 {
 		t.Fatalf("backlog after rejected frame = %d, want 64", got)
 	}
 	s.Drain(nil)

@@ -10,9 +10,16 @@ import (
 	"github.com/xbiosip/xbiosip/internal/netlist"
 )
 
+// genRCA builds the netlist of a ripple-carry adder with ports a, b,
+// cin, sum and cout.
 func genRCA(t *testing.T, ad arith.Adder) *netlist.Netlist {
 	t.Helper()
-	n, err := netlist.GenRCA(netlist.NewBuilder("rca"), ad)
+	b := netlist.NewBuilder("rca")
+	a, bb, cin := b.InputBus("a", ad.Width), b.InputBus("b", ad.Width), b.InputBus("cin", 1)
+	sum, cout := b.RCA(ad.Kind, ad.ApproxLSBs, a, bb, cin[0])
+	b.OutputBus("sum", sum)
+	b.OutputBus("cout", netlist.Bus{cout})
+	n, err := b.Build()
 	if err != nil {
 		t.Fatal(err)
 	}
