@@ -135,8 +135,10 @@ race-batch:
 # the frozen per-tap fold; seeds replay design B9's LPF, HPF and DER in
 # 24-sample serve blocks), over the moving-window integrator (every
 # entry point reproduces the frozen per-sample fold), over the kernel's
-# on-demand table fills (every
-# read of a fresh table reproduces the full enumeration) and over its
+# on-demand table fills (every read of a fresh table reproduces the full
+# enumeration, for a fuzzed coefficient, |c| >= 256 and -2^15 included,
+# and a fuzzed root adder: AMA5, AMA4 and exact fill through the rows'
+# closed form, AMA2 through the adders) and over its
 # chain strategies (fuzzed tap shapes through the fused exact chain and
 # the AMA5 wiring chains, short spans sample-major and longer ones in
 # passes, reproduce the scalar fold from any start index; seeds replay
@@ -165,7 +167,10 @@ fuzz-smoke:
 
 # One iteration of every benchmark: regenerates each table/figure once and
 # exercises the parallel DSE engine, the kernel-vs-reference
-# micro-benchmarks, the FIR chains (BenchmarkFIR: whole records and
+# micro-benchmarks, the cold table fills (BenchmarkTableFill: one fresh
+# projection or const-mul table filled whole, ns per magnitude, and the
+# sub-product tables, for the explorer's spec at k 4 to 16), the FIR
+# chains (BenchmarkFIR: whole records and
 # 24-sample blocks, which run the passes of the AMA5 chains and, at k=0,
 # of the fused exact MAC, and per-sample Process, which runs their
 # short-span loops, at B9's k per stage, DER k=2 included), the squarer's

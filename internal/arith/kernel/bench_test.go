@@ -178,3 +178,60 @@ func referenceFIR(dst, xs, coeffs []int64, shift uint, mult arith.Multiplier, ad
 		dst[n] = arith.ToSigned(uint64(acc)>>shift, dsp.SampleWidth)
 	}
 }
+
+// Sinks of BenchmarkTableFill's results, so no fill is optimized away.
+var (
+	projSink  kernel.ProjTable
+	constSink *kernel.ConstMulTable
+	subSink   []uint32
+)
+
+// BenchmarkTableFill measures a cold table fill: each op builds one fresh
+// table and fills it whole, allocation and sub-product tables included,
+// for the explorer's spec (Width 16, AppMultV1, ApproxAdd5) at k 4, 8, 12
+// and 16 with coefficients 6 and 31. proj16 is an added, rounded
+// projection onto a 16-bit chain (uint16 at every k), proj32 a
+// subtracted, rounded one onto the pipeline's 32-bit chain (uint32 at
+// every k) and const32 an int32 const-mul table; each reports ns per
+// operand magnitude filled. subproducts builds the two sub-product
+// tables alone, which every fill of a coefficient starts with.
+func BenchmarkTableFill(b *testing.B) {
+	for _, k := range []int{4, 8, 12, 16} {
+		spec := arith.Multiplier{Width: 16, ApproxLSBs: k, Mult: approx.AppMultV1, Add: approx.ApproxAdd5}
+		m, err := kernel.CompileMultiplier(spec)
+		if err != nil {
+			b.Fatal(err)
+		}
+		mags := float64(int64(1)<<(spec.Width-1) + 1)
+		for _, c := range []int64{6, 31} {
+			perMag := func(b *testing.B, fill func()) {
+				for i := 0; i < b.N; i++ {
+					fill()
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(mags*float64(b.N)), "ns/mag")
+			}
+			name := fmt.Sprintf("k%d/c%d", k, c)
+			b.Run(name+"/proj16", func(b *testing.B) {
+				perMag(b, func() { projSink = m.FillProj(c, 16, k, false, true) })
+			})
+			b.Run(name+"/proj32", func(b *testing.B) {
+				perMag(b, func() { projSink = m.FillProj(c, 32, k, true, true) })
+			})
+			b.Run(name+"/const32", func(b *testing.B) {
+				perMag(b, func() {
+					t, err := kernel.NewConstMulTable(spec, c)
+					if err != nil {
+						b.Fatal(err)
+					}
+					t.Mul(-1 << 15)
+					constSink = t
+				})
+			})
+			b.Run(name+"/subproducts", func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					subSink, _ = m.SubProductTables(uint64(c))
+				}
+			})
+		}
+	}
+}

@@ -76,21 +76,40 @@
 //     native addition), the full table collapses to two 2^(Width/2)-entry
 //     packed tables — each root sub-product depends on only one half of
 //     the operand — plus the compiled combining adder. 2 KiB instead of
-//     512 KiB at the pipeline's 16-bit width, and ~256x cheaper to build
-//     (4 x 2^8 child evaluations instead of 2^16).
+//     512 KiB at the pipeline's 16-bit width. The tables build by
+//     recursion: each root child's 2^(Width/2) products come through the
+//     child's own decomposition, its four children's smaller tables
+//     combined row by row (see "Row fills"), down to leaf and exact nodes,
+//     which enumerate.
 //
 //   - int32 full tier: plans whose root combines approximately keep the
 //     full 2^Width table — re-running the approximate combining per
-//     lookup costs more than the load it replaces — but fill it through
-//     the same decomposition (two compiled accumulations per entry, the
-//     two signs of one magnitude sharing one core evaluation) and store
-//     int32 entries whenever a bound proves every product fits (see
-//     "On-demand fills"), else
+//     lookup costs more than the load it replaces — but fill it from the
+//     same sub-product tables, one row at a time, and store int32 entries
+//     whenever a bound proves every product fits (see "On-demand fills"),
+//     else
 //
 //   - int64 full tier.
 //
 // A plan with a 2-bit leaf root (Width 2) has no decomposition, so its
-// full table fills through the plan walk.
+// full table fills through the plan walk, one magnitude at a time.
+//
+// # Row fills
+//
+// A fill of a composite plan's table runs by rows. An operand magnitude
+// a = ahi·2^h + alo (h = Width/2) combines hi[ahi] and lo[alo] through
+// the root's three accumulations, and every magnitude of a row shares
+// ahi. So a row computes addMid's first operand hl, rounded to its upper
+// slice, and the last accumulation's operand hh << Width once, and one
+// loop over the row's low halves runs the three adds. For exact, AMA4 and
+// AMA5 root adders (every design the explorer reaches) that loop runs
+// their closed form inline, which needs no shift: AMA5 adds b to a
+// rounded to a multiple of 2^k, AMA4 takes ^a's low k bits in place of
+// b's, and exact addition is k = 0. AMA1-AMA3 call the compiled adders
+// from the same loop. The consumers — a full const-mul tier's fillSigned and a
+// projection's fillProj — take the products fillStep magnitudes at a time
+// and write both signs of each; the minimum operand keeps its single
+// negative entry. A fill may start or end inside a row.
 //
 // SquareTable squares depend on both halves of their single operand at
 // once, so the sub-product tier does not apply: exact specs are
@@ -180,10 +199,9 @@
 // accumulators and slice them through the general form afterwards
 // (TestSliceShifts checks both against it).
 //
-// Projections fill straight from the compiled plan's product closure
-// (productFn, sign-halved, with the root's accumulation adders
-// devirtualized), so a projected tap never needs its raw 2^Width table.
-// NewChain exploits that by materializing raw ConstMulTables only for
+// Projections fill straight from the compiled plan's products (by rows,
+// see "Row fills"; productFn for exact and leaf-root plans), so a
+// projected tap never needs its raw 2^Width table. NewChain exploits that by materializing raw ConstMulTables only for
 // the taps its strategy actually reads products from: every tap of the
 // generic/native/chunk strategies, just the boundary taps of a wiring
 // chain (the AMA5 last operand / AMA4 opening accumulator), none of a

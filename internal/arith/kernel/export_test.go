@@ -15,9 +15,28 @@ func ProjFits16(spec arith.Multiplier, w, k int, neg, round bool) bool {
 	return projFits16(spec, w, k, neg, round)
 }
 
-// ProductFn returns the constant-product closure for c, MulSigned(x, c)
-// bit for bit: the function every table enumerates.
-func (m *Multiplier) ProductFn(c int64) func(int64) int64 { return m.productFn(c) }
+// Products returns the signed product of +mag with c for every magnitude
+// 0..2^(Width-1), from the source a full table's fills read: rows for a
+// composite plan, productFn for the others.
+func (m *Multiplier) Products(c int64) []int64 {
+	ps := make([]int64, m.opMask/2+2)
+	m.constRows(c).products(ps, 0)
+	return ps
+}
+
+// SubProductTables returns the sub-product tables of coefficient
+// magnitude cm through the plan's composite root.
+func (m *Multiplier) SubProductTables(cm uint64) (lo, hi []uint32) {
+	return m.root.subProductTables(cm & m.opMask)
+}
+
+// FillProj builds a fresh projection of c through the plan, for a chain
+// of width w with k approximated LSBs, and fills it whole.
+func (m *Multiplier) FillProj(c int64, w, k int, neg, round bool) ProjTable {
+	p := newChainProj(m, c, w, k, neg, round)
+	p.cov.cover(p.cov.half)
+	return p
+}
 
 // RaceBuild reports whether the race detector is on (race_test.go).
 func RaceBuild() bool { return raceBuild }

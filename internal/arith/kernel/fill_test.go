@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"github.com/xbiosip/xbiosip/internal/approx"
@@ -269,30 +270,38 @@ func checkChainFills(t *testing.T, cc fillChainCase, seqs [][]int64) {
 // FuzzTableFill checks fuzzer-chosen operand sequences against the full
 // enumeration through fresh tables: a const-mul and a square table read
 // per operand, and the 14-tap AMA5 k=16 chain (uint16 and uint32
-// projections, an int32 raw table) run in blocks that continue from the
-// operands before them. Each 3-byte group is one operand: an int16 that
-// the third byte shifts down (mode%8) or replaces with a value past 16
-// bits (mode 8-9) or math.MinInt64 (mode 10); the first byte picks the
-// block length.
+// projections, a raw table) run in blocks that continue from the
+// operands before them. The input draws the multiplier (Width 16, k=16,
+// AppMultV1) and the coefficient: the first byte picks the block length,
+// the next two an int16 coefficient c, which the const-mul table and the
+// chain's tap at lag 6 multiply by, and the fourth the multiplier's adder
+// kind — AMA5, AMA4 or exact, whose table fills run the closed form, or
+// AMA2, whose fills call the adders. A coefficient of 256 or more in
+// magnitude, -2^15 included, makes the fills' hh term non-zero. Each
+// following 3-byte group is one operand: an int16 that the third byte
+// shifts down (mode%8) or replaces with a value past 16 bits (mode 8-9)
+// or math.MinInt64 (mode 10).
 func FuzzTableFill(f *testing.F) {
-	f.Add([]byte{3, 0xff, 0x00, 0, 0x00, 0x01, 0, 0x00, 0x80, 0, 0xff, 0x7f, 0, 0, 0, 10, 0x34, 0x12, 8})
-	f.Add([]byte{1, 0, 0, 10, 0xff, 0xff, 0, 0x00, 0x80, 0})
-	f.Add([]byte{5, 0x10, 0x27, 4, 0xf0, 0xd8, 2, 0x01, 0x01, 9, 0xff, 0x00, 7})
-	spec := arith.Multiplier{Width: 16, ApproxLSBs: 16, Mult: approx.AppMultV1, Add: approx.ApproxAdd5}
+	f.Add([]byte{3, 0xfa, 0xff, 0, 0xff, 0x00, 0, 0x00, 0x01, 0, 0x00, 0x80, 0, 0xff, 0x7f, 0, 0, 0, 10, 0x34, 0x12, 8})
+	f.Add([]byte{1, 0x00, 0x80, 3, 0, 0, 10, 0xff, 0xff, 0, 0x00, 0x80, 0})
+	f.Add([]byte{5, 0x2c, 0x01, 1, 0x10, 0x27, 4, 0xf0, 0xd8, 2, 0x01, 0x01, 9, 0xff, 0x00, 7})
+	f.Add([]byte{2, 0xff, 0x7f, 2, 0x00, 0x80, 0, 0x39, 0x30, 1, 0xc7, 0xcf, 3})
+	kinds := []approx.AdderKind{approx.ApproxAdd5, approx.ApproxAdd4, approx.AccAdd, approx.ApproxAdd2}
 	cc := fillChainCases()[0]
 	ad, err := CompileAdder(cc.adder)
 	if err != nil {
 		f.Fatal(err)
 	}
-	coeffs := []int64{1, 2, 31, -6}
-	ref := refProducts(spec, coeffs)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if len(data) < 4 {
+		if len(data) < 7 {
 			return
 		}
 		block := 1 + int(data[0])%16
+		c := int64(int16(binary.LittleEndian.Uint16(data[1:])))
+		spec := cc.spec
+		spec.Add = kinds[data[3]%4]
 		var seq []int64
-		for g := data[1:]; len(g) >= 3 && len(seq) < 96; g = g[3:] {
+		for g := data[4:]; len(g) >= 3 && len(seq) < 96; g = g[3:] {
 			x := int64(int16(binary.LittleEndian.Uint16(g)))
 			switch mode := g[2] % 16; {
 			case mode < 8:
@@ -304,7 +313,10 @@ func FuzzTableFill(f *testing.F) {
 			}
 			seq = append(seq, x)
 		}
-		tab, err := NewConstMulTable(spec, -6)
+		ops := slices.Clone(cc.ops)
+		ops[6].Coeff = c
+		ref := refProducts(spec, []int64{1, 2, c})
+		tab, err := NewConstMulTable(spec, c)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -313,16 +325,16 @@ func FuzzTableFill(f *testing.F) {
 			t.Fatal(err)
 		}
 		for _, x := range seq {
-			if got, want := tab.Mul(x), ref[-6](x); got != want {
-				t.Fatalf("Mul(%d) = %d, enumeration %d", x, got, want)
+			if got, want := tab.Mul(x), ref[c](x); got != want {
+				t.Fatalf("%v c=%d: Mul(%d) = %d, enumeration %d", spec.Add, c, x, got, want)
 			}
 			w := wrapped(x, spec.Width)
 			if got, want := sq.Square(x), spec.MulSigned(w, w); got != want {
-				t.Fatalf("Square(%d) = %d, enumeration %d", x, got, want)
+				t.Fatalf("%v: Square(%d) = %d, enumeration %d", spec.Add, x, got, want)
 			}
 		}
 		DropCaches()
-		chain, err := ad.NewChain(cc.spec, cc.ops)
+		chain, err := ad.NewChain(spec, ops)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -332,8 +344,8 @@ func FuzzTableFill(f *testing.F) {
 			chain.Run(dst[lo:hi], seq[:hi], lo, 3, 29)
 		}
 		for i := range seq {
-			if want := scalarChain(cc.adder, ref, cc.ops, seq, i, 3, 29); dst[i] != want {
-				t.Fatalf("block %d: Run[%d] = %d, scalar fold of the enumeration %d", block, i, dst[i], want)
+			if want := scalarChain(cc.adder, ref, ops, seq, i, 3, 29); dst[i] != want {
+				t.Fatalf("%v c=%d block %d: Run[%d] = %d, scalar fold of the enumeration %d", spec.Add, c, block, i, dst[i], want)
 			}
 		}
 	})

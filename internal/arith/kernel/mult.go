@@ -147,30 +147,119 @@ func compileAccAdder(spec arith.Multiplier, w, off int) (*Adder, error) {
 	return ad, nil
 }
 
-// subProductTables enumerates the four half-width sub-products of the
-// plan's top-level decomposition for one fixed coefficient magnitude cm:
-// with the operand split as a = ahi<<h | alo, every root sub-product
-// depends on only one half of the operand, so two 2^h-entry tables — one
-// indexed by alo, one by ahi — capture the whole variable dependence. Each
-// uint32 entry packs the two sub-products of its index (low half | high
-// half << 16); a sub-product of an h <= 8 bit child is at most 2h <= 16
-// bits (composite children mask to their product width, exact children
-// multiply h-bit values), so the packing is lossless. Requires a composite
-// root (m.root non-nil and neither exact nor leaf).
-func (m *Multiplier) subProductTables(cm uint64) (lo, hi []uint32) {
-	n := m.root
-	h := uint(n.h)
-	cm &= m.opMask
-	cl, ch := cm&n.hMask, cm>>h
-	size := 1 << h
-	lo = make([]uint32, size)
-	hi = make([]uint32, size)
-	for a := 0; a < size; a++ {
-		ua := uint64(a)
-		lo[a] = uint32(n.ll.eval(ua, cl)) | uint32(n.lh.eval(ua, ch))<<16
-		hi[a] = uint32(n.hl.eval(ua, cl)) | uint32(n.hh.eval(ua, ch))<<16
+// subProductTables builds the tables of n's four sub-products for one
+// fixed w-bit coefficient b: with the operand split as a = ahi<<h | alo,
+// every sub-product depends on only one half of the operand, so two
+// 2^h-entry tables — one indexed by alo, one by ahi — capture the whole
+// variable dependence. Each uint32 entry packs the two sub-products of
+// its index (low half | high half << 16); a sub-product of an h <= 8 bit
+// child is at most 2h <= 16 bits (composite children mask to their
+// product width, exact children multiply h-bit values), so the packing is
+// lossless. Each child's table comes through the child's own
+// decomposition (see table), not from a plan walk per entry. Requires
+// a composite n.
+func (n *mulNode) subProductTables(b uint64) (lo, hi []uint32) {
+	size := 1 << n.h
+	bl, bh := b&n.hMask, b>>n.h
+	t := make([]int64, 4*size)
+	n.ll.table(t[:size], bl)
+	n.lh.table(t[size:2*size], bh)
+	n.hl.table(t[2*size:3*size], bl)
+	n.hh.table(t[3*size:], bh)
+	lo, hi = make([]uint32, size), make([]uint32, size)
+	for a := range lo {
+		lo[a] = uint32(t[a]) | uint32(t[size+a])<<16
+		hi[a] = uint32(t[2*size+a]) | uint32(t[3*size+a])<<16
 	}
 	return lo, hi
+}
+
+// table writes n's product of every operand a < len(dst) with the fixed
+// coefficient b into dst[a]: an exact or leaf node enumerates them, a
+// composite node combines its children's tables row by row.
+func (n *mulNode) table(dst []int64, b uint64) {
+	switch {
+	case n.exact:
+		for a := range dst {
+			dst[a] = int64(uint64(a) * b)
+		}
+	case n.leaf:
+		for a := range dst {
+			dst[a] = int64(n.leafKind.Eval(uint8(a), uint8(b)))
+		}
+	default:
+		lo, hi := n.subProductTables(b)
+		n.rows(dst, lo, hi, 0)
+	}
+}
+
+// rows writes n's products of the operands a0, a0+1, ... with the
+// coefficient of its sub-product tables lo and hi into dst. The operands
+// of one row share their high half ahi, so the row hoists the terms that
+// depend on it alone: addMid's first operand hl, rounded to its upper
+// slice (its carry) with AMA4's low bits, and the last addLo's second
+// operand hh << w. One loop over the row's low halves then runs the three
+// accumulations of eval's last lines. When both adders are exact, AMA4 or
+// AMA5, the loop is their shift-free closed form (see wiring), inline and
+// branch-free; other kinds call the compiled adders. addMid's sum needs
+// no mask: hl and lh are below 2^(2h), and so the sum, exact or not, is
+// below 2^(2h+1).
+func (n *mulNode) rows(dst []int64, lo, hi []uint32, a0 uint64) {
+	h, w := uint(n.h)&63, uint(n.w)&63
+	midForm, okM := n.addMid.wiringForm()
+	loForm, okL := n.addLo.wiringForm()
+	mW := mask(n.addLo.spec.Width)
+	addMid, addLo := n.addMid.fn, n.addLo.fn
+	for len(dst) > 0 {
+		alo := a0 & n.hMask
+		row := lo[alo:min(uint64(len(lo)), alo+uint64(len(dst)))]
+		out := dst[:len(row)]
+		he := hi[a0>>h]
+		hl, hhw := uint64(he&0xffff), uint64(he>>16)<<w
+		if okM && okL {
+			hlUp, hhTerm := midForm.add(hl, 0), hhw&loForm.keepB
+			for i, le := range row {
+				ll, lh := uint64(le&0xffff), uint64(le>>16)
+				s := loForm.add(ll, (hlUp+lh&midForm.keepB)<<h) & mW
+				out[i] = int64((loForm.add(s, 0) + hhTerm) & mW)
+			}
+		} else {
+			for i, le := range row {
+				mid, _ := addMid(hl, uint64(le>>16), 0)
+				s, _ := addLo(uint64(le&0xffff), mid<<h, 0)
+				s, _ = addLo(s, hhw, 0)
+				out[i] = int64(s)
+			}
+		}
+		dst = dst[len(row):]
+		a0 += uint64(len(row))
+	}
+}
+
+// wiring is the closed form of an exact, AMA4 or AMA5 adder, without a
+// shift, for operands that fit its width: the sum of a and b is add(a, b)
+// masked to the width. Both wiring kinds add the upper slices of a and b
+// with bit k-1 of a as the carry into them, and a's upper slice plus that
+// carry is a rounded to a multiple of 2^k, (a + 2^(k-1)) &^ mask(k). AMA5
+// keeps b's low k bits, so its sum is b plus rounded a; AMA4 takes ^a's
+// low bits in place of b's. Exact addition is the k = 0 case.
+type wiring struct{ half, up, keepB, lowA uint64 }
+
+func (f wiring) add(a, b uint64) uint64 { return (a+f.half)&f.up + b&f.keepB + ^a&f.lowA }
+
+// wiringForm returns the adder's closed form; ok is false for the kinds
+// without one (AMA1-AMA3 with approximated LSBs).
+func (ad *Adder) wiringForm() (f wiring, ok bool) {
+	k := effectiveLSBs(ad.spec)
+	f = wiring{half: uint64(1) << k >> 1, up: ^mask(k), keepB: ^uint64(0)}
+	switch {
+	case k == 0 || ad.spec.Kind == approx.ApproxAdd5:
+		return f, true
+	case ad.spec.Kind == approx.ApproxAdd4:
+		f.keepB, f.lowA = f.up, mask(k)
+		return f, true
+	}
+	return f, false
 }
 
 // composite reports whether the plan has a composite root whose top-level
@@ -191,14 +280,13 @@ func (m *Multiplier) decompExact() bool {
 }
 
 // constMulFunc compiles the signed constant-multiply closure over a pair
-// of sub-product tables: the per-sample form of the decomposed table tier.
-// The closure reproduces MulSigned exactly — branch-free sign-magnitude
-// split of the operand (its sign is data-dependent on the signal, so a
-// branch would mispredict), the root node's two accumulations over the
-// table entries, product slicing, sign re-application (negC folds the
-// fixed coefficient's sign in at compile time). The exact-combining form
-// (the live tier, see decompExact) is fully inline; other combinations go
-// through the adders' compiled AddCarry closures.
+// of sub-product tables: the per-sample form of the decomposed table tier
+// (see decompExact). The closure reproduces MulSigned exactly — branch-free
+// sign-magnitude split of the operand (its sign is data-dependent on the
+// signal, so a branch would mispredict), the root node's two exact
+// accumulations over the table entries, product slicing, sign
+// re-application (negC folds the fixed coefficient's sign in at compile
+// time) — fully inline.
 func (m *Multiplier) constMulFunc(lo, hi []uint32, negC bool) func(int64) int64 {
 	n := m.root
 	w := m.spec.Width
@@ -217,132 +305,24 @@ func (m *Multiplier) constMulFunc(lo, hi []uint32, negC bool) func(int64) int64 
 	if negC {
 		cneg = ^uint64(0)
 	}
-	if n.addMid.exact && n.addLo.exact {
-		return func(x int64) int64 {
-			mag, sgn := signMag(uint64(x)&opMask, opMask, sign)
-			le := lo[mag&loMask]
-			he := hi[mag>>h]
-			mid := (uint64(he&0xffff) + uint64(le>>16)) & mM
-			s := (uint64(le&0xffff) + mid<<h + uint64(he>>16)<<w2) & mL
-			p := sext(s&pm, sx)
-			flip := int64(sgn ^ cneg)
-			return (p ^ flip) - flip
-		}
-	}
-	addMid, addLo := n.addMid.fn, n.addLo.fn
 	return func(x int64) int64 {
 		mag, sgn := signMag(uint64(x)&opMask, opMask, sign)
 		le := lo[mag&loMask]
 		he := hi[mag>>h]
-		mid, _ := addMid(uint64(he&0xffff), uint64(le>>16), 0)
-		s, _ := addLo(uint64(le&0xffff), mid<<h, 0)
-		s, _ = addLo(s, uint64(he>>16)<<w2, 0)
+		mid := (uint64(he&0xffff) + uint64(le>>16)) & mM
+		s := (uint64(le&0xffff) + mid<<h + uint64(he>>16)<<w2) & mL
 		p := sext(s&pm, sx)
 		flip := int64(sgn ^ cneg)
 		return (p ^ flip) - flip
 	}
 }
 
-// productFn compiles the signed constant-product closure for coefficient
-// c without materializing any full table: exact plans multiply natively,
-// composite plans combine two small sub-product tables per call (with the
-// root's accumulation adders devirtualized, see combineFn), and
-// everything else (a 2-bit leaf root) walks the plan. It reproduces
-// MulSigned(x, c) bit for bit — in particular it is odd, f(-x) == -f(x),
-// the property the sign-halved enumerations rely on — and is what the
-// wiring-chain projection builder enumerates, the reason a projected
-// tap's 2^Width raw table never needs to exist.
-func (m *Multiplier) productFn(c int64) func(int64) int64 {
-	negC := c < 0
-	cm := uint64(c)
-	if negC {
-		cm = uint64(-c)
-	}
-	cm &= m.opMask
-	switch {
-	case m.exact:
-		return exactConstMul(m.spec.Width, cm, negC)
-	case m.decompExact():
-		lo, hi := m.subProductTables(cm)
-		return m.constMulFunc(lo, hi, negC)
-	case m.composite():
-		lo, hi := m.subProductTables(cm)
-		core := m.combineFn(lo, hi)
-		opMask := m.opMask
-		sign := uint(m.spec.Width - 1)
-		var cneg uint64
-		if negC {
-			cneg = ^uint64(0)
-		}
-		return func(x int64) int64 {
-			mag, sgn := signMag(uint64(x)&opMask, opMask, sign)
-			p := core(mag)
-			flip := int64(sgn ^ cneg)
-			return (p ^ flip) - flip
-		}
-	default:
-		return func(x int64) int64 { return m.MulSigned(x, c) }
-	}
-}
-
-// combineFn compiles the magnitude-core closure over one coefficient's
-// sub-product tables: the root node's two accumulations over one operand
-// magnitude's entries, returning the signed core product (the
-// coefficient's sign not yet applied), exactly the per-entry evaluation
-// MulSigned performs after its sign-magnitude split. The accumulation
-// adders run devirtualized where they have closed forms: native addition
-// and the wiring kinds AMA4/AMA5 (the paper's evaluation sweep) inline,
-// other kinds through the compiled closures. Enumeration-heavy builders
-// (full product tables, chain projections) call it 2^(Width-1) times per
-// coefficient, so the saved indirect calls are the build cost.
-func (m *Multiplier) combineFn(lo, hi []uint32) func(mag uint64) int64 {
-	n := m.root
-	h := uint(n.h)
-	hm := n.hMask
-	w2 := uint(n.w)
-	pm := n.prodMask & m.prodMask
-	opMask := m.opMask
-	width := 2 * m.spec.Width
-	sx := uint(64 - width)
-	addMid := adderAddFn(n.addMid)
-	addLo := adderAddFn(n.addLo)
-	return func(mag uint64) int64 {
-		a := mag & opMask
-		le := lo[a&hm]
-		he := hi[a>>h]
-		mid := addMid(uint64(he&0xffff), uint64(le>>16))
-		s := addLo(uint64(le&0xffff), mid<<h)
-		s = addLo(s, uint64(he>>16)<<w2)
-		return sext(s&pm, sx)
-	}
-}
-
-// adderAddFn returns a carry-free Add for one accumulation adder,
-// inlining the closed forms of the exact and wiring kinds; everything
-// else delegates to the plan's compiled strategy closure.
-func adderAddFn(ad *Adder) func(a, b uint64) uint64 {
-	w := ad.spec.Width
-	mW := mask(w)
-	if ad.exact {
-		return func(a, b uint64) uint64 { return (a + b) & mW }
-	}
-	if k := effectiveLSBs(ad.spec); k >= 1 &&
-		(ad.spec.Kind == approx.ApproxAdd4 || ad.spec.Kind == approx.ApproxAdd5) {
-		mk := mask(k)
-		ku := uint(k)
-		inv := ad.spec.Kind == approx.ApproxAdd4
-		return func(a, b uint64) uint64 {
-			a &= mW
-			b &= mW
-			low := b & mk
-			if inv {
-				low = ^a & mk
-			}
-			hi := a>>ku + b>>ku + (a>>(ku-1))&1
-			return (low | hi<<ku) & mW
-		}
-	}
-	return ad.Add
+// productFn returns the signed product of +mag with c for the plans a
+// fill cannot take by rows (see productRows): an exact plan multiplies
+// natively and a 2-bit leaf root evaluates its cell, one magnitude at a
+// time.
+func (m *Multiplier) productFn(c int64) func(mag uint64) int64 {
+	return func(mag uint64) int64 { return m.MulSigned(int64(mag), c) }
 }
 
 // eval walks the plan; operands are w-bit.

@@ -1236,11 +1236,12 @@ func ama5Chain(w, k int, ops []chainOp, head chainFunc) chainFunc {
 // newChainProj allocates one tap's projection table: entry x is the
 // whole upper-slice term ((p(x) ^ neg) & mask(w) + round*2^(k-1)) >> k of
 // the product p(x) of x with coeff through plan m. The entries fill on
-// demand through the plan's product closure (productFn, made by the
-// first fill), so no raw product table is required. Constant
-// multiplication is odd (f(-x) == -f(x), the sign-magnitude arrangement
-// of every tier), so the two signs of one magnitude share a single
-// product evaluation, exactly like a full table's fill.
+// demand from the plan's products (see productRows, made by the first
+// fill; a composite plan's come by rows), so no raw product table is
+// required. Constant multiplication is odd (f(-x) == -f(x), the
+// sign-magnitude arrangement of every tier), so the two signs of one
+// magnitude share a single product evaluation, exactly like a full
+// table's fill.
 func newChainProj(m *Multiplier, coeff int64, w, k int, neg, round bool) ProjTable {
 	n := int(m.opMask) + 1
 	var p ProjTable
@@ -1256,16 +1257,16 @@ func newChainProj(m *Multiplier, coeff int64, w, k int, neg, round bool) ProjTab
 	if round {
 		term.half = uint64(1) << (k - 1)
 	}
-	var f func(int64) int64
+	var src *productRows // made by the first fill
 	u16, u32 := p.u16, p.u32
 	p.cov = newCoverage(m.spec.Width, func(lo, hi uint64) {
-		if f == nil {
-			f = m.productFn(coeff)
+		if src == nil {
+			src = m.constRows(coeff)
 		}
 		if u16 != nil {
-			fillProj(u16, lo, hi, f, term)
+			fillProj(u16, lo, hi, src, term)
 		} else {
-			fillProj(u32, lo, hi, f, term)
+			fillProj(u32, lo, hi, src, term)
 		}
 	})
 	return p
@@ -1299,28 +1300,33 @@ func projFits16(spec arith.Multiplier, w, k int, neg, round bool) bool {
 	return (maxUB+half)>>uint(k) <= 0xffff
 }
 
-// fillProj writes magnitudes [lo, hi) of a projection table: the terms
-// of +mag and -mag from one product evaluation, and the term of the
-// minimum operand, which has no positive twin, from its own.
-func fillProj[T uint16 | uint32](tab []T, lo, hi uint64, f func(int64) int64, term projTerm) {
+// fillProj writes magnitudes [lo, hi) of a projection table from src,
+// fillStep products at a time: the terms of +mag and -mag from the one
+// product p of +mag, -mag's from -p. The minimum operand, magnitude
+// len(tab)/2, has only its negative entry.
+func fillProj[T uint16 | uint32](tab []T, lo, hi uint64, src *productRows, term projTerm) {
 	n := uint64(len(tab))
-	for mag := lo; mag < hi; mag++ {
-		if mag == n/2 {
-			tab[mag] = T(term.of(f(-int64(mag))))
-			continue
-		}
-		p := f(int64(mag))
-		tab[mag] = T(term.of(p))
-		if mag > 0 {
-			tab[n-mag] = T(term.of(-p))
+	term.k &= 63 // the shift in of needs no range fixup
+	var buf [fillStep]int64
+	for mag := lo; mag < hi; mag += fillStep {
+		ps := buf[:min(hi-mag, fillStep)]
+		src.products(ps, mag)
+		for i, p := range ps {
+			x := mag + uint64(i)
+			if x < n/2 {
+				tab[x] = T(term.of(p))
+			}
+			if x > 0 {
+				tab[(n-x)&(n-1)] = T(term.of(-p))
+			}
 		}
 	}
 }
 
 // cachedChainProj returns the memoized wiring-chain projection for one
-// (spec, coeff) product under the given chain parameters, filled through
-// the compiled plan's product closure and cached globally like the
-// tables themselves (first insert wins).
+// (spec, coeff) product under the given chain parameters, filled from the
+// compiled plan's products and cached globally like the tables
+// themselves (first insert wins).
 func cachedChainProj(m *Multiplier, coeff int64, w, k int, neg, round bool) ProjTable {
 	key := projKey{spec: m.spec, coeff: coeff, w: w, k: k, neg: neg, round: round}
 	planCache.Lock()

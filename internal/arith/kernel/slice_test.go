@@ -569,8 +569,9 @@ func TestChainProjTiers(t *testing.T) {
 		if got := p.cov.entries(); got != int64(p.Entries()) {
 			t.Fatalf("%+v: %d entries filled, want %d", tc, got, p.Entries())
 		}
-		// Element-identity against the direct uint32 construction.
-		f := m.productFn(tc.coeff)
+		// Element-identity against the direct uint32 construction over the
+		// products the fill reads (TestRowFills checks those).
+		ps := m.Products(tc.coeff)
 		mW := mask(tc.w)
 		var nm uint64
 		if tc.neg {
@@ -581,8 +582,11 @@ func TestChainProjTiers(t *testing.T) {
 			half = uint64(1) << (tc.k - 1)
 		}
 		for u := 0; u < p.Entries(); u++ {
-			x := arith.ToSigned(uint64(u), spec.Width)
-			want := ((uint64(f(x))^nm)&mW + half) >> uint(tc.k)
+			prod := ps[magnitude(arith.ToSigned(uint64(u), spec.Width))]
+			if u >= len(ps)-1 {
+				prod = -prod // a negative operand's entry mirrors its magnitude's
+			}
+			want := ((uint64(prod)^nm)&mW + half) >> uint(tc.k)
 			var got uint64
 			if p.u16 != nil {
 				got = uint64(p.u16[u])
@@ -596,38 +600,48 @@ func TestChainProjTiers(t *testing.T) {
 	}
 }
 
-// TestProductFnMatchesReference checks the table-free product closure —
-// what projections are built from — against the bit-serial reference for
-// every representation tier and for 2-bit leaf roots, whose closure walks
-// the plan (16-bit operands are sampled, 2-bit ones enumerated).
+// TestProductFnMatchesReference checks the per-magnitude product closure
+// of the plans a fill cannot take by rows — exact plans and 2-bit leaf
+// roots — against the bit-serial reference, over every magnitude
+// 0..2^(Width-1) (16-bit ones sampled).
 func TestProductFnMatchesReference(t *testing.T) {
 	specs := []arith.Multiplier{
-		{Width: 16, ApproxLSBs: 0, Mult: approx.AccMult, Add: approx.AccAdd},       // exact
-		{Width: 16, ApproxLSBs: 8, Mult: approx.AppMultV1, Add: approx.AccAdd},     // decomposed-exact
-		{Width: 16, ApproxLSBs: 8, Mult: approx.AppMultV1, Add: approx.ApproxAdd5}, // composite approx
-		{Width: 16, ApproxLSBs: 12, Mult: approx.AppMultV2, Add: approx.ApproxAdd3},
-		{Width: 2, ApproxLSBs: 2, Mult: approx.AppMultV1, Add: approx.AccAdd},     // leaf root
-		{Width: 2, ApproxLSBs: 4, Mult: approx.AppMultV2, Add: approx.ApproxAdd5}, // leaf root
+		{Width: 16, ApproxLSBs: 0, Mult: approx.AppMultV1, Add: approx.ApproxAdd5}, // exact: k = 0
+		{Width: 16, ApproxLSBs: 8, Mult: approx.AccMult, Add: approx.AccAdd},       // exact kinds
+		{Width: 2, ApproxLSBs: 2, Mult: approx.AppMultV1, Add: approx.AccAdd},      // leaf root
+		{Width: 2, ApproxLSBs: 4, Mult: approx.AppMultV2, Add: approx.ApproxAdd5},  // leaf root
 	}
 	for _, spec := range specs {
 		m, err := CompileMultiplier(spec)
 		if err != nil {
 			t.Fatal(err)
 		}
-		step := 1
+		if m.composite() {
+			t.Fatalf("%+v: a composite plan, which fills by rows", spec)
+		}
+		step := uint64(1)
 		if spec.Width == 16 {
 			step = 7
 		}
-		for _, c := range []int64{0, 1, -2, 31, -31, 255} {
+		half := uint64(1) << (spec.Width - 1)
+		for _, c := range []int64{0, 1, -2, 31, -31, 255, -1 << 15} {
 			f := m.productFn(c)
-			for i := 0; i < 1<<spec.Width; i += step {
-				x := arith.ToSigned(uint64(i), spec.Width)
-				if got, want := f(x), spec.MulSigned(x, c); got != want {
-					t.Fatalf("%+v c=%d: productFn(%d) = %d, reference %d", spec, c, x, got, want)
+			for _, mag := range append([]uint64{half}, seq(0, half, step)...) {
+				if got, want := f(mag), spec.MulSigned(int64(mag), c); got != want {
+					t.Fatalf("%+v c=%d: productFn(%d) = %d, reference %d", spec, c, mag, got, want)
 				}
 			}
 		}
 	}
+}
+
+// seq returns lo, lo+step, ... below hi.
+func seq(lo, hi, step uint64) []uint64 {
+	var s []uint64
+	for x := lo; x < hi; x += step {
+		s = append(s, x)
+	}
+	return s
 }
 
 // FuzzChainRun checks fuzzed chains against the scalar fold of the

@@ -22,8 +22,9 @@ import (
 //   - plans with an approximately-combined composite root keep the full
 //     2^Width table (the approximate combining per lookup costs more than
 //     the load it replaces on ALU-bound hosts), filled through the
-//     decomposition: two 256-entry sub-product tables plus two compiled
-//     accumulations per entry instead of a plan-tree walk per entry;
+//     decomposition: two 256-entry sub-product tables, combined one row
+//     of 256 magnitudes at a time (see mulNode.rows), instead of a
+//     plan-tree walk per entry;
 //   - 2-bit leaf roots keep the full table filled through the plan walk.
 //
 // A full table is int32 when a bound proves every product fits (see
@@ -47,7 +48,8 @@ type ConstMulTable struct {
 // The operand width must be at most 16 bits (a full table is 2^Width
 // entries; the decomposed tiers are far smaller but keep the same bound so
 // every tier covers the same specs). A full table is only allocated here;
-// its entries fill as reads reach them.
+// its entries fill as reads reach them, from the product source its first
+// fill makes (see productRows).
 func NewConstMulTable(spec arith.Multiplier, c int64) (*ConstMulTable, error) {
 	m, err := CachedMultiplier(spec)
 	if err != nil {
@@ -68,39 +70,24 @@ func NewConstMulTable(spec arith.Multiplier, c int64) (*ConstMulTable, error) {
 		t.fn = exactConstMul(spec.Width, cm, negC)
 		return t, nil
 	case m.decompExact():
-		t.lo, t.hi = m.subProductTables(cm)
+		t.lo, t.hi = m.root.subProductTables(cm)
 		t.fn = m.constMulFunc(t.lo, t.hi, negC)
 		return t, nil
-	}
-	// product is the signed product of +mag, made by the first fill: a
-	// composite plan evaluates through its top-level decomposition — 4 x
-	// 2^(w/2) child evaluations shared by all entries and two
-	// devirtualized accumulations per entry (see combineFn) — everything
-	// else through the plan.
-	var product func(mag uint64) int64
-	makeProduct := func() func(mag uint64) int64 {
-		if !m.composite() {
-			return func(mag uint64) int64 { return m.MulSigned(int64(mag), c) }
-		}
-		core := m.combineFn(m.subProductTables(cm))
-		if negC {
-			return func(mag uint64) int64 { return -core(mag) }
-		}
-		return core
 	}
 	if constFits32(spec, c) {
 		t.tab32 = make([]int32, 1<<spec.Width)
 	} else {
 		t.tab64 = make([]int64, 1<<spec.Width)
 	}
+	var src *productRows // made by the first fill
 	t.cov = newCoverage(spec.Width, func(lo, hi uint64) {
-		if product == nil {
-			product = makeProduct()
+		if src == nil {
+			src = m.constRows(c)
 		}
 		if t.tab32 != nil {
-			fillSigned(t.tab32, lo, hi, true, product)
+			fillSigned(t.tab32, lo, hi, true, src)
 		} else {
-			fillSigned(t.tab64, lo, hi, true, product)
+			fillSigned(t.tab64, lo, hi, true, src)
 		}
 	})
 	t.fn = fullTableFunc(t.tab32, t.tab64, m.opMask)
@@ -137,24 +124,69 @@ func exactConstMul(w int, cm uint64, negC bool) func(int64) int64 {
 	}
 }
 
+// productRows is the source of one full table's products, made by its
+// first fill: a composite plan's constant products come a row at a time
+// from the root's sub-product tables (see mulNode.rows), every other
+// product (exact and leaf-root plans, squares) from each, one magnitude
+// at a time.
+type productRows struct {
+	root   *mulNode
+	lo, hi []uint32
+	flip   int64 // -1 for a negative coefficient, else 0
+	each   func(mag uint64) int64
+}
+
+// constRows returns the product source of coefficient c through plan m.
+func (m *Multiplier) constRows(c int64) *productRows {
+	if !m.composite() {
+		return &productRows{each: m.productFn(c)}
+	}
+	r := &productRows{root: m.root}
+	r.lo, r.hi = m.root.subProductTables(magnitude(c) & m.opMask)
+	if c < 0 {
+		r.flip = -1
+	}
+	return r
+}
+
+// products writes the signed products of +mag, +mag+1, ... into dst.
+func (r *productRows) products(dst []int64, mag uint64) {
+	if r.root == nil {
+		for i := range dst {
+			dst[i] = r.each(mag + uint64(i))
+		}
+		return
+	}
+	r.root.rows(dst, r.lo, r.hi, mag)
+	sx, flip := uint(64-2*r.root.w)&63, r.flip // the core has 2*Width bits
+	for i, s := range dst {
+		dst[i] = (sext(uint64(s), sx) ^ flip) - flip
+	}
+}
+
 // fillSigned writes magnitudes [lo, hi) of a full signed product table
-// from f, the product of +mag: entry mag holds f(mag) and entry -mag its
-// mirror, -f(mag) for odd products (constant multiplication) and f(mag)
-// for even ones (squares), so the two signs share one evaluation. The
-// minimum operand, magnitude len(tab)/2, has only its negative entry.
-func fillSigned[T int32 | int64](tab []T, lo, hi uint64, odd bool, f func(mag uint64) int64) {
+// from src, fillStep products at a time: entry mag holds the product p of
+// +mag and entry -mag its mirror, -p for odd products (constant
+// multiplication) and p for even ones (squares), so the two signs share
+// one evaluation. The minimum operand, magnitude len(tab)/2, has only its
+// negative entry.
+func fillSigned[T int32 | int64](tab []T, lo, hi uint64, odd bool, src *productRows) {
 	n := uint64(len(tab))
-	for mag := lo; mag < hi; mag++ {
-		p := f(mag)
-		mirror := p
-		if odd {
-			mirror = -p
-		}
-		if mag < n/2 {
-			tab[mag] = T(p)
-		}
-		if mag > 0 {
-			tab[(n-mag)&(n-1)] = T(mirror)
+	var buf [fillStep]int64
+	for mag := lo; mag < hi; mag += fillStep {
+		ps := buf[:min(hi-mag, fillStep)]
+		src.products(ps, mag)
+		for i, p := range ps {
+			x := mag + uint64(i)
+			if x < n/2 {
+				tab[x] = T(p)
+			}
+			if odd {
+				p = -p
+			}
+			if x > 0 {
+				tab[(n-x)&(n-1)] = T(p)
+			}
 		}
 	}
 }
@@ -235,9 +267,8 @@ func NewSquareTable(spec arith.Multiplier) (*SquareTable, error) {
 	// either way. opMask is len(tab)-1, so indexing tab[opMask] once
 	// lets the loop index without a bounds check.
 	tab, opMask := make([]int32, 1<<spec.Width), m.opMask
-	cov := newCoverage(spec.Width, func(lo, hi uint64) {
-		fillSigned(tab, lo, hi, false, func(mag uint64) int64 { return m.MulSigned(int64(mag), int64(mag)) })
-	})
+	src := &productRows{each: func(mag uint64) int64 { return m.MulSigned(int64(mag), int64(mag)) }}
+	cov := newCoverage(spec.Width, func(lo, hi uint64) { fillSigned(tab, lo, hi, false, src) })
 	t.tab, t.cov = tab, cov
 	t.fn = func(x int64) int64 {
 		cov.cover(magnitude(x))

@@ -34,7 +34,7 @@ func enumerateProducts(t *testing.T, spec arith.Multiplier, c int64) productRang
 	if err != nil {
 		t.Fatal(err)
 	}
-	f := m.ProductFn(c)
+	ps := m.Products(c)
 	r := productRange{fits32: true}
 	entry := func(p int64) {
 		if p > math.MaxInt32 || p < math.MinInt32 {
@@ -46,13 +46,12 @@ func enumerateProducts(t *testing.T, spec arith.Multiplier, c int64) productRang
 			r.maxSub[i] = max(r.maxSub[i], ^uint64(p)&mW)
 		}
 	}
-	half := int64(1) << (spec.Width - 1)
-	for mag := int64(0); mag < half; mag++ {
-		p := f(mag)
+	half := len(ps) - 1
+	for _, p := range ps[:half] {
 		entry(p)
 		entry(-p)
 	}
-	entry(f(-half))
+	entry(-ps[half])
 	return r
 }
 
