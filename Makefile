@@ -1,7 +1,9 @@
 # Developer and CI entry points. `make ci` is the gate: build, vet, a
 # gofmt check over every tracked Go file, race-clean tests (which include
-# the equivalence suites: the word-parallel kernels, the dsp stages and
-# whole pipelines against folds through the bit-serial arith models, and
+# the equivalence suites: the word-parallel kernels — the AMA5 and exact
+# fast strategies, and the generic chain, re-fold window and full tables
+# that every other cell kind runs — the dsp stages and whole pipelines
+# against folds through the bit-serial arith models, and
 # the lane-packed activity simulator against a one-vector-at-a-time fold,
 # all in test code), a benchmark smoke pass, focused
 # -race passes over the two global caches' concurrent cold builds, the
@@ -111,14 +113,16 @@ examples-smoke:
 	done
 
 # The continuation equivalence suites across every layer that runs a
-# signal in blocks — kernel Chain.Run from a start index (blocks of 3 to
-# 7 positions after a history of the deepest lag straddle the spans at
+# signal in blocks — kernel Chain.Run from a start index past the deepest
+# tap lag (blocks of 3 to 7 positions after the least such history, one
+# sample past the deepest lag, straddle the spans at
 # which the AMA5 chains, from 4, and the fused exact MAC, from 6 over its
 # direct taps and from 5 over the LPF's recurrence, leave their
-# short-span loop for passes), the dsp FIR and integrator entry points against the
-# frozen per-tap and per-sample fold oracles (the FIR's window filled
-# exactly, grown, and continued by an empty block; the FIR fuzz target's
-# seeds too) and the squarer block path,
+# short-span loop for passes), the dsp FIR and integrator entry points
+# against the frozen per-tap and per-sample fold oracles (the FIR's window
+# filled exactly, grown, and continued by an empty block, and whole
+# records whose first tap-count positions run as one block; the FIR fuzz
+# target's seeds too) and the squarer block path,
 # Pipeline.PushBlock and streams sharing one compiled pipeline across
 # goroutines (racing the first fills of its tables),
 # StreamDetector.PushBlock's edge cases, the serve block drain (its
@@ -137,11 +141,11 @@ race-batch:
 # entry point reproduces the frozen per-sample fold), over the kernel's
 # on-demand table fills (every read of a fresh table reproduces the full
 # enumeration, for a fuzzed coefficient, |c| >= 256 and -2^15 included,
-# and a fuzzed root adder: AMA5, AMA4 and exact fill through the rows'
-# closed form, AMA2 through the adders) and over its
-# chain strategies (fuzzed tap shapes through the fused exact chain and
-# the AMA5 wiring chains, short spans sample-major and longer ones in
-# passes, reproduce the scalar fold from any start index; seeds replay
+# and a fuzzed root adder: AMA5 and exact fill through the rows' closed
+# form, AMA4 and AMA2 through the adders) and over its chain strategies
+# (fuzzed tap shapes through the fused exact chain and the AMA5 chains,
+# short spans sample-major and longer ones in passes, reproduce the
+# scalar fold from any start index after a cleared delay line; seeds replay
 # design B9's LPF, HPF and DER as one 24-sample serve block, and the
 # accurate ones, which run the fused MAC's passes, as one such block and
 # as a whole record), over the PSNR/SSIM grader (SignalRef.Quality

@@ -93,8 +93,8 @@ func printKernelStats() {
 	st := kernel.CacheStats()
 	fmt.Printf("kernel cache: %d adder plans, %d multiplier plans, %d const-mul tables, %d square tables, %d chain projections\n",
 		st.Adders, st.Multipliers, st.ConstTables, st.SquareTables, st.ChainProjs)
-	fmt.Printf("kernel tables: %.1f KiB live, %.1f KiB filled (%.1f KiB sub-product, %.1f KiB full, %.1f KiB chain projections)\n",
-		float64(st.TableBytes)/1024, float64(st.FilledBytes)/1024, float64(st.SubProductBytes)/1024,
+	fmt.Printf("kernel tables: %.1f KiB live, %.1f KiB filled (%.1f KiB full, %.1f KiB chain projections)\n",
+		float64(st.TableBytes)/1024, float64(st.FilledBytes)/1024,
 		float64(st.FullTableBytes)/1024, float64(st.ChainProjBytes)/1024)
 	est := energy.CacheStats()
 	fmt.Printf("energy characterizations: %d cached (stage, config) pairs, %d netlist cells, %.1f KiB activity; %d hits, %d builds\n",

@@ -15,20 +15,14 @@ type addFunc func(a, b uint64, cin uint8) (sum uint64, cout uint8)
 // Adder is a compiled word-parallel evaluation plan for one arith.Adder
 // configuration. It exposes the same operations as the reference model and
 // is bit-identical to it; see the package documentation for the closed
-// forms. The zero value is not useful — use CompileAdder or CachedAdder.
+// forms. Its one compiled addFunc is the scalar adder that plan walks,
+// table fills, the generic chain and the re-fold window add through; the
+// AMA5 and exact strategies inline their closed forms instead. The zero
+// value is not useful — use CompileAdder or CachedAdder.
 type Adder struct {
-	spec arith.Adder
-	fn   addFunc
-	// addS/subS are strategy-specialised signed closures: the FIR and MWI
-	// accumulation chains run one indirect call per tap with the whole
-	// closed form (including sign extension) inline in the closure body.
-	addS func(a, b int64) int64
-	subS func(a, b int64) int64
-	// chain is the accumulation-chain kernel (see slice.go): one indirect
-	// call per span of positions with the closed form inlined in the
-	// loop. window is the moving-window strategy Slide runs (window.go).
-	chain  chainFunc
-	window windowKind
+	spec   arith.Adder
+	fn     addFunc
+	window windowKind // the moving-window strategy Slide runs (window.go)
 	// exact marks plans that reduce to native addition (chain
 	// compilation consults it before fusing to MAC).
 	exact bool
@@ -39,12 +33,12 @@ func CompileAdder(spec arith.Adder) (*Adder, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	ad := &Adder{spec: spec, fn: compileAddFunc(spec)}
-	ad.addS, ad.subS = compileSignedFuncs(spec, ad.fn)
-	ad.chain = compileChain(spec)
-	ad.window = compileWindow(spec)
-	ad.exact = effectiveLSBs(spec) == 0
-	return ad, nil
+	return &Adder{
+		spec:   spec,
+		fn:     compileAddFunc(spec),
+		window: compileWindow(spec),
+		exact:  effectiveLSBs(spec) == 0,
+	}, nil
 }
 
 // Add returns the Width-bit sum of a and b (carry-in 0, carry-out dropped).
@@ -53,88 +47,18 @@ func (ad *Adder) Add(a, b uint64) uint64 {
 	return s
 }
 
-// compileSignedFuncs builds the signed add/sub closures for spec,
-// semantically identical to the reference AddSigned/SubSigned. Each
-// strategy with a closed form inlines it — including operand inversion for
-// the subtract path and the sign extension — so an accumulation chain pays
-// a single indirect call per operation; kinds without a closed form wrap
-// the compiled AddCarry.
-func compileSignedFuncs(spec arith.Adder, fn addFunc) (add, sub func(int64, int64) int64) {
-	w := spec.Width
-	mW := mask(w)
-	sign := uint64(1) << (w - 1)
-	k := effectiveLSBs(spec)
-	switch {
-	case k == 0:
-		return func(a, b int64) int64 {
-				x := (uint64(a) + uint64(b)) & mW
-				if x&sign != 0 {
-					return int64(x | ^mW)
-				}
-				return int64(x)
-			}, func(a, b int64) int64 {
-				x := (uint64(a) - uint64(b)) & mW
-				if x&sign != 0 {
-					return int64(x | ^mW)
-				}
-				return int64(x)
-			}
-	case spec.Kind == approx.ApproxAdd4 || spec.Kind == approx.ApproxAdd5:
-		mk := mask(k)
-		inv := spec.Kind == approx.ApproxAdd4
-		wiring := func(negB bool) func(int64, int64) int64 {
-			return func(a, b int64) int64 {
-				ua := uint64(a) & mW
-				ub := uint64(b) & mW
-				if negB {
-					ub = ^ub & mW
-				}
-				low := ub & mk
-				if inv {
-					low = ^ua & mk
-				}
-				c := (ua >> (k - 1)) & 1
-				x := (low | ((ua>>k)+(ub>>k)+c)<<k) & mW
-				if x&sign != 0 {
-					return int64(x | ^mW)
-				}
-				return int64(x)
-			}
-		}
-		return wiring(false), wiring(true)
-	case spec.Kind == approx.ApproxAdd2:
-		mk := mask(k)
-		ama2 := func(negB bool) func(int64, int64) int64 {
-			return func(a, b int64) int64 {
-				ua := uint64(a) & mW
-				ub := uint64(b) & mW
-				var cin uint64
-				if negB {
-					ub = ^ub & mW
-					cin = 1
-				}
-				x, cf := bits.Add64(ua, ub, cin)
-				if w < 64 {
-					cf = (x >> w) & 1
-				}
-				couts := ((ua ^ ub ^ x) >> 1) | cf<<(w-1)
-				x = ((x &^ mk) | (^couts & mk)) & mW
-				if x&sign != 0 {
-					return int64(x | ^mW)
-				}
-				return int64(x)
-			}
-		}
-		return ama2(false), ama2(true)
-	default:
-		return func(a, b int64) int64 {
-				s, _ := fn(uint64(a), uint64(b), 0)
-				return arith.ToSigned(s, w)
-			}, func(a, b int64) int64 {
-				s, _ := fn(uint64(a), ^uint64(b)&mW, 1)
-				return arith.ToSigned(s, w)
-			}
-	}
+// AddSigned adds two signed values through the two's-complement datapath,
+// like the reference: the Width-bit sum, sign-extended.
+func (ad *Adder) AddSigned(a, b int64) int64 {
+	s, _ := ad.fn(uint64(a), uint64(b), 0)
+	return arith.ToSigned(s, ad.spec.Width)
+}
+
+// SubSigned subtracts b from a through the two's-complement datapath,
+// like the reference: a + NOT b + 1, sign-extended.
+func (ad *Adder) SubSigned(a, b int64) int64 {
+	s, _ := ad.fn(uint64(a), ^uint64(b)&mask(ad.spec.Width), 1)
+	return arith.ToSigned(s, ad.spec.Width)
 }
 
 // effectiveLSBs mirrors the reference: the accurate cell kind makes the
@@ -221,10 +145,10 @@ func ama2Add(w, k int) addFunc {
 }
 
 // chunkLUTs holds the lazily built byte-wide chunk tables, one per cell
-// kind that needs them (AMA1/AMA3, plus any future kind without a closed
-// form). Entry layout: index cin<<16 | aByte<<8 | bByte; bits 0..7 of the
-// uint32 value are the chunk's sum bits and bit 8+j is the carry out of
-// cell j.
+// kind that needs them: AMA1/AMA3, whose addFunc reads one, and the
+// kinds the generic chain adds through (AMA1-AMA4). Entry layout: index
+// cin<<16 | aByte<<8 | bByte; bits 0..7 of the uint32 value are the
+// chunk's sum bits and bit 8+j is the carry out of cell j.
 var chunkLUTs [approx.NumAdderKinds]struct {
 	once sync.Once
 	tab  []uint32

@@ -189,10 +189,10 @@ var (
 // BenchmarkTableFill measures a cold table fill: each op builds one fresh
 // table and fills it whole, allocation and sub-product tables included,
 // for the explorer's spec (Width 16, AppMultV1, ApproxAdd5) at k 4, 8, 12
-// and 16 with coefficients 6 and 31. proj16 is an added, rounded
-// projection onto a 16-bit chain (uint16 at every k), proj32 a
-// subtracted, rounded one onto the pipeline's 32-bit chain (uint32 at
-// every k) and const32 an int32 const-mul table; each reports ns per
+// and 16 with coefficients 6 and 31. proj16 is an added AMA5 projection
+// onto a 16-bit chain (uint16 at every k), proj32 a subtracted one onto
+// the pipeline's 32-bit chain (uint32 at every k) and const32 an int32
+// const-mul table; each reports ns per
 // operand magnitude filled. subproducts builds the two sub-product
 // tables alone, which every fill of a coefficient starts with.
 func BenchmarkTableFill(b *testing.B) {
@@ -212,10 +212,10 @@ func BenchmarkTableFill(b *testing.B) {
 			}
 			name := fmt.Sprintf("k%d/c%d", k, c)
 			b.Run(name+"/proj16", func(b *testing.B) {
-				perMag(b, func() { projSink = m.FillProj(c, 16, k, false, true) })
+				perMag(b, func() { projSink = m.FillProj(c, 16, k, false) })
 			})
 			b.Run(name+"/proj32", func(b *testing.B) {
-				perMag(b, func() { projSink = m.FillProj(c, 32, k, true, true) })
+				perMag(b, func() { projSink = m.FillProj(c, 32, k, true) })
 			})
 			b.Run(name+"/const32", func(b *testing.B) {
 				perMag(b, func() {

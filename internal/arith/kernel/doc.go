@@ -41,9 +41,33 @@
 //     cells reads its exit carry from bit 7+r. A 16-bit approximate region
 //     costs two lookups instead of sixteen cell evaluations. One table is
 //     512 KiB; tables are built lazily once per cell kind that needs them
-//     (only AMA1 and AMA3 in the current library), so the worst-case
-//     resident budget is 1 MiB. The chunk path is also the generic fallback
-//     for any future cell kind without a dedicated closed form.
+//     — AMA1 and AMA3 for their scalar adder, and AMA1-AMA4 for a generic
+//     chain that adds through them (see below) — so the worst-case
+//     resident budget is four kinds, 2 MiB. The chunk path is also the
+//     generic fallback for any future cell kind without a dedicated closed
+//     form.
+//
+// These scalar forms stay for every kind: each plan walk, table fill,
+// generic chain and re-fold window adds through the compiled adder, and
+// Adder.AddSigned and SubSigned are its signed operations.
+//
+// # Fast strategies for the traffic that exists
+//
+// A strategy specialized to a cell kind exists only where a workload runs
+// it. The paper's designs run every stage either exact or on ApproxAdd5
+// (AMA5) with AppMultV1, so two classes keep fast paths:
+//
+//   - AMA5 with k > 0: its projected chain, its sliding chain, its O(1)
+//     integrator window and its inline row fill;
+//   - exact stages: the fused MAC, the native window and the table-free
+//     tier.
+//
+// Every other configuration — AMA1-AMA4, and a chain whose exact adder
+// does not fuse to the MAC (an approximate multiplier, or a coefficient
+// out of range) — runs the one generic chain, the re-fold window and full
+// tables: bit-identical to the bit-serial models, and slower. A fast path
+// for another kind comes back together with a workload that measures its
+// win.
 //
 // # Multiplier plans
 //
@@ -62,37 +86,28 @@
 // FIR taps only ever multiply the signal by small fixed coefficients
 // (LPF 1..6, HPF -1/31, DER +-1/+-2), so ConstMulTable captures the
 // products of one (coefficient, multiplier-config) pair once and the
-// whole approximate multiply becomes one or two cache-resident loads.
-// The representation is tiered by what the compiled plan allows —
-// shared sub-product tables, then an int32 full table, then int64:
+// whole approximate multiply becomes one cache-resident load. The
+// representation is tiered by what the compiled plan allows:
 //
 //   - Exact plans carry no table at all: the product is a native multiply
 //     behind a branch-free sign-magnitude wrapper, and a fully exact FIR
 //     chain fuses further into plain multiply-accumulate (see below).
 //     Every k = 0 stage of a design therefore costs zero table bytes.
 //
-//   - Shared sub-product tier: when the plan's top-level decomposition is
-//     exact (both accumulation adders of the composite root reduce to
-//     native addition), the full table collapses to two 2^(Width/2)-entry
-//     packed tables — each root sub-product depends on only one half of
-//     the operand — plus the compiled combining adder. 2 KiB instead of
-//     512 KiB at the pipeline's 16-bit width. The tables build by
-//     recursion: each root child's 2^(Width/2) products come through the
-//     child's own decomposition, its four children's smaller tables
-//     combined row by row (see "Row fills"), down to leaf and exact nodes,
-//     which enumerate.
-//
-//   - int32 full tier: plans whose root combines approximately keep the
-//     full 2^Width table — re-running the approximate combining per
-//     lookup costs more than the load it replaces — but fill it from the
-//     same sub-product tables, one row at a time, and store int32 entries
-//     whenever a bound proves every product fits (see "On-demand fills"),
-//     else
+//   - int32 full tier: every other plan keeps the full 2^Width table and
+//     stores int32 entries whenever a bound proves every product fits
+//     (see "On-demand fills"), else
 //
 //   - int64 full tier.
 //
-// A plan with a 2-bit leaf root (Width 2) has no decomposition, so its
-// full table fills through the plan walk, one magnitude at a time.
+// A composite plan fills its table by rows from two 2^(Width/2)-entry
+// sub-product tables: each root sub-product depends on only one half of
+// the operand. The sub-product tables build by recursion: each root
+// child's 2^(Width/2) products come through the child's own
+// decomposition, its four children's smaller tables combined row by row
+// (see "Row fills"), down to leaf and exact nodes, which enumerate. A
+// plan with a 2-bit leaf root (Width 2) has no decomposition, so its full
+// table fills through the plan walk, one magnitude at a time.
 //
 // # Row fills
 //
@@ -101,19 +116,20 @@
 // the root's three accumulations, and every magnitude of a row shares
 // ahi. So a row computes addMid's first operand hl, rounded to its upper
 // slice, and the last accumulation's operand hh << Width once, and one
-// loop over the row's low halves runs the three adds. For exact, AMA4 and
-// AMA5 root adders (every design the explorer reaches) that loop runs
-// their closed form inline, which needs no shift: AMA5 adds b to a
-// rounded to a multiple of 2^k, AMA4 takes ^a's low k bits in place of
-// b's, and exact addition is k = 0. AMA1-AMA3 call the compiled adders
-// from the same loop. The consumers — a full const-mul tier's fillSigned and a
-// projection's fillProj — take the products fillStep magnitudes at a time
-// and write both signs of each; the minimum operand keeps its single
-// negative entry. A fill may start or end inside a row.
+// loop over the row's low halves runs the three adds. For exact and AMA5
+// root adders (every design the explorer reaches) that loop runs their
+// closed form inline, which needs no shift: AMA5 adds b to a rounded to a
+// multiple of 2^k, and exact addition is k = 0. AMA1-AMA4 call the
+// compiled adders from the same loop. The consumers — a full const-mul
+// tier's fillSigned and a projection's fillProj — take the products
+// fillStep magnitudes at a time and write both signs of each; the minimum
+// operand keeps its single negative entry. A fill may start or end inside
+// a row.
 //
 // SquareTable squares depend on both halves of their single operand at
-// once, so the sub-product tier does not apply: exact specs are
-// table-free, everything else keeps an int32 full table. An exact square
+// once, so the row fills do not apply: exact specs are table-free,
+// everything else keeps an int32 full table filled through the plan
+// walk. An exact square
 // is the plain square v*v of the operand v sign-extended from Width bits:
 // |v| <= 2^(Width-1), so the 2*Width-bit product needs no mask and no
 // sign extension.
@@ -121,16 +137,17 @@
 // # Chain projections, sliding windows, MAC fusion and lazy raw tables
 //
 // The compiled chains layer two more compiled projections on top of the
-// tiers. For the wiring adders (AMA4/AMA5) the closed form sums, per tap,
-// only an upper slice of the product plus a carry bit; newChainProj
-// bakes that whole term into a 2^Width projection table per
-// (coefficient, polarity, k) — uint16 entries whenever a bound proves
-// every term fits (halving the footprint per chain polarity), uint32
-// otherwise — making each projected tap one load and one add.
-// And because those terms add in plain modular arithmetic, a long run of
-// taps sharing one projection over contiguous lags — the 32-tap high-pass
-// shape — collapses to an O(1) sliding window per sample (add the
-// entering term, drop the leaving one, correct the few differing taps).
+// tiers. For the AMA5 adder the closed form sums, per tap before the
+// last, only an upper slice of the product plus a carry bit;
+// newChainProj bakes that whole term, (ub + 2^(k-1)) >> k, into a
+// 2^Width projection table per (coefficient, polarity, k) — uint16
+// entries whenever a bound proves every term fits (halving the footprint
+// per chain polarity), uint32 otherwise — making each projected tap one
+// load and one add. And because those terms add in plain modular
+// arithmetic, a long run of taps sharing one projection over contiguous
+// lags — the 32-tap high-pass shape — collapses to an O(1) sliding window
+// per sample (add the entering term, drop the leaving one, correct the
+// few differing taps).
 // Fully exact chains fuse the other way: with an exact accumulator and
 // exact in-range products, sliced products equal plain integer products
 // and native accumulation is associative, so the whole chain is one
@@ -154,21 +171,18 @@
 //
 // # Check-free loops past the deepest lag
 //
-// Only a position below a chain's deepest tap lag can read before xs[0].
-// The strategies the paper's designs reach — the fused MAC, the AMA5
-// wiring chain in both projection tiers and the AMA5 sliding window —
-// run every later position with no j >= 0 test, over compact per-tap
-// (lag, table) arrays that NewChain builds once (32 bytes a projected
-// tap, split by projection tier, instead of a 120-byte chainOp and a tier
-// branch per tap). The checked loop stays as the head and runs only the
-// earlier positions, reading xs[:deep]. A stream's window runs from its
-// history length, the tap count, so only a whole-record run from 0 has a
-// head. The AMA1-AMA4, native and generic strategies keep their checked
-// loops throughout.
+// Chain.Run starts past the chain's deepest tap lag, so every position
+// reads each tap's sample inside xs, and no strategy loop tests an index:
+// xs[:from] is the history. A stream's window runs from its history
+// length, the tap count; a whole record runs its first positions as one
+// such window over a cleared delay line (dsp.FIR.FilterInto). The fused
+// MAC, the AMA5 chain in both projection tiers and the AMA5 sliding
+// window read compact per-tap (lag, table) arrays that NewChain builds
+// once (32 bytes a projected tap, split by projection tier, instead of a
+// 120-byte chainOp and a tier branch per tap).
 //
-// Past the head, the two AMA5 strategies evaluate a span of at least
-// passMin positions (4) in passes over dst, which serves as the
-// accumulator. Each projected tap is one small loop that adds its terms
+// The two AMA5 strategies evaluate a span of at least passMin positions
+// (4) in passes over dst, which serves as the accumulator. Each projected tap is one small loop that adds its terms
 // tab[x&m] over the span (the first writes them); the sliding window is
 // one pass that carries its running sum S; each correction tap is one
 // pass, and one more subtracts the majority term it replaces; a last pass
@@ -201,13 +215,12 @@
 //
 // Projections fill straight from the compiled plan's products (by rows,
 // see "Row fills"; productFn for exact and leaf-root plans), so a
-// projected tap never needs its raw 2^Width table. NewChain exploits that by materializing raw ConstMulTables only for
-// the taps its strategy actually reads products from: every tap of the
-// generic/native/chunk strategies, just the boundary taps of a wiring
-// chain (the AMA5 last operand / AMA4 opening accumulator), none of a
-// fused chain. Every FIR entry point evaluates through its chain, so no
-// workload — exploration or live streams — ever builds the interior
-// taps' 256 KiB tables.
+// projected tap never needs its raw 2^Width table. NewChain exploits that
+// by materializing raw ConstMulTables only for the taps its strategy
+// actually reads products from: every tap of the generic chain, just the
+// last operand of an AMA5 chain, none of a fused chain. Every FIR entry
+// point evaluates through its chain, so no workload — exploration or
+// live streams — ever builds the interior taps' 256 KiB tables.
 //
 // CacheStats reports the allocated and the filled bytes of every tier
 // (and DropCaches empties the caches for cold-build benchmarks), so the
@@ -225,8 +238,8 @@
 // enumeration at creation held.
 //
 // One coverage word per table replaces a page bitmap. Every operand a
-// chain reads is either a sample of one signal or the zero padding before
-// it, and a fill writes both signs of each magnitude, so what is filled
+// chain reads is either a sample of one signal or the zeros of a cleared
+// delay line before it, and a fill writes both signs of each magnitude, so what is filled
 // is always one interval: every entry with |x| < M. A read takes the
 // largest |x| over its operands; when that reaches M it locks the
 // table's mutex, fills magnitudes [M, M') with M' the next multiple of
@@ -260,7 +273,7 @@
 //     the core stays below 2^31 and both signs fit. Otherwise it is
 //     int64;
 //   - a projection is uint16 when its largest possible term fits:
-//     (maxUB + round*2^(k-1)) >> k <= 0xffff, where maxUB is the largest
+//     (maxUB + 2^(k-1)) >> k <= 0xffff, where maxUB is the largest
 //     w-bit pattern the tap feeds the chain. That is 2^w - 1 for a
 //     subtracted tap, and 2^w - 2^z for an added one, with z =
 //     min(ApproxLSBs, Width) for an AMA5 plan with a composite root and
@@ -283,50 +296,49 @@
 //   - exact: the slots themselves;
 //   - AMA5: slots 0..W-2 each add ub>>k plus bit k-1 of ub, which is
 //     (ub + 2^(k-1)) >> k; slot W-1 adds ub>>k and supplies the low k
-//     bits;
-//   - AMA4: slots 1..W-1 each add ub>>k; slot 0 is the opening
-//     accumulator and adds ub>>k + (W-1)/2 + bit(k-1)*((W-1)&1), and its
-//     low bits leave complemented when W-1 is odd.
+//     bits.
 //
 // A sample written to a slot therefore changes one term, and Adder.Slide
 // keeps the window in O(1) per sample on one running-sum word: S sums one
 // term form over every slot (S += term(new) - term(old)), and the output
 // corrects for the one special slot, read from the ring (AMA5 drops slot
-// W-1's carry bit, AMA4 adds slot 0's carries). A uint64 wrap of S does
-// no harm, because only the low w-k bits of the upper sum u survive
-// u<<k & mask(w). The running sums slice their outputs with the shifts
-// computed once per call (see the passes above). The adder picks its
-// window strategy when it compiles:
-// the running sum for exact adders and for AMA4/AMA5, the per-sample
-// re-fold through the signed closure for AMA1-AMA3. Like a Chain, the
-// strategy is immutable and holds no stream state, so a stream keeps only
-// its ring, cursor and running sum.
+// W-1's carry bit). A uint64 wrap of S does no harm, because only the low
+// w-k bits of the upper sum u survive u<<k & mask(w). The running sums
+// slice their outputs with the shifts computed once per call (see the
+// passes above). The adder picks its window strategy when it compiles:
+// the running sum for exact adders and for AMA5, the per-sample re-fold
+// through Adder.AddSigned for AMA1-AMA4. Like a Chain, the strategy is
+// immutable and holds no stream state, so a stream keeps only its ring,
+// cursor and running sum.
 //
 // # Continuation by start index
 //
 // Chain.Run(dst, xs, from, ...) evaluates positions from..len(xs)-1 of
-// the signal xs, reading zero before xs[0], and writes position i to
-// dst[i-from]: dst receives the evaluated positions and nothing else.
-// Every strategy computes position i from xs[i-lag] with lag at most the
-// deepest tap lag, so the start index is the only difference between the
-// two ways a signal reaches a chain:
+// the signal xs and writes position i to dst[i-from]: dst receives the
+// evaluated positions and nothing else. Every strategy computes position
+// i from xs[i-lag] with lag at most the deepest tap lag, and from lies
+// past that lag, so xs[:from] is the history and every read lies in xs.
+// A signal reaches a chain in one way, as a window of its history
+// followed by new samples:
 //
-//   - a whole record runs from 0 into a dst as long as the record
-//     (dsp.FIR.FilterInto, the design-space exploration);
 //   - a stream's window, its last n inputs (n the tap count) followed by
 //     the next block, runs from n straight into the block's destination
 //     (dsp.FIR.Block, the serve drain; dsp.FIR.Process is a one-sample
-//     block).
+//     block);
+//   - a whole record (dsp.FIR.FilterInto, the design-space exploration)
+//     runs its first n positions as one such block after a cleared delay
+//     line of n zeros, which is what the positions before xs[0] read, and
+//     the rest from n over the record itself.
 //
 // The history is only read, never evaluated: evaluating the window from
 // 0 and discarding the history outputs would waste, for a 24-sample
 // serve frame through the Pan-Tompkins FIRs, 48 of the 120 positions
-// computed (LPF 11, HPF 32, DER 5). The sliding-window wiring
-// strategy seeds its window from the samples before from, and a fused
-// recurrence its accumulators, so they continue exactly too. Because a
-// Chain holds no signal state, one compiled chain serves every stream of
-// a design. TestChainContinuation pins that a run over [history | block]
-// from len(history) writes exactly the whole-signal run's outputs at the
+// computed (LPF 11, HPF 32, DER 5). The AMA5 sliding window seeds its
+// window from the samples before from, and a fused recurrence its
+// accumulators, so they continue exactly too. Because a Chain holds no
+// signal state, one compiled chain serves every stream of a design.
+// TestChainContinuation pins that a run over [history | block] from
+// len(history) writes exactly the whole-signal run's outputs at the
 // block's positions, and not one element past them, for every strategy;
 // FuzzChainRun checks fuzzed tap shapes from fuzzed start indices
 // against the scalar fold.

@@ -10,9 +10,10 @@ import "github.com/xbiosip/xbiosip/internal/arith"
 // ConstFits32 is the int32 bound of a full const-mul table (constFits32).
 func ConstFits32(spec arith.Multiplier, c int64) bool { return constFits32(spec, c) }
 
-// ProjFits16 is the uint16 bound of a chain projection (projFits16).
-func ProjFits16(spec arith.Multiplier, w, k int, neg, round bool) bool {
-	return projFits16(spec, w, k, neg, round)
+// ProjFits16 is the uint16 bound of an AMA5 chain projection
+// (projFits16).
+func ProjFits16(spec arith.Multiplier, w, k int, neg bool) bool {
+	return projFits16(spec, w, k, neg)
 }
 
 // Products returns the signed product of +mag with c for every magnitude
@@ -30,10 +31,10 @@ func (m *Multiplier) SubProductTables(cm uint64) (lo, hi []uint32) {
 	return m.root.subProductTables(cm & m.opMask)
 }
 
-// FillProj builds a fresh projection of c through the plan, for a chain
-// of width w with k approximated LSBs, and fills it whole.
-func (m *Multiplier) FillProj(c int64, w, k int, neg, round bool) ProjTable {
-	p := newChainProj(m, c, w, k, neg, round)
+// FillProj builds a fresh projection of c through the plan, for an AMA5
+// chain of width w with k approximated LSBs, and fills it whole.
+func (m *Multiplier) FillProj(c int64, w, k int, neg bool) ProjTable {
+	p := newChainProj(m, c, w, k, neg)
 	p.cov.cover(p.cov.half)
 	return p
 }
@@ -55,12 +56,6 @@ func (ad *Adder) Sub(a, b uint64) uint64 {
 	s, _ := ad.fn(a, ^b&mask(ad.spec.Width), 1)
 	return s
 }
-
-// AddSigned adds two signed values through the two's-complement datapath.
-func (ad *Adder) AddSigned(a, b int64) int64 { return ad.addS(a, b) }
-
-// SubSigned subtracts b from a through the two's-complement datapath.
-func (ad *Adder) SubSigned(a, b int64) int64 { return ad.subS(a, b) }
 
 // Spec returns the configuration the plan was compiled from.
 func (m *Multiplier) Spec() arith.Multiplier { return m.spec }

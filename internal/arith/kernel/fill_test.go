@@ -81,10 +81,10 @@ func chainTiers(c *Chain) map[string]bool {
 	return got
 }
 
-// fillChainCases returns the chain shapes the fill tests run: wiring
-// chains that read uint16 and uint32 projections (the 14-tap AMA5 shape
-// through the sliding window) and a chunk chain that reads int64 raw
-// tables.
+// fillChainCases returns the chain shapes the fill tests run: an AMA5
+// chain that reads uint16 and uint32 projections (the 14-tap shape
+// through the sliding window), and generic chains that read int32 (AMA4)
+// and int64 (AMA1) raw tables.
 func fillChainCases() []fillChainCase {
 	hpf := make([]ChainOp, 14)
 	for i := range hpf {
@@ -99,7 +99,7 @@ func fillChainCases() []fillChainCase {
 			hpf, []string{"proj16", "proj32", "raw32"}},
 		{"ama4-k8", arith.Adder{Width: 32, ApproxLSBs: 8, Kind: approx.ApproxAdd4},
 			arith.Multiplier{Width: 16, ApproxLSBs: 8, Mult: approx.AppMultV2, Add: approx.ApproxAdd4},
-			mixed, []string{"proj32", "raw32"}},
+			mixed, []string{"raw32"}},
 		{"ama1-k20", arith.Adder{Width: 32, ApproxLSBs: 9, Kind: approx.ApproxAdd1},
 			arith.Multiplier{Width: 16, ApproxLSBs: 20, Mult: approx.AppMultV2, Add: approx.ApproxAdd1},
 			mixed, []string{"raw64"}},
@@ -108,8 +108,8 @@ func fillChainCases() []fillChainCase {
 
 // TestTablesFillOnDemand reads fresh full tables of every class and tier
 // through every reading entry point — Mul, Square, SquareSlice and
-// Chain.Run from 0, from a start index after a run that covered the
-// history, and at one position at a time — over operand sequences that
+// Chain.Run over a whole record, from a start index after a run that
+// covered the history, and at one position at a time — over operand sequences that
 // grow and shrink across fill steps. Every output must equal the full
 // enumeration: the reference MulSigned of the wrapped operand, and for
 // chains the bit-serial AddSigned fold of those products, which is what
@@ -205,9 +205,9 @@ func checkSquareFills(t *testing.T, spec arith.Multiplier, seqs [][]int64) {
 }
 
 // checkChainFills runs one chain shape over every operand sequence, each
-// run from fresh tables, in the three ways a signal reaches a chain:
-// whole, continued from a start index after a run over the history, and
-// one position at a time.
+// run from fresh tables and after a cleared delay line, in the three ways
+// a signal reaches a chain: whole, continued from a start index after a
+// run over the history, and one position at a time.
 func checkChainFills(t *testing.T, cc fillChainCase, seqs [][]int64) {
 	t.Helper()
 	ad, err := CompileAdder(cc.adder)
@@ -249,19 +249,23 @@ func checkChainFills(t *testing.T, cc fillChainCase, seqs [][]int64) {
 	}
 	for si, seq := range seqs {
 		dst := make([]int64, len(seq))
-		fresh().Run(dst, seq, 0, shift, outW)
+		runFromZeros(fresh(), dst, seq, shift, outW)
 		check("whole", si, seq, dst, 0)
 
 		for _, h := range []int{1, len(seq) / 2} {
 			c := fresh()
-			c.Run(dst[:h], seq[:h], 0, shift, outW)
-			c.Run(dst[h:], seq, h, shift, outW)
+			pad := historyLen(c)
+			padded := zeroPadded(seq, pad)
+			c.Run(dst[:h], padded[:pad+h], pad, shift, outW)
+			c.Run(dst[h:], padded, pad+h, shift, outW)
 			check(fmt.Sprintf("history %d", h), si, seq, dst, 0)
 		}
 
 		c := fresh()
+		pad := historyLen(c)
+		padded := zeroPadded(seq, pad)
 		for i := range seq {
-			c.Run(dst[i:i+1], seq[:i+1], i, shift, outW)
+			c.Run(dst[i:i+1], padded[:pad+i+1], pad+i, shift, outW)
 		}
 		check("per position", si, seq, dst, 0)
 	}
@@ -271,12 +275,12 @@ func checkChainFills(t *testing.T, cc fillChainCase, seqs [][]int64) {
 // enumeration through fresh tables: a const-mul and a square table read
 // per operand, and the 14-tap AMA5 k=16 chain (uint16 and uint32
 // projections, a raw table) run in blocks that continue from the
-// operands before them. The input draws the multiplier (Width 16, k=16,
+// operands before them, after a cleared delay line. The input draws the multiplier (Width 16, k=16,
 // AppMultV1) and the coefficient: the first byte picks the block length,
 // the next two an int16 coefficient c, which the const-mul table and the
 // chain's tap at lag 6 multiply by, and the fourth the multiplier's adder
-// kind — AMA5, AMA4 or exact, whose table fills run the closed form, or
-// AMA2, whose fills call the adders. A coefficient of 256 or more in
+// kind — AMA5 or exact, whose table fills run the closed form, or AMA4
+// or AMA2, whose fills call the adders. A coefficient of 256 or more in
 // magnitude, -2^15 included, makes the fills' hh term non-zero. Each
 // following 3-byte group is one operand: an int16 that the third byte
 // shifts down (mode%8) or replaces with a value past 16 bits (mode 8-9)
@@ -339,9 +343,11 @@ func FuzzTableFill(f *testing.F) {
 			t.Fatal(err)
 		}
 		dst := make([]int64, len(seq))
+		pad := historyLen(chain)
+		padded := zeroPadded(seq, pad)
 		for lo := 0; lo < len(seq); lo += block {
 			hi := min(lo+block, len(seq))
-			chain.Run(dst[lo:hi], seq[:hi], lo, 3, 29)
+			chain.Run(dst[lo:hi], padded[:pad+hi], pad+lo, 3, 29)
 		}
 		for i := range seq {
 			if want := scalarChain(cc.adder, ref, ops, seq, i, 3, 29); dst[i] != want {

@@ -197,13 +197,13 @@ func (n *mulNode) table(dst []int64, b uint64) {
 // coefficient of its sub-product tables lo and hi into dst. The operands
 // of one row share their high half ahi, so the row hoists the terms that
 // depend on it alone: addMid's first operand hl, rounded to its upper
-// slice (its carry) with AMA4's low bits, and the last addLo's second
-// operand hh << w. One loop over the row's low halves then runs the three
-// accumulations of eval's last lines. When both adders are exact, AMA4 or
-// AMA5, the loop is their shift-free closed form (see wiring), inline and
-// branch-free; other kinds call the compiled adders. addMid's sum needs
-// no mask: hl and lh are below 2^(2h), and so the sum, exact or not, is
-// below 2^(2h+1).
+// slice (its carry), and the last addLo's second operand hh << w. One
+// loop over the row's low halves then runs the three accumulations of
+// eval's last lines. When both adders are exact or AMA5, the loop is
+// their shift-free closed form (see wiring), inline and branch-free;
+// other kinds call the compiled adders. addMid's sum needs no mask: hl
+// and lh are below 2^(2h), and so the sum, exact or not, is below
+// 2^(2h+1).
 func (n *mulNode) rows(dst []int64, lo, hi []uint32, a0 uint64) {
 	h, w := uint(n.h)&63, uint(n.w)&63
 	midForm, okM := n.addMid.wiringForm()
@@ -217,11 +217,11 @@ func (n *mulNode) rows(dst []int64, lo, hi []uint32, a0 uint64) {
 		he := hi[a0>>h]
 		hl, hhw := uint64(he&0xffff), uint64(he>>16)<<w
 		if okM && okL {
-			hlUp, hhTerm := midForm.add(hl, 0), hhw&loForm.keepB
+			hlUp := midForm.add(hl, 0)
 			for i, le := range row {
 				ll, lh := uint64(le&0xffff), uint64(le>>16)
-				s := loForm.add(ll, (hlUp+lh&midForm.keepB)<<h) & mW
-				out[i] = int64((loForm.add(s, 0) + hhTerm) & mW)
+				s := loForm.add(ll, (hlUp+lh)<<h) & mW
+				out[i] = int64((loForm.add(s, 0) + hhw) & mW)
 			}
 		} else {
 			for i, le := range row {
@@ -236,85 +236,32 @@ func (n *mulNode) rows(dst []int64, lo, hi []uint32, a0 uint64) {
 	}
 }
 
-// wiring is the closed form of an exact, AMA4 or AMA5 adder, without a
-// shift, for operands that fit its width: the sum of a and b is add(a, b)
-// masked to the width. Both wiring kinds add the upper slices of a and b
-// with bit k-1 of a as the carry into them, and a's upper slice plus that
-// carry is a rounded to a multiple of 2^k, (a + 2^(k-1)) &^ mask(k). AMA5
-// keeps b's low k bits, so its sum is b plus rounded a; AMA4 takes ^a's
-// low bits in place of b's. Exact addition is the k = 0 case.
-type wiring struct{ half, up, keepB, lowA uint64 }
+// wiring is the closed form of an exact or AMA5 adder, without a shift,
+// for operands that fit its width: the sum of a and b is add(a, b) masked
+// to the width. AMA5 adds the upper slices of a and b with bit k-1 of a
+// as the carry into them, and a's upper slice plus that carry is a
+// rounded to a multiple of 2^k, (a + 2^(k-1)) &^ mask(k); it keeps b's
+// low k bits, so its sum is b plus rounded a. Exact addition is the k = 0
+// case.
+type wiring struct{ half, up uint64 }
 
-func (f wiring) add(a, b uint64) uint64 { return (a+f.half)&f.up + b&f.keepB + ^a&f.lowA }
+func (f wiring) add(a, b uint64) uint64 { return (a+f.half)&f.up + b }
 
 // wiringForm returns the adder's closed form; ok is false for the kinds
-// without one (AMA1-AMA3 with approximated LSBs).
+// without one (AMA1-AMA4 with approximated LSBs).
 func (ad *Adder) wiringForm() (f wiring, ok bool) {
 	k := effectiveLSBs(ad.spec)
-	f = wiring{half: uint64(1) << k >> 1, up: ^mask(k), keepB: ^uint64(0)}
-	switch {
-	case k == 0 || ad.spec.Kind == approx.ApproxAdd5:
-		return f, true
-	case ad.spec.Kind == approx.ApproxAdd4:
-		f.keepB, f.lowA = f.up, mask(k)
-		return f, true
+	if k != 0 && ad.spec.Kind != approx.ApproxAdd5 {
+		return wiring{}, false
 	}
-	return f, false
+	return wiring{half: uint64(1) << k >> 1, up: ^mask(k)}, true
 }
 
 // composite reports whether the plan has a composite root whose top-level
-// decomposition the table builders can exploit (false for exact plans and
+// decomposition the table fills run by rows (false for exact plans and
 // 2-bit leaf roots).
 func (m *Multiplier) composite() bool {
 	return m.root != nil && !m.root.leaf && !m.root.exact
-}
-
-// decompExact reports whether the plan's top-level decomposition is exact:
-// both accumulation adders of the composite root reduce to native
-// addition, so combining the four sub-products per lookup costs a handful
-// of word operations. This is the condition for the live decomposed table
-// tier — with approximate combining adders the per-lookup datapath costs
-// more than the full-table load it would replace.
-func (m *Multiplier) decompExact() bool {
-	return m.composite() && m.root.addMid.exact && m.root.addLo.exact
-}
-
-// constMulFunc compiles the signed constant-multiply closure over a pair
-// of sub-product tables: the per-sample form of the decomposed table tier
-// (see decompExact). The closure reproduces MulSigned exactly — branch-free
-// sign-magnitude split of the operand (its sign is data-dependent on the
-// signal, so a branch would mispredict), the root node's two exact
-// accumulations over the table entries, product slicing, sign
-// re-application (negC folds the fixed coefficient's sign in at compile
-// time) — fully inline.
-func (m *Multiplier) constMulFunc(lo, hi []uint32, negC bool) func(int64) int64 {
-	n := m.root
-	w := m.spec.Width
-	h := uint(n.h)
-	loMask := n.hMask
-	opMask := m.opMask
-	sign := uint(w - 1)
-	pm := n.prodMask & m.prodMask
-	sx := uint(64 - 2*w)
-	w2 := uint(n.w)
-	mM := mask(n.addMid.spec.Width)
-	mL := mask(n.addLo.spec.Width)
-	// cneg is the coefficient's sign as a flip mask XORed with the
-	// operand's at evaluation time.
-	var cneg uint64
-	if negC {
-		cneg = ^uint64(0)
-	}
-	return func(x int64) int64 {
-		mag, sgn := signMag(uint64(x)&opMask, opMask, sign)
-		le := lo[mag&loMask]
-		he := hi[mag>>h]
-		mid := (uint64(he&0xffff) + uint64(le>>16)) & mM
-		s := (uint64(le&0xffff) + mid<<h + uint64(he>>16)<<w2) & mL
-		p := sext(s&pm, sx)
-		flip := int64(sgn ^ cneg)
-		return (p ^ flip) - flip
-	}
 }
 
 // productFn returns the signed product of +mag with c for the plans a

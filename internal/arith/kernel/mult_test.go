@@ -148,7 +148,8 @@ func TestTablesMatchReference(t *testing.T) {
 		{Width: 16, ApproxLSBs: 8, Mult: approx.AppMultV1, Add: approx.ApproxAdd5},
 		{Width: 16, ApproxLSBs: 16, Mult: approx.AppMultV2, Add: approx.ApproxAdd2},
 		{Width: 16, ApproxLSBs: 12, Mult: approx.AppMultV1, Add: approx.ApproxAdd1},
-		// Exactly-combined plans: the live decomposed (sub-product) tier.
+		// Exactly combined roots: full tables filled through the rows'
+		// closed form at k = 0.
 		{Width: 16, ApproxLSBs: 8, Mult: approx.AppMultV1, Add: approx.AccAdd},
 		{Width: 16, ApproxLSBs: 6, Mult: approx.AppMultV2, Add: approx.AccAdd},
 		// Leaf roots: no decomposition.

@@ -63,8 +63,8 @@ type rowFillCase struct {
 }
 
 // rowFillCases returns the plans and coefficients TestRowFills fills. At
-// Width 16 every root-adder kind appears: exact, AMA4 and AMA5, which
-// fill through the closed form, and AMA1-AMA3, which call the adders.
+// Width 16 every root-adder kind appears: exact and AMA5, which fill
+// through the closed form, and AMA1-AMA4, which call the adders.
 // The coefficients are the explorer's 6 and 31 and three with a non-zero
 // high byte (300, 32767 and -32768), whose hh sub-products are non-zero;
 // -32768 and k > 16 take the int64 const-mul tier. At Width 4 and 8,
@@ -108,9 +108,8 @@ func rowFillCases(sample bool) []rowFillCase {
 // their fill functions in pieces that start and end inside rows and end
 // with the minimum operand, and checks every entry against the plan walk
 // (Multiplier.MulSigned) and a sample of operands against the bit-serial
-// arith.Multiplier.MulSigned. The projections cover both polarities, AMA5
-// rounding and AMA4 truncation, and chain widths 16 and 32. Both row
-// forms must run.
+// arith.Multiplier.MulSigned. The projections cover both polarities and
+// chain widths 16 and 32. Both row forms must run.
 func TestRowFills(t *testing.T) {
 	forms := map[bool]bool{}
 	for _, tc := range rowFillCases(testing.Short() || raceBuild) {
@@ -153,27 +152,22 @@ func TestRowFills(t *testing.T) {
 		for _, w := range []int{16, 32} {
 			k := min(tc.spec.ApproxLSBs, w)
 			for _, neg := range []bool{false, true} {
-				for _, round := range []bool{false, true} {
-					p := newChainProj(m, tc.c, w, k, neg, round)
-					fill(p.cov)
-					term := projTerm{mW: mask(w), k: uint(k)}
-					if neg {
-						term.nm = ^uint64(0)
+				p := newChainProj(m, tc.c, w, k, neg)
+				fill(p.cov)
+				term := projTerm{mW: mask(w), half: uint64(1) << (k - 1), k: uint(k)}
+				if neg {
+					term.nm = ^uint64(0)
+				}
+				for u := 0; u < p.Entries(); u++ {
+					got := uint64(0)
+					if p.u16 != nil {
+						got = uint64(p.u16[u])
+					} else {
+						got = uint64(p.u32[u])
 					}
-					if round {
-						term.half = uint64(1) << (k - 1)
-					}
-					for u := 0; u < p.Entries(); u++ {
-						got := uint64(0)
-						if p.u16 != nil {
-							got = uint64(p.u16[u])
-						} else {
-							got = uint64(p.u32[u])
-						}
-						if want := term.of(product(u)); got != want {
-							t.Fatalf("%+v c=%d w=%d k=%d neg=%v round=%v: entry %d = %d, plan walk %d",
-								tc.spec, tc.c, w, k, neg, round, u, got, want)
-						}
+					if want := term.of(product(u)); got != want {
+						t.Fatalf("%+v c=%d w=%d k=%d neg=%v: entry %d = %d, plan walk %d",
+							tc.spec, tc.c, w, k, neg, u, got, want)
 					}
 				}
 			}
@@ -183,7 +177,7 @@ func TestRowFills(t *testing.T) {
 			t.Fatal(err)
 		}
 		if tab.cov == nil {
-			continue // the exact or decomposed tier fills nothing
+			continue // the exact tier fills nothing
 		}
 		fill(tab.cov)
 		for u := range 1 << tc.spec.Width {

@@ -3,7 +3,6 @@ package kernel
 import (
 	"cmp"
 	"math"
-	"math/bits"
 	"slices"
 	"sync/atomic"
 
@@ -15,41 +14,48 @@ import (
 // evaluated over a span of sample positions per call (the integrator's
 // window strategies live in window.go).
 //
-// Folding a FIR's taps through AddSigned/SubSigned pays one indirect call
-// per elementary operation. A Chain hoists that call out of the loops
-// entirely: it runs a FIR's complete per-sample product accumulation —
-// every tap's table lookup and the adder's closed form inlined, the
-// accumulator held in a register — as one call per span of positions.
-// For the chunk-LUT kinds (AMA1/AMA3) a region of up to eight
-// approximated LSBs is one packed byte-wide table access per operation,
-// so the paper's configurations (k <= 16) cost at most two lookups per
-// accumulate.
+// A Chain runs a FIR's complete per-sample product accumulation — every
+// tap's table lookup and the adder's closed form inlined, the accumulator
+// held in a register — as one call per span of positions. There are three
+// strategies, one per class of traffic (see "Fast strategies for the
+// traffic that exists" in the package documentation):
 //
-// Most strategies run sample-major: one loop over the positions, each
-// folding every tap. The strategies the paper's designs reach evaluate a
-// span long enough to repay a few calls tap-major instead: the AMA5
-// wiring chain and sliding window (design B9's LPF and DER, and its HPF)
-// from passMin positions, and the fused exact MAC (every k = 0 FIR) from
-// macPassMin, or from its recurrence's minSpan. Their per-tap terms are a
-// modular sum, so dst serves as the accumulator and each tap, or pair of
-// MAC taps, is one pass over the span whose loop keeps its few values in
-// registers (see termPass and macPass); a last pass slices the span.
+//   - the fused exact MAC (macChain): an exact adder over exact in-range
+//     products, every k = 0 FIR of the paper's designs;
+//   - the AMA5 chains (ama5Chain, and slidingAMA5 for the high-pass
+//     shape): an AMA5 adder with k > 0 over more than one tap, design
+//     B9's LPF, HPF and DER;
+//   - the generic chain (chunkChain) for every other configuration: it
+//     folds each tap through the adder's approximate region, 8 cells per
+//     chunk-LUT lookup, or natively at k = 0.
+//
+// The fused MAC and the AMA5 chains evaluate a span long enough to repay
+// a few calls tap-major: the AMA5 chains from passMin positions, the MAC
+// from macPassMin, or from its recurrence's minSpan. Their per-tap terms
+// are a modular sum, so dst serves as the accumulator and each tap, or
+// pair of MAC taps, is one pass over the span whose loop keeps its few
+// values in registers (see termPass and macPass); a last pass slices the
+// span. A shorter span runs sample-major: one loop over the positions,
+// each folding every tap.
 //
 // The slicing loops the paper's designs run over many positions — those
 // last passes and the integrator's running sums (window.go) — compute the
 // output slicing's shifts once per call (see sliceShifts); finish stays
-// the definition, the general path and the slicing of the other
-// strategies.
+// the definition, the general path and the slicing of the short spans
+// and the generic chain.
 //
-// A strategy writes position i to dst[i-from]. Its sample-major loops
-// count positions: one over dst indices keeps one more value live, which
-// spills the running sum of a loop over the taps on every tap.
+// Every strategy reads position i's taps at xs[i-lag] with no test: Run
+// starts past the chain's deepest tap lag, so xs[:from] is the history
+// every position reads. A strategy writes position i to dst[i-from]. Its
+// sample-major loops count positions: one over dst indices keeps one more
+// value live, which spills the running sum of a loop over the taps on
+// every tap.
 //
 // Chains also own the decision of which product representations exist at
-// all: a tap the strategy reads only through a wiring-chain projection
-// never materializes its 2^Width raw product table (NewChain builds the
+// all: a tap an AMA5 chain reads only through a projection never
+// materializes its 2^Width raw product table (NewChain builds the
 // projection straight from the compiled multiplier plan), so a design
-// keeps just its wiring chains' boundary-tap raw tables.
+// keeps just its AMA5 chains' last-tap raw tables.
 //
 // Every chain and window strategy is bit-identical to folding the
 // corresponding scalar operations; slice_test.go checks all cell kinds
@@ -65,16 +71,14 @@ type ChainOp struct {
 	Sub   bool
 }
 
-// ProjTable is one cached wiring-chain projection (see newChainProj):
+// ProjTable is one cached AMA5 chain projection (see newChainProj):
 // entry x holds a tap's whole upper-slice term. Entries are stored as
 // uint16 when a bound proves every term fits (see projFits16), halving
 // the footprint per chain polarity, and uint32 otherwise. Exactly one
-// tier is set. The checked strategy loops test the tier once per table
-// and keep the load inline (see wiringChain and slidingWiring), so the
-// halved footprint costs one perfectly-predicted branch instead of a
-// function call; the check-free AMA5 loops and passes split their taps
-// by tier (projTaps) and test nothing. The entries fill on demand, when
-// the Run of a chain reading the table reaches new operand magnitudes.
+// tier is set. The AMA5 loops and passes split their taps by tier
+// (projTaps), and the sliding window is stenciled per tier, so no loop
+// tests it. The entries fill on demand, when the Run of a chain reading
+// the table reaches new operand magnitudes.
 type ProjTable struct {
 	u16 []uint16
 	u32 []uint32
@@ -99,13 +103,12 @@ func (p ProjTable) Same(q ProjTable) bool {
 
 // chainOp is the compiled form of one tap. The product is evaluated
 // through the fastest available projection of its table, most specific
-// first: proj is the wiring-chain upper-slice projection (one load + one
-// add per tap, see wiringChain), tab32 the full table inline, mul the
-// fallback closure (table-free exact tier, decomposed tier, int64
-// tables). tab is the raw-table handle for footprint accounting (nil for
-// projected taps, whose raw tables are never built). neg is the subtract
-// flag lowered to the operand XOR mask / carry-in the strategy loops
-// consume branch-free.
+// first: proj is the AMA5 upper-slice projection (one load + one add per
+// tap, see ama5Chain), tab32 the full table inline, mul the fallback
+// closure (table-free exact tier, int64 tables). tab is the raw-table
+// handle for footprint accounting (nil for projected taps, whose raw
+// tables are never built). neg is the subtract flag lowered to the
+// operand XOR mask / carry-in the strategy loops consume branch-free.
 type chainOp struct {
 	proj  ProjTable
 	tab32 []int32
@@ -124,9 +127,9 @@ type macTap struct {
 	lag int
 }
 
-// projTap is one projected tap in the compact form the check-free AMA5
-// strategies read: its lag and its projection entries, 32 bytes instead
-// of a chainOp's 120.
+// projTap is one projected tap in the compact form the AMA5 strategies
+// read: its lag and its projection entries, 32 bytes instead of a
+// chainOp's 120.
 type projTap[T uint16 | uint32] struct {
 	lag int
 	tab []T
@@ -147,8 +150,7 @@ func (t *projTaps) add(op *chainOp) {
 	}
 }
 
-// sum adds the taps' terms at position i, which must be at or past their
-// deepest lag: no tap reads before xs[0].
+// sum adds the taps' terms at position i.
 func (t *projTaps) sum(xs []int64, i int, m uint64) uint64 {
 	var u uint64
 	for _, p := range t.p16 {
@@ -160,8 +162,8 @@ func (t *projTaps) sum(xs []int64, i int, m uint64) uint64 {
 	return u
 }
 
-// passMin is the shortest span of positions the check-free AMA5
-// strategies evaluate in passes; a shorter one, such as the single
+// passMin is the shortest span of positions the AMA5 strategies
+// evaluate in passes; a shorter one, such as the single
 // position of a FIR.Process sample, runs their sample-major loop. Each
 // pass costs a call and a reload of the span, which a few positions do
 // not repay: in a sweep of FIR.Block calls of 1 to 8 positions over
@@ -180,8 +182,8 @@ const passMin = 4
 const macPassMin = 6
 
 // addTo adds the taps' terms at positions from..from+len(d)-1 of xs to
-// d, one pass per tap. The positions must be at or past the taps'
-// deepest lag. With set, the first pass writes d instead of adding.
+// d, one pass per tap. With set, the first pass writes d instead of
+// adding.
 func (t *projTaps) addTo(d, xs []int64, from int, m uint64, set bool) {
 	for _, p := range t.p16 {
 		termPass(d, xs[from-p.lag:], p.tab, m, set)
@@ -241,11 +243,11 @@ func slidePass[T uint16 | uint32](d, enter, leave []int64, tab []T, m, S uint64)
 	}
 }
 
-// finishPass is the last pass of the check-free AMA5 strategies: d holds
-// the sum u of the projected terms at positions from..from+len(d)-1 of
-// xs, and the pass adds the last tap's raw product ub through the AMA5
-// closed form (see wiringChain) and slices the accumulator with the
-// shifts of sliceShifts.
+// finishPass is the last pass of the AMA5 strategies: d holds the sum u
+// of the projected terms at positions from..from+len(d)-1 of xs, and the
+// pass adds the last tap's raw product ub through the AMA5 closed form
+// (see ama5Chain) and slices the accumulator with the shifts of
+// sliceShifts.
 //
 // The closed form (ub&mk | (u + ub>>k)<<k) & mW is ub + u<<k in its low
 // w bits, and the slicing reads only those, so the pass masks nothing.
@@ -304,33 +306,29 @@ type Chain struct {
 // product is copied, or subtracted from zero, rather than added), exactly
 // like the scalar accumulation.
 //
-// Two chain-level fusions happen here. A fully exact chain (exact adder,
+// It picks one of three strategies. A fully exact chain (exact adder,
 // exact multiplier plan, every coefficient in range) collapses to native
 // multiply-accumulate: the sliced product of a Width-bit operand with
 // |c| < 2^(Width-1) is the plain integer product, and native accumulation
 // is associative modulo the accumulator width, so the whole chain is one
 // MAC loop — bit-identical and table-free — or, when the coefficients'
 // first or second difference is sparser, a recurrence over it (see
-// macChain). For the wiring adders (AMA4/AMA5) every tap that contributes
-// only its upper slice gets a projection table: the per-tap term
-// (ub >> k) + carry collapses to one load (see wiringChain and
-// newChainProj).
+// macChain). An AMA5 chain of k > 0 and more than one tap gives every tap
+// but the last a projection table, so the per-tap term (ub >> k) + carry
+// collapses to one load (see ama5Chain and newChainProj), and runs the
+// high-pass shape as a sliding window (slidingAMA5). Every other chain
+// runs the generic chunkChain over full product tables.
 //
-// The fused MAC and the AMA5 strategies (ama5Chain, slidingAMA5) also
-// take the chain's deepest lag here: every position at or past it reads
-// each tap's sample with no j >= 0 test, over compact per-tap arrays
-// built once, and the strategy's checked loop runs only the positions
-// before it, as the head (see runHead). Past the head, the AMA5
-// strategies run a span of at least passMin positions in passes, one per
-// tap, and the fused MAC a span of at least macPassMin (or its
-// recurrence's minSpan) in passes over pairs of taps; a shorter span runs
-// sample-major.
+// The fused MAC and the AMA5 strategies read compact per-tap arrays
+// built here. They run a span of at least passMin positions (AMA5) or
+// macPassMin, or the recurrence's minSpan (MAC), in passes, one per tap
+// or pair of taps; a shorter span runs sample-major.
 //
 // Raw product tables materialize only for the taps the chosen strategy
-// reads products from — every tap of the generic/native/chunk strategies,
-// just the boundary taps of a wiring chain, none of a fused one.
+// reads products from — every tap of the generic chain, just the last
+// tap of an AMA5 chain, none of a fused one.
 func (ad *Adder) NewChain(spec arith.Multiplier, ops []ChainOp) (*Chain, error) {
-	c := &Chain{ad: ad, fn: ad.chain}
+	c := &Chain{ad: ad}
 	if len(ops) == 0 {
 		c.fn = emptyChain
 		return c, nil
@@ -363,18 +361,14 @@ func (ad *Adder) NewChain(spec arith.Multiplier, ops []ChainOp) (*Chain, error) 
 		c.fused = true
 		return c, nil
 	}
-	invA := ad.spec.Kind == approx.ApproxAdd4
-	wiring := !ad.exact && (invA || ad.spec.Kind == approx.ApproxAdd5)
-	k := effectiveLSBs(ad.spec)
+	w, k := ad.spec.Width, effectiveLSBs(ad.spec)
 	last := len(c.ops) - 1
+	// AMA5 keeps the last operand's low region, so it reads that tap raw.
+	ama5 := k > 0 && ad.spec.Kind == approx.ApproxAdd5 && last != 0
 	for o := range c.ops {
 		op := &c.ops[o]
-		// AMA4 derives the low region from the raw opening accumulator;
-		// AMA5 keeps the last operand's low region, needs it raw. A
-		// single-tap chain's opening accumulator is the result.
-		projected := wiring && last != 0 && (invA && o != 0 || !invA && o != last)
-		if projected {
-			op.proj = cachedChainProj(m, ops[o].Coeff, ad.spec.Width, k, op.neg != 0, !invA)
+		if ama5 && o != last {
+			op.proj = cachedChainProj(m, ops[o].Coeff, w, k, op.neg != 0)
 			continue
 		}
 		t, err := CachedConstMulTable(spec, ops[o].Coeff)
@@ -392,14 +386,12 @@ func (ad *Adder) NewChain(spec arith.Multiplier, ops []ChainOp) (*Chain, error) 
 			c.covs = append(c.covs, cv)
 		}
 	}
-	if wiring && last != 0 {
-		plan, ok := slidePlanFor(c, invA)
-		switch {
-		case ok:
-			c.fn = slidingWiring(ad.spec.Width, k, invA, plan, c.ops)
-		case !invA:
-			c.fn = ama5Chain(ad.spec.Width, k, c.ops, ad.chain)
-		}
+	if !ama5 {
+		c.fn = chunkChain(w, k, ad.spec.Kind, last != 0)
+	} else if plan, ok := slidePlanFor(c); ok {
+		c.fn = slidingWiring(w, k, plan, c.ops)
+	} else {
+		c.fn = ama5Chain(w, k, c.ops)
 	}
 	if c.covs != nil {
 		c.fn = coverFirst(c.fn)
@@ -419,38 +411,7 @@ func coverFirst(run chainFunc) chainFunc {
 	}
 }
 
-// runHead runs a strategy's checked loop, its head, at the positions of a
-// run before deep, the deepest lag the strategy's taps read at: only
-// there can a tap read before xs[0]. The head runs on xs[:deep], which
-// holds every sample those positions read, into the first deep-from
-// elements of dst; then run, the strategy's check-free loop, continues
-// from deep into the rest. A stream's window runs from its history
-// length, at or past the deepest lag, so only a whole-record run from 0
-// has a head.
-//
-// A strategy calls runHead last, so that nothing of its loop stays live
-// across the calls, and runHead must not inline into it for the same
-// reason.
-//
-//go:noinline
-func runHead(run, head chainFunc, deep int, c *Chain, dst, xs []int64, from int, outShift uint, outWidth int) {
-	h := min(deep, len(xs))
-	head(c, dst[:h-from], xs[:h], from, outShift, outWidth)
-	if h < len(xs) {
-		run(c, dst[h-from:], xs, h, outShift, outWidth)
-	}
-}
-
-// deepestLag returns the largest lag of the chain's taps.
-func deepestLag(ops []chainOp) int {
-	deep := 0
-	for o := range ops {
-		deep = max(deep, ops[o].lag)
-	}
-	return deep
-}
-
-// slidePlan drives the sliding-window evaluation of a wiring chain's
+// slidePlan drives the sliding-window evaluation of an AMA5 chain's
 // projected taps. The projected per-tap terms form a plain modular sum,
 // so taps that share one projection table over a contiguous lag range
 // collapse to an O(1) sliding window per sample (add the entering term,
@@ -458,36 +419,32 @@ func deepestLag(ops []chainOp) int {
 // individually — the 32-tap high-pass shape goes from 31 projection loads
 // per sample to two window updates plus one correction.
 type slidePlan struct {
-	tab   ProjTable // majority projection table
-	mask  uint64
-	a, b  int   // contiguous lag range the window covers
-	corr  []int // op indices inside [a..b] projecting through another table
-	terms int   // b - a + 1
+	tab  ProjTable // majority projection table
+	mask uint64
+	a, b int   // contiguous lag range the window covers
+	corr []int // op indices inside [a..b] projecting through another table
 }
 
-// slidePlanFor inspects a chain's projected taps and builds the sliding
-// plan when it pays: at least eight projected taps, one per consecutive
-// lag, at most a quarter of them differing from the majority table.
-func slidePlanFor(c *Chain, invA bool) (slidePlan, bool) {
-	last := len(c.ops) - 1
-	lo, hi := 0, last-1 // AMA5 projects every tap but the last
-	if invA {
-		lo, hi = 1, last // AMA4 every tap but the opening one
-	}
-	n := hi - lo + 1
+// slidePlanFor inspects an AMA5 chain's projected taps, every tap but
+// the last, and builds the sliding plan when it pays: at least eight
+// projected taps, one per consecutive lag, at most a quarter of them
+// differing from the majority table.
+func slidePlanFor(c *Chain) (slidePlan, bool) {
+	n := len(c.ops) - 1
 	if n < 8 {
 		return slidePlan{}, false
 	}
-	// One projected tap per consecutive lag, all sharing one operand mask.
-	// The majority table is found by linear scans over the handful of
-	// distinct projections (a chain has one table per distinct coefficient
-	// polarity), keeping construction allocation-light.
+	// One projected tap per consecutive lag (every tap shares the
+	// multiplier's operand mask). The majority table is found by linear
+	// scans over the handful of distinct projections (a chain has one
+	// table per distinct coefficient polarity), keeping construction
+	// allocation-light.
 	var distinct [8]ProjTable
 	var counts [8]int
 	nd := 0
-	for o := lo; o <= hi; o++ {
+	for o := range n {
 		op := &c.ops[o]
-		if !op.proj.valid() || op.mask != c.ops[lo].mask || op.lag != c.ops[lo].lag+(o-lo) {
+		if op.lag != c.ops[0].lag+o {
 			return slidePlan{}, false
 		}
 		found := false
@@ -516,8 +473,8 @@ func slidePlanFor(c *Chain, invA bool) (slidePlan, bool) {
 	if corr := n - counts[best]; corr > n/4 {
 		return slidePlan{}, false
 	}
-	plan := slidePlan{tab: distinct[best], mask: c.ops[lo].mask, a: c.ops[lo].lag, b: c.ops[hi].lag, terms: n}
-	for o := lo; o <= hi; o++ {
+	plan := slidePlan{tab: distinct[best], mask: c.ops[0].mask, a: c.ops[0].lag, b: c.ops[n-1].lag}
+	for o := range n {
 		if !c.ops[o].proj.Same(plan.tab) {
 			plan.corr = append(plan.corr, o)
 		}
@@ -525,104 +482,23 @@ func slidePlanFor(c *Chain, invA bool) (slidePlan, bool) {
 	return plan, true
 }
 
-// slidingWiring is wiringChain with the projected taps evaluated through
-// the sliding window of a slidePlan; bit-identical because the projected
-// terms sum in plain modular arithmetic (see wiringChain for the closed
-// form and newChainProj for the terms). The loop is stenciled per
-// majority-table entry width, so the uint16 tier costs no per-sample
-// branches on the window loads. An AMA5 chain runs slidingAMA5, with
-// this checked loop as its head; an AMA4 chain runs the checked loop
-// alone.
-func slidingWiring(w, k int, invA bool, plan slidePlan, ops []chainOp) chainFunc {
+// slidingWiring picks slidingAMA5's stencil for the majority table's
+// entry width, so the uint16 tier costs no per-sample branch on the
+// window loads.
+func slidingWiring(w, k int, plan slidePlan, ops []chainOp) chainFunc {
 	if plan.tab.u16 != nil {
-		return slidingWiringT(w, k, invA, plan, plan.tab.u16, ops)
+		return slidingAMA5(w, k, plan, plan.tab.u16, ops)
 	}
-	return slidingWiringT(w, k, invA, plan, plan.tab.u32, ops)
+	return slidingAMA5(w, k, plan, plan.tab.u32, ops)
 }
 
-func slidingWiringT[T uint16 | uint32](w, k int, invA bool, plan slidePlan, tab []T, ops []chainOp) chainFunc {
-	mW := mask(w)
-	mk := mask(k)
-	ku := uint(k)
-	checked := func(c *Chain, dst, xs []int64, from int, outShift uint, outWidth int) {
-		ops := c.ops
-		ad := c.ad
-		last := len(ops) - 1
-		tm := plan.mask
-		// Seed the window at position from-1 from the samples before
-		// from, zero before xs[0]. The first slide drops the term of
-		// sample from-1-b that the seed added the same way, so at every
-		// position the window holds exactly its covered lags' terms.
-		var S uint64
-		for l := plan.a; l <= plan.b; l++ {
-			var x int64
-			if j := from - 1 - l; j >= 0 {
-				x = xs[j]
-			}
-			S += uint64(tab[uint64(x)&tm])
-		}
-		for i := from; i < len(xs); i++ {
-			// Slide: lag a of sample i enters, lag b of sample i-1 leaves.
-			var xn, xo int64
-			if j := i - plan.a; j >= 0 {
-				xn = xs[j]
-			}
-			if j := i - 1 - plan.b; j >= 0 {
-				xo = xs[j]
-			}
-			S += uint64(tab[uint64(xn)&tm]) - uint64(tab[uint64(xo)&tm])
-			u := S
-			for _, ci := range plan.corr {
-				op := &ops[ci]
-				var x int64
-				if j := i - op.lag; j >= 0 {
-					x = xs[j]
-				}
-				xi := uint64(x) & tm
-				if p16 := op.proj.u16; p16 != nil {
-					u += uint64(p16[xi])
-				} else {
-					u += uint64(op.proj.u32[xi])
-				}
-				u -= uint64(tab[xi])
-			}
-			var acc uint64
-			if invA {
-				op0 := &ops[0]
-				p0 := op0.product(xs, i)
-				if op0.neg != 0 {
-					acc = uint64(ad.subS(0, p0)) & mW
-				} else {
-					acc = uint64(p0) & mW
-				}
-				steps := uint64(last)
-				u += acc>>ku + steps/2 + ((acc>>(ku-1))&1)*(steps&1)
-				low := acc & mk
-				if steps&1 == 1 {
-					low = ^acc & mk
-				}
-				acc = (low | u<<ku) & mW
-			} else {
-				opL := &ops[last]
-				ub := (uint64(opL.product(xs, i)) ^ opL.neg) & mW
-				u += ub >> ku
-				acc = (ub&mk | u<<ku) & mW
-			}
-			dst[i-from] = finish(acc, w, outShift, outWidth)
-		}
-	}
-	if invA {
-		return checked
-	}
-	return slidingAMA5(w, k, plan, tab, ops, checked)
-}
-
-// slidingAMA5 is the AMA5 loop of slidingWiringT run check-free from the
-// deepest lag it reads on, which is the chain's deepest tap lag or the
-// lag b+1 of the sample leaving the window, whichever is larger: the
-// window, the correction taps (in compact form, plus the majority terms
-// they replace) and the last tap read their samples with no j >= 0 test.
-// slidingWiringT's checked loop is the head.
+// slidingAMA5 is ama5Chain with the projected taps evaluated through the
+// sliding window of a slidePlan; bit-identical because the projected
+// terms sum in plain modular arithmetic (see ama5Chain for the closed
+// form and newChainProj for the terms). The window, the correction taps
+// (in compact form, plus the majority terms they replace) and the last
+// tap read their samples directly: the window's seed reads back to lag
+// b+1, which Run's start past the deepest tap lag covers.
 //
 // A span of at least passMin positions runs in passes over dst: the
 // window is one pass that carries S and writes it at every position,
@@ -631,7 +507,7 @@ func slidingWiringT[T uint16 | uint32](w, k int, invA bool, plan slidePlan, tab 
 // tap. A shorter span runs the sample-major loop.
 //
 //go:noinline
-func slidingAMA5[T uint16 | uint32](w, k int, plan slidePlan, tab []T, ops []chainOp, head chainFunc) chainFunc {
+func slidingAMA5[T uint16 | uint32](w, k int, plan slidePlan, tab []T, ops []chainOp) chainFunc {
 	mW := mask(w)
 	mk := mask(k)
 	ku := uint(k)
@@ -643,14 +519,11 @@ func slidingAMA5[T uint16 | uint32](w, k int, plan slidePlan, tab []T, ops []cha
 		corrLags[n] = ops[o].lag
 	}
 	opL := &ops[len(ops)-1]
-	deep := max(deepestLag(ops), b+1)
-	var run chainFunc
-	run = func(c *Chain, dst, xs []int64, from int, outShift uint, outWidth int) {
-		if from < deep {
-			runHead(run, head, deep, c, dst, xs, from, outShift, outWidth)
-			return
-		}
-		// Seed the window at position from-1, as the checked loop does.
+	return func(c *Chain, dst, xs []int64, from int, outShift uint, outWidth int) {
+		// Seed the window at position from-1 from the samples before
+		// from. The first slide drops the term of sample from-1-b that the
+		// seed added, so at every position the window holds exactly its
+		// covered lags' terms.
 		var S uint64
 		for l := a; l <= b; l++ {
 			S += uint64(tab[uint64(xs[from-1-l])&tm])
@@ -665,6 +538,7 @@ func slidingAMA5[T uint16 | uint32](w, k int, plan slidePlan, tab []T, ops []cha
 			return
 		}
 		for i := from; i < len(xs); i++ {
+			// Slide: lag a of sample i enters, lag b of sample i-1 leaves.
 			S += uint64(tab[uint64(xs[i-a])&tm]) - uint64(tab[uint64(xs[i-1-b])&tm])
 			u := S + corr.sum(xs, i, tm)
 			for _, l := range corrLags {
@@ -674,19 +548,17 @@ func slidingAMA5[T uint16 | uint32](w, k int, plan slidePlan, tab []T, ops []cha
 			dst[i-from] = finish((ub&mk|(u+ub>>ku)<<ku)&mW, w, outShift, outWidth)
 		}
 	}
-	return run
 }
 
 // macChain is the fused fully-exact chain: native multiply-accumulate with
-// the signed coefficients folded in, equivalent to the nativeChain sum of
-// sliced exact products (see NewChain). The taps merge per lag and run
-// check-free from their deepest lag on, with macHead as the head. Past
-// the head, a span runs in passes over dst (see macPasses): over the
-// order-th difference of the taps when that is sparser
-// (sparsestDifference: the HPF's 32 taps difference to 4, the LPF
-// triangle's 11 to 3) and the span repays its seeds (minSpan), over the
-// direct taps when it has at least macPassMin positions. A shorter span,
-// such as one Process sample, runs the direct loop.
+// the signed coefficients folded in, equivalent to the modular sum of
+// sliced exact products (see NewChain). The taps merge per lag, and a
+// span runs in passes over dst (see macPasses): over the order-th
+// difference of the taps when that is sparser (sparsestDifference: the
+// HPF's 32 taps difference to 4, the LPF triangle's 11 to 3) and the span
+// repays its seeds (minSpan), over the direct taps when it has at least
+// macPassMin positions. A shorter span, such as one Process sample, runs
+// the direct loop.
 //
 // macChain itself must not inline: the compiler does not inline calls
 // inside the closure of an inlined function, and an out-of-line finish
@@ -699,7 +571,6 @@ func macChain(w int, taps []macTap) chainFunc {
 		return emptyChain // the taps cancel: every output is the sliced zero
 	}
 	deep := direct[len(direct)-1].lag
-	head := macHead(w, direct)
 	diff, order := sparsestDifference(direct)
 	// Seeding costs order direct sums; a recurrence position costs
 	// len(diff)+order operations against a direct one's len(direct).
@@ -708,12 +579,7 @@ func macChain(w int, taps []macTap) chainFunc {
 		minSpan = order*len(direct)/(len(direct)-len(diff)-order) + 1
 	}
 	deepDiff := deep + order
-	var run chainFunc
-	run = func(c *Chain, dst, xs []int64, from int, outShift uint, outWidth int) {
-		if from < deep {
-			runHead(run, head, deep, c, dst, xs, from, outShift, outWidth)
-			return
-		}
+	return func(c *Chain, dst, xs []int64, from int, outShift uint, outWidth int) {
 		if p := max(from, deepDiff); len(xs)-p >= minSpan {
 			macPasses(w, direct, diff, order, dst, xs, from, p, outShift, outWidth)
 			return
@@ -726,11 +592,9 @@ func macChain(w int, taps []macTap) chainFunc {
 			dst[i-from] = finish(uint64(macSum(direct, xs, i)), w, outShift, outWidth)
 		}
 	}
-	return run
 }
 
-// macSum is the direct multiply-accumulate of taps at position i, which
-// must be at or past their deepest lag.
+// macSum is the direct multiply-accumulate of taps at position i.
 func macSum(taps []macTap, xs []int64, i int) int64 {
 	var s int64
 	for _, t := range taps {
@@ -746,8 +610,8 @@ func macSum(taps []macTap, xs []int64, i int) int64 {
 // products over the span (the first writes them), and macFinish
 // integrates the sums and slices them. With y the accumulator, order 1 is
 // y[i] = y[i-1] + diff·x and order 2 is v[i] = v[i-1] + diff·x,
-// y[i] = y[i-1] + v[i], seeded by the direct sums at p-1 and p-2, which
-// read no sample before xs[0] either. The identities hold in wrapping
+// y[i] = y[i-1] + v[i], seeded by the direct sums at p-1 and p-2. The
+// identities hold in wrapping
 // 64-bit arithmetic and the slicing reads only the low w bits, so every
 // output is the direct sum's.
 func macPasses(w int, direct, taps []macTap, order int, dst, xs []int64, from, p int, outShift uint, outWidth int) {
@@ -865,29 +729,8 @@ func sparsestDifference(direct []macTap) (diff []macTap, order int) {
 	return diff, order
 }
 
-// macHead is the fused chain's checked loop, which reads zero before
-// xs[0]: the head of a run (see runHead).
-//
-//go:noinline
-func macHead(w int, taps []macTap) chainFunc {
-	return func(_ *Chain, dst, xs []int64, from int, outShift uint, outWidth int) {
-		for i := from; i < len(xs); i++ {
-			var s int64
-			for o := range taps {
-				t := &taps[o]
-				var x int64
-				if j := i - t.lag; j >= 0 {
-					x = xs[j]
-				}
-				s += x * t.c
-			}
-			dst[i-from] = finish(uint64(s), w, outShift, outWidth)
-		}
-	}
-}
-
 // ProjTables returns the distinct projection tables the chain's strategy
-// consumes (empty for non-wiring chains), so callers can account a
+// consumes (empty for all but AMA5 chains), so callers can account a
 // design's full kernel working set alongside its product tables.
 func (c *Chain) ProjTables() []ProjTable {
 	var out []ProjTable
@@ -911,8 +754,8 @@ func (c *Chain) ProjTables() []ProjTable {
 }
 
 // RawTables returns the distinct raw product tables the chain
-// materialized: every tap's for the generic strategies, only the boundary
-// taps' for wiring chains, none for a fused chain.
+// materialized: every tap's for the generic chain, only the last tap's
+// for an AMA5 chain, none for a fused chain.
 func (c *Chain) RawTables() []*ConstMulTable {
 	var out []*ConstMulTable
 	seen := map[*ConstMulTable]bool{}
@@ -928,21 +771,24 @@ func (c *Chain) RawTables() []*ConstMulTable {
 }
 
 // Run evaluates the chain at positions from..len(xs)-1 of the signal xs
-// (position i from the delayed samples xs[i-lag], reading zero before
-// xs[0]) and applies the output bus slicing: the accumulator is
-// sign-extended, shifted right by outShift and sliced to outWidth bits.
-// Position i goes to dst[i-from], so Run writes dst[:len(xs)-from] and
-// nothing else; a whole-record run from 0 fills dst index for index. dst
-// must be at least len(xs)-from long and must not overlap xs, from must
-// lie in [0, len(xs)], outShift below 64 and outWidth in [1, 64]. Run on
-// an empty chain writes the sliced zero accumulator.
+// (position i from the delayed samples xs[i-lag]) and applies the output
+// bus slicing: the accumulator is sign-extended, shifted right by
+// outShift and sliced to outWidth bits. Position i goes to dst[i-from],
+// so Run writes dst[:len(xs)-from] and nothing else. dst must be at least
+// len(xs)-from long and must not overlap xs, from must lie past the
+// chain's deepest tap lag and at most at len(xs), outShift below 64 and
+// outWidth in [1, 64]. Run on an empty chain writes the sliced zero
+// accumulator, from any from in [0, len(xs)].
 //
-// The start index is how every caller continues a signal: from = 0 runs a
-// whole record, and a stream's window — at least the deepest tap lag's
-// worth of its last inputs followed by the next block — run from the
-// history's length yields exactly the outputs the whole signal has at
-// the block's positions, and only those. No history position is computed
-// and discarded.
+// xs[:from] is the history: every sample a position reads lies in xs,
+// so no strategy tests an index. The start index is how every caller
+// continues a signal: a stream's window — its last inputs, at least one
+// more than the deepest tap lag, followed by the next block — run from
+// the history's length yields exactly the outputs the whole signal has
+// at the block's positions, and only those. No history position is
+// computed and discarded. A whole record starts from a history of zeros,
+// the delay line of a cleared filter (dsp.FIR.FilterInto runs its first
+// positions as one block of its window).
 //
 // Before it evaluates, Run fills the chain's on-demand tables over the
 // largest |x| of xs[from:] — one scan and, once the tables reach that
@@ -973,17 +819,6 @@ func emptyChain(_ *Chain, dst, _ []int64, _ int, _ uint, _ int) {
 	clear(dst)
 }
 
-// product evaluates one tap's delayed sample product (samples before the
-// start of the signal read as zero). Only taps holding a raw table reach
-// here — the strategies read projected taps through proj.
-func (op *chainOp) product(xs []int64, i int) int64 {
-	var x int64
-	if j := i - op.lag; j >= 0 {
-		x = xs[j]
-	}
-	return op.at(x)
-}
-
 // at is the tap's product of operand x: the full int32 table inline when
 // the tap has one, the tier closure otherwise.
 func (op *chainOp) at(x int64) int64 {
@@ -991,18 +826,6 @@ func (op *chainOp) at(x int64) int64 {
 		return int64(op.tab32[uint64(x)&op.mask])
 	}
 	return op.mul(x)
-}
-
-// start opens one sample's chain: the first product is copied into the
-// accumulator, or subtracted from zero through the full signed datapath
-// for a leading negative tap (one closure call per sample, not per tap).
-func (c *Chain) start(xs []int64, i int) (acc uint64) {
-	op := &c.ops[0]
-	p := op.product(xs, i)
-	if op.neg != 0 {
-		p = c.ad.subS(0, p)
-	}
-	return uint64(p)
 }
 
 // finish applies the output bus slicing to a masked accumulator: it is
@@ -1046,154 +869,20 @@ func finishAll(d []int64, w int, outShift uint, outWidth int) {
 	}
 }
 
-// compileChain picks the chain evaluation strategy for spec.
-func compileChain(spec arith.Adder) chainFunc {
-	w := spec.Width
-	k := effectiveLSBs(spec)
-	switch {
-	case k == 0:
-		return nativeChain(w)
-	case spec.Kind == approx.ApproxAdd4 || spec.Kind == approx.ApproxAdd5:
-		return wiringChain(w, k, spec.Kind == approx.ApproxAdd4)
-	case spec.Kind == approx.ApproxAdd2:
-		return ama2Chain(w, k)
-	default:
-		return chunkChain(w, k, spec.Kind)
-	}
-}
-
-// nativeChain is the exact datapath. Native addition is associative
-// modulo the accumulator width, so the whole chain collapses to one
-// modular sum of signed products — no loop-carried dependency, every tap
-// independent.
-func nativeChain(w int) chainFunc {
-	mW := mask(w)
-	return func(c *Chain, dst, xs []int64, from int, outShift uint, outWidth int) {
-		ops := c.ops
-		for i := from; i < len(xs); i++ {
-			var s uint64
-			for o := range ops {
-				op := &ops[o]
-				p := uint64(op.product(xs, i))
-				s += (p ^ op.neg) + (op.neg & 1)
-			}
-			dst[i-from] = finish(s&mW, w, outShift, outWidth)
-		}
-	}
-}
-
-// wiringChain covers the pure-wiring cells AMA5 (Sum = B) and, with invA,
-// AMA4 (Sum = NOT A). The chain has a closed form that removes the
-// loop-carried dependency entirely: a step keeps only its own operand (or
-// the complement of the previous low bits) in the approximate region, so
-// the carry entering the exact upper slice at step o — bit k-1 of the
-// previous accumulator — is a bit of the previous operand (AMA5) or an
-// alternating function of the opening accumulator (AMA4). The upper
-// slices therefore sum independently per tap, and the final low bits come
-// from the last operand (AMA5) or the opening accumulator's parity-
-// complemented low bits (AMA4). Subtraction inverts the operand; wiring
-// cells drop the +1 carry-in, like the scalar closures.
+// ama5Chain covers the pure-wiring cell AMA5 (Sum = B). The chain has a
+// closed form without a loop-carried dependency: a step keeps only its
+// own operand in the approximate region, so the carry entering the exact
+// upper slice at step o is bit k-1 of the previous operand. The upper
+// slices therefore sum independently per tap, and the final low bits
+// come from the last operand. Subtraction inverts the operand; wiring
+// cells drop the +1 carry-in, like the scalar adder.
 //
-// Every tap that contributes only its upper slice reads its whole term
-// from a projection table (see newChainProj): AMA5 sums
-// projRound[x] = (ub + 2^(k-1)) >> k per tap before the last — the
-// opening accumulator included, because copying p and zero-subtracting
-// through the wiring datapath both leave acc = ub, making the seed
-// acc>>k plus its k-1 bit the same rounded shift — and AMA4 sums
-// projTrunc[x] = ub >> k for every tap after the opening one. The hot
-// loop is one table load and one add per such tap.
-//
-// wiringChain is the adder's chain strategy. It runs AMA4 chains and
-// single-tap chains whole; a multi-tap AMA5 chain runs ama5Chain past its
-// deepest lag and wiringChain only as the head before it (a chain with a
-// sliding plan runs slidingWiring instead).
-func wiringChain(w, k int, invA bool) chainFunc {
-	mW := mask(w)
-	mk := mask(k)
-	ku := uint(k)
-	return func(c *Chain, dst, xs []int64, from int, outShift uint, outWidth int) {
-		ops := c.ops
-		ad := c.ad
-		last := len(ops) - 1
-		if last == 0 {
-			// Single-tap chain: the opening accumulator is the result.
-			op0 := &ops[0]
-			for i := from; i < len(xs); i++ {
-				p0 := op0.product(xs, i)
-				var acc uint64
-				if op0.neg != 0 {
-					acc = uint64(ad.subS(0, p0)) & mW
-				} else {
-					acc = uint64(p0) & mW
-				}
-				dst[i-from] = finish(acc, w, outShift, outWidth)
-			}
-			return
-		}
-		if invA {
-			// AMA4: carries alternate with the opening low bits; the low
-			// region complements once per step.
-			steps := uint64(last)
-			for i := from; i < len(xs); i++ {
-				op0 := &ops[0]
-				p0 := op0.product(xs, i)
-				var acc uint64
-				if op0.neg != 0 {
-					acc = uint64(ad.subS(0, p0)) & mW
-				} else {
-					acc = uint64(p0) & mW
-				}
-				u := acc>>ku + steps/2 + ((acc>>(ku-1))&1)*(steps&1)
-				low := acc & mk
-				if steps&1 == 1 {
-					low = ^acc & mk
-				}
-				for o := 1; o <= last; o++ {
-					op := &ops[o]
-					var x int64
-					if j := i - op.lag; j >= 0 {
-						x = xs[j]
-					}
-					xi := uint64(x) & op.mask
-					if p16 := op.proj.u16; p16 != nil {
-						u += uint64(p16[xi])
-					} else {
-						u += uint64(op.proj.u32[xi])
-					}
-				}
-				dst[i-from] = finish((low|u<<ku)&mW, w, outShift, outWidth)
-			}
-			return
-		}
-		// AMA5: every tap before the last is one projection load; the last
-		// operand keeps the low region.
-		opL := &ops[last]
-		for i := from; i < len(xs); i++ {
-			var u uint64
-			for o := 0; o < last; o++ {
-				op := &ops[o]
-				var x int64
-				if j := i - op.lag; j >= 0 {
-					x = xs[j]
-				}
-				xi := uint64(x) & op.mask
-				if p16 := op.proj.u16; p16 != nil {
-					u += uint64(p16[xi])
-				} else {
-					u += uint64(op.proj.u32[xi])
-				}
-			}
-			ub := (uint64(opL.product(xs, i)) ^ opL.neg) & mW
-			u += ub >> ku
-			dst[i-from] = finish((ub&mk|u<<ku)&mW, w, outShift, outWidth)
-		}
-	}
-}
-
-// ama5Chain is the AMA5 loop of wiringChain run check-free from the
-// chain's deepest lag on: the projected taps are compact (lag, table)
-// pairs split by tier, and every tap reads its sample with no j >= 0
-// test. wiringChain itself, the adder's chain strategy, is the head.
+// Every tap before the last contributes only its upper slice plus its
+// carry, so it reads its whole term from a projection table (see
+// newChainProj): (ub + 2^(k-1)) >> k per tap, the opening accumulator
+// included, because copying p and zero-subtracting through the wiring
+// datapath both leave acc = ub. The projected taps are compact (lag,
+// table) pairs split by tier, so a projected tap is one load and one add.
 //
 // A span of at least passMin positions runs in passes over dst: the
 // first projected tap writes its terms, each further one adds them, and
@@ -1201,7 +890,7 @@ func wiringChain(w, k int, invA bool) chainFunc {
 // loop.
 //
 //go:noinline
-func ama5Chain(w, k int, ops []chainOp, head chainFunc) chainFunc {
+func ama5Chain(w, k int, ops []chainOp) chainFunc {
 	mW := mask(w)
 	mk := mask(k)
 	ku := uint(k)
@@ -1212,13 +901,7 @@ func ama5Chain(w, k int, ops []chainOp, head chainFunc) chainFunc {
 	}
 	opL := &ops[last]
 	m := opL.mask
-	deep := deepestLag(ops)
-	var run chainFunc
-	run = func(c *Chain, dst, xs []int64, from int, outShift uint, outWidth int) {
-		if from < deep {
-			runHead(run, head, deep, c, dst, xs, from, outShift, outWidth)
-			return
-		}
+	return func(c *Chain, dst, xs []int64, from int, outShift uint, outWidth int) {
 		if len(dst) >= passMin {
 			taps.addTo(dst, xs, from, m, true)
 			finishPass(dst, xs, from, opL, w, k, outShift, outWidth)
@@ -1230,32 +913,28 @@ func ama5Chain(w, k int, ops []chainOp, head chainFunc) chainFunc {
 			dst[i-from] = finish((ub&mk|(u+ub>>ku)<<ku)&mW, w, outShift, outWidth)
 		}
 	}
-	return run
 }
 
-// newChainProj allocates one tap's projection table: entry x is the
-// whole upper-slice term ((p(x) ^ neg) & mask(w) + round*2^(k-1)) >> k of
-// the product p(x) of x with coeff through plan m. The entries fill on
+// newChainProj allocates one AMA5 tap's projection table: entry x is the
+// whole upper-slice term ((p(x) ^ neg) & mask(w) + 2^(k-1)) >> k of the
+// product p(x) of x with coeff through plan m, k >= 1. The entries fill on
 // demand from the plan's products (see productRows, made by the first
 // fill; a composite plan's come by rows), so no raw product table is
 // required. Constant multiplication is odd (f(-x) == -f(x), the
 // sign-magnitude arrangement of every tier), so the two signs of one
 // magnitude share a single product evaluation, exactly like a full
 // table's fill.
-func newChainProj(m *Multiplier, coeff int64, w, k int, neg, round bool) ProjTable {
+func newChainProj(m *Multiplier, coeff int64, w, k int, neg bool) ProjTable {
 	n := int(m.opMask) + 1
 	var p ProjTable
-	if projFits16(m.spec, w, k, neg, round) {
+	if projFits16(m.spec, w, k, neg) {
 		p.u16 = make([]uint16, n)
 	} else {
 		p.u32 = make([]uint32, n)
 	}
-	term := projTerm{mW: mask(w), k: uint(k)}
+	term := projTerm{mW: mask(w), half: uint64(1) << (k - 1), k: uint(k)}
 	if neg {
 		term.nm = ^uint64(0)
-	}
-	if round {
-		term.half = uint64(1) << (k - 1)
 	}
 	var src *productRows // made by the first fill
 	u16, u32 := p.u16, p.u32
@@ -1286,18 +965,14 @@ func (t projTerm) of(p int64) uint64 { return ((uint64(p)^t.nm)&t.mW + t.half) >
 // in general, but at most 2^w - 2^z for an added tap of an AMA5 plan
 // with a composite root, z = min(ApproxLSBs, Width), because its final
 // accumulation copies the zero low bits of hh << Width into the product.
-func projFits16(spec arith.Multiplier, w, k int, neg, round bool) bool {
+func projFits16(spec arith.Multiplier, w, k int, neg bool) bool {
 	maxUB := mask(w)
 	// A composite root is any plan of Width > 2 that is not exact; an
 	// exact one approximates no LSBs, so mask(0) leaves maxUB as it is.
 	if !neg && spec.Add == approx.ApproxAdd5 && spec.Width > 2 {
 		maxUB &^= mask(min(spec.ApproxLSBs, spec.Width))
 	}
-	var half uint64
-	if round {
-		half = uint64(1) << (k - 1)
-	}
-	return (maxUB+half)>>uint(k) <= 0xffff
+	return (maxUB+uint64(1)<<(k-1))>>uint(k) <= 0xffff
 }
 
 // fillProj writes magnitudes [lo, hi) of a projection table from src,
@@ -1323,12 +998,12 @@ func fillProj[T uint16 | uint32](tab []T, lo, hi uint64, src *productRows, term 
 	}
 }
 
-// cachedChainProj returns the memoized wiring-chain projection for one
+// cachedChainProj returns the memoized AMA5 chain projection for one
 // (spec, coeff) product under the given chain parameters, filled from the
 // compiled plan's products and cached globally like the tables
 // themselves (first insert wins).
-func cachedChainProj(m *Multiplier, coeff int64, w, k int, neg, round bool) ProjTable {
-	key := projKey{spec: m.spec, coeff: coeff, w: w, k: k, neg: neg, round: round}
+func cachedChainProj(m *Multiplier, coeff int64, w, k int, neg bool) ProjTable {
+	key := projKey{spec: m.spec, coeff: coeff, w: w, k: k, neg: neg}
 	planCache.Lock()
 	if planCache.proj == nil {
 		planCache.proj = make(map[projKey]ProjTable)
@@ -1338,7 +1013,7 @@ func cachedChainProj(m *Multiplier, coeff int64, w, k int, neg, round bool) Proj
 	if ok {
 		return p
 	}
-	p = newChainProj(m, coeff, w, k, neg, round)
+	p = newChainProj(m, coeff, w, k, neg)
 	planCache.Lock()
 	defer planCache.Unlock()
 	if prev, ok := planCache.proj[key]; ok {
@@ -1348,44 +1023,34 @@ func cachedChainProj(m *Multiplier, coeff int64, w, k int, neg, round bool) Proj
 	return p
 }
 
-// ama2Chain covers AMA2 through the native-carry XOR trick of ama2Add,
-// inlined per tap.
-func ama2Chain(w, k int) chainFunc {
+// chunkChain is the generic chain: every configuration without a
+// strategy of its own (see NewChain). It folds the taps one by one as
+// the scalar accumulation does, the first copied or subtracted from zero
+// through the adder, every later one through the approximate region 8
+// cells per lookup of the packed byte-wide chunk LUT (k <= 8 approximated
+// LSBs cost one table access per tap, k <= 16 two) and the exact upper
+// slice natively. At k = 0 the region is empty and the fold is native
+// addition. The LUT is built only for a chain that adds, one of more
+// than one tap with k > 0.
+func chunkChain(w, k int, kind approx.AdderKind, adds bool) chainFunc {
 	mW := mask(w)
-	mk := mask(k)
-	return func(c *Chain, dst, xs []int64, from int, outShift uint, outWidth int) {
-		ops := c.ops
-		for i := from; i < len(xs); i++ {
-			acc := c.start(xs, i) & mW
-			for o := 1; o < len(ops); o++ {
-				op := &ops[o]
-				ub := (uint64(op.product(xs, i)) ^ op.neg) & mW
-				v, cf := bits.Add64(acc, ub, op.neg&1)
-				if w < 64 {
-					cf = (v >> w) & 1
-				}
-				couts := ((acc ^ ub ^ v) >> 1) | cf<<(w-1)
-				acc = ((v &^ mk) | (^couts & mk)) & mW
-			}
-			dst[i-from] = finish(acc, w, outShift, outWidth)
-		}
+	var lut []uint32
+	if adds && k > 0 {
+		lut = chunkLUT(kind)
 	}
-}
-
-// chunkChain evaluates the approximate region through the packed byte-wide
-// chunk LUT, 8 cells per lookup: k <= 8 approximated LSBs cost one table
-// access per tap, k <= 16 two.
-func chunkChain(w, k int, kind approx.AdderKind) chainFunc {
-	mW := mask(w)
-	lut := chunkLUT(kind)
 	ku := uint(k)
 	return func(c *Chain, dst, xs []int64, from int, outShift uint, outWidth int) {
 		ops := c.ops
+		op0 := &ops[0]
 		for i := from; i < len(xs); i++ {
-			acc := c.start(xs, i) & mW
+			p := op0.at(xs[i-op0.lag])
+			if op0.neg != 0 {
+				p = c.ad.SubSigned(0, p)
+			}
+			acc := uint64(p) & mW
 			for o := 1; o < len(ops); o++ {
 				op := &ops[o]
-				ub := (uint64(op.product(xs, i)) ^ op.neg) & mW
+				ub := (uint64(op.at(xs[i-op.lag])) ^ op.neg) & mW
 				carry := op.neg & 1
 				var sum uint64
 				b := 0

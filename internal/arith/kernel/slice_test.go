@@ -62,6 +62,30 @@ func scalarChain(ad arith.Adder, ref map[int64]func(int64) int64, ops []ChainOp,
 	return arith.ToSigned(uint64(acc)>>shift, outW)
 }
 
+// historyLen is the least history Run accepts before a chain's first
+// position: one more sample than its deepest tap lag.
+func historyLen(c *Chain) int {
+	h := 1
+	for _, op := range c.ops {
+		h = max(h, op.lag+1)
+	}
+	return h
+}
+
+// zeroPadded returns xs after pad zeros: a cleared delay line followed by
+// the signal, whose positions each read zero before xs[0] as the scalar
+// fold does.
+func zeroPadded(xs []int64, pad int) []int64 {
+	return append(make([]int64, pad, pad+len(xs)), xs...)
+}
+
+// runFromZeros runs c over the whole signal xs into dst as a record from
+// a cleared delay line: xs after historyLen zeros, from the first sample.
+func runFromZeros(c *Chain, dst, xs []int64, shift uint, outW int) {
+	h := historyLen(c)
+	c.Run(dst, zeroPadded(xs, h), h, shift, outW)
+}
+
 // TestChainMatchesScalar runs compiled chains over random signals and
 // compares every output against the scalar per-sample accumulation
 // through the bit-serial models, for every cell kind and for leading add
@@ -80,7 +104,7 @@ func chainMatchesScalar(t *testing.T) {
 	for i := range xs {
 		xs[i] = int64(int16(rng.Uint64()))
 	}
-	// hpfLike triggers the sliding-window wiring evaluation: a long
+	// hpfLike triggers the sliding-window AMA5 evaluation: a long
 	// run of one subtracted coefficient with a differing tap in the
 	// middle (the high-pass shape); hpfHole breaks lag contiguity
 	// so the plain projected loop stays covered at length.
@@ -116,7 +140,7 @@ func chainMatchesScalar(t *testing.T) {
 				t.Fatal(err)
 			}
 			dst := make([]int64, n)
-			chain.Run(dst, xs, 0, shift, outW)
+			runFromZeros(chain, dst, xs, shift, outW)
 			for i := 0; i < n; i++ {
 				want := scalarChain(spec, ref, ops, xs, i, shift, outW)
 				if dst[i] != want {
@@ -213,36 +237,26 @@ func firShapes() []firShape {
 	}
 }
 
-// maxChainLag returns the deepest lag of ops (0 for none).
-func maxChainLag(ops []ChainOp) int {
-	deep := 0
-	for _, op := range ops {
-		deep = max(deep, op.Lag)
-	}
-	return deep
-}
-
 // TestChainContinuation pins the start-index contract every continuing
 // caller relies on: Run over [history | block] from len(history) writes
 // the outputs Run over the whole signal has at the block's positions to
 // dst[:len(block)], exactly those, and leaves a sentinel just past them
-// untouched, for every chain strategy — native, fused MAC and its
-// difference recurrences, AMA2, chunk LUT, plain and sliding wiring,
-// single tap, empty — with a 32-bit and (exact) a 16-bit accumulator,
-// whose sums wrap. Histories run
-// from the deepest tap lag (the least that is exact) up to the whole
-// signal prefix. The whole run itself must equal the scalar fold, a run
-// over the whole signal from the positions around the deepest lag (where
-// the checked head hands over to the check-free loop, and past it where
-// a recurrence starts) its tail, and a run over a signal shorter than
-// the deepest lag its prefix. Blocks of passMin-1 to macPassMin+1
-// positions after a history of exactly the deepest lag, the least a
-// continuing caller packs, straddle the spans at which the AMA5
-// strategies (passMin) and the fused MAC's direct taps (macPassMin)
-// switch from their sample-major loop to passes, and the LPF's minSpan;
-// they run at a second output slicing too, one reaching past the
-// accumulator width, which the passes finish through the general
-// slicing.
+// untouched, for every chain strategy — the fused MAC and its difference
+// recurrences, the generic chain (exact under an approximate multiplier,
+// AMA1-AMA4, single-tap AMA5), plain and sliding AMA5, empty — with a
+// 32-bit and (exact) a 16-bit accumulator, whose sums wrap. The signal
+// follows a cleared delay line of historyLen zeros, the least history
+// Run accepts, and histories run from that least one up to the whole
+// padded prefix. The whole run itself must equal the scalar fold, runs
+// from just past the least history its tail (past it a recurrence
+// starts), and a run over a signal shorter than the deepest lag its
+// prefix. Blocks of passMin-1 to macPassMin+1 positions after the least
+// history, as a continuing caller packs it, straddle the spans at which
+// the AMA5 strategies (passMin) and the fused MAC's direct taps
+// (macPassMin) switch from their sample-major loop to passes, and the
+// LPF's minSpan; they run at a second output slicing too, one reaching
+// past the accumulator width, which the passes finish through the
+// general slicing.
 // It runs as the subtest kernels=true, the name it kept from when a
 // bit-serial mode ran it a second time as kernels=false.
 func TestChainContinuation(t *testing.T) { t.Run("kernels=true", chainContinuation) }
@@ -308,35 +322,33 @@ func chainContinuation(t *testing.T) {
 							at, what, len(want), dst[len(want)], len(want))
 					}
 				}
-				chain.Run(whole, xs, 0, 3, 29)
+				pad := historyLen(chain)
+				padded := zeroPadded(xs, pad)
+				chain.Run(whole, padded, pad, 3, 29)
 				for i := range whole {
 					if want := scalarChain(spec, refs[mul], ops, xs, i, 3, 29); whole[i] != want {
 						t.Fatalf("%s: Run[%d] = %d, scalar chain %d", at, i, whole[i], want)
 					}
 				}
-				maxLag := maxChainLag(ops)
-				// Whole-signal runs from around the deepest lag and
-				// runs over signals shorter than it.
-				for _, from := range []int{maxLag - 1, maxLag, maxLag + 1, maxLag + 2} {
-					from = max(from, 0)
-					span(fmt.Sprintf("run from %d", from), xs, from, 3, 29, whole[from:])
+				// Whole-signal runs from past the least history and runs
+				// over signals shorter than the deepest lag.
+				for _, from := range []int{pad + 1, pad + 2} {
+					span(fmt.Sprintf("run from %d", from), padded, from, 3, 29, whole[from-pad:])
 				}
-				for _, n := range []int{1, maxLag / 2, maxLag - 1, maxLag} {
+				for _, n := range []int{1, pad / 2, pad - 1} {
 					if n < 1 {
 						continue
 					}
-					span(fmt.Sprintf("%d-sample signal", n), xs[:n], 0, 3, 29, whole[:n])
+					span(fmt.Sprintf("%d-sample signal", n), padded[:pad+n], pad, 3, 29, whole[:n])
 				}
 				for s := 0; s < len(xs); s += 1 + rng.Intn(40) {
 					e := s + rng.Intn(len(xs)-s+1)
-					for _, h := range []int{maxLag, maxLag + 1, s} {
-						if h > s {
-							h = s
-						}
-						span(fmt.Sprintf("block [%d,%d) history %d", s, e, h), xs[s-h:e], h, 3, 29, whole[s:e])
+					for _, h := range []int{pad, pad + 1, pad + s} {
+						h = min(h, pad+s)
+						span(fmt.Sprintf("block [%d,%d) history %d", s, e, h), padded[pad+s-h:pad+e], h, 3, 29, whole[s:e])
 					}
 				}
-				chain.Run(wide, xs, 0, 20, 16)
+				chain.Run(wide, padded, pad, 20, 16)
 				for i := range wide {
 					if want := scalarChain(spec, refs[mul], ops, xs, i, 20, 16); wide[i] != want {
 						t.Fatalf("%s: Run[%d] sliced (20, 16) = %d, scalar chain %d", at, i, wide[i], want)
@@ -348,9 +360,9 @@ func chainContinuation(t *testing.T) {
 					whole []int64
 				}{{3, 29, whole}, {20, 16, wide}} {
 					for n := min(passMin, macPassMin) - 1; n <= max(passMin, macPassMin)+1; n++ {
-						for s := maxLag; s+n <= len(xs); s += 23 {
+						for s := pad; s+n <= len(xs); s += 23 {
 							span(fmt.Sprintf("%d-position block at %d sliced (%d, %d)", n, s, sl.shift, sl.outW),
-								xs[s-maxLag:s+n], maxLag, sl.shift, sl.outW, sl.whole[s:s+n])
+								padded[s:pad+s+n], pad, sl.shift, sl.outW, sl.whole[s:s+n])
 						}
 					}
 				}
@@ -465,7 +477,7 @@ func TestExactChainFusion(t *testing.T) {
 				t.Fatalf("fused chain materialized %d raw tables", len(chain.RawTables()))
 			}
 			dst := make([]int64, n)
-			chain.Run(dst, xs, 0, 5, 16)
+			runFromZeros(chain, dst, xs, 5, 16)
 			for i := 0; i < n; i++ {
 				if want := scalarChain(adK.Spec(), ref, ops, xs, i, 5, 16); dst[i] != want {
 					t.Fatalf("%d-bit fused chain %d: Run[%d] = %d, scalar %d", w, ci, i, dst[i], want)
@@ -482,7 +494,7 @@ func TestExactChainFusion(t *testing.T) {
 			t.Fatalf("chain %d: fused = %v, want %v", ci, chain.fused, wantFused[ci])
 		}
 		dst := make([]int64, n)
-		chain.Run(dst, xs, 0, 5, 16)
+		runFromZeros(chain, dst, xs, 5, 16)
 		for i := 0; i < n; i++ {
 			if want := scalarChain(ad.Spec(), ref, ops, xs, i, 5, 16); dst[i] != want {
 				t.Fatalf("chain %d: Run[%d] = %d, scalar %d", ci, i, dst[i], want)
@@ -491,8 +503,8 @@ func TestExactChainFusion(t *testing.T) {
 	}
 }
 
-// TestChainLazyRawTables pins the laziness contract: a wiring chain with a
-// sliding plan materializes raw product tables only for its boundary taps,
+// TestChainLazyRawTables pins the laziness contract: an AMA5 chain with a
+// sliding plan materializes raw product tables only for its last tap,
 // and the projected interior taps' 2^16-entry tables stay out of the
 // global cache until another consumer asks for them.
 func TestChainLazyRawTables(t *testing.T) {
@@ -544,20 +556,20 @@ func TestChainProjTiers(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, tc := range []struct {
-		coeff    int64
-		w, k     int
-		neg, rnd bool
-		want16   bool
+		coeff  int64
+		w, k   int
+		neg    bool
+		want16 bool
 	}{
-		{1, 32, 16, true, true, false}, // rounding edge: (2^32-1 + 2^15) >> 16 == 2^16
-		{1, 32, 16, false, true, true}, // an AMA5 added tap feeds at most 2^32 - 2^16
-		{1, 32, 17, true, false, true},
-		{31, 32, 16, false, true, true},
-		{1, 32, 10, true, true, false},  // terms up to 2^22
-		{1, 32, 8, false, false, false}, // negative operands wrap high: terms > 2^16
-		{0, 32, 8, false, false, false}, // the k = 8 bound, whatever the products
+		{1, 32, 16, true, false}, // rounding edge: (2^32-1 + 2^15) >> 16 == 2^16
+		{1, 32, 16, false, true}, // an AMA5 added tap feeds at most 2^32 - 2^16
+		{1, 32, 17, true, true},
+		{31, 32, 16, false, true},
+		{1, 32, 10, true, false}, // terms up to 2^22
+		{1, 32, 8, false, false}, // negative operands wrap high: terms > 2^16
+		{0, 32, 8, false, false}, // the k = 8 bound, whatever the products
 	} {
-		p := newChainProj(m, tc.coeff, tc.w, tc.k, tc.neg, tc.rnd)
+		p := newChainProj(m, tc.coeff, tc.w, tc.k, tc.neg)
 		if got := p.u16 != nil; got != tc.want16 {
 			t.Fatalf("%+v: uint16 tier = %v, want %v", tc, got, tc.want16)
 		}
@@ -577,10 +589,7 @@ func TestChainProjTiers(t *testing.T) {
 		if tc.neg {
 			nm = ^uint64(0)
 		}
-		var half uint64
-		if tc.rnd {
-			half = uint64(1) << (tc.k - 1)
-		}
+		half := uint64(1) << (tc.k - 1)
 		for u := 0; u < p.Entries(); u++ {
 			prod := ps[magnitude(arith.ToSigned(uint64(u), spec.Width))]
 			if u >= len(ps)-1 {
@@ -651,11 +660,12 @@ func seq(lo, hi, step uint64) []uint64 {
 // occur; lags reach at most 40. The adder is exact, through the fused
 // chain with a 32- or a wrapping 16-bit accumulator, or AMA5 at k 4, 10,
 // 12, 16 or 2 (B9's DER; last, so that earlier inputs keep their
-// configs), through the wiring projections of both tiers. A Run from 0
-// over the history (which Run's contract requires an earlier run to
-// have evaluated) precedes a Run from a fuzzed start index over the
-// whole fuzzed-length signal, which must write exactly its positions to
-// the front of dst and leave the element past them untouched.
+// configs), through the AMA5 projections of both tiers. The signal
+// follows a cleared delay line of historyLen zeros. A Run over the
+// history (which Run's contract requires an earlier run to have
+// evaluated) precedes a Run from a fuzzed start index over the whole
+// fuzzed-length signal, which must write exactly its positions to the
+// front of dst and leave the element past them untouched.
 //
 // data[0] picks the adder, data[1] seeds the signal, data[2] sets its
 // length (1..96) and data[3] the start index. Every later byte is one
@@ -663,7 +673,7 @@ func seq(lo, hi, step uint64) []uint64 {
 // alphabet entry in bits 2-4), bit 5 flips the sign and bits 6-7 step
 // the next tap's lag by 1, 1, 2 or 0 (a repeated lag). Seeds #6 to #8
 // replay B9's LPF (k=10), HPF (k=12) and DER (k=2) as one 24-sample
-// serve block after a history of the deepest lag; the last six replay
+// serve block after a history of the deepest lag's samples; the last six replay
 // the accurate LPF, HPF and DER (exact 32-bit adder), the fused MAC's
 // passes, as one such block and as a whole 96-sample record.
 func FuzzChainRun(f *testing.F) {
@@ -742,13 +752,15 @@ func FuzzChainRun(f *testing.F) {
 			t.Fatal(err)
 		}
 		shift, outW := uint(3), cfg.adder.Width-3
+		pad := historyLen(chain)
+		padded := zeroPadded(xs, pad)
 		hist := make([]int64, from)
-		chain.Run(hist, xs[:from], 0, shift, outW)
+		chain.Run(hist, padded[:pad+from], pad, shift, outW)
 		dst := make([]int64, len(xs)+1)
 		for i := range dst {
 			dst[i] = sentinel
 		}
-		chain.Run(dst, xs, from, shift, outW)
+		chain.Run(dst, padded, pad+from, shift, outW)
 		ref := refProducts(cfg.mul, mags)
 		for i := range xs {
 			want := scalarChain(cfg.adder, ref, ops, xs, i, shift, outW)

@@ -10,21 +10,14 @@ import (
 // ConstMulTable evaluates the signed product of a variable Width-bit
 // operand with one fixed coefficient, bit-identical to the bit-serial
 // arith.Multiplier.MulSigned. The representation is tiered by what the
-// compiled multiplier plan allows, most compact first:
+// compiled multiplier plan allows:
 //
 //   - exact plans carry no table at all: the product is one native
 //     multiply behind a branch-free sign-magnitude wrapper;
-//   - plans whose top-level decomposition is exact (a composite root whose
-//     two accumulation adders are exact) store two 2^(Width/2)-entry
-//     byte-decomposed sub-product tables plus the compiled native
-//     combining adder — 2 KB instead of 256 KB at the pipeline's 16-bit
-//     width;
-//   - plans with an approximately-combined composite root keep the full
-//     2^Width table (the approximate combining per lookup costs more than
-//     the load it replaces on ALU-bound hosts), filled through the
-//     decomposition: two 256-entry sub-product tables, combined one row
-//     of 256 magnitudes at a time (see mulNode.rows), instead of a
-//     plan-tree walk per entry;
+//   - plans with a composite root keep the full 2^Width table, filled
+//     through the decomposition: two 256-entry sub-product tables,
+//     combined one row of 256 magnitudes at a time (see mulNode.rows),
+//     instead of a plan-tree walk per entry;
 //   - 2-bit leaf roots keep the full table filled through the plan walk.
 //
 // A full table is int32 when a bound proves every product fits (see
@@ -38,16 +31,15 @@ type ConstMulTable struct {
 	fn    func(int64) int64
 	coeff int64
 	// Live storage, for footprint accounting: at most one tier is set.
-	lo, hi []uint32  // decomposed sub-product tables
-	tab32  []int32   // full table, compact
-	tab64  []int64   // full table, when a product may overflow int32
-	cov    *coverage // fill state of a full table, nil otherwise
+	tab32 []int32   // full table, compact
+	tab64 []int64   // full table, when a product may overflow int32
+	cov   *coverage // fill state of a full table, nil otherwise
 }
 
 // NewConstMulTable builds the table for coefficient c on multiplier spec.
 // The operand width must be at most 16 bits (a full table is 2^Width
-// entries; the decomposed tiers are far smaller but keep the same bound so
-// every tier covers the same specs). A full table is only allocated here;
+// entries; the exact tier keeps the same bound so every tier covers the
+// same specs). A full table is only allocated here;
 // its entries fill as reads reach them, from the product source its first
 // fill makes (see productRows).
 func NewConstMulTable(spec arith.Multiplier, c int64) (*ConstMulTable, error) {
@@ -59,19 +51,8 @@ func NewConstMulTable(spec arith.Multiplier, c int64) (*ConstMulTable, error) {
 		return nil, fmt.Errorf("kernel: const-mul table width %d exceeds 16", spec.Width)
 	}
 	t := &ConstMulTable{coeff: c}
-	negC := c < 0
-	cm := uint64(c)
-	if negC {
-		cm = uint64(-c)
-	}
-	cm &= m.opMask
-	switch {
-	case m.exact:
-		t.fn = exactConstMul(spec.Width, cm, negC)
-		return t, nil
-	case m.decompExact():
-		t.lo, t.hi = m.root.subProductTables(cm)
-		t.fn = m.constMulFunc(t.lo, t.hi, negC)
+	if m.exact {
+		t.fn = exactConstMul(spec.Width, magnitude(c)&m.opMask, c < 0)
 		return t, nil
 	}
 	if constFits32(spec, c) {
@@ -105,8 +86,9 @@ func constFits32(spec arith.Multiplier, c int64) bool {
 }
 
 // exactConstMul is the table-free tier: the exact plan's product is a
-// native multiply behind the same branch-free sign-magnitude wrapper as
-// the decomposed tier.
+// native multiply behind a branch-free sign-magnitude wrapper (the
+// operand's sign is data-dependent on the signal, so a branch would
+// mispredict), with the coefficient's sign negC folded in once.
 func exactConstMul(w int, cm uint64, negC bool) func(int64) int64 {
 	opMask := mask(w)
 	pm := mask(2 * w)
@@ -203,7 +185,7 @@ func fullTableFunc(tab32 []int32, tab64 []int64, opMask uint64) func(int64) int6
 // Bytes returns the allocated table storage of this tier in bytes (zero
 // for the exact, table-free tier), filled or not.
 func (t *ConstMulTable) Bytes() int64 {
-	return int64(len(t.lo))*4 + int64(len(t.hi))*4 + int64(len(t.tab32))*4 + int64(len(t.tab64))*8
+	return int64(len(t.tab32))*4 + int64(len(t.tab64))*8
 }
 
 // filledBytes scales a table's allocated bytes to the share of entries
@@ -221,7 +203,7 @@ func filledBytes(cov *coverage, bytes int64) int64 {
 // on demand like a ConstMulTable's. Every square fits: it is the
 // 2*Width <= 32-bit core sign-extended, and an even function is never
 // negated. Squaring depends on both halves of its single operand at
-// once, so the byte-decomposed tier of ConstMulTable does not apply.
+// once, so the row fills of ConstMulTable do not apply.
 type SquareTable struct {
 	fn    func(int64) int64
 	slice func(dst, xs []int64, shift uint)
@@ -317,16 +299,14 @@ type constMulKey struct {
 	coeff int64
 }
 
-// projKey identifies one wiring-chain projection (see newChainProj):
-// the product it projects plus the consuming chain adder's width,
-// approximated-LSB count, the tap's subtract polarity and whether the
-// term carries the rounding bit (AMA5) or truncates (AMA4).
+// projKey identifies one AMA5 chain projection (see newChainProj): the
+// product it projects plus the consuming chain adder's width,
+// approximated-LSB count and the tap's subtract polarity.
 type projKey struct {
 	spec  arith.Multiplier
 	coeff int64
 	w, k  int
 	neg   bool
-	round bool
 }
 
 // Stats is the global cache accounting CacheStats returns: entry counts
@@ -340,19 +320,16 @@ type Stats struct {
 	ConstTables  int
 	SquareTables int
 	ChainProjs   int
-	// SubProductBytes is the storage of the decomposed (two 256-entry
-	// sub-product tables) tier; FullTableBytes covers the int32/int64 full
-	// product and square tables (approximately-combined plans and 2-bit
-	// leaf roots); ChainProjBytes the wiring-chain projection tables (uint16
-	// entries where a bound proves every term fits, uint32 otherwise).
-	SubProductBytes int64
-	FullTableBytes  int64
-	ChainProjBytes  int64
+	// FullTableBytes covers the int32/int64 full product and square
+	// tables (every plan that is not exact); ChainProjBytes the AMA5 chain
+	// projection tables (uint16 entries where a bound proves every term
+	// fits, uint32 otherwise).
+	FullTableBytes int64
+	ChainProjBytes int64
 	// TableBytes is the total allocated table storage.
 	TableBytes int64
-	// FilledBytes is the part of TableBytes whose entries are filled: the
-	// sub-product tier fills when it is built, full tables and chain
-	// projections as reads reach new operand magnitudes.
+	// FilledBytes is the part of TableBytes whose entries are filled:
+	// tables fill as reads reach new operand magnitudes.
 	FilledBytes int64
 }
 
@@ -369,9 +346,7 @@ func CacheStats() Stats {
 		ChainProjs:   len(planCache.proj),
 	}
 	for _, t := range planCache.cmul {
-		sub := int64(len(t.lo))*4 + int64(len(t.hi))*4
-		st.SubProductBytes += sub
-		st.FullTableBytes += t.Bytes() - sub
+		st.FullTableBytes += t.Bytes()
 		st.FilledBytes += filledBytes(t.cov, t.Bytes())
 	}
 	for _, t := range planCache.sqr {
@@ -382,7 +357,7 @@ func CacheStats() Stats {
 		st.ChainProjBytes += p.Bytes()
 		st.FilledBytes += filledBytes(p.cov, p.Bytes())
 	}
-	st.TableBytes = st.SubProductBytes + st.FullTableBytes + st.ChainProjBytes
+	st.TableBytes = st.FullTableBytes + st.ChainProjBytes
 	return st
 }
 

@@ -11,20 +11,19 @@ import (
 )
 
 // TestTableTierSelection pins the representation tier each plan class
-// gets: exact plans are table-free, exactly-decomposable plans keep the
-// 2x256-entry sub-product tables and approximately-combined plans a full
-// int32 table — with Mul bit-identical to the reference in every tier.
+// gets: exact plans are table-free, and every other plan — an exactly
+// combined root as much as an approximately combined one — keeps a full
+// int32 table, with Mul bit-identical to the reference in every tier.
 func TestTableTierSelection(t *testing.T) {
 	cases := []struct {
 		name string
 		spec arith.Multiplier
-		sub  bool // expect the decomposed sub-product tier
 		full bool // expect a full table
 	}{
-		{"exact", arith.Multiplier{Width: 16, ApproxLSBs: 0, Mult: approx.AccMult, Add: approx.AccAdd}, false, false},
-		{"exact-kinds", arith.Multiplier{Width: 16, ApproxLSBs: 8, Mult: approx.AccMult, Add: approx.AccAdd}, false, false},
-		{"decomposed", arith.Multiplier{Width: 16, ApproxLSBs: 8, Mult: approx.AppMultV1, Add: approx.AccAdd}, true, false},
-		{"full-int32", arith.Multiplier{Width: 16, ApproxLSBs: 8, Mult: approx.AppMultV1, Add: approx.ApproxAdd5}, false, true},
+		{"exact", arith.Multiplier{Width: 16, ApproxLSBs: 0, Mult: approx.AccMult, Add: approx.AccAdd}, false},
+		{"exact-kinds", arith.Multiplier{Width: 16, ApproxLSBs: 8, Mult: approx.AccMult, Add: approx.AccAdd}, false},
+		{"exact-root", arith.Multiplier{Width: 16, ApproxLSBs: 8, Mult: approx.AppMultV1, Add: approx.AccAdd}, true},
+		{"full-int32", arith.Multiplier{Width: 16, ApproxLSBs: 8, Mult: approx.AppMultV1, Add: approx.ApproxAdd5}, true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -33,16 +32,10 @@ func TestTableTierSelection(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if gotSub := tab.lo != nil; gotSub != tc.sub {
-					t.Fatalf("c=%d: sub-product tier %v, want %v", c, gotSub, tc.sub)
+				if gotFull := tab.tab32 != nil; gotFull != tc.full || tab.tab64 != nil {
+					t.Fatalf("c=%d: int32 full-table tier %v (int64 %v), want %v", c, gotFull, tab.tab64 != nil, tc.full)
 				}
-				if gotFull := tab.tab32 != nil || tab.tab64 != nil; gotFull != tc.full {
-					t.Fatalf("c=%d: full-table tier %v, want %v", c, gotFull, tc.full)
-				}
-				if tc.sub && tab.Bytes() != 2*256*4 {
-					t.Fatalf("c=%d: decomposed tier is %d bytes, want %d", c, tab.Bytes(), 2*256*4)
-				}
-				if !tc.sub && !tc.full && tab.Bytes() != 0 {
+				if !tc.full && tab.Bytes() != 0 {
 					t.Fatalf("c=%d: exact tier reports %d bytes", c, tab.Bytes())
 				}
 				for i := 0; i < 1<<16; i++ {
@@ -133,8 +126,7 @@ func TestFullProductTableOverflowFallback(t *testing.T) {
 // TestCacheStatsAccounting checks the cache accessor against a known
 // sequence of builds and reads from an empty cache, and that DropCaches
 // empties it: allocated bytes per tier, and filled bytes that start at
-// the sub-product tier (filled when built) and grow with the magnitudes
-// reads reach.
+// zero and grow with the magnitudes reads reach.
 func TestCacheStatsAccounting(t *testing.T) {
 	DropCaches()
 	defer DropCaches() // leave a clean slate for other tests
@@ -147,35 +139,31 @@ func TestCacheStatsAccounting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	decomp := arith.Multiplier{Width: 16, ApproxLSBs: 8, Mult: approx.AppMultV1, Add: approx.AccAdd}
-	if _, err := CachedConstMulTable(decomp, 7); err != nil {
+	// An exactly combined root keeps a full table too; nothing reads it.
+	exactRoot := arith.Multiplier{Width: 16, ApproxLSBs: 8, Mult: approx.AppMultV1, Add: approx.AccAdd}
+	if _, err := CachedConstMulTable(exactRoot, 7); err != nil {
 		t.Fatal(err)
 	}
 	st := CacheStats()
 	if st.ConstTables != 2 || st.SquareTables != 1 {
 		t.Fatalf("stats count %d const / %d square tables, want 2/1", st.ConstTables, st.SquareTables)
 	}
-	wantSub := int64(2 * 256 * 4)
-	if st.SubProductBytes != wantSub {
-		t.Fatalf("SubProductBytes = %d, want %d", st.SubProductBytes, wantSub)
-	}
-	wantFull := int64(2 * (1 << 16) * 4) // one int32 product table + one int32 square table
+	wantFull := int64(3 * (1 << 16) * 4) // two int32 product tables + one int32 square table
 	if st.FullTableBytes != wantFull {
 		t.Fatalf("FullTableBytes = %d, want %d", st.FullTableBytes, wantFull)
 	}
-	if st.TableBytes != st.SubProductBytes+st.FullTableBytes+st.ChainProjBytes {
-		t.Fatalf("TableBytes = %d, parts sum to %d", st.TableBytes,
-			st.SubProductBytes+st.FullTableBytes+st.ChainProjBytes)
+	if st.TableBytes != st.FullTableBytes+st.ChainProjBytes {
+		t.Fatalf("TableBytes = %d, parts sum to %d", st.TableBytes, st.FullTableBytes+st.ChainProjBytes)
 	}
-	if st.FilledBytes != wantSub {
-		t.Fatalf("FilledBytes = %d before any read, want the sub-product tier's %d", st.FilledBytes, wantSub)
+	if st.FilledBytes != 0 {
+		t.Fatalf("FilledBytes = %d before any read, want 0", st.FilledBytes)
 	}
 	// |300| fills the product table's magnitudes below 512, 2*512-1
 	// entries; -32,768 fills the whole square table.
 	tab.Mul(-300)
 	sq.Square(-32768)
-	if st := CacheStats(); st.FilledBytes != wantSub+(2*512-1)*4+(1<<16)*4 {
-		t.Fatalf("FilledBytes = %d after Mul and Square, want %d", st.FilledBytes, wantSub+(2*512-1)*4+(1<<16)*4)
+	if st := CacheStats(); st.FilledBytes != (2*512-1)*4+(1<<16)*4 {
+		t.Fatalf("FilledBytes = %d after Mul and Square, want %d", st.FilledBytes, (2*512-1)*4+(1<<16)*4)
 	}
 	// An AMA5 chain reads its first tap through a new projection and its
 	// last through the cached product table; Run over |x| <= 1000 grows
@@ -189,13 +177,13 @@ func TestCacheStatsAccounting(t *testing.T) {
 		t.Fatal(err)
 	}
 	xs := []int64{5, 1000, -20}
-	chain.Run(make([]int64, len(xs)), xs, 0, 0, 32)
+	runFromZeros(chain, make([]int64, len(xs)), xs, 0, 32)
 	st = CacheStats()
 	if st.ChainProjs != 1 || st.ConstTables != 2 {
 		t.Fatalf("chain built %d projections and %d const tables, want 1 and 2", st.ChainProjs, st.ConstTables)
 	}
 	wantProj := st.ChainProjBytes / (1 << 16) * (2*1024 - 1)
-	if want := wantSub + (2*1024-1)*4 + (1<<16)*4 + wantProj; st.FilledBytes != want {
+	if want := (2*1024-1)*4 + (1<<16)*4 + wantProj; st.FilledBytes != want {
 		t.Fatalf("FilledBytes = %d after Run, want %d", st.FilledBytes, want)
 	}
 	if st.FilledBytes > st.TableBytes {
@@ -258,7 +246,7 @@ func TestPlanCacheConcurrentColdBuild(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			proj := cachedChainProj(m, 12345, 32, 12, true, true)
+			proj := cachedChainProj(m, 12345, 32, 12, true)
 			mu.Lock()
 			tabs[tab] = true
 			sqrs[sq] = true
@@ -285,9 +273,9 @@ func TestPlanCacheConcurrentColdBuild(t *testing.T) {
 
 // runSharedTables is goroutine g of TestPlanCacheConcurrentColdBuild
 // reading the shared tables: the chain in 16-sample blocks continued from
-// their history, the squarer per sample and per block, over samples of
-// amplitude up to 2,000*(g+1) (the last goroutine adds -32,768), each
-// output checked against the enumeration.
+// their history (zeros before the signal), the squarer per sample and per
+// block, over samples of amplitude up to 2,000*(g+1) (the last goroutine
+// adds -32,768), each output checked against the enumeration.
 func runSharedTables(t *testing.T, g int, spec arith.Multiplier, adderSpec arith.Adder, ops []ChainOp, ref map[int64]func(int64) int64) {
 	ad, err := CachedAdder(adderSpec)
 	if err != nil {
@@ -314,8 +302,10 @@ func runSharedTables(t *testing.T, g int, spec arith.Multiplier, adderSpec arith
 		xs[50] = -32768
 	}
 	dst := make([]int64, len(xs))
+	pad := historyLen(chain)
+	padded := zeroPadded(xs, pad)
 	for lo := 0; lo < len(xs); lo += 16 {
-		chain.Run(dst[lo:lo+16], xs[:lo+16], lo, 3, 29)
+		chain.Run(dst[lo:lo+16], padded[:pad+lo+16], pad+lo, 3, 29)
 	}
 	sqs := make([]int64, len(xs))
 	sq.SquareSlice(sqs, xs, 1)

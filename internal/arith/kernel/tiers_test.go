@@ -19,7 +19,7 @@ var chainWidths = [2]int{29, 32}
 // productRange enumerates one (spec, coefficient) product over every
 // operand value: whether every entry of the full table fits int32, and
 // per chain width the largest w-bit pattern an added (ub = p) and a
-// subtracted (ub = ^p) tap feeds a wiring chain — the term of a
+// subtracted (ub = ^p) tap feeds an AMA5 chain — the term of a
 // projection grows with ub, so these decide the narrowest projection
 // tier the entries allow. Constant products are odd, so each magnitude
 // is evaluated once for both signs; the minimum operand has no twin.
@@ -56,17 +56,13 @@ func enumerateProducts(t *testing.T, spec arith.Multiplier, c int64) productRang
 }
 
 // projFits16 is the tier the entries allow at chain width chainWidths[i]:
-// every term fits uint16.
-func (r productRange) projFits16(i, k int, neg, round bool) bool {
+// every AMA5 term fits uint16.
+func (r productRange) projFits16(i, k int, neg bool) bool {
 	ub := r.maxAdd[i]
 	if neg {
 		ub = r.maxSub[i]
 	}
-	var half uint64
-	if round {
-		half = uint64(1) << (k - 1)
-	}
-	return (ub+half)>>k <= 0xffff
+	return (ub+uint64(1)<<(k-1))>>k <= 0xffff
 }
 
 // squaresFit32 reports whether every square of spec fits int32. Squares
@@ -89,8 +85,8 @@ func squaresFit32(t *testing.T, spec arith.Multiplier) bool {
 // before a table holds any entry against the entries themselves.
 //
 // Over Width {4, 8, 16}, every multiplier and adder kind, k = 1..2*Width,
-// chain widths {29, 32}, both tap polarities and both rounding modes, no
-// chosen tier may be narrower than an enumerated entry needs: an int32
+// chain widths {29, 32} and both tap polarities, no chosen tier may be
+// narrower than an enumerated entry needs: an int32
 // const-mul table holds only int32 products, squares always fit int32,
 // and a uint16 projection holds only uint16 terms. Coefficients sample
 // small and boundary magnitudes of both signs — at 16 bits the int32
@@ -152,11 +148,9 @@ func checkTierGrid(t *testing.T, width int, mk approx.MultKind, coeffs []int64, 
 				for i, w := range chainWidths {
 					ck := min(k, w)
 					for _, neg := range []bool{false, true} {
-						for _, round := range []bool{false, true} {
-							if kernel.ProjFits16(spec, w, ck, neg, round) && !r.projFits16(i, ck, neg, round) {
-								t.Fatalf("%+v c=%d w=%d k=%d neg=%v round=%v: uint16 tier chosen, a term overflows it",
-									spec, c, w, ck, neg, round)
-							}
+						if kernel.ProjFits16(spec, w, ck, neg) && !r.projFits16(i, ck, neg) {
+							t.Fatalf("%+v c=%d w=%d k=%d neg=%v: uint16 tier chosen, a term overflows it",
+								spec, c, w, ck, neg)
 						}
 					}
 				}
@@ -206,11 +200,10 @@ func checkExplorerTiers(t *testing.T, mk approx.MultKind, sample bool) {
 							t.Fatalf("%s: const-mul int32 tier %v, enumeration %v", label, got, r.fits32)
 						}
 					}
-					if ak != approx.ApproxAdd4 && ak != approx.ApproxAdd5 {
+					if ak != approx.ApproxAdd5 {
 						continue
 					}
-					round := ak == approx.ApproxAdd5
-					if got, want := kernel.ProjFits16(spec, 32, k, neg, round), r.projFits16(1, k, neg, round); got != want {
+					if got, want := kernel.ProjFits16(spec, 32, k, neg), r.projFits16(1, k, neg); got != want {
 						t.Fatalf("%s: projection uint16 tier %v, enumeration %v", label, got, want)
 					}
 				}

@@ -16,19 +16,16 @@ type windowKind uint8
 const (
 	windowFold   windowKind = iota // re-fold every slot per sample
 	windowNative                   // exact: the modular sum of the slots
-	windowAMA4                     // slot terms slide, the opening slot corrects
 	windowAMA5                     // slot terms slide, the closing slot corrects
 )
 
 // compileWindow picks the moving-window strategy for spec: a running sum
-// for the exact and wiring adders, the per-sample re-fold through the
-// signed closure otherwise (AMA1-AMA3).
+// for the exact adders and AMA5, the per-sample re-fold through the
+// adder otherwise (AMA1-AMA4).
 func compileWindow(spec arith.Adder) windowKind {
 	switch k := effectiveLSBs(spec); {
 	case k == 0:
 		return windowNative
-	case spec.Kind == approx.ApproxAdd4:
-		return windowAMA4
 	case spec.Kind == approx.ApproxAdd5:
 		return windowAMA5
 	}
@@ -60,12 +57,10 @@ func (ad *Adder) Slide(dst, xs, ring []int64, pos int, sum uint64, outShift uint
 	switch ad.window {
 	case windowNative:
 		pos, sum = slideNative(dst, xs, ring, pos, sum, pl, r)
-	case windowAMA4:
-		pos, sum = slideAMA4(dst, xs, ring, pos, sum, w, k, pl, r)
 	case windowAMA5:
 		pos, sum = slideAMA5(dst, xs, ring, pos, sum, w, k, pl, r)
 	default:
-		// The re-fold: the chain of every slot through the signed closure.
+		// The re-fold: the chain of every slot through the adder.
 		for i, x := range xs {
 			ring[pos] = x
 			if pos++; pos == len(ring) {
@@ -73,7 +68,7 @@ func (ad *Adder) Slide(dst, xs, ring []int64, pos int, sum uint64, outShift uint
 			}
 			acc := ring[0]
 			for _, v := range ring[1:] {
-				acc = ad.addS(acc, v)
+				acc = ad.AddSigned(acc, v)
 			}
 			dst[i] = finish(uint64(acc), w, outShift, outWidth)
 		}
@@ -122,32 +117,6 @@ func slideAMA5(dst, xs, ring []int64, pos int, s uint64, w int, k uint, pl uint6
 		ub := uint64(ring[last]) & mW
 		u := s - ub>>(k-1)&1
 		dst[i] = int64((ub&mk|u<<k)*pl) >> r
-	}
-	return pos, s
-}
-
-// slideAMA4 is the AMA4 window (Sum = NOT A): every slot after the
-// opening one adds its upper slice ub >> k; the opening slot adds its own
-// upper slice plus the carries its alternating low bits pass up over the
-// W-1 steps, (W-1)/2 + bit k-1 when W-1 is odd, and its low k bits leave
-// complemented when W-1 is odd. s sums ub >> k over every slot, and the
-// output adds the opening slot's carries.
-func slideAMA4(dst, xs, ring []int64, pos int, s uint64, w int, k uint, pl uint64, r uint) (int, uint64) {
-	mW, mk := mask(w), mask(int(k))
-	steps := uint64(len(ring) - 1)
-	odd, carries := steps&1, steps/2
-	flip := -odd
-	dst = dst[:len(xs)]
-	r &= 63 // no change to r, but the loop then shifts with no range check
-	for i, x := range xs {
-		s += (uint64(x)&mW)>>k - (uint64(ring[pos])&mW)>>k
-		ring[pos] = x
-		if pos++; pos == len(ring) {
-			pos = 0
-		}
-		acc := uint64(ring[0]) & mW
-		u := s + carries + acc>>(k-1)&odd
-		dst[i] = int64(((acc^flip)&mk|u<<k)*pl) >> r
 	}
 	return pos, s
 }

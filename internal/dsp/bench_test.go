@@ -125,7 +125,7 @@ func BenchmarkSquarer(b *testing.B) {
 }
 
 // BenchmarkMovingSum times the Pan-Tompkins integrator (32-sample window,
-// output shift 5) through the exact adder, the wiring adders at the
+// output shift 5) through the exact adder, the AMA4 and AMA5 adders at the
 // paper's 16 MWI LSBs and a chunk-LUT adder at 8 LSBs, over squarer-range
 // input: block24 continues a warm window over one 24-sample serve frame
 // per op, record runs FilterInto over a 20,000-sample record per op. Both

@@ -8,7 +8,7 @@ import (
 )
 
 // blockCfgs are the stage configurations the squarer block-path test
-// sweeps: exact, a wiring-mask kind and a LUT kind.
+// sweeps: exact, the AMA5 kind and a LUT kind.
 func blockCfgs() []ArithConfig {
 	return []ArithConfig{
 		Accurate(),

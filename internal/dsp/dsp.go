@@ -83,11 +83,12 @@ const AccWidth = 32
 // coefficients subtract their product magnitude.
 //
 // The taps compile once into a kernel.Chain, and every entry point
-// evaluates through it: FilterInto runs a whole record from position 0,
-// Block runs the stream's window from its history length, and Process is
-// a one-sample Block. The chain is immutable, so the filter's only state
-// is its delay line, and Clone hands a stream its own delay line over the
-// same chain.
+// evaluates through it from a history of the tap count: Block runs the
+// stream's window, Process is a one-sample Block, and FilterInto runs a
+// whole record's first positions as one Block from a cleared window and
+// the rest over the record itself. The chain is immutable, so the
+// filter's only state is its delay line, and Clone hands a stream its own
+// delay line over the same chain.
 type FIR struct {
 	n        int // taps, and the history length of the window
 	chain    *kernel.Chain
@@ -150,9 +151,9 @@ func (f *FIR) Clone() *FIR {
 }
 
 // Tables returns the distinct raw product tables the filter's chain
-// materialized: every tap's for the generic strategies, only the
-// boundary taps' for a wiring chain (its other taps read projections,
-// see ProjTables), none for an exact chain — the honest footprint,
+// materialized: every tap's for the generic chain, only the last tap's
+// for an AMA5 chain (its other taps read projections, see ProjTables),
+// none for an exact chain — the honest footprint,
 // mirroring kernel.CacheStats. Their Bytes are allocated bytes: a full
 // table is allocated whole and filled as the filter's inputs reach new
 // magnitudes.
@@ -207,10 +208,12 @@ func (f *FIR) Block(dst, xs []int64) {
 // FilterInto runs the filter over a whole signal from a cleared delay
 // line, writing into dst, which is grown only when its capacity is
 // insufficient — the path for callers that run many records without
-// per-record allocation. It returns the output slice. The chain runs from
-// position 0 of the record; the delay line is left exactly as if the
-// signal had been streamed, so Process or Block may continue where the
-// record ended.
+// per-record allocation. It returns the output slice. The record's first
+// n positions (n the tap count) run as one Block from the cleared window,
+// which has room for them; the chain then runs the rest over the record
+// itself, whose first n samples are their history. The delay line is
+// left exactly as if the signal had been streamed, so Process or Block
+// may continue where the record ended.
 func (f *FIR) FilterInto(dst, xs []int64) []int64 {
 	dst = resize(dst, len(xs))
 	if overlaps(dst, xs) {
@@ -218,10 +221,16 @@ func (f *FIR) FilterInto(dst, xs []int64) []int64 {
 		// written; overlapping buffers must split.
 		dst = make([]int64, len(xs))
 	}
-	f.chain.Run(dst, xs, 0, f.outShift, SampleWidth)
+	n := f.n
 	f.Reset()
-	tail := xs[max(len(xs)-f.n, 0):]
-	copy(f.win[f.n-len(tail):f.n], tail)
+	if len(xs) <= n {
+		f.Block(dst, xs)
+		return dst
+	}
+	f.Block(dst[:n], xs[:n])
+	f.chain.Run(dst[n:], xs, n, f.outShift, SampleWidth)
+	copy(f.win, xs[len(xs)-n:])
+	f.fill = n
 	return dst
 }
 
@@ -243,7 +252,7 @@ func resize(s []int64, n int) []int64 {
 //
 // The window chains its ring slots in slot order through the adder's
 // compiled window strategy (kernel.Adder.Slide), shared by every clone:
-// a running sum for the exact and wiring adders, the per-sample re-fold
+// a running sum for the exact and AMA5 adders, the per-sample re-fold
 // for the others. The integrator's only state is the slot ring, the
 // cursor and the strategy's running-sum word.
 type MovingSum struct {
@@ -293,7 +302,7 @@ func (m *MovingSum) Process(x int64) int64 {
 // window, writing one output per input into dst (len(dst) must be at
 // least len(xs); dst may alias xs index for index) exactly as len(xs)
 // calls of Process would. Each sample costs O(1) for the exact and
-// wiring adders and a fold of the window for the others.
+// AMA5 adders and a fold of the window for the others.
 func (m *MovingSum) ProcessBlock(dst, xs []int64) {
 	m.pos, m.sum = m.adder.Slide(dst, xs, m.ring, m.pos, m.sum, uint(m.outShift), AccWidth-m.outShift)
 }

@@ -120,8 +120,10 @@ func oracleShapes() map[string][]int64 {
 // drive one filter, while the oracle is fed the same samples one at a
 // time (reset at every restart). It crosses adder kinds {exact,
 // AMA1-AMA5}, approximated LSBs {0, 2, 8, 12, 16} and the tap shapes
-// above; the exact kind multiplies exactly, so its chains fuse to the MAC
-// strategy, and HPF-shaped wiring chains take the sliding one.
+// above. The exact kind runs with the exact multiplier, so its chains
+// fuse to the MAC strategy, and with AppMultV1, whose approximate
+// products (k > 0) keep it on the generic chain; HPF-shaped AMA5 chains
+// take the sliding strategy.
 // It runs as the subtest kernels=true, the name it kept from when a
 // bit-serial mode ran it a second time as kernels=false.
 func TestFIRMatchesOracle(t *testing.T) { t.Run("kernels=true", firMatchesOracle) }
@@ -129,10 +131,16 @@ func TestFIRMatchesOracle(t *testing.T) { t.Run("kernels=true", firMatchesOracle
 func firMatchesOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
 	for _, kind := range adderKinds {
-		for _, k := range []int{0, 2, 8, 12, 16} {
-			cfg := ArithConfig{LSBs: k, Add: kind, Mul: firMult(kind)}
-			for name, coeffs := range oracleShapes() {
-				driveFIR(t, fmt.Sprintf("%v %s", cfg, name), rng.Uint64, 24, coeffs, 3, cfg)
+		mults := []approx.MultKind{firMult(kind)}
+		if kind == approx.AccAdd {
+			mults = append(mults, approx.AppMultV1)
+		}
+		for _, mul := range mults {
+			for _, k := range []int{0, 2, 8, 12, 16} {
+				cfg := ArithConfig{LSBs: k, Add: kind, Mul: mul}
+				for name, coeffs := range oracleShapes() {
+					driveFIR(t, fmt.Sprintf("%v %s", cfg, name), rng.Uint64, 24, coeffs, 3, cfg)
+				}
 			}
 		}
 	}
@@ -326,8 +334,8 @@ func (m *oracleMovingSum) Process(x int64) int64 {
 }
 
 // adderKinds are the adder kinds the FIR and integrator differentials
-// cross: exact, and every approximate kind — in the integrator, the
-// wiring kinds slide and the others re-fold.
+// cross: exact, and every approximate kind — in the integrator, exact
+// and AMA5 slide and the others re-fold.
 var adderKinds = []approx.AdderKind{approx.AccAdd, approx.ApproxAdd1, approx.ApproxAdd2,
 	approx.ApproxAdd3, approx.ApproxAdd4, approx.ApproxAdd5}
 

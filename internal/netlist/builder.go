@@ -250,39 +250,33 @@ const (
 var freeVarTT = [4]uint32{0xAAAA, 0xCCCC, 0xF0F0, 0xFF00}
 
 // foldCell partially evaluates cell c (kind and flavour set) over in. It
-// enumerates the outputs for every combination of the inputs that are not
-// constant nets and classifies each output as a constant, a wire or an
-// inverted wire of one free input (first match in pin order), or logic.
-// For a constant or wire it stores the constant or source net in out, for
-// an inverted wire the net to invert.
+// evaluates the outputs for every combination of the inputs that are not
+// constant nets at once, through the lane evaluator: lane combo of free
+// input i is bit i of combo (freeVarTT[i]), and a constant input is 0 or
+// all ones in every lane, so the low 2^nf bits of output oi are its truth
+// table over the nf free inputs. It then classifies each output as a
+// constant, a wire or an inverted wire of one free input (first match in
+// pin order), or logic. For a constant or wire it stores the constant or
+// source net in out, for an inverted wire the net to invert.
 func foldCell(c *Cell, in [4]Net, nin, nout int, out *[4]Net) (fold [4]pinFold) {
 	var free [4]int
-	var vals [4]uint8
+	var lanes, o [4]uint64
 	nf := 0
 	for i := 0; i < nin; i++ {
 		if in[i].IsConst() {
-			vals[i] = in[i].ConstVal()
+			lanes[i] = -uint64(in[i].ConstVal())
 		} else {
 			free[nf] = i
+			lanes[i] = uint64(freeVarTT[nf])
 			nf++
 		}
 	}
-	// tt[oi] bit combo holds output oi under free-input combination combo.
-	var tt [4]uint32
-	combos := 1 << nf
-	for combo := 0; combo < combos; combo++ {
-		for fi := 0; fi < nf; fi++ {
-			vals[free[fi]] = uint8(combo>>fi) & 1
-		}
-		o := evalCell(c, vals[:nin])
-		for oi := 0; oi < nout; oi++ {
-			tt[oi] |= uint32(o[oi]) << combo
-		}
-	}
-	all := uint32(1)<<combos - 1
+	evalCellLanes(c, &lanes, &o)
+	all := uint32(1)<<(1<<nf) - 1
 outputs:
 	for oi := 0; oi < nout; oi++ {
-		switch tt[oi] {
+		tt := uint32(o[oi]) & all
+		switch tt {
 		case 0:
 			out[oi], fold[oi] = Const0, pinNet
 			continue
@@ -292,7 +286,7 @@ outputs:
 		}
 		for fi := 0; fi < nf; fi++ {
 			v := freeVarTT[fi] & all
-			switch tt[oi] {
+			switch tt {
 			case v:
 				out[oi], fold[oi] = in[free[fi]], pinNet
 				continue outputs

@@ -12,9 +12,10 @@ import "github.com/xbiosip/xbiosip/internal/approx"
 // falls back to a generic sum-of-products over the cell's Eval, which is
 // what the closed forms are exhaustively tested against.
 
-// evalCellLanes computes the outputs of a cell across 64 lanes at once.
-// It is the lane-parallel counterpart of evalCell: for every lane l,
-// bit l of out[j] equals evalCell's output j on bit l of the inputs.
+// evalCellLanes computes the outputs of a cell across 64 lanes at once:
+// for every lane l, bit l of out[j] is the cell's output j on bit l of
+// the inputs. It is the one definition of cell logic the activity engine
+// and the folding Builder (foldCell) evaluate through.
 func evalCellLanes(c *Cell, in, out *[4]uint64) {
 	switch c.Kind {
 	case CellFA:

@@ -484,3 +484,98 @@ func BenchmarkActivity(b *testing.B) {
 		})
 	}
 }
+
+// TestFoldCellMatchesScalar checks foldCell's one lane-parallel
+// evaluation against a scalar enumeration of the cell's truth table
+// through evalCell (scalarFold), for every FA and MULT2 flavour and every
+// pattern of constant-0, constant-1 and free pins: each output must fold
+// to the same constant, wire or inverted wire of the same free pin, or
+// stay logic.
+func TestFoldCellMatchesScalar(t *testing.T) {
+	var cells []Cell
+	for _, kind := range approx.AdderKinds {
+		cells = append(cells, Cell{Kind: CellFA, Add: kind})
+	}
+	for _, kind := range approx.MultKinds {
+		cells = append(cells, Cell{Kind: CellMult2, Mul: kind})
+	}
+	for _, c := range cells {
+		nin, nout := 3, 2
+		if c.Kind == CellMult2 {
+			nin, nout = 4, 4
+		}
+		patterns := 1
+		for range nin {
+			patterns *= 3
+		}
+		for p := range patterns {
+			// Digit i of p in base 3 makes pin i constant 0, constant 1 or
+			// a free net of its own.
+			var in [4]Net
+			for i, d := 0, p; i < nin; i, d = i+1, d/3 {
+				in[i] = [3]Net{Const0, Const1, Net(numReservedNets + i)}[d%3]
+			}
+			var got, want [4]Net
+			gotFold := foldCell(&c, in, nin, nout, &got)
+			wantFold := scalarFold(&c, in, nin, nout, &want)
+			if gotFold != wantFold || got != want {
+				t.Fatalf("%s over pins %v: folds %v to %v, scalar enumeration %v to %v",
+					c.TypeName(), in[:nin], gotFold[:nout], got[:nout], wantFold[:nout], want[:nout])
+			}
+		}
+	}
+}
+
+// scalarFold is foldCell by enumeration: it evaluates the cell through
+// evalCell once per combination of its free inputs and classifies each
+// output by comparing it with every free input, in pin order.
+func scalarFold(c *Cell, in [4]Net, nin, nout int, out *[4]Net) (fold [4]pinFold) {
+	var free [4]int
+	var vals [4]uint8
+	nf := 0
+	for i := 0; i < nin; i++ {
+		if in[i].IsConst() {
+			vals[i] = in[i].ConstVal()
+		} else {
+			free[nf] = i
+			nf++
+		}
+	}
+	combos := 1 << nf
+	var outs [16][4]uint8
+	for combo := range combos {
+		for fi := 0; fi < nf; fi++ {
+			vals[free[fi]] = uint8(combo>>fi) & 1
+		}
+		outs[combo] = evalCell(c, vals[:nin])
+	}
+	for oi := 0; oi < nout; oi++ {
+		ones := 0
+		for combo := range combos {
+			ones += int(outs[combo][oi])
+		}
+		switch ones {
+		case 0:
+			out[oi], fold[oi] = Const0, pinNet
+			continue
+		case combos:
+			out[oi], fold[oi] = Const1, pinNet
+			continue
+		}
+		for fi := 0; fi < nf && fold[oi] == pinLogic; fi++ {
+			wire, inv := true, true
+			for combo := range combos {
+				x := uint8(combo>>fi) & 1
+				wire = wire && outs[combo][oi] == x
+				inv = inv && outs[combo][oi] != x
+			}
+			switch {
+			case wire:
+				out[oi], fold[oi] = in[free[fi]], pinNet
+			case inv:
+				out[oi], fold[oi] = in[free[fi]], pinInv
+			}
+		}
+	}
+	return fold
+}

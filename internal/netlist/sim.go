@@ -25,21 +25,3 @@ func NewSimulator(n *Netlist) (*Simulator, error) {
 	}
 	return &Simulator{n: n}, nil
 }
-
-// evalCell computes the outputs of a cell from concrete input bits. The
-// folding Builder enumerates cell truth tables through it (foldCell), so
-// constant propagation has one definition of every cell kind.
-func evalCell(c *Cell, in []uint8) (out [4]uint8) {
-	switch c.Kind {
-	case CellFA:
-		out[0], out[1] = c.Add.Eval(in[0], in[1], in[2])
-	case CellMult2:
-		p := c.Mul.Eval(in[0]|in[1]<<1, in[2]|in[3]<<1)
-		out[0], out[1], out[2], out[3] = p&1, p>>1&1, p>>2&1, p>>3&1
-	case CellInv:
-		out[0] = 1 - in[0]
-	case CellReg:
-		out[0] = in[0]
-	}
-	return out
-}

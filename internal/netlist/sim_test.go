@@ -6,6 +6,25 @@ import (
 	"github.com/xbiosip/xbiosip/internal/arith"
 )
 
+// evalCell computes the outputs of a cell from concrete input bits, one
+// vector at a time, straight from the cells' truth tables (approx's Eval):
+// the scalar oracle the lane-packed evaluator (evalCellLanes), the
+// constant folding (foldCell) and Run are checked against.
+func evalCell(c *Cell, in []uint8) (out [4]uint8) {
+	switch c.Kind {
+	case CellFA:
+		out[0], out[1] = c.Add.Eval(in[0], in[1], in[2])
+	case CellMult2:
+		p := c.Mul.Eval(in[0]|in[1]<<1, in[2]|in[3]<<1)
+		out[0], out[1], out[2], out[3] = p&1, p>>1&1, p>>2&1, p>>3&1
+	case CellInv:
+		out[0] = 1 - in[0]
+	case CellReg:
+		out[0] = in[0]
+	}
+	return out
+}
+
 // Run evaluates the netlist for one input binding (port name to LSB-first
 // word value) and returns every output port's value: the per-vector
 // simulation the tests compare the arith models and the lane-packed

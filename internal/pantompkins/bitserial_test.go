@@ -125,10 +125,11 @@ func bitSerialPipeline(cfg Config, samples []int16) *Outputs {
 // compiled kernels against the bit-serial arith models: every stage
 // output of Pipeline.Run over a real record must equal the stage folded
 // through the models in test code. The designs are the accurate
-// pipeline, B9 and the AMA1 mix of blockTestConfigs, and an AMA2, AMA3
-// and AMA4 design with every stage at its MaxLSBs. Between them they run
-// the fused exact, AMA2, chunk-LUT and AMA4/AMA5 wiring chains (the HPF's
-// sliding form included), every integrator window strategy, and the
+// pipeline, B9 and the AMA1 mix of blockTestConfigs, and an AMA2, AMA3,
+// AMA4 and exact-adder (under AppMultV1) design with every stage at its
+// MaxLSBs. Between them they run the fused exact, the AMA5 (the HPF's
+// sliding form included) and the generic chains, the latter with and
+// without approximated LSBs, every integrator window strategy, and the
 // table-free and full-table squarers.
 func TestPipelineMatchesBitSerial(t *testing.T) {
 	rec, err := ecg.NSRDBRecord(0, 2000)
@@ -143,6 +144,7 @@ func TestPipelineMatchesBitSerial(t *testing.T) {
 		{approx.ApproxAdd2, approx.AppMultV2},
 		{approx.ApproxAdd3, approx.AppMultV1},
 		{approx.ApproxAdd4, approx.AppMultV2},
+		{approx.AccAdd, approx.AppMultV1},
 	} {
 		var cfg Config
 		for _, s := range Stages {

@@ -14,7 +14,8 @@ import (
 
 // blockTestConfigs are the designs the block-continuation tests run: the
 // accurate pipeline (fused MAC chains, sliding exact integrator), B9
-// (wiring chains with the sliding HPF window) and a chunk-LUT design.
+// (AMA5 chains with the sliding HPF window) and an AMA1 design on the
+// generic chain.
 func blockTestConfigs() []Config {
 	b9 := Config{}
 	for i, k := range []int{10, 12, 2, 8, 16} {

@@ -69,8 +69,8 @@ func New(cfg Config) (*Pipeline, error) {
 // chain-projection table its five compiled stages read (tables shared
 // between stages — or with other designs, via the global kernel cache —
 // count once), whether or not the signals have filled them yet. Exact
-// stages are table-free and wiring-chain interior taps read projections
-// instead of raw tables, so the accurate pipeline reports zero and an
+// stages are table-free and every AMA5 chain tap but the last reads a
+// projection instead of a raw table, so the accurate pipeline reports zero and an
 // approximate one mostly projections. Streams share the compiled stages,
 // so the footprint does not grow with them.
 func (p *Pipeline) KernelTableBytes() int64 {

@@ -172,14 +172,23 @@ func TestSeqWrapReconnect(t *testing.T) {
 }
 
 // linkTranscript pushes frames through a link and returns the delivered
-// byte stream (frames concatenated with separators) plus final stats.
-func linkTranscript(cfg FaultConfig, frames int) ([]byte, FaultStats) {
+// byte stream (frames concatenated with separators) and the sequence
+// number of every delivered frame, in delivery order: frame i carries
+// sequence number i.
+func linkTranscript(t *testing.T, cfg FaultConfig, frames int) ([]byte, []uint16) {
+	t.Helper()
 	l := NewFaultLink(cfg)
 	var out []byte
+	var seqs []uint16
 	push := func(fs [][]byte) {
 		for _, f := range fs {
 			out = append(out, f...)
 			out = append(out, 0xFE, 0xFD)
+			h, _, _, err := parseFrame(f)
+			if err != nil {
+				t.Fatalf("link delivered a corrupt frame: %v", err)
+			}
+			seqs = append(seqs, h.seq)
 		}
 	}
 	var frame []byte
@@ -188,61 +197,97 @@ func linkTranscript(cfg FaultConfig, frames int) ([]byte, FaultStats) {
 		push(l.Push(frame))
 	}
 	push(l.Flush())
-	return out, l.Stats()
+	return out, seqs
+}
+
+// linkCounts is what a link did to the frames offered to it, counted
+// from the sequence numbers it delivered.
+type linkCounts struct {
+	delivered  int // frames that came out, duplicates included
+	dropped    int // offered frames that never came out
+	lossRuns   int // runs of consecutive dropped frames
+	duplicated int // extra copies of a frame delivered before
+	outOfOrder int // first copies delivered after a later frame
+}
+
+// countLink counts a transcript of n offered frames with sequence
+// numbers 0..n-1.
+func countLink(seqs []uint16, n int) linkCounts {
+	c := linkCounts{delivered: len(seqs)}
+	seen := make([]bool, n)
+	high := 0 // one past the largest sequence number delivered so far
+	for _, s := range seqs {
+		switch {
+		case seen[s]:
+			c.duplicated++
+		case int(s) < high:
+			c.outOfOrder++
+		}
+		seen[s] = true
+		high = max(high, int(s)+1)
+	}
+	for i, ok := range seen {
+		if !ok {
+			c.dropped++
+			if i == 0 || seen[i-1] {
+				c.lossRuns++
+			}
+		}
+	}
+	return c
 }
 
 // TestFaultLinkDeterminism pins that the fault pattern is a pure
 // function of the seed.
 func TestFaultLinkDeterminism(t *testing.T) {
 	cfg := FaultConfig{Seed: 7, Loss: 0.1, Dup: 0.05, Reorder: 0.1, Burst: 0.02, BurstLen: 5}
-	a, sa := linkTranscript(cfg, 500)
-	b, sb := linkTranscript(cfg, 500)
+	a, _ := linkTranscript(t, cfg, 500)
+	b, _ := linkTranscript(t, cfg, 500)
 	if !bytes.Equal(a, b) {
 		t.Fatal("same seed produced different delivery")
 	}
-	if sa != sb {
-		t.Fatalf("same seed produced different stats: %+v vs %+v", sa, sb)
-	}
 	cfg.Seed = 8
-	c, _ := linkTranscript(cfg, 500)
+	c, _ := linkTranscript(t, cfg, 500)
 	if bytes.Equal(a, c) {
 		t.Fatal("different seeds produced identical delivery")
 	}
 }
 
 // TestFaultLinkRates sanity-checks the fault machinery against its
-// configured probabilities and the conservation of frames.
+// configured probabilities and the conservation of frames, counted from
+// the sequence numbers each link delivers.
 func TestFaultLinkRates(t *testing.T) {
 	const n = 20000
-	_, st := linkTranscript(FaultConfig{Seed: 3, Loss: 0.3}, n)
-	if st.Offered != n {
-		t.Fatalf("Offered = %d", st.Offered)
-	}
-	if rate := float64(st.Dropped) / n; rate < 0.25 || rate > 0.35 {
+	_, seqs := linkTranscript(t, FaultConfig{Seed: 3, Loss: 0.3}, n)
+	c := countLink(seqs, n)
+	if rate := float64(c.dropped) / n; rate < 0.25 || rate > 0.35 {
 		t.Fatalf("loss 0.3 dropped at rate %.3f", rate)
 	}
-	if st.Delivered+st.Dropped != n {
-		t.Fatalf("frames not conserved: %d delivered + %d dropped != %d", st.Delivered, st.Dropped, n)
+	if c.delivered+c.dropped != n || c.duplicated != 0 || c.outOfOrder != 0 {
+		t.Fatalf("loss-only link: %+v: frames not conserved, or duplicated or reordered", c)
 	}
 
-	_, st = linkTranscript(FaultConfig{Seed: 3, Burst: 0.02, BurstLen: 8}, n)
-	if st.BurstDrops == 0 || st.BurstDrops != st.Dropped {
-		t.Fatalf("burst-only config: BurstDrops=%d Dropped=%d", st.BurstDrops, st.Dropped)
-	}
+	_, seqs = linkTranscript(t, FaultConfig{Seed: 3, Burst: 0.02, BurstLen: 8}, n)
+	c = countLink(seqs, n)
 	// Mean burst length (1+8)/2 = 4.5 frames at 2% entry: expect far
 	// more drops than entries but bounded.
-	if rate := float64(st.Dropped) / n; rate < 0.04 || rate > 0.16 {
+	if rate := float64(c.dropped) / n; rate < 0.04 || rate > 0.16 {
 		t.Fatalf("burst dropout rate %.3f outside [0.04,0.16]", rate)
 	}
-
-	_, st = linkTranscript(FaultConfig{Seed: 3, Dup: 0.2}, n)
-	if st.Duplicated == 0 || st.Delivered != n+st.Duplicated {
-		t.Fatalf("dup config: Delivered=%d Duplicated=%d", st.Delivered, st.Duplicated)
+	if c.dropped < 2*c.lossRuns {
+		t.Fatalf("burst config lost %d frames in %d runs, want runs of more than two frames on average", c.dropped, c.lossRuns)
 	}
 
-	_, st = linkTranscript(FaultConfig{Seed: 3, Reorder: 0.2, Delay: 4}, n)
-	if st.Reordered == 0 || st.Delivered != n {
-		t.Fatalf("reorder config: Delivered=%d Reordered=%d", st.Delivered, st.Reordered)
+	_, seqs = linkTranscript(t, FaultConfig{Seed: 3, Dup: 0.2}, n)
+	c = countLink(seqs, n)
+	if c.duplicated == 0 || c.dropped != 0 || c.delivered != n+c.duplicated {
+		t.Fatalf("dup config: %+v", c)
+	}
+
+	_, seqs = linkTranscript(t, FaultConfig{Seed: 3, Reorder: 0.2, Delay: 4}, n)
+	c = countLink(seqs, n)
+	if c.outOfOrder == 0 || c.dropped != 0 || c.duplicated != 0 || c.delivered != n {
+		t.Fatalf("reorder config: %+v", c)
 	}
 }
 

@@ -32,16 +32,6 @@ type FaultConfig struct {
 	BurstLen int
 }
 
-// FaultStats counts what a link did to the offered traffic.
-type FaultStats struct {
-	Offered    uint64 // frames pushed into the link
-	Delivered  uint64 // frames that came out (duplicates included)
-	Dropped    uint64 // frames lost (i.i.d. and burst)
-	BurstDrops uint64 // the subset of Dropped lost inside bursts
-	Duplicated uint64 // extra copies delivered
-	Reordered  uint64 // frames delivered out of order
-}
-
 // FaultLink applies a deterministic, seeded fault pattern to a stream of
 // encoded frames. It is transport-agnostic: Push offers one frame and
 // returns the frames the far end receives now (zero or more — dropped,
@@ -49,12 +39,12 @@ type FaultStats struct {
 // returns the frames still in flight. Returned slices alias an internal
 // buffer valid until the next Push or Flush.
 type FaultLink struct {
-	cfg   FaultConfig
-	rng   uint64
-	burst int // frames left in the current burst dropout
-	held  []heldFrame
-	out   [][]byte
-	stats FaultStats
+	cfg     FaultConfig
+	rng     uint64
+	burst   int    // frames left in the current burst dropout
+	offered uint64 // frames pushed so far, the clock of reorder deadlines
+	held    []heldFrame
+	out     [][]byte
 }
 
 type heldFrame struct {
@@ -94,32 +84,24 @@ func (l *FaultLink) roll(p float64) bool {
 	return u < p
 }
 
-// Stats returns the link's fault counters.
-func (l *FaultLink) Stats() FaultStats { return l.stats }
-
 // Push offers one encoded frame to the link and returns the frames
 // delivered now, in arrival order. The input is copied when it must
 // outlive the call (reordering), so the caller may reuse its buffer.
 func (l *FaultLink) Push(frame []byte) [][]byte {
 	l.out = l.out[:0]
-	l.stats.Offered++
+	l.offered++
 
 	drop := false
 	if l.burst > 0 {
 		l.burst--
 		drop = true
-		l.stats.Dropped++
-		l.stats.BurstDrops++
 	} else if l.roll(l.cfg.Burst) {
 		// A burst of length uniform in [1,BurstLen] swallows this frame
 		// and the next length-1 offers.
 		l.burst = int(l.next() % uint64(l.cfg.BurstLen))
 		drop = true
-		l.stats.Dropped++
-		l.stats.BurstDrops++
 	} else if l.roll(l.cfg.Loss) {
 		drop = true
-		l.stats.Dropped++
 	}
 
 	if !drop {
@@ -128,22 +110,20 @@ func (l *FaultLink) Push(frame []byte) [][]byte {
 			lag := l.next()%uint64(l.cfg.Delay) + 1
 			l.held = append(l.held, heldFrame{
 				frame: append([]byte(nil), frame...),
-				due:   l.stats.Offered + lag,
+				due:   l.offered + lag,
 			})
-			l.stats.Reordered++
 		} else {
-			l.deliver(frame)
+			l.out = append(l.out, frame)
 			if l.roll(l.cfg.Dup) {
-				l.deliver(frame)
-				l.stats.Duplicated++
+				l.out = append(l.out, frame)
 			}
 		}
 	}
 
 	// Release held frames whose lag has elapsed, in hold order.
 	for i := 0; i < len(l.held); {
-		if l.held[i].due <= l.stats.Offered {
-			l.deliver(l.held[i].frame)
+		if l.held[i].due <= l.offered {
+			l.out = append(l.out, l.held[i].frame)
 			l.held = append(l.held[:i], l.held[i+1:]...)
 		} else {
 			i++
@@ -157,13 +137,8 @@ func (l *FaultLink) Push(frame []byte) [][]byte {
 func (l *FaultLink) Flush() [][]byte {
 	l.out = l.out[:0]
 	for _, h := range l.held {
-		l.deliver(h.frame)
+		l.out = append(l.out, h.frame)
 	}
 	l.held = l.held[:0]
 	return l.out
-}
-
-func (l *FaultLink) deliver(frame []byte) {
-	l.out = append(l.out, frame)
-	l.stats.Delivered++
 }

@@ -24,14 +24,15 @@ var surfaceAllowed = map[string]bool{
 	"internal/arith.Multiplier.MulSigned": true,
 }
 
-// TestProductionSurface fails for every exported function or method
-// declared under internal/ that no non-test file under internal/, cmd/,
-// examples/ or bench/ references. Matching is by name, without type
-// checking: a function counts as referenced when a file names it through
-// its package's import (or bare, inside its package), a method when any
-// selector not on a package name has its name. A declaration is not its
-// own reference. An oracle only tests call belongs in a _test.go file of
-// its package.
+// TestProductionSurface fails for every function or method, exported or
+// not, declared in a non-test file under internal/ that no non-test file
+// under internal/, cmd/, examples/ or bench/ references. Matching is by
+// name, without type checking: a function counts as referenced when a
+// file names it through its package's import (or bare, inside its
+// package, the only place an unexported one can be named), a method when
+// any selector not on a package name has its name. A declaration is not
+// its own reference. A dead helper gets deleted, and an oracle only tests
+// call belongs in a _test.go file of its package.
 func TestProductionSurface(t *testing.T) {
 	type decl struct {
 		key, name, pos string
@@ -67,7 +68,7 @@ func TestProductionSurface(t *testing.T) {
 					continue
 				}
 				declared[fd.Name] = true
-				if !fd.Name.IsExported() || !strings.HasPrefix(dir, "internal/") {
+				if !strings.HasPrefix(dir, "internal/") || fd.Name.Name == "init" {
 					continue
 				}
 				dc := decl{key: dir + "." + fd.Name.Name, name: fd.Name.Name, pos: fset.Position(fd.Pos()).String()}
