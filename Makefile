@@ -1,9 +1,11 @@
 # Developer and CI entry points. `make ci` is the gate: build, vet, a
-# gofmt check over every tracked Go file, race-clean tests (which include
+# gofmt check over every tracked Go file, a check that every test pattern
+# of the focused targets selects a test, race-clean tests (which include
 # the equivalence suites: the word-parallel kernels — the AMA5 and exact
 # fast strategies, and the generic chain, re-fold window and full tables
 # that every other cell kind runs — the dsp stages and whole pipelines
-# against folds through the bit-serial arith models, and
+# against folds through the bit-serial models of internal/oracle, which
+# only tests import, and
 # the lane-packed activity simulator against a one-vector-at-a-time fold,
 # all in test code), a benchmark smoke pass, focused
 # -race passes over the two global caches' concurrent cold builds, the
@@ -29,7 +31,7 @@
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: all build vet fmt-check test race race-arith race-energy race-dse race-serve race-gateway race-net race-batch fuzz-smoke net-smoke examples-smoke bench bench-smoke ci
+.PHONY: all build vet fmt-check test test-patterns race race-arith race-energy race-dse race-serve race-gateway race-net race-batch fuzz-smoke net-smoke examples-smoke bench bench-smoke cover-surfaces ci
 
 all: build
 
@@ -47,6 +49,15 @@ fmt-check:
 
 test:
 	$(GO) test ./...
+
+# Every -run and -fuzz pattern of the focused targets below must select a
+# test: for each line of race-dse, race-gateway, race-net, race-batch and
+# fuzz-smoke, `go test -list` has to name at least one test in every
+# package the line runs (scripts/test-patterns.sh). A pattern that
+# matches nothing passes silently otherwise, with "[no tests to run]" or
+# "no fuzz tests to fuzz" and exit status 0.
+test-patterns:
+	@$(MAKE) -s -n --no-print-directory -f $(firstword $(MAKEFILE_LIST)) race-dse race-gateway race-net race-batch fuzz-smoke | GO=$(GO) bash scripts/test-patterns.sh
 
 race:
 	$(GO) test -race ./...
@@ -119,7 +130,7 @@ examples-smoke:
 # which the AMA5 chains, from 4, and the fused exact MAC, from 6 over its
 # direct taps and from 5 over the LPF's recurrence, leave their
 # short-span loop for passes), the dsp FIR and integrator entry points
-# against the frozen per-tap and per-sample fold oracles (the FIR's window
+# against internal/oracle's tap-chain and slot-order window folds (the FIR's window
 # filled exactly, grown, and continued by an empty block, and whole
 # records whose first tap-count positions run as one block; the FIR fuzz
 # target's seeds too) and the squarer block path,
@@ -136,9 +147,9 @@ race-batch:
 # never corrupt the session pool), over the QRS detector (every entry
 # point reproduces the frozen whole-record oracle), over the FIR (every
 # entry point, its window filled exactly, grown and continued, reproduces
-# the frozen per-tap fold; seeds replay design B9's LPF, HPF and DER in
-# 24-sample serve blocks), over the moving-window integrator (every
-# entry point reproduces the frozen per-sample fold), over the kernel's
+# internal/oracle's tap-chain fold; seeds replay design B9's LPF, HPF and
+# DER in 24-sample serve blocks), over the moving-window integrator (every
+# entry point reproduces the oracle's slot-order window fold), over the kernel's
 # on-demand table fills (every read of a fresh table reproduces the full
 # enumeration, for a fuzzed coefficient, |c| >= 256 and -2^15 included,
 # and a fuzzed root adder: AMA5 and exact fill through the rows' closed
@@ -197,4 +208,12 @@ bench:
 bench-smoke:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
-ci: build vet fmt-check race race-arith race-energy race-dse race-serve race-gateway race-net race-batch fuzz-smoke net-smoke examples-smoke bench bench-smoke
+# Not part of ci: builds every surface (xbiosip, ptqrs, the examples and
+# the bench binary) with coverage of the whole module, runs them over a
+# fixed set of traffic and lists the internal/ functions none of it
+# executes (scripts/cover-surfaces.sh), so that a change deleting code can
+# show the code ran nowhere. Takes a few minutes.
+cover-surfaces:
+	@GO=$(GO) bash scripts/cover-surfaces.sh
+
+ci: build vet fmt-check test-patterns race race-arith race-energy race-dse race-serve race-gateway race-net race-batch fuzz-smoke net-smoke examples-smoke bench bench-smoke

@@ -326,7 +326,7 @@ func synthReports() error {
 		if err != nil {
 			return err
 		}
-		r, err := synth.AnalyzeOptimized(n, nil)
+		r, err := synth.AnalyzeOptimized(n)
 		if err != nil {
 			return err
 		}

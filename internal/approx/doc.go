@@ -7,7 +7,8 @@
 // Each cell has two faces:
 //
 //   - a behavioural model (a truth table evaluated bit-true), used by the
-//     word-level constructions in package arith and by the netlist simulator;
+//     word-level models in package oracle, the compiled kernels and the
+//     netlist simulator;
 //   - a physical characterisation (area, delay, power, energy) taken from the
 //     paper's Table 1, obtained there by synthesising the cells with a
 //     Synopsys 65nm ASIC flow. The characterisation drives every synthesis

@@ -40,67 +40,6 @@ func mask(w int) uint64 {
 	return (uint64(1) << w) - 1
 }
 
-// effectiveLSBs returns the number of cells actually behaving approximately
-// (zero when the configured kind is the accurate cell).
-func (ad Adder) effectiveLSBs() int {
-	if ad.Kind == approx.AccAdd {
-		return 0
-	}
-	k := ad.ApproxLSBs
-	if k > ad.Width {
-		k = ad.Width
-	}
-	return k
-}
-
-// AddCarry adds a, b and the carry-in bit through the ripple-carry chain and
-// returns the Width-bit sum together with the carry out of the final cell.
-func (ad Adder) AddCarry(a, b uint64, cin uint8) (sum uint64, cout uint8) {
-	m := mask(ad.Width)
-	a &= m
-	b &= m
-	k := ad.effectiveLSBs()
-	c := cin & 1
-	for i := 0; i < k; i++ {
-		s, co := ad.Kind.Eval(uint8(a>>i)&1, uint8(b>>i)&1, c)
-		sum |= uint64(s) << i
-		c = co
-	}
-	// The remaining Width-k cells are accurate; their ripple is ordinary
-	// binary addition of the upper operand slices plus the chain carry.
-	hi := (a >> k) + (b >> k) + uint64(c)
-	sum |= hi << k
-	cout = uint8(hi>>(ad.Width-k)) & 1
-	return sum & m, cout
-}
-
-// Add returns the Width-bit sum of a and b (carry-in 0, carry-out dropped,
-// i.e. addition modulo 2^Width as the hardware block computes it).
-func (ad Adder) Add(a, b uint64) uint64 {
-	s, _ := ad.AddCarry(a, b, 0)
-	return s
-}
-
-// Sub returns the Width-bit difference a-b computed as a + NOT b + 1, the
-// way a hardware subtractor drives the same ripple-carry chain. The
-// inversion is exact wiring; the approximation error comes from the chain.
-func (ad Adder) Sub(a, b uint64) uint64 {
-	s, _ := ad.AddCarry(a, ^b&mask(ad.Width), 1)
-	return s
-}
-
-// AddSigned adds two signed values through the adder's two's-complement
-// datapath and returns the sign-extended result.
-func (ad Adder) AddSigned(a, b int64) int64 {
-	return ToSigned(ad.Add(uint64(a), uint64(b)), ad.Width)
-}
-
-// SubSigned subtracts b from a through the two's-complement datapath and
-// returns the sign-extended result.
-func (ad Adder) SubSigned(a, b int64) int64 {
-	return ToSigned(ad.Sub(uint64(a), uint64(b)), ad.Width)
-}
-
 // ToSigned sign-extends the low width bits of x to an int64.
 func ToSigned(x uint64, width int) int64 {
 	x &= mask(width)

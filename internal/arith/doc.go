@@ -1,6 +1,5 @@
-// Package arith implements bit-true behavioural models of the larger
-// bit-width approximate arithmetic blocks XBioSiP builds from the elementary
-// cells in package approx:
+// Package arith specifies the larger bit-width approximate arithmetic
+// blocks XBioSiP builds from the elementary cells in package approx:
 //
 //   - Adder: an N-bit ripple-carry adder whose k least-significant cells are
 //     an approximate full-adder kind (paper Fig 6);
@@ -10,10 +9,14 @@
 //     output offset p is approximate iff p+4 <= k, and accumulation-adder
 //     cells at output positions < k are approximate.
 //
-// These are the Go equivalent of the paper's MATLAB behavioural models; the
-// test suite cross-validates them bit-for-bit against the cell-level netlist
-// simulator in package netlist, mirroring the paper's MATLAB/ModelSim
-// cross-validation loop (paper Fig 9).
+// The package holds the specs, their Validate and ToSigned, nothing that
+// computes. Production code evaluates a spec through the compiled kernels
+// of package arith/kernel and builds its hardware through package
+// netlist. The bit-serial behavioural models that define both, the Go
+// equivalent of the paper's MATLAB models, live in package oracle, which
+// only tests import; the tests cross-validate the models bit for bit
+// against the kernels and the cell-level netlist simulator, mirroring the
+// paper's MATLAB/ModelSim cross-validation loop (paper Fig 9).
 //
 // Signedness: additions are two's-complement and flow through the RCA
 // unchanged; multiplications are sign-magnitude around the unsigned

@@ -13,8 +13,8 @@ import (
 type addFunc func(a, b uint64, cin uint8) (sum uint64, cout uint8)
 
 // Adder is a compiled word-parallel evaluation plan for one arith.Adder
-// configuration. It exposes the same operations as the reference model and
-// is bit-identical to it; see the package documentation for the closed
+// configuration. It is bit-identical to the bit-serial model of package
+// oracle (AddCarry, AddSigned, SubSigned), which only tests import; see the package documentation for the closed
 // forms. Its one compiled addFunc is the scalar adder that plan walks,
 // table fills, the generic chain and the re-fold window add through; the
 // AMA5 and exact strategies inline their closed forms instead. The zero

@@ -10,6 +10,7 @@ import (
 	"github.com/xbiosip/xbiosip/internal/arith/kernel"
 	"github.com/xbiosip/xbiosip/internal/dsp"
 	"github.com/xbiosip/xbiosip/internal/ecg"
+	"github.com/xbiosip/xbiosip/internal/oracle"
 )
 
 // benchOperands is a fixed pseudorandom operand stream shared by the
@@ -58,7 +59,7 @@ func BenchmarkKernelVsReference(b *testing.B) {
 		b.Run("adder/"+cfg.name+"/reference", func(b *testing.B) {
 			var sink uint64
 			for i := 0; i < b.N; i++ {
-				s, _ := cfg.spec.AddCarry(av[i&1023], bv[i&1023], 0)
+				s, _ := oracle.AddCarry(cfg.spec, av[i&1023], bv[i&1023], 0)
 				sink += s
 			}
 			_ = sink
@@ -87,7 +88,7 @@ func BenchmarkKernelVsReference(b *testing.B) {
 		b.Run("multiplier/"+cfg.name+"/reference", func(b *testing.B) {
 			var sink uint64
 			for i := 0; i < b.N; i++ {
-				sink += cfg.spec.Mul(av[i&1023], bv[i&1023])
+				sink += oracle.Mul(cfg.spec, av[i&1023], bv[i&1023])
 			}
 			_ = sink
 		})
@@ -96,9 +97,10 @@ func BenchmarkKernelVsReference(b *testing.B) {
 	// Approximate 32-tap FIR in the HPF's shape (31 taps of -1 around one
 	// +31), with the paper's default modules at k=8 and k=16. The kernel
 	// variant is dsp.FIR; the reference variant folds the same taps per
-	// sample through the bit-serial models (referenceFIR), so the whole
-	// accumulation chain ripples bit-serially. Both produce the same
-	// output, which is checked once before the timed runs.
+	// sample through the bit-serial models (oracle.FIR, its products
+	// memoized per run), so the whole accumulation chain ripples
+	// bit-serially. Both produce the same output, which is checked once
+	// before the timed runs.
 	coeffs := make([]int64, 32)
 	for i := range coeffs {
 		coeffs[i] = -1
@@ -113,7 +115,7 @@ func BenchmarkKernelVsReference(b *testing.B) {
 		samples[i] = int64(s)
 	}
 	out := make([]int64, len(samples))
-	ref := make([]int64, len(samples))
+	taps := oracle.Taps(coeffs)
 	for _, k := range []int{8, 16} {
 		cfg := dsp.ArithConfig{LSBs: k, Add: approx.ApproxAdd5, Mul: approx.AppMultV1}
 		f, err := dsp.NewFIR(coeffs, 5, cfg)
@@ -123,7 +125,7 @@ func BenchmarkKernelVsReference(b *testing.B) {
 		mult := arith.Multiplier{Width: dsp.SampleWidth, ApproxLSBs: k, Mult: cfg.Mul, Add: cfg.Add}
 		adder := arith.Adder{Width: dsp.AccWidth, ApproxLSBs: k, Kind: cfg.Add}
 		out = f.FilterInto(out, samples)
-		referenceFIR(ref, samples, coeffs, 5, mult, adder)
+		ref := oracle.FIR(adder, oracle.NewProducts(mult), taps, samples, 5, dsp.SampleWidth)
 		for i := range out {
 			if out[i] != ref[i] {
 				b.Fatalf("fir32/k%d: sample %d: kernel %d, reference %d", k, i, out[i], ref[i])
@@ -138,44 +140,9 @@ func BenchmarkKernelVsReference(b *testing.B) {
 		b.Run(fmt.Sprintf("fir32/k%d/reference", k), func(b *testing.B) {
 			b.SetBytes(int64(len(samples)))
 			for i := 0; i < b.N; i++ {
-				referenceFIR(ref, samples, coeffs, 5, mult, adder)
+				ref = oracle.FIR(adder, oracle.NewProducts(mult), taps, samples, 5, dsp.SampleWidth)
 			}
 		})
-	}
-}
-
-// referenceFIR is dsp.FIR's datapath restated over the bit-serial
-// models: for every position, each non-zero tap's product of the delayed
-// sample with the coefficient magnitude (zero before the signal) is
-// copied or zero-subtracted into the accumulator at the first tap and
-// added or subtracted (negative coefficients) at the rest, and the
-// accumulator is shifted and sliced to the sample width.
-func referenceFIR(dst, xs, coeffs []int64, shift uint, mult arith.Multiplier, adder arith.Adder) {
-	for n := range xs {
-		var acc int64
-		first := true
-		for lag, c := range coeffs {
-			if c == 0 {
-				continue
-			}
-			var x int64
-			if n >= lag {
-				x = xs[n-lag]
-			}
-			p := mult.MulSigned(x, max(c, -c))
-			switch {
-			case first && c < 0:
-				acc = adder.SubSigned(0, p)
-			case first:
-				acc = p
-			case c < 0:
-				acc = adder.SubSigned(acc, p)
-			default:
-				acc = adder.AddSigned(acc, p)
-			}
-			first = false
-		}
-		dst[n] = arith.ToSigned(uint64(acc)>>shift, dsp.SampleWidth)
 	}
 }
 

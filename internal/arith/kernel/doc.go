@@ -1,8 +1,8 @@
 // Package kernel compiles arith.Adder and arith.Multiplier configurations
 // into closed-form, allocation-free, word-parallel evaluation plans. The
-// bit-serial models in package arith remain the reference oracle — every
-// plan is required (and exhaustively tested) to be bit-identical to them —
-// but simulation-heavy paths (package dsp and everything above it) evaluate
+// bit-serial models in package oracle remain the reference — every plan
+// is required (and exhaustively tested) to be bit-identical to them — but
+// simulation-heavy paths (package dsp and everything above it) evaluate
 // through compiled kernels, which turns the per-sample cost of an
 // approximate stage from O(k) elementary-cell table walks into O(1) word
 // operations.
@@ -10,7 +10,7 @@
 // # Adder closed forms
 //
 // A compiled adder replaces the k-cell approximate ripple region of
-// arith.Adder.AddCarry with one of four strategies picked at compile time:
+// oracle.AddCarry with one of four strategies picked at compile time:
 //
 //   - Exact region (k = 0 or AccAdd): one native machine add. The carry out
 //     is the bit Width of the (Width+1)-bit sum, reproducing the reference
@@ -60,25 +60,28 @@
 //   - AMA5 with k > 0: its projected chain, its sliding chain, its O(1)
 //     integrator window and its inline row fill;
 //   - exact stages: the fused MAC, the native window and the table-free
-//     tier.
+//     exact squarer.
 //
 // Every other configuration — AMA1-AMA4, and a chain whose exact adder
-// does not fuse to the MAC (an approximate multiplier, or a coefficient
-// out of range) — runs the one generic chain, the re-fold window and full
-// tables: bit-identical to the bit-serial models, and slower. A fast path
+// sits under an approximate multiplier — runs the one generic chain, the
+// re-fold window and full tables: bit-identical to the bit-serial models,
+// and slower. A chain over an exact multiplier plan that does not fuse
+// (an approximate adder, or a coefficient out of range) has no tables to
+// run and is refused; no stage builds one. A fast path
 // for another kind comes back together with a workload that measures its
 // win.
 //
 // # Multiplier plans
 //
-// A compiled multiplier freezes the recursion of arith.Multiplier.mulRec
+// A compiled multiplier freezes the recursion of the bit-serial model
+// (oracle.Mul)
 // into a static plan tree: subtrees whose output lane lies entirely at or
 // above k collapse to a native multiply, 2x2 leaves evaluate their
 // elementary cell table, and each partial-product accumulation node holds a
 // pre-compiled adder kernel for its (width, approximated-LSBs) slice. This
-// also removes the reference model's per-accumulation garbage — addAt
-// constructs a fresh arith.Adder and re-derives masks on every call, while
-// the plan hoists all config-dependent state to compile time and evaluates
+// also removes the reference model's per-accumulation work — it
+// re-derives an adder spec and its masks on every accumulation, while the
+// plan hoists all config-dependent state to compile time and evaluates
 // with zero allocations.
 //
 // # Coefficient and squaring tables: the representation tiers
@@ -86,17 +89,15 @@
 // FIR taps only ever multiply the signal by small fixed coefficients
 // (LPF 1..6, HPF -1/31, DER +-1/+-2), so ConstMulTable captures the
 // products of one (coefficient, multiplier-config) pair once and the
-// whole approximate multiply becomes one cache-resident load. The
-// representation is tiered by what the compiled plan allows:
+// whole approximate multiply becomes one cache-resident load. Only a plan
+// with a composite root gets one: an exact plan's FIR chain fuses into
+// plain multiply-accumulate (see below), so every k = 0 stage of a design
+// costs zero table bytes, and NewConstMulTable refuses exact plans and
+// 2-bit leaf roots. The table is tiered by a bound:
 //
-//   - Exact plans carry no table at all: the product is a native multiply
-//     behind a branch-free sign-magnitude wrapper, and a fully exact FIR
-//     chain fuses further into plain multiply-accumulate (see below).
-//     Every k = 0 stage of a design therefore costs zero table bytes.
-//
-//   - int32 full tier: every other plan keeps the full 2^Width table and
-//     stores int32 entries whenever a bound proves every product fits
-//     (see "On-demand fills"), else
+//   - int32 full tier: the full 2^Width table stores int32 entries
+//     whenever a bound proves every product fits (see "On-demand fills"),
+//     else
 //
 //   - int64 full tier.
 //
@@ -105,9 +106,7 @@
 // the operand. The sub-product tables build by recursion: each root
 // child's 2^(Width/2) products come through the child's own
 // decomposition, its four children's smaller tables combined row by row
-// (see "Row fills"), down to leaf and exact nodes, which enumerate. A
-// plan with a 2-bit leaf root (Width 2) has no decomposition, so its full
-// table fills through the plan walk, one magnitude at a time.
+// (see "Row fills"), down to leaf and exact nodes, which enumerate.
 //
 // # Row fills
 //
@@ -128,8 +127,8 @@
 //
 // SquareTable squares depend on both halves of their single operand at
 // once, so the row fills do not apply: exact specs are table-free,
-// everything else keeps an int32 full table filled through the plan
-// walk. An exact square
+// everything else, a 2-bit leaf root included, keeps an int32 full table
+// filled through the plan walk. An exact square
 // is the plain square v*v of the operand v sign-extended from Width bits:
 // |v| <= 2^(Width-1), so the 2*Width-bit product needs no mask and no
 // sign extension.
@@ -214,8 +213,7 @@
 // (TestSliceShifts checks both against it).
 //
 // Projections fill straight from the compiled plan's products (by rows,
-// see "Row fills"; productFn for exact and leaf-root plans), so a
-// projected tap never needs its raw 2^Width table. NewChain exploits that
+// see "Row fills"), so a projected tap never needs its raw 2^Width table. NewChain exploits that
 // by materializing raw ConstMulTables only for the taps its strategy
 // actually reads products from: every tap of the generic chain, just the
 // last operand of an AMA5 chain, none of a fused chain. Every FIR entry
@@ -345,11 +343,13 @@
 //
 // # The bit-serial reference
 //
-// The arith models are the reference the tests call: the kernel tests
-// compare every plan, table, chain and window strategy with them, the
-// dsp oracles fold FIR taps and integrator windows through
-// arith.Multiplier.MulSigned and arith.Adder.AddSigned/SubSigned, and
-// pantompkins' TestPipelineMatchesBitSerial folds every stage of whole
-// pipelines through them. Nothing switches production code onto them:
-// every compiled plan is a kernel plan.
+// Package oracle holds the reference the tests call, and only tests
+// import it: the bit-serial adder and multiplier models over the arith
+// specs, one tap-chain fold of a FIR (oracle.FIR), one slot-order window
+// fold of the integrator (oracle.MovingSum) and the squarer. The kernel
+// tests compare every plan, table, chain and window strategy with them,
+// the dsp tests every FIR and integrator entry point, and pantompkins'
+// TestPipelineMatchesBitSerial every stage of whole pipelines. Nothing
+// switches production code onto them: every compiled plan is a kernel
+// plan.
 package kernel

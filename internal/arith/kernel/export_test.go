@@ -5,7 +5,8 @@ import "github.com/xbiosip/xbiosip/internal/arith"
 // Hooks for the external tier test (tiers_test.go), which imports the
 // explorer's packages and so cannot live in package kernel, and the scalar
 // adder and table views the equivalence tests compare with the bit-serial
-// models. Production code runs chains, windows and squarers instead.
+// models of package oracle. Production code runs chains, windows and
+// squarers instead.
 
 // ConstFits32 is the int32 bound of a full const-mul table (constFits32).
 func ConstFits32(spec arith.Multiplier, c int64) bool { return constFits32(spec, c) }
@@ -17,8 +18,8 @@ func ProjFits16(spec arith.Multiplier, w, k int, neg bool) bool {
 }
 
 // Products returns the signed product of +mag with c for every magnitude
-// 0..2^(Width-1), from the source a full table's fills read: rows for a
-// composite plan, productFn for the others.
+// 0..2^(Width-1), from the source a full table's fills read: the rows of
+// the plan's composite root.
 func (m *Multiplier) Products(c int64) []int64 {
 	ps := make([]int64, m.opMask/2+2)
 	m.constRows(c).products(ps, 0)
@@ -64,13 +65,11 @@ func (m *Multiplier) Spec() arith.Multiplier { return m.spec }
 func (t *ConstMulTable) Coeff() int64 { return t.coeff }
 
 // Mul returns the bit-true product of x (interpreted in Width-bit two's
-// complement) with the fixed coefficient. A full table first covers |x|
+// complement) with the fixed coefficient. The table first covers |x|
 // (one atomic load once it is filled that far), then reads the entry,
 // as a chain's Run covers its signal before its loops read the tiers.
 func (t *ConstMulTable) Mul(x int64) int64 {
-	if t.cov != nil {
-		t.cov.cover(magnitude(x))
-	}
+	t.cov.cover(magnitude(x))
 	return t.fn(x)
 }
 

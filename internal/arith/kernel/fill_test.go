@@ -9,6 +9,7 @@ import (
 
 	"github.com/xbiosip/xbiosip/internal/approx"
 	"github.com/xbiosip/xbiosip/internal/arith"
+	"github.com/xbiosip/xbiosip/internal/oracle"
 )
 
 // fillOperands are the operand sequences of the on-demand fill tests.
@@ -34,16 +35,6 @@ var raceBuild bool
 
 // wrapped interprets x the way a Width-bit table index does.
 func wrapped(x int64, width int) int64 { return arith.ToSigned(uint64(x)&mask(width), width) }
-
-// refProducts returns, per coefficient, the bit-serial reference product
-// of the wrapped operand: the entry a fully enumerated table holds.
-func refProducts(spec arith.Multiplier, coeffs []int64) map[int64]func(int64) int64 {
-	ref := make(map[int64]func(int64) int64, len(coeffs))
-	for _, c := range coeffs {
-		ref[c] = func(x int64) int64 { return spec.MulSigned(wrapped(x, spec.Width), c) }
-	}
-	return ref
-}
 
 // fillTableCase is one full table class and tier the fill test reads.
 type fillTableCase struct {
@@ -113,8 +104,9 @@ func fillChainCases() []fillChainCase {
 // grow and shrink across fill steps. Every output must equal the full
 // enumeration: the reference MulSigned of the wrapped operand, and for
 // chains the bit-serial AddSigned fold of those products, which is what
-// every projection term sums to. The leaf-root case is a Width-2 plan,
-// whose table fills through the plan walk instead of a decomposition.
+// every projection term sums to. A Width-2 leaf root has no const-mul
+// table, which must be refused; its square table fills through the plan
+// walk instead of a decomposition.
 // Under -short and in race builds the tests read the first three
 // sequences.
 // It runs as the subtest kernels=true, the name it kept from when a
@@ -127,7 +119,6 @@ func tablesFillOnDemand(t *testing.T) {
 		{"int32-ama5", arith.Multiplier{Width: 16, ApproxLSBs: 12, Mult: approx.AppMultV2, Add: approx.ApproxAdd5}, 31, false},
 		{"int64-coeff", arith.Multiplier{Width: 16, ApproxLSBs: 8, Mult: approx.AppMultV1, Add: approx.ApproxAdd4}, -1 << 15, true},
 		{"int64-k", arith.Multiplier{Width: 16, ApproxLSBs: 20, Mult: approx.AppMultV2, Add: approx.ApproxAdd3}, 3, true},
-		{"leaf-root", arith.Multiplier{Width: 2, ApproxLSBs: 4, Mult: approx.AppMultV2, Add: approx.ApproxAdd5}, -3, false},
 	}
 	DropCaches()
 	defer DropCaches()
@@ -137,7 +128,7 @@ func tablesFillOnDemand(t *testing.T) {
 	}
 	squared := map[arith.Multiplier]bool{}
 	for _, tc := range tables {
-		ref := refProducts(tc.spec, []int64{tc.coeff})[tc.coeff]
+		ref := oracle.NewProducts(tc.spec)
 		for si, seq := range seqs {
 			tab, err := NewConstMulTable(tc.spec, tc.coeff)
 			if err != nil {
@@ -147,7 +138,7 @@ func tablesFillOnDemand(t *testing.T) {
 				t.Fatalf("%s: not a full table of the expected tier (int64 %v)", tc.name, tc.tab64)
 			}
 			for _, x := range seq {
-				if got, want := tab.Mul(x), ref(x); got != want {
+				if got, want := tab.Mul(x), ref.Of(x, tc.coeff); got != want {
 					t.Fatalf("%s seq %d: Mul(%d) = %d, enumeration %d", tc.name, si, x, got, want)
 				}
 			}
@@ -157,6 +148,11 @@ func tablesFillOnDemand(t *testing.T) {
 			checkSquareFills(t, tc.spec, seqs)
 		}
 	}
+	leaf := arith.Multiplier{Width: 2, ApproxLSBs: 4, Mult: approx.AppMultV2, Add: approx.ApproxAdd5}
+	if _, err := NewConstMulTable(leaf, -3); err == nil {
+		t.Fatal("leaf root: a const-mul table of a plan without a composite root")
+	}
+	checkSquareFills(t, leaf, seqs)
 	for _, cc := range fillChainCases() {
 		checkChainFills(t, cc, seqs)
 	}
@@ -179,7 +175,7 @@ func checkSquareFills(t *testing.T, spec arith.Multiplier, seqs [][]int64) {
 	}
 	want := func(x int64) int64 {
 		w := wrapped(x, spec.Width)
-		return spec.MulSigned(w, w)
+		return oracle.MulSigned(spec, w, w)
 	}
 	for si, seq := range seqs {
 		for _, chunk := range []int{2, len(seq)} {
@@ -214,11 +210,6 @@ func checkChainFills(t *testing.T, cc fillChainCase, seqs [][]int64) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	coeffs := make([]int64, len(cc.ops))
-	for i, op := range cc.ops {
-		coeffs[i] = op.Coeff
-	}
-	ref := refProducts(cc.spec, coeffs)
 	const shift, outW = 3, 29
 	fresh := func() *Chain {
 		DropCaches()
@@ -239,18 +230,19 @@ func checkChainFills(t *testing.T, cc fillChainCase, seqs [][]int64) {
 		}
 		return c
 	}
-	check := func(how string, si int, seq, dst []int64, from int) {
-		t.Helper()
-		for i := from; i < len(dst); i++ {
-			if want := scalarChain(cc.adder, ref, cc.ops, seq, i, shift, outW); dst[i] != want {
-				t.Fatalf("%s %s seq %d: Run[%d] = %d, scalar fold of the enumeration %d", cc.name, how, si, i, dst[i], want)
+	for si, seq := range seqs {
+		want := scalarFold(cc.adder, cc.spec, cc.ops, seq, shift, outW)
+		check := func(how string, dst []int64) {
+			t.Helper()
+			for i := range dst {
+				if dst[i] != want[i] {
+					t.Fatalf("%s %s seq %d: Run[%d] = %d, scalar fold of the enumeration %d", cc.name, how, si, i, dst[i], want[i])
+				}
 			}
 		}
-	}
-	for si, seq := range seqs {
 		dst := make([]int64, len(seq))
 		runFromZeros(fresh(), dst, seq, shift, outW)
-		check("whole", si, seq, dst, 0)
+		check("whole", dst)
 
 		for _, h := range []int{1, len(seq) / 2} {
 			c := fresh()
@@ -258,7 +250,7 @@ func checkChainFills(t *testing.T, cc fillChainCase, seqs [][]int64) {
 			padded := zeroPadded(seq, pad)
 			c.Run(dst[:h], padded[:pad+h], pad, shift, outW)
 			c.Run(dst[h:], padded, pad+h, shift, outW)
-			check(fmt.Sprintf("history %d", h), si, seq, dst, 0)
+			check(fmt.Sprintf("history %d", h), dst)
 		}
 
 		c := fresh()
@@ -267,7 +259,7 @@ func checkChainFills(t *testing.T, cc fillChainCase, seqs [][]int64) {
 		for i := range seq {
 			c.Run(dst[i:i+1], padded[:pad+i+1], pad+i, shift, outW)
 		}
-		check("per position", si, seq, dst, 0)
+		check("per position", dst)
 	}
 }
 
@@ -319,7 +311,7 @@ func FuzzTableFill(f *testing.F) {
 		}
 		ops := slices.Clone(cc.ops)
 		ops[6].Coeff = c
-		ref := refProducts(spec, []int64{1, 2, c})
+		ref := oracle.NewProducts(spec)
 		tab, err := NewConstMulTable(spec, c)
 		if err != nil {
 			t.Fatal(err)
@@ -329,11 +321,11 @@ func FuzzTableFill(f *testing.F) {
 			t.Fatal(err)
 		}
 		for _, x := range seq {
-			if got, want := tab.Mul(x), ref[c](x); got != want {
+			if got, want := tab.Mul(x), ref.Of(x, c); got != want {
 				t.Fatalf("%v c=%d: Mul(%d) = %d, enumeration %d", spec.Add, c, x, got, want)
 			}
 			w := wrapped(x, spec.Width)
-			if got, want := sq.Square(x), spec.MulSigned(w, w); got != want {
+			if got, want := sq.Square(x), oracle.MulSigned(spec, w, w); got != want {
 				t.Fatalf("%v: Square(%d) = %d, enumeration %d", spec.Add, x, got, want)
 			}
 		}
@@ -349,8 +341,8 @@ func FuzzTableFill(f *testing.F) {
 			hi := min(lo+block, len(seq))
 			chain.Run(dst[lo:hi], padded[:pad+hi], pad+lo, 3, 29)
 		}
-		for i := range seq {
-			if want := scalarChain(cc.adder, ref, ops, seq, i, 3, 29); dst[i] != want {
+		for i, want := range scalarFold(cc.adder, spec, ops, seq, 3, 29) {
+			if dst[i] != want {
 				t.Fatalf("%v c=%d block %d: Run[%d] = %d, scalar fold of the enumeration %d", spec.Add, c, block, i, dst[i], want)
 			}
 		}

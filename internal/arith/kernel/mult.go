@@ -131,7 +131,7 @@ func compileMulNode(spec arith.Multiplier, w, off int) (*mulNode, error) {
 
 // compileAccAdder builds the accumulation adder for a w-bit addition whose
 // cell at relative bit i sits at absolute output position off+i, mirroring
-// the reference model's addAt.
+// the accumulations of the bit-serial model (oracle.Mul).
 func compileAccAdder(spec arith.Multiplier, w, off int) (*Adder, error) {
 	ka := spec.ApproxLSBs - off
 	if ka <= 0 || spec.Add == approx.AccAdd {
@@ -257,19 +257,12 @@ func (ad *Adder) wiringForm() (f wiring, ok bool) {
 	return wiring{half: uint64(1) << k >> 1, up: ^mask(k)}, true
 }
 
-// composite reports whether the plan has a composite root whose top-level
-// decomposition the table fills run by rows (false for exact plans and
-// 2-bit leaf roots).
+// composite reports whether the plan has a composite root, whose
+// top-level decomposition the constant-product fills run by rows: every
+// plan but the exact ones and the 2-bit leaf roots. Only a composite plan
+// gets const-mul tables and projections (see NewConstMulTable).
 func (m *Multiplier) composite() bool {
 	return m.root != nil && !m.root.leaf && !m.root.exact
-}
-
-// productFn returns the signed product of +mag with c for the plans a
-// fill cannot take by rows (see productRows): an exact plan multiplies
-// natively and a 2-bit leaf root evaluates its cell, one magnitude at a
-// time.
-func (m *Multiplier) productFn(c int64) func(mag uint64) int64 {
-	return func(mag uint64) int64 { return m.MulSigned(int64(mag), c) }
 }
 
 // eval walks the plan; operands are w-bit.

@@ -9,6 +9,7 @@ import (
 	"github.com/xbiosip/xbiosip/internal/approx"
 	"github.com/xbiosip/xbiosip/internal/arith"
 	"github.com/xbiosip/xbiosip/internal/arith/kernel"
+	"github.com/xbiosip/xbiosip/internal/oracle"
 )
 
 // TestMultiplierExhaustive4 proves the compiled multiplier bit-identical
@@ -29,12 +30,12 @@ func TestMultiplierExhaustive4(t *testing.T) {
 					}
 					for a := uint64(0); a < 16; a++ {
 						for b := uint64(0); b < 16; b++ {
-							if want, got := ref.Mul(a, b), km.Mul(a, b); got != want {
+							if want, got := oracle.Mul(ref, a, b), km.Mul(a, b); got != want {
 								t.Fatalf("%v/%v k=%d Mul(%d,%d): kernel %d, reference %d", mk, ak, k, a, b, got, want)
 							}
 							sa := arith.ToSigned(a, 4)
 							sb := arith.ToSigned(b, 4)
-							if want, got := ref.MulSigned(sa, sb), km.MulSigned(sa, sb); got != want {
+							if want, got := oracle.MulSigned(ref, sa, sb), km.MulSigned(sa, sb); got != want {
 								t.Fatalf("%v/%v k=%d MulSigned(%d,%d): kernel %d, reference %d", mk, ak, k, sa, sb, got, want)
 							}
 						}
@@ -64,7 +65,7 @@ func TestMultiplierExhaustive8(t *testing.T) {
 					}
 					for a := uint64(0); a < 256; a++ {
 						for b := uint64(0); b < 256; b++ {
-							if want, got := ref.Mul(a, b), km.Mul(a, b); got != want {
+							if want, got := oracle.Mul(ref, a, b), km.Mul(a, b); got != want {
 								t.Fatalf("%v/%v k=%d Mul(%d,%d): kernel %d, reference %d", mk, ak, k, a, b, got, want)
 							}
 						}
@@ -96,12 +97,12 @@ func TestMultiplierRandomWide(t *testing.T) {
 						for n := 0; n < 400; n++ {
 							a := rng.Uint64()
 							b := rng.Uint64()
-							if want, got := ref.Mul(a, b), km.Mul(a, b); got != want {
+							if want, got := oracle.Mul(ref, a, b), km.Mul(a, b); got != want {
 								t.Fatalf("w=%d %v/%v k=%d Mul(%#x,%#x): kernel %#x, reference %#x", w, mk, ak, k, a, b, got, want)
 							}
 							sa := arith.ToSigned(a, w)
 							sb := arith.ToSigned(b, w)
-							if want, got := ref.MulSigned(sa, sb), km.MulSigned(sa, sb); got != want {
+							if want, got := oracle.MulSigned(ref, sa, sb), km.MulSigned(sa, sb); got != want {
 								t.Fatalf("w=%d %v/%v k=%d MulSigned(%d,%d): kernel %d, reference %d", w, mk, ak, k, sa, sb, got, want)
 							}
 						}
@@ -126,7 +127,7 @@ func TestMultiplierQuickEquivalence(t *testing.T) {
 				prop := func(a, b int64) bool {
 					sa := arith.ToSigned(uint64(a), 16)
 					sb := arith.ToSigned(uint64(b), 16)
-					return ref.MulSigned(sa, sb) == km.MulSigned(sa, sb)
+					return oracle.MulSigned(ref, sa, sb) == km.MulSigned(sa, sb)
 				}
 				if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
 					t.Errorf("%v/%v k=%d: %v", mk, ak, k, err)
@@ -138,28 +139,40 @@ func TestMultiplierQuickEquivalence(t *testing.T) {
 
 // TestTablesMatchReference proves every entry of the kernel-built
 // coefficient and squaring tables identical to the bit-serial model they
-// enumerate (arith.Multiplier.MulSigned), for the pipeline's coefficient
-// set, the edge coefficients 0, -1, -32 and 12345, and representative
-// configurations, 2-bit leaf roots (tables filled through the plan walk)
-// among them.
+// enumerate (oracle.MulSigned), for the pipeline's coefficient set, the
+// edge coefficients 0, -1, -32 and 12345, and representative
+// configurations. An exact plan and the 2-bit leaf roots have no
+// composite root: their const-mul tables must be refused, and their
+// square tables (table-free, and filled through the plan walk) must
+// still match.
 func TestTablesMatchReference(t *testing.T) {
-	configs := []arith.Multiplier{
-		{Width: 16, ApproxLSBs: 0, Mult: approx.AccMult, Add: approx.AccAdd},
-		{Width: 16, ApproxLSBs: 8, Mult: approx.AppMultV1, Add: approx.ApproxAdd5},
-		{Width: 16, ApproxLSBs: 16, Mult: approx.AppMultV2, Add: approx.ApproxAdd2},
-		{Width: 16, ApproxLSBs: 12, Mult: approx.AppMultV1, Add: approx.ApproxAdd1},
+	configs := []struct {
+		spec      arith.Multiplier
+		composite bool
+	}{
+		{arith.Multiplier{Width: 16, ApproxLSBs: 0, Mult: approx.AccMult, Add: approx.AccAdd}, false},
+		{arith.Multiplier{Width: 16, ApproxLSBs: 8, Mult: approx.AppMultV1, Add: approx.ApproxAdd5}, true},
+		{arith.Multiplier{Width: 16, ApproxLSBs: 16, Mult: approx.AppMultV2, Add: approx.ApproxAdd2}, true},
+		{arith.Multiplier{Width: 16, ApproxLSBs: 12, Mult: approx.AppMultV1, Add: approx.ApproxAdd1}, true},
 		// Exactly combined roots: full tables filled through the rows'
 		// closed form at k = 0.
-		{Width: 16, ApproxLSBs: 8, Mult: approx.AppMultV1, Add: approx.AccAdd},
-		{Width: 16, ApproxLSBs: 6, Mult: approx.AppMultV2, Add: approx.AccAdd},
+		{arith.Multiplier{Width: 16, ApproxLSBs: 8, Mult: approx.AppMultV1, Add: approx.AccAdd}, true},
+		{arith.Multiplier{Width: 16, ApproxLSBs: 6, Mult: approx.AppMultV2, Add: approx.AccAdd}, true},
 		// Leaf roots: no decomposition.
-		{Width: 2, ApproxLSBs: 2, Mult: approx.AppMultV1, Add: approx.AccAdd},
-		{Width: 2, ApproxLSBs: 4, Mult: approx.AppMultV2, Add: approx.ApproxAdd5},
+		{arith.Multiplier{Width: 2, ApproxLSBs: 2, Mult: approx.AppMultV1, Add: approx.AccAdd}, false},
+		{arith.Multiplier{Width: 2, ApproxLSBs: 4, Mult: approx.AppMultV2, Add: approx.ApproxAdd5}, false},
 	}
 	coeffs := []int64{0, 1, -1, 2, 3, 4, 5, 6, 31, -32, 12345}
-	for _, m := range configs {
+	for _, cfg := range configs {
+		m := cfg.spec
 		for _, c := range coeffs {
 			got, err := kernel.CachedConstMulTable(m, c)
+			if !cfg.composite {
+				if err == nil {
+					t.Fatalf("cfg %+v: a const-mul table of a plan without a composite root", m)
+				}
+				continue
+			}
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -168,7 +181,7 @@ func TestTablesMatchReference(t *testing.T) {
 			}
 			for i := 0; i < 1<<m.Width; i++ {
 				x := arith.ToSigned(uint64(i), m.Width)
-				if want := m.MulSigned(x, c); got.Mul(x) != want {
+				if want := oracle.MulSigned(m, x, c); got.Mul(x) != want {
 					t.Fatalf("cfg %+v coeff %d: table mismatch at x=%d: kernel %d, reference %d",
 						m, c, x, got.Mul(x), want)
 				}
@@ -180,7 +193,7 @@ func TestTablesMatchReference(t *testing.T) {
 		}
 		for i := 0; i < 1<<m.Width; i++ {
 			x := arith.ToSigned(uint64(i), m.Width)
-			if want := m.MulSigned(x, x); got.Square(x) != want {
+			if want := oracle.MulSigned(m, x, x); got.Square(x) != want {
 				t.Fatalf("cfg %+v: square table mismatch at x=%d: kernel %d, reference %d",
 					m, x, got.Square(x), want)
 			}
@@ -204,7 +217,7 @@ func TestExactSquareSliceExhaustive(t *testing.T) {
 	var xs []int64
 	for u := range ref {
 		x := arith.ToSigned(uint64(u), 16)
-		ref[u] = spec.MulSigned(x, x)
+		ref[u] = oracle.MulSigned(spec, x, x)
 		xs = append(xs, x, x+1<<16, x-5<<20, int64(uint64(x)^0xdead<<40))
 	}
 	rng := rand.New(rand.NewSource(29))

@@ -2,6 +2,7 @@ package kernel
 
 import (
 	"cmp"
+	"fmt"
 	"math"
 	"slices"
 	"sync/atomic"
@@ -59,7 +60,7 @@ import (
 //
 // Every chain and window strategy is bit-identical to folding the
 // corresponding scalar operations; slice_test.go checks all cell kinds
-// against the fold through the bit-serial arith models.
+// against the fold through the bit-serial models of package oracle.
 
 // ChainOp describes one tap of an accumulation chain: the fixed signed
 // coefficient of the tap's product, the delay-line age of the sample it
@@ -104,8 +105,8 @@ func (p ProjTable) Same(q ProjTable) bool {
 // chainOp is the compiled form of one tap. The product is evaluated
 // through the fastest available projection of its table, most specific
 // first: proj is the AMA5 upper-slice projection (one load + one add per
-// tap, see ama5Chain), tab32 the full table inline, mul the fallback
-// closure (table-free exact tier, int64 tables). tab is the raw-table
+// tap, see ama5Chain), tab32 the full table inline, mul the lookup
+// closure of an int64 table. tab is the raw-table
 // handle for footprint accounting (nil for projected taps, whose raw
 // tables are never built). neg is the subtract flag lowered to the
 // operand XOR mask / carry-in the strategy loops consume branch-free.
@@ -317,7 +318,11 @@ type Chain struct {
 // but the last a projection table, so the per-tap term (ub >> k) + carry
 // collapses to one load (see ama5Chain and newChainProj), and runs the
 // high-pass shape as a sliding window (slidingAMA5). Every other chain
-// runs the generic chunkChain over full product tables.
+// runs the generic chunkChain over full product tables. Tables and
+// projections need a plan with a composite root (see NewConstMulTable),
+// so a chain that does not fuse over an exact plan or a 2-bit leaf root
+// is an error; no stage builds one, since an exact multiplier comes with
+// an exact adder and every pipeline coefficient is below 2^(Width-1).
 //
 // The fused MAC and the AMA5 strategies read compact per-tap arrays
 // built here. They run a span of at least passMin positions (AMA5) or
@@ -360,6 +365,9 @@ func (ad *Adder) NewChain(spec arith.Multiplier, ops []ChainOp) (*Chain, error) 
 		c.fn = macChain(ad.spec.Width, taps)
 		c.fused = true
 		return c, nil
+	}
+	if !m.composite() {
+		return nil, fmt.Errorf("kernel: chain over %+v does not fuse, and its plan has no composite root for tables", spec)
 	}
 	w, k := ad.spec.Width, effectiveLSBs(ad.spec)
 	last := len(c.ops) - 1

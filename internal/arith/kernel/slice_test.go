@@ -7,6 +7,7 @@ import (
 
 	"github.com/xbiosip/xbiosip/internal/approx"
 	"github.com/xbiosip/xbiosip/internal/arith"
+	"github.com/xbiosip/xbiosip/internal/oracle"
 )
 
 // sliceSpecs enumerates the adder configurations the slice-kernel
@@ -36,30 +37,18 @@ var chainTestSpec = arith.Multiplier{Width: 16, ApproxLSBs: 4, Mult: approx.AppM
 // distinct magnitudes of both signs.
 var chainTestCoeffs = []int64{1, 3, -2, 31}
 
-// scalarChain folds one sample through the bit-serial reference: the
-// products of ref (see refProducts), then the adder model's operations —
-// product copy or zero-subtract for the first tap, AddSigned/SubSigned
-// for the rest — then the output bus slicing.
-func scalarChain(ad arith.Adder, ref map[int64]func(int64) int64, ops []ChainOp, xs []int64, i int, shift uint, outW int) int64 {
-	var acc int64
-	for o, op := range ops {
-		var x int64
-		if j := i - op.Lag; j >= 0 {
-			x = xs[j]
-		}
-		p := ref[op.Coeff](x)
-		switch {
-		case o == 0 && op.Sub:
-			acc = ad.SubSigned(0, p)
-		case o == 0:
-			acc = p
-		case op.Sub:
-			acc = ad.SubSigned(acc, p)
-		default:
-			acc = ad.AddSigned(acc, p)
-		}
+// scalarFold folds the whole signal xs, after a cleared delay line,
+// through the bit-serial models (oracle.FIR): at each position the taps'
+// products through mul, of the operand wrapped to its Width bits as a
+// table index wraps it, then the adder model's operations — product copy
+// or zero-subtract for the first tap, AddSigned/SubSigned for the rest —
+// then the output bus slicing.
+func scalarFold(ad arith.Adder, mul arith.Multiplier, ops []ChainOp, xs []int64, shift uint, outW int) []int64 {
+	taps := make([]oracle.Tap, len(ops))
+	for i, op := range ops {
+		taps[i] = oracle.Tap(op)
 	}
-	return arith.ToSigned(uint64(acc)>>shift, outW)
+	return oracle.FIR(ad, oracle.NewProducts(mul), taps, xs, shift, outW)
 }
 
 // historyLen is the least history Run accepts before a chain's first
@@ -98,7 +87,6 @@ func TestChainMatchesScalar(t *testing.T) { t.Run("kernels=true", chainMatchesSc
 
 func chainMatchesScalar(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	ref := refProducts(chainTestSpec, chainTestCoeffs)
 	const n = 64
 	xs := make([]int64, n)
 	for i := range xs {
@@ -141,8 +129,7 @@ func chainMatchesScalar(t *testing.T) {
 			}
 			dst := make([]int64, n)
 			runFromZeros(chain, dst, xs, shift, outW)
-			for i := 0; i < n; i++ {
-				want := scalarChain(spec, ref, ops, xs, i, shift, outW)
+			for i, want := range scalarFold(spec, chainTestSpec, ops, xs, shift, outW) {
 				if dst[i] != want {
 					t.Fatalf("%+v chain %d: Run[%d] = %d, scalar chain %d", spec, ci, i, dst[i], want)
 				}
@@ -163,22 +150,14 @@ func chainMatchesScalar(t *testing.T) {
 			}
 			for _, sliceW := range []int{outW, outW + 2} {
 				ring := make([]int64, wlen)
-				model := make([]int64, wlen)
-				pos, sum, mpos := 0, uint64(0), 0
+				pos, sum := 0, uint64(0)
+				var seen []int64
 				for _, xs := range blocks {
 					dst := make([]int64, len(xs))
 					pos, sum = ad.Slide(dst, xs, ring, pos, sum, shift, sliceW)
 					for i, x := range xs {
-						model[mpos] = x
-						mpos = (mpos + 1) % wlen
-						acc := model[0]
-						for _, v := range model[1:] {
-							acc = spec.AddSigned(acc, v)
-						}
-						// The accumulator is w bits wide: sign-extend it
-						// first, as a one-slot window adds nothing.
-						acc = arith.ToSigned(uint64(acc), spec.Width)
-						if want := arith.ToSigned(uint64(acc)>>shift, sliceW); dst[i] != want {
+						seen = append(seen, x)
+						if want := oracle.WindowAt(spec, seen, len(seen)-1, wlen, shift, sliceW); dst[i] != want {
 							t.Fatalf("%+v: Slide(window %d) sliced (%d, %d) [%d] = %d, scalar chain %d",
 								spec, wlen, shift, sliceW, i, dst[i], want)
 						}
@@ -244,7 +223,9 @@ func firShapes() []firShape {
 // untouched, for every chain strategy — the fused MAC and its difference
 // recurrences, the generic chain (exact under an approximate multiplier,
 // AMA1-AMA4, single-tap AMA5), plain and sliding AMA5, empty — with a
-// 32-bit and (exact) a 16-bit accumulator, whose sums wrap. The signal
+// 32-bit and (exact) a 16-bit accumulator, whose sums wrap. The exact
+// multiplier runs under the exact adders only, whose chains fuse:
+// NewChain must refuse it under an approximate adder. The signal
 // follows a cleared delay line of historyLen zeros, the least history
 // Run accepts, and histories run from that least one up to the whole
 // padded prefix. The whole run itself must equal the scalar fold, runs
@@ -270,17 +251,12 @@ func chainContinuation(t *testing.T) {
 	for _, s := range firShapes() {
 		shapes = append(shapes, s.ops)
 	}
-	coeffs := []int64{1, 2, 3, 4, 5, 6, 7, 8, 9, 31}
 	exactMul := arith.Multiplier{Width: 16, ApproxLSBs: 0, Mult: approx.AccMult, Add: approx.AccAdd}
 	const sentinel = int64(-1) << 40
 	rng := rand.New(rand.NewSource(19))
 	xs := make([]int64, 160)
 	for i := range xs {
 		xs[i] = int64(int16(rng.Uint64()))
-	}
-	refs := map[arith.Multiplier]map[int64]func(int64) int64{
-		chainTestSpec: refProducts(chainTestSpec, coeffs),
-		exactMul:      refProducts(exactMul, coeffs),
 	}
 	adders := []arith.Adder{{Width: 16, ApproxLSBs: 0, Kind: approx.AccAdd}}
 	for _, kind := range approx.AdderKinds {
@@ -298,11 +274,17 @@ func chainContinuation(t *testing.T) {
 		}
 		for _, mul := range []arith.Multiplier{chainTestSpec, exactMul} {
 			for ci, ops := range shapes {
+				at := fmt.Sprintf("%+v mul %v chain %d", spec, mul, ci)
+				if mul == exactMul && !ad.exact {
+					if _, err := ad.NewChain(mul, ops); (err == nil) != (len(ops) == 0) {
+						t.Fatalf("%s: NewChain error %v, want one for every non-empty chain", at, err)
+					}
+					continue
+				}
 				chain, err := ad.NewChain(mul, ops)
 				if err != nil {
 					t.Fatal(err)
 				}
-				at := fmt.Sprintf("%+v mul %v chain %d", spec, mul, ci)
 				// span runs the chain over in from h into a sentinel-filled
 				// dst, which must then hold want and, just past it, the
 				// sentinel still.
@@ -325,8 +307,8 @@ func chainContinuation(t *testing.T) {
 				pad := historyLen(chain)
 				padded := zeroPadded(xs, pad)
 				chain.Run(whole, padded, pad, 3, 29)
-				for i := range whole {
-					if want := scalarChain(spec, refs[mul], ops, xs, i, 3, 29); whole[i] != want {
+				for i, want := range scalarFold(spec, mul, ops, xs, 3, 29) {
+					if whole[i] != want {
 						t.Fatalf("%s: Run[%d] = %d, scalar chain %d", at, i, whole[i], want)
 					}
 				}
@@ -349,8 +331,8 @@ func chainContinuation(t *testing.T) {
 					}
 				}
 				chain.Run(wide, padded, pad, 20, 16)
-				for i := range wide {
-					if want := scalarChain(spec, refs[mul], ops, xs, i, 20, 16); wide[i] != want {
+				for i, want := range scalarFold(spec, mul, ops, xs, 20, 16) {
+					if wide[i] != want {
 						t.Fatalf("%s: Run[%d] sliced (20, 16) = %d, scalar chain %d", at, i, wide[i], want)
 					}
 				}
@@ -412,16 +394,15 @@ func TestSliceShifts(t *testing.T) {
 }
 
 // TestExactChainFusion compares the fused exact chain (native
-// multiply-accumulate and its difference recurrences) and its non-fusible
-// fallbacks against the scalar accumulation: small coefficients of both
-// signs fuse, a coefficient at the sign boundary (2^15) must not, and the
-// behaviour is identical either way, through a 32-bit and a wrapping
-// 16-bit accumulator. Fused chains must also be table-free, and each FIR
-// shape must compile to the difference form firShapes names.
+// multiply-accumulate and its difference recurrences) against the scalar
+// accumulation through a 32-bit and a wrapping 16-bit accumulator: small
+// coefficients of both tap polarities fuse, and fused chains must be
+// table-free. A negative coefficient or one at the sign boundary (2^15)
+// does not fuse, and an exact plan has no tables for another strategy,
+// so NewChain must refuse those chains. Each FIR shape must compile to
+// the difference form firShapes names.
 func TestExactChainFusion(t *testing.T) {
 	spec := arith.Multiplier{Width: 16, ApproxLSBs: 0, Mult: approx.AccMult, Add: approx.AccAdd}
-	coeffs := []int64{1, 2, 3, 4, 5, 6, 7, 8, 9, -3, 31, 1 << 15}
-	ref := refProducts(spec, coeffs)
 	ad, err := CompileAdder(arith.Adder{Width: 32, ApproxLSBs: 0, Kind: approx.AccAdd})
 	if err != nil {
 		t.Fatal(err)
@@ -432,13 +413,11 @@ func TestExactChainFusion(t *testing.T) {
 	for i := range xs {
 		xs[i] = int64(int16(rng.Uint64()))
 	}
-	chains := [][]ChainOp{
+	refused := [][]ChainOp{
 		{{Coeff: 1, Lag: 0}, {Coeff: 7, Lag: 1, Sub: true}, {Coeff: -3, Lag: 3}, {Coeff: 31, Lag: 7, Sub: true}},
 		{{Coeff: 1 << 15, Lag: 0}, {Coeff: 1, Lag: 2, Sub: true}}, // 2^15 coefficient: no fusion
 		{{Coeff: -3, Lag: 1, Sub: true}},
 	}
-	// A negative or out-of-range coefficient blocks fusion.
-	wantFused := []bool{false, false, false}
 	fusible := [][]ChainOp{
 		{{Coeff: 1, Lag: 0}, {Coeff: 7, Lag: 1, Sub: true}, {Coeff: 31, Lag: 7, Sub: true}},
 	}
@@ -478,27 +457,16 @@ func TestExactChainFusion(t *testing.T) {
 			}
 			dst := make([]int64, n)
 			runFromZeros(chain, dst, xs, 5, 16)
-			for i := 0; i < n; i++ {
-				if want := scalarChain(adK.Spec(), ref, ops, xs, i, 5, 16); dst[i] != want {
+			for i, want := range scalarFold(adK.Spec(), spec, ops, xs, 5, 16) {
+				if dst[i] != want {
 					t.Fatalf("%d-bit fused chain %d: Run[%d] = %d, scalar %d", w, ci, i, dst[i], want)
 				}
 			}
 		}
 	}
-	for ci, ops := range chains {
-		chain, err := ad.NewChain(spec, ops)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if chain.fused != wantFused[ci] {
-			t.Fatalf("chain %d: fused = %v, want %v", ci, chain.fused, wantFused[ci])
-		}
-		dst := make([]int64, n)
-		runFromZeros(chain, dst, xs, 5, 16)
-		for i := 0; i < n; i++ {
-			if want := scalarChain(ad.Spec(), ref, ops, xs, i, 5, 16); dst[i] != want {
-				t.Fatalf("chain %d: Run[%d] = %d, scalar %d", ci, i, dst[i], want)
-			}
+	for ci, ops := range refused {
+		if _, err := ad.NewChain(spec, ops); err == nil {
+			t.Fatalf("chain %d: a chain over an exact plan compiled without fusing", ci)
 		}
 	}
 }
@@ -609,50 +577,6 @@ func TestChainProjTiers(t *testing.T) {
 	}
 }
 
-// TestProductFnMatchesReference checks the per-magnitude product closure
-// of the plans a fill cannot take by rows — exact plans and 2-bit leaf
-// roots — against the bit-serial reference, over every magnitude
-// 0..2^(Width-1) (16-bit ones sampled).
-func TestProductFnMatchesReference(t *testing.T) {
-	specs := []arith.Multiplier{
-		{Width: 16, ApproxLSBs: 0, Mult: approx.AppMultV1, Add: approx.ApproxAdd5}, // exact: k = 0
-		{Width: 16, ApproxLSBs: 8, Mult: approx.AccMult, Add: approx.AccAdd},       // exact kinds
-		{Width: 2, ApproxLSBs: 2, Mult: approx.AppMultV1, Add: approx.AccAdd},      // leaf root
-		{Width: 2, ApproxLSBs: 4, Mult: approx.AppMultV2, Add: approx.ApproxAdd5},  // leaf root
-	}
-	for _, spec := range specs {
-		m, err := CompileMultiplier(spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if m.composite() {
-			t.Fatalf("%+v: a composite plan, which fills by rows", spec)
-		}
-		step := uint64(1)
-		if spec.Width == 16 {
-			step = 7
-		}
-		half := uint64(1) << (spec.Width - 1)
-		for _, c := range []int64{0, 1, -2, 31, -31, 255, -1 << 15} {
-			f := m.productFn(c)
-			for _, mag := range append([]uint64{half}, seq(0, half, step)...) {
-				if got, want := f(mag), spec.MulSigned(int64(mag), c); got != want {
-					t.Fatalf("%+v c=%d: productFn(%d) = %d, reference %d", spec, c, mag, got, want)
-				}
-			}
-		}
-	}
-}
-
-// seq returns lo, lo+step, ... below hi.
-func seq(lo, hi, step uint64) []uint64 {
-	var s []uint64
-	for x := lo; x < hi; x += step {
-		s = append(s, x)
-	}
-	return s
-}
-
 // FuzzChainRun checks fuzzed chains against the scalar fold of the
 // bit-serial reference products. The taps come from a small magnitude
 // alphabet through moves that keep, step or replace the previous tap's
@@ -761,9 +685,7 @@ func FuzzChainRun(f *testing.F) {
 			dst[i] = sentinel
 		}
 		chain.Run(dst, padded, pad+from, shift, outW)
-		ref := refProducts(cfg.mul, mags)
-		for i := range xs {
-			want := scalarChain(cfg.adder, ref, ops, xs, i, shift, outW)
+		for i, want := range scalarFold(cfg.adder, cfg.mul, ops, xs, shift, outW) {
 			switch {
 			case i < from && hist[i] != want:
 				t.Fatalf("%+v taps %v from %d: history run [%d] = %d, want %d", cfg.adder, ops, from, i, hist[i], want)

@@ -9,18 +9,12 @@ import (
 
 // ConstMulTable evaluates the signed product of a variable Width-bit
 // operand with one fixed coefficient, bit-identical to the bit-serial
-// arith.Multiplier.MulSigned. The representation is tiered by what the
-// compiled multiplier plan allows:
+// model oracle.MulSigned, through the full 2^Width table of a plan with a
+// composite root. The table fills through the decomposition: two
+// 256-entry sub-product tables, combined one row of 256 magnitudes at a
+// time (see mulNode.rows), instead of a plan-tree walk per entry.
 //
-//   - exact plans carry no table at all: the product is one native
-//     multiply behind a branch-free sign-magnitude wrapper;
-//   - plans with a composite root keep the full 2^Width table, filled
-//     through the decomposition: two 256-entry sub-product tables,
-//     combined one row of 256 magnitudes at a time (see mulNode.rows),
-//     instead of a plan-tree walk per entry;
-//   - 2-bit leaf roots keep the full table filled through the plan walk.
-//
-// A full table is int32 when a bound proves every product fits (see
+// A table is int32 when a bound proves every product fits (see
 // constFits32), int64 otherwise, and is filled on demand: the Chain.Run
 // of a chain that reads the table fills the operand magnitudes it reaches
 // before it reads (see coverage).
@@ -30,18 +24,20 @@ import (
 type ConstMulTable struct {
 	fn    func(int64) int64
 	coeff int64
-	// Live storage, for footprint accounting: at most one tier is set.
+	// Live storage, for footprint accounting: exactly one tier is set.
 	tab32 []int32   // full table, compact
 	tab64 []int64   // full table, when a product may overflow int32
-	cov   *coverage // fill state of a full table, nil otherwise
+	cov   *coverage // fill state of the table
 }
 
 // NewConstMulTable builds the table for coefficient c on multiplier spec.
-// The operand width must be at most 16 bits (a full table is 2^Width
-// entries; the exact tier keeps the same bound so every tier covers the
-// same specs). A full table is only allocated here;
-// its entries fill as reads reach them, from the product source its first
-// fill makes (see productRows).
+// The plan must have a composite root and an operand width of at most 16
+// bits (a full table is 2^Width entries): an exact plan or a 2-bit leaf
+// root is an error. No stage builds one: an exact multiplier comes with
+// an exact adder, whose chain fuses to native multiply-accumulate (see
+// NewChain). The table is only allocated here; its entries fill as reads
+// reach them, from the sub-product tables its first fill builds (see
+// productRows).
 func NewConstMulTable(spec arith.Multiplier, c int64) (*ConstMulTable, error) {
 	m, err := CachedMultiplier(spec)
 	if err != nil {
@@ -50,11 +46,10 @@ func NewConstMulTable(spec arith.Multiplier, c int64) (*ConstMulTable, error) {
 	if spec.Width > 16 {
 		return nil, fmt.Errorf("kernel: const-mul table width %d exceeds 16", spec.Width)
 	}
-	t := &ConstMulTable{coeff: c}
-	if m.exact {
-		t.fn = exactConstMul(spec.Width, magnitude(c)&m.opMask, c < 0)
-		return t, nil
+	if !m.composite() {
+		return nil, fmt.Errorf("kernel: const-mul table of %+v: the plan has no composite root", spec)
 	}
+	t := &ConstMulTable{coeff: c}
 	if constFits32(spec, c) {
 		t.tab32 = make([]int32, 1<<spec.Width)
 	} else {
@@ -85,32 +80,10 @@ func constFits32(spec arith.Multiplier, c int64) bool {
 		spec.ApproxLSBs <= spec.Width && magnitude(c) < uint64(1)<<(spec.Width-1)
 }
 
-// exactConstMul is the table-free tier: the exact plan's product is a
-// native multiply behind a branch-free sign-magnitude wrapper (the
-// operand's sign is data-dependent on the signal, so a branch would
-// mispredict), with the coefficient's sign negC folded in once.
-func exactConstMul(w int, cm uint64, negC bool) func(int64) int64 {
-	opMask := mask(w)
-	pm := mask(2 * w)
-	sign := uint(w - 1)
-	sx := uint(64 - 2*w)
-	var cneg uint64
-	if negC {
-		cneg = ^uint64(0)
-	}
-	return func(x int64) int64 {
-		mag, sgn := signMag(uint64(x)&opMask, opMask, sign)
-		p := sext(mag*cm&pm, sx)
-		flip := int64(sgn ^ cneg)
-		return (p ^ flip) - flip
-	}
-}
-
 // productRows is the source of one full table's products, made by its
 // first fill: a composite plan's constant products come a row at a time
-// from the root's sub-product tables (see mulNode.rows), every other
-// product (exact and leaf-root plans, squares) from each, one magnitude
-// at a time.
+// from the root's sub-product tables (see mulNode.rows), and squares from
+// each, one magnitude at a time.
 type productRows struct {
 	root   *mulNode
 	lo, hi []uint32
@@ -118,11 +91,9 @@ type productRows struct {
 	each   func(mag uint64) int64
 }
 
-// constRows returns the product source of coefficient c through plan m.
+// constRows returns the product source of coefficient c through plan m,
+// which must be composite.
 func (m *Multiplier) constRows(c int64) *productRows {
-	if !m.composite() {
-		return &productRows{each: m.productFn(c)}
-	}
 	r := &productRows{root: m.root}
 	r.lo, r.hi = m.root.subProductTables(magnitude(c) & m.opMask)
 	if c < 0 {
@@ -182,8 +153,7 @@ func fullTableFunc(tab32 []int32, tab64 []int64, opMask uint64) func(int64) int6
 	return func(x int64) int64 { return tab64[uint64(x)&opMask] }
 }
 
-// Bytes returns the allocated table storage of this tier in bytes (zero
-// for the exact, table-free tier), filled or not.
+// Bytes returns the allocated table storage in bytes, filled or not.
 func (t *ConstMulTable) Bytes() int64 {
 	return int64(len(t.tab32))*4 + int64(len(t.tab64))*8
 }

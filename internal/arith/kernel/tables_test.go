@@ -8,12 +8,14 @@ import (
 
 	"github.com/xbiosip/xbiosip/internal/approx"
 	"github.com/xbiosip/xbiosip/internal/arith"
+	"github.com/xbiosip/xbiosip/internal/oracle"
 )
 
 // TestTableTierSelection pins the representation tier each plan class
-// gets: exact plans are table-free, and every other plan — an exactly
-// combined root as much as an approximately combined one — keeps a full
-// int32 table, with Mul bit-identical to the reference in every tier.
+// gets: an exact plan gets no const-mul table (NewConstMulTable refuses
+// it: its chains fuse), and every other plan — an exactly combined root
+// as much as an approximately combined one — keeps a full int32 table,
+// with Mul bit-identical to the reference.
 func TestTableTierSelection(t *testing.T) {
 	cases := []struct {
 		name string
@@ -29,18 +31,21 @@ func TestTableTierSelection(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			for _, c := range []int64{1, 31, -6} {
 				tab, err := NewConstMulTable(tc.spec, c)
+				if !tc.full {
+					if err == nil {
+						t.Fatalf("c=%d: a const-mul table of an exact plan", c)
+					}
+					continue
+				}
 				if err != nil {
 					t.Fatal(err)
 				}
-				if gotFull := tab.tab32 != nil; gotFull != tc.full || tab.tab64 != nil {
-					t.Fatalf("c=%d: int32 full-table tier %v (int64 %v), want %v", c, gotFull, tab.tab64 != nil, tc.full)
-				}
-				if !tc.full && tab.Bytes() != 0 {
-					t.Fatalf("c=%d: exact tier reports %d bytes", c, tab.Bytes())
+				if tab.tab32 == nil || tab.tab64 != nil {
+					t.Fatalf("c=%d: not an int32 full table (int64 %v)", c, tab.tab64 != nil)
 				}
 				for i := 0; i < 1<<16; i++ {
 					x := arith.ToSigned(uint64(i), 16)
-					if got, want := tab.Mul(x), tc.spec.MulSigned(x, c); got != want {
+					if got, want := tab.Mul(x), oracle.MulSigned(tc.spec, x, c); got != want {
 						t.Fatalf("c=%d: Mul(%d) = %d, reference %d", c, x, got, want)
 					}
 				}
@@ -81,11 +86,11 @@ func TestFullProductTableOverflowFallback(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			ref := func(x int64) int64 { return tc.spec.MulSigned(x, tc.coeff) }
+			ref := func(x int64) int64 { return oracle.MulSigned(tc.spec, x, tc.coeff) }
 			var read func(int64) int64
 			var got64 bool
 			if tc.square {
-				ref = func(x int64) int64 { return tc.spec.MulSigned(x, x) }
+				ref = func(x int64) int64 { return oracle.MulSigned(tc.spec, x, x) }
 				sq, err := NewSquareTable(tc.spec)
 				if err != nil {
 					t.Fatal(err)
@@ -211,7 +216,6 @@ func TestPlanCacheConcurrentColdBuild(t *testing.T) {
 	// The AMA5 chain projects its first three taps — the first and third
 	// through the projection built below — and reads the last raw.
 	ops := []ChainOp{{Coeff: 12345, Lag: 0, Sub: true}, {Coeff: 3, Lag: 1}, {Coeff: 12345, Lag: 2, Sub: true}, {Coeff: 6, Lag: 3}}
-	ref := refProducts(spec, []int64{12345, 3, 6})
 	const goroutines = 16
 	var (
 		wg    sync.WaitGroup
@@ -225,7 +229,7 @@ func TestPlanCacheConcurrentColdBuild(t *testing.T) {
 	for g := 0; g < goroutines; g++ {
 		go func() {
 			defer wg.Done()
-			defer runSharedTables(t, g, spec, adderSpec, ops, ref)
+			defer runSharedTables(t, g, spec, adderSpec, ops)
 			tab, err := CachedConstMulTable(spec, 12345)
 			if err != nil {
 				t.Error(err)
@@ -276,7 +280,7 @@ func TestPlanCacheConcurrentColdBuild(t *testing.T) {
 // their history (zeros before the signal), the squarer per sample and per
 // block, over samples of amplitude up to 2,000*(g+1) (the last goroutine
 // adds -32,768), each output checked against the enumeration.
-func runSharedTables(t *testing.T, g int, spec arith.Multiplier, adderSpec arith.Adder, ops []ChainOp, ref map[int64]func(int64) int64) {
+func runSharedTables(t *testing.T, g int, spec arith.Multiplier, adderSpec arith.Adder, ops []ChainOp) {
 	ad, err := CachedAdder(adderSpec)
 	if err != nil {
 		t.Error(err)
@@ -309,12 +313,13 @@ func runSharedTables(t *testing.T, g int, spec arith.Multiplier, adderSpec arith
 	}
 	sqs := make([]int64, len(xs))
 	sq.SquareSlice(sqs, xs, 1)
+	fold := scalarFold(adderSpec, spec, ops, xs, 3, 29)
 	for i, x := range xs {
-		if want := scalarChain(adderSpec, ref, ops, xs, i, 3, 29); dst[i] != want {
+		if want := fold[i]; dst[i] != want {
 			t.Errorf("goroutine %d: Run[%d] = %d, enumeration %d", g, i, dst[i], want)
 			return
 		}
-		want := spec.MulSigned(x, x)
+		want := oracle.MulSigned(spec, x, x)
 		if sqs[i] != want>>1 || sq.Square(x) != want {
 			t.Errorf("goroutine %d: square of %d = %d (slice %d), enumeration %d", g, x, sq.Square(x), sqs[i], want)
 			return
@@ -334,7 +339,7 @@ func TestSquareTableMatchesMultiplier(t *testing.T) {
 	rng := rand.New(rand.NewSource(16))
 	for i := 0; i < 500; i++ {
 		x := int64(int16(rng.Uint64()))
-		if got, want := tab.Square(x), m.MulSigned(x, x); got != want {
+		if got, want := tab.Square(x), oracle.MulSigned(m, x, x); got != want {
 			t.Fatalf("Square(%d) = %d, want %d", x, got, want)
 		}
 	}

@@ -99,7 +99,9 @@ func squaresFit32(t *testing.T, spec arith.Multiplier) bool {
 // core.DefaultLSBLists and the LPF/HPF/DER coefficients as the FIR
 // stages pass them — every tier must equal the narrowest one the
 // enumeration allows, which is the tier tables took when they were
-// enumerated at creation, so no table grew.
+// enumerated at creation, so no table grew. The exact pairing (AccMult
+// with AccAdd) checks its squares only: its plan gets no const-mul table
+// or projection (NewChain fuses its chains).
 func TestTableTierBounds(t *testing.T) {
 	sample := testing.Short() || kernel.RaceBuild()
 	for _, width := range []int{4, 8, 16} {
@@ -140,6 +142,9 @@ func checkTierGrid(t *testing.T, width int, mk approx.MultKind, coeffs []int64, 
 			if !squaresFit32(t, spec) {
 				t.Fatalf("%+v: a square overflows the int32 square table", spec)
 			}
+			if exactKinds(spec) {
+				continue
+			}
 			for _, c := range coeffs {
 				r := enumerateProducts(t, spec, c)
 				if kernel.ConstFits32(spec, c) && !r.fits32 {
@@ -157,6 +162,12 @@ func checkTierGrid(t *testing.T, width int, mk approx.MultKind, coeffs []int64, 
 			}
 		}
 	}
+}
+
+// exactKinds reports whether spec pairs the exact cells, an exact plan at
+// any k.
+func exactKinds(spec arith.Multiplier) bool {
+	return spec.Mult == approx.AccMult && spec.Add == approx.AccAdd
 }
 
 // checkExplorerTiers checks that every tier the bounds choose over the
@@ -178,10 +189,10 @@ func checkExplorerTiers(t *testing.T, mk approx.MultKind, sample bool) {
 		}
 		for stage, taps := range firs {
 			for i, k := range lists[stage] {
-				if k == 0 || sample && i%2 == 1 {
+				spec := arith.Multiplier{Width: 16, ApproxLSBs: k, Mult: mk, Add: ak}
+				if k == 0 || exactKinds(spec) || sample && i%2 == 1 {
 					continue
 				}
-				spec := arith.Multiplier{Width: 16, ApproxLSBs: k, Mult: mk, Add: ak}
 				ranges := map[int64]productRange{}
 				for _, tc := range taps {
 					if tc == 0 {

@@ -1,4 +1,4 @@
-package arith
+package arith_test
 
 import (
 	"math/rand"
@@ -6,25 +6,27 @@ import (
 	"testing/quick"
 
 	"github.com/xbiosip/xbiosip/internal/approx"
+	"github.com/xbiosip/xbiosip/internal/arith"
+	"github.com/xbiosip/xbiosip/internal/oracle"
 )
 
 func TestAccurateMultiplierMatchesNative(t *testing.T) {
-	m := Multiplier{Width: 16, ApproxLSBs: 0, Mult: approx.AccMult, Add: approx.AccAdd}
+	m := arith.Multiplier{Width: 16, ApproxLSBs: 0, Mult: approx.AccMult, Add: approx.AccAdd}
 	rng := rand.New(rand.NewSource(10))
 	for i := 0; i < 2000; i++ {
 		a, b := rng.Uint64()&mask(16), rng.Uint64()&mask(16)
-		if got, want := m.Mul(a, b), a*b; got != want {
+		if got, want := oracle.Mul(m, a, b), a*b; got != want {
 			t.Fatalf("Mul(%d,%d) = %d, want %d", a, b, got, want)
 		}
 	}
 }
 
 func TestRecursiveStructureExactWhenAccurate(t *testing.T) {
-	// Force the recursion (k=2*Width with accurate cells takes the bit-true
-	// path end to end) and confirm it reconstructs exact products for every
-	// width.
+	// k=2*Width with accurate cells takes the bit-true recursion end to end
+	// (the model has no shortcut for accurate cells); it must reconstruct
+	// exact products for every width.
 	for _, w := range []int{2, 4, 8, 16} {
-		m := Multiplier{Width: w, ApproxLSBs: 2 * w, Mult: approx.AccMult, Add: approx.AccAdd}
+		m := arith.Multiplier{Width: w, ApproxLSBs: 2 * w, Mult: approx.AccMult, Add: approx.AccAdd}
 		rng := rand.New(rand.NewSource(int64(w)))
 		n := 500
 		if w <= 4 {
@@ -37,10 +39,8 @@ func TestRecursiveStructureExactWhenAccurate(t *testing.T) {
 			} else {
 				a, b = rng.Uint64()&mask(w), rng.Uint64()&mask(w)
 			}
-			// accurate() fast path would bypass recursion; call mulRec.
-			got := m.mulRec(a, b, w, 0) & mask(2*w)
-			if got != a*b {
-				t.Fatalf("width %d: mulRec(%d,%d) = %d, want %d", w, a, b, got, a*b)
+			if got := oracle.Mul(m, a, b); got != a*b {
+				t.Fatalf("width %d: Mul(%d,%d) = %d, want %d", w, a, b, got, a*b)
 			}
 		}
 	}
@@ -50,10 +50,10 @@ func TestMultiplierZeroLSBsExactForAllKinds(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for _, mk := range approx.MultKinds {
 		for _, ak := range approx.AdderKinds {
-			m := Multiplier{Width: 16, ApproxLSBs: 0, Mult: mk, Add: ak}
+			m := arith.Multiplier{Width: 16, ApproxLSBs: 0, Mult: mk, Add: ak}
 			for i := 0; i < 100; i++ {
 				a, b := rng.Uint64()&mask(16), rng.Uint64()&mask(16)
-				if got := m.Mul(a, b); got != a*b {
+				if got := oracle.Mul(m, a, b); got != a*b {
 					t.Fatalf("%v/%v k=0: Mul(%d,%d) = %d, want %d", mk, ak, a, b, got, a*b)
 				}
 			}
@@ -66,17 +66,17 @@ func TestMultiplier4x4KnownApproximation(t *testing.T) {
 	// approximate. 3*3 in the low halves triggers the Kulkarni error:
 	// (4a+3)(4b+3) should lose 2 in the LL lane (9 -> 7) before
 	// accumulation.
-	m := Multiplier{Width: 4, ApproxLSBs: 4, Mult: approx.AppMultV1, Add: approx.AccAdd}
-	got := m.Mul(3, 3) // a=0011, b=0011: LL = 3*3
+	m := arith.Multiplier{Width: 4, ApproxLSBs: 4, Mult: approx.AppMultV1, Add: approx.AccAdd}
+	got := oracle.Mul(m, 3, 3) // a=0011, b=0011: LL = 3*3
 	if got != 7 {
 		t.Errorf("Mul(3,3) with k=4 V1 = %d, want 7", got)
 	}
 	// Operands whose low halves are not 3x3 stay exact.
-	if got := m.Mul(2, 3); got != 6 {
+	if got := oracle.Mul(m, 2, 3); got != 6 {
 		t.Errorf("Mul(2,3) with k=4 V1 = %d, want 6", got)
 	}
 	// High-half products are outside the approximated lane.
-	if got := m.Mul(12, 12); got != 144 {
+	if got := oracle.Mul(m, 12, 12); got != 144 {
 		t.Errorf("Mul(12,12) with k=4 V1 = %d, want 144 (HH lane exact)", got)
 	}
 }
@@ -91,10 +91,10 @@ func TestMultiplierErrorGrowsWithK(t *testing.T) {
 		sample[i] = pair{rng.Uint64() & mask(16), rng.Uint64() & mask(16)}
 	}
 	meanErr := func(k int) float64 {
-		m := Multiplier{Width: 16, ApproxLSBs: k, Mult: approx.AppMultV1, Add: approx.ApproxAdd5}
+		m := arith.Multiplier{Width: 16, ApproxLSBs: k, Mult: approx.AppMultV1, Add: approx.ApproxAdd5}
 		var sum float64
 		for _, p := range sample {
-			d := int64(m.Mul(p.a, p.b)) - int64(p.a*p.b)
+			d := int64(oracle.Mul(m, p.a, p.b)) - int64(p.a*p.b)
 			if d < 0 {
 				d = -d
 			}
@@ -124,11 +124,11 @@ func TestMultiplierErrorConfinedToLowLanes(t *testing.T) {
 	// region, so |error| < 2^(k+2).
 	rng := rand.New(rand.NewSource(13))
 	for _, k := range []int{4, 8, 12} {
-		m := Multiplier{Width: 16, ApproxLSBs: k, Mult: approx.AppMultV2, Add: approx.ApproxAdd5}
+		m := arith.Multiplier{Width: 16, ApproxLSBs: k, Mult: approx.AppMultV2, Add: approx.ApproxAdd5}
 		bound := int64(1) << (k + 2)
 		for i := 0; i < 1000; i++ {
 			a, b := rng.Uint64()&mask(16), rng.Uint64()&mask(16)
-			d := int64(m.Mul(a, b)) - int64(a*b)
+			d := int64(oracle.Mul(m, a, b)) - int64(a*b)
 			if d < 0 {
 				d = -d
 			}
@@ -140,7 +140,7 @@ func TestMultiplierErrorConfinedToLowLanes(t *testing.T) {
 }
 
 func TestMulSignedSignMagnitude(t *testing.T) {
-	m := Multiplier{Width: 16, ApproxLSBs: 0, Mult: approx.AccMult, Add: approx.AccAdd}
+	m := arith.Multiplier{Width: 16, ApproxLSBs: 0, Mult: approx.AccMult, Add: approx.AccAdd}
 	cases := []struct{ a, b, want int64 }{
 		{3, 4, 12},
 		{-3, 4, -12},
@@ -152,7 +152,7 @@ func TestMulSignedSignMagnitude(t *testing.T) {
 		{0, -12345, 0},
 	}
 	for _, c := range cases {
-		if got := m.MulSigned(c.a, c.b); got != c.want {
+		if got := oracle.MulSigned(m, c.a, c.b); got != c.want {
 			t.Errorf("MulSigned(%d,%d) = %d, want %d", c.a, c.b, got, c.want)
 		}
 	}
@@ -161,7 +161,7 @@ func TestMulSignedSignMagnitude(t *testing.T) {
 func TestMulSignedApproxSymmetry(t *testing.T) {
 	// Sign-magnitude arrangement: |approx(a*b)| is independent of operand
 	// signs.
-	m := Multiplier{Width: 16, ApproxLSBs: 8, Mult: approx.AppMultV1, Add: approx.ApproxAdd5}
+	m := arith.Multiplier{Width: 16, ApproxLSBs: 8, Mult: approx.AppMultV1, Add: approx.ApproxAdd5}
 	rng := rand.New(rand.NewSource(14))
 	for i := 0; i < 500; i++ {
 		a := int64(int16(rng.Uint64()))
@@ -169,21 +169,21 @@ func TestMulSignedApproxSymmetry(t *testing.T) {
 		if a == -32768 || b == -32768 {
 			continue // magnitude not representable with flipped sign
 		}
-		p := m.MulSigned(a, b)
-		if q := m.MulSigned(-a, b); q != -p {
+		p := oracle.MulSigned(m, a, b)
+		if q := oracle.MulSigned(m, -a, b); q != -p {
 			t.Fatalf("MulSigned(-a,b) = %d, want %d", q, -p)
 		}
-		if q := m.MulSigned(a, -b); q != -p {
+		if q := oracle.MulSigned(m, a, -b); q != -p {
 			t.Fatalf("MulSigned(a,-b) = %d, want %d", q, -p)
 		}
-		if q := m.MulSigned(-a, -b); q != p {
+		if q := oracle.MulSigned(m, -a, -b); q != p {
 			t.Fatalf("MulSigned(-a,-b) = %d, want %d", q, p)
 		}
 	}
 }
 
 func TestMultiplierValidate(t *testing.T) {
-	bad := []Multiplier{
+	bad := []arith.Multiplier{
 		{Width: 3, Mult: approx.AccMult, Add: approx.AccAdd},
 		{Width: 64, Mult: approx.AccMult, Add: approx.AccAdd},
 		{Width: 16, ApproxLSBs: -1, Mult: approx.AccMult, Add: approx.AccAdd},
@@ -196,7 +196,7 @@ func TestMultiplierValidate(t *testing.T) {
 			t.Errorf("Validate(%+v) = nil, want error", m)
 		}
 	}
-	if err := (Multiplier{Width: 16, ApproxLSBs: 8, Mult: approx.AppMultV1, Add: approx.ApproxAdd5}).Validate(); err != nil {
+	if err := (arith.Multiplier{Width: 16, ApproxLSBs: 8, Mult: approx.AppMultV1, Add: approx.ApproxAdd5}).Validate(); err != nil {
 		t.Errorf("Validate(16,8,V1,AMA5): %v", err)
 	}
 }
@@ -204,9 +204,9 @@ func TestMultiplierValidate(t *testing.T) {
 func TestQuickCommutativityUnderApproximationV1(t *testing.T) {
 	// AppMultV1 and the accumulation structure are symmetric in a and b, so
 	// the approximate product must commute.
-	m := Multiplier{Width: 16, ApproxLSBs: 10, Mult: approx.AppMultV1, Add: approx.ApproxAdd5}
+	m := arith.Multiplier{Width: 16, ApproxLSBs: 10, Mult: approx.AppMultV1, Add: approx.ApproxAdd5}
 	f := func(a, b uint16) bool {
-		return m.Mul(uint64(a), uint64(b)) == m.Mul(uint64(b), uint64(a))
+		return oracle.Mul(m, uint64(a), uint64(b)) == oracle.Mul(m, uint64(b), uint64(a))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Error(err)
@@ -220,13 +220,13 @@ func TestQuickMultiplyByZeroAndOne(t *testing.T) {
 	// there, which is itself part of their approximation error).
 	zeroPreserving := []approx.AdderKind{approx.AccAdd, approx.ApproxAdd1, approx.ApproxAdd5}
 	f := func(a uint16, k uint8, mki, aki uint8) bool {
-		m := Multiplier{
+		m := arith.Multiplier{
 			Width:      16,
 			ApproxLSBs: int(k) % 33,
 			Mult:       approx.MultKinds[mki%approx.NumMultKinds],
 			Add:        zeroPreserving[aki%uint8(len(zeroPreserving))],
 		}
-		if m.Mul(uint64(a), 0) != 0 || m.Mul(0, uint64(a)) != 0 {
+		if oracle.Mul(m, uint64(a), 0) != 0 || oracle.Mul(m, 0, uint64(a)) != 0 {
 			return false
 		}
 		return true

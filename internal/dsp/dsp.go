@@ -5,7 +5,9 @@
 // (paper §4.2). Every arithmetic operation is evaluated bit-true through
 // compiled word-parallel kernels (package arith/kernel) that are
 // equivalence-tested against the bit-serial behavioural models of package
-// arith, so the output equals what the generated hardware computes.
+// oracle, so the output equals what the generated hardware computes. The
+// package tests check every FIR and integrator entry point against the
+// oracle's tap-chain and slot-order window folds.
 //
 // Each stage compiles its arithmetic once and keeps it immutable; its only
 // state is its delay line. A FIR evaluates through one chain kernel

@@ -10,89 +10,34 @@ import (
 
 	"github.com/xbiosip/xbiosip/internal/approx"
 	"github.com/xbiosip/xbiosip/internal/arith"
+	"github.com/xbiosip/xbiosip/internal/oracle"
 )
 
-// oracleFIR is the per-tap accumulation loop of the FIR datapath over
-// the bit-serial models: each non-zero tap's product through
-// arith.Multiplier.MulSigned and the products folded tap by tap through
-// arith.Adder.AddSigned/SubSigned over a doubled delay line. It is
-// frozen here as the reference the chain-based paths are compared
-// against; do not optimize it.
-type oracleFIR struct {
-	ops      []oracleOp
-	mult     arith.Multiplier
+// firOracle is the FIR datapath folded through the bit-serial models
+// (oracle.FIRAt) over the samples since the last reset: the reference
+// every entry point is compared against, one sample at a time.
+type firOracle struct {
 	adder    arith.Adder
-	outShift int
-	hist     []int64
-	n        int
-	pos      int
+	products *oracle.Products
+	taps     []oracle.Tap
+	outShift uint
+	xs       []int64
 }
 
-type oracleOp struct {
-	mag int64 // coefficient magnitude
-	lag int   // delay-line age of the tap's sample
-	sub bool  // negative coefficient: subtract the product magnitude
-}
-
-func newOracleFIR(coeffs []int64, outShift int, cfg ArithConfig) *oracleFIR {
-	f := &oracleFIR{
-		mult:     arith.Multiplier{Width: SampleWidth, ApproxLSBs: cfg.LSBs, Mult: cfg.Mul, Add: cfg.Add},
+func newFIROracle(coeffs []int64, outShift int, cfg ArithConfig) *firOracle {
+	return &firOracle{
 		adder:    arith.Adder{Width: AccWidth, ApproxLSBs: cfg.LSBs, Kind: cfg.Add},
-		outShift: outShift,
-		hist:     make([]int64, 2*len(coeffs)),
-		n:        len(coeffs),
+		products: oracle.NewProducts(arith.Multiplier{Width: SampleWidth, ApproxLSBs: cfg.LSBs, Mult: cfg.Mul, Add: cfg.Add}),
+		taps:     oracle.Taps(coeffs),
+		outShift: uint(outShift),
 	}
-	for i, c := range coeffs {
-		if c != 0 {
-			f.ops = append(f.ops, oracleOp{mag: max(c, -c), lag: i, sub: c < 0})
-		}
-	}
-	return f
 }
 
-// product is one tap's product: the delayed sample enters the multiplier
-// as a SampleWidth-bit word.
-func (f *oracleFIR) product(op *oracleOp, base int) int64 {
-	x := arith.ToSigned(uint64(f.hist[base-op.lag]), SampleWidth)
-	return f.mult.MulSigned(x, op.mag)
-}
+func (f *firOracle) Reset() { f.xs = f.xs[:0] }
 
-func (f *oracleFIR) Reset() {
-	for i := range f.hist {
-		f.hist[i] = 0
-	}
-	f.pos = 0
-}
-
-func (f *oracleFIR) Process(x int64) int64 {
-	n := f.n
-	f.hist[f.pos] = x
-	f.hist[f.pos+n] = x
-	base := f.pos + n
-	f.pos++
-	if f.pos == n {
-		f.pos = 0
-	}
-	var acc int64
-	if ops := f.ops; len(ops) > 0 {
-		adder := f.adder
-		p := f.product(&ops[0], base)
-		if ops[0].sub {
-			acc = adder.SubSigned(0, p)
-		} else {
-			acc = p
-		}
-		for i := 1; i < len(ops); i++ {
-			op := &ops[i]
-			p := f.product(op, base)
-			if op.sub {
-				acc = adder.SubSigned(acc, p)
-			} else {
-				acc = adder.AddSigned(acc, p)
-			}
-		}
-	}
-	return arith.ToSigned(uint64(acc)>>uint(f.outShift), SampleWidth)
+func (f *firOracle) Process(x int64) int64 {
+	f.xs = append(f.xs, x)
+	return oracle.FIRAt(f.adder, f.products, f.taps, f.xs, len(f.xs)-1, f.outShift, SampleWidth)
 }
 
 // oracleShapes are the tap shapes the FIR differential crosses: the three
@@ -115,7 +60,7 @@ func oracleShapes() map[string][]int64 {
 }
 
 // TestFIRMatchesOracle is the seeded differential of every FIR entry
-// point against the frozen per-tap oracle: random interleavings of
+// point against the bit-serial tap-chain fold: random interleavings of
 // Process, Block, FilterInto restarts, Reset and Clone (see driveFIR)
 // drive one filter, while the oracle is fed the same samples one at a
 // time (reset at every restart). It crosses adder kinds {exact,
@@ -228,7 +173,7 @@ func driveFIR(t *testing.T, label string, next func() uint64, steps int, coeffs 
 	if err != nil {
 		t.Fatal(err)
 	}
-	o := newOracleFIR(coeffs, outShift, cfg)
+	o := newFIROracle(coeffs, outShift, cfg)
 	intn := func(n int) int { return int(next() % uint64(n)) }
 	samples := func(n int) []int64 {
 		xs := make([]int64, n)
@@ -296,41 +241,20 @@ func driveFIR(t *testing.T, label string, next func() uint64, steps int, coeffs 
 	}
 }
 
-// oracleMovingSum is the per-sample window fold of the integrator over
-// the bit-serial adder model: each sample overwrites the ring's next
-// slot, and the ring's slots chain through arith.Adder.AddSigned in slot
-// order, slot 0 opening the chain. It is frozen here as the reference
-// the window strategies are compared against; do not optimize it.
-type oracleMovingSum struct {
-	adder    arith.Adder
-	outShift int
-	hist     []int64
-	pos      int
+// windowOracle is the integrator's window folded through the bit-serial
+// adder model in slot order (oracle.WindowAt) over the samples since the
+// last reset: the reference the window strategies are compared against.
+type windowOracle struct {
+	adder            arith.Adder
+	window, outShift int
+	xs               []int64
 }
 
-func newOracleMovingSum(window, outShift int, cfg ArithConfig) *oracleMovingSum {
-	adder := arith.Adder{Width: AccWidth, ApproxLSBs: cfg.LSBs, Kind: cfg.Add}
-	return &oracleMovingSum{adder: adder, outShift: outShift, hist: make([]int64, window)}
-}
+func (m *windowOracle) Reset() { m.xs = m.xs[:0] }
 
-func (m *oracleMovingSum) Reset() {
-	for i := range m.hist {
-		m.hist[i] = 0
-	}
-	m.pos = 0
-}
-
-func (m *oracleMovingSum) Process(x int64) int64 {
-	m.hist[m.pos] = x
-	m.pos++
-	if m.pos == len(m.hist) {
-		m.pos = 0
-	}
-	acc := m.hist[0]
-	for _, v := range m.hist[1:] {
-		acc = m.adder.AddSigned(acc, v)
-	}
-	return arith.ToSigned(uint64(acc)>>uint(m.outShift), AccWidth-m.outShift)
+func (m *windowOracle) Process(x int64) int64 {
+	m.xs = append(m.xs, x)
+	return oracle.WindowAt(m.adder, m.xs, len(m.xs)-1, m.window, uint(m.outShift), AccWidth-m.outShift)
 }
 
 // adderKinds are the adder kinds the FIR and integrator differentials
@@ -340,7 +264,7 @@ var adderKinds = []approx.AdderKind{approx.AccAdd, approx.ApproxAdd1, approx.App
 	approx.ApproxAdd3, approx.ApproxAdd4, approx.ApproxAdd5}
 
 // TestMovingSumMatchesOracle is the seeded differential of every
-// integrator entry point against the frozen per-sample fold: random
+// integrator entry point against the bit-serial window fold: random
 // interleavings of Process, ProcessBlock, FilterInto restarts, Reset and
 // Clone (see driveMovingSum), crossing adder kinds {exact, AMA1-AMA5} x
 // approximated LSBs {0, 1, 2, 8, 12, 16, 31, 32} x windows {2, 3, 32}.
@@ -405,7 +329,7 @@ func driveMovingSum(t *testing.T, label string, next func() uint64, steps int, c
 	if err != nil {
 		t.Fatal(err)
 	}
-	o := newOracleMovingSum(window, outShift, cfg)
+	o := &windowOracle{adder: arith.Adder{Width: AccWidth, ApproxLSBs: cfg.LSBs, Kind: cfg.Add}, window: window, outShift: outShift}
 	intn := func(n int) int { return int(next() % uint64(n)) }
 	sample := func() int64 {
 		v := next()

@@ -22,24 +22,26 @@
 //     switching-activity analysis (RunActivityStreams), the
 //     stimulus-driven toggle measurement package synth weights dynamic
 //     power by. The package tests also simulate one vector at a time, to
-//     cross-validate the word-level behavioural models in package arith
+//     cross-validate the bit-serial behavioural models in package oracle
 //     against their cell netlists (the Go analogue of the paper's
 //     MATLAB-vs-ModelSim loop, Fig 9). The activity engine is
 //     lane-packed: 64 stimulus vectors evaluate at once, every net
 //     carrying a uint64 of lane values and every cell applying its logic
 //     function bitwise across all lanes (classic multi-pattern gate-level
-//     simulation). A port's lane words for a block come from one 64×64
+//     simulation) through a hand-derived closed form per library cell. A
+//     port's lane words for a block come from one 64×64
 //     bit transpose of the block's values (six rounds of masked swaps),
 //     not from one shift per vector and bit. Toggle counts stay integer,
 //     so the result is bit-identical to simulating one vector at a time,
 //     the fold the package tests compare it with;
 //   - synthesis-style optimisation passes: constant propagation by partial
-//     evaluation of cell truth tables (this is how multiplications by fixed
-//     FIR coefficients collapse, exactly as a logic synthesiser would fold
-//     them) and dead-cell elimination. ConstProp replays a finished netlist
-//     through a folding builder, so the per-cell folding has one
-//     implementation, and Optimize of a plain build equals dead-cell
-//     elimination of the folded build.
+//     evaluation of cell truth tables over the constant nets (this is how
+//     multiplications by fixed FIR coefficients, built as constant buses,
+//     collapse, exactly as a logic synthesiser would fold them) and
+//     dead-cell elimination. ConstProp replays a finished netlist through
+//     a folding builder, so the per-cell folding has one implementation,
+//     and Optimize of a plain build equals dead-cell elimination of the
+//     folded build.
 //
 // Physical reports (area / power / delay / energy) over netlists live in
 // package synth; the process-wide cache that amortises a whole (stage,

@@ -105,18 +105,6 @@ type Netlist struct {
 	Outputs []Port
 }
 
-// Input returns the input port with the given name.
-func (n *Netlist) Input(name string) (Port, bool) { return findPort(n.Inputs, name) }
-
-func findPort(ports []Port, name string) (Port, bool) {
-	for _, p := range ports {
-		if p.Name == name {
-			return p, true
-		}
-	}
-	return Port{}, false
-}
-
 // CellCounts tallies cells by library type name.
 func (n *Netlist) CellCounts() map[string]int {
 	m := make(map[string]int)

@@ -7,6 +7,7 @@ import (
 
 	"github.com/xbiosip/xbiosip/internal/approx"
 	"github.com/xbiosip/xbiosip/internal/arith"
+	"github.com/xbiosip/xbiosip/internal/oracle"
 )
 
 func mustBuild(t *testing.T) func(*Netlist, error) *Netlist {
@@ -71,7 +72,7 @@ func TestRCANetlistCrossValidation(t *testing.T) {
 			}
 			sums, couts := outStream(t, outs, "sum"), outStream(t, outs, "cout")
 			for i := range as {
-				wantSum, wantCout := ad.AddCarry(as[i], bs[i], uint8(cins[i]))
+				wantSum, wantCout := oracle.AddCarry(ad, as[i], bs[i], uint8(cins[i]))
 				if sums[i] != wantSum || couts[i] != uint64(wantCout) {
 					t.Fatalf("%v k=%d: netlist (%#x,%d) != behavioural (%#x,%d) for a=%#x b=%#x cin=%d",
 						kind, k, sums[i], couts[i], wantSum, wantCout, as[i], bs[i], cins[i])
@@ -82,7 +83,8 @@ func TestRCANetlistCrossValidation(t *testing.T) {
 }
 
 // TestMultiplierNetlistCrossValidation checks the recursive multiplier
-// netlist against arith.Multiplier for representative configurations.
+// netlist against the bit-serial model (oracle.Mul) for representative
+// configurations.
 func TestMultiplierNetlistCrossValidation(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	configs := []arith.Multiplier{
@@ -120,28 +122,38 @@ func TestMultiplierNetlistCrossValidation(t *testing.T) {
 		}
 		ps := outStream(t, outs, "p")
 		for i := range as {
-			if want := m.Mul(as[i], bs[i]); ps[i] != want {
+			if want := oracle.Mul(m, as[i], bs[i]); ps[i] != want {
 				t.Fatalf("%+v: netlist %d != behavioural %d for %d*%d", m, ps[i], want, as[i], bs[i])
 			}
 		}
 	}
 }
 
+// constMultiplier builds a multiplier of operand a by the constant coeff,
+// its operand b a constant bus, into a folding builder, the way the FIR
+// generators build a tap, and optimizes it.
+func constMultiplier(t *testing.T, m arith.Multiplier, coeff uint64) *Netlist {
+	t.Helper()
+	b := NewFoldingBuilder("constmul")
+	a := b.InputBus("a", m.Width)
+	b.OutputBus("p", b.Multiplier(m, a, b.ConstBus(coeff, m.Width)))
+	opt, err := Optimize(mustBuild(t)(b.Build()))
+	if err != nil {
+		t.Fatalf("Optimize(b=%d): %v", coeff, err)
+	}
+	if len(opt.Inputs) != 1 {
+		t.Fatalf("b=%d: %d input ports, want a alone", coeff, len(opt.Inputs))
+	}
+	return opt
+}
+
 func TestConstPropPreservesFunction(t *testing.T) {
-	// Binding b to a constant must preserve the function of a bit for bit,
-	// including approximation artefacts.
+	// A constant operand b must fold into a multiplier that keeps the
+	// function of a bit for bit, including approximation artefacts.
 	rng := rand.New(rand.NewSource(22))
 	m := arith.Multiplier{Width: 16, ApproxLSBs: 10, Mult: approx.AppMultV1, Add: approx.ApproxAdd5}
-	n := mustBuild(t)(GenMultiplier(NewBuilder("constmul"), m))
 	for _, coeff := range []uint64{0, 1, 2, 5, 6, 31, 32, 0x7FFF} {
-		opt, err := Optimize(n, map[string]uint64{"b": coeff})
-		if err != nil {
-			t.Fatalf("Optimize(b=%d): %v", coeff, err)
-		}
-		if _, ok := opt.Input("b"); ok {
-			t.Fatalf("bound port b still present after ConstProp")
-		}
-		sim := mustSim(t, opt)
+		sim := mustSim(t, constMultiplier(t, m, coeff))
 		as := make([]uint64, 100)
 		for i := range as {
 			as[i] = rng.Uint64() & 0xFFFF
@@ -152,31 +164,9 @@ func TestConstPropPreservesFunction(t *testing.T) {
 		}
 		ps := outStream(t, outs, "p")
 		for i, a := range as {
-			if want := m.Mul(a, coeff); ps[i] != want {
+			if want := oracle.Mul(m, a, coeff); ps[i] != want {
 				t.Fatalf("coeff %d: optimised netlist %d != behavioural %d for a=%d", coeff, ps[i], want, a)
 			}
-		}
-	}
-}
-
-// TestConstPropRejectsBadBindings: a binding must name an input port and
-// fit its width; an over-wide value is an error, never silently truncated.
-func TestConstPropRejectsBadBindings(t *testing.T) {
-	m := arith.Multiplier{Width: 16, Mult: approx.AccMult, Add: approx.AccAdd}
-	n := mustBuild(t)(GenMultiplier(NewBuilder("bind"), m))
-	for _, c := range []struct {
-		name string
-		bind map[string]uint64
-		ok   bool
-	}{
-		{"widest fitting value", map[string]uint64{"b": 1<<16 - 1}, true},
-		{"one bit too wide", map[string]uint64{"b": 1 << 16}, false},
-		{"top bit set", map[string]uint64{"a": 1 << 63}, false},
-		{"unknown port", map[string]uint64{"c": 1}, false},
-	} {
-		_, err := ConstProp(n, c.bind)
-		if (err == nil) != c.ok {
-			t.Errorf("%s: ConstProp(%v) error = %v, want ok=%v", c.name, c.bind, err, c.ok)
 		}
 	}
 }
@@ -185,20 +175,10 @@ func TestConstPropCollapsesTrivialCoefficients(t *testing.T) {
 	// Multiplying by 0 must dissolve the entire netlist; multiplying by a
 	// power of two must leave no multiplier cells (pure wiring).
 	m := arith.Multiplier{Width: 16, ApproxLSBs: 0, Mult: approx.AccMult, Add: approx.AccAdd}
-	n := mustBuild(t)(GenMultiplier(NewBuilder("trivial"), m))
-
-	opt, err := Optimize(n, map[string]uint64{"b": 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(opt.Cells) != 0 {
+	if opt := constMultiplier(t, m, 0); len(opt.Cells) != 0 {
 		t.Errorf("multiply by 0 left %d cells, want 0", len(opt.Cells))
 	}
-
-	opt, err = Optimize(n, map[string]uint64{"b": 8})
-	if err != nil {
-		t.Fatal(err)
-	}
+	opt := constMultiplier(t, m, 8)
 	if got := len(opt.Cells); got != 0 {
 		t.Errorf("multiply by 8 left %d cells, want 0 (wiring only)", got)
 	}
@@ -217,7 +197,7 @@ func TestConstPropDissolvesAMA5Cells(t *testing.T) {
 	// pass must dissolve every AMA5 cell.
 	ad := arith.Adder{Width: 32, ApproxLSBs: 32, Kind: approx.ApproxAdd5}
 	n := mustBuild(t)(GenRCA(NewBuilder("ama5"), ad))
-	opt, err := Optimize(n, nil)
+	opt, err := Optimize(n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,7 +245,7 @@ func TestRegistersSurviveOptimization(t *testing.T) {
 	r := b.Register(x)
 	b.OutputBus("y", r)
 	n := mustBuild(t)(b.Build())
-	opt, err := Optimize(n, nil)
+	opt, err := Optimize(n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -420,7 +400,7 @@ func requireFoldMatchesConstProp(t *testing.T, name string, build func(b *Builde
 	got := mustBuild(t)(fb.Build())
 	pb := NewBuilder(name)
 	build(pb)
-	want, err := ConstProp(mustBuild(t)(pb.Build()), nil)
+	want, err := ConstProp(mustBuild(t)(pb.Build()))
 	if err != nil {
 		t.Fatal(err)
 	}

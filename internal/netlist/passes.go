@@ -2,41 +2,27 @@ package netlist
 
 import "fmt"
 
-// ConstProp partially evaluates the netlist with the given input ports
-// bound to constant values, the pass a logic synthesiser applies when FIR
-// coefficient operands are tied off. It replays the netlist's cells in
-// order through a folding builder (see Builder), with each bound port's
-// bits as constant nets, so every cell is folded exactly as a generator
-// building into a folding builder folds it. Bound ports are removed from
-// the result's input list; a binding must name an input port and fit its
-// width.
+// ConstProp partially evaluates the netlist over its constant nets, the
+// pass a logic synthesiser applies to tied-off operands. It replays the
+// netlist's cells in order through a folding builder (see Builder), so
+// every cell is folded exactly as a generator building into a folding
+// builder folds it: cells whose outputs are constants or wires dissolve,
+// pure-wiring cells such as ApproxAdd5 among them. A coefficient operand
+// folds when it is built as a constant bus (Builder.ConstBus), as the FIR
+// generators build theirs.
 //
-// The rewritten netlist computes the same function of the remaining inputs
-// bit for bit — including every approximation artefact — because the
-// rewrite is exact partial evaluation of the cell truth tables.
-func ConstProp(n *Netlist, bind map[string]uint64) (*Netlist, error) {
+// The rewritten netlist computes the same function of the inputs bit for
+// bit — including every approximation artefact — because the rewrite is
+// exact partial evaluation of the cell truth tables.
+func ConstProp(n *Netlist) (*Netlist, error) {
 	if err := n.Validate(); err != nil {
 		return nil, err
-	}
-	for name, v := range bind {
-		p, ok := n.Input(name)
-		if !ok {
-			return nil, fmt.Errorf("netlist %s: ConstProp binding for unknown input %q", n.Name, name)
-		}
-		if v>>len(p.Bits) != 0 {
-			return nil, fmt.Errorf("netlist %s: ConstProp binding %s=%d does not fit %d bits", n.Name, name, v, len(p.Bits))
-		}
 	}
 	b := NewFoldingBuilder(n.Name)
 	res := make([]Net, n.NumNets) // old net -> net in the rewritten netlist
 	res[Const0], res[Const1] = Const0, Const1
 	for _, p := range n.Inputs {
-		var bus Bus
-		if v, ok := bind[p.Name]; ok {
-			bus = b.ConstBus(v, len(p.Bits))
-		} else {
-			bus = b.InputBus(p.Name, len(p.Bits))
-		}
+		bus := b.InputBus(p.Name, len(p.Bits))
 		for i, x := range p.Bits {
 			res[x] = bus[i]
 		}
@@ -151,12 +137,11 @@ func DeadCellElim(n *Netlist) (*Netlist, error) {
 	return out, nil
 }
 
-// Optimize applies ConstProp (with the given bindings, possibly empty — an
-// empty binding still dissolves pure-wiring cells such as ApproxAdd5)
-// followed by DeadCellElim. This is the synthesis-style cleanup every
-// report in package synth runs behind the scenes.
-func Optimize(n *Netlist, bind map[string]uint64) (*Netlist, error) {
-	cp, err := ConstProp(n, bind)
+// Optimize applies ConstProp followed by DeadCellElim. This is the
+// synthesis-style cleanup every report in package synth runs behind the
+// scenes.
+func Optimize(n *Netlist) (*Netlist, error) {
+	cp, err := ConstProp(n)
 	if err != nil {
 		return nil, err
 	}

@@ -27,7 +27,7 @@ func evalCell(c *Cell, in []uint8) (out [4]uint8) {
 
 // Run evaluates the netlist for one input binding (port name to LSB-first
 // word value) and returns every output port's value: the per-vector
-// simulation the tests compare the arith models and the lane-packed
+// simulation the tests compare the oracle models and the lane-packed
 // activity engine with.
 func (s *Simulator) Run(inputs map[string]uint64) (map[string]uint64, error) {
 	vals := make([]uint8, s.n.NumNets)

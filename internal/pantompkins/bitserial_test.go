@@ -7,124 +7,43 @@ import (
 	"github.com/xbiosip/xbiosip/internal/arith"
 	"github.com/xbiosip/xbiosip/internal/dsp"
 	"github.com/xbiosip/xbiosip/internal/ecg"
+	"github.com/xbiosip/xbiosip/internal/oracle"
 )
 
-// bitSerialStage is one stage's datapath over the bit-serial arith
-// models: the stage's multiplier and accumulation adder, with the
-// products memoized per (coefficient, operand) — a product is a pure
-// function of the two, and the HPF alone asks for the same unit-tap
-// product 31 times per sample.
-type bitSerialStage struct {
-	mult  arith.Multiplier
-	adder arith.Adder
-	prods map[[2]int64]int64
-}
-
-func newBitSerialStage(cfg dsp.ArithConfig) *bitSerialStage {
-	return &bitSerialStage{
-		mult:  arith.Multiplier{Width: dsp.SampleWidth, ApproxLSBs: cfg.LSBs, Mult: cfg.Mul, Add: cfg.Add},
-		adder: arith.Adder{Width: dsp.AccWidth, ApproxLSBs: cfg.LSBs, Kind: cfg.Add},
-		prods: map[[2]int64]int64{},
-	}
-}
-
-// product is MulSigned of a SampleWidth-bit operand with c.
-func (b *bitSerialStage) product(x, c int64) int64 {
-	x = arith.ToSigned(uint64(x), dsp.SampleWidth)
-	key := [2]int64{c, x}
-	p, ok := b.prods[key]
-	if !ok {
-		p = b.mult.MulSigned(x, c)
-		b.prods[key] = p
-	}
-	return p
-}
-
-// fir folds a direct-form FIR over xs from a cleared delay line: at each
-// position the non-zero taps in tap order, each the product of the
-// delayed sample with the coefficient magnitude, copied (or subtracted
-// from zero, for a negative coefficient) into the accumulator at the
-// first tap and added or subtracted at the rest; the accumulator is
-// shifted right and sliced to SampleWidth bits.
-func (b *bitSerialStage) fir(xs, coeffs []int64, shift int) []int64 {
-	out := make([]int64, len(xs))
-	for n := range xs {
-		var acc int64
-		first := true
-		for lag, c := range coeffs {
-			if c == 0 {
-				continue
-			}
-			var x int64
-			if n >= lag {
-				x = xs[n-lag]
-			}
-			p := b.product(x, max(c, -c))
-			switch {
-			case first && c < 0:
-				acc = b.adder.SubSigned(0, p)
-			case first:
-				acc = p
-			case c < 0:
-				acc = b.adder.SubSigned(acc, p)
-			default:
-				acc = b.adder.AddSigned(acc, p)
-			}
-			first = false
-		}
-		out[n] = arith.ToSigned(uint64(acc)>>uint(shift), dsp.SampleWidth)
-	}
-	return out
-}
-
-// square squares every sample through the multiplier and shifts right.
-func (b *bitSerialStage) square(xs []int64, shift int) []int64 {
-	out := make([]int64, len(xs))
-	for i, x := range xs {
-		x = arith.ToSigned(uint64(x), dsp.SampleWidth)
-		out[i] = b.mult.MulSigned(x, x) >> uint(shift)
-	}
-	return out
-}
-
-// movingSum folds the integrator from a cleared window: each sample
-// overwrites the ring's next slot, and the slots chain through AddSigned
-// in slot order, slot 0 opening the chain; the sum is shifted right and
-// sliced to AccWidth-shift bits.
-func (b *bitSerialStage) movingSum(xs []int64, window, shift int) []int64 {
-	out := make([]int64, len(xs))
-	ring := make([]int64, window)
-	for i, x := range xs {
-		ring[i%window] = x
-		acc := ring[0]
-		for _, v := range ring[1:] {
-			acc = b.adder.AddSigned(acc, v)
-		}
-		out[i] = arith.ToSigned(uint64(acc)>>uint(shift), dsp.AccWidth-shift)
-	}
-	return out
-}
-
 // bitSerialPipeline runs the five stages of cfg over samples through the
-// bit-serial models, with each stage's coefficients, shifts and widths.
+// bit-serial models of package oracle, with each stage's coefficients,
+// shifts and widths: the FIRs' tap chains from cleared delay lines, the
+// squarer, and the integrator's window in slot order from a cleared
+// window.
 func bitSerialPipeline(cfg Config, samples []int16) *Outputs {
 	xs := make([]int64, len(samples))
 	for i, s := range samples {
 		xs[i] = int64(s)
 	}
+	mult := func(s Stage) arith.Multiplier {
+		c := cfg.Stage[s]
+		return arith.Multiplier{Width: dsp.SampleWidth, ApproxLSBs: c.LSBs, Mult: c.Mul, Add: c.Add}
+	}
+	adder := func(s Stage) arith.Adder {
+		c := cfg.Stage[s]
+		return arith.Adder{Width: dsp.AccWidth, ApproxLSBs: c.LSBs, Kind: c.Add}
+	}
+	fir := func(s Stage, xs, coeffs []int64, shift int) []int64 {
+		return oracle.FIR(adder(s), oracle.NewProducts(mult(s)), oracle.Taps(coeffs), xs, uint(shift), dsp.SampleWidth)
+	}
 	out := &Outputs{}
-	out.LowPassed = newBitSerialStage(cfg.Stage[LPF]).fir(xs, LPFCoeffs, LPFShift)
-	out.Filtered = newBitSerialStage(cfg.Stage[HPF]).fir(out.LowPassed, HPFCoeffs, HPFShift)
-	out.Derivative = newBitSerialStage(cfg.Stage[DER]).fir(out.Filtered, DERCoeffs, DERShift)
-	out.Squared = newBitSerialStage(cfg.Stage[SQR]).square(out.Derivative, SQRShift)
-	out.Integrated = newBitSerialStage(cfg.Stage[MWI]).movingSum(out.Squared, MWIWindow, MWIShift)
+	out.LowPassed = fir(LPF, xs, LPFCoeffs, LPFShift)
+	out.Filtered = fir(HPF, out.LowPassed, HPFCoeffs, HPFShift)
+	out.Derivative = fir(DER, out.Filtered, DERCoeffs, DERShift)
+	out.Squared = oracle.Square(mult(SQR), out.Derivative, uint(SQRShift))
+	out.Integrated = oracle.MovingSum(adder(MWI), out.Squared, MWIWindow, uint(MWIShift), dsp.AccWidth-MWIShift)
 	return out
 }
 
 // TestPipelineMatchesBitSerial is the pipeline-level differential of the
-// compiled kernels against the bit-serial arith models: every stage
-// output of Pipeline.Run over a real record must equal the stage folded
-// through the models in test code. The designs are the accurate
+// compiled kernels against the bit-serial models of package oracle:
+// every stage output of Pipeline.Run over a real record must equal the
+// stage folded through the models. The designs are the accurate
 // pipeline, B9 and the AMA1 mix of blockTestConfigs, and an AMA2, AMA3,
 // AMA4 and exact-adder (under AppMultV1) design with every stage at its
 // MaxLSBs. Between them they run the fused exact, the AMA5 (the HPF's

@@ -226,7 +226,7 @@ func TestFoldedStageNetlistsMatchConstProp(t *testing.T) {
 						if err != nil {
 							t.Fatal(err)
 						}
-						want, err := netlist.ConstProp(plain, nil)
+						want, err := netlist.ConstProp(plain)
 						if err != nil {
 							t.Fatal(err)
 						}

@@ -94,12 +94,12 @@ func Analyze(n *netlist.Netlist) Report {
 	return r
 }
 
-// AnalyzeOptimized runs the synthesis cleanup passes (constant propagation
-// with the given input bindings, then dead-cell elimination) and reports on
-// the optimised netlist. This mirrors what a logic synthesiser does with
-// constant coefficient operands before reporting.
-func AnalyzeOptimized(n *netlist.Netlist, bind map[string]uint64) (Report, error) {
-	opt, err := netlist.Optimize(n, bind)
+// AnalyzeOptimized runs the synthesis cleanup passes (constant propagation,
+// then dead-cell elimination) and reports on the optimised netlist. This
+// mirrors what a logic synthesiser does with constant coefficient operands
+// before reporting.
+func AnalyzeOptimized(n *netlist.Netlist) (Report, error) {
+	opt, err := netlist.Optimize(n)
 	if err != nil {
 		return Report{}, err
 	}

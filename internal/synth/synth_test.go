@@ -57,11 +57,11 @@ func TestAnalyzeRCA32RippleDelay(t *testing.T) {
 func TestApproximationShortensCriticalPath(t *testing.T) {
 	// AMA5 cells are zero-delay wiring: approximating k LSBs must cut the
 	// ripple path proportionally (after optimisation dissolves them).
-	base, err := AnalyzeOptimized(genRCA(t, arith.Adder{Width: 32, Kind: approx.AccAdd}), nil)
+	base, err := AnalyzeOptimized(genRCA(t, arith.Adder{Width: 32, Kind: approx.AccAdd}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	app, err := AnalyzeOptimized(genRCA(t, arith.Adder{Width: 32, ApproxLSBs: 16, Kind: approx.ApproxAdd5}), nil)
+	app, err := AnalyzeOptimized(genRCA(t, arith.Adder{Width: 32, ApproxLSBs: 16, Kind: approx.ApproxAdd5}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,11 +78,11 @@ func TestApproximationShortensCriticalPath(t *testing.T) {
 }
 
 func TestReductionsFullyDissolvedDesign(t *testing.T) {
-	base, err := AnalyzeOptimized(genRCA(t, arith.Adder{Width: 32, Kind: approx.AccAdd}), nil)
+	base, err := AnalyzeOptimized(genRCA(t, arith.Adder{Width: 32, Kind: approx.AccAdd}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	app, err := AnalyzeOptimized(genRCA(t, arith.Adder{Width: 32, ApproxLSBs: 32, Kind: approx.ApproxAdd5}), nil)
+	app, err := AnalyzeOptimized(genRCA(t, arith.Adder{Width: 32, ApproxLSBs: 32, Kind: approx.ApproxAdd5}))
 	if err != nil {
 		t.Fatal(err)
 	}
